@@ -27,16 +27,22 @@
 
 use std::any::Any;
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::sync::{mpsc, Mutex, PoisonError};
 
 use rdi_par::{par_map, stream_seed, Threads};
 
 use crate::log::{EventLog, EventRecord};
 
-/// Maximum characters of a message's `Debug` rendering kept in the
-/// event log.
+/// Maximum bytes of a message's `Debug` rendering kept in the event
+/// log; a longer rendering is cut at the last char boundary at or below
+/// it and marked with `…`.
 const SUMMARY_MAX: usize = 96;
+
+/// Bytes [`CappedWriter`] accepts before refusing: `SUMMARY_MAX` plus
+/// one more (possibly 4-byte) char, enough to tell whether the rendering
+/// runs past the cut and where the cut's char boundary lies.
+const SUMMARY_CAP: usize = SUMMARY_MAX + 4;
 
 /// Anything an actor can receive: `Debug` (for the event log), `Send`
 /// (cohorts deliver on `rdi-par` threads), `'static` (type-erased in
@@ -171,15 +177,53 @@ impl<M: Message> AnyMessage for M {
     }
 
     fn summary(&self) -> String {
-        let full = format!("{self:?}");
-        if full.len() <= SUMMARY_MAX {
-            return full;
+        let mut out = CappedWriter {
+            buf: String::with_capacity(SUMMARY_CAP),
+            refused: false,
+        };
+        // `Err` means the writer refused text past its cap (or the Debug
+        // impl failed); either way `out.buf` holds a prefix of the
+        // rendering and is cut below.
+        if write!(out, "{self:?}").is_ok() && out.buf.len() <= SUMMARY_MAX {
+            return out.buf;
         }
-        let mut cut = SUMMARY_MAX;
-        while !full.is_char_boundary(cut) {
+        let mut cut = SUMMARY_MAX.min(out.buf.len());
+        while !out.buf.is_char_boundary(cut) {
             cut -= 1;
         }
-        format!("{}…", &full[..cut])
+        out.buf.truncate(cut);
+        out.buf.push('…');
+        out.buf
+    }
+}
+
+/// `fmt::Write` sink that keeps the first [`SUMMARY_CAP`] bytes of a
+/// rendering and refuses the rest, so a summary costs time proportional
+/// to the cap, not to the message. After its first refusal it refuses
+/// every write, so a `Debug` impl that ignores the error cannot append
+/// text after the cut.
+struct CappedWriter {
+    buf: String,
+    refused: bool,
+}
+
+impl fmt::Write for CappedWriter {
+    fn write_str(&mut self, s: &str) -> fmt::Result {
+        if self.refused {
+            return Err(fmt::Error);
+        }
+        let room = SUMMARY_CAP - self.buf.len();
+        if s.len() <= room {
+            self.buf.push_str(s);
+            return Ok(());
+        }
+        let mut end = room;
+        while !s.is_char_boundary(end) {
+            end -= 1;
+        }
+        self.buf.push_str(&s[..end]);
+        self.refused = true;
+        Err(fmt::Error)
     }
 }
 
@@ -279,6 +323,9 @@ struct Delivery {
     seq: u64,
     from: Option<ActorId>,
     summary: String,
+    /// The payload was dropped undelivered (its ` !error: ` suffix is
+    /// already in `summary`).
+    failed: bool,
 }
 
 /// The deterministic actor runtime: a registry of actors, their
@@ -514,14 +561,15 @@ impl Runtime {
                     }
                     None => Err(String::from("target actor was taken")),
                 };
-                if let Err(e) = outcome {
+                if let Err(e) = &outcome {
                     summary.push_str(" !error: ");
-                    summary.push_str(&e);
+                    summary.push_str(e);
                 }
                 delivered.push(Delivery {
                     seq: env.seq,
                     from: env.from,
                     summary,
+                    failed: outcome.is_err(),
                 });
             }
             Some(JobOut {
@@ -548,7 +596,7 @@ impl Runtime {
             let name = self.names.get(id.0).cloned().unwrap_or_default();
             for d in delivered {
                 delivered_total += 1;
-                if d.summary.contains(" !error: ") {
+                if d.failed {
                     self.delivery_errors += 1;
                     rdi_obs::counter("actor.delivery_errors").inc();
                 }
@@ -593,6 +641,7 @@ fn lock_cell<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// Counts greetings; replies `Pong(count)` to the given id.
     struct Ping {
@@ -690,7 +739,146 @@ mod tests {
         a.send(Pong(1)).unwrap();
         rt.run_until_idle();
         assert_eq!(rt.delivery_errors(), 1);
-        assert!(rt.event_log().render().contains("!error:"));
+        let suffix = format!(
+            " !error: payload is not the {} this actor consumes",
+            std::any::type_name::<Pong>()
+        );
+        let failed: Vec<&EventRecord> = rt
+            .event_log()
+            .records()
+            .iter()
+            .filter(|r| r.summary.ends_with(&suffix))
+            .collect();
+        assert_eq!(failed.len(), 1, "{}", rt.event_log().render());
+    }
+
+    #[test]
+    fn error_text_in_a_payload_is_not_a_delivery_error() {
+        struct Echo;
+        impl Actor for Echo {
+            type Msg = String;
+            fn handle(&mut self, _msg: String, _ctx: &mut Ctx<'_>) {}
+        }
+        let mut rt = Runtime::new(RuntimeConfig::default());
+        let echo = rt.spawn("echo", Echo);
+        echo.send(String::from(" !error: x")).unwrap();
+        rt.run_until_idle();
+        assert!(rt.event_log().render().contains(" !error: x"));
+        assert_eq!(rt.delivery_errors(), 0);
+    }
+
+    /// The summary rendering before the capped writer: format the whole
+    /// message, then cut. Kept as the byte-for-byte reference.
+    fn reference_summary(msg: &dyn fmt::Debug) -> String {
+        let full = format!("{msg:?}");
+        if full.len() <= SUMMARY_MAX {
+            return full;
+        }
+        let mut cut = SUMMARY_MAX;
+        while !full.is_char_boundary(cut) {
+            cut -= 1;
+        }
+        format!("{}…", &full[..cut])
+    }
+
+    /// Renders its pieces verbatim, one `write_str` each, counting the
+    /// bytes accepted and the writes accepted after the first refusal.
+    /// With `stubborn`, ignores write errors and keeps going.
+    #[derive(Default)]
+    struct Pieces {
+        pieces: Vec<String>,
+        stubborn: bool,
+        accepted_bytes: AtomicUsize,
+        accepted_after_refusal: AtomicUsize,
+    }
+
+    impl fmt::Debug for Pieces {
+        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+            let mut refused = false;
+            for p in &self.pieces {
+                match f.write_str(p) {
+                    Ok(()) => {
+                        self.accepted_bytes.fetch_add(p.len(), Ordering::Relaxed);
+                        if refused {
+                            self.accepted_after_refusal.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    Err(e) if !self.stubborn => return Err(e),
+                    Err(_) => refused = true,
+                }
+            }
+            Ok(())
+        }
+    }
+
+    fn pieces(parts: &[&str], stubborn: bool) -> Pieces {
+        Pieces {
+            pieces: parts.iter().map(|p| p.to_string()).collect(),
+            stubborn,
+            ..Pieces::default()
+        }
+    }
+
+    #[test]
+    fn capped_summary_matches_reference_around_the_cut() {
+        let a = |n: usize| "a".repeat(n);
+        // Shorter than, exactly at, one byte over, and far over the cap.
+        for n in [
+            0,
+            1,
+            SUMMARY_MAX - 1,
+            SUMMARY_MAX,
+            SUMMARY_MAX + 1,
+            5 * SUMMARY_MAX,
+        ] {
+            let msg = pieces(&[&a(n)], false);
+            assert_eq!(msg.summary(), reference_summary(&msg), "len {n}");
+            assert_eq!(msg.summary().len() <= SUMMARY_MAX, n <= SUMMARY_MAX);
+        }
+        // A 2-, 3- or 4-byte char straddling the cut (and the writer's
+        // cap), as one write or split over many small ones.
+        for lead in SUMMARY_MAX - 4..=SUMMARY_CAP {
+            for wide in ["é", "€", "😀"] {
+                for tail in ["", "b", "bbbbbbbbbb"] {
+                    let whole = pieces(&[&format!("{}{wide}{tail}", a(lead))], false);
+                    let split = pieces(&[&a(lead), wide, tail], false);
+                    let expected = reference_summary(&whole);
+                    assert_eq!(whole.summary(), expected, "{lead} {wide} {tail:?}");
+                    assert_eq!(split.summary(), expected, "{lead} {wide} {tail:?}");
+                }
+            }
+        }
+        // Derived Debug impls write in many small pieces.
+        for len in 0..40u64 {
+            let msg: Vec<u64> = (0..len).map(|i| i * 1_000_003).collect();
+            assert_eq!(msg.summary(), reference_summary(&msg), "vec of {len}");
+        }
+    }
+
+    #[test]
+    fn capped_summary_refuses_every_write_after_the_first_refusal() {
+        for lead in SUMMARY_MAX - 4..=SUMMARY_CAP {
+            let msg = pieces(&[&"a".repeat(lead), "😀", "b", "c", "é", "dd"], true);
+            assert_eq!(msg.summary(), reference_summary(&msg), "lead {lead}");
+            assert_eq!(
+                msg.accepted_after_refusal.load(Ordering::Relaxed),
+                0,
+                "lead {lead}"
+            );
+        }
+    }
+
+    #[test]
+    fn capped_summary_rendering_is_bounded() {
+        // About 1 MB of Debug text in ten-byte pieces.
+        let parts = vec!["0123456789"; 100_000];
+        for stubborn in [false, true] {
+            let msg = pieces(&parts, stubborn);
+            let summary = msg.summary();
+            let accepted = msg.accepted_bytes.load(Ordering::Relaxed);
+            assert!(accepted <= SUMMARY_CAP, "{accepted} bytes accepted");
+            assert_eq!(summary, reference_summary(&pieces(&parts, stubborn)));
+        }
     }
 
     #[test]

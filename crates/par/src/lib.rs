@@ -12,7 +12,8 @@
 //! respect to the serial execution:
 //!
 //! * [`par_map`] / [`par_map_indexed`] split the input into contiguous
-//!   chunks, map each chunk on its own thread, and splice the per-chunk
+//!   chunks — the calling thread maps the first chunk and `n − 1`
+//!   scoped threads take the other `n − 1` — and splice the per-chunk
 //!   outputs back **in input order**. The result is always exactly
 //!   `items.iter().map(f).collect()`, independent of thread count or
 //!   scheduling.
@@ -37,6 +38,7 @@
 #![warn(missing_docs)]
 
 use std::num::NonZeroUsize;
+use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::thread;
 
@@ -192,28 +194,13 @@ where
     let c = dispatch_counters();
     c.parallel_runs.inc();
     c.tasks_dispatched.add(ranges.len() as u64);
-    let mut per_chunk: Vec<Vec<U>> = thread::scope(|scope| {
-        let handles: Vec<_> = ranges
+    let mut per_chunk = run_chunks(ranges, |range| {
+        let start = range.start;
+        items[range]
             .iter()
-            .map(|range| {
-                let f = &f;
-                let chunk = &items[range.clone()];
-                let start = range.start;
-                scope.spawn(move || {
-                    chunk
-                        .iter()
-                        .enumerate()
-                        .map(|(i, x)| f(start + i, x))
-                        .collect::<Vec<U>>()
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            // join errs only when the worker panicked — re-raise that
-            // panic on the caller instead of a fresh unwrap panic.
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
+            .enumerate()
+            .map(|(i, x)| f(start + i, x))
+            .collect::<Vec<U>>()
     });
     let mut out = Vec::with_capacity(items.len());
     for chunk in per_chunk.iter_mut() {
@@ -247,28 +234,42 @@ where
     let c = dispatch_counters();
     c.parallel_runs.inc();
     c.tasks_dispatched.add(ranges.len() as u64);
-    let per_chunk: Vec<A> = thread::scope(|scope| {
-        let handles: Vec<_> = ranges
-            .iter()
-            .map(|range| {
-                let init = &init;
-                let fold = &fold;
-                let chunk = &items[range.clone()];
-                scope.spawn(move || chunk.iter().fold(init(), fold))
-            })
-            .collect();
-        handles
-            .into_iter()
-            // join errs only when the worker panicked — re-raise that
-            // panic on the caller instead of a fresh unwrap panic.
-            .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e)))
-            .collect()
-    });
+    let per_chunk = run_chunks(ranges, |range| items[range].iter().fold(init(), &fold));
     let mut acc = per_chunk.into_iter();
     // chunks_of yields at least one range, so the fallback (the fold
     // identity, matching the serial fold of zero items) is unreachable.
     let first = acc.next().unwrap_or_else(&init);
     acc.fold(first, combine)
+}
+
+/// Run `job` once per range and return the results in range order.
+/// The calling thread runs the first range itself and `ranges.len() - 1`
+/// scoped threads take the rest, so a two-chunk split spawns one thread
+/// and spans the caller opens inside chunk 0 nest under its open spans.
+/// A panicking job re-raises its original payload on the caller.
+fn run_chunks<R, J>(ranges: Vec<Range<usize>>, job: J) -> Vec<R>
+where
+    R: Send,
+    J: Fn(Range<usize>) -> R + Sync,
+{
+    let mut ranges = ranges.into_iter();
+    let Some(first) = ranges.next() else {
+        return Vec::new();
+    };
+    thread::scope(|scope| {
+        let job = &job;
+        let handles: Vec<_> = ranges.map(|r| scope.spawn(move || job(r))).collect();
+        let mut out = Vec::with_capacity(handles.len() + 1);
+        out.push(job(first));
+        // join errs only when the worker panicked — re-raise that panic
+        // on the caller instead of a fresh unwrap panic.
+        out.extend(
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or_else(|e| std::panic::resume_unwind(e))),
+        );
+        out
+    })
 }
 
 /// Run `n` independent jobs (`f(0) .. f(n-1)`) in parallel and return
@@ -378,12 +379,73 @@ mod tests {
 
     #[test]
     fn small_inputs_stay_serial() {
-        // Under the cutoff we must not spawn; detectable only
-        // indirectly — just assert correctness on tiny inputs.
+        // Under the cutoff nothing is dispatched (counted in
+        // tests/dispatch_counters.rs); here, just correctness.
         let out = par_map(Threads::fixed(8), &[1, 2, 3], |x| x + 1);
         assert_eq!(out, vec![2, 3, 4]);
         let empty: Vec<i32> = par_map(Threads::fixed(8), &[] as &[i32], |x| *x);
         assert!(empty.is_empty());
+    }
+
+    /// Panic payload naming the chunk that raised it.
+    #[derive(Debug, PartialEq)]
+    struct ChunkPanic(usize);
+
+    /// Run `f` and return the payload it panicked with.
+    fn panic_payload<R>(f: impl FnOnce() -> R) -> ChunkPanic {
+        match std::panic::catch_unwind(std::panic::AssertUnwindSafe(f)) {
+            Ok(_) => panic!("expected a panic"),
+            Err(e) => *e.downcast::<ChunkPanic>().expect("original payload"),
+        }
+    }
+
+    #[test]
+    fn caller_and_worker_chunk_panics_keep_their_payload() {
+        let items: Vec<usize> = (0..400).collect();
+        let threads = Threads::fixed(4);
+        let ranges = threads.chunks_of(items.len());
+        // Chunk 0 runs on the caller; the last chunk on a worker.
+        for chunk in [0, ranges.len() - 1] {
+            let bad = ranges[chunk].start;
+            let boom = |x: usize| {
+                if x == bad {
+                    std::panic::panic_any(ChunkPanic(chunk));
+                }
+                x
+            };
+            assert_eq!(
+                panic_payload(|| par_map(threads, &items, |&x| boom(x))),
+                ChunkPanic(chunk)
+            );
+            assert_eq!(
+                panic_payload(|| par_reduce(
+                    threads,
+                    &items,
+                    || 0,
+                    |a, &x| a + boom(x),
+                    |a, b| a + b
+                )),
+                ChunkPanic(chunk)
+            );
+        }
+    }
+
+    #[test]
+    fn caller_chunk_spans_nest_like_serial_ones() {
+        let items = vec![(); 64];
+        for (threads, last_path) in [
+            (Threads::serial(), "caller/probe"),
+            (Threads::fixed(2), "probe"),
+        ] {
+            let _caller = rdi_obs::span("caller");
+            let paths = par_map_indexed(threads, &items, |i, ()| {
+                (i == 0 || i == 63).then(|| rdi_obs::span("probe").path().to_string())
+            });
+            assert_eq!(paths[0].as_deref(), Some("caller/probe"));
+            // In parallel the last item runs on a worker thread, which
+            // starts with an empty span stack.
+            assert_eq!(paths[63].as_deref(), Some(last_path));
+        }
     }
 
     #[test]
