@@ -31,9 +31,11 @@
 //!
 //! [`Threads`] resolves, in order: an explicit
 //! [`Threads::fixed`] value, the `RDI_THREADS` environment variable,
-//! then [`std::thread::available_parallelism`]. Any resolution `<= 1`
-//! (or an input below the parallel cutoff) degrades to a plain serial
-//! loop with no thread spawns at all.
+//! then [`std::thread::available_parallelism`]. [`Threads::auto`]
+//! reads `RDI_THREADS` on every call but the hardware count only once
+//! per process. Any resolution `<= 1` (or an input below the parallel
+//! cutoff) degrades to a plain serial loop with no thread spawns at
+//! all.
 
 #![warn(missing_docs)]
 
@@ -109,6 +111,12 @@ impl Threads {
     /// Resolve from the environment: `RDI_THREADS` if set to a positive
     /// integer, otherwise [`std::thread::available_parallelism`],
     /// otherwise 1.
+    ///
+    /// `RDI_THREADS` is read on every call, so a process that changes
+    /// it sees the new value at once. The hardware count is read once
+    /// per process and remembered: on Linux each
+    /// `available_parallelism` call reads cgroup files, a fixed cost
+    /// that small serving requests would otherwise pay per call.
     pub fn auto() -> Self {
         if let Ok(v) = std::env::var(THREADS_ENV) {
             if let Ok(n) = v.trim().parse::<usize>() {
@@ -117,11 +125,12 @@ impl Threads {
                 }
             }
         }
-        Threads::fixed(
+        static HARDWARE: OnceLock<usize> = OnceLock::new();
+        Threads::fixed(*HARDWARE.get_or_init(|| {
             thread::available_parallelism()
                 .map(NonZeroUsize::get)
-                .unwrap_or(1),
-        )
+                .unwrap_or(1)
+        }))
     }
 
     /// The resolved thread count (always `>= 1`).

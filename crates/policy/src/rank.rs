@@ -49,9 +49,17 @@ impl SelectionPolicy for RankByScore {
         ranking.sort_by(|&a, &b| {
             let score = candidates[a].score.cmp_total(&candidates[b].score);
             let score = if max_wins { score.reverse() } else { score };
-            let key = candidates[a].key.cmp(&candidates[b].key);
-            let key = if key_desc { key.reverse() } else { key };
-            score.then(key).then(a.cmp(&b))
+            // keys are compared only between equal scores
+            score
+                .then_with(|| {
+                    let key = candidates[a].key.cmp(&candidates[b].key);
+                    if key_desc {
+                        key.reverse()
+                    } else {
+                        key
+                    }
+                })
+                .then_with(|| a.cmp(&b))
         });
 
         let winner = ranking.first().copied();
@@ -87,6 +95,7 @@ impl SelectionPolicy for RankByScore {
 mod tests {
     use super::*;
     use crate::Score;
+    use proptest::prelude::*;
 
     fn cands(items: &[(&str, f64)]) -> Vec<Candidate> {
         items
@@ -186,5 +195,62 @@ mod tests {
         assert_eq!(r.tie_break, "key_desc");
         assert_eq!(r.params, "tie=key_desc");
         assert_eq!(r.params_hash, params.hash());
+    }
+
+    /// The ranking as it was computed before keys were compared lazily:
+    /// every comparison evaluates the key order, whether or not the
+    /// scores tie.
+    fn eager_ranking(candidates: &[Candidate], params: &PolicyParams) -> Vec<usize> {
+        let max_wins = params.get("dir").unwrap_or("max") != "min";
+        let key_desc = params.get("tie") == Some("key_desc");
+        let mut ranking: Vec<usize> = (0..candidates.len()).collect();
+        ranking.sort_by(|&a, &b| {
+            let score = candidates[a].score.cmp_total(&candidates[b].score);
+            let score = if max_wins { score.reverse() } else { score };
+            let key = candidates[a].key.cmp(&candidates[b].key);
+            let key = if key_desc { key.reverse() } else { key };
+            score.then(key).then(a.cmp(&b))
+        });
+        ranking
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Small key and score pools, so most candidates tie on score
+        /// and some share a key: the lazy tie-break must rank, count
+        /// ties and name the tie-break exactly as the eager one.
+        #[test]
+        fn lazy_tie_break_matches_the_eager_one(
+            spec in proptest::collection::vec((0usize..6, 0u64..3), 0..40),
+            dir in 0usize..2,
+            tie in 0usize..2,
+        ) {
+            const KEYS: [&str; 6] = ["a", "b", "c", "d", "a", "e"];
+            let candidates: Vec<Candidate> = spec
+                .iter()
+                .map(|&(k, s)| Candidate::new(KEYS[k], Score::U64(s)))
+                .collect();
+            let params = PolicyParams::new()
+                .with("dir", ["max", "min"][dir])
+                .with("tie", ["key_asc", "key_desc"][tie]);
+            let d = RankByScore::new(PolicyId::CACHE_EVICT).choose(&candidates, &params);
+            let eager = eager_ranking(&candidates, &params);
+            prop_assert_eq!(&d.ranking, &eager);
+            prop_assert_eq!(d.winner, eager.first().copied());
+            let expected_ties = eager.first().map_or(0, |&w| {
+                candidates
+                    .iter()
+                    .filter(|c| c.score == candidates[w].score)
+                    .count()
+            });
+            prop_assert_eq!(d.ties, expected_ties);
+            let expected_tie_break = if expected_ties > 1 {
+                ["key_asc", "key_desc"][tie]
+            } else {
+                "none"
+            };
+            prop_assert_eq!(d.tie_break, expected_tie_break);
+        }
     }
 }

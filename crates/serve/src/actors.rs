@@ -57,7 +57,8 @@ use crate::cache::{CacheKey, KeyProfile};
 use crate::error::ServeError;
 use crate::fingerprint::table_fingerprint;
 use crate::index::{
-    check_query_shape, execute, shard_route, LakeIndex, LakeIndexConfig, Prepared, Shard,
+    check_query_shape, execute, shard_route, JoinPlan, LakeIndex, LakeIndexConfig, Prepared, Shard,
+    UnionPlan,
 };
 use crate::request::{ServeRequest, ServeResponse};
 use crate::session::{BatchReport, SessionConfig};
@@ -839,12 +840,12 @@ fn assemble(
             // serial candidate order: globally sorted ids
             candidates.sort_by(|a, b| a.0.cmp(&b.0));
             match query {
-                Some(Ok(query)) => Ok(Prepared::Union {
+                Some(Ok(query)) => Ok(Prepared::Union(UnionPlan {
                     k: *k,
                     query,
                     candidates,
                     params: policies.params_for(PolicyId::UNION_RANK),
-                }),
+                })),
                 Some(Err(e)) => Err(e),
                 None => Err(ServeError::EmptyQuery("query signature never built".into())),
             }
@@ -887,12 +888,12 @@ fn assemble(
                 // in sorted-id order, successes notwithstanding
                 return Err(e);
             }
-            Ok(Prepared::Join {
+            Ok(Prepared::Join(JoinPlan {
                 k: *k,
                 query,
                 candidates,
                 params: policies.params_for(PolicyId::JOIN_RANK),
-            })
+            }))
         }
         ServeRequest::CoverageProbe { .. } => {
             let mut it = parts.into_iter();

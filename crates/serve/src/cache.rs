@@ -119,6 +119,9 @@ struct Entry {
     sketch: Sketch,
     bytes: usize,
     last_used: u64,
+    /// [`CacheKey::render`], rendered once at insert: the candidate key
+    /// of this entry in every later eviction episode.
+    audit_key: String,
 }
 
 /// Byte-accounted LRU cache over [`Sketch`] artifacts.
@@ -213,6 +216,17 @@ impl SketchCache {
     /// evicted, even when oversized). Counts `serve.cache.evictions`
     /// and `serve.cache.evicted_bytes`.
     pub fn insert(&mut self, key: CacheKey, sketch: Sketch) {
+        let fresh = self.admit(key, sketch);
+        let evicted = self.evict_over_budget(fresh);
+        if evicted > 0 {
+            rdi_obs::counter("serve.cache.evictions").add(evicted as u64);
+        }
+        rdi_obs::gauge("serve.cache.bytes").set(self.bytes as f64);
+    }
+
+    /// Store `sketch` under `key` (replacing any previous entry) as the
+    /// most recently used entry, and return its recency sequence.
+    fn admit(&mut self, key: CacheKey, sketch: Sketch) -> u64 {
         let bytes = sketch.bytes();
         if let Some(old) = self.entries.remove(&key) {
             self.recency.remove(&old.last_used);
@@ -220,48 +234,63 @@ impl SketchCache {
         }
         self.clock += 1;
         self.bytes += bytes;
+        let audit_key = key.render();
         self.recency.insert(self.clock, key.clone());
         self.entries.insert(
-            key.clone(),
+            key,
             Entry {
                 sketch,
                 bytes,
                 last_used: self.clock,
+                audit_key,
             },
         );
-        if self.bytes > self.capacity && self.entries.len() > 1 {
-            // One `serve.cache_evict` decision per over-budget episode:
-            // rank every resident entry except the fresh one (never a
-            // victim) by recency — default `dir=min` = LRU first, the
-            // historic order — emit the audit event, then apply the
-            // ranking until the budget holds.
-            let mut candidates = Vec::new();
-            let mut keys = Vec::new();
-            for (k, e) in &self.entries {
-                if *k == key {
-                    continue;
-                }
-                candidates.push(Candidate::new(k.render(), Score::U64(e.last_used)));
-                keys.push(k.clone());
-            }
-            let policy = RankByScore::new(PolicyId::CACHE_EVICT);
-            let decision = policy.choose(&candidates, &self.evict_params);
-            self.decisions.push(rdi_obs::policy_decision_event(
-                &decision.rationale(&candidates, &self.evict_params),
-            ));
-            for &i in &decision.ranking {
-                if self.bytes <= self.capacity {
-                    break;
-                }
-                if let Some(e) = self.entries.remove(&keys[i]) {
-                    self.recency.remove(&e.last_used);
-                    self.bytes -= e.bytes;
-                    rdi_obs::counter("serve.cache.evicted_bytes").add(e.bytes as u64);
-                }
-                rdi_obs::counter("serve.cache.evictions").inc();
-            }
+        self.clock
+    }
+
+    /// One `serve.cache_evict` episode, if the cache is over budget:
+    /// rank every resident entry except the fresh one (recency
+    /// sequence `fresh`, never a victim) by recency — default
+    /// `dir=min` = LRU first — emit the audit event, then evict in
+    /// ranked order until the budget holds. Returns the eviction count.
+    ///
+    /// Candidates come in key order with the keys rendered at insert,
+    /// and victims resolve through their recency sequence, so an
+    /// episode clones one string per resident entry and no key.
+    fn evict_over_budget(&mut self, fresh: u64) -> usize {
+        if self.bytes <= self.capacity || self.entries.len() <= 1 {
+            return 0;
         }
-        rdi_obs::gauge("serve.cache.bytes").set(self.bytes as f64);
+        let mut candidates = Vec::with_capacity(self.entries.len() - 1);
+        let mut ticks = Vec::with_capacity(self.entries.len() - 1);
+        for e in self.entries.values() {
+            if e.last_used == fresh {
+                continue;
+            }
+            candidates.push(Candidate::new(e.audit_key.clone(), Score::U64(e.last_used)));
+            ticks.push(e.last_used);
+        }
+        let policy = RankByScore::new(PolicyId::CACHE_EVICT);
+        let decision = policy.choose(&candidates, &self.evict_params);
+        self.decisions.push(rdi_obs::policy_decision_event(
+            &decision.rationale(&candidates, &self.evict_params),
+        ));
+        let mut evicted = 0;
+        for &i in &decision.ranking {
+            if self.bytes <= self.capacity {
+                break;
+            }
+            if let Some(e) = self
+                .recency
+                .remove(&ticks[i])
+                .and_then(|key| self.entries.remove(&key))
+            {
+                self.bytes -= e.bytes;
+                rdi_obs::counter("serve.cache.evicted_bytes").add(e.bytes as u64);
+            }
+            evicted += 1;
+        }
+        evicted
     }
 
     /// Evict every entry owned by `owner`, regardless of fingerprint
@@ -504,6 +533,163 @@ mod tests {
             "over-budget episodes were audited"
         );
         assert!(c.drain_decisions().is_empty(), "drain empties the log");
+    }
+
+    /// The eviction episode as it ran before audit keys were stored in
+    /// the entries: render and clone every resident key on each
+    /// episode, rank, then evict by key. Kept as the parity reference
+    /// for [`SketchCache::evict_over_budget`].
+    fn reference_evict_over_budget(c: &mut SketchCache, fresh: &CacheKey) -> usize {
+        if c.bytes <= c.capacity || c.entries.len() <= 1 {
+            return 0;
+        }
+        let mut candidates = Vec::new();
+        let mut keys = Vec::new();
+        for (k, e) in &c.entries {
+            if k == fresh {
+                continue;
+            }
+            candidates.push(Candidate::new(k.render(), Score::U64(e.last_used)));
+            keys.push(k.clone());
+        }
+        let policy = RankByScore::new(PolicyId::CACHE_EVICT);
+        let decision = policy.choose(&candidates, &c.evict_params);
+        c.decisions.push(rdi_obs::policy_decision_event(
+            &decision.rationale(&candidates, &c.evict_params),
+        ));
+        let mut evicted = 0;
+        for &i in &decision.ranking {
+            if c.bytes <= c.capacity {
+                break;
+            }
+            if let Some(e) = c.entries.remove(&keys[i]) {
+                c.recency.remove(&e.last_used);
+                c.bytes -= e.bytes;
+            }
+            evicted += 1;
+        }
+        evicted
+    }
+
+    enum Op {
+        /// Insert a one-column signature of length `k` owned by the name.
+        Insert(&'static str, usize),
+        /// Look the name's entry up (a hit bumps its recency).
+        Get(&'static str),
+    }
+
+    /// Run `ops` on two caches, one evicting through
+    /// `evict_over_budget`, the other through the reference episode,
+    /// and require the same survivors and bytes after every op and the
+    /// same decision events and eviction count at the end. Returns the
+    /// survivors, the eviction count and the number of episodes.
+    fn episode_parity(
+        capacity: usize,
+        params: Option<PolicyParams>,
+        ops: &[Op],
+    ) -> (Vec<String>, usize, usize) {
+        let mut new = SketchCache::new(capacity);
+        let mut old = SketchCache::new(capacity);
+        if let Some(p) = params {
+            new.set_evict_params(p.clone());
+            old.set_evict_params(p);
+        }
+        let (mut new_evictions, mut old_evictions) = (0, 0);
+        for (step, op) in ops.iter().enumerate() {
+            match *op {
+                Op::Insert(owner, k) => {
+                    let fresh = new.admit(key(owner), sig(owner, k));
+                    new_evictions += new.evict_over_budget(fresh);
+                    old.admit(key(owner), sig(owner, k));
+                    old_evictions += reference_evict_over_budget(&mut old, &key(owner));
+                }
+                Op::Get(owner) => {
+                    assert_eq!(
+                        new.get(&key(owner)).is_some(),
+                        old.get(&key(owner)).is_some(),
+                        "step {step}"
+                    );
+                }
+            }
+            let survivors: Vec<&CacheKey> = new.entries.keys().collect();
+            let expected: Vec<&CacheKey> = old.entries.keys().collect();
+            assert_eq!(survivors, expected, "step {step}");
+            assert_eq!(new.recency, old.recency, "step {step}");
+            assert_eq!(new.bytes(), old.bytes(), "step {step}");
+        }
+        let decisions = new.drain_decisions();
+        assert_eq!(decisions, old.drain_decisions());
+        assert_eq!(new_evictions, old_evictions);
+        let survivors = new.entries.keys().map(|k| k.owner.clone()).collect();
+        (survivors, new_evictions, decisions.len())
+    }
+
+    // A one-column signature of length 8 owned by a one-letter name
+    // accounts 162 bytes; of length 64, 610 bytes.
+
+    #[test]
+    fn episode_parity_one_victim() {
+        let ops = [Op::Insert("a", 8), Op::Insert("b", 8), Op::Insert("c", 8)];
+        let (survivors, evictions, episodes) = episode_parity(340, None, &ops);
+        assert_eq!(survivors, ["b", "c"]);
+        assert_eq!((evictions, episodes), (1, 1));
+    }
+
+    #[test]
+    fn episode_parity_several_victims_from_one_oversized_insert() {
+        let ops = [
+            Op::Insert("a", 8),
+            Op::Insert("b", 8),
+            Op::Insert("c", 8),
+            Op::Insert("d", 8),
+            Op::Insert("e", 64),
+        ];
+        let (survivors, evictions, episodes) = episode_parity(700, None, &ops);
+        assert_eq!(survivors, ["e"]);
+        assert_eq!((evictions, episodes), (4, 1));
+    }
+
+    #[test]
+    fn episode_parity_under_a_dir_max_override() {
+        let ops = [
+            Op::Insert("a", 8),
+            Op::Insert("b", 8),
+            Op::Insert("c", 8),
+            Op::Insert("d", 8),
+        ];
+        let params = PolicyParams::new().with("dir", "max");
+        let (survivors, evictions, episodes) = episode_parity(340, Some(params), &ops);
+        // most recently used first: b goes for c, then c goes for d
+        assert_eq!(survivors, ["a", "d"]);
+        assert_eq!((evictions, episodes), (2, 2));
+    }
+
+    #[test]
+    fn episode_parity_with_a_lone_oversized_fresh_entry() {
+        let ops = [Op::Insert("a", 64), Op::Insert("b", 64)];
+        let (survivors, evictions, episodes) = episode_parity(1, None, &ops);
+        // the lone entry opens no episode; the next insert evicts it
+        assert_eq!(survivors, ["b"]);
+        assert_eq!((evictions, episodes), (1, 1));
+    }
+
+    #[test]
+    fn episode_parity_after_hits_reorder_recency() {
+        let ops = [
+            Op::Insert("a", 8),
+            Op::Insert("b", 8),
+            Op::Insert("c", 8),
+            Op::Insert("d", 8),
+            Op::Get("a"),
+            Op::Get("b"),
+            Op::Insert("e", 8),
+            Op::Get("c"),
+            Op::Insert("f", 8),
+        ];
+        let (survivors, evictions, episodes) = episode_parity(700, None, &ops);
+        // c is least recently used at the first episode, d at the second
+        assert_eq!(survivors, ["a", "b", "e", "f"]);
+        assert_eq!((evictions, episodes), (2, 2));
     }
 
     #[test]

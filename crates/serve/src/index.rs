@@ -40,6 +40,7 @@ use rdi_coverage::CoverageAnalyzer;
 use rdi_discovery::hash::hash_bytes;
 use rdi_discovery::{rank_scored, table_unionability, MinHash, TableSignature};
 use rdi_obs::ProvenanceEvent;
+use rdi_par::Threads;
 use rdi_policy::{PolicyId, PolicyParams, PolicySet};
 use rdi_table::{Table, TableDelta};
 use rdi_tailor::{DtProblem, RandomPolicy, TableSource};
@@ -345,7 +346,16 @@ impl Shard {
         if let Some(Sketch::Union(sig)) = self.cache.get(&key) {
             return Ok(sig);
         }
-        let sig = Arc::new(TableSignature::build(CacheKey::QUERY_OWNER, query, k)?);
+        // A query has a few short columns: sketching them costs less
+        // than a thread spawn, so the warm phase stays on this thread.
+        // Signatures are schema-ordered, so the bytes do not depend on
+        // the thread count.
+        let sig = Arc::new(TableSignature::build_with(
+            CacheKey::QUERY_OWNER,
+            query,
+            k,
+            Threads::serial(),
+        )?);
         self.cache.insert(key, Sketch::Union(sig.clone()));
         Ok(sig)
     }
@@ -669,56 +679,10 @@ impl LakeIndex {
     pub(crate) fn prepare(&mut self, request: &ServeRequest) -> Result<Prepared, ServeError> {
         match request {
             ServeRequest::UnionTopK { query, k } => {
-                self.check_top_k(*k)?;
-                check_query_shape(query)?;
-                let fp = table_fingerprint(query);
-                let query_sig = self.query_union_signature(fp, query)?;
-                let ids = self.sorted_ids();
-                let mut candidates = Vec::with_capacity(ids.len());
-                for id in ids {
-                    let sig = self.registered_union_signature(&id)?;
-                    candidates.push((id, sig));
-                }
-                Ok(Prepared::Union {
-                    k: *k,
-                    query: query_sig,
-                    candidates,
-                    params: self.policies.params_for(PolicyId::UNION_RANK),
-                })
+                self.prepare_union(query, *k).map(Prepared::Union)
             }
             ServeRequest::JoinableTopK { query, column, k } => {
-                self.check_top_k(*k)?;
-                check_query_shape(query)?;
-                if query.column(column).is_err() {
-                    return Err(ServeError::UnknownColumn {
-                        table: CacheKey::QUERY_OWNER.to_string(),
-                        column: column.clone(),
-                    });
-                }
-                let fp = table_fingerprint(query);
-                let query_profile = self.query_key_profile(fp, query, column)?;
-                if query_profile.distinct == 0 {
-                    return Err(ServeError::EmptyQuery(format!(
-                        "query column `{column}` has no non-null values"
-                    )));
-                }
-                let ids = self.sorted_ids();
-                let mut candidates = Vec::with_capacity(ids.len());
-                for id in ids {
-                    // candidates without the key column are skipped, not errors
-                    let has_column = self.table(&id).is_some_and(|t| t.column(column).is_ok());
-                    if !has_column {
-                        continue;
-                    }
-                    let p = self.registered_key_profile(&id, column)?;
-                    candidates.push((id, p));
-                }
-                Ok(Prepared::Join {
-                    k: *k,
-                    query: query_profile,
-                    candidates,
-                    params: self.policies.params_for(PolicyId::JOIN_RANK),
-                })
+                self.prepare_join(query, column, *k).map(Prepared::Join)
             }
             ServeRequest::CoverageProbe {
                 table,
@@ -767,6 +731,68 @@ impl LakeIndex {
         }
     }
 
+    /// Warm the query signature and every registered union signature.
+    fn prepare_union(&mut self, query: &Table, k: usize) -> Result<UnionPlan, ServeError> {
+        self.check_top_k(k)?;
+        check_query_shape(query)?;
+        let fp = table_fingerprint(query);
+        let query_sig = self.query_union_signature(fp, query)?;
+        let ids = self.sorted_ids();
+        let mut candidates = Vec::with_capacity(ids.len());
+        for id in ids {
+            let sig = self.registered_union_signature(&id)?;
+            candidates.push((id, sig));
+        }
+        Ok(UnionPlan {
+            k,
+            query: query_sig,
+            candidates,
+            params: self.policies.params_for(PolicyId::UNION_RANK),
+        })
+    }
+
+    /// Warm the query's key profile and the key profile of every
+    /// registered table that has the key column.
+    fn prepare_join(
+        &mut self,
+        query: &Table,
+        column: &str,
+        k: usize,
+    ) -> Result<JoinPlan, ServeError> {
+        self.check_top_k(k)?;
+        check_query_shape(query)?;
+        if query.column(column).is_err() {
+            return Err(ServeError::UnknownColumn {
+                table: CacheKey::QUERY_OWNER.to_string(),
+                column: column.to_string(),
+            });
+        }
+        let fp = table_fingerprint(query);
+        let query_profile = self.query_key_profile(fp, query, column)?;
+        if query_profile.distinct == 0 {
+            return Err(ServeError::EmptyQuery(format!(
+                "query column `{column}` has no non-null values"
+            )));
+        }
+        let ids = self.sorted_ids();
+        let mut candidates = Vec::with_capacity(ids.len());
+        for id in ids {
+            // candidates without the key column are skipped, not errors
+            let has_column = self.table(&id).is_some_and(|t| t.column(column).is_ok());
+            if !has_column {
+                continue;
+            }
+            let p = self.registered_key_profile(&id, column)?;
+            candidates.push((id, p));
+        }
+        Ok(JoinPlan {
+            k,
+            query: query_profile,
+            candidates,
+            params: self.policies.params_for(PolicyId::JOIN_RANK),
+        })
+    }
+
     fn check_top_k(&self, k: usize) -> Result<(), ServeError> {
         if k == 0 {
             return Err(ServeError::ZeroK);
@@ -785,17 +811,8 @@ impl LakeIndex {
         query: &Table,
         k: usize,
     ) -> Result<Vec<(String, f64)>, ServeError> {
-        let plan = self.prepare(&ServeRequest::UnionTopK {
-            query: query.clone(),
-            k,
-        })?;
-        let (result, decisions) = execute(&plan, 0);
-        self.decisions.extend(decisions);
-        match result {
-            Ok(ServeResponse::UnionTopK(v)) => Ok(v),
-            Ok(_) => unreachable!("union plan executes to a union response"),
-            Err(e) => Err(e),
-        }
+        let plan = self.prepare_union(query, k)?;
+        Ok(execute_union(&plan, &mut self.decisions))
     }
 
     /// One-shot joinability top-k by estimated key containment.
@@ -805,18 +822,8 @@ impl LakeIndex {
         column: &str,
         k: usize,
     ) -> Result<Vec<(String, f64)>, ServeError> {
-        let plan = self.prepare(&ServeRequest::JoinableTopK {
-            query: query.clone(),
-            column: column.to_string(),
-            k,
-        })?;
-        let (result, decisions) = execute(&plan, 0);
-        self.decisions.extend(decisions);
-        match result {
-            Ok(ServeResponse::JoinableTopK(v)) => Ok(v),
-            Ok(_) => unreachable!("join plan executes to a join response"),
-            Err(e) => Err(e),
-        }
+        let plan = self.prepare_join(query, column, k)?;
+        Ok(execute_join(&plan, &mut self.decisions))
     }
 }
 
@@ -837,18 +844,8 @@ pub(crate) fn check_query_shape(query: &Table) -> Result<(), ServeError> {
 /// [`LakeIndex::prepare`]. All shared state is behind `Arc`.
 #[derive(Debug, Clone)]
 pub(crate) enum Prepared {
-    Union {
-        k: usize,
-        query: Arc<TableSignature>,
-        candidates: Vec<(String, Arc<TableSignature>)>,
-        params: PolicyParams,
-    },
-    Join {
-        k: usize,
-        query: Arc<KeyProfile>,
-        candidates: Vec<(String, Arc<KeyProfile>)>,
-        params: PolicyParams,
-    },
+    Union(UnionPlan),
+    Join(JoinPlan),
     Coverage {
         table_id: String,
         table: Arc<Table>,
@@ -860,6 +857,27 @@ pub(crate) enum Prepared {
         sources: Vec<(String, Arc<Table>, f64)>,
         max_draws: usize,
     },
+}
+
+/// A warmed union top-k request: the query signature and every
+/// registered table's signature, in sorted-id order.
+#[derive(Debug, Clone)]
+pub(crate) struct UnionPlan {
+    pub(crate) k: usize,
+    pub(crate) query: Arc<TableSignature>,
+    pub(crate) candidates: Vec<(String, Arc<TableSignature>)>,
+    pub(crate) params: PolicyParams,
+}
+
+/// A warmed joinability top-k request: the query key profile and the
+/// profile of every registered table with the key column, in sorted-id
+/// order.
+#[derive(Debug, Clone)]
+pub(crate) struct JoinPlan {
+    pub(crate) k: usize,
+    pub(crate) query: Arc<KeyProfile>,
+    pub(crate) candidates: Vec<(String, Arc<KeyProfile>)>,
+    pub(crate) params: PolicyParams,
 }
 
 /// Execute a prepared plan. Pure: the response *and* the returned
@@ -882,38 +900,8 @@ fn execute_inner(
     decisions: &mut Vec<ProvenanceEvent>,
 ) -> Result<ServeResponse, ServeError> {
     match plan {
-        Prepared::Union {
-            k,
-            query,
-            candidates,
-            params,
-        } => {
-            rdi_obs::counter("serve.candidates_scored").add(candidates.len() as u64);
-            let scored: Vec<(String, f64)> = candidates
-                .iter()
-                .map(|(id, sig)| (id.clone(), table_unionability(query, sig)))
-                .collect();
-            // under default params, identical ranking to the historic
-            // inline sort and to `UnionSearchIndex::top_k`
-            let (top, event) = rank_scored(PolicyId::UNION_RANK, &scored, *k, params);
-            decisions.push(event);
-            Ok(ServeResponse::UnionTopK(top))
-        }
-        Prepared::Join {
-            k,
-            query,
-            candidates,
-            params,
-        } => {
-            rdi_obs::counter("serve.candidates_scored").add(candidates.len() as u64);
-            let scored: Vec<(String, f64)> = candidates
-                .iter()
-                .map(|(id, p)| (id.clone(), containment_estimate(query, p)))
-                .collect();
-            let (top, event) = rank_scored(PolicyId::JOIN_RANK, &scored, *k, params);
-            decisions.push(event);
-            Ok(ServeResponse::JoinableTopK(top))
-        }
+        Prepared::Union(plan) => Ok(ServeResponse::UnionTopK(execute_union(plan, decisions))),
+        Prepared::Join(plan) => Ok(ServeResponse::JoinableTopK(execute_join(plan, decisions))),
         Prepared::Coverage {
             table_id,
             table,
@@ -971,6 +959,36 @@ fn execute_inner(
             }))
         }
     }
+}
+
+/// Score every candidate's unionability with the query and rank the
+/// top `k`, recording the `discovery.union_rank` decision.
+fn execute_union(plan: &UnionPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<(String, f64)> {
+    rdi_obs::counter("serve.candidates_scored").add(plan.candidates.len() as u64);
+    let scored: Vec<(String, f64)> = plan
+        .candidates
+        .iter()
+        .map(|(id, sig)| (id.clone(), table_unionability(&plan.query, sig)))
+        .collect();
+    // under default params, identical ranking to the historic inline
+    // sort and to `UnionSearchIndex::top_k`
+    let (top, event) = rank_scored(PolicyId::UNION_RANK, &scored, plan.k, &plan.params);
+    decisions.push(event);
+    top
+}
+
+/// Score every candidate's estimated key containment of the query and
+/// rank the top `k`, recording the `discovery.join_rank` decision.
+fn execute_join(plan: &JoinPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<(String, f64)> {
+    rdi_obs::counter("serve.candidates_scored").add(plan.candidates.len() as u64);
+    let scored: Vec<(String, f64)> = plan
+        .candidates
+        .iter()
+        .map(|(id, p)| (id.clone(), containment_estimate(&plan.query, p)))
+        .collect();
+    let (top, event) = rank_scored(PolicyId::JOIN_RANK, &scored, plan.k, &plan.params);
+    decisions.push(event);
+    top
 }
 
 /// Estimated containment of the query key set in a candidate key set,
