@@ -32,7 +32,15 @@ impl PatternCounter {
     /// Build a counter over `attributes` of `table`.
     ///
     /// Null cells are treated as their own category (rendered `∅`), since
-    /// dropping them would silently change coverage semantics.
+    /// dropping them would silently change coverage semantics. Each
+    /// attribute is dictionary-encoded once ([`rdi_table::Column::encode`]):
+    /// its domain is the sorted distinct non-null values, with null as
+    /// the last code when the column has nulls.
+    ///
+    /// # Errors
+    /// An empty attribute list, an unknown attribute, or an attribute
+    /// whose domain (null included) has more than `u16::MAX` values —
+    /// pattern codes are `u16`, so a larger domain cannot be encoded.
     pub fn new(table: &Table, attributes: &[&str]) -> rdi_table::Result<Self> {
         if attributes.is_empty() {
             return Err(TableError::SchemaMismatch(
@@ -40,37 +48,47 @@ impl PatternCounter {
             ));
         }
         let mut domains: Vec<Vec<Value>> = Vec::with_capacity(attributes.len());
+        let mut code_columns: Vec<Vec<u16>> = Vec::with_capacity(attributes.len());
         for a in attributes {
-            let mut vals = table.distinct(a)?;
-            if table.column(a)?.null_count() > 0 {
-                vals.push(Value::Null);
+            let (mut domain, codes) = table.column(a)?.encode();
+            let null_code = domain.len();
+            if codes.iter().any(Option::is_none) {
+                domain.push(Value::Null);
             }
-            domains.push(vals);
+            if domain.len() > usize::from(u16::MAX) {
+                return Err(TableError::SchemaMismatch(format!(
+                    "coverage attribute `{a}` has {} values (null included); \
+                     pattern codes hold at most {}",
+                    domain.len(),
+                    u16::MAX
+                )));
+            }
+            // every code is below `domain.len() <= u16::MAX`, so the casts are exact
+            code_columns.push(
+                codes
+                    .into_iter()
+                    .map(|c| c.map_or(null_code, |c| c as usize) as u16)
+                    .collect(),
+            );
+            domains.push(domain);
         }
-        // value -> code per attribute
-        let lookups: Vec<BTreeMap<&Value, u16>> = domains
-            .iter()
-            .map(|d| d.iter().enumerate().map(|(i, v)| (v, i as u16)).collect())
-            .collect();
         let mut counts: BTreeMap<Vec<u16>, usize> = BTreeMap::new();
-        let cols: Vec<&rdi_table::Column> = attributes
-            .iter()
-            .map(|a| table.column(a))
-            .collect::<rdi_table::Result<_>>()?;
+        let mut cell: Vec<u16> = Vec::with_capacity(attributes.len());
         for i in 0..table.num_rows() {
-            let cell: Vec<u16> = cols
-                .iter()
-                .zip(&lookups)
-                .map(|(c, l)| l[&c.value(i)])
-                .collect();
-            *counts.entry(cell).or_insert(0) += 1;
+            cell.clear();
+            cell.extend(code_columns.iter().map(|c| c[i]));
+            match counts.get_mut(cell.as_slice()) {
+                Some(n) => *n += 1,
+                None => {
+                    counts.insert(cell.clone(), 1);
+                }
+            }
         }
-        let mut cells: Vec<(Vec<u16>, usize)> = counts.into_iter().collect();
-        cells.sort(); // determinism
         Ok(PatternCounter {
             attributes: attributes.iter().map(|s| s.to_string()).collect(),
             domains,
-            cells,
+            // BTreeMap order: cells sorted, so the layout is deterministic
+            cells: counts.into_iter().collect(),
             total: table.num_rows(),
         })
     }
@@ -164,7 +182,8 @@ impl PatternCounter {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdi_table::{DataType, Field, Schema};
+    use proptest::prelude::*;
+    use rdi_table::{Column, DataType, Field, Schema};
 
     fn table() -> Table {
         let schema = Schema::new(vec![
@@ -222,5 +241,135 @@ mod tests {
     #[test]
     fn empty_attribute_list_rejected() {
         assert!(PatternCounter::new(&table(), &[]).is_err());
+    }
+
+    fn ints(name: &str, n: i64, with_null: bool) -> Table {
+        let schema = Schema::new(vec![Field::new(name, DataType::Int)]);
+        let mut cells: Vec<Option<i64>> = (0..n).map(Some).collect();
+        if with_null {
+            cells.push(None);
+        }
+        Table::from_columns(schema, vec![Column::Int(cells)]).unwrap()
+    }
+
+    #[test]
+    fn domains_past_u16_codes_are_a_typed_error() {
+        // Regression: codes were `i as u16`, so 65 537 values aliased
+        // codes and a 65 536-value domain reported cardinality 0.
+        for t in [ints("id", 65_537, false), ints("id", 65_535, true)] {
+            match PatternCounter::new(&t, &["id"]) {
+                Err(TableError::SchemaMismatch(msg)) => {
+                    assert!(msg.contains("`id`"), "{msg}");
+                    assert!(msg.contains(&(t.num_rows()).to_string()), "{msg}");
+                }
+                other => panic!("expected a schema mismatch, got {other:?}"),
+            }
+        }
+        // the largest domain that fits: u16::MAX values, null included
+        let c = PatternCounter::new(&ints("id", 65_534, true), &["id"]).unwrap();
+        assert_eq!(c.cardinalities(), vec![u16::MAX]);
+        assert_eq!(c.count(&Pattern(vec![Some(u16::MAX - 1)])), 1);
+    }
+
+    /// The counter as built before dictionary encoding: a stable sort +
+    /// dedup domain per attribute (null appended last), a
+    /// `BTreeMap<&Value, u16>` lookup and a fresh `Vec<u16>` per row.
+    fn reference_build(table: &Table, attributes: &[&str]) -> PatternCounter {
+        let mut domains: Vec<Vec<Value>> = Vec::new();
+        for a in attributes {
+            let col = table.column(a).unwrap();
+            let mut vals: Vec<Value> = (0..table.num_rows())
+                .map(|i| col.value(i))
+                .filter(|v| !v.is_null())
+                .collect();
+            vals.sort();
+            vals.dedup();
+            if col.null_count() > 0 {
+                vals.push(Value::Null);
+            }
+            domains.push(vals);
+        }
+        let lookups: Vec<BTreeMap<&Value, u16>> = domains
+            .iter()
+            .map(|d| d.iter().enumerate().map(|(i, v)| (v, i as u16)).collect())
+            .collect();
+        let mut counts: BTreeMap<Vec<u16>, usize> = BTreeMap::new();
+        for i in 0..table.num_rows() {
+            let cell: Vec<u16> = attributes
+                .iter()
+                .zip(&lookups)
+                .map(|(a, l)| l[&table.column(a).unwrap().value(i)])
+                .collect();
+            *counts.entry(cell).or_insert(0) += 1;
+        }
+        let mut cells: Vec<(Vec<u16>, usize)> = counts.into_iter().collect();
+        cells.sort();
+        PatternCounter {
+            attributes: attributes.iter().map(|s| s.to_string()).collect(),
+            domains,
+            cells,
+            total: table.num_rows(),
+        }
+    }
+
+    fn exact(domains: &[Vec<Value>]) -> Vec<Vec<String>> {
+        domains
+            .iter()
+            .map(|d| d.iter().map(|v| format!("{v:?}")).collect())
+            .collect()
+    }
+
+    /// Four columns (Int, Float, Str, Bool) over small pools with nulls,
+    /// including `Int`s equal as `f64` and both signed zeros.
+    fn arb_table() -> impl Strategy<Value = Table> {
+        let int = prop_oneof![
+            3 => (0i64..4).prop_map(Value::Int),
+            1 => Just(Value::Int(1 << 53)),
+            1 => Just(Value::Int((1 << 53) + 1)),
+            1 => Just(Value::Null),
+        ];
+        let float = prop_oneof![
+            3 => (0i64..3).prop_map(|x| Value::Float(x as f64 * 0.5)),
+            1 => Just(Value::Float(-0.0)),
+            1 => Just(Value::Null),
+        ];
+        let string = prop_oneof![
+            3 => "[abc]{0,1}".prop_map(Value::Str),
+            1 => Just(Value::Null),
+        ];
+        let boolean = prop_oneof![
+            3 => any::<bool>().prop_map(Value::Bool),
+            1 => Just(Value::Null),
+        ];
+        prop::collection::vec((int, float, string, boolean), 0..40).prop_map(|rows| {
+            let mut t = Table::new(Schema::new(vec![
+                Field::new("i", DataType::Int),
+                Field::new("f", DataType::Float),
+                Field::new("s", DataType::Str),
+                Field::new("b", DataType::Bool),
+            ]));
+            for (i, f, s, b) in rows {
+                t.push_row(vec![i, f, s, b]).unwrap();
+            }
+            t
+        })
+    }
+
+    proptest! {
+        /// The encoded build agrees with the old per-row `BTreeMap` build
+        /// on domains, cells, total and cardinalities.
+        #[test]
+        fn new_matches_the_btreemap_build(
+            t in arb_table(),
+            picks in prop::collection::vec(0usize..4, 1..5),
+        ) {
+            let attrs: Vec<&str> = picks.iter().map(|&p| ["i", "f", "s", "b"][p]).collect();
+            let c = PatternCounter::new(&t, &attrs).unwrap();
+            let want = reference_build(&t, &attrs);
+            prop_assert_eq!(exact(&c.domains), exact(&want.domains));
+            prop_assert_eq!(&c.cells, &want.cells);
+            prop_assert_eq!(c.total, want.total);
+            prop_assert_eq!(c.cardinalities(), want.cardinalities());
+        }
     }
 }

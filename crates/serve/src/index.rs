@@ -927,7 +927,7 @@ fn execute_inner(
             for (id, table, cost) in sources {
                 table_sources.push(TableSource::new(
                     id.clone(),
-                    (**table).clone(),
+                    Arc::clone(table),
                     *cost,
                     problem,
                 )?);

@@ -262,7 +262,7 @@ impl ServeSession {
 mod tests {
     use super::*;
     use crate::index::LakeIndexConfig;
-    use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Table, Value};
+    use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Table, TableError, Value};
     use rdi_tailor::DtProblem;
 
     fn keyed(vals: &[&str]) -> Table {
@@ -425,6 +425,33 @@ mod tests {
             .responses
             .iter()
             .all(|r| matches!(r, Err(ServeError::CircuitOpen { .. }))));
+    }
+
+    #[test]
+    fn coverage_past_u16_codes_is_a_typed_error_in_its_slot() {
+        // Regression: pattern codes were `i as u16`, so an attribute with
+        // 65 537 values aliased codes instead of failing.
+        let schema = Schema::new(vec![Field::new("id", DataType::Int)]);
+        let ids = rdi_table::Column::Int((0..65_537).map(Some).collect());
+        let wide = Table::from_columns(schema, vec![ids]).unwrap();
+        let mut s = session();
+        s.index_mut().register("wide", wide, 1.0).unwrap();
+        let probe = ServeRequest::CoverageProbe {
+            table: "wide".into(),
+            attributes: vec!["id".into()],
+            threshold: 1,
+        };
+        let report = s.submit_batch(&[probe, mixed_batch().remove(2)]);
+        match &report.responses[0] {
+            Err(ServeError::Table(TableError::SchemaMismatch(msg))) => {
+                assert!(msg.contains("`id`") && msg.contains("65537"), "{msg}");
+            }
+            other => panic!("expected a typed table error, got {other:?}"),
+        }
+        assert!(matches!(
+            report.responses[1],
+            Ok(ServeResponse::Coverage(_))
+        ));
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! Typed column storage.
 
+use std::cmp::Ordering;
+use std::collections::BTreeMap;
+
 use serde::{Deserialize, Serialize};
 
 use crate::error::TableError;
@@ -213,11 +216,93 @@ impl Column {
             _ => None,
         }
     }
+
+    /// Dictionary-encode the column: its sorted distinct non-null values
+    /// (exactly what [`crate::Table::distinct`] returns) plus, per row,
+    /// the index of the row's value among them (`None` for null).
+    ///
+    /// Cells are interned through a map over *borrowed* cells and then
+    /// renumbered in sorted order, so only the distinct values are
+    /// cloned. Cells that compare equal as [`Value`]s share one code —
+    /// e.g. two `Int`s that coincide as `f64`, such as 2^53 and 2^53+1 —
+    /// and the first occurrence in row order is the representative, the
+    /// element a stable sort + dedup would keep. `-0.0` and `0.0` stay
+    /// distinct, as under [`Value::total_cmp`].
+    ///
+    /// Codes are `u32`: a column is assumed to hold fewer than 2^32
+    /// distinct values.
+    pub fn encode(&self) -> (Vec<Value>, Vec<Option<u32>>) {
+        match self {
+            Column::Int(v) => encode_cells(v, |x| TotalF64(*x as f64), |x| Value::Int(*x)),
+            Column::Float(v) => encode_cells(v, |x| TotalF64(*x), |x| Value::Float(*x)),
+            Column::Str(v) => encode_cells(v, String::as_str, |x| Value::Str(x.clone())),
+            Column::Bool(v) => encode_cells(v, |x| *x, |x| Value::Bool(*x)),
+        }
+    }
+}
+
+/// An `f64` ordered by [`f64::total_cmp`] — the order [`Value`] gives
+/// every numeric cell.
+struct TotalF64(f64);
+
+impl PartialEq for TotalF64 {
+    fn eq(&self, other: &Self) -> bool {
+        self.cmp(other) == Ordering::Equal
+    }
+}
+
+impl Eq for TotalF64 {}
+
+impl PartialOrd for TotalF64 {
+    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl Ord for TotalF64 {
+    fn cmp(&self, other: &Self) -> Ordering {
+        self.0.total_cmp(&other.0)
+    }
+}
+
+/// [`Column::encode`] over one typed cell slice: `key` borrows a cell
+/// under the order [`Value`] gives it, `value` clones a representative.
+fn encode_cells<'a, T, K: Ord>(
+    cells: &'a [Option<T>],
+    key: impl Fn(&'a T) -> K,
+    value: impl Fn(&T) -> Value,
+) -> (Vec<Value>, Vec<Option<u32>>) {
+    // key -> first-seen id; `firsts[id]` is that id's representative
+    let mut ids: BTreeMap<K, u32> = BTreeMap::new();
+    let mut firsts: Vec<&T> = Vec::new();
+    let mut codes: Vec<Option<u32>> = cells
+        .iter()
+        .map(|cell| {
+            cell.as_ref().map(|x| {
+                *ids.entry(key(x)).or_insert_with(|| {
+                    firsts.push(x);
+                    (firsts.len() - 1) as u32
+                })
+            })
+        })
+        .collect();
+    // renumber first-seen ids into sorted order
+    let mut rank = vec![0u32; firsts.len()];
+    let mut distinct = Vec::with_capacity(firsts.len());
+    for (r, id) in ids.into_values().enumerate() {
+        rank[id as usize] = r as u32;
+        distinct.push(value(firsts[id as usize]));
+    }
+    for code in codes.iter_mut().flatten() {
+        *code = rank[*code as usize];
+    }
+    (distinct, codes)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn push_and_read_back() {
@@ -291,5 +376,82 @@ mod tests {
         c.push(Value::Float(1.5), "c").unwrap();
         c.push(Value::Null, "c").unwrap();
         assert_eq!(c.numeric_values(), vec![1.5]);
+    }
+
+    const TWO_53: i64 = 1 << 53;
+
+    #[test]
+    fn encode_keeps_the_first_of_values_equal_as_f64() {
+        let c = Column::Int(vec![Some(TWO_53 + 1), None, Some(TWO_53), Some(-1)]);
+        let (distinct, codes) = c.encode();
+        assert_eq!(exact(&distinct), ["Int(-1)", "Int(9007199254740993)"]);
+        assert_eq!(codes, [Some(1), None, Some(1), Some(0)]);
+    }
+
+    #[test]
+    fn encode_separates_signed_zeros() {
+        let c = Column::Float(vec![Some(0.0), Some(-0.0), Some(0.0)]);
+        let (distinct, codes) = c.encode();
+        assert_eq!(exact(&distinct), ["Float(-0.0)", "Float(0.0)"]);
+        assert_eq!(codes, [Some(1), Some(0), Some(1)]);
+    }
+
+    /// Values rendered with `Debug`, which tells apart cells `Value`'s
+    /// `==` equates (2^53 vs 2^53+1, `Int(1)` vs `Float(1.0)`).
+    fn exact(values: &[Value]) -> Vec<String> {
+        values.iter().map(|v| format!("{v:?}")).collect()
+    }
+
+    /// The encoding spelled out: a stable sort + dedup of every non-null
+    /// cell, then a per-row `==` lookup into the result.
+    fn encode_by_sort(c: &Column) -> (Vec<Value>, Vec<Option<u32>>) {
+        let cells: Vec<Value> = (0..c.len()).map(|i| c.value(i)).collect();
+        let mut distinct: Vec<Value> = cells.iter().filter(|v| !v.is_null()).cloned().collect();
+        distinct.sort();
+        distinct.dedup();
+        let codes = cells
+            .iter()
+            .map(|v| match v {
+                Value::Null => None,
+                v => distinct.iter().position(|d| d == v).map(|p| p as u32),
+            })
+            .collect();
+        (distinct, codes)
+    }
+
+    fn cells<T: Clone + std::fmt::Debug + 'static>(
+        pool: Vec<T>,
+    ) -> impl Strategy<Value = Vec<Option<T>>> {
+        let n = pool.len();
+        let cell = prop_oneof![
+            4 => (0..n).prop_map(move |i| Some(pool[i].clone())),
+            1 => Just(None),
+        ];
+        prop::collection::vec(cell, 0..40)
+    }
+
+    fn arb_column() -> BoxedStrategy<Column> {
+        let ints = vec![-2, -1, 0, 1, 2, TWO_53, TWO_53 + 1, i64::MAX, i64::MAX - 1];
+        let floats = vec![-0.0, 0.0, -1.5, 1.0, 2.5, TWO_53 as f64];
+        let strs: Vec<String> = ["", "a", "b", "ab", "B"].map(String::from).to_vec();
+        prop_oneof![
+            cells(ints).prop_map(Column::Int),
+            cells(floats).prop_map(Column::Float),
+            cells(strs).prop_map(Column::Str),
+            cells(vec![false, true]).prop_map(Column::Bool),
+        ]
+        .boxed()
+    }
+
+    proptest! {
+        /// `encode` is `Table::distinct` (sort + dedup, first occurrence
+        /// kept) plus a per-row `==` lookup, on every column type.
+        #[test]
+        fn encode_matches_sort_dedup_and_lookup(c in arb_column()) {
+            let (distinct, codes) = c.encode();
+            let (want_distinct, want_codes) = encode_by_sort(&c);
+            prop_assert_eq!(exact(&distinct), exact(&want_distinct));
+            prop_assert_eq!(codes, want_codes);
+        }
     }
 }

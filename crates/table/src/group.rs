@@ -4,7 +4,7 @@
 //! sensitive attributes, e.g. `{race: black, sex: female}`. [`GroupSpec`]
 //! names the grouping attributes; [`GroupKey`] is one concrete combination.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use serde::{Deserialize, Serialize};
 
@@ -62,6 +62,55 @@ impl GroupSpec {
             vals.push(table.value(i, a)?);
         }
         Ok(GroupKey(vals))
+    }
+
+    /// For each row, the position in `keys` of the first key equal to
+    /// the row's [`GroupSpec::key_of`] key, or `None` if no key matches.
+    ///
+    /// The answer is exactly `keys.iter().position(|k| *k == key_of(i))`
+    /// per row, but it is computed from one [`crate::Column::encode`]
+    /// pass per attribute: each key is translated once into per-attribute
+    /// codes (a key of the wrong length, or naming a value absent from its
+    /// column, matches no row) and rows are looked up by code, so no
+    /// per-row [`GroupKey`] is built.
+    ///
+    /// # Errors
+    /// The first unknown attribute, with the error
+    /// [`GroupSpec::key_of`] reports for it — also on an empty table,
+    /// where a per-row `key_of` loop would never look.
+    pub fn assign(&self, table: &Table, keys: &[GroupKey]) -> Result<Vec<Option<usize>>> {
+        let encoded = self
+            .attributes
+            .iter()
+            .map(|a| Ok(table.column(a)?.encode()))
+            .collect::<Result<Vec<_>>>()?;
+        // code tuple -> position of the first key with that tuple
+        let mut first_key: BTreeMap<Vec<Option<u32>>, usize> = BTreeMap::new();
+        for (pos, key) in keys.iter().enumerate() {
+            if key.0.len() != encoded.len() {
+                continue;
+            }
+            let codes: Option<Vec<Option<u32>>> = key
+                .0
+                .iter()
+                .zip(&encoded)
+                .map(|(v, (distinct, _))| match v {
+                    Value::Null => Some(None),
+                    v => distinct.binary_search(v).ok().map(|c| Some(c as u32)),
+                })
+                .collect();
+            if let Some(codes) = codes {
+                first_key.entry(codes).or_insert(pos);
+            }
+        }
+        let mut row_codes = Vec::with_capacity(encoded.len());
+        Ok((0..table.num_rows())
+            .map(|i| {
+                row_codes.clear();
+                row_codes.extend(encoded.iter().map(|(_, codes)| codes[i]));
+                first_key.get(row_codes.as_slice()).copied()
+            })
+            .collect())
     }
 
     /// Per-group row counts.
@@ -162,7 +211,9 @@ impl GroupStats {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::error::TableError;
     use crate::schema::{DataType, Field, Role, Schema};
+    use proptest::prelude::*;
 
     fn t() -> Table {
         let schema = Schema::new(vec![
@@ -224,6 +275,110 @@ mod tests {
         let parts = spec.partition(&t).unwrap();
         let total: usize = parts.values().map(Vec::len).sum();
         assert_eq!(total, t.num_rows());
+    }
+
+    #[test]
+    fn assign_matches_first_equal_key() {
+        let t = t();
+        let spec = GroupSpec::from_sensitive(&t);
+        let key = |r: &str, s: &str| GroupKey(vec![Value::str(r), Value::str(s)]);
+        let keys = [
+            key("b", "f"),
+            key("w", "m"),
+            GroupKey(vec![Value::str("w")]),
+            key("w", "m"),
+            key("b", "m"),
+        ];
+        // rows: (w,m) (w,f) (b,m) (w,m)
+        assert_eq!(
+            spec.assign(&t, &keys).unwrap(),
+            [Some(1), None, Some(4), Some(1)]
+        );
+    }
+
+    #[test]
+    fn assign_rejects_an_unknown_attribute_even_without_rows() {
+        let spec = GroupSpec::new(vec!["race", "nope"]);
+        let err = TableError::UnknownColumn("nope".into());
+        assert_eq!(spec.assign(&t(), &[]).unwrap_err(), err);
+        assert_eq!(spec.key_of(&t(), 0).unwrap_err(), err);
+        let empty = Table::new(t().schema().clone());
+        assert_eq!(spec.assign(&empty, &[]).unwrap_err(), err);
+    }
+
+    /// A three-column table (`i` Int, `f` Float, `s` Str) over small
+    /// pools with nulls, including `Int`s equal as `f64`.
+    fn arb_table() -> impl Strategy<Value = Table> {
+        let int = prop_oneof![
+            3 => (0i64..3).prop_map(Value::Int),
+            1 => Just(Value::Int(1 << 53)),
+            1 => Just(Value::Int((1 << 53) + 1)),
+            1 => Just(Value::Null),
+        ];
+        let float = prop_oneof![
+            3 => (0i64..3).prop_map(|x| Value::Float(x as f64 / 2.0)),
+            1 => Just(Value::Float(-0.0)),
+            1 => Just(Value::Null),
+        ];
+        let string = prop_oneof![
+            3 => "[ab]{1}".prop_map(Value::Str),
+            1 => Just(Value::Null),
+        ];
+        prop::collection::vec((int, float, string), 1..30).prop_map(|rows| {
+            let mut t = Table::new(Schema::new(vec![
+                Field::new("i", DataType::Int),
+                Field::new("f", DataType::Float),
+                Field::new("s", DataType::Str),
+            ]));
+            for (i, f, s) in rows {
+                t.push_row(vec![i, f, s]).unwrap();
+            }
+            t
+        })
+    }
+
+    /// Key values: present and absent ones of every type, `Null`, and an
+    /// `Int` that equals a `Float` cell.
+    fn arb_key_value() -> impl Strategy<Value = Value> {
+        let pool = vec![
+            Value::Null,
+            Value::Int(0),
+            Value::Int(1),
+            Value::Int(1 << 53),
+            Value::Int(7),
+            Value::Float(0.5),
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::str("a"),
+            Value::str("b"),
+            Value::str("zz"),
+            Value::Bool(true),
+        ];
+        (0..pool.len()).prop_map(move |i| pool[i].clone())
+    }
+
+    proptest! {
+        /// `assign` is `key_of` + `keys.iter().position` per row: for
+        /// `Null` keys, absent values, wrong-length and duplicate keys,
+        /// cross-type numeric keys and unknown attributes alike.
+        #[test]
+        fn assign_matches_key_of_and_position(
+            t in arb_table(),
+            picks in prop::collection::vec(0usize..4, 0..4),
+            keys in prop::collection::vec(prop::collection::vec(arb_key_value(), 0..5), 0..12),
+        ) {
+            let spec = GroupSpec::new(picks.iter().map(|&p| ["i", "f", "s", "zz"][p]).collect());
+            // duplicate some keys, so "first position wins" is exercised
+            let mut keys: Vec<GroupKey> = keys.into_iter().map(GroupKey).collect();
+            keys.extend(keys.clone().into_iter().rev().take(3));
+            let want: Result<Vec<Option<usize>>> = (0..t.num_rows())
+                .map(|i| {
+                    let key = spec.key_of(&t, i)?;
+                    Ok(keys.iter().position(|k| *k == key))
+                })
+                .collect();
+            prop_assert_eq!(spec.assign(&t, &keys), want);
+        }
     }
 
     #[test]

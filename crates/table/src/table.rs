@@ -260,14 +260,7 @@ impl Table {
 
     /// Distinct non-null values of a column, sorted.
     pub fn distinct(&self, name: &str) -> Result<Vec<Value>> {
-        let col = self.column(name)?;
-        let mut vals: Vec<Value> = (0..self.num_rows)
-            .map(|i| col.value(i))
-            .filter(|v| !v.is_null())
-            .collect();
-        vals.sort();
-        vals.dedup();
-        Ok(vals)
+        Ok(self.column(name)?.encode().0)
     }
 
     /// Mean of a numeric column over non-null cells (None if no such cells).

@@ -86,11 +86,6 @@ impl DtProblem {
         self.groups.len()
     }
 
-    /// Index of a group key, if it is a target group.
-    pub fn group_index(&self, key: &GroupKey) -> Option<usize> {
-        self.groups.iter().position(|k| k == key)
-    }
-
     /// Validate the instance (non-empty, consistent ranges).
     pub fn validate(&self) -> rdi_table::Result<()> {
         if self.groups.is_empty() {
@@ -127,8 +122,7 @@ mod tests {
         assert_eq!(p.num_groups(), 2);
         assert_eq!(p.total_required(), 20);
         assert!(p.validate().is_ok());
-        assert_eq!(p.group_index(&GroupKey(vec![Value::str("b")])), Some(1));
-        assert_eq!(p.group_index(&GroupKey(vec![Value::str("x")])), None);
+        assert_eq!(p.groups[1], GroupKey(vec![Value::str("b")]));
     }
 
     #[test]

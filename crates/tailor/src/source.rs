@@ -13,6 +13,8 @@
 //!   `try_draw` never fails; fault behaviour is layered on by
 //!   `rdi-fault`'s `FaultySource` wrapper.
 
+use std::sync::Arc;
+
 use rand::{Rng, RngCore};
 use rdi_table::{Schema, Table, TableError, Value};
 
@@ -121,11 +123,12 @@ pub trait Source {
 ///
 /// Group membership of every row is precomputed against the problem's
 /// [`rdi_table::GroupSpec`]; rows in none of the target groups report
-/// `None`.
+/// `None`. The backing table is shared, never copied: sources built
+/// over one registered `Arc<Table>` all read the same rows.
 #[derive(Debug, Clone)]
 pub struct TableSource {
     name: String,
-    table: Table,
+    table: Arc<Table>,
     cost: f64,
     /// Per-row target-group index (None = not a target group).
     row_group: Vec<Option<usize>>,
@@ -136,12 +139,23 @@ pub struct TableSource {
 
 impl TableSource {
     /// Wrap a table as a source with per-sample `cost`.
+    ///
+    /// `table` is anything that converts into an `Arc<Table>`: an owned
+    /// [`Table`] is moved into a fresh `Arc`, and an existing `Arc` (say,
+    /// a table registered with a serving index) is shared as is. Row
+    /// group membership comes from [`rdi_table::GroupSpec::assign`]
+    /// against the problem's target groups.
+    ///
+    /// # Errors
+    /// An empty table, a cost that is not positive (NaN included), or a
+    /// group attribute the table lacks.
     pub fn new(
         name: impl Into<String>,
-        table: Table,
+        table: impl Into<Arc<Table>>,
         cost: f64,
         problem: &DtProblem,
     ) -> rdi_table::Result<Self> {
+        let table = table.into();
         if table.is_empty() {
             return Err(TableError::SchemaMismatch("empty source table".into()));
         }
@@ -151,15 +165,10 @@ impl TableSource {
                 "source cost must be positive".into(),
             ));
         }
-        let mut row_group = Vec::with_capacity(table.num_rows());
+        let row_group = problem.spec.assign(&table, &problem.groups)?;
         let mut counts = vec![0usize; problem.num_groups()];
-        for i in 0..table.num_rows() {
-            let key = problem.spec.key_of(&table, i)?;
-            let g = problem.group_index(&key);
-            if let Some(g) = g {
-                counts[g] += 1;
-            }
-            row_group.push(g);
+        for g in row_group.iter().flatten() {
+            counts[*g] += 1;
         }
         let n = table.num_rows() as f64;
         let frequencies = counts.iter().map(|&c| c as f64 / n).collect();
