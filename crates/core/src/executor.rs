@@ -102,7 +102,7 @@ impl RedirectAudit {
         } else {
             self.emitted = true;
             Some(rdi_obs::policy_decision_event(
-                &decision.rationale(&candidates, &self.params),
+                decision.rationale(&candidates, &self.params),
             ))
         };
         (decision.winner.map(|w| indices[w]), event)

@@ -6,6 +6,8 @@
 //! best greedy column matching, and define table unionability as the mean
 //! matched-column score over the query's columns.
 
+use std::sync::Arc;
+
 use rdi_obs::ProvenanceEvent;
 use rdi_par::{par_map, Threads};
 use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
@@ -22,19 +24,21 @@ use crate::minhash::MinHash;
 /// inline sort — score descending, name ascending — because
 /// [`RankByScore`]'s default tie-break chain is exactly that rule.
 /// `rdi-serve`'s execute phase reuses this for warm-path rankings so
-/// the cold and warm paths share one decision site per [`PolicyId`].
-pub fn rank_scored(
+/// the cold and warm paths share one decision site per [`PolicyId`];
+/// it ranks shared `Arc<str>` ids, which become candidate keys by a
+/// refcount bump, where the cold path ranks owned `String` names.
+pub fn rank_scored<N: Clone + Into<Arc<str>>>(
     id: PolicyId,
-    scored: &[(String, f64)],
+    scored: &[(N, f64)],
     k: usize,
     params: &PolicyParams,
-) -> (Vec<(String, f64)>, ProvenanceEvent) {
+) -> (Vec<(N, f64)>, ProvenanceEvent) {
     let candidates: Vec<Candidate> = scored
         .iter()
         .map(|(name, s)| Candidate::new(name.clone(), Score::F64(*s)))
         .collect();
     let decision = RankByScore::new(id).choose(&candidates, params);
-    let event = rdi_obs::policy_decision_event(&decision.rationale(&candidates, params));
+    let event = rdi_obs::policy_decision_event(decision.rationale(&candidates, params));
     let ranked = decision
         .ranking
         .iter()

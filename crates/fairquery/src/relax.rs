@@ -110,7 +110,7 @@ pub fn relax_for_coverage_explained(
         }
         let decision = policy.choose(&candidates, params);
         events.push(rdi_obs::policy_decision_event(
-            &decision.rationale(&candidates, params),
+            decision.rationale(&candidates, params),
         ));
         if decision.winner_key(&candidates) == Some("left") {
             i -= 1;

@@ -7,7 +7,11 @@
 //! log output are unchanged while audits and experiment harnesses can
 //! now match on variants and read fields directly.
 
+use std::sync::{Arc, OnceLock};
+
 use serde::{Deserialize, Serialize};
+
+use crate::Counter;
 
 /// One step of pipeline provenance.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -119,18 +123,36 @@ pub enum ProvenanceEvent {
 /// decision. High-rate sites (per-draw verdicts) instead cache the
 /// counter handles and emit one exemplar event per run — see DESIGN.md,
 /// "Policy engine".
-pub fn policy_decision_event(r: &rdi_policy::Rationale) -> ProvenanceEvent {
-    crate::counter("policy.decisions").inc();
-    crate::counter(&format!("policy.{}.decisions", r.policy)).inc();
+///
+/// The rationale's strings move into the event. Both counter handles
+/// are resolved on a site's first decision and kept (registry handles
+/// survive [`crate::MetricsRegistry::reset`]), so later decisions take
+/// no registry lock and format no name.
+pub fn policy_decision_event(r: rdi_policy::Rationale) -> ProvenanceEvent {
+    const SITES: usize = rdi_policy::PolicyId::ALL.len();
+    static DECISIONS: OnceLock<Arc<Counter>> = OnceLock::new();
+    static PER_SITE: [OnceLock<Arc<Counter>>; SITES] = [const { OnceLock::new() }; SITES];
+    DECISIONS
+        .get_or_init(|| crate::counter("policy.decisions"))
+        .inc();
+    let site = || crate::counter(&format!("policy.{}.decisions", r.policy));
+    match rdi_policy::PolicyId::ALL
+        .iter()
+        .position(|id| id.as_str() == r.policy)
+    {
+        Some(i) => PER_SITE[i].get_or_init(site).inc(),
+        // a hand-built rationale naming no registered site
+        None => site().inc(),
+    }
     ProvenanceEvent::PolicyDecision {
         policy: r.policy.to_string(),
         params_hash: r.params_hash,
         considered: r.considered,
-        winner: r.winner.clone(),
-        winner_score: r.winner_score.clone(),
+        winner: r.winner,
+        winner_score: r.winner_score,
         ties: r.ties,
         tie_break: r.tie_break.to_string(),
-        params: r.params.clone(),
+        params: r.params,
     }
 }
 

@@ -1,5 +1,7 @@
 //! The selection API: candidates in, an auditable decision out.
 
+use std::sync::Arc;
+
 use crate::params::PolicyParams;
 use crate::score::Score;
 use crate::PolicyId;
@@ -7,17 +9,22 @@ use crate::PolicyId;
 /// One option under consideration: a stable key (source name, table
 /// id, cache-entry key, tenant, `"keep"`/`"drop"`) and its score under
 /// the deciding policy.
+///
+/// The key is shared (`Arc<str>`), so a site whose ids are already
+/// shared — registered table ids, cache audit keys — builds its
+/// candidates with refcount bumps instead of string copies.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Candidate {
     /// Stable identity used for tie-breaking and audit output.
-    pub key: String,
+    pub key: Arc<str>,
     /// Score under the deciding policy.
     pub score: Score,
 }
 
 impl Candidate {
-    /// Convenience constructor.
-    pub fn new(key: impl Into<String>, score: Score) -> Self {
+    /// Convenience constructor: takes `&str`, `String` or a shared
+    /// `Arc<str>`.
+    pub fn new(key: impl Into<Arc<str>>, score: Score) -> Self {
         Candidate {
             key: key.into(),
             score,
@@ -66,7 +73,7 @@ impl SelectionDecision {
     /// The winning candidate's key, borrowed from the slice the
     /// decision was made over.
     pub fn winner_key<'a>(&self, candidates: &'a [Candidate]) -> Option<&'a str> {
-        self.winner.map(|i| candidates[i].key.as_str())
+        self.winner.map(|i| &*candidates[i].key)
     }
 
     /// Build the typed rationale for this decision. `params` must be

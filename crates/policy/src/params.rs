@@ -18,7 +18,12 @@ const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 /// FNV-1a over a byte slice — the workspace's standard cheap stable
 /// hash (the admission layer uses the same function for tenant names).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = FNV_OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continue an FNV-1a hash state over more bytes: hashing a byte
+/// string in pieces gives the same value as hashing it whole.
+fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= b as u64;
         h = h.wrapping_mul(FNV_PRIME);
@@ -93,11 +98,20 @@ impl PolicyParams {
         out
     }
 
-    /// The canonical FNV-1a hash of this parameter set. Stable across
-    /// processes, platforms, and insertion orders; changes iff the
-    /// canonical entries change.
+    /// The canonical FNV-1a hash of this parameter set:
+    /// `fnv1a(&self.canonical_bytes())`, streamed over the same
+    /// encoding without building it. Stable across processes,
+    /// platforms, and insertion orders; changes iff the canonical
+    /// entries change.
     pub fn hash(&self) -> u64 {
-        fnv1a(&self.canonical_bytes())
+        let mut h = fnv1a_extend(FNV_OFFSET, &[PARAMS_ENCODING_VERSION]);
+        for (k, v) in &self.entries {
+            for s in [k, v] {
+                h = fnv1a_extend(h, &(s.len() as u64).to_le_bytes());
+                h = fnv1a_extend(h, s.as_bytes());
+            }
+        }
+        h
     }
 
     /// Compact `k=v,k2=v2` rendering for rationale details (`∅` when
@@ -106,12 +120,16 @@ impl PolicyParams {
         if self.entries.is_empty() {
             return "∅".to_string();
         }
-        let parts: Vec<String> = self
-            .entries
-            .iter()
-            .map(|(k, v)| format!("{k}={v}"))
-            .collect();
-        parts.join(",")
+        let mut out = String::new();
+        for (i, (k, v)) in self.entries.iter().enumerate() {
+            if i > 0 {
+                out.push(',');
+            }
+            out.push_str(k);
+            out.push('=');
+            out.push_str(v);
+        }
+        out
     }
 }
 
@@ -165,6 +183,7 @@ impl PolicySet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn policy_set_overrides_one_site_only() {
@@ -234,6 +253,44 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_eq!(fnv1a(b"a"), 0xaf63_dc4c_8601_ec8c);
         assert_eq!(fnv1a(b"foobar"), 0x8594_4171_f739_67e8);
+    }
+
+    /// Value fragments for the properties below: empty, plain,
+    /// unicode, and the render separators `=` and `,` themselves.
+    const FRAGMENTS: [&str; 8] = ["", "a", "dir", "=", ",", "é", "日本", "k=v,x"];
+
+    /// Params from `(key fragment, value fragment, value fragment)`
+    /// triples; keys repeat, so last-write-wins is exercised too.
+    fn params_from(spec: &[(usize, usize, usize)]) -> PolicyParams {
+        let mut p = PolicyParams::new();
+        for &(k, v1, v2) in spec {
+            p.set(FRAGMENTS[k], format!("{}{}", FRAGMENTS[v1], FRAGMENTS[v2]));
+        }
+        p
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The streamed hash is FNV-1a over the documented encoding,
+        /// and the one-buffer render is the `k=v` pieces joined by `,`.
+        #[test]
+        fn streamed_hash_and_render_match_the_buffered_forms(
+            spec in proptest::collection::vec((0usize..8, 0usize..8, 0usize..8), 0..6),
+        ) {
+            let p = params_from(&spec);
+            prop_assert_eq!(p.hash(), fnv1a(&p.canonical_bytes()));
+            let joined = if p.is_empty() {
+                "∅".to_string()
+            } else {
+                p.entries()
+                    .iter()
+                    .map(|(k, v)| format!("{k}={v}"))
+                    .collect::<Vec<_>>()
+                    .join(",")
+            };
+            prop_assert_eq!(p.render(), joined);
+        }
     }
 
     #[test]

@@ -110,7 +110,7 @@ mod tests {
         let c = cands(&[("b", 0.5), ("a", 0.9), ("c", 0.5)]);
         let d = p.choose(&c, &PolicyParams::new());
         assert_eq!(d.winner_key(&c), Some("a"));
-        let keys: Vec<&str> = d.ranking.iter().map(|&i| c[i].key.as_str()).collect();
+        let keys: Vec<&str> = d.ranking.iter().map(|&i| &*c[i].key).collect();
         assert_eq!(keys, vec!["a", "b", "c"]);
         assert_eq!(d.ties, 1);
         assert_eq!(d.tie_break, "none");
@@ -164,7 +164,7 @@ mod tests {
             Candidate::new("cat", Score::Tuple(vec![Score::U64(2), Score::U64(1)])),
         ];
         let d = p.choose(&c, &PolicyParams::new());
-        let keys: Vec<&str> = d.ranking.iter().map(|&i| c[i].key.as_str()).collect();
+        let keys: Vec<&str> = d.ranking.iter().map(|&i| &*c[i].key).collect();
         assert_eq!(keys, vec!["amy", "cat", "bob"]);
     }
 
@@ -176,8 +176,8 @@ mod tests {
         let da = p.choose(&a, &PolicyParams::new());
         let db = p.choose(&b, &PolicyParams::new());
         assert_eq!(da.winner_key(&a), db.winner_key(&b));
-        let ka: Vec<&str> = da.ranking.iter().map(|&i| a[i].key.as_str()).collect();
-        let kb: Vec<&str> = db.ranking.iter().map(|&i| b[i].key.as_str()).collect();
+        let ka: Vec<&str> = da.ranking.iter().map(|&i| &*a[i].key).collect();
+        let kb: Vec<&str> = db.ranking.iter().map(|&i| &*b[i].key).collect();
         assert_eq!(ka, kb);
     }
 

@@ -76,7 +76,7 @@ pub(crate) enum WarmNeed {
     /// Join candidates for `column`; on the query-owner shard also the
     /// query key profile.
     Join {
-        column: String,
+        column: Arc<str>,
         query: Option<(u64, Arc<Table>)>,
     },
     /// Resolve a coverage probe (the target table lives here).
@@ -98,15 +98,15 @@ pub(crate) enum WarmPart {
     /// Union candidates (+ query signature from the owner shard).
     Union {
         query: Option<Result<Arc<TableSignature>, ServeError>>,
-        candidates: Vec<(String, Arc<TableSignature>)>,
+        candidates: Vec<(Arc<str>, Arc<TableSignature>)>,
     },
     /// Join candidates (+ query profile from the owner shard). Build
     /// failures are reported per candidate id so the session can apply
     /// the serial first-error-by-sorted-id precedence.
     Join {
         query: Option<Result<Arc<KeyProfile>, ServeError>>,
-        candidates: Vec<(String, Arc<KeyProfile>)>,
-        errors: Vec<(String, ServeError)>,
+        candidates: Vec<(Arc<str>, Arc<KeyProfile>)>,
+        errors: Vec<(Arc<str>, ServeError)>,
     },
     /// Everything a coverage plan needs, or the serial error.
     Coverage(Result<(String, Arc<Table>, Vec<String>, usize), ServeError>),
@@ -182,7 +182,7 @@ impl ShardActor {
             WarmNeed::Count => WarmPart::Count,
             WarmNeed::Union { query } => {
                 let query = query.map(|(fp, t)| self.shard.query_union_signature(fp, &t, k));
-                let ids: Vec<String> = self.shard.ids().cloned().collect();
+                let ids: Vec<Arc<str>> = self.shard.ids().cloned().collect();
                 let mut candidates = Vec::with_capacity(ids.len());
                 for id in ids {
                     if let Ok(sig) = self.shard.union_signature(&id, k) {
@@ -210,7 +210,7 @@ impl ShardActor {
                             }
                         })
                 });
-                let ids: Vec<String> = self.shard.ids().cloned().collect();
+                let ids: Vec<Arc<str>> = self.shard.ids().cloned().collect();
                 let mut candidates = Vec::with_capacity(ids.len());
                 let mut errors = Vec::new();
                 for id in ids {
@@ -317,7 +317,10 @@ impl Actor for ShardActor {
                 cost,
                 reply_to,
             } => {
-                let rows = self.shard.upsert(id.clone(), table, cost).map(|()| 0usize);
+                let rows = self
+                    .shard
+                    .upsert(id.as_str().into(), table, cost)
+                    .map(|()| 0usize);
                 ctx.send(reply_to, MaintMsg::Applied(AppliedNote { id, rows }));
             }
         }
@@ -616,12 +619,14 @@ impl SessionActor {
                         None => {
                             let fp = table_fingerprint(query);
                             let q = Arc::new(query.clone());
+                            // shared by every shard's cache keys
+                            let column: Arc<str> = column.as_str().into();
                             for (si, n) in needs.iter_mut().enumerate() {
                                 let query = (si == owner).then(|| (fp, q.clone()));
                                 n.push((
                                     pos,
                                     WarmNeed::Join {
-                                        column: column.clone(),
+                                        column: Arc::clone(&column),
                                         query,
                                     },
                                 ));

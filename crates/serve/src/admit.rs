@@ -453,7 +453,7 @@ impl Admitter {
             let reserve = RankByScore::new(PolicyId::ADMIT_RESERVE);
             let decision = reserve.choose(&candidates, &self.reserve_params);
             self.decisions.push(rdi_obs::policy_decision_event(
-                &decision.rationale(&candidates, &self.reserve_params),
+                decision.rationale(&candidates, &self.reserve_params),
             ));
             decision.ranking.iter().map(|&i| keys[i]).collect()
         };

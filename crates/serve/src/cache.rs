@@ -6,17 +6,28 @@
 //! so eviction order is a pure function of the access sequence — no
 //! wall clocks, no hash-map iteration order (`BTreeMap` throughout).
 //!
+//! Ids are shared: a key's owner (and a join key's column) is an
+//! `Arc<str>` cloned from the registered table id, and each entry's
+//! [`CacheKey::render`]ed audit key is rendered once at insert and
+//! kept as an `Arc<str>` in the recency map. A hit moves its recency
+//! slot without touching a string. An eviction episode walks the
+//! recency map in sequence order, so its candidates arrive already
+//! ranked: building them costs one refcount bump per resident entry,
+//! and [`RankByScore`]'s stable sort confirms the order in one linear
+//! pass (descending under `dir=max`, which it reverses as one run).
+//!
 //! The cache reports itself through `rdi-obs`: `serve.cache.hits`,
 //! `serve.cache.misses`, `serve.cache.evictions` (capacity pressure),
 //! `serve.cache.invalidated` (explicit owner/fingerprint eviction) and
 //! `serve.cache.evicted_bytes` (bytes released by either path)
-//! counters, plus a `serve.cache.bytes` gauge.
+//! counters, plus a `serve.cache.bytes` gauge. Each handle is resolved
+//! on its first use and kept (see DESIGN.md, "Metric handles").
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rdi_discovery::{MinHash, TableSignature};
-use rdi_obs::ProvenanceEvent;
+use rdi_obs::{Counter, Gauge, ProvenanceEvent};
 use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
 
 /// What kind of sketch an entry holds (part of the cache key: the same
@@ -33,19 +44,20 @@ pub enum SketchKind {
     /// Single-column key profile (MinHash + exact distinct count) for
     /// joinability ranking.
     Join {
-        /// The profiled column.
-        column: String,
+        /// The profiled column, shared by every key of one request.
+        column: Arc<str>,
         /// MinHash signature length.
         k: usize,
     },
 }
 
-/// Full cache key: which table, which content, which sketch.
+/// Full cache key: which table, which content, which sketch. Cloning
+/// one bumps refcounts only.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
     /// Registered table id, or [`CacheKey::QUERY_OWNER`] for ad-hoc
     /// query tables.
-    pub owner: String,
+    pub owner: Arc<str>,
     /// Content fingerprint ([`crate::fingerprint::table_fingerprint`]).
     pub fingerprint: u64,
     /// Sketch kind + parameters.
@@ -119,9 +131,60 @@ struct Entry {
     sketch: Sketch,
     bytes: usize,
     last_used: u64,
+}
+
+/// One entry's place in the recency order.
+#[derive(Debug, PartialEq)]
+struct Slot {
+    key: CacheKey,
     /// [`CacheKey::render`], rendered once at insert: the candidate key
     /// of this entry in every later eviction episode.
-    audit_key: String,
+    audit_key: Arc<str>,
+}
+
+/// The cache's `serve.cache.*` handles, each resolved on its first use
+/// — never eagerly, so a cache that never evicts adds no zero-valued
+/// eviction counters to a metrics snapshot.
+#[derive(Debug, Default)]
+struct CacheMetrics {
+    hits: OnceLock<Arc<Counter>>,
+    misses: OnceLock<Arc<Counter>>,
+    evictions: OnceLock<Arc<Counter>>,
+    evicted_bytes: OnceLock<Arc<Counter>>,
+    invalidated: OnceLock<Arc<Counter>>,
+    bytes: OnceLock<Arc<Gauge>>,
+}
+
+impl CacheMetrics {
+    fn hits(&self) -> &Counter {
+        self.hits
+            .get_or_init(|| rdi_obs::counter("serve.cache.hits"))
+    }
+
+    fn misses(&self) -> &Counter {
+        self.misses
+            .get_or_init(|| rdi_obs::counter("serve.cache.misses"))
+    }
+
+    fn evictions(&self) -> &Counter {
+        self.evictions
+            .get_or_init(|| rdi_obs::counter("serve.cache.evictions"))
+    }
+
+    fn evicted_bytes(&self) -> &Counter {
+        self.evicted_bytes
+            .get_or_init(|| rdi_obs::counter("serve.cache.evicted_bytes"))
+    }
+
+    fn invalidated(&self) -> &Counter {
+        self.invalidated
+            .get_or_init(|| rdi_obs::counter("serve.cache.invalidated"))
+    }
+
+    fn held_bytes(&self) -> &Gauge {
+        self.bytes
+            .get_or_init(|| rdi_obs::gauge("serve.cache.bytes"))
+    }
 }
 
 /// Byte-accounted LRU cache over [`Sketch`] artifacts.
@@ -129,8 +192,8 @@ struct Entry {
 pub struct SketchCache {
     capacity: usize,
     entries: BTreeMap<CacheKey, Entry>,
-    /// recency sequence → key; the smallest sequence is the LRU victim.
-    recency: BTreeMap<u64, CacheKey>,
+    /// recency sequence → slot; the smallest sequence is the LRU victim.
+    recency: BTreeMap<u64, Slot>,
     clock: u64,
     bytes: usize,
     /// `serve.cache_evict` params (default `dir=min` over the recency
@@ -139,6 +202,7 @@ pub struct SketchCache {
     /// One `PolicyDecision` audit event per eviction episode, drained
     /// by the owning index/session.
     decisions: Vec<ProvenanceEvent>,
+    metrics: CacheMetrics,
 }
 
 impl SketchCache {
@@ -154,6 +218,7 @@ impl SketchCache {
             bytes: 0,
             evict_params: PolicyParams::new().with("dir", "min"),
             decisions: Vec::new(),
+            metrics: CacheMetrics::default(),
         }
     }
 
@@ -198,14 +263,15 @@ impl SketchCache {
         let clock = self.clock;
         match self.entries.get_mut(key) {
             Some(e) => {
-                self.recency.remove(&e.last_used);
+                if let Some(slot) = self.recency.remove(&e.last_used) {
+                    self.recency.insert(clock, slot);
+                }
                 e.last_used = clock;
-                self.recency.insert(clock, key.clone());
-                rdi_obs::counter("serve.cache.hits").inc();
+                self.metrics.hits().inc();
                 Some(e.sketch.clone())
             }
             None => {
-                rdi_obs::counter("serve.cache.misses").inc();
+                self.metrics.misses().inc();
                 None
             }
         }
@@ -219,9 +285,9 @@ impl SketchCache {
         let fresh = self.admit(key, sketch);
         let evicted = self.evict_over_budget(fresh);
         if evicted > 0 {
-            rdi_obs::counter("serve.cache.evictions").add(evicted as u64);
+            self.metrics.evictions().add(evicted as u64);
         }
-        rdi_obs::gauge("serve.cache.bytes").set(self.bytes as f64);
+        self.metrics.held_bytes().set(self.bytes as f64);
     }
 
     /// Store `sketch` under `key` (replacing any previous entry) as the
@@ -234,15 +300,20 @@ impl SketchCache {
         }
         self.clock += 1;
         self.bytes += bytes;
-        let audit_key = key.render();
-        self.recency.insert(self.clock, key.clone());
+        let audit_key = key.render().into();
+        self.recency.insert(
+            self.clock,
+            Slot {
+                key: key.clone(),
+                audit_key,
+            },
+        );
         self.entries.insert(
             key,
             Entry {
                 sketch,
                 bytes,
                 last_used: self.clock,
-                audit_key,
             },
         );
         self.clock
@@ -254,26 +325,28 @@ impl SketchCache {
     /// `dir=min` = LRU first — emit the audit event, then evict in
     /// ranked order until the budget holds. Returns the eviction count.
     ///
-    /// Candidates come in key order with the keys rendered at insert,
-    /// and victims resolve through their recency sequence, so an
-    /// episode clones one string per resident entry and no key.
+    /// The fresh entry holds the newest sequence, so the candidates are
+    /// every recency slot before it, in sequence order, keyed by the
+    /// audit keys rendered at insert. Sequences are unique, so the
+    /// ranking is the one any candidate order would give; victims
+    /// resolve through their sequence.
     fn evict_over_budget(&mut self, fresh: u64) -> usize {
         if self.bytes <= self.capacity || self.entries.len() <= 1 {
             return 0;
         }
-        let mut candidates = Vec::with_capacity(self.entries.len() - 1);
-        let mut ticks = Vec::with_capacity(self.entries.len() - 1);
-        for e in self.entries.values() {
-            if e.last_used == fresh {
-                continue;
-            }
-            candidates.push(Candidate::new(e.audit_key.clone(), Score::U64(e.last_used)));
-            ticks.push(e.last_used);
+        let mut candidates = Vec::with_capacity(self.recency.len() - 1);
+        let mut ticks = Vec::with_capacity(self.recency.len() - 1);
+        for (&tick, slot) in self.recency.range(..fresh) {
+            candidates.push(Candidate::new(
+                Arc::clone(&slot.audit_key),
+                Score::U64(tick),
+            ));
+            ticks.push(tick);
         }
         let policy = RankByScore::new(PolicyId::CACHE_EVICT);
         let decision = policy.choose(&candidates, &self.evict_params);
         self.decisions.push(rdi_obs::policy_decision_event(
-            &decision.rationale(&candidates, &self.evict_params),
+            decision.rationale(&candidates, &self.evict_params),
         ));
         let mut evicted = 0;
         for &i in &decision.ranking {
@@ -283,10 +356,10 @@ impl SketchCache {
             if let Some(e) = self
                 .recency
                 .remove(&ticks[i])
-                .and_then(|key| self.entries.remove(&key))
+                .and_then(|slot| self.entries.remove(&slot.key))
             {
                 self.bytes -= e.bytes;
-                rdi_obs::counter("serve.cache.evicted_bytes").add(e.bytes as u64);
+                self.metrics.evicted_bytes().add(e.bytes as u64);
             }
             evicted += 1;
         }
@@ -316,12 +389,12 @@ impl SketchCache {
             .entries
             .range(
                 CacheKey {
-                    owner: owner.to_string(),
+                    owner: owner.into(),
                     fingerprint: 0,
                     kind: SketchKind::Union { k: 0 },
                 }..,
             )
-            .take_while(|(k, _)| k.owner == owner)
+            .take_while(|(k, _)| &*k.owner == owner)
             .filter(|(k, _)| doomed(k))
             .map(|(k, _)| k.clone())
             .collect();
@@ -329,11 +402,11 @@ impl SketchCache {
             if let Some(e) = self.entries.remove(key) {
                 self.recency.remove(&e.last_used);
                 self.bytes -= e.bytes;
-                rdi_obs::counter("serve.cache.invalidated").inc();
-                rdi_obs::counter("serve.cache.evicted_bytes").add(e.bytes as u64);
+                self.metrics.invalidated().inc();
+                self.metrics.evicted_bytes().add(e.bytes as u64);
             }
         }
-        rdi_obs::gauge("serve.cache.bytes").set(self.bytes as f64);
+        self.metrics.held_bytes().set(self.bytes as f64);
         victims.len()
     }
 }
@@ -341,6 +414,7 @@ impl SketchCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rdi_table::{DataType, Field, Schema, Table, Value};
 
     fn sig(name: &str, k: usize) -> Sketch {
@@ -352,7 +426,7 @@ mod tests {
 
     fn key(owner: &str) -> CacheKey {
         CacheKey {
-            owner: owner.to_string(),
+            owner: owner.into(),
             fingerprint: 1,
             kind: SketchKind::Union { k: 8 },
         }
@@ -397,7 +471,7 @@ mod tests {
 
     fn key_fp(owner: &str, fingerprint: u64) -> CacheKey {
         CacheKey {
-            owner: owner.to_string(),
+            owner: owner.into(),
             fingerprint,
             kind: SketchKind::Union { k: 8 },
         }
@@ -414,10 +488,10 @@ mod tests {
         c.insert(key_fp("t1", 1), sig("t1", 8));
         c.insert(
             CacheKey {
-                owner: "t1".to_string(),
+                owner: "t1".into(),
                 fingerprint: 1,
                 kind: SketchKind::Join {
-                    column: "c".to_string(),
+                    column: "c".into(),
                     k: 8,
                 },
             },
@@ -535,10 +609,10 @@ mod tests {
         assert!(c.drain_decisions().is_empty(), "drain empties the log");
     }
 
-    /// The eviction episode as it ran before audit keys were stored in
-    /// the entries: render and clone every resident key on each
-    /// episode, rank, then evict by key. Kept as the parity reference
-    /// for [`SketchCache::evict_over_budget`].
+    /// The eviction episode as it ran before audit keys were kept in
+    /// recency order: render and clone every resident key, in key
+    /// order, on each episode, rank, then evict by key. Kept as the
+    /// parity model for [`SketchCache::evict_over_budget`].
     fn reference_evict_over_budget(c: &mut SketchCache, fresh: &CacheKey) -> usize {
         if c.bytes <= c.capacity || c.entries.len() <= 1 {
             return 0;
@@ -555,7 +629,7 @@ mod tests {
         let policy = RankByScore::new(PolicyId::CACHE_EVICT);
         let decision = policy.choose(&candidates, &c.evict_params);
         c.decisions.push(rdi_obs::policy_decision_event(
-            &decision.rationale(&candidates, &c.evict_params),
+            decision.rationale(&candidates, &c.evict_params),
         ));
         let mut evicted = 0;
         for &i in &decision.ranking {
@@ -571,125 +645,105 @@ mod tests {
         evicted
     }
 
+    const OWNERS: [&str; 5] = ["a", "b", "c", "d", "e"];
+
+    /// Key `(owner, fingerprint, kind)` for the parity property: kind 0
+    /// is a union signature, kind 1 a join profile of column `c`.
+    fn op_key(owner: usize, fingerprint: u64, kind: usize) -> CacheKey {
+        CacheKey {
+            owner: OWNERS[owner].into(),
+            fingerprint,
+            kind: match kind {
+                0 => SketchKind::Union { k: 8 },
+                _ => SketchKind::Join {
+                    column: "c".into(),
+                    k: 8,
+                },
+            },
+        }
+    }
+
+    /// One cache operation, decoded from `(op, owner, fingerprint,
+    /// kind, size)`: half inserts (a one-column signature of length 8,
+    /// 16 or 64, accounting 162, 226 or 610 bytes), then gets, stale
+    /// evictions and owner evictions.
+    #[derive(Debug, Clone, Copy)]
     enum Op {
-        /// Insert a one-column signature of length `k` owned by the name.
-        Insert(&'static str, usize),
-        /// Look the name's entry up (a hit bumps its recency).
-        Get(&'static str),
+        Insert(usize, u64, usize, usize),
+        Get(usize, u64, usize),
+        EvictStale(usize, u64),
+        EvictOwner(usize),
     }
 
-    /// Run `ops` on two caches, one evicting through
-    /// `evict_over_budget`, the other through the reference episode,
-    /// and require the same survivors and bytes after every op and the
-    /// same decision events and eviction count at the end. Returns the
-    /// survivors, the eviction count and the number of episodes.
-    fn episode_parity(
-        capacity: usize,
-        params: Option<PolicyParams>,
-        ops: &[Op],
-    ) -> (Vec<String>, usize, usize) {
-        let mut new = SketchCache::new(capacity);
-        let mut old = SketchCache::new(capacity);
-        if let Some(p) = params {
-            new.set_evict_params(p.clone());
-            old.set_evict_params(p);
+    fn decode(spec: (usize, usize, u64, usize, usize)) -> Op {
+        let (op, owner, fp, kind, size) = spec;
+        match op {
+            0..=4 => Op::Insert(owner, fp, kind, [8, 16, 64][size]),
+            5..=7 => Op::Get(owner, fp, kind),
+            8 => Op::EvictStale(owner, fp),
+            _ => Op::EvictOwner(owner),
         }
-        let (mut new_evictions, mut old_evictions) = (0, 0);
-        for (step, op) in ops.iter().enumerate() {
-            match *op {
-                Op::Insert(owner, k) => {
-                    let fresh = new.admit(key(owner), sig(owner, k));
-                    new_evictions += new.evict_over_budget(fresh);
-                    old.admit(key(owner), sig(owner, k));
-                    old_evictions += reference_evict_over_budget(&mut old, &key(owner));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Random get/insert/invalidate sequences on two caches, one
+        /// evicting through `evict_over_budget`, the other through the
+        /// reference episode, under `dir=min` and `dir=max`: after
+        /// every op the survivors, the recency order and the held
+        /// bytes agree, and at the end so do the rendered decisions
+        /// and the eviction counts.
+        #[test]
+        fn eviction_episodes_match_the_reference_model(
+            spec in proptest::collection::vec((0usize..10, 0usize..5, 1u64..3, 0usize..2, 0usize..3), 0..48),
+            capacity in prop_oneof![Just(1usize), Just(340), Just(700), Just(1200)],
+            dir in 0usize..2,
+        ) {
+            let params = PolicyParams::new().with("dir", ["min", "max"][dir]);
+            let mut new = SketchCache::new(capacity);
+            let mut old = SketchCache::new(capacity);
+            new.set_evict_params(params.clone());
+            old.set_evict_params(params);
+            let (mut new_evictions, mut old_evictions) = (0, 0);
+            for (step, &s) in spec.iter().enumerate() {
+                match decode(s) {
+                    Op::Insert(owner, fp, kind, k) => {
+                        let key = op_key(owner, fp, kind);
+                        let fresh = new.admit(key.clone(), sig(OWNERS[owner], k));
+                        new_evictions += new.evict_over_budget(fresh);
+                        old.admit(key.clone(), sig(OWNERS[owner], k));
+                        old_evictions += reference_evict_over_budget(&mut old, &key);
+                    }
+                    Op::Get(owner, fp, kind) => {
+                        let key = op_key(owner, fp, kind);
+                        prop_assert_eq!(new.get(&key).is_some(), old.get(&key).is_some());
+                    }
+                    Op::EvictStale(owner, fp) => {
+                        prop_assert_eq!(
+                            new.evict_stale(OWNERS[owner], fp),
+                            old.evict_stale(OWNERS[owner], fp)
+                        );
+                    }
+                    Op::EvictOwner(owner) => {
+                        prop_assert_eq!(
+                            new.evict_owner(OWNERS[owner]),
+                            old.evict_owner(OWNERS[owner])
+                        );
+                    }
                 }
-                Op::Get(owner) => {
-                    assert_eq!(
-                        new.get(&key(owner)).is_some(),
-                        old.get(&key(owner)).is_some(),
-                        "step {step}"
-                    );
-                }
+                let survivors: Vec<&CacheKey> = new.entries.keys().collect();
+                let expected: Vec<&CacheKey> = old.entries.keys().collect();
+                prop_assert_eq!(survivors, expected, "step {}", step);
+                prop_assert_eq!(&new.recency, &old.recency, "step {}", step);
+                prop_assert_eq!(new.bytes(), old.bytes(), "step {}", step);
             }
-            let survivors: Vec<&CacheKey> = new.entries.keys().collect();
-            let expected: Vec<&CacheKey> = old.entries.keys().collect();
-            assert_eq!(survivors, expected, "step {step}");
-            assert_eq!(new.recency, old.recency, "step {step}");
-            assert_eq!(new.bytes(), old.bytes(), "step {step}");
+            let rendered = |c: &mut SketchCache| -> Vec<String> {
+                c.drain_decisions().iter().map(ProvenanceEvent::render).collect()
+            };
+            prop_assert_eq!(rendered(&mut new), rendered(&mut old));
+            prop_assert_eq!(new_evictions, old_evictions);
         }
-        let decisions = new.drain_decisions();
-        assert_eq!(decisions, old.drain_decisions());
-        assert_eq!(new_evictions, old_evictions);
-        let survivors = new.entries.keys().map(|k| k.owner.clone()).collect();
-        (survivors, new_evictions, decisions.len())
-    }
-
-    // A one-column signature of length 8 owned by a one-letter name
-    // accounts 162 bytes; of length 64, 610 bytes.
-
-    #[test]
-    fn episode_parity_one_victim() {
-        let ops = [Op::Insert("a", 8), Op::Insert("b", 8), Op::Insert("c", 8)];
-        let (survivors, evictions, episodes) = episode_parity(340, None, &ops);
-        assert_eq!(survivors, ["b", "c"]);
-        assert_eq!((evictions, episodes), (1, 1));
-    }
-
-    #[test]
-    fn episode_parity_several_victims_from_one_oversized_insert() {
-        let ops = [
-            Op::Insert("a", 8),
-            Op::Insert("b", 8),
-            Op::Insert("c", 8),
-            Op::Insert("d", 8),
-            Op::Insert("e", 64),
-        ];
-        let (survivors, evictions, episodes) = episode_parity(700, None, &ops);
-        assert_eq!(survivors, ["e"]);
-        assert_eq!((evictions, episodes), (4, 1));
-    }
-
-    #[test]
-    fn episode_parity_under_a_dir_max_override() {
-        let ops = [
-            Op::Insert("a", 8),
-            Op::Insert("b", 8),
-            Op::Insert("c", 8),
-            Op::Insert("d", 8),
-        ];
-        let params = PolicyParams::new().with("dir", "max");
-        let (survivors, evictions, episodes) = episode_parity(340, Some(params), &ops);
-        // most recently used first: b goes for c, then c goes for d
-        assert_eq!(survivors, ["a", "d"]);
-        assert_eq!((evictions, episodes), (2, 2));
-    }
-
-    #[test]
-    fn episode_parity_with_a_lone_oversized_fresh_entry() {
-        let ops = [Op::Insert("a", 64), Op::Insert("b", 64)];
-        let (survivors, evictions, episodes) = episode_parity(1, None, &ops);
-        // the lone entry opens no episode; the next insert evicts it
-        assert_eq!(survivors, ["b"]);
-        assert_eq!((evictions, episodes), (1, 1));
-    }
-
-    #[test]
-    fn episode_parity_after_hits_reorder_recency() {
-        let ops = [
-            Op::Insert("a", 8),
-            Op::Insert("b", 8),
-            Op::Insert("c", 8),
-            Op::Insert("d", 8),
-            Op::Get("a"),
-            Op::Get("b"),
-            Op::Insert("e", 8),
-            Op::Get("c"),
-            Op::Insert("f", 8),
-        ];
-        let (survivors, evictions, episodes) = episode_parity(700, None, &ops);
-        // c is least recently used at the first episode, d at the second
-        assert_eq!(survivors, ["a", "b", "e", "f"]);
-        assert_eq!((evictions, episodes), (2, 2));
     }
 
     #[test]

@@ -80,7 +80,7 @@ impl KeepDrop {
         if self.exemplar.is_none() {
             // emits *and* counts the first verdict
             self.exemplar = Some(rdi_obs::policy_decision_event(
-                &decision.rationale(&candidates, &self.params),
+                decision.rationale(&candidates, &self.params),
             ));
         } else {
             self.total.inc();

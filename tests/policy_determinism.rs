@@ -68,7 +68,7 @@ fn outcome(cands: &[Candidate], p: &PolicyParams) -> (Option<String>, Vec<String
     let ranked_keys = decision
         .ranking
         .iter()
-        .map(|&i| cands[i].key.clone())
+        .map(|&i| cands[i].key.to_string())
         .collect();
     (
         decision.winner_key(cands).map(str::to_string),
