@@ -17,106 +17,44 @@
 //! ## The admit → warm → execute contract, per actor
 //!
 //! The serial session's three-phase batch protocol becomes a message
-//! protocol with the same invariants:
+//! protocol; every phase calls the code the serial path calls:
 //!
-//! 1. **Admit** (session actor, serial in arrival order): the *same*
-//!    shared [`Admitter`] entry point the
-//!    serial session calls — per-tenant quota, queue share, then
-//!    breaker verdict, on the identical tick clock (one tick per
-//!    batch).
-//! 2. **Warm** (shard actors, the only cache-mutating phase): the
-//!    session fans one [`ShardMsg::Warm`] batch out per shard; each
-//!    shard warms the sketches its tables need through the *same*
-//!    [`Shard`](crate::index) methods the inline index uses and
-//!    replies with plan parts.
+//! 1. **Admit** (session actor, serial in arrival order): the shared
+//!    [`Admitter`] entry point — per-tenant quota, queue share, then
+//!    breaker verdict, one tick per batch.
+//! 2. **Warm** (shard actors, the only cache-mutating phase): request
+//!    preparation is `needs` → `Shard::warm` → `assemble` (see
+//!    `crate::index`). The session runs `needs` on each admitted
+//!    request and sends each contacted shard one [`ShardMsg::Warm`]
+//!    holding its needs in arrival order; the shard answers each with
+//!    `Shard::warm` and replies with the parts.
 //! 3. **Execute** (session actor, pure): once every contacted shard
-//!    has replied, parts are assembled into the same `Prepared` plans
-//!    the serial path builds — candidates merged in sorted-id order,
-//!    error precedence identical to `LakeIndex::prepare` — and
-//!    executed with the request's own RNG stream
+//!    has replied, `assemble` turns each request's parts into its plan
+//!    and `execute` runs it on the request's own RNG stream
 //!    `stream_seed(session seed, arrival index)`.
 //!
-//! Because plans and seeds are identical, **responses are bitwise
-//! identical to the equivalent serial [`ServeSession`](crate::ServeSession) runs** — for
+//! Plans, error precedence and seeds therefore match the serial path
+//! by construction, so **responses are bitwise identical to the
+//! equivalent serial [`ServeSession`](crate::ServeSession) runs** — for
 //! any scheduler seed, any interleaving of sessions, and any
-//! `RDI_THREADS` value. A session processes one batch at a time
-//! (later submissions are backlogged in arrival order), so per-session
-//! breaker and arrival state evolve exactly as they do serially.
+//! `RDI_THREADS` value. A session processes one batch at a time (later
+//! submissions are backlogged in arrival order), so per-session breaker
+//! and arrival state evolve exactly as they do serially.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
-use std::sync::Arc;
 
 use rdi_actor::{Actor, ActorId, Addr, Ctx, Runtime};
-use rdi_discovery::TableSignature;
 use rdi_fault::RecoveryState;
-use rdi_policy::{PolicyId, PolicySet};
+use rdi_policy::PolicySet;
 use rdi_table::{Table, TableDelta};
 
 use crate::admit::{lay_out, AdmitConfig, Admitter, TaggedRequest, TenantId};
-use crate::cache::{CacheKey, KeyProfile};
 use crate::error::ServeError;
-use crate::fingerprint::table_fingerprint;
 use crate::index::{
-    check_query_shape, execute, shard_route, JoinPlan, LakeIndex, LakeIndexConfig, Prepared, Shard,
-    UnionPlan,
+    assemble, execute, needs, shard_route, LakeIndex, LakeIndexConfig, Shard, WarmNeed, WarmPart,
 };
 use crate::request::{ServeRequest, ServeResponse};
 use crate::session::{BatchReport, SessionConfig};
-
-/// What one request needs from one shard during the warm phase.
-#[derive(Debug)]
-pub(crate) enum WarmNeed {
-    /// Registered-table count only (the request's outcome is already
-    /// decided locally, but `EmptyIndex` takes precedence and needs
-    /// the global count).
-    Count,
-    /// Union candidates; on the query-owner shard also the query
-    /// signature (fingerprint + table attached).
-    Union { query: Option<(u64, Arc<Table>)> },
-    /// Join candidates for `column`; on the query-owner shard also the
-    /// query key profile.
-    Join {
-        column: Arc<str>,
-        query: Option<(u64, Arc<Table>)>,
-    },
-    /// Resolve a coverage probe (the target table lives here).
-    Coverage {
-        table: String,
-        attributes: Vec<String>,
-        threshold: usize,
-    },
-    /// Resolve tailoring sources owned by this shard, tagged with
-    /// their position in the request's source list.
-    Tailor { ids: Vec<(usize, String)> },
-}
-
-/// One shard's answer for one request.
-#[derive(Debug)]
-pub(crate) enum WarmPart {
-    /// Table count came back in the reply header; nothing else needed.
-    Count,
-    /// Union candidates (+ query signature from the owner shard).
-    Union {
-        query: Option<Result<Arc<TableSignature>, ServeError>>,
-        candidates: Vec<(Arc<str>, Arc<TableSignature>)>,
-    },
-    /// Join candidates (+ query profile from the owner shard). Build
-    /// failures are reported per candidate id so the session can apply
-    /// the serial first-error-by-sorted-id precedence.
-    Join {
-        query: Option<Result<Arc<KeyProfile>, ServeError>>,
-        candidates: Vec<(Arc<str>, Arc<KeyProfile>)>,
-        errors: Vec<(Arc<str>, ServeError)>,
-    },
-    /// Everything a coverage plan needs, or the serial error.
-    Coverage(Result<(String, Arc<Table>, Vec<String>, usize), ServeError>),
-    /// Per-source resolutions, tagged with source-list positions.
-    Tailor { resolved: Vec<ResolvedSource> },
-}
-
-/// One tailoring source resolved by its owning shard: the source-list
-/// position plus `(id, table, cost)` or the serial error for that slot.
-type ResolvedSource = (usize, Result<(String, Arc<Table>, f64), ServeError>);
 
 /// A warm fan-out to one shard: the needs of every admitted request in
 /// one batch that touches this shard (internal payload).
@@ -175,106 +113,6 @@ impl ShardActor {
     pub fn is_empty(&self) -> bool {
         self.shard.len() == 0
     }
-
-    fn warm_one(&mut self, need: WarmNeed) -> WarmPart {
-        let k = self.config.minhash_k;
-        match need {
-            WarmNeed::Count => WarmPart::Count,
-            WarmNeed::Union { query } => {
-                let query = query.map(|(fp, t)| self.shard.query_union_signature(fp, &t, k));
-                let ids: Vec<Arc<str>> = self.shard.ids().cloned().collect();
-                let mut candidates = Vec::with_capacity(ids.len());
-                for id in ids {
-                    if let Ok(sig) = self.shard.union_signature(&id, k) {
-                        candidates.push((id, sig));
-                    }
-                    // the id came from this shard's own map, so the
-                    // lookup cannot fail; nothing to report otherwise
-                }
-                WarmPart::Union { query, candidates }
-            }
-            WarmNeed::Join { column, query } => {
-                let query = query.map(|(fp, t)| {
-                    // same post-build check as the serial prepare: a
-                    // key column with no non-null values cannot anchor
-                    // a containment estimate
-                    self.shard
-                        .query_key_profile(fp, &t, &column, k)
-                        .and_then(|p| {
-                            if p.distinct == 0 {
-                                Err(ServeError::EmptyQuery(format!(
-                                    "query column `{column}` has no non-null values"
-                                )))
-                            } else {
-                                Ok(p)
-                            }
-                        })
-                });
-                let ids: Vec<Arc<str>> = self.shard.ids().cloned().collect();
-                let mut candidates = Vec::with_capacity(ids.len());
-                let mut errors = Vec::new();
-                for id in ids {
-                    // candidates without the key column are skipped,
-                    // not errors — same rule as the serial path
-                    let has_column = self
-                        .shard
-                        .registered(&id)
-                        .is_some_and(|r| r.table.column(&column).is_ok());
-                    if !has_column {
-                        continue;
-                    }
-                    match self.shard.key_profile(&id, &column, k) {
-                        Ok(p) => candidates.push((id, p)),
-                        Err(e) => errors.push((id, e)),
-                    }
-                }
-                WarmPart::Join {
-                    query,
-                    candidates,
-                    errors,
-                }
-            }
-            WarmNeed::Coverage {
-                table,
-                attributes,
-                threshold,
-            } => {
-                let part = match self.shard.registered(&table) {
-                    None => Err(ServeError::UnknownTable(table)),
-                    Some(r) => {
-                        let mut bad = None;
-                        for a in &attributes {
-                            if r.table.column(a).is_err() {
-                                bad = Some(ServeError::UnknownColumn {
-                                    table: table.clone(),
-                                    column: a.clone(),
-                                });
-                                break;
-                            }
-                        }
-                        match bad {
-                            Some(e) => Err(e),
-                            None => Ok((table, r.table.clone(), attributes, threshold)),
-                        }
-                    }
-                };
-                WarmPart::Coverage(part)
-            }
-            WarmNeed::Tailor { ids } => {
-                let resolved = ids
-                    .into_iter()
-                    .map(|(pos, id)| {
-                        let r = match self.shard.registered(&id) {
-                            Some(r) => Ok((id, r.table.clone(), r.cost)),
-                            None => Err(ServeError::UnknownTable(id)),
-                        };
-                        (pos, r)
-                    })
-                    .collect();
-                WarmPart::Tailor { resolved }
-            }
-        }
-    }
 }
 
 impl Actor for ShardActor {
@@ -286,7 +124,7 @@ impl Actor for ShardActor {
                 let parts = wb
                     .needs
                     .into_iter()
-                    .map(|(pos, need)| (pos, self.warm_one(need)))
+                    .map(|(pos, need)| (pos, self.shard.warm(need, self.config.minhash_k)))
                     .collect();
                 ctx.send(
                     wb.session,
@@ -460,15 +298,15 @@ struct Inflight {
     responses: Vec<Option<Result<ServeResponse, ServeError>>>,
     admitted: Vec<(usize, u64)>, // (position, execute seed)
     shed: usize,
-    /// Query-side errors decided locally, parked until shard counts
-    /// arrive because `EmptyIndex` takes precedence.
+    /// Errors `needs` decided, parked until shard counts arrive because
+    /// `EmptyIndex` takes precedence.
     local_errors: BTreeMap<usize, ServeError>,
     /// Shard indices still owed a reply.
     pending: BTreeSet<usize>,
     /// Registered-table count per replying shard.
     counts: BTreeMap<usize, usize>,
-    /// Plan parts per request position: `(shard index, part)`.
-    parts: BTreeMap<usize, Vec<(usize, WarmPart)>>,
+    /// Plan parts per request position, in reply order.
+    parts: BTreeMap<usize, Vec<WarmPart>>,
 }
 
 /// A serving session hosted as a client actor over a shard group.
@@ -483,7 +321,6 @@ struct Inflight {
 #[derive(Debug)]
 pub struct SessionActor {
     config: SessionConfig,
-    shard_count: usize,
     shards: Vec<ActorId>,
     admitter: Admitter,
     policies: PolicySet,
@@ -497,14 +334,12 @@ impl SessionActor {
     fn new(
         config: SessionConfig,
         admit: AdmitConfig,
-        shard_count: usize,
         shards: Vec<ActorId>,
         policies: PolicySet,
     ) -> Self {
         SessionActor {
             admitter: Admitter::new(admit, config.seed),
             config,
-            shard_count,
             shards,
             policies,
             batches: 0,
@@ -545,10 +380,6 @@ impl SessionActor {
         &self.config
     }
 
-    fn owner_shard(&self) -> usize {
-        shard_route(CacheKey::QUERY_OWNER, self.shard_count)
-    }
-
     /// Phase 1 + warm fan-out. Runs the same shared [`Admitter`] entry
     /// point as `ServeSession::submit_batch` (one tick per batch,
     /// quota > queue > breaker shed precedence), so both paths stay
@@ -558,122 +389,27 @@ impl SessionActor {
         let tenants: Vec<TenantId> = requests.iter().map(|r| r.tenant.clone()).collect();
         let verdicts = self.admitter.admit_batch(&tenants);
         let layout = lay_out(verdicts);
-        let mut responses = layout.responses;
         let admitted = layout.admitted;
-        let shed = layout.shed;
 
-        // Warm fan-out: translate each admitted request into per-shard
-        // needs, resolving what can be decided locally. Error
-        // precedence must match `LakeIndex::prepare` exactly: `ZeroK`
-        // before `EmptyIndex` before query-shape errors.
-        let owner = self.owner_shard();
-        let mut needs: Vec<Vec<(usize, WarmNeed)>> =
-            (0..self.shard_count).map(|_| Vec::new()).collect();
-        let mut local_errors: BTreeMap<usize, ServeError> = BTreeMap::new();
+        // Warm fan-out: the same per-shard needs the inline index
+        // warms, batched into one message per contacted shard.
+        let mut per_shard: Vec<Vec<(usize, WarmNeed)>> =
+            self.shards.iter().map(|_| Vec::new()).collect();
+        let mut local_errors = BTreeMap::new();
         for &(pos, _) in &admitted {
-            match &requests[pos].request {
-                ServeRequest::UnionTopK { query, k } => {
-                    if *k == 0 {
-                        responses[pos] = Some(Err(ServeError::ZeroK));
-                        continue;
-                    }
-                    match check_query_shape(query) {
-                        Err(e) => {
-                            // park: EmptyIndex still takes precedence
-                            local_errors.insert(pos, e);
-                            for n in needs.iter_mut() {
-                                n.push((pos, WarmNeed::Count));
-                            }
-                        }
-                        Ok(()) => {
-                            let fp = table_fingerprint(query);
-                            let q = Arc::new(query.clone());
-                            for (si, n) in needs.iter_mut().enumerate() {
-                                let query = (si == owner).then(|| (fp, q.clone()));
-                                n.push((pos, WarmNeed::Union { query }));
-                            }
-                        }
-                    }
-                }
-                ServeRequest::JoinableTopK { query, column, k } => {
-                    if *k == 0 {
-                        responses[pos] = Some(Err(ServeError::ZeroK));
-                        continue;
-                    }
-                    let local = check_query_shape(query).err().or_else(|| {
-                        query
-                            .column(column)
-                            .is_err()
-                            .then(|| ServeError::UnknownColumn {
-                                table: CacheKey::QUERY_OWNER.to_string(),
-                                column: column.clone(),
-                            })
-                    });
-                    match local {
-                        Some(e) => {
-                            local_errors.insert(pos, e);
-                            for n in needs.iter_mut() {
-                                n.push((pos, WarmNeed::Count));
-                            }
-                        }
-                        None => {
-                            let fp = table_fingerprint(query);
-                            let q = Arc::new(query.clone());
-                            // shared by every shard's cache keys
-                            let column: Arc<str> = column.as_str().into();
-                            for (si, n) in needs.iter_mut().enumerate() {
-                                let query = (si == owner).then(|| (fp, q.clone()));
-                                n.push((
-                                    pos,
-                                    WarmNeed::Join {
-                                        column: Arc::clone(&column),
-                                        query,
-                                    },
-                                ));
-                            }
-                        }
-                    }
-                }
-                ServeRequest::CoverageProbe {
-                    table,
-                    attributes,
-                    threshold,
-                } => {
-                    let si = shard_route(table, self.shard_count);
-                    needs[si].push((
-                        pos,
-                        WarmNeed::Coverage {
-                            table: table.clone(),
-                            attributes: attributes.clone(),
-                            threshold: *threshold,
-                        },
-                    ));
-                }
-                ServeRequest::TailorRun { sources, .. } => {
-                    if sources.is_empty() {
-                        responses[pos] = Some(Err(ServeError::EmptyQuery(
-                            "no tailoring sources named".into(),
-                        )));
-                        continue;
-                    }
-                    let mut by_shard: BTreeMap<usize, Vec<(usize, String)>> = BTreeMap::new();
-                    for (i, id) in sources.iter().enumerate() {
-                        by_shard
-                            .entry(shard_route(id, self.shard_count))
-                            .or_default()
-                            .push((i, id.clone()));
-                    }
-                    for (si, ids) in by_shard {
-                        needs[si].push((pos, WarmNeed::Tailor { ids }));
-                    }
-                }
+            let (shard_needs, local_error) = needs(&requests[pos].request, self.shards.len());
+            for (si, need) in shard_needs {
+                per_shard[si].push((pos, need));
+            }
+            if let Some(e) = local_error {
+                local_errors.insert(pos, e);
             }
         }
 
         let mut pending = BTreeSet::new();
         let session = ctx.self_id();
         let batch = self.batches;
-        for (si, shard_needs) in needs.into_iter().enumerate() {
+        for (si, shard_needs) in per_shard.into_iter().enumerate() {
             if shard_needs.is_empty() {
                 continue;
             }
@@ -693,9 +429,9 @@ impl SessionActor {
             batch,
             requests,
             tenants,
-            responses,
+            responses: layout.responses,
             admitted,
-            shed,
+            shed: layout.shed,
             local_errors,
             pending,
             counts: BTreeMap::new(),
@@ -706,7 +442,8 @@ impl SessionActor {
         }
     }
 
-    /// Phase 3: assemble plans, execute, feed the breaker, report.
+    /// Phase 3: assemble plans (the same `assemble` the inline index
+    /// calls), execute, feed the breaker, report.
     fn finish_batch(&mut self, ctx: &mut Ctx<'_>) {
         let Some(mut fl) = self.inflight.take() else {
             return;
@@ -717,25 +454,18 @@ impl SessionActor {
         // stay with their shard until the index is reassembled.)
         let mut decisions = self.admitter.drain_decisions();
         for &(pos, seed) in &fl.admitted {
-            if fl.responses[pos].is_some() {
-                continue;
-            }
-            let parts = fl.parts.remove(&pos).unwrap_or_default();
-            let plan = assemble(
+            let result = assemble(
                 &fl.requests[pos].request,
-                parts,
+                fl.parts.remove(&pos).unwrap_or_default(),
                 total_tables,
                 fl.local_errors.remove(&pos),
                 &self.policies,
-            );
-            let result = match plan {
-                Ok(plan) => {
-                    let (r, plan_decisions) = execute(&plan, seed);
-                    decisions.extend(plan_decisions);
-                    r
-                }
-                Err(e) => Err(e),
-            };
+            )
+            .and_then(|plan| {
+                let (r, plan_decisions) = execute(&plan, seed);
+                decisions.extend(plan_decisions);
+                r
+            });
             fl.responses[pos] = Some(result);
         }
 
@@ -790,10 +520,7 @@ impl Actor for SessionActor {
                     Some(fl) if fl.batch == reply.batch => {
                         fl.counts.insert(reply.shard_index, reply.tables_in_shard);
                         for (pos, part) in reply.parts {
-                            fl.parts
-                                .entry(pos)
-                                .or_default()
-                                .push((reply.shard_index, part));
+                            fl.parts.entry(pos).or_default().push(part);
                         }
                         fl.pending.remove(&reply.shard_index);
                         fl.pending.is_empty()
@@ -806,138 +533,6 @@ impl Actor for SessionActor {
                     self.finish_batch(ctx);
                 }
             }
-        }
-    }
-}
-
-/// Merge one request's shard parts into the same `Prepared` plan the
-/// serial `LakeIndex::prepare` builds, with identical error
-/// precedence.
-fn assemble(
-    request: &ServeRequest,
-    parts: Vec<(usize, WarmPart)>,
-    total_tables: usize,
-    local_error: Option<ServeError>,
-    policies: &PolicySet,
-) -> Result<Prepared, ServeError> {
-    match request {
-        ServeRequest::UnionTopK { k, .. } => {
-            if total_tables == 0 {
-                return Err(ServeError::EmptyIndex);
-            }
-            if let Some(e) = local_error {
-                return Err(e);
-            }
-            let mut query = None;
-            let mut candidates = Vec::new();
-            for (_, part) in parts {
-                if let WarmPart::Union {
-                    query: q,
-                    candidates: c,
-                } = part
-                {
-                    if q.is_some() {
-                        query = q;
-                    }
-                    candidates.extend(c);
-                }
-            }
-            // serial candidate order: globally sorted ids
-            candidates.sort_by(|a, b| a.0.cmp(&b.0));
-            match query {
-                Some(Ok(query)) => Ok(Prepared::Union(UnionPlan {
-                    k: *k,
-                    query,
-                    candidates,
-                    params: policies.params_for(PolicyId::UNION_RANK),
-                })),
-                Some(Err(e)) => Err(e),
-                None => Err(ServeError::EmptyQuery("query signature never built".into())),
-            }
-        }
-        ServeRequest::JoinableTopK { k, .. } => {
-            if total_tables == 0 {
-                return Err(ServeError::EmptyIndex);
-            }
-            if let Some(e) = local_error {
-                return Err(e);
-            }
-            let mut query = None;
-            let mut candidates = Vec::new();
-            let mut errors = Vec::new();
-            for (_, part) in parts {
-                if let WarmPart::Join {
-                    query: q,
-                    candidates: c,
-                    errors: e,
-                } = part
-                {
-                    if q.is_some() {
-                        query = q;
-                    }
-                    candidates.extend(c);
-                    errors.extend(e);
-                }
-            }
-            // serial precedence: first failing candidate in sorted-id
-            // order aborts the whole prepare
-            errors.sort_by(|a, b| a.0.cmp(&b.0));
-            candidates.sort_by(|a, b| a.0.cmp(&b.0));
-            let query = match query {
-                Some(Ok(q)) => q,
-                Some(Err(e)) => return Err(e),
-                None => return Err(ServeError::EmptyQuery("query profile never built".into())),
-            };
-            if let Some((_, e)) = errors.into_iter().next() {
-                // serial prepare aborts at the first failing candidate
-                // in sorted-id order, successes notwithstanding
-                return Err(e);
-            }
-            Ok(Prepared::Join(JoinPlan {
-                k: *k,
-                query,
-                candidates,
-                params: policies.params_for(PolicyId::JOIN_RANK),
-            }))
-        }
-        ServeRequest::CoverageProbe { .. } => {
-            let mut it = parts.into_iter();
-            match it.next() {
-                Some((_, WarmPart::Coverage(Ok((table_id, table, attributes, threshold))))) => {
-                    Ok(Prepared::Coverage {
-                        table_id,
-                        table,
-                        attributes,
-                        threshold,
-                    })
-                }
-                Some((_, WarmPart::Coverage(Err(e)))) => Err(e),
-                _ => Err(ServeError::EmptyQuery("coverage part never arrived".into())),
-            }
-        }
-        ServeRequest::TailorRun {
-            problem,
-            max_draws,
-            sources,
-        } => {
-            let mut resolved: Vec<ResolvedSource> = Vec::with_capacity(sources.len());
-            for (_, part) in parts {
-                if let WarmPart::Tailor { resolved: r } = part {
-                    resolved.extend(r);
-                }
-            }
-            // serial precedence: sources resolve in list order, first
-            // error wins
-            resolved.sort_by_key(|(pos, _)| *pos);
-            let mut out = Vec::with_capacity(resolved.len());
-            for (_, r) in resolved {
-                out.push(r?);
-            }
-            Ok(Prepared::Tailor {
-                problem: problem.clone(),
-                sources: out,
-                max_draws: *max_draws,
-            })
         }
     }
 }
@@ -1030,7 +625,6 @@ impl LakeActorGroup {
             SessionActor::new(
                 config,
                 admit,
-                self.shard_actors.len(),
                 self.shard_actors.clone(),
                 self.policies.clone(),
             ),
@@ -1149,12 +743,23 @@ mod tests {
                 column: "nope".into(),
                 k: 1,
             },
+            ServeRequest::JoinableTopK {
+                query: {
+                    let mut t = keyed(&[]);
+                    t.push_row(vec![Value::Null]).unwrap();
+                    t
+                },
+                column: "key".into(),
+                k: 1,
+            },
         ]
     }
 
     /// Responses from the actor-hosted session must be bitwise equal
-    /// to the serial session fed the same stream.
-    fn assert_matches_serial(batches: &[Vec<ServeRequest>]) {
+    /// to the serial session fed the same stream over the same lake,
+    /// and the hosted shards must end up holding exactly the sketches
+    /// the serial index holds.
+    fn assert_matches_serial(lake: fn() -> LakeIndex, batches: &[Vec<ServeRequest>]) {
         let mut serial = ServeSession::new(lake(), SessionConfig::default());
         let serial_reports: Vec<BatchReport> =
             batches.iter().map(|b| serial.submit_batch(b)).collect();
@@ -1174,16 +779,23 @@ mod tests {
             assert_eq!(got.degraded, want.degraded);
             assert_eq!(got.responses, want.responses);
         }
+        let hosted = group.reassemble(&mut rt).unwrap();
+        assert_eq!(hosted.cached_sketches(), serial.index().cached_sketches());
+        assert_eq!(hosted.cache_bytes(), serial.index().cache_bytes());
     }
 
     #[test]
     fn hosted_session_matches_serial_session_bitwise() {
-        assert_matches_serial(&[mixed_batch(), mixed_batch()]);
+        assert_matches_serial(lake, &[mixed_batch(), mixed_batch()]);
     }
 
+    /// Pins ZeroK > EmptyIndex > query errors on both paths, over a
+    /// populated and an empty lake. (`error_batch` trips the breaker,
+    /// so on the empty lake the well-formed batch goes first.)
     #[test]
     fn error_precedence_matches_serial() {
-        assert_matches_serial(&[error_batch(), mixed_batch()]);
+        assert_matches_serial(lake, &[error_batch(), mixed_batch()]);
+        assert_matches_serial(LakeIndex::default, &[mixed_batch(), error_batch()]);
     }
 
     #[test]
@@ -1199,7 +811,7 @@ mod tests {
         for _ in 0..=cooldown {
             batches.push(mixed_batch());
         }
-        assert_matches_serial(&batches);
+        assert_matches_serial(lake, &batches);
     }
 
     /// Multi-tenant admission dedup regression: a tagged stream that

@@ -90,24 +90,29 @@ impl Default for LakeIndexConfig {
 
 /// One registered table plus its maintained sketch state.
 #[derive(Debug)]
-pub(crate) struct Registered {
-    pub(crate) table: Arc<Table>,
+struct Registered {
+    table: Arc<Table>,
     /// Incrementally maintained content fingerprint.
-    pub(crate) fp: FpState,
-    pub(crate) cost: f64,
+    fp: FpState,
+    cost: f64,
     /// Lazily-populated maintained sketch state (see `maint`).
-    pub(crate) maint: Maintained,
+    maint: Maintained,
 }
 
 /// One shard: its slice of the table map and its slice of the cache
 /// byte budget.
 ///
-/// All per-shard operations live here so a shard can serve either
-/// inline inside a [`LakeIndex`] (the serial path) or hosted by its own
-/// `ShardActor` (`crate::actors`) — both paths run the *same* code, so
-/// answers are bitwise identical. Sizing knobs (`minhash_k`,
-/// `deletion_debt_threshold`) are passed per call: the shard itself
-/// stays config-free so it can move between hosts.
+/// Request preparation is three steps, written once and called by
+/// both serving paths: [`needs`] turns a request into per-shard
+/// [`WarmNeed`]s without touching any shard, [`Shard::warm`] serves one
+/// need from one shard (the only cache-mutating step), and [`assemble`]
+/// merges the shards' [`WarmPart`]s into a [`Prepared`] plan. A
+/// [`LakeIndex`] runs the three inline over its own shards; the actor
+/// host (`crate::actors`) moves each shard into its own `ShardActor`,
+/// sends it the same needs as messages and assembles the replies.
+/// Sizing knobs (`minhash_k`, `deletion_debt_threshold`) are passed per
+/// call: the shard itself stays config-free so it can move between
+/// hosts.
 #[derive(Debug)]
 pub(crate) struct Shard {
     /// Registered tables by id. The id is shared from here on: cache
@@ -127,16 +132,6 @@ impl Shard {
     /// Registered-table count in this shard.
     pub(crate) fn len(&self) -> usize {
         self.tables.len()
-    }
-
-    /// Registered ids in this shard, in sorted order.
-    pub(crate) fn ids(&self) -> impl Iterator<Item = &Arc<str>> {
-        self.tables.keys()
-    }
-
-    /// A registered table's full record.
-    pub(crate) fn registered(&self, id: &str) -> Option<&Registered> {
-        self.tables.get(id)
     }
 
     /// Register or replace a table (validation included); evicts
@@ -273,74 +268,73 @@ impl Shard {
         Ok(rows_touched)
     }
 
-    /// Union signature for a registered table: cache hit, or derive
-    /// from maintained state, or cold-build (which starts maintenance).
-    pub(crate) fn union_signature(
-        &mut self,
-        id: &Arc<str>,
-        k: usize,
-    ) -> Result<Arc<TableSignature>, ServeError> {
-        let r = self
-            .tables
-            .get_mut(id)
-            .ok_or_else(|| ServeError::UnknownTable(id.to_string()))?;
-        let key = CacheKey {
-            owner: Arc::clone(id),
-            fingerprint: r.fp.fingerprint(),
-            kind: SketchKind::Union { k },
-        };
-        if let Some(Sketch::Union(sig)) = self.cache.get(&key) {
-            return Ok(sig);
-        }
-        let table = r.table.clone();
-        let u = r
-            .maint
-            .union
-            .get_or_insert_with(|| UpdatableSignature::build(id, &table, k));
-        let sig = Arc::new(u.signature());
-        self.cache.insert(key, Sketch::Union(sig.clone()));
-        Ok(sig)
-    }
-
-    /// Join profile for one column of a registered table: cache hit,
-    /// or derive from maintained state, or cold-build (which starts
-    /// maintenance). The column must exist — callers check first.
-    pub(crate) fn key_profile(
-        &mut self,
-        id: &Arc<str>,
-        column: &Arc<str>,
-        k: usize,
-    ) -> Result<Arc<KeyProfile>, ServeError> {
-        let r = self
-            .tables
-            .get_mut(id)
-            .ok_or_else(|| ServeError::UnknownTable(id.to_string()))?;
-        let key = CacheKey {
-            owner: Arc::clone(id),
-            fingerprint: r.fp.fingerprint(),
-            kind: SketchKind::Join {
-                column: Arc::clone(column),
-                k,
+    /// Serve one request's need from this shard: fetch or build every
+    /// sketch it names, the query sketch first (on the query-owner
+    /// shard only), then each registered table's in sorted-id order.
+    /// The only cache-mutating step of request preparation, so this
+    /// order is what the cache's hit, miss and eviction accounting
+    /// sees.
+    pub(crate) fn warm(&mut self, need: WarmNeed, k: usize) -> WarmPart {
+        match need {
+            WarmNeed::Count => WarmPart::Count,
+            WarmNeed::Union { query } => {
+                let query = query.map(|(fp, t)| self.query_union_signature(fp, &t, k));
+                let candidates = self
+                    .tables
+                    .iter_mut()
+                    .map(|(id, r)| (Arc::clone(id), union_signature(&mut self.cache, id, r, k)))
+                    .collect();
+                WarmPart::Union { query, candidates }
+            }
+            WarmNeed::Join { column, query } => {
+                let query = query.map(|(fp, t)| self.query_key_profile(fp, &t, &column, k));
+                let mut candidates = Vec::new();
+                let mut errors = Vec::new();
+                // candidates without the key column are skipped, not errors
+                for (id, r) in &mut self.tables {
+                    if r.table.column(&column).is_err() {
+                        continue;
+                    }
+                    match key_profile(&mut self.cache, id, &column, r, k) {
+                        Ok(p) => candidates.push((Arc::clone(id), p)),
+                        Err(e) => errors.push((Arc::clone(id), e)),
+                    }
+                }
+                WarmPart::Join {
+                    query,
+                    candidates,
+                    errors,
+                }
+            }
+            WarmNeed::Coverage {
+                table,
+                attributes,
+                threshold,
+            } => WarmPart::Coverage(match self.tables.get(table.as_str()) {
+                None => Err(ServeError::UnknownTable(table)),
+                Some(r) => match attributes.iter().find(|a| r.table.column(a).is_err()) {
+                    Some(a) => Err(ServeError::UnknownColumn {
+                        table: table.clone(),
+                        column: a.clone(),
+                    }),
+                    None => Ok((table, r.table.clone(), attributes, threshold)),
+                },
+            }),
+            WarmNeed::Tailor { ids } => WarmPart::Tailor {
+                resolved: ids
+                    .into_iter()
+                    .map(|(pos, id)| match self.tables.get(id.as_str()) {
+                        Some(r) => (pos, Ok((id, r.table.clone(), r.cost))),
+                        None => (pos, Err(ServeError::UnknownTable(id))),
+                    })
+                    .collect(),
             },
-        };
-        if let Some(Sketch::Join(p)) = self.cache.get(&key) {
-            return Ok(p);
         }
-        let table = r.table.clone();
-        let profile = match r.maint.joins.entry(column.to_string()) {
-            Entry::Occupied(e) => Arc::new(e.get().profile()),
-            Entry::Vacant(v) => Arc::new(
-                v.insert(UpdatableKeyProfile::build(&table, column, k)?)
-                    .profile(),
-            ),
-        };
-        self.cache.insert(key, Sketch::Join(profile.clone()));
-        Ok(profile)
     }
 
     /// Union signature for an ad-hoc query table, cached (without
-    /// maintenance). Only the query-owner shard is asked.
-    pub(crate) fn query_union_signature(
+    /// maintenance).
+    fn query_union_signature(
         &mut self,
         fingerprint: u64,
         query: &Table,
@@ -369,8 +363,8 @@ impl Shard {
     }
 
     /// Join profile for one column of an ad-hoc query table, cached
-    /// (without maintenance). Only the query-owner shard is asked.
-    pub(crate) fn query_key_profile(
+    /// (without maintenance).
+    fn query_key_profile(
         &mut self,
         fingerprint: u64,
         query: &Table,
@@ -401,6 +395,64 @@ impl Shard {
         self.cache.insert(key, Sketch::Join(profile.clone()));
         Ok(profile)
     }
+}
+
+/// Union signature for a registered table: cache hit, or derive from
+/// maintained state, or cold-build (which starts maintenance).
+fn union_signature(
+    cache: &mut SketchCache,
+    id: &Arc<str>,
+    r: &mut Registered,
+    k: usize,
+) -> Arc<TableSignature> {
+    let key = CacheKey {
+        owner: Arc::clone(id),
+        fingerprint: r.fp.fingerprint(),
+        kind: SketchKind::Union { k },
+    };
+    if let Some(Sketch::Union(sig)) = cache.get(&key) {
+        return sig;
+    }
+    let table = &r.table;
+    let u = r
+        .maint
+        .union
+        .get_or_insert_with(|| UpdatableSignature::build(id, table, k));
+    let sig = Arc::new(u.signature());
+    cache.insert(key, Sketch::Union(sig.clone()));
+    sig
+}
+
+/// Join profile for one column of a registered table: cache hit, or
+/// derive from maintained state, or cold-build (which starts
+/// maintenance). The column must exist — callers check first.
+fn key_profile(
+    cache: &mut SketchCache,
+    id: &Arc<str>,
+    column: &Arc<str>,
+    r: &mut Registered,
+    k: usize,
+) -> Result<Arc<KeyProfile>, ServeError> {
+    let key = CacheKey {
+        owner: Arc::clone(id),
+        fingerprint: r.fp.fingerprint(),
+        kind: SketchKind::Join {
+            column: Arc::clone(column),
+            k,
+        },
+    };
+    if let Some(Sketch::Join(p)) = cache.get(&key) {
+        return Ok(p);
+    }
+    let profile = match r.maint.joins.entry(column.to_string()) {
+        Entry::Occupied(e) => Arc::new(e.get().profile()),
+        Entry::Vacant(v) => Arc::new(
+            v.insert(UpdatableKeyProfile::build(&r.table, column, k)?)
+                .profile(),
+        ),
+    };
+    cache.insert(key, Sketch::Join(profile.clone()));
+    Ok(profile)
 }
 
 /// A persistent, in-process index over a lake of registered tables.
@@ -614,17 +666,6 @@ impl LakeIndex {
         ids
     }
 
-    /// Registered ids in sorted order, shared with the shards' maps.
-    fn sorted_ids(&self) -> Vec<Arc<str>> {
-        let mut ids: Vec<Arc<str>> = self
-            .shards
-            .iter()
-            .flat_map(|s| s.tables.keys().cloned())
-            .collect();
-        ids.sort_unstable();
-        ids
-    }
-
     /// A registered table by id.
     pub fn table(&self, id: &str) -> Option<&Table> {
         self.registered(id).map(|r| r.table.as_ref())
@@ -640,187 +681,21 @@ impl LakeIndex {
         self.shards.iter().map(|s| s.cache.len()).sum()
     }
 
-    /// Union signature for an ad-hoc query table, cached (without
-    /// maintenance) in the query owner's shard.
-    fn query_union_signature(
-        &mut self,
-        fingerprint: u64,
-        query: &Table,
-    ) -> Result<Arc<TableSignature>, ServeError> {
-        let k = self.config.minhash_k;
-        let si = self.shard_of(CacheKey::QUERY_OWNER);
-        self.shards[si].query_union_signature(fingerprint, query, k)
-    }
-
-    /// Join profile for one column of an ad-hoc query table, cached
-    /// (without maintenance) in the query owner's shard.
-    fn query_key_profile(
-        &mut self,
-        fingerprint: u64,
-        query: &Table,
-        column: &Arc<str>,
-    ) -> Result<Arc<KeyProfile>, ServeError> {
-        let k = self.config.minhash_k;
-        let si = self.shard_of(CacheKey::QUERY_OWNER);
-        self.shards[si].query_key_profile(fingerprint, query, column, k)
-    }
-
-    /// Union signature for a registered table: cache hit, or derive
-    /// from maintained state, or cold-build (which starts maintenance).
-    fn registered_union_signature(
-        &mut self,
-        id: &Arc<str>,
-    ) -> Result<Arc<TableSignature>, ServeError> {
-        let k = self.config.minhash_k;
-        let si = self.shard_of(id);
-        self.shards[si].union_signature(id, k)
-    }
-
-    /// Join profile for one column of a registered table: cache hit,
-    /// or derive from maintained state, or cold-build (which starts
-    /// maintenance). The column must exist — callers check first.
-    fn registered_key_profile(
-        &mut self,
-        id: &Arc<str>,
-        column: &Arc<str>,
-    ) -> Result<Arc<KeyProfile>, ServeError> {
-        let k = self.config.minhash_k;
-        let si = self.shard_of(id);
-        self.shards[si].key_profile(id, column, k)
-    }
-
     /// Validate a request and warm every sketch it needs, returning an
-    /// immutable execution plan. This is the *only* cache-mutating
-    /// step of request handling; [`execute`] is a pure function of the
-    /// plan and a seed, so plans from one serial warm pass can run in
-    /// parallel with bitwise-serial results.
+    /// immutable execution plan: [`needs`], then [`Shard::warm`] on
+    /// each shard with a need, in shard order, then [`assemble`]. This
+    /// is the *only* cache-mutating step of request handling;
+    /// [`execute`] is a pure function of the plan and a seed, so plans
+    /// from one serial warm pass can run in parallel with
+    /// bitwise-serial results.
     pub(crate) fn prepare(&mut self, request: &ServeRequest) -> Result<Prepared, ServeError> {
-        match request {
-            ServeRequest::UnionTopK { query, k } => {
-                self.prepare_union(query, *k).map(Prepared::Union)
-            }
-            ServeRequest::JoinableTopK { query, column, k } => {
-                self.prepare_join(query, column, *k).map(Prepared::Join)
-            }
-            ServeRequest::CoverageProbe {
-                table,
-                attributes,
-                threshold,
-            } => {
-                let r = self
-                    .registered(table)
-                    .ok_or_else(|| ServeError::UnknownTable(table.clone()))?;
-                for a in attributes {
-                    if r.table.column(a).is_err() {
-                        return Err(ServeError::UnknownColumn {
-                            table: table.clone(),
-                            column: a.clone(),
-                        });
-                    }
-                }
-                Ok(Prepared::Coverage {
-                    table_id: table.clone(),
-                    table: r.table.clone(),
-                    attributes: attributes.clone(),
-                    threshold: *threshold,
-                })
-            }
-            ServeRequest::TailorRun {
-                problem,
-                sources,
-                max_draws,
-            } => {
-                if sources.is_empty() {
-                    return Err(ServeError::EmptyQuery("no tailoring sources named".into()));
-                }
-                let mut resolved = Vec::with_capacity(sources.len());
-                for id in sources {
-                    let r = self
-                        .registered(id)
-                        .ok_or_else(|| ServeError::UnknownTable(id.clone()))?;
-                    resolved.push((id.clone(), r.table.clone(), r.cost));
-                }
-                Ok(Prepared::Tailor {
-                    problem: problem.clone(),
-                    sources: resolved,
-                    max_draws: *max_draws,
-                })
-            }
-        }
-    }
-
-    /// Warm the query signature and every registered union signature.
-    fn prepare_union(&mut self, query: &Table, k: usize) -> Result<UnionPlan, ServeError> {
-        self.check_top_k(k)?;
-        check_query_shape(query)?;
-        let fp = table_fingerprint(query);
-        let query_sig = self.query_union_signature(fp, query)?;
-        let ids = self.sorted_ids();
-        let mut candidates = Vec::with_capacity(ids.len());
-        for id in ids {
-            let sig = self.registered_union_signature(&id)?;
-            candidates.push((id, sig));
-        }
-        Ok(UnionPlan {
-            k,
-            query: query_sig,
-            candidates,
-            params: self.policies.params_for(PolicyId::UNION_RANK),
-        })
-    }
-
-    /// Warm the query's key profile and the key profile of every
-    /// registered table that has the key column.
-    fn prepare_join(
-        &mut self,
-        query: &Table,
-        column: &str,
-        k: usize,
-    ) -> Result<JoinPlan, ServeError> {
-        self.check_top_k(k)?;
-        check_query_shape(query)?;
-        if query.column(column).is_err() {
-            return Err(ServeError::UnknownColumn {
-                table: CacheKey::QUERY_OWNER.to_string(),
-                column: column.to_string(),
-            });
-        }
-        // shared by the query key and every candidate key
-        let column: Arc<str> = column.into();
-        let fp = table_fingerprint(query);
-        let query_profile = self.query_key_profile(fp, query, &column)?;
-        if query_profile.distinct == 0 {
-            return Err(ServeError::EmptyQuery(format!(
-                "query column `{column}` has no non-null values"
-            )));
-        }
-        let ids = self.sorted_ids();
-        let mut candidates = Vec::with_capacity(ids.len());
-        for id in ids {
-            // candidates without the key column are skipped, not errors
-            let has_column = self.table(&id).is_some_and(|t| t.column(&column).is_ok());
-            if !has_column {
-                continue;
-            }
-            let p = self.registered_key_profile(&id, &column)?;
-            candidates.push((id, p));
-        }
-        Ok(JoinPlan {
-            k,
-            query: query_profile,
-            candidates,
-            params: self.policies.params_for(PolicyId::JOIN_RANK),
-        })
-    }
-
-    fn check_top_k(&self, k: usize) -> Result<(), ServeError> {
-        if k == 0 {
-            return Err(ServeError::ZeroK);
-        }
-        if self.is_empty() {
-            return Err(ServeError::EmptyIndex);
-        }
-        Ok(())
+        let (shard_needs, local_error) = needs(request, self.shards.len());
+        let k = self.config.minhash_k;
+        let parts = shard_needs
+            .into_iter()
+            .map(|(si, need)| self.shards[si].warm(need, k))
+            .collect();
+        assemble(request, parts, self.len(), local_error, &self.policies)
     }
 
     /// One-shot union top-k (`(table id, score)` descending, ties by
@@ -831,8 +706,10 @@ impl LakeIndex {
         query: &Table,
         k: usize,
     ) -> Result<Vec<(String, f64)>, ServeError> {
-        let plan = self.prepare_union(query, k)?;
-        Ok(execute_union(&plan, &mut self.decisions))
+        self.top_k(&ServeRequest::UnionTopK {
+            query: query.clone(),
+            k,
+        })
     }
 
     /// One-shot joinability top-k by estimated key containment.
@@ -842,22 +719,305 @@ impl LakeIndex {
         column: &str,
         k: usize,
     ) -> Result<Vec<(String, f64)>, ServeError> {
-        let plan = self.prepare_join(query, column, k)?;
-        Ok(execute_join(&plan, &mut self.decisions))
+        self.top_k(&ServeRequest::JoinableTopK {
+            query: query.clone(),
+            column: column.to_string(),
+            k,
+        })
+    }
+
+    fn top_k(&mut self, request: &ServeRequest) -> Result<Vec<(String, f64)>, ServeError> {
+        Ok(match self.prepare(request)? {
+            Prepared::Union(plan) => execute_union(&plan, &mut self.decisions),
+            Prepared::Join(plan) => execute_join(&plan, &mut self.decisions),
+            // a top-k request prepares a top-k plan
+            Prepared::Coverage { .. } | Prepared::Tailor { .. } => Vec::new(),
+        })
     }
 }
 
-/// Reject query tables whose signature would be empty. Shared with the
-/// actor hosting layer (`crate::actors`), which runs the same check
-/// session-side before fanning a query out.
-pub(crate) fn check_query_shape(query: &Table) -> Result<(), ServeError> {
+/// What one request needs from one shard during the warm step.
+#[derive(Debug)]
+pub(crate) enum WarmNeed {
+    /// Registered-table count only: [`needs`] already decided the
+    /// request's error, but `EmptyIndex` takes precedence and needs the
+    /// global count.
+    Count,
+    /// Union candidates; on the query-owner shard also the query
+    /// signature (fingerprint + table attached).
+    Union { query: Option<(u64, Arc<Table>)> },
+    /// Join candidates for `column`; on the query-owner shard also the
+    /// query key profile.
+    Join {
+        column: Arc<str>,
+        query: Option<(u64, Arc<Table>)>,
+    },
+    /// Resolve a coverage probe (the target table lives here).
+    Coverage {
+        table: String,
+        attributes: Vec<String>,
+        threshold: usize,
+    },
+    /// Resolve tailoring sources owned by this shard, tagged with
+    /// their position in the request's source list.
+    Tailor { ids: Vec<(usize, String)> },
+}
+
+/// One shard's answer to one [`WarmNeed`].
+#[derive(Debug)]
+pub(crate) enum WarmPart {
+    /// Nothing beyond the shard's table count.
+    Count,
+    /// Union candidates (+ query signature from the owner shard).
+    Union {
+        query: Option<Result<Arc<TableSignature>, ServeError>>,
+        candidates: Vec<(Arc<str>, Arc<TableSignature>)>,
+    },
+    /// Join candidates (+ query profile from the owner shard). Build
+    /// failures are reported per candidate id so [`assemble`] can pick
+    /// the first by sorted id.
+    Join {
+        query: Option<Result<Arc<KeyProfile>, ServeError>>,
+        candidates: Vec<(Arc<str>, Arc<KeyProfile>)>,
+        errors: Vec<(Arc<str>, ServeError)>,
+    },
+    /// Everything a coverage plan needs, or why it cannot be built.
+    Coverage(Result<(String, Arc<Table>, Vec<String>, usize), ServeError>),
+    /// Per-source resolutions, tagged with source-list positions.
+    Tailor { resolved: Vec<ResolvedSource> },
+}
+
+/// One tailoring source resolved by its owning shard: the source-list
+/// position plus `(id, table, cost)` or the error for that slot.
+type ResolvedSource = (usize, Result<(String, Arc<Table>, f64), ServeError>);
+
+/// Translate one request into what each shard must warm for it, without
+/// touching any shard: `(shard index, need)` pairs in shard order, and
+/// the request's error when it can be decided from the request alone.
+///
+/// Decided here: `ZeroK`, a query table without columns or rows, an
+/// unknown join column, a join key column without a non-null value, and
+/// an empty tailoring source list. A top-k request failed here still
+/// asks every shard for its table count, because `EmptyIndex` outranks
+/// its error (see [`assemble`]). Top-k needs reach every shard, the
+/// query sketch only the query-owner one; coverage and tailoring ids
+/// go to their owning shards through [`shard_route`].
+pub(crate) fn needs(
+    request: &ServeRequest,
+    shard_count: usize,
+) -> (Vec<(usize, WarmNeed)>, Option<ServeError>) {
+    match request {
+        ServeRequest::UnionTopK { query, k } => top_k_needs(query, None, *k, shard_count),
+        ServeRequest::JoinableTopK { query, column, k } => {
+            top_k_needs(query, Some(column.as_str()), *k, shard_count)
+        }
+        ServeRequest::CoverageProbe {
+            table,
+            attributes,
+            threshold,
+        } => {
+            let need = WarmNeed::Coverage {
+                table: table.clone(),
+                attributes: attributes.clone(),
+                threshold: *threshold,
+            };
+            (vec![(shard_route(table, shard_count), need)], None)
+        }
+        ServeRequest::TailorRun { sources, .. } => {
+            if sources.is_empty() {
+                let e = ServeError::EmptyQuery("no tailoring sources named".into());
+                return (Vec::new(), Some(e));
+            }
+            let mut by_shard: BTreeMap<usize, Vec<(usize, String)>> = BTreeMap::new();
+            for (i, id) in sources.iter().enumerate() {
+                by_shard
+                    .entry(shard_route(id, shard_count))
+                    .or_default()
+                    .push((i, id.clone()));
+            }
+            let needs = by_shard
+                .into_iter()
+                .map(|(si, ids)| (si, WarmNeed::Tailor { ids }))
+                .collect();
+            (needs, None)
+        }
+    }
+}
+
+/// [`needs`] for a union (`column` = `None`) or join top-k request.
+fn top_k_needs(
+    query: &Table,
+    column: Option<&str>,
+    k: usize,
+    shard_count: usize,
+) -> (Vec<(usize, WarmNeed)>, Option<ServeError>) {
+    if k == 0 {
+        return (Vec::new(), Some(ServeError::ZeroK));
+    }
+    if let Err(e) = check_query_shape(query, column) {
+        let counts = (0..shard_count).map(|si| (si, WarmNeed::Count)).collect();
+        return (counts, Some(e));
+    }
+    let owner = shard_route(CacheKey::QUERY_OWNER, shard_count);
+    let fp = table_fingerprint(query);
+    let query = Arc::new(query.clone());
+    // shared by every shard's cache keys
+    let column: Option<Arc<str>> = column.map(Arc::from);
+    let needs = (0..shard_count)
+        .map(|si| {
+            let query = (si == owner).then(|| (fp, Arc::clone(&query)));
+            let need = match &column {
+                None => WarmNeed::Union { query },
+                Some(column) => WarmNeed::Join {
+                    column: Arc::clone(column),
+                    query,
+                },
+            };
+            (si, need)
+        })
+        .collect();
+    (needs, None)
+}
+
+/// Reject query tables whose signature would be empty and join key
+/// columns that are missing or hold no non-null value (no containment
+/// estimate can be anchored on them).
+fn check_query_shape(query: &Table, column: Option<&str>) -> Result<(), ServeError> {
     if query.num_columns() == 0 {
         return Err(ServeError::EmptyQuery("query table has no columns".into()));
     }
     if query.num_rows() == 0 {
         return Err(ServeError::EmptyQuery("query table has no rows".into()));
     }
+    let Some(column) = column else {
+        return Ok(());
+    };
+    let Ok(values) = query.column(column) else {
+        return Err(ServeError::UnknownColumn {
+            table: CacheKey::QUERY_OWNER.to_string(),
+            column: column.to_string(),
+        });
+    };
+    if values.null_count() == values.len() {
+        return Err(ServeError::EmptyQuery(format!(
+            "query column `{column}` has no non-null values"
+        )));
+    }
     Ok(())
+}
+
+/// Merge one request's warm parts (in any order) into its execution
+/// plan. `total_tables` is the lake's registered-table count and
+/// `local_error` what [`needs`] decided.
+///
+/// Error precedence, the same on both serving paths: `ZeroK` >
+/// `EmptyIndex` (top-k requests only) > the local query error > the
+/// owner shard's query-sketch error > the first failing candidate by
+/// sorted id. Tailoring sources resolve in list order, the first error
+/// winning. Candidates are merged in sorted-id order.
+pub(crate) fn assemble(
+    request: &ServeRequest,
+    parts: Vec<WarmPart>,
+    total_tables: usize,
+    local_error: Option<ServeError>,
+    policies: &PolicySet,
+) -> Result<Prepared, ServeError> {
+    let top_k = matches!(
+        request,
+        ServeRequest::UnionTopK { .. } | ServeRequest::JoinableTopK { .. }
+    );
+    match local_error {
+        Some(ServeError::ZeroK) => return Err(ServeError::ZeroK),
+        _ if top_k && total_tables == 0 => return Err(ServeError::EmptyIndex),
+        Some(e) => return Err(e),
+        None => {}
+    }
+    match request {
+        ServeRequest::UnionTopK { k, .. } => {
+            let mut query = None;
+            let mut candidates = Vec::new();
+            for part in parts {
+                if let WarmPart::Union {
+                    query: q,
+                    candidates: c,
+                } = part
+                {
+                    query = query.or(q);
+                    candidates.extend(c);
+                }
+            }
+            let never = || Err(ServeError::EmptyQuery("query signature never built".into()));
+            let query = query.unwrap_or_else(never)?;
+            candidates.sort_by(|a, b| a.0.cmp(&b.0));
+            Ok(Prepared::Union(UnionPlan {
+                k: *k,
+                query,
+                candidates,
+                params: policies.params_for(PolicyId::UNION_RANK),
+            }))
+        }
+        ServeRequest::JoinableTopK { k, .. } => {
+            let mut query = None;
+            let mut candidates = Vec::new();
+            let mut errors = Vec::new();
+            for part in parts {
+                if let WarmPart::Join {
+                    query: q,
+                    candidates: c,
+                    errors: e,
+                } = part
+                {
+                    query = query.or(q);
+                    candidates.extend(c);
+                    errors.extend(e);
+                }
+            }
+            let never = || Err(ServeError::EmptyQuery("query profile never built".into()));
+            let query = query.unwrap_or_else(never)?;
+            if let Some((_, e)) = errors.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
+                return Err(e);
+            }
+            candidates.sort_by(|a, b| a.0.cmp(&b.0));
+            Ok(Prepared::Join(JoinPlan {
+                k: *k,
+                query,
+                candidates,
+                params: policies.params_for(PolicyId::JOIN_RANK),
+            }))
+        }
+        ServeRequest::CoverageProbe { .. } => match parts.into_iter().next() {
+            Some(WarmPart::Coverage(Ok((table_id, table, attributes, threshold)))) => {
+                Ok(Prepared::Coverage {
+                    table_id,
+                    table,
+                    attributes,
+                    threshold,
+                })
+            }
+            Some(WarmPart::Coverage(Err(e))) => Err(e),
+            _ => Err(ServeError::EmptyQuery("coverage part never arrived".into())),
+        },
+        ServeRequest::TailorRun {
+            problem, max_draws, ..
+        } => {
+            let mut resolved: Vec<ResolvedSource> = Vec::new();
+            for part in parts {
+                if let WarmPart::Tailor { resolved: r } = part {
+                    resolved.extend(r);
+                }
+            }
+            resolved.sort_by_key(|(pos, _)| *pos);
+            let sources = resolved
+                .into_iter()
+                .map(|(_, r)| r)
+                .collect::<Result<Vec<_>, _>>()?;
+            Ok(Prepared::Tailor {
+                problem: problem.clone(),
+                sources,
+                max_draws: *max_draws,
+            })
+        }
+    }
 }
 
 /// An immutable, `Send + Sync` execution plan produced by
@@ -883,10 +1043,10 @@ pub(crate) enum Prepared {
 /// registered table's signature, in sorted-id order.
 #[derive(Debug, Clone)]
 pub(crate) struct UnionPlan {
-    pub(crate) k: usize,
-    pub(crate) query: Arc<TableSignature>,
-    pub(crate) candidates: Vec<(Arc<str>, Arc<TableSignature>)>,
-    pub(crate) params: PolicyParams,
+    k: usize,
+    query: Arc<TableSignature>,
+    candidates: Vec<(Arc<str>, Arc<TableSignature>)>,
+    params: PolicyParams,
 }
 
 /// A warmed joinability top-k request: the query key profile and the
@@ -894,10 +1054,10 @@ pub(crate) struct UnionPlan {
 /// order.
 #[derive(Debug, Clone)]
 pub(crate) struct JoinPlan {
-    pub(crate) k: usize,
-    pub(crate) query: Arc<KeyProfile>,
-    pub(crate) candidates: Vec<(Arc<str>, Arc<KeyProfile>)>,
-    pub(crate) params: PolicyParams,
+    k: usize,
+    query: Arc<KeyProfile>,
+    candidates: Vec<(Arc<str>, Arc<KeyProfile>)>,
+    params: PolicyParams,
 }
 
 /// Execute a prepared plan. Pure: the response *and* the returned
