@@ -5,10 +5,10 @@
 //! `a, b > 0`, which is linear in log-log space, so we fit by least
 //! squares on `(ln n, ln loss)`.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A fitted `loss(n) = b · n^{-a}` curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct LearningCurve {
     /// Decay exponent (≥ 0).
     pub a: f64,

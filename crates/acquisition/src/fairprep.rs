@@ -11,12 +11,12 @@
 use rand::Rng;
 use rdi_cleaning::{impute, ImputeStrategy};
 use rdi_table::{GroupSpec, Table};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::ml::{design_matrix, evaluate, GaussianNb, LogisticRegression, ModelEval};
 
 /// Which model the grid trains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub enum ModelKind {
     /// Logistic regression (SGD).
     Logistic,
@@ -35,7 +35,7 @@ impl ModelKind {
 }
 
 /// One grid cell's result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GridResult {
     /// Intervention label.
     pub intervention: String,
@@ -71,7 +71,10 @@ pub fn train_test_split<R: Rng>(table: &Table, test_fraction: f64, rng: &mut R) 
 /// * the test split is imputed with the *same* intervention (as FairPrep
 ///   prescribes: preparation is part of the deployed pipeline), but fitted
 ///   statistics are not shared across the split boundary beyond that.
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "table, impute column, features, target, groups, both grid axes and the RNG are independent inputs"
+)]
 pub fn run_grid<R: Rng>(
     dirty: &Table,
     impute_column: &str,

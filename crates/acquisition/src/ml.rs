@@ -7,7 +7,7 @@
 
 use rand::Rng;
 use rdi_table::{GroupKey, GroupSpec, Table};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use rdi_fairness::metrics::{
     demographic_parity_difference, equalized_odds_difference, tally_outcomes,
@@ -46,7 +46,7 @@ pub fn design_matrix(
 }
 
 /// Logistic regression trained with plain SGD.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct LogisticRegression {
     /// Feature weights.
     pub weights: Vec<f64>,
@@ -128,7 +128,7 @@ impl LogisticRegression {
 }
 
 /// Gaussian naive Bayes (per-class feature means/variances).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct GaussianNb {
     prior_pos: f64,
     mean: [Vec<f64>; 2],
@@ -188,7 +188,7 @@ impl GaussianNb {
 }
 
 /// Evaluation of a classifier on a labeled, group-annotated test set.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ModelEval {
     /// Overall accuracy.
     pub accuracy: f64,

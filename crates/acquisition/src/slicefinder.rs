@@ -10,10 +10,10 @@
 use std::collections::HashMap;
 
 use rdi_table::{Table, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One scored slice.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Slice {
     /// `(attribute, value)` conjuncts defining the slice (1 or 2).
     pub conjuncts: Vec<(String, String)>,

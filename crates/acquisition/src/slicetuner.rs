@@ -9,7 +9,7 @@
 //! Tuner's convex optimization reduces to for decreasing convex curves —
 //! with an optional fairness weight that prioritizes the worst slice.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::curve::LearningCurve;
 
@@ -17,7 +17,7 @@ use crate::curve::LearningCurve;
 pub type SlicePilot = (String, usize, Vec<(usize, f64)>);
 
 /// The acquisition state of one slice.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct SliceState {
     /// Slice name (e.g. a group key rendering).
     pub name: String,

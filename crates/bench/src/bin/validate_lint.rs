@@ -5,7 +5,7 @@
 //! contract the CI gate relies on: `version` is the supported one
 //! (v1 reports are rejected with a pointed message — the v1 schema
 //! died when the analyzer grew the symbol graph), the summary fields
-//! are present, the rule catalog lists all twelve rules exactly once,
+//! are present, the rule catalog lists every live rule exactly once,
 //! `rule_counts` covers the same catalog, the `symbols` block carries
 //! the graph statistics, `classification` lists the workspace crates,
 //! and each finding is a well-formed object with a stable fingerprint.
@@ -27,10 +27,10 @@ use std::process::exit;
 /// `crates/lint/src/report.rs`).
 const SUPPORTED_VERSION: u64 = 2;
 
-/// Every rule the catalog must list, in order.
-const RULE_IDS: [&str; 12] = [
-    "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12",
-];
+/// Every rule the catalog must list, in order. R2, R4, R5 and R8 are
+/// retired (clippy enforces them); the surviving ids keep their numbers
+/// because suppressions and the report key on them.
+const RULE_IDS: [&str; 8] = ["R1", "R3", "R6", "R7", "R9", "R10", "R11", "R12"];
 
 /// Statistics the `symbols` block must carry.
 const SYMBOL_FIELDS: [&str; 5] = [

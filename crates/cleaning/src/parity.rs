@@ -9,10 +9,10 @@
 use std::collections::BTreeMap;
 
 use rdi_table::{GroupKey, GroupSpec, Table};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Per-group imputation error report.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct ParityReport {
     /// Per-group RMSE of imputed vs true values, sorted by group.
     pub group_rmse: Vec<(String, f64)>,

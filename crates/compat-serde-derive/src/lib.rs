@@ -1,13 +1,12 @@
-//! `#[derive(Serialize)]` / `#[derive(Deserialize)]` for the offline
-//! serde compat crate.
+//! `#[derive(Serialize)]` for the offline serde compat crate.
 //!
 //! Implemented directly on `proc_macro` (no `syn`/`quote`, which are
-//! unavailable offline). The macros parse just enough of the item — its
-//! name, field names / arities, and variant shapes — and emit impls of
-//! `::serde::Serialize` / `::serde::Deserialize` against the compat
-//! crate's JSON data model. Field *types* never need to be parsed: the
-//! generated code leans on inference (`Deserialize::deserialize(...)?`
-//! assigned into the field position).
+//! unavailable offline). The macro parses just enough of the item — its
+//! name, field names / arities, and variant shapes — and emits an impl
+//! of `::serde::Serialize` against the compat crate's JSON data model.
+//! Field *types* never need to be parsed: the generated code calls
+//! `Serialize::serialize` on each field and lets inference pick the
+//! impl.
 //!
 //! Supported shapes (everything this workspace derives on):
 //! named-field structs, tuple structs, unit structs, and enums whose
@@ -40,22 +39,19 @@ enum Item {
 #[proc_macro_derive(Serialize)]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     match parse_item(input) {
+        #[expect(
+            clippy::expect_used,
+            reason = "gen_serialize emits well-formed Rust for every shape parse_item accepts"
+        )]
         Ok(item) => gen_serialize(&item).parse().expect("generated impl parses"),
         Err(msg) => compile_error(&msg),
     }
 }
 
-/// Derive `::serde::Deserialize`.
-#[proc_macro_derive(Deserialize)]
-pub fn derive_deserialize(input: TokenStream) -> TokenStream {
-    match parse_item(input) {
-        Ok(item) => gen_deserialize(&item)
-            .parse()
-            .expect("generated impl parses"),
-        Err(msg) => compile_error(&msg),
-    }
-}
-
+#[expect(
+    clippy::unwrap_used,
+    reason = "a `compile_error!` call around a Debug-escaped string literal always parses"
+)]
 fn compile_error(msg: &str) -> TokenStream {
     format!("compile_error!({msg:?});").parse().unwrap()
 }
@@ -351,104 +347,6 @@ fn gen_serialize(item: &Item) -> String {
             format!(
                 "impl ::serde::Serialize for {name} {{\n\
                      fn serialize(&self) -> ::serde::Json {{ match self {{ {arms} }} }}\n\
-                 }}"
-            )
-        }
-    }
-}
-
-fn gen_deserialize(item: &Item) -> String {
-    match item {
-        Item::Struct { name, fields } => {
-            let body = match fields {
-                Fields::Named(names) => {
-                    let inits: Vec<String> = names
-                        .iter()
-                        .map(|f| {
-                            format!("{f}: ::serde::Deserialize::deserialize(__v.member({f:?}))?")
-                        })
-                        .collect();
-                    format!("Ok({name} {{ {} }})", inits.join(", "))
-                }
-                Fields::Tuple(1) => {
-                    format!("Ok({name}(::serde::Deserialize::deserialize(__v)?))")
-                }
-                Fields::Tuple(n) => {
-                    let inits: Vec<String> = (0..*n)
-                        .map(|i| format!("::serde::Deserialize::deserialize(&__arr[{i}])?"))
-                        .collect();
-                    format!(
-                        "let __arr = __v.arr_of_len({n}, {name:?})?;\nOk({name}({}))",
-                        inits.join(", ")
-                    )
-                }
-                Fields::Unit => format!("Ok({name})"),
-            };
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn deserialize(__v: &::serde::Json) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                         {body}\n\
-                     }}\n\
-                 }}"
-            )
-        }
-        Item::Enum { name, variants } => {
-            let mut unit_arms = String::new();
-            let mut tagged_arms = String::new();
-            for (v, shape) in variants {
-                match shape {
-                    Fields::Unit => {
-                        unit_arms.push_str(&format!("{v:?} => return Ok({name}::{v}),\n"));
-                        // Also accept the externally-tagged `{V: null}` form.
-                        tagged_arms.push_str(&format!("{v:?} => Ok({name}::{v}),\n"));
-                    }
-                    Fields::Tuple(1) => tagged_arms.push_str(&format!(
-                        "{v:?} => Ok({name}::{v}(::serde::Deserialize::deserialize(__inner)?)),\n"
-                    )),
-                    Fields::Tuple(n) => {
-                        let inits: Vec<String> = (0..*n)
-                            .map(|i| format!("::serde::Deserialize::deserialize(&__arr[{i}])?"))
-                            .collect();
-                        tagged_arms.push_str(&format!(
-                            "{v:?} => {{ let __arr = __inner.arr_of_len({n}, {name:?})?; \
-                             Ok({name}::{v}({})) }},\n",
-                            inits.join(", ")
-                        ));
-                    }
-                    Fields::Named(fs) => {
-                        let inits: Vec<String> = fs
-                            .iter()
-                            .map(|f| {
-                                format!(
-                                    "{f}: ::serde::Deserialize::deserialize(__inner.member({f:?}))?"
-                                )
-                            })
-                            .collect();
-                        tagged_arms.push_str(&format!(
-                            "{v:?} => Ok({name}::{v} {{ {} }}),\n",
-                            inits.join(", ")
-                        ));
-                    }
-                }
-            }
-            format!(
-                "impl ::serde::Deserialize for {name} {{\n\
-                     fn deserialize(__v: &::serde::Json) -> ::std::result::Result<Self, ::serde::Error> {{\n\
-                         if let ::serde::Json::Str(__s) = __v {{\n\
-                             match __s.as_str() {{ {unit_arms} _ => {{}} }}\n\
-                         }}\n\
-                         if let ::serde::Json::Obj(__fields) = __v {{\n\
-                             if __fields.len() == 1 {{\n\
-                                 let (__tag, __inner) = &__fields[0];\n\
-                                 return match __tag.as_str() {{\n\
-                                     {tagged_arms}\n\
-                                     __other => Err(::serde::Error::custom(format!(\n\
-                                         \"unknown variant `{{__other}}` for {name}\"))),\n\
-                                 }};\n\
-                             }}\n\
-                         }}\n\
-                         Err(::serde::Error::custom(format!(\"invalid value for enum {name}: {{__v:?}}\")))\n\
-                     }}\n\
                  }}"
             )
         }

@@ -2,15 +2,15 @@
 //! name `serde_json` (see CONTRIBUTING.md, "Offline builds").
 //!
 //! Provides [`Value`] (the compat serde crate's JSON tree), compact and
-//! pretty writers, and a strict recursive-descent parser, all over the
-//! same `Serialize`/`Deserialize` traits the rest of the workspace uses.
+//! pretty writers over the `Serialize` trait the rest of the workspace
+//! uses, and a strict recursive-descent parser into [`Value`].
 
 #![warn(missing_docs)]
 
 pub use serde::Error;
 /// A parsed JSON value (alias of the compat serde data model).
 pub use serde::Json as Value;
-use serde::{Deserialize, Json, Serialize};
+use serde::{Json, Serialize};
 
 /// Serialize a value to compact JSON text.
 pub fn to_string<T: Serialize + ?Sized>(value: &T) -> Result<String, Error> {
@@ -26,8 +26,8 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String, Erro
     Ok(out)
 }
 
-/// Parse JSON text into any deserializable value.
-pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
+/// Parse JSON text into a [`Value`].
+pub fn from_str(s: &str) -> Result<Value, Error> {
     let mut p = Parser {
         bytes: s.as_bytes(),
         pos: 0,
@@ -41,7 +41,7 @@ pub fn from_str<T: Deserialize>(s: &str) -> Result<T, Error> {
             p.pos
         )));
     }
-    T::deserialize(&v)
+    Ok(v)
 }
 
 // ---------------------------------------------------------------- writer
@@ -304,6 +304,10 @@ impl<'a> Parser<'a> {
                     // Consume one UTF-8 encoded char.
                     let rest = std::str::from_utf8(&self.bytes[self.pos..])
                         .map_err(|_| Error::custom("invalid UTF-8 in string"))?;
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "peek returned a byte, so the valid UTF-8 rest is non-empty"
+                    )]
                     let c = rest.chars().next().expect("non-empty");
                     out.push(c);
                     self.pos += c.len_utf8();
@@ -380,8 +384,8 @@ mod tests {
 
     #[test]
     fn rejects_trailing_garbage() {
-        assert!(from_str::<Value>("{} x").is_err());
-        assert!(from_str::<Value>("[1,]").is_err());
+        assert!(from_str("{} x").is_err());
+        assert!(from_str("[1,]").is_err());
     }
 
     #[test]

@@ -2,20 +2,21 @@
 //! `serde` (see CONTRIBUTING.md, "Offline builds").
 //!
 //! Upstream serde abstracts over arbitrary data formats; this workspace
-//! only ever serializes to and from JSON, so the compat crate collapses
-//! the model: [`Serialize`] renders a value into the [`Json`] tree and
-//! [`Deserialize`] rebuilds a value from it. The derive macros
-//! (re-exported from the companion proc-macro crate) generate impls with
-//! upstream-serde-compatible shapes — named structs become objects,
-//! newtypes are transparent, enums are externally tagged.
+//! only ever serializes to JSON, so the compat crate collapses the
+//! model: [`Serialize`] renders a value into the [`Json`] tree. The
+//! derive macro (re-exported from the companion proc-macro crate)
+//! generates impls with upstream-serde-compatible shapes — named
+//! structs become objects, newtypes are transparent, enums are
+//! externally tagged. Reading JSON back stops at the [`Json`] tree
+//! (`serde_json::from_str`); nothing decodes it into typed values.
 //!
-//! Integer fidelity: `u64`/`i64` round-trip losslessly ([`Json::U64`] /
+//! Integer fidelity: `u64`/`i64` stay exact ([`Json::U64`] /
 //! [`Json::I64`] are distinct from [`Json::F64`]); this matters for the
 //! 64-bit hash values in sketch signatures.
 
 #![warn(missing_docs)]
 
-pub use rdi_compat_serde_derive::{Deserialize, Serialize};
+pub use rdi_compat_serde_derive::Serialize;
 
 /// A JSON value: the single data model of the compat serde stack.
 #[derive(Debug, Clone, PartialEq)]
@@ -38,7 +39,7 @@ pub enum Json {
     Obj(Vec<(String, Json)>),
 }
 
-/// Serialization/deserialization error.
+/// Serialization or JSON parse error.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Error(String);
 
@@ -60,9 +61,7 @@ impl std::error::Error for Error {}
 static NULL: Json = Json::Null;
 
 impl Json {
-    /// Object member by name; [`Json::Null`] when absent or not an object
-    /// (missing members deserialize as `None` for `Option` fields and
-    /// error for mandatory ones).
+    /// Object member by name; [`Json::Null`] when absent or not an object.
     pub fn member(&self, name: &str) -> &Json {
         match self {
             Json::Obj(fields) => fields
@@ -71,16 +70,6 @@ impl Json {
                 .map(|(_, v)| v)
                 .unwrap_or(&NULL),
             _ => &NULL,
-        }
-    }
-
-    /// View as an array of exactly `n` elements (tuple decoding).
-    pub fn arr_of_len(&self, n: usize, ty: &str) -> Result<&[Json], Error> {
-        match self {
-            Json::Arr(items) if items.len() == n => Ok(items),
-            other => Err(Error::custom(format!(
-                "expected array of {n} elements for {ty}, got {other:?}"
-            ))),
         }
     }
 
@@ -198,23 +187,11 @@ pub trait Serialize {
     fn serialize(&self) -> Json;
 }
 
-/// Rebuild a value from the JSON data model.
-pub trait Deserialize: Sized {
-    /// Parse `self` out of a [`Json`] tree.
-    fn deserialize(v: &Json) -> Result<Self, Error>;
-}
-
 // ------------------------------------------------------------ primitives
 
 impl Serialize for Json {
     fn serialize(&self) -> Json {
         self.clone()
-    }
-}
-
-impl Deserialize for Json {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        Ok(v.clone())
     }
 }
 
@@ -224,25 +201,10 @@ impl Serialize for bool {
     }
 }
 
-impl Deserialize for bool {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        v.as_bool()
-            .ok_or_else(|| Error::custom(format!("expected bool, got {v:?}")))
-    }
-}
-
 macro_rules! impl_signed {
     ($($t:ty),*) => {$(
         impl Serialize for $t {
             fn serialize(&self) -> Json { Json::I64(*self as i64) }
-        }
-        impl Deserialize for $t {
-            fn deserialize(v: &Json) -> Result<Self, Error> {
-                let i = v.as_i64()
-                    .ok_or_else(|| Error::custom(format!("expected integer, got {v:?}")))?;
-                <$t>::try_from(i).map_err(|_| Error::custom(format!(
-                    "integer {i} out of range for {}", stringify!($t))))
-            }
         }
     )*};
 }
@@ -260,14 +222,6 @@ macro_rules! impl_unsigned {
                 }
             }
         }
-        impl Deserialize for $t {
-            fn deserialize(v: &Json) -> Result<Self, Error> {
-                let u = v.as_u64()
-                    .ok_or_else(|| Error::custom(format!("expected unsigned integer, got {v:?}")))?;
-                <$t>::try_from(u).map_err(|_| Error::custom(format!(
-                    "integer {u} out of range for {}", stringify!($t))))
-            }
-        }
     )*};
 }
 
@@ -279,22 +233,9 @@ impl Serialize for f64 {
     }
 }
 
-impl Deserialize for f64 {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        v.as_f64()
-            .ok_or_else(|| Error::custom(format!("expected number, got {v:?}")))
-    }
-}
-
 impl Serialize for f32 {
     fn serialize(&self) -> Json {
         Json::F64(*self as f64)
-    }
-}
-
-impl Deserialize for f32 {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        f64::deserialize(v).map(|f| f as f32)
     }
 }
 
@@ -304,48 +245,15 @@ impl Serialize for String {
     }
 }
 
-impl Deserialize for String {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        v.as_str()
-            .map(str::to_string)
-            .ok_or_else(|| Error::custom(format!("expected string, got {v:?}")))
-    }
-}
-
 impl Serialize for str {
     fn serialize(&self) -> Json {
         Json::Str(self.to_string())
     }
 }
 
-impl Deserialize for &'static str {
-    /// Deserializes by leaking the parsed string. Intended for
-    /// low-volume `&'static str` fields (e.g. model-kind labels), where
-    /// upstream serde would require borrowed input we don't have.
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        let s: String = Deserialize::deserialize(v)?;
-        Ok(Box::leak(s.into_boxed_str()))
-    }
-}
-
 impl Serialize for char {
     fn serialize(&self) -> Json {
         Json::Str(self.to_string())
-    }
-}
-
-impl Deserialize for char {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        let s = v
-            .as_str()
-            .ok_or_else(|| Error::custom(format!("expected single-char string, got {v:?}")))?;
-        let mut it = s.chars();
-        match (it.next(), it.next()) {
-            (Some(c), None) => Ok(c),
-            _ => Err(Error::custom(format!(
-                "expected single-char string, got {s:?}"
-            ))),
-        }
     }
 }
 
@@ -363,26 +271,11 @@ impl<T: Serialize> Serialize for Box<T> {
     }
 }
 
-impl<T: Deserialize> Deserialize for Box<T> {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        T::deserialize(v).map(Box::new)
-    }
-}
-
 impl<T: Serialize> Serialize for Option<T> {
     fn serialize(&self) -> Json {
         match self {
             None => Json::Null,
             Some(x) => x.serialize(),
-        }
-    }
-}
-
-impl<T: Deserialize> Deserialize for Option<T> {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        match v {
-            Json::Null => Ok(None),
-            other => T::deserialize(other).map(Some),
         }
     }
 }
@@ -399,50 +292,25 @@ impl<T: Serialize> Serialize for [T] {
     }
 }
 
-impl<T: Deserialize> Deserialize for Vec<T> {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        match v {
-            Json::Arr(items) => items.iter().map(T::deserialize).collect(),
-            other => Err(Error::custom(format!("expected array, got {other:?}"))),
-        }
-    }
-}
-
 impl<T: Serialize, const N: usize> Serialize for [T; N] {
     fn serialize(&self) -> Json {
         Json::Arr(self.iter().map(Serialize::serialize).collect())
     }
 }
 
-impl<T: Deserialize, const N: usize> Deserialize for [T; N] {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        let items: Vec<T> = Deserialize::deserialize(v)?;
-        let got = items.len();
-        items
-            .try_into()
-            .map_err(|_| Error::custom(format!("expected array of length {N}, got {got}")))
-    }
-}
-
 macro_rules! impl_tuple {
-    ($n:expr => $($t:ident . $i:tt),+) => {
+    ($($t:ident . $i:tt),+) => {
         impl<$($t: Serialize),+> Serialize for ($($t,)+) {
             fn serialize(&self) -> Json {
                 Json::Arr(vec![$(self.$i.serialize()),+])
             }
         }
-        impl<$($t: Deserialize),+> Deserialize for ($($t,)+) {
-            fn deserialize(v: &Json) -> Result<Self, Error> {
-                let items = v.arr_of_len($n, "tuple")?;
-                Ok(($($t::deserialize(&items[$i])?,)+))
-            }
-        }
     };
 }
 
-impl_tuple!(2 => A.0, B.1);
-impl_tuple!(3 => A.0, B.1, C.2);
-impl_tuple!(4 => A.0, B.1, C.2, D.3);
+impl_tuple!(A.0, B.1);
+impl_tuple!(A.0, B.1, C.2);
+impl_tuple!(A.0, B.1, C.2, D.3);
 
 impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
     fn serialize(&self) -> Json {
@@ -451,18 +319,6 @@ impl<V: Serialize> Serialize for std::collections::BTreeMap<String, V> {
                 .map(|(k, v)| (k.clone(), v.serialize()))
                 .collect(),
         )
-    }
-}
-
-impl<V: Deserialize> Deserialize for std::collections::BTreeMap<String, V> {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        match v {
-            Json::Obj(fields) => fields
-                .iter()
-                .map(|(k, x)| Ok((k.clone(), V::deserialize(x)?)))
-                .collect(),
-            other => Err(Error::custom(format!("expected object, got {other:?}"))),
-        }
     }
 }
 
@@ -479,40 +335,23 @@ impl<V: Serialize> Serialize for std::collections::HashMap<String, V> {
     }
 }
 
-impl<V: Deserialize> Deserialize for std::collections::HashMap<String, V> {
-    fn deserialize(v: &Json) -> Result<Self, Error> {
-        match v {
-            Json::Obj(fields) => fields
-                .iter()
-                .map(|(k, x)| Ok((k.clone(), V::deserialize(x)?)))
-                .collect(),
-            other => Err(Error::custom(format!("expected object, got {other:?}"))),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
-    fn u64_integers_round_trip_exactly() {
+    fn u64_integers_stay_exact() {
         let big: u64 = u64::MAX - 3;
-        let j = big.serialize();
-        assert_eq!(u64::deserialize(&j).unwrap(), big);
+        assert_eq!(big.serialize(), Json::U64(big));
         let small: u64 = 17;
         assert_eq!(small.serialize(), Json::I64(17));
     }
 
     #[test]
-    fn option_null_round_trip() {
+    fn option_serializes_none_as_null() {
         let none: Option<f64> = None;
         assert_eq!(none.serialize(), Json::Null);
-        assert_eq!(Option::<f64>::deserialize(&Json::Null).unwrap(), None);
-        assert_eq!(
-            Option::<f64>::deserialize(&Json::F64(2.5)).unwrap(),
-            Some(2.5)
-        );
+        assert_eq!(Some(2.5).serialize(), Json::F64(2.5));
     }
 
     #[test]
@@ -525,8 +364,13 @@ mod tests {
     #[test]
     fn tuples_and_vecs_nest() {
         let v: Vec<(f64, String, f64)> = vec![(1.0, "x".into(), 2.0)];
-        let j = v.serialize();
-        let back = Vec::<(f64, String, f64)>::deserialize(&j).unwrap();
-        assert_eq!(back, v);
+        assert_eq!(
+            v.serialize(),
+            Json::Arr(vec![Json::Arr(vec![
+                Json::F64(1.0),
+                Json::Str("x".into()),
+                Json::F64(2.0),
+            ])])
+        );
     }
 }

@@ -4,12 +4,12 @@ use rdi_coverage::CoverageAnalyzer;
 use rdi_fairness::association::table_association;
 use rdi_fairness::{total_variation, Categorical};
 use rdi_table::{GroupSpec, Role, Table};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::requirement::{Requirement, RequirementSpec};
 
 /// One requirement's audit outcome.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Finding {
     /// Requirement name.
     pub requirement: String,
@@ -22,7 +22,7 @@ pub struct Finding {
 }
 
 /// The full audit result.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct AuditReport {
     /// Per-requirement findings, in spec order.
     pub findings: Vec<Finding>,

@@ -237,7 +237,6 @@ pub fn run_resilient<S: Source, R: Rng>(
 /// `core.redirect` and `tailor.keep` decision sites consult `policies`
 /// for their params (an empty [`PolicySet`] reproduces the defaults —
 /// and [`run_resilient`]'s behaviour — bitwise).
-#[allow(clippy::too_many_arguments)]
 pub fn run_resilient_with<S: Source, R: Rng>(
     sources: &mut [S],
     problem: &DtProblem,

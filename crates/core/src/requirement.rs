@@ -2,7 +2,7 @@
 
 use rdi_fairness::Categorical;
 use rdi_table::{Table, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One parameterized requirement on a dataset.
 #[derive(Debug, Clone)]
@@ -148,7 +148,7 @@ impl RequirementSpec {
 }
 
 /// Serializable summary of a requirement (for reports).
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct RequirementSummary {
     /// Requirement name.
     pub name: String,

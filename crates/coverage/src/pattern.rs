@@ -1,6 +1,6 @@
 //! Patterns over categorical attributes and the pattern lattice.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A pattern over `d` categorical attributes: each position is either a
 /// wildcard (`None`, written `X`) or a specific value index into that
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// The lattice is ordered by *generality*: replacing a specified value with
 /// a wildcard yields a **parent** (more general, matches a superset of
 /// tuples); specifying a wildcard yields a **child**.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct Pattern(pub Vec<Option<u16>>);
 
 impl Pattern {

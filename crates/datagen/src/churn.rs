@@ -109,8 +109,11 @@ fn gen_rows<R: Rng + ?Sized>(rng: &mut R, n: usize, key_pool: usize) -> Table {
     let mut t = Table::with_capacity(churn_schema(), n);
     for _ in 0..n {
         let key = format!("k{:05}", rng.gen_range(0..key_pool.max(1)));
+        #[expect(
+            clippy::expect_used,
+            reason = "row literal matches the schema built above"
+        )]
         t.push_row(vec![Value::str(key), Value::Float(normal(rng, 0.0, 1.0))])
-            // rdi-lint: allow(R5): row literal matches the schema built above
             .expect("schema match");
     }
     t

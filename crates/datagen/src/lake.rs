@@ -76,9 +76,12 @@ impl SyntheticLake {
         for i in 0..config.query_keys {
             let key = format!("q{i:06}");
             let t = normal(rng, 0.0, 1.0);
+            #[expect(
+                clippy::expect_used,
+                reason = "row literal matches the schema built above"
+            )]
             query
                 .push_row(vec![Value::str(key.clone()), Value::Float(t)])
-                // rdi-lint: allow(R5): row literal matches the schema built above
                 .expect("schema match");
             target_by_key.push((key, t));
         }
@@ -114,9 +117,12 @@ impl SyntheticLake {
         for i in 0..config.query_keys {
             let key = format!("q{i:06}");
             let t = normal(&mut qrng, 0.0, 1.0);
+            #[expect(
+                clippy::expect_used,
+                reason = "row literal matches the schema built above"
+            )]
             query
                 .push_row(vec![Value::str(key.clone()), Value::Float(t)])
-                // rdi-lint: allow(R5): row literal matches the schema built above
                 .expect("schema match");
             target_by_key.push((key, t));
         }
@@ -137,13 +143,15 @@ impl SyntheticLake {
     pub fn exact_containment(&self, candidate: &Candidate) -> f64 {
         let qkeys: std::collections::HashSet<String> =
             self.target_by_key.iter().map(|(k, _)| k.clone()).collect();
+        #[expect(
+            clippy::expect_used,
+            reason = "every candidate is generated with a Str \"key\" column"
+        )]
         let ckeys: std::collections::HashSet<String> = candidate
             .table
             .column("key")
-            // rdi-lint: allow(R5): every candidate is generated with a Str "key" column
             .expect("key column")
             .as_str_slice()
-            // rdi-lint: allow(R5): every candidate is generated with a Str "key" column
             .expect("string column")
             .iter()
             .flatten()
@@ -189,17 +197,23 @@ fn generate_candidate<R: Rng + ?Sized>(
         let (key, t) = &target_by_key[qi];
         let feat =
             correlation * t + (1.0 - correlation * correlation).sqrt() * normal(rng, 0.0, 1.0);
+        #[expect(
+            clippy::expect_used,
+            reason = "row literal matches the schema built above"
+        )]
         table
             .push_row(vec![Value::str(key.clone()), Value::Float(feat)])
-            // rdi-lint: allow(R5): row literal matches the schema built above
             .expect("schema match");
     }
     // Filler keys disjoint from the query.
     for i in table.num_rows()..config.candidate_rows {
         let key = format!("c{c:03}_{i:06}");
+        #[expect(
+            clippy::expect_used,
+            reason = "row literal matches the schema built above"
+        )]
         table
             .push_row(vec![Value::str(key), Value::Float(normal(rng, 0.0, 1.0))])
-            // rdi-lint: allow(R5): row literal matches the schema built above
             .expect("schema match");
     }
     Candidate {

@@ -161,8 +161,11 @@ impl PopulationSpec {
         let schema = self.schema();
         let mut t = Table::with_capacity(schema, n);
         for _ in 0..n {
+            #[expect(
+                clippy::expect_used,
+                reason = "sample_row emits exactly the columns of self.schema()"
+            )]
             t.push_row(self.sample_row(rng, first_marginal))
-                // rdi-lint: allow(R5): sample_row emits exactly the columns of self.schema()
                 .expect("row matches generated schema");
         }
         t
@@ -205,7 +208,10 @@ impl PopulationSpec {
         let mut t = Table::with_capacity(self.schema(), n);
         for rows in per_block {
             for row in rows {
-                // rdi-lint: allow(R5): sample_row emits exactly the columns of self.schema()
+                #[expect(
+                    clippy::expect_used,
+                    reason = "sample_row emits exactly the columns of self.schema()"
+                )]
                 t.push_row(row).expect("row matches generated schema");
             }
         }

@@ -166,12 +166,15 @@ fn gen_rows<R: Rng + ?Sized>(rng: &mut R, n: usize, key_pool: usize) -> Table {
         } else {
             "maj"
         };
+        #[expect(
+            clippy::expect_used,
+            reason = "row literal matches the schema built above"
+        )]
         t.push_row(vec![
             Value::str(key),
             Value::str(group),
             Value::Float(normal(rng, 0.0, 1.0)),
         ])
-        // rdi-lint: allow(R5): row literal matches the schema built above
         .expect("schema match");
     }
     t

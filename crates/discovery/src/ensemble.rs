@@ -62,11 +62,14 @@ impl LshEnsemble {
     pub fn insert(&mut self, id: usize, sig: MinHash, size: usize) {
         assert_eq!(sig.k(), self.k);
         assert!(!self.built, "insert before build");
+        #[expect(
+            clippy::panic,
+            reason = "caller-contract guard, same class as the asserts above — `new` documents partitions cover sizes up to max_size"
+        )]
         let p = self
             .partitions
             .iter_mut()
             .find(|p| size <= p.upper)
-            // rdi-lint: allow(R5): caller-contract guard, same class as the asserts above — `new` documents partitions cover sizes up to max_size
             .unwrap_or_else(|| panic!("size {size} exceeds max partition"));
         p.members.push((id, sig, size));
     }

@@ -9,7 +9,7 @@
 
 use rdi_par::{par_map, Threads};
 use rdi_table::Table;
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::kmv::CorrelationSketch;
 
@@ -28,7 +28,7 @@ pub struct FeatureQuery<'a> {
 }
 
 /// One scored candidate feature.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct FeatureCandidate {
     /// Candidate table name.
     pub table: String,

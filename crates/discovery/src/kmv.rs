@@ -14,7 +14,7 @@
 use std::collections::BTreeMap;
 
 use rdi_table::{Table, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::hash::{hash_value, to_unit};
 
@@ -23,7 +23,7 @@ const KEY_SEED: u64 = 0x5eed_cafe;
 
 /// A k-minimum-values sketch of a key set, with an optional payload value
 /// per retained key.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct KmvSketch {
     k: usize,
     /// (unit-interval hash, key, payload), sorted by hash ascending.
@@ -313,7 +313,10 @@ impl UpdatableKmv {
                     },
                 );
                 if self.entries.len() > self.k + self.slack {
-                    // rdi-lint: allow(R5): len > k + slack ≥ 1, so pop returns an entry
+                    #[expect(
+                        clippy::expect_used,
+                        reason = "len > k + slack ≥ 1, so pop returns an entry"
+                    )]
                     let popped = self.entries.pop().expect("len checked above");
                     self.truncated = true;
                     self.horizon = self.horizon.min(popped.u);
@@ -400,7 +403,7 @@ impl UpdatableKmv {
 
 /// A correlation sketch: a KMV sketch whose payload is the numeric feature
 /// to correlate, plus the estimation entry points.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CorrelationSketch {
     sketch: KmvSketch,
 }

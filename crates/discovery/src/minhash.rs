@@ -17,7 +17,7 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use rdi_table::{Table, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::hash::{hash_value, splitmix64};
 
@@ -34,7 +34,7 @@ fn position_hash(base: u64, j: usize) -> u64 {
 /// A MinHash signature: `k` independent minimum hash values of a set.
 ///
 /// `E[fraction of agreeing positions] = Jaccard(A, B)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct MinHash {
     sig: Vec<u64>,
 }

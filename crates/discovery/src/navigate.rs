@@ -84,6 +84,10 @@ impl Navigator {
             let mut members = members_a;
             members.extend(members_b);
             // medoid: member with max average similarity to the others
+            #[expect(
+                clippy::expect_used,
+                reason = "merged clusters hold ≥ 2 members by construction, so max_by always yields a medoid"
+            )]
             let medoid = *members
                 .iter()
                 .max_by(|&&i, &&j| {
@@ -96,7 +100,6 @@ impl Navigator {
                     };
                     avg(i).total_cmp(&avg(j)).then(j.cmp(&i))
                 })
-                // rdi-lint: allow(R5): merged clusters hold ≥ 2 members by construction, so max_by always yields a medoid
                 .expect("non-empty cluster");
             let id = nodes.len();
             nodes.push(NavNode::Internal {

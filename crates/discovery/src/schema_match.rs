@@ -11,12 +11,12 @@
 //! RDI pipeline needs.
 
 use rdi_table::{Column, Schema, Table, TableError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::minhash::MinHash;
 
 /// One proposed column correspondence.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ColumnMatch {
     /// Column in the target (query) schema.
     pub target: String,

@@ -36,7 +36,7 @@
 
 use rand::Rng;
 use rdi_fairness::{kl_divergence, Categorical};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A simulated crowd worker with a latent entity distribution.
 #[derive(Debug, Clone)]
@@ -69,7 +69,7 @@ pub enum WorkerSelection {
 }
 
 /// Per-round record of a collection run.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct CollectionTrace {
     /// KL(target ‖ collected) after each round (smoothed).
     pub divergence: Vec<f64>,

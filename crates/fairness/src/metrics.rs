@@ -3,10 +3,10 @@
 use std::collections::BTreeMap;
 
 use rdi_table::{GroupKey, GroupSpec, Table};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Confusion-matrix counts for one demographic group.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
 pub struct GroupOutcomes {
     /// True positives.
     pub tp: usize,

@@ -8,10 +8,10 @@
 //! *with respect to the quantized endpoint set*.
 
 use rdi_table::{GroupSpec, Table, TableError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A proposed fair 2-D box.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FairBox {
     /// x lower bound (inclusive).
     pub x_lo: f64,

@@ -1,10 +1,10 @@
 //! The 1-D fairness-aware range query engine.
 
 use rdi_table::{GroupKey, GroupSpec, Table, TableError};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A proposed fair range with its quality measures.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct FairRange {
     /// Proposed lower bound (inclusive, an actual data value).
     pub lo: f64,

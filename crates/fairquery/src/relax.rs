@@ -8,10 +8,10 @@
 use rdi_obs::ProvenanceEvent;
 use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
 use rdi_table::{GroupKey, GroupSpec, Table};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Result of a relaxation.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Relaxation {
     /// Relaxed lower bound (≤ original lo).
     pub lo: f64,

@@ -1,9 +1,9 @@
 //! Aggregate estimates with confidence intervals.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A point estimate with a normal-approximation 95% confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
 pub struct AqpEstimate {
     /// The point estimate.
     pub value: f64,

@@ -208,8 +208,11 @@ pub fn exact_join_size(
 }
 
 /// Helper for tests/benches: key value of a sampled tuple.
+#[expect(
+    clippy::expect_used,
+    reason = "test/bench helper — samples come from the sampler over this same table, so the index and column are valid"
+)]
 pub fn sample_key(left: &Table, left_key: &str, s: &JoinSample) -> Value {
-    // rdi-lint: allow(R5): test/bench helper — samples come from the sampler over this same table, so the index and column are valid
     left.value(s.left, left_key).expect("valid sample")
 }
 

@@ -1,8 +1,7 @@
-//! Fixture: a compliant experiment binary — emits the snapshot marker,
-//! and as a binary it may unwrap freely. Never compiled.
+//! Fixture: a compliant experiment binary — emits the snapshot marker.
+//! Never compiled.
 
 fn main() {
-    let parsed: Option<u64> = "7".parse().ok();
-    println!("draws = {}", parsed.unwrap()); // fine: binaries are R5-exempt
+    println!("draws = 7");
     rdi_bench::emit_metrics_snapshot();
 }

@@ -11,39 +11,43 @@ pub fn histogram(xs: &[u64]) -> Vec<(u64, usize)> {
         *counts.entry(x).or_insert(0) += 1;
     }
     let started = Instant::now(); // planted R3
-    let _ = started; // planted R8
+    let _elapsed = started.elapsed();
     let mut v: Vec<(u64, usize)> = counts.into_iter().collect();
     v.sort();
     v
 }
 
-pub fn first(xs: &[u64]) -> u64 {
-    *xs.first().unwrap() // planted R5
+pub fn suppressed_timing() -> u64 {
+    // rdi-lint: allow(R3): fixture demonstrating a well-formed suppression
+    let _t = Instant::now();
+    7
 }
 
-pub fn suppressed_first(xs: &[u64]) -> u64 {
-    // rdi-lint: allow(R5): fixture demonstrating a well-formed suppression
-    *xs.first().unwrap()
+pub fn suppressed_set(xs: &[u64]) -> usize {
+    let set: std::collections::HashSet<u64> = xs.iter().copied().collect(); // rdi-lint: allow(R1): membership count only, order never escapes
+    set.len()
 }
 
-pub fn deliberate_discard(r: Result<u64, u64>) {
-    // rdi-lint: allow(R8): fixture demonstrating an audited discard
-    let _ = r;
+pub fn missing_reason() -> u64 {
+    // rdi-lint: allow(R3)
+    let _t = Instant::now(); // planted R3: the reasonless directive above (planted R7) suppresses nothing
+    7
 }
 
 pub fn innocuous() {
     // Rule-pattern text in non-code positions must NOT fire:
-    let _s = "HashMap::new() and .unwrap() and thread::spawn inside a string";
-    let _r = r#"raw string with Instant::now() and panic!("x")"#;
-    let _c = 'u'; // not the start of an `unwrap` ident
-    /* block comment: thread_rng() from_entropy() /* nested: .expect("x") */ all ignored */
+    let _s = "HashMap::new() and Instant::now() inside a string";
+    let _r = r#"raw string with SystemTime::now() and "HashSet""#;
+    let _c = 'H'; // not the start of a `HashMap` ident
+    /* block comment: HashMap /* nested: Instant::now() */ all ignored */
 }
 
 #[cfg(test)]
 mod tests {
     #[test]
-    fn unwrap_in_tests_is_fine() {
-        let v: Vec<u64> = vec![1];
-        assert_eq!(*v.first().unwrap(), 1); // exempt: cfg(test)
+    fn hash_and_clock_in_tests_are_fine() {
+        let started = std::time::Instant::now(); // exempt: cfg(test)
+        let _m: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let _e = started.elapsed();
     }
 }

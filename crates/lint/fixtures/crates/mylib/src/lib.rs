@@ -1,43 +1,6 @@
 //! Planted-violation fixture: a non-algorithm library crate. Never
 //! compiled; see `planted.rs` for the convention.
 
-pub fn fan_out() {
-    std::thread::spawn(|| {}); // planted R2
-}
-
-pub fn entropy() -> u64 {
-    // planted R4 (two sites)
-    let _rng = rand::rngs::StdRng::from_entropy();
-    let _tr = rand::thread_rng();
-    7
-}
-
-pub fn boom(flag: bool) -> u64 {
-    if flag {
-        panic!("planted R5 macro"); // planted R5
-    }
-    let x: Option<u64> = Some(3);
-    x.expect("planted R5 expect") // planted R5
-}
-
-// rdi-lint: allow(R5)
-pub fn missing_reason(x: Option<u64>) -> u64 {
-    // The directive above has no reason: planted R7, and the unwrap
-    // below still fires as R5 because a malformed directive suppresses
-    // nothing.
-    x.unwrap()
-}
-
-pub fn fire_and_forget(r: Result<u64, u64>) {
-    r.ok(); // planted R8
-}
-
-pub fn bound_ok_is_fine(s: &str) -> Option<u64> {
-    // a bound `.ok()` consumes the value — not an R8 discard
-    let parsed: Option<u64> = s.parse().ok();
-    parsed
-}
-
 // HashMap in a non-algorithm crate is allowed (R1 is scoped):
 pub fn lookup_table() -> std::collections::HashMap<u64, u64> {
     std::collections::HashMap::new()

@@ -6,28 +6,36 @@
 //! metrics guarantees built in earlier PRs are runtime-tested; this
 //! crate statically prevents the easy ways to silently break them.
 //!
-//! v2 is a two-layer analyzer: a token-pattern layer (R1–R8) on the
-//! hand-written lexer, and a flow-sensitive layer (R9–R12) on an
+//! v2 is a two-layer analyzer: a token-pattern layer (R1, R3, R6, R7) on
+//! the hand-written lexer, and a flow-sensitive layer (R9–R12) on an
 //! item-level parser ([`parser`]) plus a workspace symbol graph
 //! ([`symbols`]) that links function definitions to call sites across
 //! crates.
+//!
+//! Invariants that clippy can state are left to clippy, so each has one
+//! checker: the root `clippy.toml` bans `std::thread::spawn`, and the CI
+//! `--lib` clippy step denies `unwrap_used`, `expect_used`, `panic`,
+//! `let_underscore_must_use` and `unused_result_ok` in library code. The
+//! ids of the rules that moved (R2, R5, R8) and of R4 (an entropy-seeded
+//! RNG cannot compile: the workspace `rand` only has `seed_from_u64`)
+//! are retired. R1 and R3 stay here: they apply to algorithm crates
+//! only, outside `#[cfg(test)]`, while clippy's `disallowed-types` is
+//! set once per `clippy.toml` and has no test exemption, so scoping it
+//! would repeat the algorithm-crate list beside
+//! `[package.metadata.rdi-lint]`.
 //!
 //! ## Rule catalog
 //!
 //! | id | name | scope | demands |
 //! |----|------|-------|---------|
 //! | R1 | `hash-collection` | algorithm crates | no `HashMap`/`HashSet`: use `BTreeMap`/`BTreeSet` or sort, or suppress with the reason order never escapes |
-//! | R2 | `bare-thread-spawn` | all but `crates/par` | no `thread::spawn`; parallelism goes through `rdi-par` |
 //! | R3 | `wall-clock` | algorithm crates | no `Instant`/`SystemTime` (obs spans and bench harnesses live elsewhere and are exempt) |
-//! | R4 | `entropy-rng` | all but `compat-rand` | no `from_entropy`/`thread_rng`/`OsRng`: RNGs must be explicitly seeded |
-//! | R5 | `panic-site` | library code | no `.unwrap()`/`.expect()`/`panic!`; tests, benches, examples and binaries exempt |
 //! | R6 | `metrics-snapshot` | `crates/bench/src/bin/exp_*.rs` | every experiment must emit a `METRICS_SNAPSHOT` line |
 //! | R7 | `bad-suppression` | all scanned files + manifests | every `rdi-lint:` directive or metadata marker must parse and carry a reason |
-//! | R8 | `discarded-result` | library code | no `let _ = ...` / statement-position `.ok();`: handle or propagate fallible outcomes |
 //! | R9 | `seed-purity` | algorithm crates | every RNG construction's seed must flow, via the body's def-use chains, from a parameter or `stream_seed(..)` |
 //! | R10 | `provenance-completeness` | decision-point registry + `.choose(` sites | registered functions emit a `ProvenanceEvent` or metrics update on every return path; every selection-policy `.choose(..)` call reaches a `PolicyDecision` emission |
 //! | R11 | `stale-suppression` | all scanned files | an `allow` directive whose rules no longer fire on its lines is itself a finding |
-//! | R12 | `metrics-consistency` | whole workspace | names asserted by CI/goldens are updated in source; every `serve.*`/`actor.*`/`fault.*` name updated is declared exactly once in `METRIC_NAMES` |
+//! | R12 | `metrics-consistency` | whole workspace | names asserted by the goldens are updated in source; every `serve.*`/`actor.*`/`fault.*` name updated is declared exactly once in `METRIC_NAMES` |
 //!
 //! Algorithm crates are derived from the workspace manifests: every
 //! crate under `crates/` is policed **by default**, and opts out with an
@@ -40,7 +48,7 @@
 //!
 //! ```text
 //! // rdi-lint: allow(R1): membership-only set, iteration order never escapes
-//! // rdi-lint: allow-file(R5): vendored parser, panics audited 2026-08
+//! // rdi-lint: allow-file(R3): replay harness, timings never reach results
 //! ```
 //!
 //! `allow(...)` covers findings on its own line or the line directly
@@ -105,11 +113,12 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Analyze every workspace `.rs` file under `root`: the full pipeline.
 ///
 /// 1. classify crates from the manifests (`workspace.rs`);
-/// 2. per file: lex, parse items, run R1–R9, parse suppressions,
-///    collect metric uses/declarations;
+/// 2. per file: lex, parse items, run R1/R3/R6/R7/R9 and the R10
+///    choose-site leg, parse suppressions, collect metric
+///    uses/declarations;
 /// 3. build the workspace symbol graph and run R10 over the
 ///    decision-point registry;
-/// 4. run R12 against the CI expect-lists and goldens;
+/// 4. run R12 against the goldens;
 /// 5. per file: the R11 staleness pass, then suppression filtering.
 pub fn analyze_tree(root: &Path) -> io::Result<Report> {
     let class = workspace::classify_workspace(root);
@@ -146,7 +155,7 @@ pub fn analyze_tree(root: &Path) -> io::Result<Report> {
     let mut tree_findings = Vec::new();
     for f in workspace::check_metrics(&uses, &decls, &asserted) {
         // Findings in scanned .rs files go through that file's
-        // suppression filter; CI/golden/manifest findings cannot carry
+        // suppression filter; golden/manifest findings cannot carry
         // inline directives and stay tree-level.
         match fas.iter_mut().find(|fa| fa.rel == f.file) {
             Some(fa) => fa.raw.push(f),

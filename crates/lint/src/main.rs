@@ -1,5 +1,5 @@
 //! `rdi-lint` — scan the workspace for determinism / provenance /
-//! panic-safety violations.
+//! metrics-consistency violations.
 //!
 //! ```text
 //! rdi-lint [ROOT] [--json] [--expect FILE]

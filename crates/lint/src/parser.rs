@@ -254,7 +254,10 @@ fn find_body_start(code: &[Token], from: usize, hi: usize) -> Option<(usize, boo
     None
 }
 
-#[allow(clippy::too_many_arguments)]
+#[expect(
+    clippy::too_many_arguments,
+    reason = "each argument is one independent field of the item being built"
+)]
 fn make_item(
     code: &[Token],
     kind: ItemKind,

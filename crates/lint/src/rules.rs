@@ -1,5 +1,6 @@
 //! The rule engine: file classification plus the per-file rules
-//! (token-pattern R1–R8, flow-sensitive R9, and the R11 staleness pass).
+//! (token-pattern R1/R3/R6/R7, flow-sensitive R9, and the R11 staleness
+//! pass).
 //! Tree-level rules (R10 via the symbol graph, R12 via the workspace
 //! metric inventory) are driven from `lib.rs` but their registries live
 //! here.
@@ -14,7 +15,8 @@ use crate::Finding;
 
 /// The rule catalog: `(id, name, summary)`. The ids are stable — they
 /// appear in suppression directives and in the JSON report consumed by
-/// CI — so renumbering is a breaking change.
+/// CI — so renumbering is a breaking change. The gaps (R2, R4, R5, R8)
+/// are retired ids (see the crate docs) and are never reused.
 pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R1",
@@ -23,29 +25,10 @@ pub const RULES: &[(&str, &str, &str)] = &[
          nondeterministic; use BTreeMap/BTreeSet or an explicit sort",
     ),
     (
-        "R2",
-        "bare-thread-spawn",
-        "no thread::spawn outside crates/par: parallelism must go through \
-         rdi-par so RDI_THREADS stays authoritative",
-    ),
-    (
         "R3",
         "wall-clock",
         "no Instant/SystemTime in algorithm crates: results must be a \
          function of inputs and seeds, never of elapsed time",
-    ),
-    (
-        "R4",
-        "entropy-rng",
-        "no from_entropy/thread_rng/OsRng outside compat-rand: every RNG \
-         must be constructed from an explicit seed",
-    ),
-    (
-        "R5",
-        "panic-site",
-        "no .unwrap()/.expect()/panic! in non-test library code: fallible \
-         paths return Result/Option; infallible ones carry an audited \
-         suppression",
     ),
     (
         "R6",
@@ -57,13 +40,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
         "R7",
         "bad-suppression",
         "every rdi-lint directive must parse and carry a non-empty reason",
-    ),
-    (
-        "R8",
-        "discarded-result",
-        "no `let _ = ...` or statement-position `.ok();` in non-test \
-         library code: handle or propagate fallible outcomes; a deliberate \
-         discard carries an audited suppression",
     ),
     (
         "R9",
@@ -89,9 +65,9 @@ pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R12",
         "metrics-consistency",
-        "metric names asserted by CI expect-lists and goldens must be \
-         updated somewhere in source, and every serve./actor./fault. name \
-         updated must be declared exactly once in METRIC_NAMES",
+        "metric names asserted by goldens must be updated somewhere in \
+         source, and every serve./actor./fault. name updated must be \
+         declared exactly once in METRIC_NAMES",
     ),
 ];
 
@@ -154,7 +130,8 @@ struct FileCtx<'a> {
     /// Under a `tests/`, `benches/` or `examples/` directory, or
     /// `build.rs`: no rules apply.
     exempt_all: bool,
-    /// Binary target (`src/bin/...` or `src/main.rs`): R5 does not apply.
+    /// Binary target (`src/bin/...` or `src/main.rs`): the R10
+    /// choose-site leg does not apply.
     is_bin: bool,
     /// `crates/bench/src/bin/exp_*.rs`: R6 applies.
     is_experiment: bool,
@@ -217,15 +194,16 @@ pub(crate) struct FileAnalysis {
 
 /// Analyze one file's source. `rel` is its workspace-relative path with
 /// `/` separators (used for scoping rules and reported in findings).
-/// This is the single-file API: R1–R9 plus the R11 staleness pass, with
-/// the built-in fallback crate classification. The full scan
-/// (`analyze_tree`) additionally runs R10/R12 and the manifest-driven
+/// This is the single-file API: R1/R3/R6/R7/R9, the R10 choose-site leg
+/// and the R11 staleness pass, with the built-in fallback crate
+/// classification. The full scan (`analyze_tree`) additionally runs the
+/// R10 decision-point registry, R12 and the manifest-driven
 /// classification.
 pub fn analyze_source(rel: &str, src: &str) -> FileReport {
     finalize(analyze_file(rel, src, None))
 }
 
-/// The per-file pass: lex, parse, R1–R9, suppressions, metric
+/// The per-file pass: lex, parse, R1/R3/R6/R7/R9, suppressions, metric
 /// collection. No suppression filtering yet.
 pub(crate) fn analyze_file(rel: &str, src: &str, class: Option<&Classification>) -> FileAnalysis {
     let ctx = FileCtx::classify(rel, class);
@@ -263,18 +241,6 @@ pub(crate) fn analyze_file(rel: &str, src: &str, class: Option<&Classification>)
                         ),
                     );
                 }
-                "spawn" if ctx.crate_name != Some("par") && is_path_call(code, i, "thread") => {
-                    finding(
-                        &mut raw,
-                        "R2",
-                        rel,
-                        tok.line,
-                        String::from(
-                            "`thread::spawn` outside crates/par: route parallelism through \
-                         rdi-par so RDI_THREADS stays authoritative and joins are scoped",
-                        ),
-                    );
-                }
                 "Instant" | "SystemTime" if ctx.is_algo => {
                     finding(&mut raw, "R3", rel, tok.line, format!(
                         "`{}` in algorithm crate `{}`: wall-clock reads make results a \
@@ -282,68 +248,6 @@ pub(crate) fn analyze_file(rel: &str, src: &str, class: Option<&Classification>)
                         tok.text,
                         ctx.crate_name.unwrap_or(""),
                     ));
-                }
-                "from_entropy" | "thread_rng" | "OsRng" => {
-                    finding(
-                        &mut raw,
-                        "R4",
-                        rel,
-                        tok.line,
-                        format!(
-                            "`{}`: entropy-seeded RNG construction; derive every RNG from an \
-                         explicit seed (e.g. SeedableRng::seed_from_u64) for reproducibility",
-                            tok.text,
-                        ),
-                    );
-                }
-                "unwrap" | "expect" if !ctx.is_bin && is_method_call(code, i) => {
-                    finding(
-                        &mut raw,
-                        "R5",
-                        rel,
-                        tok.line,
-                        format!(
-                            "`.{}()` in library code: return Result/Option on fallible paths, \
-                         or suppress with a reason if the call is provably infallible",
-                            tok.text,
-                        ),
-                    );
-                }
-                "let" if !ctx.is_bin && is_wildcard_discard(code, i) => {
-                    finding(
-                        &mut raw,
-                        "R8",
-                        rel,
-                        tok.line,
-                        String::from(
-                            "`let _ = ...` in library code silently drops a value — and with \
-                         it any Err; handle or propagate it, or suppress with a reason",
-                        ),
-                    );
-                }
-                "ok" if !ctx.is_bin && is_statement_discard(code, i) => {
-                    finding(
-                        &mut raw,
-                        "R8",
-                        rel,
-                        tok.line,
-                        String::from(
-                            "statement-position `.ok();` swallows the error branch; handle \
-                         or propagate it, or suppress with a reason",
-                        ),
-                    );
-                }
-                "panic" if !ctx.is_bin && is_macro_bang(code, i) => {
-                    finding(
-                        &mut raw,
-                        "R5",
-                        rel,
-                        tok.line,
-                        String::from(
-                            "`panic!` in library code: return an error instead, or suppress \
-                         with a reason if the branch is provably unreachable",
-                        ),
-                    );
                 }
                 "counter" | "gauge" | "histogram" | "span" | "span_root"
                     if is_metric_call(code, i) =>
@@ -661,15 +565,6 @@ fn is_method_call(code: &[Token], i: usize) -> bool {
     i >= 1 && code[i - 1].text == "." && code.get(i + 1).is_some_and(|t| t.text == "(")
 }
 
-/// Is `code[i]` the final segment of a `prefix::name(...)` path call?
-fn is_path_call(code: &[Token], i: usize, prefix: &str) -> bool {
-    i >= 3
-        && code[i - 1].text == ":"
-        && code[i - 2].text == ":"
-        && code[i - 3].text == prefix
-        && code.get(i + 1).is_some_and(|t| t.text == "(")
-}
-
 /// Is `code[i]` a metric-registry call (`counter("..")`, `obs::gauge(..)`,
 /// `rdi_obs::span(..)`) rather than a definition or method of the same
 /// name?
@@ -721,39 +616,6 @@ fn collect_metric_decls(code: &[Token], i: usize, rel: &str, out: &mut Vec<Metri
             });
         }
     }
-}
-
-/// Is `code[i]` the `let` of a `let _ = ...` wildcard discard?
-fn is_wildcard_discard(code: &[Token], i: usize) -> bool {
-    code.get(i + 1).is_some_and(|t| t.text == "_") && code.get(i + 2).is_some_and(|t| t.text == "=")
-}
-
-/// Is `code[i]` the `ok` of a statement-position `.ok();` discard — a
-/// `recv.ok();` statement whose value feeds nothing? A `let`, `=`, or
-/// `return` between the statement start and the call means the value is
-/// consumed, so `let x = e.parse().ok();` never fires.
-fn is_statement_discard(code: &[Token], i: usize) -> bool {
-    if !(is_method_call(code, i)
-        && code.get(i + 2).is_some_and(|t| t.text == ")")
-        && code.get(i + 3).is_some_and(|t| t.text == ";"))
-    {
-        return false;
-    }
-    let mut j = i;
-    while j > 0 {
-        j -= 1;
-        match code[j].text.as_str() {
-            ";" | "{" | "}" => break,
-            "=" | "let" | "return" => return false,
-            _ => {}
-        }
-    }
-    true
-}
-
-/// Is `code[i]` a macro invocation name (`name!`)?
-fn is_macro_bang(code: &[Token], i: usize) -> bool {
-    code.get(i + 1).is_some_and(|t| t.text == "!")
 }
 
 /// Does the file reference the snapshot marker — via the shared constant,

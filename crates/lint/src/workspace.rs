@@ -1,6 +1,6 @@
 //! Workspace-level context: crate classification derived from the
-//! manifests, and the external inputs of the R12 metrics-consistency
-//! check (CI expect-lists and checked-in goldens).
+//! manifests, and the external input of the R12 metrics-consistency
+//! check (the checked-in goldens).
 //!
 //! ## Crate classification
 //!
@@ -185,10 +185,10 @@ pub struct MetricDecl {
     pub name: String,
 }
 
-/// A metric name CI or a golden asserts must exist.
+/// A metric name a golden asserts must exist.
 #[derive(Debug, Clone)]
 pub struct Asserted {
-    /// Root-relative file (`.github/workflows/ci.yml` or a golden).
+    /// Root-relative golden file.
     pub file: String,
     /// 1-based line.
     pub line: u32,
@@ -199,32 +199,10 @@ pub struct Asserted {
 /// Prefixes covered by the declare-exactly-once registry policy.
 pub const REGISTRY_PREFIXES: &[&str] = &["serve.", "actor.", "fault.", "policy."];
 
-/// Collect asserted metric names from the workspace's CI expect-lists
-/// and golden METRICS_SNAPSHOT lines. Missing files contribute nothing.
+/// Collect asserted metric names from the golden METRICS_SNAPSHOT
+/// lines. A missing golden directory contributes nothing.
 pub fn collect_asserted(root: &Path) -> Vec<Asserted> {
     let mut out = Vec::new();
-    let ci_rel = ".github/workflows/ci.yml";
-    if let Ok(text) = fs::read_to_string(root.join(ci_rel)) {
-        for (idx, line) in text.lines().enumerate() {
-            // `expect[exp_foo]="name1 name2 …"`
-            let Some(pos) = line.find("expect[") else {
-                continue;
-            };
-            let Some(open) = line[pos..].find('"').map(|i| pos + i + 1) else {
-                continue;
-            };
-            let Some(close) = line[open..].find('"').map(|i| open + i) else {
-                continue;
-            };
-            for name in line[open..close].split_whitespace() {
-                out.push(Asserted {
-                    file: ci_rel.to_string(),
-                    line: idx as u32 + 1,
-                    name: name.to_string(),
-                });
-            }
-        }
-    }
     let golden_dir = root.join("crates/bench/golden");
     let mut goldens = Vec::new();
     if let Ok(entries) = fs::read_dir(&golden_dir) {
@@ -245,7 +223,7 @@ pub fn collect_asserted(root: &Path) -> Vec<Asserted> {
             let Some(json) = line.strip_prefix("METRICS_SNAPSHOT ") else {
                 continue;
             };
-            let Ok(value) = serde_json::from_str::<serde_json::Value>(json) else {
+            let Ok(value) = serde_json::from_str(json) else {
                 continue;
             };
             let serde_json::Value::Obj(fields) = value else {
@@ -314,7 +292,7 @@ pub fn check_metrics(
                 a.line,
                 format!(
                     "metric `{}` is asserted here but never updated anywhere in source — \
-                     renamed or removed without updating CI/goldens",
+                     renamed or removed without updating the goldens",
                     a.name
                 ),
             ));

@@ -136,12 +136,12 @@ fn numbers_do_not_swallow_ranges() {
 
 #[test]
 fn suppression_comments_survive_lexing() {
-    let src = "x.unwrap(); // rdi-lint: allow(R5): audited\n";
+    let src = "let t = Instant::now(); // rdi-lint: allow(R3): audited\n";
     let comments: Vec<_> = lex(src)
         .into_iter()
         .filter(|t| t.kind == TokenKind::LineComment)
         .collect();
     assert_eq!(comments.len(), 1);
-    assert!(comments[0].text.contains("rdi-lint: allow(R5): audited"));
+    assert!(comments[0].text.contains("rdi-lint: allow(R3): audited"));
     assert_eq!(comments[0].line, 1);
 }

@@ -11,14 +11,12 @@ fn fixture_root() -> &'static Path {
 }
 
 #[test]
-fn fixture_tree_reports_all_twelve_rules() {
+fn fixture_tree_reports_every_rule() {
     let report = analyze_tree(fixture_root()).expect("fixture tree scans");
     let rules: BTreeSet<&str> = report.findings.iter().map(|f| f.rule).collect();
     assert_eq!(
         rules,
-        BTreeSet::from([
-            "R1", "R2", "R3", "R4", "R5", "R6", "R7", "R8", "R9", "R10", "R11", "R12",
-        ]),
+        BTreeSet::from(["R1", "R3", "R6", "R7", "R9", "R10", "R11", "R12"]),
         "expected every rule to fire on the planted tree; findings: {:#?}",
         report.findings
     );
@@ -30,18 +28,13 @@ fn fixture_tree_counts_and_suppressions() {
     let count = |rule: &str| report.findings.iter().filter(|f| f.rule == rule).count();
     // planted.rs: `use HashMap` + declaration line with two HashMap tokens
     assert_eq!(count("R1"), 3);
-    assert_eq!(count("R2"), 1);
-    // planted.rs: `use Instant` + `Instant::now()`
-    assert_eq!(count("R3"), 2);
-    // mylib: from_entropy + thread_rng
-    assert_eq!(count("R4"), 2);
-    // planted.rs unwrap + mylib panic! + expect + unwrap-under-bad-directive
-    assert_eq!(count("R5"), 4);
+    // planted.rs: `use Instant` + `Instant::now()` + the Instant under
+    // the reasonless directive
+    assert_eq!(count("R3"), 3);
     assert_eq!(count("R6"), 1);
-    // mylib reasonless directive + the bench manifest opt-out sans reason
+    // planted.rs reasonless directive + the bench manifest opt-out sans
+    // reason
     assert_eq!(count("R7"), 2);
-    // planted.rs `let _ = started;` + mylib statement-position `.ok();`
-    assert_eq!(count("R8"), 2);
     // seeding.rs literal seed (param / stream_seed cases stay clean)
     assert_eq!(count("R9"), 1);
     // breaker.rs early return without an emission + choose.rs silent
@@ -49,9 +42,9 @@ fn fixture_tree_counts_and_suppressions() {
     assert_eq!(count("R10"), 2);
     // mylib allow(R3) covering nothing
     assert_eq!(count("R11"), 1);
-    // ghost assert + dead decl + dup decl + unregistered use
-    assert_eq!(count("R12"), 4);
-    // the valid allow(R5) and allow(R8) in planted.rs
+    // dead decl + dup decl + unregistered use
+    assert_eq!(count("R12"), 3);
+    // the valid allow(R3) and same-line allow(R1) in planted.rs
     assert_eq!(report.suppressed, 2);
     // exp_ok.rs and the fixture integration test contribute no findings
     assert!(report.files_scanned >= 8);
@@ -159,52 +152,18 @@ fn wall_clock_exempt_in_obs_and_bench() {
 }
 
 #[test]
-fn thread_spawn_allowed_only_in_par() {
-    let src = "fn go() { std::thread::spawn(|| {}); }\n";
-    assert!(analyze_source("crates/par/src/lib.rs", src)
-        .findings
-        .is_empty());
-    let r = analyze_source("crates/table/src/lib.rs", src);
-    assert_eq!(r.findings.len(), 1);
-    assert_eq!(r.findings[0].rule, "R2");
-    // `scope.spawn` (a method, not the bare path call) is not R2's target
-    let scoped = "fn go(s: &S) { s.spawn(|| {}); }\n";
-    assert!(analyze_source("crates/table/src/lib.rs", scoped)
-        .findings
-        .is_empty());
-}
-
-#[test]
-fn unwrap_expect_only_as_method_calls() {
-    // Idents named unwrap/expect that are not `.name(` calls do not fire.
-    let src =
-        "fn unwrap() {}\nfn caller() { unwrap(); }\nstruct S; impl S { fn expect(&self) {} }\n";
-    assert!(analyze_source("crates/table/src/lib.rs", src)
-        .findings
-        .is_empty());
-    let bad = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    assert_eq!(
-        analyze_source("crates/table/src/lib.rs", bad)
-            .findings
-            .len(),
-        1
-    );
-}
-
-#[test]
-fn bins_tests_benches_examples_are_r5_exempt() {
-    let src = "fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
+fn tests_benches_examples_and_build_scripts_are_exempt() {
+    let src = "fn f() { let _t = Instant::now(); }\n";
     for exempt in [
-        "crates/bench/src/bin/tool.rs",
-        "crates/table/tests/t.rs",
-        "crates/bench/benches/b.rs",
-        "examples/demo.rs",
-        "src/main.rs",
+        "crates/coverage/tests/t.rs",
+        "crates/coverage/benches/b.rs",
+        "crates/coverage/examples/demo.rs",
+        "crates/coverage/build.rs",
     ] {
         assert!(analyze_source(exempt, src).findings.is_empty(), "{exempt}");
     }
     assert_eq!(
-        analyze_source("crates/table/src/lib.rs", src)
+        analyze_source("crates/coverage/src/lib.rs", src)
             .findings
             .len(),
         1
@@ -213,67 +172,71 @@ fn bins_tests_benches_examples_are_r5_exempt() {
 
 #[test]
 fn cfg_test_region_is_exempt() {
-    let src = "fn lib(x: Option<u8>) -> u8 { x.unwrap() }\n\
+    let src = "fn lib() { let _t = Instant::now(); }\n\
                #[cfg(test)]\n\
                mod tests {\n\
                    #[test]\n\
-                   fn t() { None::<u8>.unwrap(); panic!(\"boom\"); }\n\
+                   fn t() { let _m = HashMap::new(); let _t = Instant::now(); }\n\
                }\n";
-    let r = analyze_source("crates/table/src/lib.rs", src);
-    assert_eq!(r.findings.len(), 1, "only the pre-boundary unwrap fires");
+    let r = analyze_source("crates/coverage/src/lib.rs", src);
+    assert_eq!(
+        r.findings.len(),
+        1,
+        "only the pre-boundary clock read fires"
+    );
     assert_eq!(r.findings[0].line, 1);
 }
 
 #[test]
 fn suppression_covers_same_and_next_line_only() {
-    let same_line = "fn f(x: Option<u8>) -> u8 { x.unwrap() } // rdi-lint: allow(R5): infallible by construction\n";
-    let r = analyze_source("crates/table/src/lib.rs", same_line);
+    let same_line =
+        "fn f() { let _t = Instant::now(); } // rdi-lint: allow(R3): timing only, never in results\n";
+    let r = analyze_source("crates/coverage/src/lib.rs", same_line);
     assert!(r.findings.is_empty());
     assert_eq!(r.suppressed, 1);
 
-    let line_above = "// rdi-lint: allow(R5): audited\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    assert!(analyze_source("crates/table/src/lib.rs", line_above)
+    let line_above = "// rdi-lint: allow(R3): audited\nfn f() { let _t = Instant::now(); }\n";
+    assert!(analyze_source("crates/coverage/src/lib.rs", line_above)
         .findings
         .is_empty());
 
-    // Out of range: the unwrap fires, and the directive — now covering
-    // nothing — is itself a stale-suppression finding (R11).
-    let too_far = "// rdi-lint: allow(R5): audited\n\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    let r = analyze_source("crates/table/src/lib.rs", too_far);
+    // Out of range: the clock read fires, and the directive — now
+    // covering nothing — is itself a stale-suppression finding (R11).
+    let too_far = "// rdi-lint: allow(R3): audited\n\nfn f() { let _t = Instant::now(); }\n";
+    let r = analyze_source("crates/coverage/src/lib.rs", too_far);
     let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(rules, vec!["R11", "R5"], "{:#?}", r.findings);
+    assert_eq!(rules, vec!["R11", "R3"], "{:#?}", r.findings);
 
     // the directive must name the right rule; naming the wrong one is
-    // both ineffective (R5 fires) and stale (R11).
-    let wrong_rule =
-        "// rdi-lint: allow(R1): wrong rule\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    let r = analyze_source("crates/table/src/lib.rs", wrong_rule);
+    // both ineffective (R3 fires) and stale (R11).
+    let wrong_rule = "// rdi-lint: allow(R1): wrong rule\nfn f() { let _t = Instant::now(); }\n";
+    let r = analyze_source("crates/coverage/src/lib.rs", wrong_rule);
     let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(rules, vec!["R11", "R5"], "{:#?}", r.findings);
+    assert_eq!(rules, vec!["R11", "R3"], "{:#?}", r.findings);
 }
 
 #[test]
 fn stale_suppressions_fire_and_live_ones_do_not() {
     // A directive that covers a real finding is not stale.
-    let live = "fn f(x: Option<u8>) -> u8 { x.unwrap() } // rdi-lint: allow(R5): infallible\n";
-    let r = analyze_source("crates/table/src/lib.rs", live);
+    let live = "fn f() { let _t = Instant::now(); } // rdi-lint: allow(R3): timing only\n";
+    let r = analyze_source("crates/coverage/src/lib.rs", live);
     assert!(r.findings.is_empty(), "{:#?}", r.findings);
 
     // One with no finding under it is R11 at the directive line.
-    let stale = "// rdi-lint: allow(R2): threads were here once\nfn f() -> u8 { 3 }\n";
-    let r = analyze_source("crates/table/src/lib.rs", stale);
+    let stale = "// rdi-lint: allow(R3): a clock was read here once\nfn f() -> u8 { 3 }\n";
+    let r = analyze_source("crates/coverage/src/lib.rs", stale);
     assert_eq!(r.findings.len(), 1);
     assert_eq!((r.findings[0].rule, r.findings[0].line), ("R11", 1));
 
     // R11 is not itself suppressible: allow(R11) cannot launder a stale
     // directive (and is stale on its own account).
     let meta = "// rdi-lint: allow(R11): please ignore\nfn f() -> u8 { 3 }\n";
-    let r = analyze_source("crates/table/src/lib.rs", meta);
+    let r = analyze_source("crates/coverage/src/lib.rs", meta);
     assert!(r.findings.iter().any(|f| f.rule == "R11"));
 
-    // Exempt files (tests, bins) carry no staleness obligation.
-    let in_test = "// rdi-lint: allow(R5): leftover\nfn f() -> u8 { 3 }\n";
-    assert!(analyze_source("crates/table/tests/t.rs", in_test)
+    // Exempt files (tests, benches) carry no staleness obligation.
+    let in_test = "// rdi-lint: allow(R3): leftover\nfn f() -> u8 { 3 }\n";
+    assert!(analyze_source("crates/coverage/tests/t.rs", in_test)
         .findings
         .is_empty());
 }
@@ -282,14 +245,14 @@ fn stale_suppressions_fire_and_live_ones_do_not() {
 fn doc_comment_directive_examples_are_inert() {
     // `///` and `//!` lines quoting a directive neither suppress nor
     // count as stale directives.
-    let src = "//! // rdi-lint: allow(R5): doc example\n\
+    let src = "//! // rdi-lint: allow(R3): doc example\n\
                /// // rdi-lint: allow(R1): another example\n\
-               fn f(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    let r = analyze_source("crates/table/src/lib.rs", src);
+               fn f() { let _t = Instant::now(); }\n";
+    let r = analyze_source("crates/coverage/src/lib.rs", src);
     let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
     assert_eq!(
         rules,
-        vec!["R5"],
+        vec!["R3"],
         "doc examples must be inert: {:#?}",
         r.findings
     );
@@ -340,8 +303,8 @@ fn seed_purity_traces_params_and_stream_seed() {
 
 #[test]
 fn findings_carry_enclosing_item_and_fingerprint() {
-    let src = "pub fn outer(x: Option<u8>) -> u8 { x.unwrap() }\n";
-    let r = analyze_source("crates/table/src/lib.rs", src);
+    let src = "pub fn outer() { let _t = Instant::now(); }\n";
+    let r = analyze_source("crates/coverage/src/lib.rs", src);
     assert_eq!(r.findings.len(), 1);
     assert_eq!(r.findings[0].item, "outer");
     let fp = rdi_lint::fingerprint(&r.findings[0]);
@@ -350,16 +313,16 @@ fn findings_carry_enclosing_item_and_fingerprint() {
     // Stable across line shifts: the same finding one line lower hashes
     // the same (fingerprints exclude the line number).
     let shifted = format!("\n{src}");
-    let r2 = analyze_source("crates/table/src/lib.rs", &shifted);
+    let r2 = analyze_source("crates/coverage/src/lib.rs", &shifted);
     assert_eq!(fp, rdi_lint::fingerprint(&r2.findings[0]));
 }
 
 #[test]
 fn allow_file_covers_everything_and_lists() {
-    let src = "// rdi-lint: allow-file(R5, R1): vendored shim, audited 2026-08\n\
+    let src = "// rdi-lint: allow-file(R3, R1): replay harness, audited 2026-08\n\
                use std::collections::HashMap;\n\
-               fn f(x: Option<u8>) -> u8 { x.unwrap() }\n\
-               fn g(x: Option<u8>) -> u8 { x.expect(\"y\") }\n";
+               fn f() { let _t = Instant::now(); }\n\
+               fn g() { let _t = SystemTime::now(); }\n";
     let r = analyze_source("crates/fairness/src/lib.rs", src);
     assert!(r.findings.is_empty(), "{:?}", r.findings);
     assert_eq!(r.suppressed, 3);
@@ -368,87 +331,22 @@ fn allow_file_covers_everything_and_lists() {
 #[test]
 fn malformed_directives_are_r7_and_suppress_nothing() {
     for bad in [
-        "// rdi-lint: allow(R5)\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-        "// rdi-lint: allow(): empty\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-        "// rdi-lint: allow(R99): unknown rule\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
-        "// rdi-lint: deny(R5): unknown verb\nfn f(x: Option<u8>) -> u8 { x.unwrap() }\n",
+        "// rdi-lint: allow(R3)\nfn f() { let _t = Instant::now(); }\n",
+        "// rdi-lint: allow(): empty\nfn f() { let _t = Instant::now(); }\n",
+        "// rdi-lint: allow(R99): unknown rule\nfn f() { let _t = Instant::now(); }\n",
+        // R5 is retired (clippy owns panic sites): its id no longer parses.
+        "// rdi-lint: allow(R5): retired rule\nfn f() { let _t = Instant::now(); }\n",
+        "// rdi-lint: deny(R3): unknown verb\nfn f() { let _t = Instant::now(); }\n",
     ] {
-        let r = analyze_source("crates/table/src/lib.rs", bad);
+        let r = analyze_source("crates/coverage/src/lib.rs", bad);
         let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
         assert!(rules.contains(&"R7"), "{bad:?} → {rules:?}");
         assert!(
-            rules.contains(&"R5"),
+            rules.contains(&"R3"),
             "malformed directive must not suppress: {bad:?}"
         );
         assert_eq!(r.suppressed, 0);
     }
-}
-
-#[test]
-fn entropy_rng_flagged_everywhere_including_bins() {
-    let src = "fn f() { let _ = rand::thread_rng(); }\n";
-    for path in [
-        "crates/datagen/src/lib.rs",
-        "crates/bench/src/bin/exp_foo.rs",
-        "src/lib.rs",
-    ] {
-        let r = analyze_source(path, src);
-        assert!(
-            r.findings.iter().any(|f| f.rule == "R4"),
-            "{path} should flag R4"
-        );
-    }
-}
-
-#[test]
-fn discarded_results_flagged_in_library_code() {
-    for bad in [
-        "fn f(r: Result<u64, u64>) { let _ = r; }\n",
-        "fn f(s: &str) { s.parse::<u64>().ok(); }\n",
-        "fn f(r: Result<(), u8>) { r.map(|v| v).ok(); }\n",
-    ] {
-        let r = analyze_source("crates/table/src/lib.rs", bad);
-        assert_eq!(r.findings.len(), 1, "{bad:?} → {:?}", r.findings);
-        assert_eq!(r.findings[0].rule, "R8");
-    }
-}
-
-#[test]
-fn consumed_ok_and_named_bindings_are_not_discards() {
-    for ok in [
-        // the value feeds a binding, assignment, or return — consumed
-        "fn f(s: &str) -> Option<u64> { let v = s.parse().ok(); v }\n",
-        "fn f(s: &str, out: &mut Option<u64>) { *out = s.parse().ok(); }\n",
-        "fn f(s: &str) -> Option<u64> { return s.parse().ok(); }\n",
-        // `.ok()` mid-expression is not statement position
-        "fn f(s: &str) -> u64 { s.parse().ok().unwrap_or(0) }\n",
-        // a named binding is not a wildcard discard
-        "fn f(r: Result<u64, u64>) { let _r = r; }\n",
-    ] {
-        let r = analyze_source("crates/obs/src/lib.rs", ok);
-        assert!(
-            !r.findings.iter().any(|f| f.rule == "R8"),
-            "{ok:?} → {:?}",
-            r.findings
-        );
-    }
-}
-
-#[test]
-fn discards_exempt_in_bins_tests_and_suppressible() {
-    let src = "fn f(r: Result<u64, u64>) { let _ = r; }\n";
-    for exempt in [
-        "crates/bench/src/bin/tool.rs",
-        "crates/table/tests/t.rs",
-        "src/main.rs",
-    ] {
-        assert!(analyze_source(exempt, src).findings.is_empty(), "{exempt}");
-    }
-    let suppressed =
-        "fn f(r: Result<u64, u64>) { let _ = r; } // rdi-lint: allow(R8): fire-and-forget probe\n";
-    let r = analyze_source("crates/table/src/lib.rs", suppressed);
-    assert!(r.findings.is_empty());
-    assert_eq!(r.suppressed, 1);
 }
 
 #[test]
@@ -588,10 +486,10 @@ fn selection_choose_sites_must_reach_policy_decision() {
 }
 
 #[test]
-fn r12_per_tenant_wildcard_covers_ci_asserted_names() {
+fn r12_per_tenant_wildcard_covers_golden_asserted_names() {
     // The per-tenant counter families are emitted through `format!`
     // literals (`serve.tenant.{t}.admitted`), declared as the same
-    // pattern in METRIC_NAMES, and asserted concretely by CI
+    // pattern in METRIC_NAMES, and asserted concretely by a golden
     // (`serve.tenant.alice.admitted`). Pin all three legs of the R12
     // matching so a rename in any one of them keeps being caught.
     use rdi_lint::workspace::{check_metrics, pattern_matches, Asserted, MetricDecl, MetricUse};
@@ -616,18 +514,18 @@ fn r12_per_tenant_wildcard_covers_ci_asserted_names() {
         name: "serve.tenant.{t}.admitted".into(),
     }];
     let asserted = vec![Asserted {
-        file: ".github/workflows/ci.yml".into(),
+        file: "crates/bench/golden/exp_multitenant.golden".into(),
         line: 40,
         name: "serve.tenant.alice.admitted".into(),
     }];
     assert!(
         check_metrics(&uses, &decls, &asserted).is_empty(),
-        "wildcard use + pattern decl must satisfy a concrete CI assert"
+        "wildcard use + pattern decl must satisfy a concrete golden assert"
     );
 
     // A concrete asserted name no wildcard produces must still fire.
     let orphan = vec![Asserted {
-        file: ".github/workflows/ci.yml".into(),
+        file: "crates/bench/golden/exp_multitenant.golden".into(),
         line: 41,
         name: "serve.tenant.alice.evicted".into(),
     }];

@@ -410,8 +410,11 @@ impl MetricsRegistry {
     }
 
     /// [`MetricsRegistry::snapshot_value`] as compact JSON text.
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing an in-memory Value tree built by snapshot_value cannot fail"
+    )]
     pub fn snapshot_json(&self) -> String {
-        // rdi-lint: allow(R5): serializing an in-memory Value tree built by snapshot_value cannot fail
         serde_json::to_string(&self.snapshot_value()).expect("snapshot serializes")
     }
 }

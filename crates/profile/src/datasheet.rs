@@ -6,10 +6,10 @@
 //! renders filled sheets; the structured sections keep the document
 //! machine-checkable (unanswered questions are visible).
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// One datasheet question, optionally answered.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct QuestionAnswer {
     /// The question text.
     pub question: String,
@@ -18,7 +18,7 @@ pub struct QuestionAnswer {
 }
 
 /// A datasheet section (e.g. "Motivation").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Section {
     /// Section title.
     pub title: String,
@@ -27,7 +27,7 @@ pub struct Section {
 }
 
 /// A full datasheet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Datasheet {
     /// Data set name.
     pub dataset_name: String,
@@ -131,8 +131,11 @@ impl Datasheet {
     }
 
     /// Render as JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing an in-memory datasheet of plain strings cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // rdi-lint: allow(R5): serializing an in-memory datasheet of plain strings cannot fail
         serde_json::to_string_pretty(self).expect("datasheet serializes")
     }
 }
@@ -174,7 +177,7 @@ mod tests {
     fn json_roundtrip() {
         let d = Datasheet::template("x");
         let j = d.to_json();
-        let back: Datasheet = serde_json::from_str(&j).unwrap();
-        assert_eq!(d, back);
+        let back = serde_json::from_str(&j).unwrap();
+        assert_eq!(back, d.serialize());
     }
 }

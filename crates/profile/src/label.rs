@@ -3,7 +3,7 @@
 use rdi_coverage::CoverageAnalyzer;
 use rdi_fairness::association::{entropy, table_association};
 use rdi_table::{GroupSpec, Role, Table};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::fd::fd_violation_rate;
 use crate::stats::{profile_table, ColumnProfile};
@@ -34,7 +34,7 @@ impl Default for LabelConfig {
 }
 
 /// A dataset nutritional label: the §2 requirements, measured.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct NutritionalLabel {
     /// Rows in the data set.
     pub num_rows: usize,
@@ -315,8 +315,11 @@ impl NutritionalLabel {
     }
 
     /// Render as JSON.
+    #[expect(
+        clippy::expect_used,
+        reason = "serializing an in-memory label of plain scalars cannot fail"
+    )]
     pub fn to_json(&self) -> String {
-        // rdi-lint: allow(R5): serializing an in-memory label of plain scalars cannot fail
         serde_json::to_string_pretty(self).expect("label serializes")
     }
 

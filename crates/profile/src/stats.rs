@@ -1,10 +1,10 @@
 //! Per-column statistical profiles.
 
 use rdi_table::{DataType, Table, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// Summary statistics of one column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ColumnProfile {
     /// Column name.
     pub name: String,
@@ -23,7 +23,7 @@ pub struct ColumnProfile {
 }
 
 /// min/max/mean/std of a numeric column.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct NumericSummary {
     /// Minimum.
     pub min: f64,

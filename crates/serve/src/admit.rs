@@ -482,11 +482,11 @@ impl Admitter {
         let mut admitted_total = 0u64;
         let mut shed_total = 0u64;
         for t in tenants {
-            let st = self
-                .states
-                .get_mut(t)
-                // rdi-lint: allow(R5): every batch tenant's state was inserted above
-                .expect("state opened above");
+            #[expect(
+                clippy::expect_used,
+                reason = "every batch tenant's state was inserted above"
+            )]
+            let st = self.states.get_mut(t).expect("state opened above");
             let arrival = st.arrivals;
             st.arrivals += 1;
             self.arrivals += 1;
@@ -546,11 +546,11 @@ impl Admitter {
             let granted = admitted_by.get(t).copied().unwrap_or(0);
             let squeezed =
                 queue_shed.get(t).copied().unwrap_or(0) > 0 && granted < (*d).min(base_share[t]);
-            let st = self
-                .states
-                .get_mut(*t)
-                // rdi-lint: allow(R5): demand keys are batch tenants, all opened above
-                .expect("state opened above");
+            #[expect(
+                clippy::expect_used,
+                reason = "demand keys are batch tenants, all opened above"
+            )]
+            let st = self.states.get_mut(*t).expect("state opened above");
             st.aging = if squeezed {
                 (st.aging + 1).min(self.config.aging_cap)
             } else {
@@ -593,11 +593,11 @@ impl Admitter {
         let mut failed_by: BTreeMap<&TenantId, u64> = BTreeMap::new();
         for (t, r) in tenants.iter().zip(responses) {
             let Some(r) = r else { continue };
-            let st = self
-                .states
-                .get_mut(t)
-                // rdi-lint: allow(R5): outcomes only arrive for tenants admit_batch saw
-                .expect("tenant admitted this batch");
+            #[expect(
+                clippy::expect_used,
+                reason = "outcomes only arrive for tenants admit_batch saw"
+            )]
+            let st = self.states.get_mut(t).expect("tenant admitted this batch");
             match r {
                 Ok(_) => {
                     let was_half_open = st.breaker.state() == RecoveryState::HalfOpen;

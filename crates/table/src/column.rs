@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::TableError;
 use crate::schema::DataType;
@@ -16,7 +16,7 @@ use crate::Result;
 /// and auditable; a null bitmap + dense vector would be faster but is not
 /// needed at the scales the RDI experiments run at (≤ tens of millions of
 /// cells).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Column {
     /// Integer column.
     Int(Vec<Option<i64>>),

@@ -6,14 +6,14 @@
 
 use std::collections::{BTreeMap, HashMap};
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
 
 /// A concrete combination of group-attribute values, in [`GroupSpec`] order.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
 pub struct GroupKey(pub Vec<Value>);
 
 impl GroupKey {
@@ -36,7 +36,7 @@ impl std::fmt::Display for GroupKey {
 }
 
 /// Which attributes define groups.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct GroupSpec {
     /// Names of the grouping (typically sensitive) attributes.
     pub attributes: Vec<String>,
@@ -166,7 +166,7 @@ impl GroupSpec {
 }
 
 /// Summary statistics of one numeric column within one group.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct GroupStats {
     /// Rows in the group (including rows where the column is null).
     pub count: usize,

@@ -5,7 +5,7 @@
 //! group filters for `rdi-tailor`, slice definitions for `rdi-acquisition`)
 //! without pulling in a SQL engine.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::table::Table;
 use crate::value::Value;
@@ -16,7 +16,7 @@ use crate::value::Value;
 /// collapsed to two values), except [`Predicate::IsNull`]. Consequently
 /// [`Predicate::Not`] is plain boolean negation: `Not(x > 3)` *matches*
 /// null cells, unlike SQL's `NOT`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum Predicate {
     /// Always true.
     True,

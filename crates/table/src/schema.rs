@@ -5,13 +5,13 @@
 //! attributes are **sensitive** (demographic group identifiers), which are
 //! **targets** (labels), and which are plain observation **features**.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::error::TableError;
 use crate::Result;
 
 /// Physical type of a column.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize)]
 pub enum DataType {
     /// 64-bit signed integer.
     Int,
@@ -36,7 +36,7 @@ impl DataType {
 }
 
 /// Analytic role of a field (tutorial §2.3).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Default)]
 pub enum Role {
     /// Ordinary observation attribute (the default).
     #[default]
@@ -50,7 +50,7 @@ pub enum Role {
 }
 
 /// A named, typed, role-annotated column description.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Field {
     /// Column name, unique within a [`Schema`].
     pub name: String,
@@ -78,7 +78,7 @@ impl Field {
 }
 
 /// An ordered collection of [`Field`]s with unique names.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
 pub struct Schema {
     fields: Vec<Field>,
 }

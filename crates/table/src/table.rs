@@ -1,6 +1,6 @@
 //! The [`Table`]: a schema plus typed columns.
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 use crate::column::Column;
 use crate::error::TableError;
@@ -10,7 +10,7 @@ use crate::value::Value;
 use crate::Result;
 
 /// An in-memory columnar table.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Column>,
@@ -143,7 +143,10 @@ impl Table {
             .zip(values)
             .zip(self.schema.fields())
         {
-            // rdi-lint: allow(R5): the type-check loop above already rejected mismatched values
+            #[expect(
+                clippy::expect_used,
+                reason = "the type-check loop above already rejected mismatched values"
+            )]
             col.push(v, &f.name).expect("validated above");
         }
         self.num_rows += 1;

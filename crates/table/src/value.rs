@@ -3,7 +3,7 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A single cell value in a [`crate::Table`].
 ///
@@ -11,7 +11,7 @@ use serde::{Deserialize, Serialize};
 /// boundary (row construction, predicates, group keys). Storage inside a
 /// table is typed per column (see [`crate::Column`]), so `Value` never
 /// appears in hot inner loops unless an algorithm explicitly asks for it.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub enum Value {
     /// Missing value (SQL `NULL`).
     Null,

@@ -1,7 +1,7 @@
 //! The DT query: groups and count requirements.
 
 use rdi_table::{GroupKey, GroupSpec, TableError, Value};
-use serde::{Deserialize, Serialize};
+use serde::Serialize;
 
 /// A per-group count requirement.
 ///
@@ -9,7 +9,7 @@ use serde::{Deserialize, Serialize};
 /// collect until `lo`, never discard). The tutorial's §5 extension allows
 /// *ranges*: a group is satisfied at `lo` and samples are discarded once
 /// `hi` is reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
 pub struct CountRequirement {
     /// Minimum count required for satisfaction.
     pub lo: usize,

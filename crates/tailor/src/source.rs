@@ -202,7 +202,10 @@ impl TableSource {
     /// row's target-group index (if any) and its values.
     pub fn draw<R: Rng + ?Sized>(&self, rng: &mut R) -> (Option<usize>, Vec<Value>) {
         let i = rng.gen_range(0..self.table.num_rows());
-        // rdi-lint: allow(R5): `i` is drawn from 0..num_rows, so the row lookup cannot fail
+        #[expect(
+            clippy::expect_used,
+            reason = "`i` is drawn from 0..num_rows, so the row lookup cannot fail"
+        )]
         let row = self.table.row(i).expect("index in range");
         (self.row_group[i], row)
     }
