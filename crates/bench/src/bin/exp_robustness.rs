@@ -14,6 +14,7 @@ use rand::SeedableRng;
 use rdi_bench::{emit_metrics_snapshot, f1, f3, print_table};
 use rdi_core::run_resilient;
 use rdi_fault::{FaultSpec, FaultySource, ResilienceConfig};
+use rdi_policy::PolicySet;
 use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Table, Value};
 use rdi_tailor::{run_tailoring, DtProblem, RandomPolicy, TableSource};
 
@@ -79,7 +80,16 @@ fn main() {
             .collect();
         let mut pol = RandomPolicy::new(wrapped.len());
         let mut rng = StdRng::seed_from_u64(SEED);
-        let res = run_resilient(&mut wrapped, &p, &mut pol, &mut rng, MAX_DRAWS, &config).unwrap();
+        let res = run_resilient(
+            &mut wrapped,
+            &p,
+            &mut pol,
+            &mut rng,
+            MAX_DRAWS,
+            &config,
+            &PolicySet::new(),
+        )
+        .unwrap();
         res.tailor.collected == legacy_out.collected
             && res.tailor.draws == legacy_out.draws
             && res.tailor.total_cost == legacy_out.total_cost
@@ -100,8 +110,16 @@ fn main() {
             .collect();
         let mut pol = RandomPolicy::new(sources.len());
         let mut rng = StdRng::seed_from_u64(SEED);
-        let res = run_resilient(&mut sources, &p, &mut pol, &mut rng, MAX_DRAWS, &config)
-            .expect("resilient run must not error on source faults");
+        let res = run_resilient(
+            &mut sources,
+            &p,
+            &mut pol,
+            &mut rng,
+            MAX_DRAWS,
+            &config,
+            &PolicySet::new(),
+        )
+        .expect("resilient run must not error on source faults");
 
         // requirement coverage: progress toward each group's `lo`,
         // surplus above it doesn't count
@@ -182,8 +200,16 @@ fn main() {
             .collect();
         let mut pol = RandomPolicy::new(sources.len());
         let mut rng = StdRng::seed_from_u64(SEED);
-        let res = run_resilient(&mut sources, &p, &mut pol, &mut rng, budget, &dead_cfg)
-            .expect("resilient run must not error on dead sources");
+        let res = run_resilient(
+            &mut sources,
+            &p,
+            &mut pol,
+            &mut rng,
+            budget,
+            &dead_cfg,
+            &PolicySet::new(),
+        )
+        .expect("resilient run must not error on dead sources");
         let covered: usize = res.tailor.per_group.iter().map(|&c| c.min(NEED)).sum();
         dead_rows.push(vec![
             dead.to_string(),

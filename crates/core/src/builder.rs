@@ -1,11 +1,8 @@
-//! The consolidated pipeline entry point.
+//! The pipeline entry point.
 //!
-//! Four PRs of growth left the pipeline with fragmented entry points:
-//! [`Pipeline::run`], the since-removed `Pipeline::run_with`, and the
-//! low-level [`crate::executor::run_resilient`]. [`PipelineBuilder`]
-//! puts one
-//! path in front of all of them — declare the problem, requirements,
-//! resilience, and observability, then [`PipelineBuilder::build`] a
+//! [`PipelineBuilder`] is the one way to configure and run the
+//! end-to-end pipeline — declare the problem, requirements, resilience,
+//! and observability, then [`PipelineBuilder::build`] a
 //! [`BuiltPipeline`] and run it against any sources:
 //!
 //! ```no_run
@@ -24,11 +21,6 @@
 //!     .build();
 //! let result = built.run(&mut sources, &mut policy, &mut rng);
 //! ```
-//!
-//! The one legacy entry point, [`Pipeline::run`], survives as a thin
-//! delegate onto the same internal implementation (the deprecated
-//! `Pipeline::run_with` has been removed), so its output is bitwise
-//! identical to the builder path — proven by a regression test below.
 
 use rand::Rng;
 use rdi_cleaning::ImputeStrategy;
@@ -152,9 +144,7 @@ impl PipelineBuilder {
     }
 }
 
-/// A fully configured pipeline, ready to run against sources. This is
-/// the single execution path: the legacy [`Pipeline::run`] delegate
-/// routes through the same internals.
+/// A fully configured pipeline, ready to run against sources.
 #[derive(Debug)]
 pub struct BuiltPipeline {
     pipeline: Pipeline,
@@ -238,67 +228,39 @@ mod tests {
         (problem, sources, policy, rng)
     }
 
-    /// The `Pipeline::run` delegate and the builder path (with explicit
-    /// resilience) must be bitwise identical: same data, same
+    /// Spelling out the default resilience and selection policies is
+    /// bitwise identical to leaving them implicit: same data, same
     /// provenance, same label scope notes, same cost bits, same audit
-    /// markdown. This is the migrated form of the regression test that
-    /// used to pin the removed `run_with` delegate to the builder path.
+    /// markdown.
     #[test]
-    fn run_with_explicit_resilience_is_bitwise_identical_to_builder_path() {
-        let config = ResilienceConfig::default();
+    fn explicit_defaults_are_bitwise_identical_to_implicit_ones() {
         let (problem, mut sources, mut policy, mut rng) = scenario(11);
-        let legacy = Pipeline {
-            problem: problem.clone(),
-            imputations: vec![],
-            label_config: LabelConfig::default(),
-            spec: RequirementSpec::default().with_note("equivalence run"),
-            max_draws: 500_000,
-        }
-        .run(&mut sources, &mut policy, &mut rng)
-        .unwrap();
-
-        let (problem, mut sources, mut policy, mut rng) = scenario(11);
-        let modern = PipelineBuilder::new(problem)
+        let implicit = PipelineBuilder::new(problem)
             .scope_note("equivalence run")
             .max_draws(500_000)
-            .resilience(config)
             .build()
             .run(&mut sources, &mut policy, &mut rng)
             .unwrap();
 
-        assert_eq!(legacy.data, modern.data);
-        assert_eq!(legacy.provenance_lines(), modern.provenance_lines());
-        assert_eq!(legacy.label.scope_notes, modern.label.scope_notes);
-        assert_eq!(legacy.total_cost.to_bits(), modern.total_cost.to_bits());
-        assert_eq!(legacy.audit.to_markdown(), modern.audit.to_markdown());
-        assert_eq!(legacy.degraded, modern.degraded);
-        assert_eq!(legacy.quarantined, modern.quarantined);
-    }
-
-    /// `Pipeline::run` (the convenience delegate) matches the builder
-    /// with default resilience too.
-    #[test]
-    fn run_is_bitwise_identical_to_builder_path() {
-        let (problem, mut sources, mut policy, mut rng) = scenario(23);
-        let legacy = Pipeline {
-            problem: problem.clone(),
-            imputations: vec![],
-            label_config: LabelConfig::default(),
-            spec: RequirementSpec::default(),
-            max_draws: 500_000,
-        }
-        .run(&mut sources, &mut policy, &mut rng)
-        .unwrap();
-
-        let (problem, mut sources, mut policy, mut rng) = scenario(23);
-        let modern = PipelineBuilder::new(problem)
+        let (problem, mut sources, mut policy, mut rng) = scenario(11);
+        let explicit = PipelineBuilder::new(problem)
+            .scope_note("equivalence run")
             .max_draws(500_000)
+            .resilience(ResilienceConfig::default())
+            .with_policy(PolicyId::TAILOR_KEEP, PolicyParams::new())
+            .with_policy(PolicyId::REDIRECT, PolicyParams::new())
+            .span_root("pipeline")
             .build()
             .run(&mut sources, &mut policy, &mut rng)
             .unwrap();
-        assert_eq!(legacy.data, modern.data);
-        assert_eq!(legacy.provenance_lines(), modern.provenance_lines());
-        assert_eq!(legacy.total_cost.to_bits(), modern.total_cost.to_bits());
+
+        assert_eq!(implicit.data, explicit.data);
+        assert_eq!(implicit.provenance_lines(), explicit.provenance_lines());
+        assert_eq!(implicit.label.scope_notes, explicit.label.scope_notes);
+        assert_eq!(implicit.total_cost.to_bits(), explicit.total_cost.to_bits());
+        assert_eq!(implicit.audit.to_markdown(), explicit.audit.to_markdown());
+        assert_eq!(implicit.degraded, explicit.degraded);
+        assert_eq!(implicit.quarantined, explicit.quarantined);
     }
 
     #[test]

@@ -1,8 +1,9 @@
 //! The resilient tailoring executor: retries, circuit breakers, and
 //! graceful degradation.
 //!
-//! [`run_resilient`] drives the same draw loop as
-//! [`rdi_tailor::run_tailoring`] but calls the fallible
+//! [`run_resilient`] is a driver over the shared tailoring draw loop
+//! ([`rdi_tailor::run_draw_loop`], the same loop behind
+//! [`rdi_tailor::run_tailoring`]). Its draw step calls the fallible
 //! [`Source::try_draw`] and treats failures as data rather than
 //! aborting:
 //!
@@ -10,9 +11,11 @@
 //!   [`rdi_fault::ResilienceConfig::max_attempts`] times with capped
 //!   exponential backoff charged to a virtual [`rdi_fault::TickClock`]
 //!   (never a wall-clock sleep);
-//! * a per-source [`rdi_fault::CircuitBreaker`] quarantines a source
-//!   for the rest of the run after `breaker_threshold` consecutive
-//!   failed attempts; draws routed to a quarantined source are
+//! * a per-source [`rdi_fault::RecoveringBreaker`] quarantines a
+//!   source for the rest of the run after `breaker_threshold`
+//!   consecutive failed attempts (the executor never asks it to
+//!   [`admit`](rdi_fault::RecoveringBreaker::admit), so it never
+//!   half-opens); draws routed to a quarantined source are
 //!   redirected to a live source chosen by the `core.redirect`
 //!   selection policy (default: the next live one, cyclically by
 //!   index);
@@ -30,15 +33,12 @@
 use std::sync::Arc;
 
 use rand::Rng;
-use rdi_fault::{CircuitBreaker, ResilienceConfig, TickClock};
+use rdi_fault::{RecoveringBreaker, ResilienceConfig, TickClock};
 use rdi_obs::{Counter, ProvenanceEvent};
 use rdi_policy::{
     Candidate, PolicyId, PolicyParams, PolicySet, RankByScore, Score, SelectionPolicy,
 };
-use rdi_table::{Table, TableError};
-use rdi_tailor::{
-    record_outcome, Draw, DtProblem, KeepDrop, Policy, Source, SourceError, TailorOutcome,
-};
+use rdi_tailor::{run_draw_loop, DrawStep, DtProblem, Policy, Source, SourceError, TailorOutcome};
 
 /// The `core.redirect` decision site: which healthy source absorbs a
 /// draw aimed at a quarantined one.
@@ -50,8 +50,8 @@ use rdi_tailor::{
 /// while `dir=min` flips to the farthest. An empty candidate set is the
 /// auditable "every source quarantined" outcome.
 ///
-/// Redirects fire per draw (thousands per degraded run), so like
-/// [`KeepDrop`] the first decision emits the full `PolicyDecision`
+/// Redirects fire per draw (thousands per degraded run), so like the
+/// `tailor.keep` site the first decision emits the full `PolicyDecision`
 /// event (returned for the caller's event stream) and every decision
 /// ticks the `policy.*` counters through cached handles.
 #[derive(Debug)]
@@ -79,7 +79,7 @@ impl RedirectAudit {
     fn decide(
         &mut self,
         chosen: usize,
-        breakers: &[CircuitBreaker],
+        breakers: &[RecoveringBreaker],
         health: &[SourceHealth],
     ) -> (Option<usize>, Option<ProvenanceEvent>) {
         let mut candidates = Vec::new();
@@ -209,10 +209,13 @@ impl ResilientOutcome {
 
 /// Drive `policy` against fallible `sources` until the problem's
 /// requirements are met, `max_draws` logical draws have been issued, or
-/// every source is quarantined.
+/// every source is quarantined. The `core.redirect` and `tailor.keep`
+/// decision sites take their params from `policies` (an empty
+/// [`PolicySet`] runs both on their documented defaults).
 ///
 /// Never fails on *source* trouble — `Err` is reserved for structural
-/// problems (invalid problem, mismatched schemas, no sources), same as
+/// problems (invalid problem, mismatched schemas, no sources, a policy
+/// choosing a source out of range), same as
 /// [`rdi_tailor::run_tailoring`]. See the module docs for semantics.
 pub fn run_resilient<S: Source, R: Rng>(
     sources: &mut [S],
@@ -221,55 +224,13 @@ pub fn run_resilient<S: Source, R: Rng>(
     rng: &mut R,
     max_draws: usize,
     config: &ResilienceConfig,
-) -> rdi_table::Result<ResilientOutcome> {
-    run_resilient_with(
-        sources,
-        problem,
-        policy,
-        rng,
-        max_draws,
-        config,
-        &PolicySet::new(),
-    )
-}
-
-/// [`run_resilient`] with per-site selection-policy overrides: the
-/// `core.redirect` and `tailor.keep` decision sites consult `policies`
-/// for their params (an empty [`PolicySet`] reproduces the defaults —
-/// and [`run_resilient`]'s behaviour — bitwise).
-pub fn run_resilient_with<S: Source, R: Rng>(
-    sources: &mut [S],
-    problem: &DtProblem,
-    policy: &mut dyn Policy,
-    rng: &mut R,
-    max_draws: usize,
-    config: &ResilienceConfig,
     policies: &PolicySet,
 ) -> rdi_table::Result<ResilientOutcome> {
-    problem.validate()?;
     config.validate();
-    if sources.is_empty() {
-        return Err(TableError::SchemaMismatch("no sources".into()));
-    }
-    let schema = sources[0].schema().clone();
-    for s in sources.iter() {
-        if s.schema() != &schema {
-            return Err(TableError::SchemaMismatch(format!(
-                "source `{}` schema differs; integrate schemas before tailoring",
-                s.name()
-            )));
-        }
-    }
-
-    let g = problem.num_groups();
-    let mut per_group = vec![0usize; g];
-    let mut per_source_draws = vec![0usize; sources.len()];
-    let mut total_cost = 0.0;
-    let mut draws = 0usize;
-    let mut collected = Table::new(schema);
-
-    let mut breakers: Vec<CircuitBreaker> = (0..sources.len())
-        .map(|_| CircuitBreaker::new(config.breaker_threshold))
+    // `admit` is never called, so the cooldown never elapses: a tripped
+    // breaker quarantines its source for the rest of the run.
+    let mut breakers: Vec<RecoveringBreaker> = (0..sources.len())
+        .map(|_| RecoveringBreaker::new(config.breaker_threshold, u64::MAX))
         .collect();
     let mut health: Vec<SourceHealth> = sources
         .iter()
@@ -279,124 +240,96 @@ pub fn run_resilient_with<S: Source, R: Rng>(
     let mut events: Vec<ProvenanceEvent> = Vec::new();
     let mut backoff_ticks = 0u64;
     let mut all_quarantined = false;
-    let mut keepdrop = KeepDrop::new(policies.params_for(PolicyId::TAILOR_KEEP));
     let mut redirect = RedirectAudit::new(policies.params_for(PolicyId::REDIRECT));
 
     let attempts_hist = rdi_obs::histogram("executor.attempts_per_draw", &[1.0, 2.0, 4.0, 8.0]);
 
-    let satisfied = |per_group: &[usize]| -> bool {
-        per_group
-            .iter()
-            .zip(&problem.requirements)
-            .all(|(&c, r)| c >= r.lo)
-    };
-
-    while !satisfied(&per_group) && draws < max_draws {
-        let remaining: Vec<usize> = per_group
-            .iter()
-            .zip(&problem.requirements)
-            .map(|(&c, r)| r.lo.saturating_sub(c))
-            .collect();
-        let chosen = policy.choose(&remaining, rng);
-        assert!(
-            chosen < sources.len(),
-            "policy chose invalid source {chosen}"
-        );
-
-        // Redirect a pick of a quarantined source through the
-        // `core.redirect` policy (default: closest live source,
-        // cyclically by index). No live source left → the run degrades
-        // instead of spinning.
-        let s = if breakers[chosen].is_open() {
-            let (winner, event) = redirect.decide(chosen, &breakers, &health);
-            if let Some(e) = event {
-                events.push(e);
-            }
-            match winner {
-                Some(s) => s,
-                None => {
+    let tailor = run_draw_loop(
+        sources,
+        problem,
+        policy,
+        rng,
+        max_draws,
+        policies.params_for(PolicyId::TAILOR_KEEP),
+        |sources, chosen, rng| {
+            // Redirect a pick of a quarantined source through the
+            // `core.redirect` policy (default: closest live source,
+            // cyclically by index). No live source left → the run
+            // degrades instead of spinning.
+            let s = if breakers[chosen].is_open() {
+                let (winner, event) = redirect.decide(chosen, &breakers, &health);
+                events.extend(event);
+                let Some(s) = winner else {
                     all_quarantined = true;
-                    break;
-                }
+                    return DrawStep::Stop;
+                };
+                s
+            } else {
+                chosen
+            };
+            if s != chosen {
+                rdi_obs::counter("executor.redirects").inc();
             }
-        } else {
-            chosen
-        };
-        if s != chosen {
-            rdi_obs::counter("executor.redirects").inc();
-        }
 
-        // One logical draw: up to max_attempts physical attempts, each
-        // paid for, with backoff between failures.
-        let mut attempt: u32 = 0;
-        let mut drawn: Option<Draw> = None;
-        loop {
-            attempt += 1;
-            health[s].attempts += 1;
-            total_cost += sources[s].cost();
-            match sources[s].try_draw(rng) {
-                Ok(d) => {
-                    breakers[s].record_success();
-                    health[s].successes += 1;
-                    drawn = Some(d);
-                    break;
-                }
-                Err(e) => {
-                    health[s].failures_by_kind[e.index()] += 1;
-                    rdi_obs::counter("executor.faults").inc();
-                    if breakers[s].record_failure() {
-                        let q = Quarantine {
-                            consecutive_failures: breakers[s].consecutive_failures(),
-                            at_tick: clock.now(),
-                        };
-                        health[s].quarantined = Some(q);
-                        events.push(ProvenanceEvent::SourceQuarantined {
-                            source: health[s].name.clone(),
-                            consecutive_failures: q.consecutive_failures,
-                            at_tick: q.at_tick,
-                        });
-                        rdi_obs::counter("executor.breaker_trips").inc();
-                        break; // no more attempts against a quarantined source
-                    }
-                    if attempt >= config.max_attempts {
+            // One logical draw: up to max_attempts physical attempts,
+            // each paid for, with backoff between failures.
+            let mut attempt: u32 = 0;
+            let mut drawn = None;
+            loop {
+                attempt += 1;
+                health[s].attempts += 1;
+                match sources[s].try_draw(rng) {
+                    Ok(d) => {
+                        breakers[s].record_success();
+                        health[s].successes += 1;
+                        drawn = Some(d);
                         break;
                     }
-                    let wait = config.backoff.delay(attempt);
-                    clock.advance(wait);
-                    backoff_ticks += wait;
-                    health[s].retries += 1;
-                    rdi_obs::counter("executor.retries").inc();
-                }
-            }
-        }
-        attempts_hist.record(f64::from(attempt));
-
-        // A failed logical draw still counts against the budget and is
-        // reported to the policy as an unproductive draw, so policies
-        // learn to avoid flaky sources exactly as they avoid useless
-        // ones.
-        draws += 1;
-        per_source_draws[s] += 1;
-        match drawn {
-            Some((group, row)) => {
-                policy.observe(s, group.filter(|&gi| remaining[gi] > 0));
-                if let Some(gi) = group {
-                    if keepdrop.decide(per_group[gi] < problem.requirements[gi].hi) {
-                        per_group[gi] += 1;
-                        collected.push_row(row)?;
+                    Err(e) => {
+                        health[s].failures_by_kind[e.index()] += 1;
+                        rdi_obs::counter("executor.faults").inc();
+                        if breakers[s].record_failure(clock.now()) {
+                            let q = Quarantine {
+                                consecutive_failures: breakers[s].consecutive_failures(),
+                                at_tick: clock.now(),
+                            };
+                            health[s].quarantined = Some(q);
+                            events.push(ProvenanceEvent::SourceQuarantined {
+                                source: health[s].name.clone(),
+                                consecutive_failures: q.consecutive_failures,
+                                at_tick: q.at_tick,
+                            });
+                            rdi_obs::counter("executor.breaker_trips").inc();
+                            break; // no more attempts against a quarantined source
+                        }
+                        if attempt >= config.max_attempts {
+                            break;
+                        }
+                        let wait = config.backoff.delay(attempt);
+                        clock.advance(wait);
+                        backoff_ticks += wait;
+                        health[s].retries += 1;
+                        rdi_obs::counter("executor.retries").inc();
                     }
                 }
             }
-            None => {
+            attempts_hist.record(f64::from(attempt));
+
+            // A failed logical draw still counts against the budget and
+            // is reported to the policy as an unproductive draw, so
+            // policies learn to avoid flaky sources exactly as they
+            // avoid useless ones.
+            if drawn.is_none() {
                 health[s].abandoned_draws += 1;
                 rdi_obs::counter("executor.abandoned_draws").inc();
-                policy.observe(s, None);
             }
-        }
-    }
-
-    let ok = satisfied(&per_group);
-    record_outcome(&per_group, draws, total_cost);
+            DrawStep::Drew {
+                source: s,
+                attempts: attempt,
+                draw: drawn,
+            }
+        },
+    )?;
     rdi_obs::counter("executor.backoff_ticks").add(backoff_ticks);
 
     for h in &health {
@@ -410,18 +343,10 @@ pub fn run_resilient_with<S: Source, R: Rng>(
     }
 
     let any_faults = health.iter().any(|h| h.failures_total() > 0);
-    let degraded = all_quarantined || (!ok && any_faults);
+    let degraded = all_quarantined || (!tailor.satisfied && any_faults);
 
     Ok(ResilientOutcome {
-        tailor: TailorOutcome {
-            total_cost,
-            draws,
-            per_group,
-            satisfied: ok,
-            collected,
-            per_source_draws,
-            decisions: keepdrop.into_decisions(),
-        },
+        tailor,
         health,
         events,
         degraded,
@@ -435,7 +360,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rdi_fault::{FaultSpec, FaultySource};
-    use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Value};
+    use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Table, Value};
     use rdi_tailor::{run_tailoring, RandomPolicy, TableSource};
 
     fn schema() -> Schema {
@@ -485,6 +410,7 @@ mod tests {
             &mut rng_b,
             100_000,
             &ResilienceConfig::default(),
+            &PolicySet::new(),
         )
         .unwrap();
         assert_eq!(res.tailor.collected, legacy.collected);
@@ -519,6 +445,7 @@ mod tests {
             &mut rng,
             1_000_000,
             &ResilienceConfig::default(),
+            &PolicySet::new(),
         )
         .unwrap();
         assert!(res.tailor.satisfied, "30% faults should only slow the run");
@@ -556,6 +483,7 @@ mod tests {
             &mut rng,
             1_000_000,
             &ResilienceConfig::default(),
+            &PolicySet::new(),
         )
         .unwrap();
         assert!(res.tailor.satisfied);
@@ -582,7 +510,7 @@ mod tests {
             ];
             let mut policy = RandomPolicy::new(3);
             let mut rng = StdRng::seed_from_u64(6);
-            run_resilient_with(
+            run_resilient(
                 &mut sources,
                 &p,
                 &mut policy,
@@ -633,6 +561,7 @@ mod tests {
             &mut rng,
             1_000_000,
             &ResilienceConfig::default(),
+            &PolicySet::new(),
         )
         .unwrap();
         assert!(!res.tailor.satisfied);
@@ -661,6 +590,7 @@ mod tests {
             &mut rng,
             100_000,
             &ResilienceConfig::default(),
+            &PolicySet::new(),
         )
         .unwrap();
         let attempts: u64 = res.health.iter().map(|h| h.attempts).sum();
@@ -688,6 +618,7 @@ mod tests {
                 &mut rng,
                 1_000_000,
                 &ResilienceConfig::default(),
+                &PolicySet::new(),
             )
             .unwrap()
         };

@@ -45,9 +45,7 @@ pub mod requirement;
 pub mod prelude {
     pub use crate::audit::{audit, AuditReport, Finding};
     pub use crate::builder::{BuiltPipeline, PipelineBuilder};
-    pub use crate::executor::{
-        run_resilient, run_resilient_with, Quarantine, ResilientOutcome, SourceHealth,
-    };
+    pub use crate::executor::{run_resilient, Quarantine, ResilientOutcome, SourceHealth};
     pub use crate::pipeline::{Pipeline, PipelineError, PipelineResult};
     pub use crate::requirement::{Requirement, RequirementSpec};
     pub use rdi_fault::ResilienceConfig;
@@ -57,6 +55,6 @@ pub mod prelude {
 
 pub use audit::{audit, AuditReport, Finding};
 pub use builder::{BuiltPipeline, PipelineBuilder};
-pub use executor::{run_resilient, run_resilient_with, Quarantine, ResilientOutcome, SourceHealth};
+pub use executor::{run_resilient, Quarantine, ResilientOutcome, SourceHealth};
 pub use pipeline::{Pipeline, PipelineError, PipelineResult};
 pub use requirement::{Requirement, RequirementSpec};

@@ -26,7 +26,7 @@ use rdi_table::{GroupSpec, Table, TableError};
 use rdi_tailor::{DtProblem, Policy, Source};
 
 use crate::audit::{audit, AuditReport};
-use crate::executor::{run_resilient_with, SourceHealth};
+use crate::executor::{run_resilient, SourceHealth};
 use crate::requirement::RequirementSpec;
 
 /// Why a pipeline run failed outright.
@@ -63,7 +63,8 @@ impl std::error::Error for PipelineError {
     }
 }
 
-/// Pipeline configuration.
+/// Pipeline configuration, assembled by [`crate::PipelineBuilder`] and
+/// run through [`crate::BuiltPipeline::run`].
 #[derive(Debug)]
 pub struct Pipeline {
     /// The distribution-tailoring problem (what to collect).
@@ -112,34 +113,10 @@ impl PipelineResult {
 }
 
 impl Pipeline {
-    /// Run the pipeline against `sources` using `policy` for source
-    /// selection, with default [`ResilienceConfig`].
-    ///
-    /// This is a convenience delegate onto the single internal
-    /// execution path; prefer [`crate::PipelineBuilder`] for new code,
-    /// which exposes the same path with fluent configuration.
-    pub fn run<S: Source, R: Rng>(
-        &self,
-        sources: &mut [S],
-        policy: &mut dyn Policy,
-        rng: &mut R,
-    ) -> Result<PipelineResult, PipelineError> {
-        self.run_impl(
-            sources,
-            policy,
-            rng,
-            &ResilienceConfig::default(),
-            &PolicySet::new(),
-            "pipeline",
-        )
-    }
-
-    /// The single execution path behind [`Pipeline::run`] and
-    /// [`crate::BuiltPipeline::run`] (the removed `run_with` delegate
-    /// also routed here). `span_root` names the root `rdi-obs` span
-    /// (`"pipeline"` for the legacy delegate; callers embedding the
-    /// pipeline — e.g. `rdi-serve` — pick their own root to keep span
-    /// trees separable).
+    /// The execution path behind [`crate::BuiltPipeline::run`].
+    /// `span_root` names the root `rdi-obs` span (`"pipeline"` by
+    /// default; callers embedding the pipeline — e.g. `rdi-serve` —
+    /// pick their own root to keep span trees separable).
     pub(crate) fn run_impl<S: Source, R: Rng>(
         &self,
         sources: &mut [S],
@@ -158,7 +135,7 @@ impl Pipeline {
         });
         let outcome = {
             let _span = rdi_obs::span("tailor");
-            run_resilient_with(
+            run_resilient(
                 sources,
                 &self.problem,
                 policy,
@@ -273,6 +250,7 @@ pub fn sensitive_groups(table: &Table) -> GroupSpec {
 mod tests {
     use super::*;
     use crate::requirement::Requirement;
+    use crate::PipelineBuilder;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rdi_datagen::{skewed_sources, PopulationSpec, SourceConfig};
@@ -307,19 +285,15 @@ mod tests {
             .collect();
         let mut policy = RatioColl::from_sources(&sources);
 
-        let pipeline = Pipeline {
-            problem,
-            imputations: vec![],
-            label_config: LabelConfig::default(),
-            spec: RequirementSpec::default()
-                .with(Requirement::GroupRepresentation {
-                    threshold: 100,
-                    max_uncovered_patterns: 0,
-                })
-                .with(Requirement::ScopeOfUse { min_scope_notes: 1 })
-                .with_note("synthetic two-group population, tailored to parity"),
-            max_draws: 1_000_000,
-        };
+        let pipeline = PipelineBuilder::new(problem)
+            .require(Requirement::GroupRepresentation {
+                threshold: 100,
+                max_uncovered_patterns: 0,
+            })
+            .require(Requirement::ScopeOfUse { min_scope_notes: 1 })
+            .scope_note("synthetic two-group population, tailored to parity")
+            .max_draws(1_000_000)
+            .build();
         let result = pipeline.run(&mut sources, &mut policy, &mut rng).unwrap();
         assert!(
             result.audit.passed(),
@@ -349,7 +323,7 @@ mod tests {
             .contains(&"nutritional label generated".to_string()));
         assert_eq!(
             result.label.scope_notes.len(),
-            pipeline.spec.scope_notes.len() + result.provenance.len()
+            pipeline.pipeline().spec.scope_notes.len() + result.provenance.len()
         );
         // events are typed and ordered: tailoring start, the keep/drop
         // policy exemplar, tailoring finish, label generation, then the
@@ -407,14 +381,12 @@ mod tests {
             })
             .collect();
         let mut policy = RatioColl::from_sources(&sources);
-        let pipeline = Pipeline {
-            problem,
-            imputations: vec![],
-            label_config: LabelConfig::default(),
-            spec: RequirementSpec::default().with_note("fault-injected run"),
-            max_draws: 1_000_000,
-        };
-        let result = pipeline.run(&mut sources, &mut policy, &mut rng).unwrap();
+        let result = PipelineBuilder::new(problem)
+            .scope_note("fault-injected run")
+            .max_draws(1_000_000)
+            .build()
+            .run(&mut sources, &mut policy, &mut rng)
+            .unwrap();
         assert!(!result.degraded, "30% faults should be absorbed by retries");
         assert!(result.data.num_rows() >= 200);
         // the audit discloses every failing source even on success
@@ -474,14 +446,12 @@ mod tests {
         ];
         let mut policy = rdi_tailor::RandomPolicy::new(2);
         let mut rng = StdRng::seed_from_u64(3);
-        let pipeline = Pipeline {
-            problem,
-            imputations: vec![],
-            label_config: LabelConfig::default(),
-            spec: RequirementSpec::default().with_note("degradation test"),
-            max_draws: 2_000,
-        };
-        let result = pipeline.run(&mut sources, &mut policy, &mut rng).unwrap();
+        let result = PipelineBuilder::new(problem)
+            .scope_note("degradation test")
+            .max_draws(2_000)
+            .build()
+            .run(&mut sources, &mut policy, &mut rng)
+            .unwrap();
         // completes without panic or error, with partial data
         assert!(result.degraded);
         assert_eq!(result.quarantined, vec!["dead-b".to_string()]);
@@ -548,19 +518,17 @@ mod tests {
         );
         let mut sources = vec![TableSource::new("s", table, 1.0, &problem).unwrap()];
         let mut policy = RatioColl::from_sources(&sources);
-        let pipeline = Pipeline {
-            problem,
-            imputations: vec![(
-                "x1".to_string(),
+        let result = PipelineBuilder::new(problem)
+            .impute(
+                "x1",
                 ImputeStrategy::GroupMean(GroupSpec::new(vec!["group"])),
-            )],
-            label_config: LabelConfig::default(),
-            spec: RequirementSpec::default().with(Requirement::CompletenessCorrectness {
+            )
+            .require(Requirement::CompletenessCorrectness {
                 max_missing_fraction: 0.0,
-            }),
-            max_draws: 100_000,
-        };
-        let result = pipeline.run(&mut sources, &mut policy, &mut rng).unwrap();
+            })
+            .build()
+            .run(&mut sources, &mut policy, &mut rng)
+            .unwrap();
         assert_eq!(result.data.column("x1").unwrap().null_count(), 0);
         assert!(result.audit.passed());
     }

@@ -1,93 +1,5 @@
-//! Per-source circuit breakers: permanent ([`CircuitBreaker`]) and
-//! half-open recovering ([`RecoveringBreaker`]).
-
-/// Whether a breaker still admits requests.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum BreakerState {
-    /// Requests flow normally.
-    Closed,
-    /// The source is quarantined for the rest of the run.
-    Open,
-}
-
-/// Quarantine a source after K *consecutive* failures.
-///
-/// The breaker is deliberately simpler than a production half-open
-/// breaker: once open it stays open for the rest of the run, because a
-/// bounded experiment has no "later" in which the source might recover,
-/// and a permanent verdict keeps run results a pure function of the
-/// seed. A success while closed resets the consecutive-failure count.
-/// Long-lived serving paths need recovery — they use
-/// [`RecoveringBreaker`] instead.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct CircuitBreaker {
-    threshold: u32,
-    consecutive: u32,
-    state: BreakerState,
-}
-
-impl CircuitBreaker {
-    /// A closed breaker that opens after `threshold` consecutive
-    /// failures. A `threshold` of 0 is clamped to 1: a zero threshold
-    /// constructed outside `ResilienceConfig::validate` (e.g. straight
-    /// from an unvalidated serving config) would otherwise trip on the
-    /// very first `record_failure` and shed all traffic forever.
-    pub fn new(threshold: u32) -> Self {
-        CircuitBreaker {
-            threshold: threshold.max(1),
-            consecutive: 0,
-            state: BreakerState::Closed,
-        }
-    }
-
-    /// The configured consecutive-failure threshold (always ≥ 1).
-    pub fn threshold(&self) -> u32 {
-        self.threshold
-    }
-
-    /// Current consecutive-failure count.
-    pub fn consecutive_failures(&self) -> u32 {
-        self.consecutive
-    }
-
-    /// Current state.
-    pub fn state(&self) -> BreakerState {
-        self.state
-    }
-
-    /// True once the breaker has opened.
-    pub fn is_open(&self) -> bool {
-        self.state == BreakerState::Open
-    }
-
-    /// Record one failed attempt. Returns `true` exactly when this
-    /// failure *newly* tripped the breaker (so callers can emit a single
-    /// quarantine event). Every call counts toward
-    /// `fault.breaker.failures`; a trip additionally counts toward
-    /// `fault.breaker.opened`, so breaker transitions are auditable
-    /// even when the caller drops the boolean.
-    pub fn record_failure(&mut self) -> bool {
-        rdi_obs::counter("fault.breaker.failures").inc();
-        if self.is_open() {
-            return false;
-        }
-        self.consecutive += 1;
-        if self.consecutive >= self.threshold {
-            self.state = BreakerState::Open;
-            rdi_obs::counter("fault.breaker.opened").inc();
-            return true;
-        }
-        false
-    }
-
-    /// Record one successful attempt (resets the consecutive count; a
-    /// no-op once open).
-    pub fn record_success(&mut self) {
-        if !self.is_open() {
-            self.consecutive = 0;
-        }
-    }
-}
+//! The per-source circuit breaker: [`RecoveringBreaker`], with
+//! deterministic half-open recovery.
 
 /// State of a [`RecoveringBreaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -114,8 +26,9 @@ pub enum Admission {
 
 /// A circuit breaker with deterministic half-open recovery.
 ///
-/// Like [`CircuitBreaker`], it opens after `threshold` consecutive
-/// failures — but instead of staying open forever, once `cooldown`
+/// It opens after `threshold` consecutive failures (a success while
+/// closed resets the count). An open breaker stays open until a caller
+/// asks it to [`admit`](RecoveringBreaker::admit): once `cooldown`
 /// virtual ticks have elapsed (ticks are supplied by the caller, e.g.
 /// one per served batch — never wall clock) the next
 /// [`admit`](RecoveringBreaker::admit) returns [`Admission::Probe`]:
@@ -134,9 +47,10 @@ pub struct RecoveringBreaker {
 
 impl RecoveringBreaker {
     /// A closed breaker that opens after `threshold` consecutive
-    /// failures (clamped to ≥ 1, like [`CircuitBreaker::new`]) and
-    /// probes one request after `cooldown` ticks (clamped to ≥ 1 so an
-    /// open breaker always sheds at least its own tick).
+    /// failures and probes one request after `cooldown` ticks. Both
+    /// are clamped to ≥ 1: a zero threshold (e.g. from an unvalidated
+    /// serving config) would otherwise trip on the very first failure,
+    /// and a zero cooldown would let an open breaker shed nothing.
     pub fn new(threshold: u32, cooldown: u64) -> Self {
         RecoveringBreaker {
             threshold: threshold.max(1),
@@ -195,9 +109,10 @@ impl RecoveringBreaker {
 
     /// Record one failed attempt at virtual tick `now`. Returns `true`
     /// exactly when this failure tripped (or re-tripped) the breaker.
-    /// Counts toward `fault.breaker.failures`; trips additionally count
-    /// toward `fault.breaker.opened` (see
-    /// [`CircuitBreaker::record_failure`]).
+    /// Every call counts toward `fault.breaker.failures`; a trip
+    /// additionally counts toward `fault.breaker.opened`, so breaker
+    /// transitions are auditable even when the caller drops the
+    /// boolean.
     pub fn record_failure(&mut self, now: u64) -> bool {
         rdi_obs::counter("fault.breaker.failures").inc();
         match self.state {
@@ -244,50 +159,47 @@ mod tests {
 
     #[test]
     fn opens_on_kth_consecutive_failure() {
-        let mut b = CircuitBreaker::new(3);
-        assert!(!b.record_failure());
-        assert!(!b.record_failure());
+        let mut b = RecoveringBreaker::new(3, 1);
+        assert!(!b.record_failure(0));
+        assert!(!b.record_failure(0));
         assert!(!b.is_open());
-        assert!(b.record_failure(), "third failure newly trips");
+        assert!(b.record_failure(0), "third failure newly trips");
         assert!(b.is_open());
-        assert!(!b.record_failure(), "already open: not newly tripped");
+        assert!(!b.record_failure(0), "already open: not newly tripped");
     }
 
     #[test]
     fn success_resets_consecutive_count() {
-        let mut b = CircuitBreaker::new(2);
-        assert!(!b.record_failure());
+        let mut b = RecoveringBreaker::new(2, 1);
+        assert!(!b.record_failure(0));
         b.record_success();
         assert_eq!(b.consecutive_failures(), 0);
-        assert!(!b.record_failure());
-        assert!(b.record_failure());
+        assert!(!b.record_failure(0));
+        assert!(b.record_failure(0));
     }
 
     #[test]
-    fn open_is_permanent() {
-        let mut b = CircuitBreaker::new(1);
-        assert!(b.record_failure());
+    fn open_stays_open_until_admitted() {
+        let mut b = RecoveringBreaker::new(1, u64::MAX);
+        assert!(b.record_failure(0));
         b.record_success();
         assert!(b.is_open(), "success after opening must not close it");
-        assert_eq!(b.state(), BreakerState::Open);
+        assert_eq!(b.state(), RecoveryState::Open);
+        assert_eq!(b.admit(u64::MAX - 1), Admission::Shed, "no probe");
+        assert_eq!(b.consecutive_failures(), 1);
     }
 
     #[test]
     fn zero_threshold_is_clamped_not_always_open() {
-        // Regression: `new(0)` used to be constructible only through a
-        // panic guard; direct construction (e.g. from an unvalidated
-        // serving config) must behave like threshold 1 — closed until a
-        // failure — never open-from-birth.
-        let mut b = CircuitBreaker::new(0);
-        assert_eq!(b.threshold(), 1);
-        assert!(!b.is_open(), "fresh breaker must admit");
+        // Direct construction (e.g. from an unvalidated serving config)
+        // must behave like threshold 1 — closed until a failure — never
+        // open-from-birth.
+        let mut b = RecoveringBreaker::new(0, 0);
+        assert_eq!((b.threshold(), b.cooldown()), (1, 1));
+        assert_eq!(b.admit(0), Admission::Admit, "fresh breaker must admit");
         b.record_success();
         assert!(!b.is_open());
-        assert!(b.record_failure(), "clamped threshold 1 trips on first");
-
-        let mut r = RecoveringBreaker::new(0, 0);
-        assert_eq!((r.threshold(), r.cooldown()), (1, 1));
-        assert_eq!(r.admit(0), Admission::Admit);
+        assert!(b.record_failure(0), "clamped threshold 1 trips on first");
     }
 
     #[test]

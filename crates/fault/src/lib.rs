@@ -23,10 +23,11 @@
 //!   is bitwise identical to the bare source;
 //! * [`backoff`] — [`Backoff`]: capped exponential retry delays
 //!   measured in deterministic clock *ticks*, never wall time;
-//! * [`breaker`] — [`CircuitBreaker`]: quarantine a source after K
-//!   consecutive failures; [`RecoveringBreaker`]: the same trip rule
-//!   with deterministic half-open recovery after a tick-measured
-//!   cooldown, for long-lived serving paths;
+//! * [`breaker`] — [`RecoveringBreaker`]: quarantine a source after K
+//!   consecutive failures, with deterministic half-open recovery after
+//!   a tick-measured cooldown for long-lived serving paths (the
+//!   resilient executor never admits a probe, so there a quarantine
+//!   lasts the rest of the run);
 //! * [`clock`] — [`TickClock`]: the virtual time the backoff delays
 //!   accrue on, aligned with the `RDI_FAKE_CLOCK` span-timing
 //!   discipline from `rdi-obs` so resilience runs snapshot
@@ -76,7 +77,7 @@ pub mod inject;
 pub mod spec;
 
 pub use backoff::Backoff;
-pub use breaker::{Admission, BreakerState, CircuitBreaker, RecoveringBreaker, RecoveryState};
+pub use breaker::{Admission, RecoveringBreaker, RecoveryState};
 pub use clock::TickClock;
 pub use config::ResilienceConfig;
 pub use inject::FaultySource;

@@ -1,17 +1,17 @@
-//! Planted R10 fixture: `CircuitBreaker::record_failure` is a
+//! Planted R10 fixture: `RecoveringBreaker::record_failure` is a
 //! registered decision point (see `DECISION_POINTS` in rdi-lint), so
 //! every return path must emit before exiting. The early `return false`
 //! below deliberately does not. Never compiled.
 
-pub struct CircuitBreaker {
+pub struct RecoveringBreaker {
     open: bool,
     failures: u32,
     threshold: u32,
 }
 
-impl CircuitBreaker {
+impl RecoveringBreaker {
     pub fn new(threshold: u32) -> Self {
-        CircuitBreaker {
+        RecoveringBreaker {
             open: false,
             failures: 0,
             threshold,

@@ -99,13 +99,7 @@ pub const DECISION_POINTS: &[(&str, &str, &str)] = &[
     ("serve", "SketchCache::insert", "cache admission/eviction"),
     ("serve", "SketchCache::evict_where", "cache invalidation"),
     ("core", "run_resilient", "source quarantine and redirect"),
-    ("tailor", "run_tailoring", "tailoring keep/drop"),
-    ("tailor", "run_tailoring_dedup", "tailoring keep/drop"),
-    (
-        "fault",
-        "CircuitBreaker::record_failure",
-        "breaker transition",
-    ),
+    ("tailor", "run_draw_loop", "tailoring keep/drop"),
     (
         "fault",
         "RecoveringBreaker::record_failure",

@@ -24,8 +24,10 @@
 //!   dynamic program, the unknown-distribution [`policy::UcbColl`]
 //!   explore/exploit bandit, and [`policy::RandomPolicy`] /
 //!   [`policy::RoundRobin`] baselines;
-//! * [`runner`] — the simulation loop that drives a policy against
-//!   sources until the requirement is satisfied and reports cost.
+//! * [`runner`] — the one draw loop ([`runner::run_draw_loop`]) that
+//!   drives a policy against sources until the requirement is satisfied
+//!   and reports cost, with the fault-free [`runner::run_tailoring`] and
+//!   overlap-aware [`runner::run_tailoring_dedup`] drivers over it.
 //!
 //! ## Example
 //!
@@ -83,5 +85,5 @@ pub mod prelude {
 pub use marginal::{run_marginal_tailoring, MarginalOutcome, MarginalProblem, MarginalSource};
 pub use policy::{EpsilonGreedy, OracleDp, Policy, RandomPolicy, RatioColl, RoundRobin, UcbColl};
 pub use problem::{CountRequirement, DtProblem};
-pub use runner::{record_outcome, run_tailoring, run_tailoring_dedup, KeepDrop, TailorOutcome};
+pub use runner::{run_draw_loop, run_tailoring, run_tailoring_dedup, DrawStep, TailorOutcome};
 pub use source::{Draw, Source, SourceError, TableSource};

@@ -13,6 +13,7 @@ use rand::Rng;
 use rdi_table::{Table, TableError, Value};
 
 use crate::policy::Policy;
+use crate::runner::source_out_of_range;
 
 /// One `attribute = value → at least count` requirement.
 #[derive(Debug, Clone)]
@@ -194,7 +195,9 @@ pub fn run_marginal_tailoring<R: Rng>(
             .map(|(&c, r)| r.count.saturating_sub(c))
             .collect();
         let s = policy.choose(&remaining, rng);
-        assert!(s < sources.len(), "policy chose invalid source {s}");
+        if s >= sources.len() {
+            return Err(source_out_of_range(&*policy, s, sources.len()));
+        }
         let src = &sources[s];
         let i = rng.gen_range(0..src.table.num_rows());
         draws += 1;
@@ -266,6 +269,17 @@ mod tests {
         assert!(out.satisfied);
         assert!(out.per_pair.iter().all(|&c| c >= 1));
         assert!(out.collected.num_rows() <= 3);
+    }
+
+    #[test]
+    fn out_of_range_policy_is_a_typed_error() {
+        // a policy sized for three sources driving one
+        let p = problem(50);
+        let t = people(&[("F", "W"), ("M", "NW")]);
+        let mut sources = vec![MarginalSource::new("s", t, 1.0, &p).unwrap()];
+        let mut policy = RandomPolicy::new(3);
+        let mut rng = StdRng::seed_from_u64(4);
+        assert!(run_marginal_tailoring(&mut sources, &p, &mut policy, &mut rng, 10_000).is_err());
     }
 
     #[test]

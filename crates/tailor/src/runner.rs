@@ -1,5 +1,14 @@
-//! The tailoring simulation loop.
+//! The tailoring draw loop.
+//!
+//! [`run_draw_loop`] is the one implementation of "draw from sources
+//! until every group is covered": validation, the per-group `remaining`
+//! vector, `Policy::choose`, the draw/cost tallies, the audited
+//! `tailor.keep` verdict and the `tailor.*` counters. Runners differ
+//! only in how one chosen source is drawn, which they pass in as a
+//! step closure: [`run_tailoring`] and [`run_tailoring_dedup`] here,
+//! and `rdi-core`'s resilient executor (retries, breakers, redirects).
 
+use std::collections::BTreeSet;
 use std::sync::Arc;
 
 use rand::Rng;
@@ -9,7 +18,7 @@ use rdi_table::{Table, TableError};
 
 use crate::policy::Policy;
 use crate::problem::DtProblem;
-use crate::source::Source;
+use crate::source::{Draw, Source};
 
 /// Result of a tailoring run.
 #[derive(Debug, Clone)]
@@ -27,8 +36,8 @@ pub struct TailorOutcome {
     /// Draws issued to each source.
     pub per_source_draws: Vec<usize>,
     /// `PolicyDecision` audit events for this run's `tailor.keep`
-    /// verdicts — the *exemplar* event from the first verdict (see
-    /// [`KeepDrop`]); every verdict is counted in `policy.*` metrics.
+    /// verdicts: the *exemplar* event from the first verdict. Every
+    /// verdict is counted in the `policy.*` metrics.
     pub decisions: Vec<ProvenanceEvent>,
 }
 
@@ -48,7 +57,7 @@ pub struct TailorOutcome {
 /// every verdict ticks the `policy.decisions` and
 /// `policy.tailor.keep.decisions` counters through cached handles.
 #[derive(Debug)]
-pub struct KeepDrop {
+struct KeepDrop {
     policy: RankByScore,
     params: PolicyParams,
     exemplar: Option<ProvenanceEvent>,
@@ -57,9 +66,7 @@ pub struct KeepDrop {
 }
 
 impl KeepDrop {
-    /// A fresh per-run verdict stream under `params` (empty params =
-    /// documented defaults).
-    pub fn new(params: PolicyParams) -> Self {
+    fn new(params: PolicyParams) -> Self {
         KeepDrop {
             policy: RankByScore::new(PolicyId::TAILOR_KEEP),
             params,
@@ -71,7 +78,7 @@ impl KeepDrop {
 
     /// One keep (true) / drop (false) verdict; `eligible` is the
     /// caller's input signal (group still under its `hi` cap).
-    pub fn decide(&mut self, eligible: bool) -> bool {
+    fn decide(&mut self, eligible: bool) -> bool {
         let candidates = [
             Candidate::new("keep", Score::U64(if eligible { 2 } else { 0 })),
             Candidate::new("drop", Score::U64(1)),
@@ -88,51 +95,64 @@ impl KeepDrop {
         }
         decision.winner_key(&candidates) == Some("keep")
     }
+}
 
-    /// The run's audit events (the exemplar, when any verdict fired).
-    pub fn into_decisions(self) -> Vec<ProvenanceEvent> {
-        self.exemplar.into_iter().collect()
-    }
+/// What a runner's step did with the source the policy chose.
+#[derive(Debug)]
+pub enum DrawStep {
+    /// One logical draw against `source` (the chosen one, or whichever
+    /// source the step redirected it to). It paid `attempts` attempts,
+    /// each charged the source's fee, and yielded `draw`; `None` is an
+    /// unproductive draw that still counts against the budget.
+    Drew {
+        /// Index into `sources` of the source actually drawn from.
+        source: usize,
+        /// Paid attempts (first try plus retries).
+        attempts: u32,
+        /// The record, or `None` when no usable record came back.
+        draw: Option<Draw>,
+    },
+    /// End the run now without counting a draw.
+    Stop,
 }
 
 /// Drive `policy` against `sources` until the problem's requirements are
-/// met or `max_draws` draws have been issued.
+/// met, `max_draws` draws have been issued, or `step` returns
+/// [`DrawStep::Stop`].
 ///
-/// Semantics follow the DT paper: each draw costs the source's fee whether
-/// or not the tuple is useful; a tuple is kept iff its group still needs
-/// samples (`collected < hi` for range requirements, and only counted
-/// toward satisfaction up to `lo`); out-of-scope tuples are discarded.
+/// Each iteration the policy picks a source from the per-group
+/// `remaining` counts, and `step(sources, chosen, rng)` performs the
+/// draw. A record is reported to the policy as useful iff its group
+/// still needs samples; it is kept iff the `tailor.keep` verdict (under
+/// `keep_params`; empty = keep while `collected < hi`) says so.
+/// Out-of-scope and unproductive draws are paid for and discarded.
 ///
 /// All sources must share one schema (the integration step proper —
-/// schema matching — is handled upstream by `rdi-discovery`).
-pub fn run_tailoring<S: Source, R: Rng>(
+/// schema matching — is handled upstream by `rdi-discovery`). `Err` is
+/// reserved for such structural problems, including a policy that
+/// picks a source index out of range.
+pub fn run_draw_loop<S, R, F>(
     sources: &mut [S],
     problem: &DtProblem,
     policy: &mut dyn Policy,
     rng: &mut R,
     max_draws: usize,
-) -> rdi_table::Result<TailorOutcome> {
+    keep_params: PolicyParams,
+    mut step: F,
+) -> rdi_table::Result<TailorOutcome>
+where
+    S: Source,
+    R: Rng,
+    F: FnMut(&mut [S], usize, &mut R) -> DrawStep,
+{
     problem.validate()?;
-    if sources.is_empty() {
-        return Err(TableError::SchemaMismatch("no sources".into()));
-    }
-    let schema = sources[0].schema().clone();
-    for s in sources.iter() {
-        if s.schema() != &schema {
-            return Err(TableError::SchemaMismatch(format!(
-                "source `{}` schema differs; integrate schemas before tailoring",
-                s.name()
-            )));
-        }
-    }
-
-    let g = problem.num_groups();
-    let mut per_group = vec![0usize; g];
+    let schema = shared_schema(sources)?;
+    let mut per_group = vec![0usize; problem.num_groups()];
     let mut per_source_draws = vec![0usize; sources.len()];
     let mut total_cost = 0.0;
     let mut draws = 0usize;
     let mut collected = Table::new(schema);
-    let mut keepdrop = KeepDrop::new(PolicyParams::new());
+    let mut keepdrop = KeepDrop::new(keep_params);
 
     let satisfied = |per_group: &[usize]| -> bool {
         per_group
@@ -147,19 +167,27 @@ pub fn run_tailoring<S: Source, R: Rng>(
             .zip(&problem.requirements)
             .map(|(&c, r)| r.lo.saturating_sub(c))
             .collect();
-        let s = policy.choose(&remaining, rng);
-        assert!(s < sources.len(), "policy chose invalid source {s}");
-        // Infallible-source retry loop: for in-memory sources this is
-        // exactly one `try_draw`; resilient bounded-retry execution
-        // lives in the `rdi-core` executor.
-        let (group, row) = loop {
-            if let Ok(d) = sources[s].try_draw(rng) {
-                break d;
-            }
+        let chosen = policy.choose(&remaining, rng);
+        if chosen >= sources.len() {
+            return Err(source_out_of_range(&*policy, chosen, sources.len()));
+        }
+        let DrawStep::Drew {
+            source: s,
+            attempts,
+            draw,
+        } = step(sources, chosen, rng)
+        else {
+            break;
         };
         draws += 1;
         per_source_draws[s] += 1;
-        total_cost += sources[s].cost();
+        for _ in 0..attempts {
+            total_cost += sources[s].cost();
+        }
+        let Some((group, row)) = draw else {
+            policy.observe(s, None);
+            continue;
+        };
         policy.observe(s, group.filter(|&gi| remaining[gi] > 0));
         if let Some(gi) = group {
             // keep while under the hi cap — audited as `tailor.keep`
@@ -179,15 +207,38 @@ pub fn run_tailoring<S: Source, R: Rng>(
         satisfied: ok,
         collected,
         per_source_draws,
-        decisions: keepdrop.into_decisions(),
+        decisions: keepdrop.exemplar.into_iter().collect(),
     })
+}
+
+/// The schema every source shares, or a structural error when there
+/// are no sources or their schemas differ.
+fn shared_schema<S: Source>(sources: &[S]) -> rdi_table::Result<rdi_table::Schema> {
+    let first = sources
+        .first()
+        .ok_or_else(|| TableError::SchemaMismatch("no sources".into()))?;
+    if let Some(s) = sources.iter().find(|s| s.schema() != first.schema()) {
+        return Err(TableError::SchemaMismatch(format!(
+            "source `{}` schema differs; integrate schemas before tailoring",
+            s.name()
+        )));
+    }
+    Ok(first.schema().clone())
+}
+
+/// The structural error for a policy that picked source index `chosen`
+/// from only `len` sources.
+pub(crate) fn source_out_of_range(policy: &dyn Policy, chosen: usize, len: usize) -> TableError {
+    TableError::SchemaMismatch(format!(
+        "policy `{}` chose source index {chosen}, out of range for {len} source(s)",
+        policy.name()
+    ))
 }
 
 /// Publish a finished run's tallies onto the global [`rdi_obs`]
 /// registry: total draws, per-group collected progress, and the run's
-/// cost (gauge; last run wins). Public so `rdi-core`'s resilient
-/// executor reports the identical counters for its runs.
-pub fn record_outcome(per_group: &[usize], draws: usize, total_cost: f64) {
+/// cost (gauge; last run wins).
+fn record_outcome(per_group: &[usize], draws: usize, total_cost: f64) {
     rdi_obs::counter("tailor.runs").inc();
     rdi_obs::counter("tailor.draws").add(draws as u64);
     rdi_obs::counter("tailor.kept").add(per_group.iter().sum::<usize>() as u64);
@@ -195,6 +246,33 @@ pub fn record_outcome(per_group: &[usize], draws: usize, total_cost: f64) {
         rdi_obs::counter(&format!("tailor.group_{gi}_kept")).add(c as u64);
     }
     rdi_obs::gauge("tailor.last_cost").set(total_cost);
+}
+
+/// Tailoring over sources drawn once per pick, the fault-free runner
+/// (see [`run_draw_loop`] for the semantics). Each draw costs the
+/// source's fee whether or not the tuple is useful; a failed
+/// [`Source::try_draw`] is a paid, unproductive draw. Bounded retries
+/// and quarantine live in `rdi-core`'s resilient executor.
+pub fn run_tailoring<S: Source, R: Rng>(
+    sources: &mut [S],
+    problem: &DtProblem,
+    policy: &mut dyn Policy,
+    rng: &mut R,
+    max_draws: usize,
+) -> rdi_table::Result<TailorOutcome> {
+    run_draw_loop(
+        sources,
+        problem,
+        policy,
+        rng,
+        max_draws,
+        PolicyParams::new(),
+        |sources, s, rng| DrawStep::Drew {
+            source: s,
+            attempts: 1,
+            draw: sources[s].try_draw(rng).ok(),
+        },
+    )
 }
 
 /// Dedup-aware tailoring for **overlapping sources** (tutorial §5: "data
@@ -213,86 +291,35 @@ pub fn run_tailoring_dedup<S: Source, R: Rng>(
     rng: &mut R,
     max_draws: usize,
 ) -> rdi_table::Result<(TailorOutcome, usize)> {
-    problem.validate()?;
-    if sources.is_empty() {
-        return Err(TableError::SchemaMismatch("no sources".into()));
-    }
-    let schema = sources[0].schema().clone();
-    schema.index_of(id_column)?;
-    for s in sources.iter() {
-        if s.schema() != &schema {
-            return Err(TableError::SchemaMismatch(format!(
-                "source `{}` schema differs",
-                s.name()
-            )));
-        }
-    }
-    let id_idx = schema.index_of(id_column)?;
-    let g = problem.num_groups();
-    let mut per_group = vec![0usize; g];
-    let mut per_source_draws = vec![0usize; sources.len()];
-    let mut seen = std::collections::BTreeSet::new();
+    // with no sources the loop reports the error before any draw
+    let id_idx = sources
+        .first()
+        .map_or(Ok(0), |s| s.schema().index_of(id_column))?;
+    let mut seen = BTreeSet::new();
     let mut duplicates = 0usize;
-    let mut total_cost = 0.0;
-    let mut draws = 0usize;
-    let mut collected = Table::new(schema);
-    let mut keepdrop = KeepDrop::new(PolicyParams::new());
-
-    let satisfied = |per_group: &[usize]| {
-        per_group
-            .iter()
-            .zip(&problem.requirements)
-            .all(|(&c, r)| c >= r.lo)
-    };
-
-    while !satisfied(&per_group) && draws < max_draws {
-        let remaining: Vec<usize> = per_group
-            .iter()
-            .zip(&problem.requirements)
-            .map(|(&c, r)| r.lo.saturating_sub(c))
-            .collect();
-        let s = policy.choose(&remaining, rng);
-        assert!(s < sources.len(), "policy chose invalid source {s}");
-        // Same infallible-source retry loop as `run_tailoring`.
-        let (group, row) = loop {
-            if let Ok(d) = sources[s].try_draw(rng) {
-                break d;
+    let outcome = run_draw_loop(
+        sources,
+        problem,
+        policy,
+        rng,
+        max_draws,
+        PolicyParams::new(),
+        |sources, s, rng| {
+            let draw = sources[s].try_draw(rng).ok().filter(|(_, row)| {
+                let id = row[id_idx].clone();
+                let fresh = !id.is_null() && seen.insert(id);
+                duplicates += usize::from(!fresh);
+                fresh
+            });
+            DrawStep::Drew {
+                source: s,
+                attempts: 1,
+                draw,
             }
-        };
-        draws += 1;
-        per_source_draws[s] += 1;
-        total_cost += sources[s].cost();
-        let id = row[id_idx].clone();
-        let fresh = !id.is_null() && seen.insert(id);
-        if !fresh {
-            duplicates += 1;
-            policy.observe(s, None);
-            continue;
-        }
-        policy.observe(s, group.filter(|&gi| remaining[gi] > 0));
-        if let Some(gi) = group {
-            if keepdrop.decide(per_group[gi] < problem.requirements[gi].hi) {
-                per_group[gi] += 1;
-                collected.push_row(row)?;
-            }
-        }
-    }
-
-    let ok = satisfied(&per_group);
-    record_outcome(&per_group, draws, total_cost);
-    rdi_obs::counter("tailor.duplicates").add(duplicates as u64);
-    Ok((
-        TailorOutcome {
-            total_cost,
-            draws,
-            per_group,
-            satisfied: ok,
-            collected,
-            per_source_draws,
-            decisions: keepdrop.into_decisions(),
         },
-        duplicates,
-    ))
+    )?;
+    rdi_obs::counter("tailor.duplicates").add(duplicates as u64);
+    Ok((outcome, duplicates))
 }
 
 #[cfg(test)]
@@ -300,7 +327,7 @@ mod tests {
     use super::*;
     use crate::policy::{RandomPolicy, RatioColl};
     use crate::problem::CountRequirement;
-    use crate::source::TableSource;
+    use crate::source::{SourceError, TableSource};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Value};
@@ -500,6 +527,81 @@ mod tests {
         let mut policy = RandomPolicy::new(1);
         let mut rng = StdRng::seed_from_u64(11);
         assert!(run_tailoring_dedup(&mut sources, &p, &mut policy, "nope", &mut rng, 10).is_err());
+    }
+
+    /// A source whose every attempt fails: the single-attempt runners
+    /// pay for each failure as an unproductive draw and stop at the
+    /// budget instead of retrying forever.
+    struct AlwaysFails(TableSource);
+
+    impl Source for AlwaysFails {
+        fn name(&self) -> &str {
+            self.0.name()
+        }
+        fn cost(&self) -> f64 {
+            self.0.cost()
+        }
+        fn schema(&self) -> &Schema {
+            self.0.schema()
+        }
+        fn frequencies(&self) -> &[f64] {
+            self.0.frequencies()
+        }
+        fn try_draw(&mut self, _rng: &mut dyn rand::RngCore) -> Result<Draw, SourceError> {
+            Err(SourceError::Unavailable)
+        }
+    }
+
+    #[test]
+    fn always_failing_source_ends_at_max_draws() {
+        let p = problem(1, 1);
+        let mut sources = vec![AlwaysFails(source("dead", 0.5, 10, 2.0, &p))];
+        let mut policy = RandomPolicy::new(1);
+        let mut rng = StdRng::seed_from_u64(12);
+        let out = run_tailoring(&mut sources, &p, &mut policy, &mut rng, 40).unwrap();
+        assert!(!out.satisfied);
+        assert_eq!(out.draws, 40);
+        assert_eq!(out.per_source_draws, vec![40]);
+        assert_eq!(out.total_cost, 80.0, "every failed attempt is paid");
+        assert_eq!(out.collected.num_rows(), 0);
+        assert!(out.decisions.is_empty(), "no record reached keep/drop");
+
+        let (out, duplicates) =
+            run_tailoring_dedup(&mut sources, &p, &mut policy, "g", &mut rng, 40).unwrap();
+        assert!(!out.satisfied);
+        assert_eq!(out.draws, 40);
+        assert_eq!(duplicates, 0, "a failed draw is not a duplicate");
+    }
+
+    /// A policy that ignores how many sources there are.
+    struct OutOfRange;
+
+    impl Policy for OutOfRange {
+        fn choose(&mut self, _remaining: &[usize], _rng: &mut dyn rand::RngCore) -> usize {
+            7
+        }
+        fn name(&self) -> &'static str {
+            "out_of_range"
+        }
+    }
+
+    #[test]
+    fn out_of_range_policy_is_a_typed_error() {
+        let p = problem(1, 1);
+        let mut sources = vec![source("s0", 0.5, 10, 1.0, &p)];
+        let mut rng = StdRng::seed_from_u64(13);
+        let err = run_tailoring(&mut sources, &p, &mut OutOfRange, &mut rng, 10).unwrap_err();
+        assert_eq!(
+            err,
+            TableError::SchemaMismatch(
+                "policy `out_of_range` chose source index 7, out of range for 1 source(s)".into()
+            )
+        );
+        let keyed = keyed_problem(1);
+        let mut sources = vec![keyed_source("s0", 0..10, &keyed)];
+        assert!(
+            run_tailoring_dedup(&mut sources, &keyed, &mut OutOfRange, "id", &mut rng, 10).is_err()
+        );
     }
 
     #[test]

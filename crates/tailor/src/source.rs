@@ -95,8 +95,9 @@ impl std::error::Error for SourceError {}
 /// infallible `draw` default (which retried `try_draw` unboundedly) has
 /// been removed. Failure-*aware* callers (retry budgets, circuit
 /// breakers, degradation accounting) handle the error — that is what
-/// `rdi-core`'s resilient executor does; the infallible-source runners
-/// in [`crate::runner`] retry inline because their sources never fail.
+/// `rdi-core`'s resilient executor does; the single-attempt runners in
+/// [`crate::runner`] count a failed attempt as a paid, unproductive
+/// draw.
 pub trait Source {
     /// Source name (stable; used in provenance and audit reports).
     fn name(&self) -> &str;

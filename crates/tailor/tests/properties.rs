@@ -2,7 +2,7 @@
 
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Table, Value};
 use rdi_tailor::prelude::*;
 use rdi_tailor::OracleDp;
@@ -39,6 +39,48 @@ fn problem(needs: &[usize]) -> DtProblem {
             .map(|(g, &n)| (GroupKey(vec![Value::str(format!("g{g}"))]), n))
             .collect(),
     )
+}
+
+/// Wraps a source and appends an `id` column stamped fresh on every
+/// draw (`base + n`), so no two draws from any source share an id.
+#[derive(Clone)]
+struct Stamped {
+    inner: TableSource,
+    schema: Schema,
+    next_id: i64,
+}
+
+impl Stamped {
+    fn new(inner: TableSource, base: i64) -> Self {
+        let mut fields = inner.schema().fields().to_vec();
+        fields.push(Field::new("id", DataType::Int));
+        Stamped {
+            inner,
+            schema: Schema::new(fields),
+            next_id: base,
+        }
+    }
+}
+
+impl Source for Stamped {
+    fn name(&self) -> &str {
+        self.inner.name()
+    }
+    fn cost(&self) -> f64 {
+        self.inner.cost()
+    }
+    fn schema(&self) -> &Schema {
+        &self.schema
+    }
+    fn frequencies(&self) -> &[f64] {
+        self.inner.frequencies()
+    }
+    fn try_draw(&mut self, rng: &mut dyn RngCore) -> Result<Draw, SourceError> {
+        let (group, mut row) = self.inner.try_draw(rng)?;
+        row.push(Value::Int(self.next_id));
+        self.next_id += 1;
+        Ok((group, row))
+    }
 }
 
 proptest! {
@@ -122,5 +164,52 @@ proptest! {
         for &c in &out.per_group {
             prop_assert!((lo..=hi).contains(&c), "count {c} outside [{lo},{hi}]");
         }
+    }
+
+    /// Dedup is a pure filter: when every draw carries a distinct id it
+    /// filters nothing, and the run is bitwise identical to plain
+    /// tailoring — same rows, draws, cost bits, per-source draws and
+    /// keep/drop audit events.
+    #[test]
+    fn dedup_without_repeats_matches_plain_tailoring(
+        needs in prop::collection::vec(1usize..12, 1..3),
+        fracs in prop::collection::vec(0.1f64..0.9, 1..4),
+        costs in prop::collection::vec(0.1f64..3.0, 4),
+        max_draws in 1usize..2_000,
+        seed in 0u64..1000)
+    {
+        let p = problem(&needs);
+        let k = needs.len();
+        let sources: Vec<Stamped> = fracs
+            .iter()
+            .enumerate()
+            .map(|(i, &f)| {
+                let table = source_table(&vec![f / k as f64; k], 200);
+                let inner = TableSource::new(format!("s{i}"), table, costs[i], &p).unwrap();
+                Stamped::new(inner, i as i64 * 1_000_000)
+            })
+            .collect();
+        let run = |dedup: bool| {
+            let mut sources = sources.clone();
+            let mut policy = UcbColl::from_sources(&sources, k, 1.0);
+            let mut rng = StdRng::seed_from_u64(seed);
+            if dedup {
+                run_tailoring_dedup(&mut sources, &p, &mut policy, "id", &mut rng, max_draws)
+                    .unwrap()
+            } else {
+                let out =
+                    run_tailoring(&mut sources, &p, &mut policy, &mut rng, max_draws).unwrap();
+                (out, 0)
+            }
+        };
+        let (plain, _) = run(false);
+        let (dedup, duplicates) = run(true);
+        prop_assert_eq!(duplicates, 0);
+        prop_assert_eq!(&dedup.collected, &plain.collected);
+        prop_assert_eq!(dedup.draws, plain.draws);
+        prop_assert_eq!(dedup.total_cost.to_bits(), plain.total_cost.to_bits());
+        prop_assert_eq!(&dedup.per_source_draws, &plain.per_source_draws);
+        prop_assert_eq!(&dedup.decisions, &plain.decisions);
+        prop_assert_eq!(dedup.satisfied, plain.satisfied);
     }
 }

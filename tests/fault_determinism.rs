@@ -18,7 +18,6 @@ use rand::SeedableRng;
 use rdi_par::THREADS_ENV;
 use responsible_data_integration::core::prelude::*;
 use responsible_data_integration::fault::{FaultSpec, FaultySource};
-use responsible_data_integration::profile::LabelConfig;
 use responsible_data_integration::table::{
     DataType, Field, GroupKey, GroupSpec, Role, Schema, Table, Value,
 };
@@ -100,14 +99,11 @@ fn pipeline_fingerprint(
     let mut sources = faulty_sources(seed, fault_seed, rate, &p);
     let mut policy = RandomPolicy::new(sources.len());
     let mut rng = StdRng::seed_from_u64(seed);
-    let pipeline = Pipeline {
-        problem: p,
-        imputations: vec![],
-        label_config: LabelConfig::default(),
-        spec: RequirementSpec::default(),
-        max_draws: 20_000,
-    };
-    let r = pipeline.run(&mut sources, &mut policy, &mut rng).unwrap();
+    let r = PipelineBuilder::new(p)
+        .max_draws(20_000)
+        .build()
+        .run(&mut sources, &mut policy, &mut rng)
+        .unwrap();
     let lines = r.provenance_lines();
     let audit_md = r.audit.to_markdown();
     (r.data, r.health, r.quarantined, r.degraded, lines, audit_md)
@@ -133,6 +129,7 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         let res = run_resilient(
             &mut quiet, &p, &mut pol, &mut rng, 20_000, &ResilienceConfig::default(),
+            &PolicySet::new(),
         ).unwrap();
         prop_assert_eq!(&res.tailor.collected, &legacy.collected);
         prop_assert_eq!(res.tailor.draws, legacy.draws);

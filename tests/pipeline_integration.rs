@@ -12,7 +12,6 @@ use responsible_data_integration::datagen::{
     healthcare_sources, inject_missing, HealthcareConfig, Mechanism, MissingSpec, PopulationSpec,
 };
 use responsible_data_integration::fairness::Categorical;
-use responsible_data_integration::profile::LabelConfig;
 use responsible_data_integration::table::{GroupKey, GroupSpec, Value};
 use responsible_data_integration::tailor::prelude::*;
 
@@ -110,26 +109,24 @@ fn full_pipeline_with_imputation_and_provenance() {
         sources.push(TableSource::new(name, table, g.cost, &problem).unwrap());
     }
     let mut policy = RatioColl::from_sources(&sources);
-    let pipeline = Pipeline {
-        problem,
-        imputations: vec![(
-            "screening_score".into(),
+    let result = PipelineBuilder::new(problem)
+        .impute(
+            "screening_score",
             ImputeStrategy::GroupMean(GroupSpec::new(vec!["race"])),
-        )],
-        label_config: LabelConfig::default(),
-        spec: RequirementSpec::default()
-            .with(Requirement::GroupRepresentation {
-                threshold: 150,
-                max_uncovered_patterns: 0,
-            })
-            .with(Requirement::CompletenessCorrectness {
-                max_missing_fraction: 0.0,
-            })
-            .with(Requirement::ScopeOfUse { min_scope_notes: 1 })
-            .with_note("integration test data"),
-        max_draws: 5_000_000,
-    };
-    let result = pipeline.run(&mut sources, &mut policy, &mut rng).unwrap();
+        )
+        .require(Requirement::GroupRepresentation {
+            threshold: 150,
+            max_uncovered_patterns: 0,
+        })
+        .require(Requirement::CompletenessCorrectness {
+            max_missing_fraction: 0.0,
+        })
+        .require(Requirement::ScopeOfUse { min_scope_notes: 1 })
+        .scope_note("integration test data")
+        .max_draws(5_000_000)
+        .build()
+        .run(&mut sources, &mut policy, &mut rng)
+        .unwrap();
     assert!(result.audit.passed(), "{:?}", result.audit.failures());
     assert_eq!(
         result.data.column("screening_score").unwrap().null_count(),
@@ -180,15 +177,12 @@ fn pipeline_reports_failure_when_requirements_unmeetable() {
     );
     let mut sources = vec![TableSource::new("s", table, 1.0, &problem).unwrap()];
     let mut policy = RandomPolicy::new(1);
-    let pipeline = Pipeline {
-        problem,
-        imputations: vec![],
-        label_config: LabelConfig::default(),
-        // impossible: zero scope notes provided but one required
-        spec: RequirementSpec::default().with(Requirement::ScopeOfUse { min_scope_notes: 3 }),
-        max_draws: 100_000,
-    };
-    let result = pipeline.run(&mut sources, &mut policy, &mut rng).unwrap();
+    let result = PipelineBuilder::new(problem)
+        // impossible: zero scope notes provided but three required
+        .require(Requirement::ScopeOfUse { min_scope_notes: 3 })
+        .build()
+        .run(&mut sources, &mut policy, &mut rng)
+        .unwrap();
     assert!(!result.audit.passed());
     assert_eq!(result.audit.failures().len(), 1);
 }
