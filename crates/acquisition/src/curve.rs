@@ -5,10 +5,8 @@
 //! `a, b > 0`, which is linear in log-log space, so we fit by least
 //! squares on `(ln n, ln loss)`.
 
-use serde::Serialize;
-
 /// A fitted `loss(n) = b · n^{-a}` curve.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LearningCurve {
     /// Decay exponent (≥ 0).
     pub a: f64,

@@ -11,12 +11,11 @@
 use rand::Rng;
 use rdi_cleaning::{impute, ImputeStrategy};
 use rdi_table::{GroupSpec, Table};
-use serde::Serialize;
 
 use crate::ml::{design_matrix, evaluate, GaussianNb, LogisticRegression, ModelEval};
 
 /// Which model the grid trains.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ModelKind {
     /// Logistic regression (SGD).
     Logistic,
@@ -35,7 +34,7 @@ impl ModelKind {
 }
 
 /// One grid cell's result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct GridResult {
     /// Intervention label.
     pub intervention: String,

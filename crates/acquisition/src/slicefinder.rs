@@ -10,10 +10,9 @@
 use std::collections::HashMap;
 
 use rdi_table::{Table, Value};
-use serde::Serialize;
 
 /// One scored slice.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Slice {
     /// `(attribute, value)` conjuncts defining the slice (1 or 2).
     pub conjuncts: Vec<(String, String)>,

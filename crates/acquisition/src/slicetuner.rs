@@ -9,15 +9,13 @@
 //! Tuner's convex optimization reduces to for decreasing convex curves —
 //! with an optional fairness weight that prioritizes the worst slice.
 
-use serde::Serialize;
-
 use crate::curve::LearningCurve;
 
 /// Pilot observations for one slice: `(name, current size, [(n, loss)…])`.
 pub type SlicePilot = (String, usize, Vec<(usize, f64)>);
 
 /// The acquisition state of one slice.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct SliceState {
     /// Slice name (e.g. a group key rendering).
     pub name: String,

@@ -3,8 +3,7 @@
 //!
 //! Reads the lint JSON document on **stdin** and checks the schema
 //! contract the CI gate relies on: `version` is the supported one
-//! (v1 reports are rejected with a pointed message — the v1 schema
-//! died when the analyzer grew the symbol graph), the summary fields
+//! (v3; older reports are rejected), the summary fields
 //! are present, the rule catalog lists every live rule exactly once,
 //! `rule_counts` covers the same catalog, the `symbols` block carries
 //! the graph statistics, `classification` lists the workspace crates,
@@ -25,12 +24,13 @@ use std::process::exit;
 
 /// Schema version this validator understands (see
 /// `crates/lint/src/report.rs`).
-const SUPPORTED_VERSION: u64 = 2;
+const SUPPORTED_VERSION: u64 = 3;
 
-/// Every rule the catalog must list, in order. R2, R4, R5 and R8 are
-/// retired (clippy enforces them); the surviving ids keep their numbers
-/// because suppressions and the report key on them.
-const RULE_IDS: [&str; 8] = ["R1", "R3", "R6", "R7", "R9", "R10", "R11", "R12"];
+/// Every rule the catalog must list, in order. R2, R4, R5, R6, R8 and
+/// R11 are retired (DESIGN.md names what replaced each); the surviving
+/// ids keep their numbers because the report and the fixture
+/// expectations key on them.
+const RULE_IDS: [&str; 6] = ["R1", "R3", "R7", "R9", "R10", "R12"];
 
 /// Statistics the `symbols` block must carry.
 const SYMBOL_FIELDS: [&str; 5] = [
@@ -56,23 +56,14 @@ fn main() {
     };
 
     let version = doc.get("version").and_then(|v| v.as_u64());
-    match version {
-        Some(v) if v == SUPPORTED_VERSION => {}
-        Some(1) => {
-            eprintln!(
-                "validate_lint: report is schema v1 — the pre-symbol-graph format. \
-                 Rebuild rdi-lint from this workspace; v1 reports are no longer accepted"
-            );
-            exit(2);
-        }
-        other => {
-            eprintln!(
-                "validate_lint: unsupported report version {other:?} (want {SUPPORTED_VERSION})"
-            );
-            exit(2);
-        }
+    if version != Some(SUPPORTED_VERSION) {
+        eprintln!(
+            "validate_lint: unsupported report version {version:?} (want {SUPPORTED_VERSION}); \
+             rebuild rdi-lint from this workspace"
+        );
+        exit(2);
     }
-    for field in ["root", "files_scanned", "suppressed"] {
+    for field in ["root", "files_scanned"] {
         if doc.get(field).is_none() {
             eprintln!("validate_lint: report missing `{field}` field");
             exit(2);

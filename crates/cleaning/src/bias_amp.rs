@@ -7,10 +7,9 @@
 //! and its dirtied counterpart.
 
 use rdi_table::{GroupSpec, Table};
-use serde::Serialize;
 
 /// Per-group aggregate error between clean and dirty versions of a table.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AggregateErrorReport {
     /// (group, group size, |mean_dirty − mean_clean|), sorted by size
     /// ascending — the tutorial predicts error falls with size.

@@ -9,7 +9,6 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use rdi_table::{GroupSpec, Table};
-use serde::Serialize;
 
 /// Matcher configuration.
 #[derive(Debug, Clone)]
@@ -127,7 +126,7 @@ pub fn deduplicate(table: &Table, pairs: &[(usize, usize)]) -> Table {
 }
 
 /// Per-group precision/recall of predicted match pairs against truth.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ErAudit {
     /// (group, precision, recall, true pair count), sorted by group.
     pub per_group: Vec<(String, f64, f64, usize)>,

@@ -9,10 +9,9 @@
 use std::collections::BTreeMap;
 
 use rdi_table::{GroupKey, GroupSpec, Table};
-use serde::Serialize;
 
 /// Per-group imputation error report.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct ParityReport {
     /// Per-group RMSE of imputed vs true values, sorted by group.
     pub group_rmse: Vec<(String, f64)>,

@@ -3,20 +3,18 @@
 //!
 //! Upstream serde abstracts over arbitrary data formats; this workspace
 //! only ever serializes to JSON, so the compat crate collapses the
-//! model: [`Serialize`] renders a value into the [`Json`] tree. The
-//! derive macro (re-exported from the companion proc-macro crate)
-//! generates impls with upstream-serde-compatible shapes — named
-//! structs become objects, newtypes are transparent, enums are
-//! externally tagged. Reading JSON back stops at the [`Json`] tree
-//! (`serde_json::from_str`); nothing decodes it into typed values.
+//! model: [`Serialize`] renders a value into the [`Json`] tree. There
+//! is no derive: the few types that are serialized (the `rdi-profile`
+//! label and datasheet) write their impls by hand, a named struct as an
+//! object with its fields in declaration order. Reading JSON back stops
+//! at the [`Json`] tree (`serde_json::from_str`); nothing decodes it
+//! into typed values.
 //!
 //! Integer fidelity: `u64`/`i64` stay exact ([`Json::U64`] /
 //! [`Json::I64`] are distinct from [`Json::F64`]); this matters for the
 //! 64-bit hash values in sketch signatures.
 
 #![warn(missing_docs)]
-
-pub use rdi_compat_serde_derive::Serialize;
 
 /// A JSON value: the single data model of the compat serde stack.
 #[derive(Debug, Clone, PartialEq)]

@@ -4,12 +4,11 @@ use rdi_coverage::CoverageAnalyzer;
 use rdi_fairness::association::table_association;
 use rdi_fairness::{total_variation, Categorical};
 use rdi_table::{GroupSpec, Role, Table};
-use serde::Serialize;
 
 use crate::requirement::{Requirement, RequirementSpec};
 
 /// One requirement's audit outcome.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Finding {
     /// Requirement name.
     pub requirement: String,
@@ -22,7 +21,7 @@ pub struct Finding {
 }
 
 /// The full audit result.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct AuditReport {
     /// Per-requirement findings, in spec order.
     pub findings: Vec<Finding>,

@@ -2,7 +2,6 @@
 
 use rdi_fairness::Categorical;
 use rdi_table::{Table, Value};
-use serde::Serialize;
 
 /// One parameterized requirement on a dataset.
 #[derive(Debug, Clone)]
@@ -148,7 +147,7 @@ impl RequirementSpec {
 }
 
 /// Serializable summary of a requirement (for reports).
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct RequirementSummary {
     /// Requirement name.
     pub name: String,

@@ -1,7 +1,5 @@
 //! Patterns over categorical attributes and the pattern lattice.
 
-use serde::Serialize;
-
 /// A pattern over `d` categorical attributes: each position is either a
 /// wildcard (`None`, written `X`) or a specific value index into that
 /// attribute's domain.
@@ -9,7 +7,7 @@ use serde::Serialize;
 /// The lattice is ordered by *generality*: replacing a specified value with
 /// a wildcard yields a **parent** (more general, matches a superset of
 /// tuples); specifying a wildcard yields a **child**.
-#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Pattern(pub Vec<Option<u16>>);
 
 impl Pattern {

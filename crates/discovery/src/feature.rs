@@ -9,7 +9,6 @@
 
 use rdi_par::{par_map, Threads};
 use rdi_table::Table;
-use serde::Serialize;
 
 use crate::kmv::CorrelationSketch;
 
@@ -28,7 +27,7 @@ pub struct FeatureQuery<'a> {
 }
 
 /// One scored candidate feature.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct FeatureCandidate {
     /// Candidate table name.
     pub table: String,

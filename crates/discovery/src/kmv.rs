@@ -14,7 +14,6 @@
 use std::collections::BTreeMap;
 
 use rdi_table::{Table, Value};
-use serde::Serialize;
 
 use crate::hash::{hash_value, to_unit};
 
@@ -23,7 +22,7 @@ const KEY_SEED: u64 = 0x5eed_cafe;
 
 /// A k-minimum-values sketch of a key set, with an optional payload value
 /// per retained key.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct KmvSketch {
     k: usize,
     /// (unit-interval hash, key, payload), sorted by hash ascending.
@@ -403,7 +402,7 @@ impl UpdatableKmv {
 
 /// A correlation sketch: a KMV sketch whose payload is the numeric feature
 /// to correlate, plus the estimation entry points.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CorrelationSketch {
     sketch: KmvSketch,
 }

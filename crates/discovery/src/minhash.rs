@@ -17,7 +17,6 @@ use std::borrow::Borrow;
 use std::collections::BTreeMap;
 
 use rdi_table::{Table, Value};
-use serde::Serialize;
 
 use crate::hash::{hash_value, splitmix64};
 
@@ -34,7 +33,7 @@ fn position_hash(base: u64, j: usize) -> u64 {
 /// A MinHash signature: `k` independent minimum hash values of a set.
 ///
 /// `E[fraction of agreeing positions] = Jaccard(A, B)`.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MinHash {
     sig: Vec<u64>,
 }

@@ -11,12 +11,11 @@
 //! RDI pipeline needs.
 
 use rdi_table::{Column, Schema, Table, TableError};
-use serde::Serialize;
 
 use crate::minhash::MinHash;
 
 /// One proposed column correspondence.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnMatch {
     /// Column in the target (query) schema.
     pub target: String,

@@ -36,7 +36,6 @@
 
 use rand::Rng;
 use rdi_fairness::{kl_divergence, Categorical};
-use serde::Serialize;
 
 /// A simulated crowd worker with a latent entity distribution.
 #[derive(Debug, Clone)]
@@ -69,7 +68,7 @@ pub enum WorkerSelection {
 }
 
 /// Per-round record of a collection run.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct CollectionTrace {
     /// KL(target ‖ collected) after each round (smoothed).
     pub divergence: Vec<f64>,

@@ -2,14 +2,12 @@
 
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-
 /// A discrete probability distribution over `k` categories, stored densely.
 ///
 /// Categories are indexed `0..k`; the mapping from domain values to indices
 /// is owned by the caller (e.g. [`rdi_table::GroupKey`] order). Probabilities
 /// always sum to 1 (enforced at construction by normalization).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Categorical {
     probs: Vec<f64>,
 }

@@ -3,10 +3,9 @@
 use std::collections::BTreeMap;
 
 use rdi_table::{GroupKey, GroupSpec, Table};
-use serde::Serialize;
 
 /// Confusion-matrix counts for one demographic group.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct GroupOutcomes {
     /// True positives.
     pub tp: usize,

@@ -8,10 +8,9 @@
 //! *with respect to the quantized endpoint set*.
 
 use rdi_table::{GroupSpec, Table, TableError};
-use serde::Serialize;
 
 /// A proposed fair 2-D box.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairBox {
     /// x lower bound (inclusive).
     pub x_lo: f64,

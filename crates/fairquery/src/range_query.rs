@@ -1,10 +1,9 @@
 //! The 1-D fairness-aware range query engine.
 
 use rdi_table::{GroupKey, GroupSpec, Table, TableError};
-use serde::Serialize;
 
 /// A proposed fair range with its quality measures.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FairRange {
     /// Proposed lower bound (inclusive, an actual data value).
     pub lo: f64,

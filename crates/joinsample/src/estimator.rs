@@ -1,9 +1,7 @@
 //! Aggregate estimates with confidence intervals.
 
-use serde::Serialize;
-
 /// A point estimate with a normal-approximation 95% confidence interval.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AqpEstimate {
     /// The point estimate.
     pub value: f64,

@@ -17,20 +17,8 @@ pub fn histogram(xs: &[u64]) -> Vec<(u64, usize)> {
     v
 }
 
-pub fn suppressed_timing() -> u64 {
-    // rdi-lint: allow(R3): fixture demonstrating a well-formed suppression
-    let _t = Instant::now();
-    7
-}
-
-pub fn suppressed_set(xs: &[u64]) -> usize {
-    let set: std::collections::HashSet<u64> = xs.iter().copied().collect(); // rdi-lint: allow(R1): membership count only, order never escapes
-    set.len()
-}
-
-pub fn missing_reason() -> u64 {
-    // rdi-lint: allow(R3)
-    let _t = Instant::now(); // planted R3: the reasonless directive above (planted R7) suppresses nothing
+pub fn second_clock_read() -> u64 {
+    let _t = Instant::now(); // planted R3: a second item, a second fingerprint
     7
 }
 

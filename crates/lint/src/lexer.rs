@@ -10,8 +10,9 @@
 //! * char literals (disambiguated from lifetimes), and
 //! * comments, including **nested** block comments.
 //!
-//! Comments are kept as tokens (rather than dropped) because suppression
-//! directives live in line comments.
+//! Comments are kept as tokens (rather than dropped) so the span
+//! invariants below hold over the whole source; the item parser filters
+//! them out.
 //!
 //! Every token carries its `[start, end)` **byte** span in the source.
 //! The item parser ([`crate::parser`]) and the symbol graph lean on

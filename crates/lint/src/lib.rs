@@ -6,11 +6,11 @@
 //! metrics guarantees built in earlier PRs are runtime-tested; this
 //! crate statically prevents the easy ways to silently break them.
 //!
-//! v2 is a two-layer analyzer: a token-pattern layer (R1, R3, R6, R7) on
-//! the hand-written lexer, and a flow-sensitive layer (R9–R12) on an
+//! v2 is a two-layer analyzer: a token-pattern layer (R1, R3) on the
+//! hand-written lexer, and a flow-sensitive layer (R9, R10, R12) on an
 //! item-level parser ([`parser`]) plus a workspace symbol graph
 //! ([`symbols`]) that links function definitions to call sites across
-//! crates.
+//! crates. R7 reads the crate manifests.
 //!
 //! Invariants that clippy can state are left to clippy, so each has one
 //! checker: the root `clippy.toml` bans `std::thread::spawn`, and the CI
@@ -18,23 +18,22 @@
 //! `let_underscore_must_use` and `unused_result_ok` in library code. The
 //! ids of the rules that moved (R2, R5, R8) and of R4 (an entropy-seeded
 //! RNG cannot compile: the workspace `rand` only has `seed_from_u64`)
-//! are retired. R1 and R3 stay here: they apply to algorithm crates
-//! only, outside `#[cfg(test)]`, while clippy's `disallowed-types` is
-//! set once per `clippy.toml` and has no test exemption, so scoping it
-//! would repeat the algorithm-crate list beside
-//! `[package.metadata.rdi-lint]`.
+//! are retired, and so are R6, R11 and the inline-directive half of R7
+//! (DESIGN.md names what replaced each). R1 and R3 stay here: they
+//! apply to algorithm crates only, outside `#[cfg(test)]`, while
+//! clippy's `disallowed-types` is set once per `clippy.toml` and has no
+//! test exemption, so scoping it would repeat the algorithm-crate list
+//! beside `[package.metadata.rdi-lint]`.
 //!
 //! ## Rule catalog
 //!
 //! | id | name | scope | demands |
 //! |----|------|-------|---------|
-//! | R1 | `hash-collection` | algorithm crates | no `HashMap`/`HashSet`: use `BTreeMap`/`BTreeSet` or sort, or suppress with the reason order never escapes |
+//! | R1 | `hash-collection` | algorithm crates | no `HashMap`/`HashSet`: use `BTreeMap`/`BTreeSet` or sort |
 //! | R3 | `wall-clock` | algorithm crates | no `Instant`/`SystemTime` (obs spans and bench harnesses live elsewhere and are exempt) |
-//! | R6 | `metrics-snapshot` | `crates/bench/src/bin/exp_*.rs` | every experiment must emit a `METRICS_SNAPSHOT` line |
-//! | R7 | `bad-suppression` | all scanned files + manifests | every `rdi-lint:` directive or metadata marker must parse and carry a reason |
+//! | R7 | `bad-suppression` | crate manifests | every `[package.metadata.rdi-lint]` opt-out must carry a reason |
 //! | R9 | `seed-purity` | algorithm crates | every RNG construction's seed must flow, via the body's def-use chains, from a parameter or `stream_seed(..)` |
 //! | R10 | `provenance-completeness` | decision-point registry + `.choose(` sites | registered functions emit a `ProvenanceEvent` or metrics update on every return path; every selection-policy `.choose(..)` call reaches a `PolicyDecision` emission |
-//! | R11 | `stale-suppression` | all scanned files | an `allow` directive whose rules no longer fire on its lines is itself a finding |
 //! | R12 | `metrics-consistency` | whole workspace | names asserted by the goldens are updated in source; every `serve.*`/`actor.*`/`fault.*` name updated is declared exactly once in `METRIC_NAMES` |
 //!
 //! Algorithm crates are derived from the workspace manifests: every
@@ -43,20 +42,15 @@
 //! `workspace.rs`). Vendored `crates/compat-*` shims are skipped
 //! entirely, as are `tests/`, `benches/`, `examples/`, `build.rs`, and
 //! `#[cfg(test)]` modules (by convention the trailing module of a file).
+//! Every file of a package with `src/main.rs` and no `src/lib.rs` is
+//! binary code, so the R10 choose-site leg skips it.
 //!
-//! ## Suppressions
+//! ## Escape hatches
 //!
-//! ```text
-//! // rdi-lint: allow(R1): membership-only set, iteration order never escapes
-//! // rdi-lint: allow-file(R3): replay harness, timings never reach results
-//! ```
-//!
-//! `allow(...)` covers findings on its own line or the line directly
-//! below; `allow-file(...)` covers the whole file. The reason after the
-//! closing `):` is **mandatory** — a directive without one is itself a
-//! finding (R7), and a directive whose rule stopped firing is a finding
-//! too (R11), so every escape hatch is an audited, current, explained
-//! decision.
+//! There are no inline directives. The crate-level marker above is the
+//! only way to opt out of rdi-lint, and it must carry a `reason` (R7).
+//! A deliberate panic site carries clippy's
+//! `#[expect(clippy::..., reason = "...")]` instead.
 
 #![warn(missing_docs)]
 
@@ -65,7 +59,6 @@ pub mod lexer;
 pub mod parser;
 mod report;
 mod rules;
-mod suppress;
 pub mod symbols;
 pub mod workspace;
 
@@ -112,14 +105,13 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 
 /// Analyze every workspace `.rs` file under `root`: the full pipeline.
 ///
-/// 1. classify crates from the manifests (`workspace.rs`);
-/// 2. per file: lex, parse items, run R1/R3/R6/R7/R9 and the R10
-///    choose-site leg, parse suppressions, collect metric
-///    uses/declarations;
+/// 1. classify crates from the manifests (`workspace.rs`), raising R7;
+/// 2. per file: parse items, run R1/R3/R9 and the R10 choose-site leg,
+///    collect metric uses/declarations;
 /// 3. build the workspace symbol graph and run R10 over the
 ///    decision-point registry;
 /// 4. run R12 against the goldens;
-/// 5. per file: the R11 staleness pass, then suppression filtering.
+/// 5. per file: name each finding's enclosing item and sort.
 pub fn analyze_tree(root: &Path) -> io::Result<Report> {
     let class = workspace::classify_workspace(root);
     let files = collect_rs_files(root)?;
@@ -131,7 +123,8 @@ pub fn analyze_tree(root: &Path) -> io::Result<Report> {
             .to_string_lossy()
             .replace('\\', "/");
         let src = fs::read_to_string(path)?;
-        fas.push(rules::analyze_file(&rel, &src, class.as_ref()));
+        let bin_only = is_bin_only_package(root, &rel);
+        fas.push(rules::analyze_file(&rel, &src, class.as_ref(), bin_only));
     }
 
     // Symbol graph over non-exempt, non-test code.
@@ -154,9 +147,8 @@ pub fn analyze_tree(root: &Path) -> io::Result<Report> {
     let asserted = workspace::collect_asserted(root);
     let mut tree_findings = Vec::new();
     for f in workspace::check_metrics(&uses, &decls, &asserted) {
-        // Findings in scanned .rs files go through that file's
-        // suppression filter; golden/manifest findings cannot carry
-        // inline directives and stay tree-level.
+        // Findings in scanned .rs files get that file's item names;
+        // golden findings stay tree-level.
         match fas.iter_mut().find(|fa| fa.rel == f.file) {
             Some(fa) => fa.raw.push(f),
             None => tree_findings.push(f),
@@ -185,7 +177,6 @@ pub fn analyze_tree(root: &Path) -> io::Result<Report> {
     for fa in fas {
         let fr = rules::finalize(fa);
         report.files_scanned += 1;
-        report.suppressed += fr.suppressed;
         report.findings.extend(fr.findings);
     }
     report.findings.extend(tree_findings);
@@ -193,6 +184,20 @@ pub fn analyze_tree(root: &Path) -> io::Result<Report> {
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
+}
+
+/// Is `rel` under the `src/` of a package that has `src/main.rs` and no
+/// `src/lib.rs`? Such a package has no lib target, so every module in
+/// it is binary code, not only `main.rs`.
+fn is_bin_only_package(root: &Path, rel: &str) -> bool {
+    let package = match rel.split_once("/src/") {
+        Some((dir, _)) => root.join(dir),
+        None if rel.starts_with("src/") => root.to_path_buf(),
+        None => return false,
+    };
+    package.join("Cargo.toml").is_file()
+        && package.join("src/main.rs").is_file()
+        && !package.join("src/lib.rs").is_file()
 }
 
 /// One row of the crate-classification table in the report.

@@ -8,7 +8,7 @@
 //! * `ROOT` — tree to scan; defaults to the workspace root (derived from
 //!   this crate's manifest directory, falling back to the current
 //!   directory).
-//! * `--json` — print the machine-readable schema-v2 report to stdout
+//! * `--json` — print the machine-readable schema-v3 report to stdout
 //!   (findings still go to stderr); without it the findings print to
 //!   stdout.
 //! * `--expect FILE` — self-check mode: compare the findings against the
@@ -62,10 +62,9 @@ fn print_findings(report: &Report, to_stderr: bool) {
         emit(format!("rdi-lint: by rule: {}", counts.join(" ")));
     }
     emit(format!(
-        "rdi-lint: {} finding(s) in {} file(s) scanned ({} suppressed)",
+        "rdi-lint: {} finding(s) in {} file(s) scanned",
         report.findings.len(),
         report.files_scanned,
-        report.suppressed,
     ));
     if !report.classification.is_empty() {
         let algo: Vec<&str> = report

@@ -9,12 +9,10 @@ use crate::{ClassEntry, Finding};
 /// Aggregated analysis result for a tree.
 #[derive(Debug, Default)]
 pub struct Report {
-    /// All surviving findings, sorted by (file, line, rule).
+    /// All findings, sorted by (file, line, rule).
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Findings silenced by valid suppression directives.
-    pub suppressed: usize,
     /// Symbol-graph statistics (zero when built per-file).
     pub symbols: SymbolStats,
     /// Crate classification table (empty when no workspace manifest).
@@ -27,8 +25,7 @@ impl Report {
         self.findings.is_empty()
     }
 
-    /// `(rule id, surviving findings)` for every rule with at least the
-    /// catalog order preserved.
+    /// `(rule id, findings)` for every rule, in catalog order.
     pub fn rule_counts(&self) -> Vec<(&'static str, usize)> {
         RULES
             .iter()
@@ -56,14 +53,13 @@ pub fn fingerprint(f: &Finding) -> String {
 }
 
 /// Render the report as the JSON document consumed by `validate_lint`
-/// in CI. Schema v2 (stable; bump `version` on change):
+/// in CI. Schema v3 (stable; bump `version` on change):
 ///
 /// ```json
 /// {
-///   "version": 2,
+///   "version": 3,
 ///   "root": "...",
 ///   "files_scanned": 160,
-///   "suppressed": 12,
 ///   "rules": [{"id": "R1", "name": "hash-collection", "summary": "..."}],
 ///   "rule_counts": {"R1": 0, "...": 0, "R12": 0},
 ///   "symbols": {"files_parsed": 120, "items": 900, "functions": 400,
@@ -138,13 +134,12 @@ pub fn report_json(report: &Report, root: &str) -> Value {
         })
         .collect();
     Value::Obj(vec![
-        ("version".into(), Value::U64(2)),
+        ("version".into(), Value::U64(3)),
         ("root".into(), Value::Str(root.into())),
         (
             "files_scanned".into(),
             Value::U64(report.files_scanned as u64),
         ),
-        ("suppressed".into(), Value::U64(report.suppressed as u64)),
         ("rules".into(), Value::Arr(rules)),
         ("rule_counts".into(), Value::Obj(rule_counts)),
         ("symbols".into(), symbols),

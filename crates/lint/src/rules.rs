@@ -1,22 +1,21 @@
 //! The rule engine: file classification plus the per-file rules
-//! (token-pattern R1/R3/R6/R7, flow-sensitive R9, and the R11 staleness
-//! pass).
+//! (token-pattern R1/R3, flow-sensitive R9, the R10 choose-site leg).
 //! Tree-level rules (R10 via the symbol graph, R12 via the workspace
 //! metric inventory) are driven from `lib.rs` but their registries live
 //! here.
 
 use crate::dataflow::{self, BlockTree};
-use crate::lexer::{lex, Token, TokenKind};
+use crate::lexer::{Token, TokenKind};
 use crate::parser::{parse, ItemKind, ParsedFile};
-use crate::suppress::{parse_suppressions, Suppression};
 use crate::symbols::{emission_sites, SymbolGraph};
 use crate::workspace::{Classification, MetricDecl, MetricUse};
 use crate::Finding;
 
 /// The rule catalog: `(id, name, summary)`. The ids are stable — they
-/// appear in suppression directives and in the JSON report consumed by
-/// CI — so renumbering is a breaking change. The gaps (R2, R4, R5, R8)
-/// are retired ids (see the crate docs) and are never reused.
+/// appear in the JSON report consumed by CI and in the fixture
+/// expectations — so renumbering is a breaking change. The gaps (R2,
+/// R4, R5, R6, R8, R11) are retired ids (see the crate docs) and are
+/// never reused.
 pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R1",
@@ -31,15 +30,9 @@ pub const RULES: &[(&str, &str, &str)] = &[
          function of inputs and seeds, never of elapsed time",
     ),
     (
-        "R6",
-        "metrics-snapshot",
-        "every crates/bench/src/bin/exp_*.rs must emit a METRICS_SNAPSHOT \
-         line so CI can validate its observability output",
-    ),
-    (
         "R7",
         "bad-suppression",
-        "every rdi-lint directive must parse and carry a non-empty reason",
+        "every [package.metadata.rdi-lint] opt-out must carry a non-empty reason",
     ),
     (
         "R9",
@@ -55,12 +48,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          update on every return path, directly or via a callee; every \
          selection-policy .choose( call site must reach a PolicyDecision \
          emission",
-    ),
-    (
-        "R11",
-        "stale-suppression",
-        "an allow directive whose rules no longer fire on its lines is \
-         itself a finding: audited escape hatches must not rot",
     ),
     (
         "R12",
@@ -108,12 +95,10 @@ pub const DECISION_POINTS: &[(&str, &str, &str)] = &[
 ];
 
 /// What the analyzer decided about one file.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct FileReport {
-    /// Violations that survived suppression filtering.
+    /// Violations, sorted by (line, rule, message).
     pub findings: Vec<Finding>,
-    /// Violations silenced by a valid directive.
-    pub suppressed: usize,
 }
 
 /// Classification derived from a file's workspace-relative path.
@@ -124,17 +109,16 @@ struct FileCtx<'a> {
     /// Under a `tests/`, `benches/` or `examples/` directory, or
     /// `build.rs`: no rules apply.
     exempt_all: bool,
-    /// Binary target (`src/bin/...` or `src/main.rs`): the R10
-    /// choose-site leg does not apply.
+    /// Binary code (`src/bin/...`, `src/main.rs`, or any module of a
+    /// package without a lib target): the R10 choose-site leg does not
+    /// apply.
     is_bin: bool,
-    /// `crates/bench/src/bin/exp_*.rs`: R6 applies.
-    is_experiment: bool,
     /// Do the algorithm-crate rules (R1/R3/R9) apply?
     is_algo: bool,
 }
 
 impl<'a> FileCtx<'a> {
-    fn classify(rel: &'a str, class: Option<&Classification>) -> Self {
+    fn classify(rel: &'a str, class: Option<&Classification>, bin_only: bool) -> Self {
         let components: Vec<&str> = rel.split('/').collect();
         let crate_name = match components.first() {
             Some(&"crates") => components.get(1).copied(),
@@ -146,10 +130,7 @@ impl<'a> FileCtx<'a> {
             .iter()
             .any(|d| matches!(*d, "tests" | "benches" | "examples"))
             || file_name == "build.rs";
-        let is_bin = dirs.ends_with(&["src", "bin"]) || rel.ends_with("src/main.rs");
-        let is_experiment = crate_name == Some("bench")
-            && dirs.ends_with(&["src", "bin"])
-            && file_name.starts_with("exp_");
+        let is_bin = bin_only || dirs.ends_with(&["src", "bin"]) || rel.ends_with("src/main.rs");
         let is_algo = match (crate_name, class) {
             (Some(name), Some(class)) => class.crates.get(name).is_some_and(|c| c.algo),
             (Some(name), None) => ALGO_CRATES.contains(&name),
@@ -159,23 +140,20 @@ impl<'a> FileCtx<'a> {
             crate_name,
             exempt_all,
             is_bin,
-            is_experiment,
             is_algo,
         }
     }
 }
 
-/// Everything the per-file pass learned, before suppression filtering.
-/// Tree-level passes (R10/R12) append to `raw` and `lib.rs` finalizes.
+/// Everything the per-file pass learned. Tree-level passes (R10/R12)
+/// append to `raw` and `lib.rs` finalizes.
 pub(crate) struct FileAnalysis {
     /// Workspace-relative path.
     pub rel: String,
     /// All rules skipped (tests/benches/examples/build.rs)?
     pub exempt: bool,
-    /// Raw findings before suppression filtering.
+    /// Findings, before item names are filled in and they are sorted.
     pub raw: Vec<Finding>,
-    /// Parsed suppression directives.
-    pub suppressions: Vec<Suppression>,
     /// Item-level parse (comment-free tokens + item skeleton).
     pub parsed: ParsedFile,
     /// First `#[cfg(test)]` line: everything from it on is test code.
@@ -188,23 +166,26 @@ pub(crate) struct FileAnalysis {
 
 /// Analyze one file's source. `rel` is its workspace-relative path with
 /// `/` separators (used for scoping rules and reported in findings).
-/// This is the single-file API: R1/R3/R6/R7/R9, the R10 choose-site leg
-/// and the R11 staleness pass, with the built-in fallback crate
-/// classification. The full scan (`analyze_tree`) additionally runs the
-/// R10 decision-point registry, R12 and the manifest-driven
-/// classification.
+/// This is the single-file API: R1/R3/R9 and the R10 choose-site leg,
+/// with the built-in fallback crate classification and path-only
+/// binary detection. The full scan (`analyze_tree`) additionally runs
+/// the R10 decision-point registry, R12, R7 on the manifests, the
+/// manifest-driven classification and bin-only package detection.
 pub fn analyze_source(rel: &str, src: &str) -> FileReport {
-    finalize(analyze_file(rel, src, None))
+    finalize(analyze_file(rel, src, None, false))
 }
 
-/// The per-file pass: lex, parse, R1/R3/R6/R7/R9, suppressions, metric
-/// collection. No suppression filtering yet.
-pub(crate) fn analyze_file(rel: &str, src: &str, class: Option<&Classification>) -> FileAnalysis {
-    let ctx = FileCtx::classify(rel, class);
-    let tokens = lex(src);
-
+/// The per-file pass: parse, R1/R3/R9, the R10 choose-site leg, metric
+/// collection. `bin_only` marks a file of a package without a lib
+/// target.
+pub(crate) fn analyze_file(
+    rel: &str,
+    src: &str,
+    class: Option<&Classification>,
+    bin_only: bool,
+) -> FileAnalysis {
+    let ctx = FileCtx::classify(rel, class, bin_only);
     let mut raw: Vec<Finding> = Vec::new();
-    let suppressions = parse_suppressions(&tokens, rel, &mut raw);
     let parsed = parse(src);
     let code = &parsed.code;
     let test_boundary = cfg_test_boundary(code);
@@ -273,24 +254,10 @@ pub(crate) fn analyze_file(rel: &str, src: &str, class: Option<&Classification>)
         }
     }
 
-    if ctx.is_experiment && !emits_metrics_snapshot(code) {
-        finding(
-            &mut raw,
-            "R6",
-            rel,
-            1,
-            String::from(
-                "experiment binary never emits a METRICS_SNAPSHOT line; call \
-             rdi_bench::emit_metrics_snapshot() before exiting",
-            ),
-        );
-    }
-
     FileAnalysis {
         rel: rel.to_string(),
         exempt: ctx.exempt_all,
         raw,
-        suppressions,
         parsed,
         test_boundary,
         metric_uses,
@@ -298,56 +265,17 @@ pub(crate) fn analyze_file(rel: &str, src: &str, class: Option<&Classification>)
     }
 }
 
-/// The R11 staleness pass plus suppression filtering: the last step of
+/// Fill in each finding's enclosing item and sort: the last step of
 /// both the single-file and the tree analysis.
 pub(crate) fn finalize(fa: FileAnalysis) -> FileReport {
-    let mut all = fa.raw;
-    // R11: a directive that covers no raw finding is itself stale.
-    // Exempt files never run rules, so their directives are historical
-    // notes, not live suppressions — skip them.
-    if !fa.exempt {
-        for s in &fa.suppressions {
-            let hits = all
-                .iter()
-                .filter(|f| f.rule != "R7" && s.covers(f.rule, f.line))
-                .count();
-            if hits == 0 {
-                all.push(Finding {
-                    rule: "R11",
-                    name: "stale-suppression",
-                    file: fa.rel.clone(),
-                    line: s.line,
-                    item: String::new(),
-                    message: format!(
-                        "stale suppression: allow({}) covers no current finding — the code \
-                         was fixed or moved; delete the directive so the audit trail stays \
-                         honest",
-                        s.rules.join(","),
-                    ),
-                });
-            }
+    let mut findings = fa.raw;
+    for f in &mut findings {
+        if f.item.is_empty() {
+            f.item = fa.parsed.enclosing_item(f.line).to_string();
         }
     }
-    let mut report = FileReport::default();
-    for mut f in all {
-        // R7/R11 findings are never suppressible: a malformed or stale
-        // directive must not be silenced by another one.
-        let covered = f.rule != "R7"
-            && f.rule != "R11"
-            && fa.suppressions.iter().any(|s| s.covers(f.rule, f.line));
-        if covered {
-            report.suppressed += 1;
-        } else {
-            if f.item.is_empty() {
-                f.item = fa.parsed.enclosing_item(f.line).to_string();
-            }
-            report.findings.push(f);
-        }
-    }
-    report
-        .findings
-        .sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
-    report
+    findings.sort_by(|a, b| (a.line, a.rule, &a.message).cmp(&(b.line, b.rule, &b.message)));
+    FileReport { findings }
 }
 
 /// R9: every `::seed_from_u64(..)` / `::from_seed(..)` argument in an
@@ -610,14 +538,4 @@ fn collect_metric_decls(code: &[Token], i: usize, rel: &str, out: &mut Vec<Metri
             });
         }
     }
-}
-
-/// Does the file reference the snapshot marker — via the shared constant,
-/// the helper, or a literal `METRICS_SNAPSHOT` string?
-fn emits_metrics_snapshot(code: &[Token]) -> bool {
-    code.iter().any(|t| match t.kind {
-        TokenKind::Ident => t.text == "METRICS_MARKER" || t.text == "emit_metrics_snapshot",
-        TokenKind::StrLit => t.text.contains("METRICS_SNAPSHOT"),
-        _ => false,
-    })
 }

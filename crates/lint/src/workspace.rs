@@ -14,8 +14,8 @@
 //! reason = "serving shell: no order-sensitive kernels"
 //! ```
 //!
-//! An opt-out without a `reason` is an R7 finding — the same audited-
-//! escape-hatch policy as inline suppressions. When no workspace
+//! An opt-out without a `reason` is an R7 finding: the marker is
+//! rdi-lint's only escape hatch, so it must say why. When no workspace
 //! manifest is present (unit tests, fixture trees), classification
 //! falls back to the built-in list in `rules.rs`.
 
@@ -263,7 +263,7 @@ pub fn collect_asserted(root: &Path) -> Vec<Asserted> {
 }
 
 /// Run the R12 metrics-consistency checks. Returns raw findings (the
-/// caller routes `.rs`-file findings through suppression filtering).
+/// caller attaches `.rs`-file findings to that file's analysis).
 pub fn check_metrics(
     uses: &[MetricUse],
     decls: &[MetricDecl],

@@ -1,5 +1,5 @@
 //! Rule-engine tests: the planted fixture tree plus targeted
-//! `analyze_source` cases for scoping and suppression behavior.
+//! `analyze_source` cases for scoping behavior.
 
 use std::collections::BTreeSet;
 use std::path::Path;
@@ -16,38 +16,60 @@ fn fixture_tree_reports_every_rule() {
     let rules: BTreeSet<&str> = report.findings.iter().map(|f| f.rule).collect();
     assert_eq!(
         rules,
-        BTreeSet::from(["R1", "R3", "R6", "R7", "R9", "R10", "R11", "R12"]),
+        BTreeSet::from(["R1", "R3", "R7", "R9", "R10", "R12"]),
         "expected every rule to fire on the planted tree; findings: {:#?}",
         report.findings
     );
 }
 
 #[test]
-fn fixture_tree_counts_and_suppressions() {
+fn fixture_tree_counts() {
     let report = analyze_tree(fixture_root()).expect("fixture tree scans");
     let count = |rule: &str| report.findings.iter().filter(|f| f.rule == rule).count();
     // planted.rs: `use HashMap` + declaration line with two HashMap tokens
     assert_eq!(count("R1"), 3);
-    // planted.rs: `use Instant` + `Instant::now()` + the Instant under
-    // the reasonless directive
+    // planted.rs: `use Instant` + `Instant::now()` in two items
     assert_eq!(count("R3"), 3);
-    assert_eq!(count("R6"), 1);
-    // planted.rs reasonless directive + the bench manifest opt-out sans
-    // reason
-    assert_eq!(count("R7"), 2);
+    // the bench manifest opt-out sans reason
+    assert_eq!(count("R7"), 1);
     // seeding.rs literal seed (param / stream_seed cases stay clean)
     assert_eq!(count("R9"), 1);
     // breaker.rs early return without an emission + choose.rs silent
-    // selection-policy call
+    // selection-policy call (the harness package's is binary code)
     assert_eq!(count("R10"), 2);
-    // mylib allow(R3) covering nothing
-    assert_eq!(count("R11"), 1);
     // dead decl + dup decl + unregistered use
     assert_eq!(count("R12"), 3);
-    // the valid allow(R3) and same-line allow(R1) in planted.rs
-    assert_eq!(report.suppressed, 2);
-    // exp_ok.rs and the fixture integration test contribute no findings
-    assert!(report.files_scanned >= 8);
+    // the harness package and the fixture integration test contribute
+    // no findings
+    assert!(report.files_scanned >= 10);
+}
+
+#[test]
+fn bin_only_package_modules_are_binary_code() {
+    // harness/ has src/main.rs and no src/lib.rs: its layers.rs is
+    // binary code, so its un-emitting `.choose(` is not an R10 site.
+    let report = analyze_tree(fixture_root()).expect("fixture tree scans");
+    assert!(
+        report
+            .findings
+            .iter()
+            .all(|f| !f.file.starts_with("harness/")),
+        "{:#?}",
+        report.findings
+    );
+    // The same file classified by its path alone is library code and
+    // fires: the package layout is what makes it binary code.
+    let layers = fixture_root().join("harness/src/layers.rs");
+    let src = std::fs::read_to_string(layers).expect("fixture readable");
+    let r = analyze_source("harness/src/layers.rs", &src);
+    let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
+    assert_eq!(rules, vec!["R10"], "{:#?}", r.findings);
+    // mylib has a bin target too, but also a lib target: its library
+    // module still fires.
+    assert!(report
+        .findings
+        .iter()
+        .any(|f| f.rule == "R10" && f.file == "crates/mylib/src/choose.rs" && f.line == 7));
 }
 
 #[test]
@@ -66,7 +88,7 @@ fn fixture_classification_is_manifest_driven() {
     let mylib = class("mylib");
     assert!(!mylib.algo && mylib.explicit && !mylib.reason.is_empty());
     // bench opts out without one — classified as asked, but R7 fired
-    // (counted in fixture_tree_counts_and_suppressions).
+    // (counted in fixture_tree_counts).
     assert!(!class("bench").algo && class("bench").explicit);
 }
 
@@ -80,14 +102,6 @@ fn fixture_symbol_graph_is_populated() {
         report.symbols.emitting_functions >= 1,
         "the fixture breaker's record_failure emits counters"
     );
-}
-
-#[test]
-fn fixture_r6_names_the_missing_experiment() {
-    let report = analyze_tree(fixture_root()).expect("fixture tree scans");
-    let r6: Vec<_> = report.findings.iter().filter(|f| f.rule == "R6").collect();
-    assert_eq!(r6.len(), 1);
-    assert!(r6[0].file.ends_with("exp_missing.rs"));
 }
 
 #[test]
@@ -124,17 +138,6 @@ fn actor_runtime_is_held_to_determinism_rules() {
     let r = analyze_source("crates/actor/src/runtime.rs", clock);
     assert_eq!(r.findings.len(), 2);
     assert!(r.findings.iter().all(|f| f.rule == "R3"));
-}
-
-#[test]
-fn actor_serving_harness_must_emit_snapshot() {
-    // E21 sits in the golden byte-replay matrix; a harness that stops
-    // emitting METRICS_SNAPSHOT would silently drop out of
-    // validate_metrics coverage.
-    let silent = "fn main() { println!(\"ok\"); }\n";
-    let r = analyze_source("crates/bench/src/bin/exp_actor_serving.rs", silent);
-    assert_eq!(r.findings.len(), 1);
-    assert_eq!(r.findings[0].rule, "R6");
 }
 
 #[test]
@@ -188,75 +191,13 @@ fn cfg_test_region_is_exempt() {
 }
 
 #[test]
-fn suppression_covers_same_and_next_line_only() {
-    let same_line =
-        "fn f() { let _t = Instant::now(); } // rdi-lint: allow(R3): timing only, never in results\n";
-    let r = analyze_source("crates/coverage/src/lib.rs", same_line);
-    assert!(r.findings.is_empty());
-    assert_eq!(r.suppressed, 1);
-
-    let line_above = "// rdi-lint: allow(R3): audited\nfn f() { let _t = Instant::now(); }\n";
-    assert!(analyze_source("crates/coverage/src/lib.rs", line_above)
-        .findings
-        .is_empty());
-
-    // Out of range: the clock read fires, and the directive — now
-    // covering nothing — is itself a stale-suppression finding (R11).
-    let too_far = "// rdi-lint: allow(R3): audited\n\nfn f() { let _t = Instant::now(); }\n";
-    let r = analyze_source("crates/coverage/src/lib.rs", too_far);
-    let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(rules, vec!["R11", "R3"], "{:#?}", r.findings);
-
-    // the directive must name the right rule; naming the wrong one is
-    // both ineffective (R3 fires) and stale (R11).
-    let wrong_rule = "// rdi-lint: allow(R1): wrong rule\nfn f() { let _t = Instant::now(); }\n";
-    let r = analyze_source("crates/coverage/src/lib.rs", wrong_rule);
-    let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(rules, vec!["R11", "R3"], "{:#?}", r.findings);
-}
-
-#[test]
-fn stale_suppressions_fire_and_live_ones_do_not() {
-    // A directive that covers a real finding is not stale.
-    let live = "fn f() { let _t = Instant::now(); } // rdi-lint: allow(R3): timing only\n";
-    let r = analyze_source("crates/coverage/src/lib.rs", live);
-    assert!(r.findings.is_empty(), "{:#?}", r.findings);
-
-    // One with no finding under it is R11 at the directive line.
-    let stale = "// rdi-lint: allow(R3): a clock was read here once\nfn f() -> u8 { 3 }\n";
-    let r = analyze_source("crates/coverage/src/lib.rs", stale);
-    assert_eq!(r.findings.len(), 1);
-    assert_eq!((r.findings[0].rule, r.findings[0].line), ("R11", 1));
-
-    // R11 is not itself suppressible: allow(R11) cannot launder a stale
-    // directive (and is stale on its own account).
-    let meta = "// rdi-lint: allow(R11): please ignore\nfn f() -> u8 { 3 }\n";
-    let r = analyze_source("crates/coverage/src/lib.rs", meta);
-    assert!(r.findings.iter().any(|f| f.rule == "R11"));
-
-    // Exempt files (tests, benches) carry no staleness obligation.
-    let in_test = "// rdi-lint: allow(R3): leftover\nfn f() -> u8 { 3 }\n";
-    assert!(analyze_source("crates/coverage/tests/t.rs", in_test)
-        .findings
-        .is_empty());
-}
-
-#[test]
-fn doc_comment_directive_examples_are_inert() {
-    // `///` and `//!` lines quoting a directive neither suppress nor
-    // count as stale directives.
-    let src = "//! // rdi-lint: allow(R3): doc example\n\
-               /// // rdi-lint: allow(R1): another example\n\
-               fn f() { let _t = Instant::now(); }\n";
+fn inline_directive_comments_suppress_nothing() {
+    // The crate-level marker is the only escape hatch: a comment shaped
+    // like an old `allow` directive is just a comment.
+    let src = "// rdi-lint: allow(R3): timing only\nfn f() { let _t = Instant::now(); }\n";
     let r = analyze_source("crates/coverage/src/lib.rs", src);
     let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
-    assert_eq!(
-        rules,
-        vec!["R3"],
-        "doc examples must be inert: {:#?}",
-        r.findings
-    );
-    assert_eq!(r.suppressed, 0);
+    assert_eq!(rules, vec!["R3"], "{:#?}", r.findings);
 }
 
 #[test]
@@ -315,103 +256,6 @@ fn findings_carry_enclosing_item_and_fingerprint() {
     let shifted = format!("\n{src}");
     let r2 = analyze_source("crates/coverage/src/lib.rs", &shifted);
     assert_eq!(fp, rdi_lint::fingerprint(&r2.findings[0]));
-}
-
-#[test]
-fn allow_file_covers_everything_and_lists() {
-    let src = "// rdi-lint: allow-file(R3, R1): replay harness, audited 2026-08\n\
-               use std::collections::HashMap;\n\
-               fn f() { let _t = Instant::now(); }\n\
-               fn g() { let _t = SystemTime::now(); }\n";
-    let r = analyze_source("crates/fairness/src/lib.rs", src);
-    assert!(r.findings.is_empty(), "{:?}", r.findings);
-    assert_eq!(r.suppressed, 3);
-}
-
-#[test]
-fn malformed_directives_are_r7_and_suppress_nothing() {
-    for bad in [
-        "// rdi-lint: allow(R3)\nfn f() { let _t = Instant::now(); }\n",
-        "// rdi-lint: allow(): empty\nfn f() { let _t = Instant::now(); }\n",
-        "// rdi-lint: allow(R99): unknown rule\nfn f() { let _t = Instant::now(); }\n",
-        // R5 is retired (clippy owns panic sites): its id no longer parses.
-        "// rdi-lint: allow(R5): retired rule\nfn f() { let _t = Instant::now(); }\n",
-        "// rdi-lint: deny(R3): unknown verb\nfn f() { let _t = Instant::now(); }\n",
-    ] {
-        let r = analyze_source("crates/coverage/src/lib.rs", bad);
-        let rules: Vec<&str> = r.findings.iter().map(|f| f.rule).collect();
-        assert!(rules.contains(&"R7"), "{bad:?} → {rules:?}");
-        assert!(
-            rules.contains(&"R3"),
-            "malformed directive must not suppress: {bad:?}"
-        );
-        assert_eq!(r.suppressed, 0);
-    }
-}
-
-#[test]
-fn experiment_marker_accepted_in_all_forms() {
-    for ok in [
-        "fn main() { rdi_bench::emit_metrics_snapshot(); }\n",
-        "fn main() { println!(\"{}{}\", METRICS_MARKER, json); }\n",
-        "fn main() { println!(\"METRICS_SNAPSHOT {}\", json); }\n",
-    ] {
-        let r = analyze_source("crates/bench/src/bin/exp_x.rs", ok);
-        assert!(!r.findings.iter().any(|f| f.rule == "R6"), "{ok}");
-    }
-    let missing = "fn main() {}\n";
-    let r = analyze_source("crates/bench/src/bin/exp_x.rs", missing);
-    assert!(r.findings.iter().any(|f| f.rule == "R6"));
-    // non-experiment bins in bench carry no marker obligation
-    let r = analyze_source("crates/bench/src/bin/validate_metrics.rs", missing);
-    assert!(r.findings.is_empty());
-}
-
-#[test]
-fn r6_covers_the_serving_experiment() {
-    // E19 (exp_serving) is classified as an experiment binary like any
-    // other `exp_*.rs`, so the METRICS_SNAPSHOT obligation applies.
-    let missing = "fn main() { println!(\"served\"); }\n";
-    let r = analyze_source("crates/bench/src/bin/exp_serving.rs", missing);
-    assert!(
-        r.findings.iter().any(|f| f.rule == "R6"),
-        "exp_serving without a metrics snapshot must trip R6"
-    );
-    let ok = "fn main() { rdi_bench::emit_metrics_snapshot(); }\n";
-    let r = analyze_source("crates/bench/src/bin/exp_serving.rs", ok);
-    assert!(!r.findings.iter().any(|f| f.rule == "R6"));
-}
-
-#[test]
-fn r6_covers_the_lake_churn_experiment() {
-    // E20 (exp_lake_churn) proves O(delta) maintenance *by counters*,
-    // so a run without a METRICS_SNAPSHOT is meaningless — pin the
-    // obligation to the harness name.
-    let missing = "fn main() { println!(\"churned\"); }\n";
-    let r = analyze_source("crates/bench/src/bin/exp_lake_churn.rs", missing);
-    assert!(
-        r.findings.iter().any(|f| f.rule == "R6"),
-        "exp_lake_churn without a metrics snapshot must trip R6"
-    );
-    let ok = "fn main() { rdi_bench::emit_metrics_snapshot(); }\n";
-    let r = analyze_source("crates/bench/src/bin/exp_lake_churn.rs", ok);
-    assert!(!r.findings.iter().any(|f| f.rule == "R6"));
-}
-
-#[test]
-fn r6_covers_the_multitenant_experiment() {
-    // E22 (exp_multitenant) proves fairness and blast-radius bounds by
-    // per-tenant counter arithmetic; a run without a METRICS_SNAPSHOT
-    // proves nothing, so the obligation is pinned to the harness name.
-    let missing = "fn main() { println!(\"admitted\"); }\n";
-    let r = analyze_source("crates/bench/src/bin/exp_multitenant.rs", missing);
-    assert!(
-        r.findings.iter().any(|f| f.rule == "R6"),
-        "exp_multitenant without a metrics snapshot must trip R6"
-    );
-    let ok = "fn main() { rdi_bench::emit_metrics_snapshot(); }\n";
-    let r = analyze_source("crates/bench/src/bin/exp_multitenant.rs", ok);
-    assert!(!r.findings.iter().any(|f| f.rule == "R6"));
 }
 
 #[test]

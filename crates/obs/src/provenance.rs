@@ -9,12 +9,10 @@
 
 use std::sync::{Arc, OnceLock};
 
-use serde::Serialize;
-
 use crate::Counter;
 
 /// One step of pipeline provenance.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ProvenanceEvent {
     /// Tailoring began: the problem shape and chosen policy.
     TailoringStarted {
@@ -241,7 +239,7 @@ impl std::fmt::Display for ProvenanceEvent {
 }
 
 /// An ordered log of [`ProvenanceEvent`]s.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ProvenanceLog(pub Vec<ProvenanceEvent>);
 
 impl ProvenanceLog {
@@ -353,36 +351,6 @@ mod tests {
         );
     }
 
-    #[test]
-    fn resilience_events_round_trip_through_json() {
-        let mut log = ProvenanceLog::new();
-        log.push(ProvenanceEvent::SourceFaults {
-            source: "s0".into(),
-            by_kind: vec![("corrupt".into(), 2)],
-            retries: 2,
-        });
-        log.push(ProvenanceEvent::SourceQuarantined {
-            source: "s0".into(),
-            consecutive_failures: 5,
-            at_tick: 31,
-        });
-        log.push(ProvenanceEvent::Degraded {
-            quarantined: vec!["s0".into()],
-            missing_per_group: vec![7],
-        });
-        let text = serde_json::to_string(&log).unwrap();
-        let back = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, log.serialize());
-    }
-
-    #[test]
-    fn events_round_trip_through_json() {
-        let log = sample_log();
-        let text = serde_json::to_string(&log).unwrap();
-        let back = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, log.serialize());
-    }
-
     fn policy_events() -> (ProvenanceEvent, ProvenanceEvent) {
         let chose = ProvenanceEvent::PolicyDecision {
             policy: "discovery.union_rank".into(),
@@ -420,17 +388,6 @@ mod tests {
             "policy `core.redirect` found no eligible candidate among 0; params=dir=max \
              params_hash=0000000000000001"
         );
-    }
-
-    #[test]
-    fn policy_decision_round_trips_through_json() {
-        let (chose, none) = policy_events();
-        let mut log = ProvenanceLog::new();
-        log.push(chose);
-        log.push(none);
-        let text = serde_json::to_string(&log).unwrap();
-        let back = serde_json::from_str(&text).unwrap();
-        assert_eq!(back, log.serialize());
     }
 
     #[test]

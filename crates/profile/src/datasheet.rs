@@ -6,10 +6,12 @@
 //! renders filled sheets; the structured sections keep the document
 //! machine-checkable (unanswered questions are visible).
 
-use serde::Serialize;
+use serde::{Json, Serialize};
+
+use crate::json_object;
 
 /// One datasheet question, optionally answered.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct QuestionAnswer {
     /// The question text.
     pub question: String,
@@ -18,7 +20,7 @@ pub struct QuestionAnswer {
 }
 
 /// A datasheet section (e.g. "Motivation").
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Section {
     /// Section title.
     pub title: String,
@@ -27,12 +29,39 @@ pub struct Section {
 }
 
 /// A full datasheet.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Datasheet {
     /// Data set name.
     pub dataset_name: String,
     /// The sections.
     pub sections: Vec<Section>,
+}
+
+impl Serialize for QuestionAnswer {
+    fn serialize(&self) -> Json {
+        json_object([
+            ("question", self.question.serialize()),
+            ("answer", self.answer.serialize()),
+        ])
+    }
+}
+
+impl Serialize for Section {
+    fn serialize(&self) -> Json {
+        json_object([
+            ("title", self.title.serialize()),
+            ("questions", self.questions.serialize()),
+        ])
+    }
+}
+
+impl Serialize for Datasheet {
+    fn serialize(&self) -> Json {
+        json_object([
+            ("dataset_name", self.dataset_name.serialize()),
+            ("sections", self.sections.serialize()),
+        ])
+    }
 }
 
 impl Datasheet {

@@ -3,9 +3,10 @@
 use rdi_coverage::CoverageAnalyzer;
 use rdi_fairness::association::{entropy, table_association};
 use rdi_table::{GroupSpec, Role, Table};
-use serde::Serialize;
+use serde::{Json, Serialize};
 
 use crate::fd::fd_violation_rate;
+use crate::json_object;
 use crate::stats::{profile_table, ColumnProfile};
 
 /// Knobs for label generation.
@@ -34,7 +35,7 @@ impl Default for LabelConfig {
 }
 
 /// A dataset nutritional label: the §2 requirements, measured.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct NutritionalLabel {
     /// Rows in the data set.
     pub num_rows: usize,
@@ -73,6 +74,38 @@ pub struct NutritionalLabel {
     pub warnings: Vec<String>,
     /// Free-form scope-of-use notes supplied by the data collector.
     pub scope_notes: Vec<String>,
+}
+
+impl Serialize for NutritionalLabel {
+    fn serialize(&self) -> Json {
+        json_object([
+            ("num_rows", self.num_rows.serialize()),
+            ("columns", self.columns.serialize()),
+            ("group_fractions", self.group_fractions.serialize()),
+            (
+                "representation_disparity",
+                self.representation_disparity.serialize(),
+            ),
+            ("diversity", self.diversity.serialize()),
+            ("uncovered_patterns", self.uncovered_patterns.serialize()),
+            (
+                "feature_associations",
+                self.feature_associations.serialize(),
+            ),
+            (
+                "sensitive_target_fd_violation",
+                self.sensitive_target_fd_violation.serialize(),
+            ),
+            ("bias_rules", self.bias_rules.serialize()),
+            ("attribute_diversity", self.attribute_diversity.serialize()),
+            (
+                "differential_missingness",
+                self.differential_missingness.serialize(),
+            ),
+            ("warnings", self.warnings.serialize()),
+            ("scope_notes", self.scope_notes.serialize()),
+        ])
+    }
 }
 
 impl NutritionalLabel {
@@ -177,10 +210,11 @@ impl NutritionalLabel {
                     if f.role != Role::Feature || f.dtype != rdi_table::DataType::Str {
                         continue;
                     }
-                    // group-label entropy within each value slice
+                    // group-label entropy within each value slice; ordered
+                    // slices keep the float sum below bit-stable
                     let col = table.column(&f.name)?;
-                    let mut by_value: std::collections::HashMap<String, Vec<String>> =
-                        std::collections::HashMap::new();
+                    let mut by_value: std::collections::BTreeMap<String, Vec<String>> =
+                        std::collections::BTreeMap::new();
                     for i in 0..table.num_rows() {
                         let v = col.value(i);
                         if v.is_null() {
@@ -483,6 +517,31 @@ mod tests {
         assert!(l.attribute_diversity[0].1 > 0.95);
         assert_eq!(l.attribute_diversity[1].0, "club");
         assert!(l.attribute_diversity[1].1 < 0.05);
+    }
+
+    #[test]
+    fn attribute_diversity_is_independent_of_hash_order() {
+        // Three value slices: a sum of three weighted entropies rounds
+        // differently depending on the order it is taken in.
+        let schema = Schema::new(vec![
+            Field::new("race", DataType::Str).with_role(Role::Sensitive),
+            Field::new("city", DataType::Str),
+        ]);
+        let mut t = Table::new(schema);
+        for i in 0..12 {
+            let race = if i < 8 { "a" } else { "b" };
+            let city = ["north", "south", "east"][i % 3];
+            t.push_row(vec![Value::str(race), Value::str(city)])
+                .unwrap();
+        }
+        let first = NutritionalLabel::generate(&t, &LabelConfig::default()).unwrap();
+        for _ in 0..20 {
+            let again = NutritionalLabel::generate(&t, &LabelConfig::default()).unwrap();
+            assert_eq!(
+                again.attribute_diversity[0].1.to_bits(),
+                first.attribute_diversity[0].1.to_bits()
+            );
+        }
     }
 
     #[test]

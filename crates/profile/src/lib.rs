@@ -45,3 +45,14 @@ pub use fd::fd_violation_rate;
 pub use label::{LabelConfig, NutritionalLabel};
 pub use rules::{mine_rules, AssociationRule};
 pub use stats::{profile_column, ColumnProfile};
+
+/// A JSON object with `members` in the given order — the shape a named
+/// struct takes in the label and datasheet JSON.
+fn json_object<const N: usize>(members: [(&str, serde::Json); N]) -> serde::Json {
+    serde::Json::Obj(
+        members
+            .into_iter()
+            .map(|(name, value)| (name.to_string(), value))
+            .collect(),
+    )
+}

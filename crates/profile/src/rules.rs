@@ -10,10 +10,9 @@
 use std::collections::HashMap;
 
 use rdi_table::{Table, Value};
-use serde::Serialize;
 
 /// A mined rule `lhs_attr = lhs_value → rhs_attr = rhs_value`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AssociationRule {
     /// Antecedent attribute.
     pub lhs_attr: String,

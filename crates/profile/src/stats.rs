@@ -1,10 +1,12 @@
 //! Per-column statistical profiles.
 
 use rdi_table::{DataType, Table, Value};
-use serde::Serialize;
+use serde::{Json, Serialize};
+
+use crate::json_object;
 
 /// Summary statistics of one column.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ColumnProfile {
     /// Column name.
     pub name: String,
@@ -23,7 +25,7 @@ pub struct ColumnProfile {
 }
 
 /// min/max/mean/std of a numeric column.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NumericSummary {
     /// Minimum.
     pub min: f64,
@@ -33,6 +35,31 @@ pub struct NumericSummary {
     pub mean: f64,
     /// Population standard deviation.
     pub std_dev: f64,
+}
+
+impl Serialize for ColumnProfile {
+    fn serialize(&self) -> Json {
+        json_object([
+            ("name", self.name.serialize()),
+            ("dtype", self.dtype.serialize()),
+            ("count", self.count.serialize()),
+            ("nulls", self.nulls.serialize()),
+            ("distinct", self.distinct.serialize()),
+            ("numeric", self.numeric.serialize()),
+            ("top_values", self.top_values.serialize()),
+        ])
+    }
+}
+
+impl Serialize for NumericSummary {
+    fn serialize(&self) -> Json {
+        json_object([
+            ("min", self.min.serialize()),
+            ("max", self.max.serialize()),
+            ("mean", self.mean.serialize()),
+            ("std_dev", self.std_dev.serialize()),
+        ])
+    }
 }
 
 /// Profile one column.

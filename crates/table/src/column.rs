@@ -3,8 +3,6 @@
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
 
-use serde::Serialize;
-
 use crate::error::TableError;
 use crate::schema::DataType;
 use crate::value::Value;
@@ -16,7 +14,7 @@ use crate::Result;
 /// and auditable; a null bitmap + dense vector would be faster but is not
 /// needed at the scales the RDI experiments run at (≤ tens of millions of
 /// cells).
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Column {
     /// Integer column.
     Int(Vec<Option<i64>>),

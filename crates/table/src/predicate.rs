@@ -5,8 +5,6 @@
 //! group filters for `rdi-tailor`, slice definitions for `rdi-acquisition`)
 //! without pulling in a SQL engine.
 
-use serde::Serialize;
-
 use crate::table::Table;
 use crate::value::Value;
 
@@ -16,7 +14,7 @@ use crate::value::Value;
 /// collapsed to two values), except [`Predicate::IsNull`]. Consequently
 /// [`Predicate::Not`] is plain boolean negation: `Not(x > 3)` *matches*
 /// null cells, unlike SQL's `NOT`.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Predicate {
     /// Always true.
     True,

@@ -1,7 +1,5 @@
 //! The [`Table`]: a schema plus typed columns.
 
-use serde::Serialize;
-
 use crate::column::Column;
 use crate::error::TableError;
 use crate::predicate::Predicate;
@@ -10,7 +8,7 @@ use crate::value::Value;
 use crate::Result;
 
 /// An in-memory columnar table.
-#[derive(Debug, Clone, PartialEq, Serialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Table {
     schema: Schema,
     columns: Vec<Column>,

@@ -3,15 +3,13 @@
 use std::cmp::Ordering;
 use std::fmt;
 
-use serde::Serialize;
-
 /// A single cell value in a [`crate::Table`].
 ///
 /// `Value` is the dynamically-typed interchange type used at the API
 /// boundary (row construction, predicates, group keys). Storage inside a
 /// table is typed per column (see [`crate::Column`]), so `Value` never
 /// appears in hot inner loops unless an algorithm explicitly asks for it.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub enum Value {
     /// Missing value (SQL `NULL`).
     Null,

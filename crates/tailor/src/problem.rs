@@ -1,7 +1,6 @@
 //! The DT query: groups and count requirements.
 
 use rdi_table::{GroupKey, GroupSpec, TableError, Value};
-use serde::Serialize;
 
 /// A per-group count requirement.
 ///
@@ -9,7 +8,7 @@ use serde::Serialize;
 /// collect until `lo`, never discard). The tutorial's §5 extension allows
 /// *ranges*: a group is satisfied at `lo` and samples are discarded once
 /// `hi` is reached.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CountRequirement {
     /// Minimum count required for satisfaction.
     pub lo: usize,
