@@ -50,7 +50,10 @@ fn first_decision(events: &[ProvenanceEvent], id: &str) -> (u64, String) {
                 params_hash,
                 winner,
                 ..
-            } if policy == id => Some((*params_hash, winner.clone().unwrap_or_default())),
+            } if *policy == id => Some((
+                *params_hash,
+                winner.as_deref().unwrap_or_default().to_string(),
+            )),
             _ => None,
         })
         .unwrap_or_else(|| panic!("no `{id}` decision in the stream"))
@@ -159,7 +162,7 @@ fn redirect_flip() {
             .iter()
             .find(|e| {
                 matches!(e, ProvenanceEvent::PolicyDecision { policy, .. }
-                    if policy == "core.redirect")
+                    if *policy == "core.redirect")
             })
             .expect("redirect exemplar emitted");
         println!("  {}\n", exemplar.render());

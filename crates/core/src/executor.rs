@@ -529,9 +529,9 @@ mod tests {
                 .iter()
                 .find_map(|e| match e {
                     ProvenanceEvent::PolicyDecision { policy, winner, .. }
-                        if policy == "core.redirect" =>
+                        if *policy == "core.redirect" =>
                     {
-                        winner.clone()
+                        winner.as_deref().map(String::from)
                     }
                     _ => None,
                 })

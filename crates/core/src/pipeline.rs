@@ -335,7 +335,7 @@ mod tests {
         ));
         assert!(matches!(
             result.provenance.get(1),
-            Some(E::PolicyDecision { policy, .. }) if policy == "tailor.keep"
+            Some(E::PolicyDecision { policy, .. }) if *policy == "tailor.keep"
         ));
         assert!(matches!(
             result.provenance.get(2),

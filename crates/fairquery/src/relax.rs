@@ -220,7 +220,7 @@ mod tests {
         assert_eq!(events.len(), 2);
         assert!(events.iter().all(|e| matches!(
             e,
-            ProvenanceEvent::PolicyDecision { policy, .. } if policy == "fairquery.relax"
+            ProvenanceEvent::PolicyDecision { policy, .. } if *policy == "fairquery.relax"
         )));
     }
 
@@ -245,7 +245,7 @@ mod tests {
         )
         .unwrap();
         let first = |events: &[ProvenanceEvent]| match &events[0] {
-            ProvenanceEvent::PolicyDecision { winner, .. } => winner.clone(),
+            ProvenanceEvent::PolicyDecision { winner, .. } => winner.as_deref().map(String::from),
             _ => None,
         };
         assert_eq!(first(&defaults.1), Some("left".to_string()));

@@ -91,19 +91,20 @@ pub enum ProvenanceEvent {
     /// see DESIGN.md, "Policy engine").
     PolicyDecision {
         /// Decision-site id (`rdi_policy::PolicyId::as_str`).
-        policy: String,
+        policy: &'static str,
         /// Canonical FNV-1a hash of the deciding params.
         params_hash: u64,
         /// Candidates considered.
         considered: usize,
-        /// Winning candidate key; `None` when nothing was eligible.
-        winner: Option<String>,
+        /// Winning candidate key, shared with the candidate; `None`
+        /// when nothing was eligible.
+        winner: Option<Arc<str>>,
         /// The winner's rendered score (`""` when no winner).
         winner_score: String,
         /// Candidates sharing the winner's exact score.
         ties: usize,
         /// Rule that separated tied candidates (`"none"` if untied).
-        tie_break: String,
+        tie_break: &'static str,
         /// Rendered `k=v` params (`∅` for defaults).
         params: String,
     },
@@ -122,7 +123,9 @@ pub enum ProvenanceEvent {
 /// counter handles and emit one exemplar event per run — see DESIGN.md,
 /// "Policy engine".
 ///
-/// The rationale's strings move into the event. Both counter handles
+/// The rationale's fields move into the event without a copy: the site
+/// id and tie-break rule are `&'static str` and the winner is the
+/// candidate's shared key. Both counter handles
 /// are resolved on a site's first decision and kept (registry handles
 /// survive [`crate::MetricsRegistry::reset`]), so later decisions take
 /// no registry lock and format no name.
@@ -143,13 +146,13 @@ pub fn policy_decision_event(r: rdi_policy::Rationale) -> ProvenanceEvent {
         None => site().inc(),
     }
     ProvenanceEvent::PolicyDecision {
-        policy: r.policy.to_string(),
+        policy: r.policy,
         params_hash: r.params_hash,
         considered: r.considered,
         winner: r.winner,
         winner_score: r.winner_score,
         ties: r.ties,
-        tie_break: r.tie_break.to_string(),
+        tie_break: r.tie_break,
         params: r.params,
     }
 }
@@ -353,23 +356,23 @@ mod tests {
 
     fn policy_events() -> (ProvenanceEvent, ProvenanceEvent) {
         let chose = ProvenanceEvent::PolicyDecision {
-            policy: "discovery.union_rank".into(),
+            policy: "discovery.union_rank",
             params_hash: 0x0123_4567_89ab_cdef,
             considered: 3,
             winner: Some("alpha".into()),
             winner_score: "0.75".into(),
             ties: 2,
-            tie_break: "key_asc".into(),
+            tie_break: "key_asc",
             params: "∅".into(),
         };
         let none = ProvenanceEvent::PolicyDecision {
-            policy: "core.redirect".into(),
+            policy: "core.redirect",
             params_hash: 1,
             considered: 0,
             winner: None,
             winner_score: String::new(),
             ties: 0,
-            tie_break: "none".into(),
+            tie_break: "none",
             params: "dir=max".into(),
         };
         (chose, none)

@@ -85,7 +85,7 @@ impl SelectionDecision {
             policy: self.policy.as_str(),
             params_hash: self.params_hash,
             considered: self.considered,
-            winner: self.winner_key(candidates).map(String::from),
+            winner: self.winner.map(|i| Arc::clone(&candidates[i].key)),
             winner_score: self
                 .winner
                 .map(|i| candidates[i].score.render())
@@ -99,8 +99,8 @@ impl SelectionDecision {
 
 /// Why a winner won: the auditable record call sites emit as a
 /// `ProvenanceEvent::PolicyDecision` *before* the decision takes
-/// effect. Plain owned data so any crate can convert it without
-/// depending on this one's internals.
+/// effect. Plain data so any crate can convert it without depending on
+/// this one's internals; the winner shares the candidate's key.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Rationale {
     /// The deciding site id (`PolicyId::as_str`).
@@ -109,8 +109,9 @@ pub struct Rationale {
     pub params_hash: u64,
     /// Candidates considered.
     pub considered: usize,
-    /// Winning key, or `None` when nothing was eligible.
-    pub winner: Option<String>,
+    /// Winning key (the candidate's shared key), or `None` when
+    /// nothing was eligible.
+    pub winner: Option<Arc<str>>,
     /// The winner's rendered score (`""` when no winner).
     pub winner_score: String,
     /// Candidates sharing the winner's exact score.

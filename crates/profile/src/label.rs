@@ -253,10 +253,7 @@ impl NutritionalLabel {
                 if overall == 0.0 {
                     continue;
                 }
-                let mut keys: Vec<_> = parts.keys().cloned().collect();
-                keys.sort();
-                for k in keys {
-                    let idxs = &parts[&k];
+                for (k, idxs) in &parts {
                     let nulls = idxs.iter().filter(|&&i| col.value(i).is_null()).count();
                     let frac = nulls as f64 / idxs.len().max(1) as f64;
                     if frac >= 2.0 * overall && frac > 0.05 {

@@ -15,6 +15,16 @@
 //! ranked: building them costs one refcount bump per resident entry,
 //! and [`RankByScore`]'s stable sort confirms the order in one linear
 //! pass (descending under `dir=max`, which it reverses as one run).
+//! The candidate and sequence buffers are kept across episodes, and the
+//! episode's audit event names its winner through the candidate's
+//! shared key, so an episode copies no string. Drained decisions leave
+//! the event buffer's capacity in place for the next batch.
+//!
+//! On a miss, a registered table's sketch comes from its maintained
+//! state's shared snapshot (module `maint`): the cache and the
+//! maintained state hold the same `Arc`, so evicting an entry and
+//! missing on it again re-inserts that `Arc` without copying a
+//! signature.
 //!
 //! The cache reports itself through `rdi-obs`: `serve.cache.hits`,
 //! `serve.cache.misses`, `serve.cache.evictions` (capacity pressure),
@@ -73,14 +83,24 @@ impl CacheKey {
     /// under which this entry appears in `serve.cache_evict` policy
     /// decisions.
     pub fn render(&self) -> String {
+        let mut out = String::new();
+        self.render_into(&mut out);
+        out
+    }
+
+    /// Append [`CacheKey::render`]'s text to `out`, so a cache can
+    /// render every audit key into one reused buffer.
+    fn render_into(&self, out: &mut String) {
+        use std::fmt::Write;
+        let (owner, fingerprint) = (&self.owner, self.fingerprint);
         match &self.kind {
-            SketchKind::Union { k } => {
-                format!("{}#{:016x}#union:{k}", self.owner, self.fingerprint)
-            }
+            SketchKind::Union { k } => write!(out, "{owner}#{fingerprint:016x}#union:{k}"),
             SketchKind::Join { column, k } => {
-                format!("{}#{:016x}#join:{column}:{k}", self.owner, self.fingerprint)
+                write!(out, "{owner}#{fingerprint:016x}#join:{column}:{k}")
             }
         }
+        // writing into a `String` cannot fail
+        .unwrap_or_default();
     }
 }
 
@@ -202,6 +222,13 @@ pub struct SketchCache {
     /// One `PolicyDecision` audit event per eviction episode, drained
     /// by the owning index/session.
     decisions: Vec<ProvenanceEvent>,
+    /// An eviction episode's candidates and their recency sequences:
+    /// buffers kept between episodes, empty outside one.
+    candidates: Vec<Candidate>,
+    ticks: Vec<u64>,
+    /// Reused buffer each audit key is rendered into before it is
+    /// copied into its one `Arc<str>` allocation.
+    render_buf: String,
     metrics: CacheMetrics,
 }
 
@@ -218,6 +245,9 @@ impl SketchCache {
             bytes: 0,
             evict_params: PolicyParams::new().with("dir", "min"),
             decisions: Vec::new(),
+            candidates: Vec::new(),
+            ticks: Vec::new(),
+            render_buf: String::new(),
             metrics: CacheMetrics::default(),
         }
     }
@@ -236,9 +266,10 @@ impl SketchCache {
     }
 
     /// Drain the accumulated `PolicyDecision` audit events (one per
-    /// eviction episode), oldest first.
-    pub fn drain_decisions(&mut self) -> Vec<ProvenanceEvent> {
-        std::mem::take(&mut self.decisions)
+    /// eviction episode), oldest first. The buffer keeps its capacity
+    /// for the next batch's episodes.
+    pub fn drain_decisions(&mut self) -> std::vec::Drain<'_, ProvenanceEvent> {
+        self.decisions.drain(..)
     }
 
     /// Accounted bytes currently held.
@@ -300,7 +331,9 @@ impl SketchCache {
         }
         self.clock += 1;
         self.bytes += bytes;
-        let audit_key = key.render().into();
+        self.render_buf.clear();
+        key.render_into(&mut self.render_buf);
+        let audit_key = Arc::from(self.render_buf.as_str());
         self.recency.insert(
             self.clock,
             Slot {
@@ -329,25 +362,27 @@ impl SketchCache {
     /// every recency slot before it, in sequence order, keyed by the
     /// audit keys rendered at insert. Sequences are unique, so the
     /// ranking is the one any candidate order would give; victims
-    /// resolve through their sequence.
+    /// resolve through their sequence. The candidate and sequence
+    /// buffers are reused across episodes, and the audit event's winner
+    /// shares its candidate's key.
     fn evict_over_budget(&mut self, fresh: u64) -> usize {
         if self.bytes <= self.capacity || self.entries.len() <= 1 {
             return 0;
         }
-        let mut candidates = Vec::with_capacity(self.recency.len() - 1);
-        let mut ticks = Vec::with_capacity(self.recency.len() - 1);
         for (&tick, slot) in self.recency.range(..fresh) {
-            candidates.push(Candidate::new(
+            self.candidates.push(Candidate::new(
                 Arc::clone(&slot.audit_key),
                 Score::U64(tick),
             ));
-            ticks.push(tick);
+            self.ticks.push(tick);
         }
         let policy = RankByScore::new(PolicyId::CACHE_EVICT);
-        let decision = policy.choose(&candidates, &self.evict_params);
+        let decision = policy.choose(&self.candidates, &self.evict_params);
         self.decisions.push(rdi_obs::policy_decision_event(
-            decision.rationale(&candidates, &self.evict_params),
+            decision.rationale(&self.candidates, &self.evict_params),
         ));
+        // the audit keys are released with their slots, not held here
+        self.candidates.clear();
         let mut evicted = 0;
         for &i in &decision.ranking {
             if self.bytes <= self.capacity {
@@ -355,7 +390,7 @@ impl SketchCache {
             }
             if let Some(e) = self
                 .recency
-                .remove(&ticks[i])
+                .remove(&self.ticks[i])
                 .and_then(|slot| self.entries.remove(&slot.key))
             {
                 self.bytes -= e.bytes;
@@ -363,6 +398,7 @@ impl SketchCache {
             }
             evicted += 1;
         }
+        self.ticks.clear();
         evicted
     }
 
@@ -455,6 +491,26 @@ mod tests {
         assert!(c.get(&key("a")).is_some(), "recently touched survives");
         assert!(c.get(&key("b")).is_none(), "LRU evicted");
         assert!(c.get(&key("c")).is_some());
+    }
+
+    /// The rendered `serve.cache_evict` audit line of one episode,
+    /// pinned byte for byte: its fields may change type, its text may
+    /// not.
+    #[test]
+    fn eviction_decision_renders_byte_identically() {
+        let mut c = SketchCache::new(340);
+        c.insert(key("a"), sig("a", 8));
+        c.insert(key("b"), sig("b", 8));
+        assert!(c.get(&key("a")).is_some());
+        c.insert(key("c"), sig("c", 8));
+        let rendered: Vec<String> = c.drain_decisions().map(|e| e.render()).collect();
+        assert_eq!(
+            rendered,
+            vec![
+                "policy `serve.cache_evict` chose `b#0000000000000001#union:8` (score 2) from 2 \
+                 candidate(s); ties=1 tie_break=none params=dir=min params_hash=9ec324015275699f"
+            ]
+        );
     }
 
     #[test]
@@ -603,10 +659,10 @@ mod tests {
             }
         }
         assert!(
-            !c.drain_decisions().is_empty(),
+            c.drain_decisions().count() > 0,
             "over-budget episodes were audited"
         );
-        assert!(c.drain_decisions().is_empty(), "drain empties the log");
+        assert_eq!(c.drain_decisions().count(), 0, "drain empties the log");
     }
 
     /// The eviction episode as it ran before audit keys were kept in
@@ -739,7 +795,7 @@ mod tests {
                 prop_assert_eq!(new.bytes(), old.bytes(), "step {}", step);
             }
             let rendered = |c: &mut SketchCache| -> Vec<String> {
-                c.drain_decisions().iter().map(ProvenanceEvent::render).collect()
+                c.drain_decisions().map(|e| e.render()).collect()
             };
             prop_assert_eq!(rendered(&mut new), rendered(&mut old));
             prop_assert_eq!(new_evictions, old_evictions);

@@ -30,7 +30,6 @@
 //! counted rebuild (`sketch.rebuilds`) and resets the debt — a cost
 //! policy only; answers are bitwise identical on both sides.
 
-use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -240,17 +239,17 @@ impl Shard {
         // the now-unreachable old-fingerprint entries.
         let owner: Arc<str> = id.into();
         let new_fp = r.fp.fingerprint();
-        if let Some(u) = &r.maint.union {
+        if let Some(u) = &mut r.maint.union {
             self.cache.insert(
                 CacheKey {
                     owner: Arc::clone(&owner),
                     fingerprint: new_fp,
                     kind: SketchKind::Union { k },
                 },
-                Sketch::Union(Arc::new(u.signature())),
+                Sketch::Union(u.signature()),
             );
         }
-        for (col, p) in &r.maint.joins {
+        for (col, p) in &mut r.maint.joins {
             self.cache.insert(
                 CacheKey {
                     owner: Arc::clone(&owner),
@@ -260,7 +259,7 @@ impl Shard {
                         k,
                     },
                 },
-                Sketch::Join(Arc::new(p.profile())),
+                Sketch::Join(p.profile()),
             );
         }
         self.cache.evict_stale(id, new_fp);
@@ -397,8 +396,8 @@ impl Shard {
     }
 }
 
-/// Union signature for a registered table: cache hit, or derive from
-/// maintained state, or cold-build (which starts maintenance).
+/// Union signature for a registered table: cache hit, or the maintained
+/// state's shared snapshot, or cold-build (which starts maintenance).
 fn union_signature(
     cache: &mut SketchCache,
     id: &Arc<str>,
@@ -414,17 +413,17 @@ fn union_signature(
         return sig;
     }
     let table = &r.table;
-    let u = r
+    let sig = r
         .maint
         .union
-        .get_or_insert_with(|| UpdatableSignature::build(id, table, k));
-    let sig = Arc::new(u.signature());
+        .get_or_insert_with(|| UpdatableSignature::build(id, table, k))
+        .signature();
     cache.insert(key, Sketch::Union(sig.clone()));
     sig
 }
 
 /// Join profile for one column of a registered table: cache hit, or
-/// derive from maintained state, or cold-build (which starts
+/// the maintained state's shared snapshot, or cold-build (which starts
 /// maintenance). The column must exist — callers check first.
 fn key_profile(
     cache: &mut SketchCache,
@@ -444,12 +443,16 @@ fn key_profile(
     if let Some(Sketch::Join(p)) = cache.get(&key) {
         return Ok(p);
     }
-    let profile = match r.maint.joins.entry(column.to_string()) {
-        Entry::Occupied(e) => Arc::new(e.get().profile()),
-        Entry::Vacant(v) => Arc::new(
-            v.insert(UpdatableKeyProfile::build(&r.table, column, k)?)
-                .profile(),
-        ),
+    let profile = match r.maint.joins.get_mut(&**column) {
+        Some(p) => p.profile(),
+        None => {
+            let p = UpdatableKeyProfile::build(&r.table, column, k)?;
+            r.maint
+                .joins
+                .entry(column.to_string())
+                .or_insert(p)
+                .profile()
+        }
     };
     cache.insert(key, Sketch::Join(profile.clone()));
     Ok(profile)
@@ -1193,6 +1196,8 @@ fn containment_estimate(q: &KeyProfile, x: &KeyProfile) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::collection::vec;
+    use proptest::prelude::*;
     use rdi_table::{DataType, Field, Schema, Value};
 
     fn str_table(col: &str, vals: &[&str]) -> Table {
@@ -1296,6 +1301,32 @@ mod tests {
     // (no sketch built by a warm query or a delta, a rebuild only past
     // the debt threshold) live in `tests/maintenance_counters.rs`: the
     // counters are process-global, and parallel tests here bump them.
+
+    /// The rendered `discovery.union_rank` audit line of one query,
+    /// pinned byte for byte: its fields may change type, its text may
+    /// not.
+    #[test]
+    fn union_rank_decision_renders_byte_identically() {
+        let mut idx = index_with(&[
+            ("twin", &["a", "b", "c", "d"]),
+            ("copy", &["a", "b", "c", "d"]),
+            ("none", &["p", "q", "r", "s"]),
+        ]);
+        idx.union_top_k(&str_table("key", &["a", "b", "c", "d"]), 2)
+            .unwrap();
+        let rendered: Vec<String> = idx
+            .drain_decisions()
+            .iter()
+            .map(ProvenanceEvent::render)
+            .collect();
+        assert_eq!(
+            rendered,
+            vec![
+                "policy `discovery.union_rank` chose `copy` (score 1) from 3 candidate(s); \
+                 ties=2 tie_break=key_asc params=∅ params_hash=af63bc4c8601b62c"
+            ]
+        );
+    }
 
     #[test]
     fn repeat_queries_return_identical_answers() {
@@ -1435,6 +1466,77 @@ mod tests {
             &idx.union_top_k(&q, 2).unwrap(),
             &cold.union_top_k(&q, 2).unwrap(),
         );
+    }
+
+    /// A two-column table (`key` strings, `n` integers with nulls) of
+    /// `(key, n)` codes drawn from small pools, so values repeat.
+    fn coded_table(rows: &[(usize, usize)]) -> Table {
+        let schema = Schema::new(vec![
+            Field::new("key", DataType::Str),
+            Field::new("n", DataType::Int),
+        ]);
+        let mut t = Table::new(schema);
+        for &(key, n) in rows {
+            let n = if n == 0 {
+                Value::Null
+            } else {
+                Value::Int(n as i64)
+            };
+            t.push_row(vec![Value::str(format!("v{key}")), n]).unwrap();
+        }
+        t
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Random append/delete streams through a shard with a 1-byte
+        /// cache and a deletion-debt threshold of 3, so deltas both
+        /// repair incrementally and rebuild. After every delta the
+        /// maintained union signature and `key` profile equal cold
+        /// builds over the current table bitwise, and two reads with no
+        /// delta between them return the same `Arc` even though the
+        /// cache evicted the entry in between (each read's insert
+        /// evicts the other kind).
+        #[test]
+        fn maintained_snapshots_match_cold_builds_and_are_shared(
+            initial in vec((0usize..8, 0usize..4), 1..8),
+            ops in vec((any::<bool>(), vec((0usize..8, 0usize..4), 1..4)), 1..16),
+        ) {
+            let k = 16;
+            let id: Arc<str> = "t".into();
+            let column: Arc<str> = "key".into();
+            let mut shard = Shard::new(1);
+            shard.upsert(Arc::clone(&id), coded_table(&initial), 1.0).unwrap();
+            for step in 0..=ops.len() {
+                let Shard { tables, cache } = &mut shard;
+                let r = tables.get_mut(&id).unwrap();
+                let sig = union_signature(cache, &id, r, k);
+                let profile = key_profile(cache, &id, &column, r, k).unwrap();
+                prop_assert!(cache.len() == 1, "the profile evicted the signature");
+                prop_assert!(Arc::ptr_eq(&sig, &union_signature(cache, &id, r, k)));
+                prop_assert!(Arc::ptr_eq(&profile, &key_profile(cache, &id, &column, r, k).unwrap()));
+
+                let cold = TableSignature::build(&*id, &r.table, k).unwrap();
+                prop_assert_eq!(&sig.name, &cold.name);
+                prop_assert_eq!(&sig.columns, &cold.columns, "step {}", step);
+                let cold = KeyProfile {
+                    column: column.to_string(),
+                    minhash: MinHash::from_column(&r.table, &column, k).unwrap(),
+                    distinct: r.table.distinct(&column).unwrap().iter().filter(|v| !v.is_null()).count(),
+                };
+                prop_assert_eq!(&*profile, &cold, "step {}", step);
+
+                let Some((append, rows)) = ops.get(step) else { break };
+                let rows_now = r.table.num_rows();
+                let delta = if *append || rows_now <= rows.len() {
+                    TableDelta::Append(coded_table(rows))
+                } else {
+                    TableDelta::Delete(rows.iter().map(|&(i, _)| i % rows_now).collect())
+                };
+                shard.apply_delta(&id, &delta, k, 3).unwrap();
+            }
+        }
     }
 
     #[test]

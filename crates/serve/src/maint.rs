@@ -26,8 +26,17 @@
 //! Maintained state is created the first time a sketch kind is
 //! requested for a table (queries decide what is worth maintaining)
 //! and dropped wholesale when the table is dropped or replaced.
+//!
+//! **Shared snapshots.** Each maintained sketch hands out its immutable
+//! form as an `Arc` snapshot: built on the first read after a change,
+//! dropped by `append_rows`/`remove_rows`, and gone with the old state
+//! on a debt rebuild. Between changes every read — a cache miss after
+//! the entry was evicted, or a delta's cache refresh — clones the
+//! `Arc` instead of copying `k` words per column, so a lake whose
+//! sketch working set exceeds the cache re-serves the same snapshot.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rdi_discovery::{TableSignature, UpdatableMinHash};
 use rdi_table::Table;
@@ -40,6 +49,8 @@ use crate::cache::KeyProfile;
 pub(crate) struct UpdatableSignature {
     name: String,
     columns: Vec<(String, UpdatableMinHash)>,
+    /// The signature as of the last change, built on first read.
+    snapshot: Option<Arc<TableSignature>>,
 }
 
 impl UpdatableSignature {
@@ -58,25 +69,30 @@ impl UpdatableSignature {
         UpdatableSignature {
             name: name.to_string(),
             columns,
+            snapshot: None,
         }
     }
 
     /// The immutable signature to cache — bitwise identical to
-    /// `TableSignature::build` over the same content.
-    pub fn signature(&self) -> TableSignature {
-        TableSignature {
-            name: self.name.clone(),
-            columns: self
-                .columns
-                .iter()
-                .map(|(n, m)| (n.clone(), m.minhash()))
-                .collect(),
-        }
+    /// `TableSignature::build` over the same content. Shared: reads
+    /// between two changes return the same `Arc`.
+    pub fn signature(&mut self) -> Arc<TableSignature> {
+        let (name, columns) = (&self.name, &self.columns);
+        Arc::clone(self.snapshot.get_or_insert_with(|| {
+            Arc::new(TableSignature {
+                name: name.clone(),
+                columns: columns
+                    .iter()
+                    .map(|(n, m)| (n.clone(), m.minhash()))
+                    .collect(),
+            })
+        }))
     }
 
     /// Absorb appended rows (same schema as the registered table —
     /// enforced by the table append itself). O(rows × columns).
     pub fn append_rows(&mut self, rows: &Table) {
+        self.snapshot = None;
         for (ci, (_, m)) in self.columns.iter_mut().enumerate() {
             let col = rows.column_at(ci);
             for ri in 0..rows.num_rows() {
@@ -87,6 +103,7 @@ impl UpdatableSignature {
 
     /// Absorb removed rows (as returned by `Table::delete_rows`).
     pub fn remove_rows(&mut self, removed: &Table) {
+        self.snapshot = None;
         for (ci, (_, m)) in self.columns.iter_mut().enumerate() {
             let col = removed.column_at(ci);
             for ri in 0..removed.num_rows() {
@@ -102,6 +119,8 @@ impl UpdatableSignature {
 pub(crate) struct UpdatableKeyProfile {
     column: String,
     minhash: UpdatableMinHash,
+    /// The profile as of the last change, built on first read.
+    snapshot: Option<Arc<KeyProfile>>,
 }
 
 impl UpdatableKeyProfile {
@@ -112,21 +131,27 @@ impl UpdatableKeyProfile {
         Ok(UpdatableKeyProfile {
             column: column.to_string(),
             minhash,
+            snapshot: None,
         })
     }
 
     /// The immutable profile to cache — bitwise identical to the cold
-    /// path (`MinHash::from_column` + exact distinct count).
-    pub fn profile(&self) -> KeyProfile {
-        KeyProfile {
-            column: self.column.clone(),
-            minhash: self.minhash.minhash(),
-            distinct: self.minhash.distinct(),
-        }
+    /// path (`MinHash::from_column` + exact distinct count). Shared:
+    /// reads between two changes return the same `Arc`.
+    pub fn profile(&mut self) -> Arc<KeyProfile> {
+        let (column, minhash) = (&self.column, &self.minhash);
+        Arc::clone(self.snapshot.get_or_insert_with(|| {
+            Arc::new(KeyProfile {
+                column: column.clone(),
+                minhash: minhash.minhash(),
+                distinct: minhash.distinct(),
+            })
+        }))
     }
 
     /// Absorb appended rows. O(rows).
     pub fn append_rows(&mut self, rows: &Table) -> rdi_table::Result<()> {
+        self.snapshot = None;
         let col = rows.column(&self.column)?;
         for ri in 0..rows.num_rows() {
             self.minhash.insert(&col.value(ri));
@@ -136,6 +161,7 @@ impl UpdatableKeyProfile {
 
     /// Absorb removed rows. O(rows) plus positionwise repair.
     pub fn remove_rows(&mut self, removed: &Table) -> rdi_table::Result<()> {
+        self.snapshot = None;
         let col = removed.column(&self.column)?;
         for ri in 0..removed.num_rows() {
             self.minhash.remove(&col.value(ri));

@@ -574,21 +574,18 @@ mod tests {
         assert_eq!(serial, run(Threads::fixed(8)));
     }
 
+    /// The replay's "builds no sketch" counter check lives in
+    /// `tests/maintenance_counters.rs`: the counter is process-global,
+    /// and parallel tests here build sketches.
     #[test]
-    fn warm_replay_is_bitwise_identical_and_builds_nothing() {
+    fn warm_replay_is_bitwise_identical() {
         let mut s = session();
         let batch = mixed_batch();
         let cold = s.submit_batch(&batch);
         // Re-serve the same stream over the warm index: same arrival
         // indices, so even the randomized tailor run replays exactly.
         let mut warm_session = ServeSession::new(s.into_index(), SessionConfig::default());
-        let built = rdi_obs::counter("discovery.sketches_built").get();
         let warm = warm_session.submit_batch(&batch);
-        assert_eq!(
-            rdi_obs::counter("discovery.sketches_built").get(),
-            built,
-            "warm replay rebuilds no sketches"
-        );
         assert_eq!(cold.responses, warm.responses);
     }
 }

@@ -1,12 +1,12 @@
 //! Exact counter deltas of lake-index maintenance: a warm query builds
 //! no sketch, neither does an append delta nor the warm re-query after
-//! it, and deletions rebuild only once their debt crosses the
-//! threshold. The counters are process-global, so these checks live in
-//! their own test binary with no other test running beside them; the
-//! answer checks of the same scenarios stay with the index's unit
-//! tests.
+//! it, nor a session replaying a batch over a warm index, and deletions
+//! rebuild only once their debt crosses the threshold. The counters are
+//! process-global, so these checks live in their own test binary with
+//! no other test running beside them; the answer checks of the same
+//! scenarios stay with the index's and the session's unit tests.
 
-use rdi_serve::{LakeIndex, LakeIndexConfig};
+use rdi_serve::{LakeIndex, LakeIndexConfig, ServeRequest, ServeSession, SessionConfig};
 use rdi_table::{DataType, Field, Schema, Table, TableDelta, Value};
 
 fn str_table(col: &str, vals: &[&str]) -> Table {
@@ -91,9 +91,32 @@ fn delete_delta_rebuilds_only_past_debt() {
     assert!(rebuilds.get() > before, "debt crossed: rebuild counted");
 }
 
+fn warm_session_replay_builds_no_sketches() {
+    let batch = vec![
+        ServeRequest::UnionTopK {
+            query: str_table("key", &["a", "b", "c"]),
+            k: 2,
+        },
+        ServeRequest::JoinableTopK {
+            query: str_table("key", &["a", "b"]),
+            column: "key".into(),
+            k: 2,
+        },
+    ];
+    let idx = index_with(&[("abc", &["a", "b", "c"]), ("abx", &["a", "b", "x"])]);
+    let mut cold = ServeSession::new(idx, SessionConfig::default());
+    cold.submit_batch(&batch);
+    let mut warm = ServeSession::new(cold.into_index(), SessionConfig::default());
+    let built = rdi_obs::counter("discovery.sketches_built");
+    let before = built.get();
+    warm.submit_batch(&batch);
+    assert_eq!(built.get(), before, "warm replay rebuilds no sketches");
+}
+
 #[test]
 fn maintenance_counter_deltas_are_exact() {
     repeat_queries_build_no_new_sketches();
     append_delta_builds_no_sketches();
     delete_delta_rebuilds_only_past_debt();
+    warm_session_replay_builds_no_sketches();
 }

@@ -120,9 +120,10 @@ impl GroupSpec {
         Ok(m)
     }
 
-    /// Per-group row indices.
-    pub fn partition(&self, table: &Table) -> Result<HashMap<GroupKey, Vec<usize>>> {
-        let mut m: HashMap<GroupKey, Vec<usize>> = HashMap::new();
+    /// Per-group row indices, in group-key order: walking the groups
+    /// (and drawing from a seeded RNG per row) is deterministic.
+    pub fn partition(&self, table: &Table) -> Result<BTreeMap<GroupKey, Vec<usize>>> {
+        let mut m: BTreeMap<GroupKey, Vec<usize>> = BTreeMap::new();
         for i in 0..table.num_rows() {
             m.entry(self.key_of(table, i)?).or_default().push(i);
         }
@@ -149,7 +150,7 @@ impl GroupSpec {
         Ok(ks)
     }
 
-    /// Per-group summary statistics of a numeric column.
+    /// Per-group summary statistics of a numeric column, sorted by key.
     pub fn stats(&self, table: &Table, column: &str) -> Result<Vec<(GroupKey, GroupStats)>> {
         let parts = self.partition(table)?;
         let col = table.column(column)?;
@@ -158,7 +159,6 @@ impl GroupSpec {
             let vals: Vec<f64> = idxs.iter().filter_map(|&i| col.value(i).as_f64()).collect();
             out.push((k, GroupStats::from_values(idxs.len(), &vals)));
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
         Ok(out)
     }
 }
