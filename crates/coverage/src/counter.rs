@@ -8,8 +8,9 @@
 //! categorical data.
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
-use rdi_table::{Table, TableError, Value};
+use rdi_table::{ColumnCodes, Encoded, Table, TableError, Value};
 
 use crate::pattern::Pattern;
 
@@ -29,30 +30,45 @@ pub struct PatternCounter {
 }
 
 impl PatternCounter {
-    /// Build a counter over `attributes` of `table`.
-    ///
-    /// Null cells are treated as their own category (rendered `∅`), since
-    /// dropping them would silently change coverage semantics. Each
-    /// attribute is dictionary-encoded once ([`rdi_table::Column::encode`]):
-    /// its domain is the sorted distinct non-null values, with null as
-    /// the last code when the column has nulls.
+    /// Build a counter over `attributes` of `table`: each attribute is
+    /// dictionary-encoded once ([`rdi_table::Column::encode`]) and
+    /// counted by [`PatternCounter::from_codes`].
     ///
     /// # Errors
-    /// An empty attribute list, an unknown attribute, or an attribute
-    /// whose domain (null included) has more than `u16::MAX` values —
-    /// pattern codes are `u16`, so a larger domain cannot be encoded.
+    /// As [`PatternCounter::from_codes`].
     pub fn new(table: &Table, attributes: &[&str]) -> rdi_table::Result<Self> {
+        PatternCounter::from_codes(table.num_rows(), attributes, table)
+    }
+
+    /// Build a counter over `rows` rows whose attribute codes come from
+    /// `codes`.
+    ///
+    /// Null cells are treated as their own category (rendered `∅`), since
+    /// dropping them would silently change coverage semantics. An
+    /// attribute's domain is its sorted distinct non-null values, with
+    /// null as the last code when the column has nulls.
+    ///
+    /// # Errors
+    /// An empty attribute list; then, attribute by attribute in order,
+    /// one `codes` does not know or one whose domain (null included) has
+    /// more than `u16::MAX` values — pattern codes are `u16`, so a larger
+    /// domain cannot be encoded.
+    pub fn from_codes(
+        rows: usize,
+        attributes: &[&str],
+        codes: &(impl ColumnCodes + ?Sized),
+    ) -> rdi_table::Result<Self> {
         if attributes.is_empty() {
             return Err(TableError::SchemaMismatch(
                 "coverage needs at least one attribute".into(),
             ));
         }
         let mut domains: Vec<Vec<Value>> = Vec::with_capacity(attributes.len());
-        let mut code_columns: Vec<Vec<u16>> = Vec::with_capacity(attributes.len());
+        let mut columns: Vec<Arc<Encoded>> = Vec::with_capacity(attributes.len());
         for a in attributes {
-            let (mut domain, codes) = table.column(a)?.encode();
-            let null_code = domain.len();
-            if codes.iter().any(Option::is_none) {
+            let column = codes.codes(a)?;
+            let mut domain = column.distinct.clone();
+            if column.codes.iter().any(Option::is_none) {
                 domain.push(Value::Null);
             }
             if domain.len() > usize::from(u16::MAX) {
@@ -63,20 +79,20 @@ impl PatternCounter {
                     u16::MAX
                 )));
             }
-            // every code is below `domain.len() <= u16::MAX`, so the casts are exact
-            code_columns.push(
-                codes
-                    .into_iter()
-                    .map(|c| c.map_or(null_code, |c| c as usize) as u16)
-                    .collect(),
-            );
             domains.push(domain);
+            columns.push(column);
         }
+        // every code is below `domain.len() <= u16::MAX`, so the casts
+        // are exact; null takes the code after the non-null values
         let mut counts: BTreeMap<Vec<u16>, usize> = BTreeMap::new();
         let mut cell: Vec<u16> = Vec::with_capacity(attributes.len());
-        for i in 0..table.num_rows() {
+        for i in 0..rows {
             cell.clear();
-            cell.extend(code_columns.iter().map(|c| c[i]));
+            cell.extend(
+                columns
+                    .iter()
+                    .map(|c| c.codes[i].map_or(c.distinct.len(), |x| x as usize) as u16),
+            );
             match counts.get_mut(cell.as_slice()) {
                 Some(n) => *n += 1,
                 None => {
@@ -89,7 +105,7 @@ impl PatternCounter {
             domains,
             // BTreeMap order: cells sorted, so the layout is deterministic
             cells: counts.into_iter().collect(),
-            total: table.num_rows(),
+            total: rows,
         })
     }
 
@@ -240,7 +256,10 @@ mod tests {
 
     #[test]
     fn empty_attribute_list_rejected() {
-        assert!(PatternCounter::new(&table(), &[]).is_err());
+        assert_eq!(
+            PatternCounter::new(&table(), &[]).unwrap_err(),
+            TableError::SchemaMismatch("coverage needs at least one attribute".into())
+        );
     }
 
     fn ints(name: &str, n: i64, with_null: bool) -> Table {
@@ -269,6 +288,20 @@ mod tests {
         let c = PatternCounter::new(&ints("id", 65_534, true), &["id"]).unwrap();
         assert_eq!(c.cardinalities(), vec![u16::MAX]);
         assert_eq!(c.count(&Pattern(vec![Some(u16::MAX - 1)])), 1);
+    }
+
+    /// Attributes are checked in order: an oversized first attribute
+    /// is reported even when a later one does not exist.
+    #[test]
+    fn an_oversized_attribute_outranks_a_later_unknown_one() {
+        match PatternCounter::new(&ints("id", 65_537, false), &["id", "nope"]) {
+            Err(TableError::SchemaMismatch(msg)) => assert!(msg.contains("`id`"), "{msg}"),
+            other => panic!("expected the oversized-domain error, got {other:?}"),
+        }
+        assert_eq!(
+            PatternCounter::new(&ints("id", 3, false), &["nope", "id"]).unwrap_err(),
+            TableError::UnknownColumn("nope".into())
+        );
     }
 
     /// The counter as built before dictionary encoding: a stable sort +

@@ -253,18 +253,25 @@ pub fn table_association(table: &Table, a: &str, b: &str) -> rdi_table::Result<f
     })
 }
 
-/// Shannon entropy (nats) of a label vector.
+/// Shannon entropy (nats) of a label vector: [`counts_entropy`] of its
+/// label counts in label order.
 pub fn entropy<A: Ord + Clone>(xs: &[A]) -> f64 {
-    if xs.is_empty() {
-        return 0.0;
-    }
     let mut counts: BTreeMap<A, f64> = BTreeMap::new();
     for x in xs {
         *counts.entry(x.clone()).or_insert(0.0) += 1.0;
     }
-    let n = xs.len() as f64;
+    counts_entropy(&counts.into_values().collect::<Vec<_>>())
+}
+
+/// Shannon entropy (nats) of the distribution with these per-label
+/// counts, summed in the order given (0 when there are none).
+pub fn counts_entropy(counts: &[f64]) -> f64 {
+    let n: f64 = counts.iter().sum();
+    if n == 0.0 {
+        return 0.0;
+    }
     -counts
-        .values()
+        .iter()
         .map(|c| {
             let p = c / n;
             p * p.ln()

@@ -1,8 +1,10 @@
 //! Nutritional labels (MithraLabel style).
 
-use rdi_coverage::CoverageAnalyzer;
-use rdi_fairness::association::{entropy, table_association};
-use rdi_table::{GroupSpec, Role, Table};
+use std::collections::BTreeMap;
+
+use rdi_coverage::{CoverageAnalyzer, PatternCounter};
+use rdi_fairness::association::{counts_entropy, table_association};
+use rdi_table::{ColumnCodes, EncodedColumns, GroupSpec, Role, Table};
 use serde::{Json, Serialize};
 
 use crate::fd::fd_violation_rate;
@@ -31,6 +33,120 @@ impl Default for LabelConfig {
             fd_flag: 0.05,
             rule_lift: 1.3,
         }
+    }
+}
+
+/// A table's demographic groups under its sensitive attributes, read
+/// from their codes. Group ids follow [`rdi_table::GroupKey`] order, and
+/// a group is represented by its first row, the key a
+/// `GroupKey`-keyed map of the rows would keep.
+struct Groups<'a> {
+    table: &'a Table,
+    spec: GroupSpec,
+    /// Per row, its group id.
+    of_row: Vec<usize>,
+    /// Per group, its first row.
+    first: Vec<usize>,
+    /// Per group, its row count.
+    count: Vec<usize>,
+    /// Per group, its key rendered `attr=value, …`.
+    rendered: Vec<String>,
+    /// Per group, its first row's label (`GroupKey`'s `Display`).
+    label: Vec<String>,
+    /// The cells of the sensitive `Int` columns: `Int`s equal as `f64`
+    /// share a group but not a label.
+    ints: Vec<&'a [Option<i64>]>,
+}
+
+impl<'a> Groups<'a> {
+    fn new(table: &'a Table, codes: &EncodedColumns) -> rdi_table::Result<Self> {
+        let spec = GroupSpec::from_sensitive(table);
+        let columns = spec
+            .attributes
+            .iter()
+            .map(|a| codes.codes(a))
+            .collect::<rdi_table::Result<Vec<_>>>()?;
+        // code tuple (null first, as `Value` orders it) -> first-seen id
+        let mut ids: BTreeMap<Vec<u32>, usize> = BTreeMap::new();
+        let mut firsts: Vec<usize> = Vec::new();
+        let mut key: Vec<u32> = Vec::with_capacity(columns.len());
+        let mut of_row: Vec<usize> = (0..table.num_rows())
+            .map(|i| {
+                key.clear();
+                key.extend(columns.iter().map(|c| c.codes[i].map_or(0, |x| x + 1)));
+                if let Some(&id) = ids.get(key.as_slice()) {
+                    return id;
+                }
+                ids.insert(key.clone(), firsts.len());
+                firsts.push(i);
+                firsts.len() - 1
+            })
+            .collect();
+        // renumber first-seen ids into key order
+        let mut rank = vec![0usize; firsts.len()];
+        let first: Vec<usize> = ids
+            .into_values()
+            .enumerate()
+            .map(|(r, id)| {
+                rank[id] = r;
+                firsts[id]
+            })
+            .collect();
+        let mut count = vec![0usize; first.len()];
+        for g in &mut of_row {
+            *g = rank[*g];
+            count[*g] += 1;
+        }
+        let mut rendered = Vec::with_capacity(first.len());
+        let mut label = Vec::with_capacity(first.len());
+        for &i in &first {
+            let key = spec.key_of(table, i)?;
+            rendered.push(key.render(&spec));
+            label.push(key.to_string());
+        }
+        let ints = spec
+            .attributes
+            .iter()
+            .filter_map(|a| table.column(a).ok()?.as_int_slice())
+            .collect();
+        Ok(Groups {
+            table,
+            spec,
+            of_row,
+            first,
+            count,
+            rendered,
+            label,
+            ints,
+        })
+    }
+
+    /// How many of `rows` carry each row label (`GroupKey`'s `Display`
+    /// of the row's own cells), in label order — the counts an entropy
+    /// over the rows' labels sums. A row takes its group's label unless
+    /// one of its `Int` cells differs from the group's first row.
+    fn label_counts(&self, rows: impl Iterator<Item = usize>) -> rdi_table::Result<Vec<f64>> {
+        let mut per_group = vec![0usize; self.first.len()];
+        let mut own: Vec<String> = Vec::new();
+        for i in rows {
+            let g = self.of_row[i];
+            let f = self.first[g];
+            if self.ints.iter().all(|c| c[i] == c[f]) {
+                per_group[g] += 1;
+            } else {
+                own.push(self.spec.key_of(self.table, i)?.to_string());
+            }
+        }
+        let mut counts: BTreeMap<&str, f64> = BTreeMap::new();
+        for l in &own {
+            *counts.entry(l).or_insert(0.0) += 1.0;
+        }
+        for (l, &n) in self.label.iter().zip(&per_group) {
+            if n > 0 {
+                *counts.entry(l).or_insert(0.0) += n as f64;
+            }
+        }
+        Ok(counts.into_values().collect())
     }
 }
 
@@ -111,35 +227,50 @@ impl Serialize for NutritionalLabel {
 impl NutritionalLabel {
     /// Generate a label for a table whose schema carries
     /// [`Role::Sensitive`] / [`Role::Target`] annotations.
+    ///
+    /// Every column is dictionary-encoded once: column profiles, group
+    /// representation, coverage, attribute diversity and differential
+    /// missingness read the codes, not the cells.
     pub fn generate(table: &Table, config: &LabelConfig) -> rdi_table::Result<Self> {
-        let columns = profile_table(table)?;
+        let codes = EncodedColumns::of(table);
+        let columns = profile_table(table, &codes)?;
         let sensitive = table.schema().sensitive();
         let targets = table.schema().targets();
+        let groups = if sensitive.is_empty() {
+            None
+        } else {
+            Some(Groups::new(table, &codes)?)
+        };
 
         // group representation
-        let (group_fractions, representation_disparity, diversity) = if sensitive.is_empty() {
-            (Vec::new(), 0.0, 0.0)
-        } else {
-            let spec = GroupSpec::from_sensitive(table);
-            let fr = spec.fractions(table)?;
-            let rendered: Vec<(String, f64)> =
-                fr.iter().map(|(k, f)| (k.render(&spec), *f)).collect();
-            let max = fr.iter().map(|(_, f)| *f).fold(f64::NEG_INFINITY, f64::max);
-            let min = fr.iter().map(|(_, f)| *f).fold(f64::INFINITY, f64::min);
-            let labels: Vec<String> = (0..table.num_rows())
-                .map(|i| spec.key_of(table, i).map(|k| k.to_string()))
-                .collect::<rdi_table::Result<_>>()?;
-            let h = entropy(&labels);
-            let hmax = (fr.len() as f64).ln();
-            let diversity = if hmax > 0.0 { h / hmax } else { 1.0 };
-            (rendered, max - min, diversity)
+        let (group_fractions, representation_disparity, diversity) = match &groups {
+            None => (Vec::new(), 0.0, 0.0),
+            Some(g) => {
+                let n = table.num_rows() as f64;
+                let fr: Vec<f64> = g
+                    .count
+                    .iter()
+                    .map(|&c| if n > 0.0 { c as f64 / n } else { 0.0 })
+                    .collect();
+                let max = fr.iter().copied().fold(f64::NEG_INFINITY, f64::max);
+                let min = fr.iter().copied().fold(f64::INFINITY, f64::min);
+                let h = counts_entropy(&g.label_counts(0..table.num_rows())?);
+                let hmax = (fr.len() as f64).ln();
+                let diversity = if hmax > 0.0 { h / hmax } else { 1.0 };
+                (
+                    g.rendered.iter().cloned().zip(fr).collect(),
+                    max - min,
+                    diversity,
+                )
+            }
         };
 
         // coverage
         let uncovered_patterns = if sensitive.is_empty() {
             Vec::new()
         } else {
-            let analyzer = CoverageAnalyzer::new(table, &sensitive, config.coverage_threshold)?;
+            let counter = PatternCounter::from_codes(table.num_rows(), &sensitive, &codes)?;
+            let analyzer = CoverageAnalyzer::from_counter(counter, config.coverage_threshold);
             let mups = analyzer.maximal_uncovered_patterns();
             mups.iter().map(|m| analyzer.describe(m)).collect()
         };
@@ -170,7 +301,7 @@ impl NutritionalLabel {
         // (only meaningful for low-cardinality targets)
         let target_is_categorical = targets
             .first()
-            .map(|t| table.distinct(t).map(|d| d.len() <= 10))
+            .map(|t| codes.codes(t).map(|c| c.distinct.len() <= 10))
             .transpose()?
             .unwrap_or(false);
         let bias_rules = if sensitive.is_empty() || !target_is_categorical {
@@ -201,42 +332,34 @@ impl NutritionalLabel {
 
         // per-attribute demographic diversity
         let mut attribute_diversity: Vec<(String, f64)> = Vec::new();
-        if !sensitive.is_empty() && table.num_rows() > 0 {
-            let spec = GroupSpec::from_sensitive(table);
-            let num_groups = spec.keys(table)?.len();
+        if let Some(g) = groups.as_ref().filter(|_| table.num_rows() > 0) {
+            let num_groups = g.count.len();
             if num_groups > 1 {
                 let hmax = (num_groups as f64).ln();
                 for f in table.schema().fields() {
                     if f.role != Role::Feature || f.dtype != rdi_table::DataType::Str {
                         continue;
                     }
-                    // group-label entropy within each value slice; ordered
-                    // slices keep the float sum below bit-stable
-                    let col = table.column(&f.name)?;
-                    let mut by_value: std::collections::BTreeMap<String, Vec<String>> =
-                        std::collections::BTreeMap::new();
-                    for i in 0..table.num_rows() {
-                        let v = col.value(i);
-                        if v.is_null() {
-                            continue;
-                        }
-                        by_value
-                            .entry(v.to_string())
-                            .or_default()
-                            .push(spec.key_of(table, i)?.to_string());
-                    }
-                    if by_value.is_empty() || by_value.len() > 50 {
+                    // group-label entropy within each value slice, slices
+                    // in value order so the float sum below is bit-stable
+                    let col = codes.codes(&f.name)?;
+                    if col.distinct.is_empty() || col.distinct.len() > 50 {
                         continue; // high-cardinality attributes are not "slices"
                     }
-                    let n_total: usize = by_value.values().map(Vec::len).sum();
-                    let avg: f64 = by_value
-                        .values()
-                        .map(|groups| {
-                            let w = groups.len() as f64 / n_total as f64;
-                            w * entropy(groups) / hmax
-                        })
-                        .sum();
-                    attribute_diversity.push((f.name.clone(), avg));
+                    let mut slices: Vec<Vec<usize>> = vec![Vec::new(); col.distinct.len()];
+                    for (i, code) in col.codes.iter().enumerate() {
+                        if let Some(code) = code {
+                            slices[*code as usize].push(i);
+                        }
+                    }
+                    let n_total: usize = slices.iter().map(Vec::len).sum();
+                    let mut avg = Vec::with_capacity(slices.len());
+                    for rows in &slices {
+                        let w = rows.len() as f64 / n_total as f64;
+                        let h = counts_entropy(&g.label_counts(rows.iter().copied())?);
+                        avg.push(w * h / hmax);
+                    }
+                    attribute_diversity.push((f.name.clone(), avg.into_iter().sum()));
                 }
                 attribute_diversity.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
             }
@@ -244,22 +367,25 @@ impl NutritionalLabel {
 
         // differential missingness per group
         let mut differential_missingness = Vec::new();
-        if !sensitive.is_empty() && table.num_rows() > 0 {
-            let spec = GroupSpec::from_sensitive(table);
-            let parts = spec.partition(table)?;
+        if let Some(g) = groups.as_ref().filter(|_| table.num_rows() > 0) {
             for f in table.schema().fields() {
-                let col = table.column(&f.name)?;
-                let overall = col.null_count() as f64 / table.num_rows() as f64;
+                let col = codes.codes(&f.name)?;
+                let mut nulls = vec![0usize; g.count.len()];
+                for (i, code) in col.codes.iter().enumerate() {
+                    if code.is_none() {
+                        nulls[g.of_row[i]] += 1;
+                    }
+                }
+                let overall = nulls.iter().sum::<usize>() as f64 / table.num_rows() as f64;
                 if overall == 0.0 {
                     continue;
                 }
-                for (k, idxs) in &parts {
-                    let nulls = idxs.iter().filter(|&&i| col.value(i).is_null()).count();
-                    let frac = nulls as f64 / idxs.len().max(1) as f64;
+                for ((rendered, &size), &nulls) in g.rendered.iter().zip(&g.count).zip(&nulls) {
+                    let frac = nulls as f64 / size.max(1) as f64;
                     if frac >= 2.0 * overall && frac > 0.05 {
                         differential_missingness.push((
                             f.name.clone(),
-                            k.render(&spec),
+                            rendered.clone(),
                             frac,
                             overall,
                         ));
@@ -422,7 +548,209 @@ impl NutritionalLabel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use rdi_fairness::association::entropy;
     use rdi_table::{DataType, Field, Schema, Value};
+
+    /// The column profile as defined before dictionary encoding: a
+    /// `Table::distinct` count and a `HashMap<Value, usize>` of cells.
+    fn reference_profile(table: &Table, name: &str) -> ColumnProfile {
+        let col = table.column(name).unwrap();
+        let mut counts: std::collections::HashMap<Value, usize> = Default::default();
+        for i in 0..table.num_rows() {
+            let v = col.value(i);
+            if !v.is_null() {
+                *counts.entry(v).or_insert(0) += 1;
+            }
+        }
+        let mut top: Vec<(String, usize)> = counts
+            .into_iter()
+            .map(|(v, c)| (v.to_string(), c))
+            .collect();
+        top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        top.truncate(5);
+        let mut want = crate::profile_column(table, name).unwrap();
+        want.distinct = table.distinct(name).unwrap().len();
+        want.top_values = top;
+        want
+    }
+
+    /// Group fractions, disparity and diversity as defined before: a
+    /// `GroupSpec::fractions` pass and the entropy of every row's
+    /// `key_of(..).to_string()`.
+    fn reference_groups(table: &Table) -> (Vec<(String, f64)>, f64, f64) {
+        let spec = GroupSpec::from_sensitive(table);
+        let fr = spec.fractions(table).unwrap();
+        let rendered: Vec<(String, f64)> = fr.iter().map(|(k, f)| (k.render(&spec), *f)).collect();
+        let max = fr.iter().map(|(_, f)| *f).fold(f64::NEG_INFINITY, f64::max);
+        let min = fr.iter().map(|(_, f)| *f).fold(f64::INFINITY, f64::min);
+        let labels: Vec<String> = (0..table.num_rows())
+            .map(|i| spec.key_of(table, i).unwrap().to_string())
+            .collect();
+        let hmax = (fr.len() as f64).ln();
+        let h = entropy(&labels);
+        (rendered, max - min, if hmax > 0.0 { h / hmax } else { 1.0 })
+    }
+
+    /// Attribute diversity as defined before: per-row value strings and
+    /// group labels gathered into a `BTreeMap<String, Vec<String>>`.
+    fn reference_attribute_diversity(table: &Table) -> Vec<(String, f64)> {
+        let spec = GroupSpec::from_sensitive(table);
+        let num_groups = spec.keys(table).unwrap().len();
+        let mut out: Vec<(String, f64)> = Vec::new();
+        if num_groups <= 1 {
+            return out;
+        }
+        let hmax = (num_groups as f64).ln();
+        for f in table.schema().fields() {
+            if f.role != Role::Feature || f.dtype != DataType::Str {
+                continue;
+            }
+            let col = table.column(&f.name).unwrap();
+            let mut by_value: BTreeMap<String, Vec<String>> = BTreeMap::new();
+            for i in 0..table.num_rows() {
+                let v = col.value(i);
+                if !v.is_null() {
+                    by_value
+                        .entry(v.to_string())
+                        .or_default()
+                        .push(spec.key_of(table, i).unwrap().to_string());
+                }
+            }
+            if by_value.is_empty() || by_value.len() > 50 {
+                continue;
+            }
+            let n_total: usize = by_value.values().map(Vec::len).sum();
+            let avg: f64 = by_value
+                .values()
+                .map(|groups| groups.len() as f64 / n_total as f64 * entropy(groups) / hmax)
+                .sum();
+            out.push((f.name.clone(), avg));
+        }
+        out.sort_by(|a, b| b.1.total_cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
+    }
+
+    /// Differential missingness as defined before: a
+    /// `GroupSpec::partition` and a per-row null check.
+    fn reference_differential_missingness(table: &Table) -> Vec<(String, String, f64, f64)> {
+        let spec = GroupSpec::from_sensitive(table);
+        let parts = spec.partition(table).unwrap();
+        let mut out = Vec::new();
+        for f in table.schema().fields() {
+            let col = table.column(&f.name).unwrap();
+            let overall = col.null_count() as f64 / table.num_rows() as f64;
+            if overall == 0.0 {
+                continue;
+            }
+            for (k, idxs) in &parts {
+                let nulls = idxs.iter().filter(|&&i| col.value(i).is_null()).count();
+                let frac = nulls as f64 / idxs.len().max(1) as f64;
+                if frac >= 2.0 * overall && frac > 0.05 {
+                    out.push((f.name.clone(), k.render(&spec), frac, overall));
+                }
+            }
+        }
+        out
+    }
+
+    fn pick(pool: Vec<Value>) -> impl Strategy<Value = Value> {
+        (0..pool.len()).prop_map(move |i| pool[i].clone())
+    }
+
+    /// Small tables over two sensitive attributes (an `Int` with 2^53
+    /// and 2^53+1, which are equal as `f64`, and ints whose string
+    /// order is not their numeric order; a `Str` with `""` and a value
+    /// holding `", "`), a categorical feature, a float feature with
+    /// both signed zeros, and a boolean target — nulls everywhere.
+    fn arb_table() -> impl Strategy<Value = Table> {
+        let int = pick(vec![
+            Value::Int(9),
+            Value::Int(10),
+            Value::Int(-1),
+            Value::Int(1 << 53),
+            Value::Int((1 << 53) + 1),
+            Value::Null,
+        ]);
+        let s = pick(vec![
+            Value::str("a"),
+            Value::str(""),
+            Value::str("a, b"),
+            Value::Null,
+        ]);
+        let feature = pick(vec![
+            Value::str("x"),
+            Value::str("y"),
+            Value::str("z"),
+            Value::Null,
+        ]);
+        let float = pick(vec![
+            Value::Float(0.0),
+            Value::Float(-0.0),
+            Value::Float(2.5),
+            Value::Float(10.0),
+            Value::Null,
+        ]);
+        let target = pick(vec![Value::Bool(true), Value::Bool(false), Value::Null]);
+        prop::collection::vec((int, s, feature, float, target), 0..40).prop_map(|rows| {
+            let mut t = Table::new(Schema::new(vec![
+                Field::new("n", DataType::Int).with_role(Role::Sensitive),
+                Field::new("s", DataType::Str).with_role(Role::Sensitive),
+                Field::new("f", DataType::Str),
+                Field::new("x", DataType::Float),
+                Field::new("y", DataType::Bool).with_role(Role::Target),
+            ]));
+            for (n, s, f, x, y) in rows {
+                t.push_row(vec![n, s, f, x, y]).unwrap();
+            }
+            t
+        })
+    }
+
+    /// Values compared through `Debug`, which tells apart every bit
+    /// pattern of the floats these widgets hold (`-0.0`, `0.0`, `-inf`).
+    fn bits<T: std::fmt::Debug>(x: &T) -> String {
+        format!("{x:?}")
+    }
+
+    proptest! {
+        /// Every widget the encoded label computes equals its per-row
+        /// definition, bit for bit.
+        #[test]
+        fn encoded_widgets_match_their_per_row_definitions(
+            t in arb_table(),
+            tau in 1usize..6,
+        ) {
+            let config = LabelConfig { coverage_threshold: tau, ..LabelConfig::default() };
+            let label = NutritionalLabel::generate(&t, &config).unwrap();
+            let columns: Vec<ColumnProfile> = ["n", "s", "f", "x", "y"]
+                .iter()
+                .map(|c| reference_profile(&t, c))
+                .collect();
+            prop_assert_eq!(bits(&label.columns), bits(&columns));
+            let (fractions, disparity, diversity) = reference_groups(&t);
+            prop_assert_eq!(bits(&label.group_fractions), bits(&fractions));
+            prop_assert_eq!(bits(&label.representation_disparity), bits(&disparity));
+            prop_assert_eq!(bits(&label.diversity), bits(&diversity));
+            let analyzer = CoverageAnalyzer::new(&t, &["n", "s"], tau).unwrap();
+            let uncovered: Vec<String> = analyzer
+                .maximal_uncovered_patterns()
+                .iter()
+                .map(|m| analyzer.describe(m))
+                .collect();
+            prop_assert_eq!(&label.uncovered_patterns, &uncovered);
+            if t.num_rows() > 0 {
+                prop_assert_eq!(
+                    bits(&label.attribute_diversity),
+                    bits(&reference_attribute_diversity(&t))
+                );
+                prop_assert_eq!(
+                    bits(&label.differential_missingness),
+                    bits(&reference_differential_missingness(&t))
+                );
+            }
+        }
+    }
 
     fn labeled_table() -> Table {
         let schema = Schema::new(vec![

@@ -1,6 +1,6 @@
 //! Per-column statistical profiles.
 
-use rdi_table::{DataType, Table, Value};
+use rdi_table::{ColumnCodes, DataType, Encoded, EncodedColumns, Table};
 use serde::{Json, Serialize};
 
 use crate::json_object;
@@ -62,14 +62,26 @@ impl Serialize for NumericSummary {
     }
 }
 
-/// Profile one column.
+/// Profile one column: encode it once and profile the codes
+/// ([`profile_codes`]).
 pub fn profile_column(table: &Table, name: &str) -> rdi_table::Result<ColumnProfile> {
+    let encoded = table.codes(name)?;
+    profile_codes(table, name, &encoded)
+}
+
+/// Profile one column of `table` from its dictionary codes: the
+/// distinct count is the dictionary's size and the top values come
+/// from a histogram of codes, each value rendered once.
+pub fn profile_codes(
+    table: &Table,
+    name: &str,
+    encoded: &Encoded,
+) -> rdi_table::Result<ColumnProfile> {
     let field = table.schema().field(name)?;
     let col = table.column(name)?;
     let count = table.num_rows();
     let nulls = col.null_count();
-    let distinct_vals = table.distinct(name)?;
-    let distinct = distinct_vals.len();
+    let distinct = encoded.distinct.len();
 
     let numeric = match field.dtype {
         DataType::Int | DataType::Float | DataType::Bool => {
@@ -92,15 +104,14 @@ pub fn profile_column(table: &Table, name: &str) -> rdi_table::Result<ColumnProf
     };
 
     // top values (only meaningful for low-cardinality columns)
-    let mut counts: std::collections::HashMap<Value, usize> = std::collections::HashMap::new();
-    for i in 0..count {
-        let v = col.value(i);
-        if !v.is_null() {
-            *counts.entry(v).or_insert(0) += 1;
-        }
+    let mut hist = vec![0usize; distinct];
+    for &code in encoded.codes.iter().flatten() {
+        hist[code as usize] += 1;
     }
-    let mut top: Vec<(String, usize)> = counts
-        .into_iter()
+    let mut top: Vec<(String, usize)> = encoded
+        .distinct
+        .iter()
+        .zip(hist)
         .map(|(v, c)| (v.to_string(), c))
         .collect();
     top.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
@@ -117,20 +128,26 @@ pub fn profile_column(table: &Table, name: &str) -> rdi_table::Result<ColumnProf
     })
 }
 
-/// Profile every column of a table.
-pub fn profile_table(table: &Table) -> rdi_table::Result<Vec<ColumnProfile>> {
+/// Profile every column of a table from its codes.
+pub fn profile_table(
+    table: &Table,
+    codes: &EncodedColumns,
+) -> rdi_table::Result<Vec<ColumnProfile>> {
     table
         .schema()
         .fields()
         .iter()
-        .map(|f| profile_column(table, &f.name))
+        .map(|f| {
+            let encoded = codes.codes(&f.name)?;
+            profile_codes(table, &f.name, &encoded)
+        })
         .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rdi_table::{Field, Schema};
+    use rdi_table::{Field, Schema, Value};
 
     fn t() -> Table {
         let schema = Schema::new(vec![
@@ -167,7 +184,7 @@ mod tests {
 
     #[test]
     fn profile_table_covers_all_columns() {
-        let ps = profile_table(&t()).unwrap();
+        let ps = profile_table(&t(), &EncodedColumns::of(&t())).unwrap();
         assert_eq!(ps.len(), 2);
         assert_eq!(ps[0].name, "x");
     }

@@ -45,6 +45,7 @@ use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use rdi_actor::{Actor, ActorId, Addr, Ctx, Runtime};
 use rdi_fault::RecoveryState;
+use rdi_obs::ProvenanceEvent;
 use rdi_policy::PolicySet;
 use rdi_table::{Table, TableDelta};
 
@@ -133,6 +134,7 @@ impl Actor for ShardActor {
                         shard_index: self.shard_index,
                         tables_in_shard: self.shard.len(),
                         parts,
+                        evictions: self.shard.drain_decisions().collect(),
                     }),
                 );
             }
@@ -269,12 +271,27 @@ impl Actor for MaintActor {
 }
 
 /// One shard's warm results for one batch (internal payload).
-#[derive(Debug)]
 pub struct WarmReply {
     pub(crate) batch: u64,
     pub(crate) shard_index: usize,
     pub(crate) tables_in_shard: usize,
     pub(crate) parts: Vec<(usize, WarmPart)>,
+    /// The shard cache's eviction decisions since its last reply.
+    pub(crate) evictions: Vec<ProvenanceEvent>,
+}
+
+/// Leaves out `evictions`: the actor event log summarizes messages by
+/// their `Debug` text, and a reply renders as it did before it carried
+/// the shard's decisions.
+impl std::fmt::Debug for WarmReply {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("WarmReply")
+            .field("batch", &self.batch)
+            .field("shard_index", &self.shard_index)
+            .field("tables_in_shard", &self.tables_in_shard)
+            .field("parts", &self.parts)
+            .finish()
+    }
 }
 
 /// Messages a [`SessionActor`] consumes.
@@ -307,6 +324,8 @@ struct Inflight {
     counts: BTreeMap<usize, usize>,
     /// Plan parts per request position, in reply order.
     parts: BTreeMap<usize, Vec<WarmPart>>,
+    /// Eviction decisions per replying shard.
+    evictions: BTreeMap<usize, Vec<ProvenanceEvent>>,
 }
 
 /// A serving session hosted as a client actor over a shard group.
@@ -436,6 +455,7 @@ impl SessionActor {
             pending,
             counts: BTreeMap::new(),
             parts: BTreeMap::new(),
+            evictions: BTreeMap::new(),
         });
         if done {
             self.finish_batch(ctx);
@@ -449,10 +469,11 @@ impl SessionActor {
             return;
         };
         let total_tables: usize = fl.counts.values().sum();
-        // Decision audit: admission ranking first, then per-request
-        // ranking decisions in slot order. (Shard-side cache evictions
-        // stay with their shard until the index is reassembled.)
+        // Decision audit, in the serial session's order: admission
+        // ranking, then the replying shards' cache evictions in shard
+        // order, then per-request ranking decisions in slot order.
         let mut decisions = self.admitter.drain_decisions();
+        decisions.extend(std::mem::take(&mut fl.evictions).into_values().flatten());
         for &(pos, seed) in &fl.admitted {
             let result = assemble(
                 &fl.requests[pos].request,
@@ -519,6 +540,7 @@ impl Actor for SessionActor {
                 let finished = match self.inflight.as_mut() {
                     Some(fl) if fl.batch == reply.batch => {
                         fl.counts.insert(reply.shard_index, reply.tables_in_shard);
+                        fl.evictions.insert(reply.shard_index, reply.evictions);
                         for (pos, part) in reply.parts {
                             fl.parts.entry(pos).or_default().push(part);
                         }
@@ -778,6 +800,7 @@ mod tests {
             assert_eq!(got.shed, want.shed);
             assert_eq!(got.degraded, want.degraded);
             assert_eq!(got.responses, want.responses);
+            assert_eq!(got.decisions, want.decisions);
         }
         let hosted = group.reassemble(&mut rt).unwrap();
         assert_eq!(hosted.cached_sketches(), serial.index().cached_sketches());
@@ -787,6 +810,55 @@ mod tests {
     #[test]
     fn hosted_session_matches_serial_session_bitwise() {
         assert_matches_serial(lake, &[mixed_batch(), mixed_batch()]);
+    }
+
+    /// A lake whose sketches overflow a 4 KiB cache, so most warms
+    /// evict.
+    fn tight_lake() -> LakeIndex {
+        let mut idx = LakeIndex::new(LakeIndexConfig {
+            cache_capacity_bytes: 4 << 10,
+            ..LakeIndexConfig::default()
+        });
+        for i in 0..16 {
+            let vals: Vec<String> = (0..8).map(|j| format!("v{}", i * 3 + j)).collect();
+            let vals: Vec<&str> = vals.iter().map(String::as_str).collect();
+            idx.register(format!("t{i:02}"), keyed(&vals), 1.0).unwrap();
+        }
+        idx
+    }
+
+    /// Eviction decisions travel back with each warm reply and land in
+    /// the batch report in the serial order, so none pile up in the
+    /// shard actors however long the session runs.
+    #[test]
+    fn eviction_decisions_are_reported_per_batch_not_hoarded() {
+        let batch = |i: usize| {
+            vec![ServeRequest::UnionTopK {
+                query: keyed(&[&format!("v{i}"), "v1"]),
+                k: 2,
+            }]
+        };
+        let batches: Vec<Vec<ServeRequest>> = (0..4).map(batch).collect();
+        assert_matches_serial(tight_lake, &batches);
+
+        let mut rt = Runtime::new(RuntimeConfig::default());
+        let group = LakeActorGroup::host(&mut rt, tight_lake());
+        let session = group.spawn_session(&mut rt, "s0", SessionConfig::default());
+        for i in 0..1_000 {
+            session.send(SessionMsg::Submit(batch(i))).unwrap();
+        }
+        rt.run_until_idle();
+        let reported: usize = rt
+            .actor::<SessionActor>(session.id())
+            .unwrap()
+            .completed()
+            .iter()
+            .flat_map(|r| &r.decisions)
+            .filter(|e| matches!(e, ProvenanceEvent::PolicyDecision { policy, .. } if *policy == "serve.cache_evict"))
+            .count();
+        assert!(reported > 1_000, "the stream must evict: {reported}");
+        let mut hosted = group.reassemble(&mut rt).unwrap();
+        assert_eq!(hosted.drain_decisions().len(), 0, "undrained in the shards");
     }
 
     /// Pins ZeroK > EmptyIndex > query errors on both paths, over a

@@ -35,13 +35,13 @@ use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rdi_coverage::CoverageAnalyzer;
+use rdi_coverage::{CoverageAnalyzer, PatternCounter};
 use rdi_discovery::hash::hash_bytes;
 use rdi_discovery::{rank_scored, table_unionability, MinHash, TableSignature};
 use rdi_obs::ProvenanceEvent;
 use rdi_par::Threads;
 use rdi_policy::{PolicyId, PolicyParams, PolicySet};
-use rdi_table::{Table, TableDelta};
+use rdi_table::{Encoded, EncodedColumns, Table, TableDelta};
 use rdi_tailor::{DtProblem, RandomPolicy, TableSource};
 
 use crate::cache::{CacheKey, KeyProfile, Sketch, SketchCache, SketchKind};
@@ -96,6 +96,36 @@ struct Registered {
     cost: f64,
     /// Lazily-populated maintained sketch state (see `maint`).
     maint: Maintained,
+    /// Dictionary-encoded columns by name, encoded the first time a
+    /// coverage or tailoring need names them and dropped by every
+    /// delta (see [`Registered::codes_for`]).
+    codes: BTreeMap<String, Arc<Encoded>>,
+}
+
+impl Registered {
+    /// The encoded columns among `attributes` that the table has, each
+    /// encoded on first use and shared from then on. Attributes the
+    /// table lacks are left out, so reading them from the result fails
+    /// as reading them from the table would.
+    fn codes_for<'a>(
+        &mut self,
+        attributes: impl IntoIterator<Item = &'a String>,
+    ) -> EncodedColumns {
+        attributes
+            .into_iter()
+            .filter_map(|a| {
+                let codes = match self.codes.get(a) {
+                    Some(codes) => Arc::clone(codes),
+                    None => {
+                        let codes = Arc::new(self.table.column(a).ok()?.encode());
+                        self.codes.insert(a.clone(), Arc::clone(&codes));
+                        codes
+                    }
+                };
+                Some((a.clone(), codes))
+            })
+            .collect()
+    }
 }
 
 /// One shard: its slice of the table map and its slice of the cache
@@ -133,6 +163,12 @@ impl Shard {
         self.tables.len()
     }
 
+    /// Take the cache's eviction decisions recorded since the last
+    /// drain, oldest first.
+    pub(crate) fn drain_decisions(&mut self) -> std::vec::Drain<'_, ProvenanceEvent> {
+        self.cache.drain_decisions()
+    }
+
     /// Register or replace a table (validation included); evicts
     /// stale-fingerprint cache entries for the id.
     pub(crate) fn upsert(
@@ -157,6 +193,7 @@ impl Shard {
                 fp,
                 cost,
                 maint: Maintained::default(),
+                codes: BTreeMap::new(),
             },
         );
         // Defensive even on fresh registration: a previous life of this
@@ -188,6 +225,8 @@ impl Shard {
             .tables
             .get_mut(id)
             .ok_or_else(|| ServeError::UnknownTable(id.to_string()))?;
+        // codes are re-encoded on next use, not patched
+        r.codes.clear();
         let rows_touched = match delta {
             TableDelta::Append(rows) => {
                 Arc::make_mut(&mut r.table).append(rows)?;
@@ -309,21 +348,27 @@ impl Shard {
                 table,
                 attributes,
                 threshold,
-            } => WarmPart::Coverage(match self.tables.get(table.as_str()) {
+            } => WarmPart::Coverage(match self.tables.get_mut(table.as_str()) {
                 None => Err(ServeError::UnknownTable(table)),
                 Some(r) => match attributes.iter().find(|a| r.table.column(a).is_err()) {
                     Some(a) => Err(ServeError::UnknownColumn {
                         table: table.clone(),
                         column: a.clone(),
                     }),
-                    None => Ok((table, r.table.clone(), attributes, threshold)),
+                    None => {
+                        let codes = r.codes_for(&attributes);
+                        Ok((table, r.table.clone(), attributes, threshold, codes))
+                    }
                 },
             }),
-            WarmNeed::Tailor { ids } => WarmPart::Tailor {
+            WarmNeed::Tailor { ids, attributes } => WarmPart::Tailor {
                 resolved: ids
                     .into_iter()
-                    .map(|(pos, id)| match self.tables.get(id.as_str()) {
-                        Some(r) => (pos, Ok((id, r.table.clone(), r.cost))),
+                    .map(|(pos, id)| match self.tables.get_mut(id.as_str()) {
+                        Some(r) => {
+                            let codes = r.codes_for(attributes.iter());
+                            (pos, Ok((id, r.table.clone(), r.cost, codes)))
+                        }
                         None => (pos, Err(ServeError::UnknownTable(id))),
                     })
                     .collect(),
@@ -544,7 +589,7 @@ impl LakeIndex {
     pub fn drain_decisions(&mut self) -> Vec<ProvenanceEvent> {
         let mut out = std::mem::take(&mut self.decisions);
         for s in &mut self.shards {
-            out.extend(s.cache.drain_decisions());
+            out.extend(s.drain_decisions());
         }
         out
     }
@@ -740,7 +785,6 @@ impl LakeIndex {
 }
 
 /// What one request needs from one shard during the warm step.
-#[derive(Debug)]
 pub(crate) enum WarmNeed {
     /// Registered-table count only: [`needs`] already decided the
     /// request's error, but `EmptyIndex` takes precedence and needs the
@@ -762,8 +806,40 @@ pub(crate) enum WarmNeed {
         threshold: usize,
     },
     /// Resolve tailoring sources owned by this shard, tagged with
-    /// their position in the request's source list.
-    Tailor { ids: Vec<(usize, String)> },
+    /// their position in the request's source list, and encode the
+    /// problem's group `attributes` in each.
+    Tailor {
+        ids: Vec<(usize, String)>,
+        attributes: Arc<[String]>,
+    },
+}
+
+/// Written out so that a need renders as it did before tailoring needs
+/// carried their group attributes: the actor event log summarizes
+/// messages by their `Debug` text.
+impl std::fmt::Debug for WarmNeed {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WarmNeed::Count => f.write_str("Count"),
+            WarmNeed::Union { query } => f.debug_struct("Union").field("query", query).finish(),
+            WarmNeed::Join { column, query } => f
+                .debug_struct("Join")
+                .field("column", column)
+                .field("query", query)
+                .finish(),
+            WarmNeed::Coverage {
+                table,
+                attributes,
+                threshold,
+            } => f
+                .debug_struct("Coverage")
+                .field("table", table)
+                .field("attributes", attributes)
+                .field("threshold", threshold)
+                .finish(),
+            WarmNeed::Tailor { ids, .. } => f.debug_struct("Tailor").field("ids", ids).finish(),
+        }
+    }
 }
 
 /// One shard's answer to one [`WarmNeed`].
@@ -785,14 +861,23 @@ pub(crate) enum WarmPart {
         errors: Vec<(Arc<str>, ServeError)>,
     },
     /// Everything a coverage plan needs, or why it cannot be built.
-    Coverage(Result<(String, Arc<Table>, Vec<String>, usize), ServeError>),
+    Coverage(Result<CoverageTarget, ServeError>),
     /// Per-source resolutions, tagged with source-list positions.
     Tailor { resolved: Vec<ResolvedSource> },
 }
 
+/// A coverage probe's target resolved by its owning shard: table id,
+/// table, attributes, threshold and the attributes' codes.
+type CoverageTarget = (String, Arc<Table>, Vec<String>, usize, EncodedColumns);
+
 /// One tailoring source resolved by its owning shard: the source-list
-/// position plus `(id, table, cost)` or the error for that slot.
-type ResolvedSource = (usize, Result<(String, Arc<Table>, f64), ServeError>);
+/// position plus `(id, table, cost, group attribute codes)` or the
+/// error for that slot.
+type ResolvedSource = (usize, Result<TailorSource, ServeError>);
+
+/// A tailoring source in a plan: id, table, per-draw cost and the
+/// codes of the problem's group attributes.
+type TailorSource = (String, Arc<Table>, f64, EncodedColumns);
 
 /// Translate one request into what each shard must warm for it, without
 /// touching any shard: `(shard index, need)` pairs in shard order, and
@@ -826,7 +911,9 @@ pub(crate) fn needs(
             };
             (vec![(shard_route(table, shard_count), need)], None)
         }
-        ServeRequest::TailorRun { sources, .. } => {
+        ServeRequest::TailorRun {
+            problem, sources, ..
+        } => {
             if sources.is_empty() {
                 let e = ServeError::EmptyQuery("no tailoring sources named".into());
                 return (Vec::new(), Some(e));
@@ -838,9 +925,13 @@ pub(crate) fn needs(
                     .or_default()
                     .push((i, id.clone()));
             }
+            let attributes: Arc<[String]> = problem.spec.attributes.clone().into();
             let needs = by_shard
                 .into_iter()
-                .map(|(si, ids)| (si, WarmNeed::Tailor { ids }))
+                .map(|(si, ids)| {
+                    let attributes = Arc::clone(&attributes);
+                    (si, WarmNeed::Tailor { ids, attributes })
+                })
                 .collect();
             (needs, None)
         }
@@ -989,12 +1080,13 @@ pub(crate) fn assemble(
             }))
         }
         ServeRequest::CoverageProbe { .. } => match parts.into_iter().next() {
-            Some(WarmPart::Coverage(Ok((table_id, table, attributes, threshold)))) => {
+            Some(WarmPart::Coverage(Ok((table_id, table, attributes, threshold, codes)))) => {
                 Ok(Prepared::Coverage {
                     table_id,
                     table,
                     attributes,
                     threshold,
+                    codes,
                 })
             }
             Some(WarmPart::Coverage(Err(e))) => Err(e),
@@ -1034,10 +1126,11 @@ pub(crate) enum Prepared {
         table: Arc<Table>,
         attributes: Vec<String>,
         threshold: usize,
+        codes: EncodedColumns,
     },
     Tailor {
         problem: DtProblem,
-        sources: Vec<(String, Arc<Table>, f64)>,
+        sources: Vec<TailorSource>,
         max_draws: usize,
     },
 }
@@ -1090,9 +1183,11 @@ fn execute_inner(
             table,
             attributes,
             threshold,
+            codes,
         } => {
             let attrs: Vec<&str> = attributes.iter().map(String::as_str).collect();
-            let analyzer = CoverageAnalyzer::new(table, &attrs, *threshold)?;
+            let counter = PatternCounter::from_codes(table.num_rows(), &attrs, codes)?;
+            let analyzer = CoverageAnalyzer::from_counter(counter, *threshold);
             let mups = analyzer.maximal_uncovered_patterns();
             let uncovered_fraction = analyzer.uncovered_assignment_fraction(&mups);
             Ok(ServeResponse::Coverage(CoverageReport {
@@ -1107,12 +1202,13 @@ fn execute_inner(
             max_draws,
         } => {
             let mut table_sources = Vec::with_capacity(sources.len());
-            for (id, table, cost) in sources {
-                table_sources.push(TableSource::new(
+            for (id, table, cost, codes) in sources {
+                table_sources.push(TableSource::with_codes(
                     id.clone(),
                     Arc::clone(table),
                     *cost,
                     problem,
+                    codes,
                 )?);
             }
             let mut policy = RandomPolicy::new(table_sources.len());

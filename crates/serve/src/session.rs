@@ -454,6 +454,48 @@ mod tests {
         ));
     }
 
+    /// An unknown attribute is a typed error in its slot: coverage
+    /// reports the table and column, tailoring the table error its
+    /// source construction raises; a coverage probe with no attributes
+    /// fails in the counter.
+    #[test]
+    fn unknown_attributes_are_typed_errors_in_their_slots() {
+        let mut s = session();
+        let mut ghost = problem();
+        ghost.spec = GroupSpec::new(vec!["group", "nope"]);
+        let requests = [
+            ServeRequest::CoverageProbe {
+                table: "pop".into(),
+                attributes: vec!["group".into(), "nope".into(), "gone".into()],
+                threshold: 10,
+            },
+            ServeRequest::TailorRun {
+                problem: ghost,
+                sources: vec!["abc".into(), "pop".into()],
+                max_draws: 10,
+            },
+            ServeRequest::CoverageProbe {
+                table: "pop".into(),
+                attributes: vec![],
+                threshold: 10,
+            },
+        ];
+        let report = s.submit_batch(&requests);
+        assert_eq!(
+            report.responses,
+            vec![
+                Err(ServeError::UnknownColumn {
+                    table: "pop".into(),
+                    column: "nope".into(),
+                }),
+                Err(ServeError::Table(TableError::UnknownColumn("group".into()))),
+                Err(ServeError::Table(TableError::SchemaMismatch(
+                    "coverage needs at least one attribute".into()
+                ))),
+            ]
+        );
+    }
+
     #[test]
     fn failures_interleaved_with_successes_do_not_trip() {
         let mut s = session();

@@ -2,6 +2,7 @@
 
 use std::cmp::Ordering;
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use crate::error::TableError;
 use crate::schema::DataType;
@@ -229,13 +230,73 @@ impl Column {
     ///
     /// Codes are `u32`: a column is assumed to hold fewer than 2^32
     /// distinct values.
-    pub fn encode(&self) -> (Vec<Value>, Vec<Option<u32>>) {
+    pub fn encode(&self) -> Encoded {
         match self {
             Column::Int(v) => encode_cells(v, |x| TotalF64(*x as f64), |x| Value::Int(*x)),
             Column::Float(v) => encode_cells(v, |x| TotalF64(*x), |x| Value::Float(*x)),
             Column::Str(v) => encode_cells(v, String::as_str, |x| Value::Str(x.clone())),
             Column::Bool(v) => encode_cells(v, |x| *x, |x| Value::Bool(*x)),
         }
+    }
+}
+
+/// A dictionary-encoded column, as [`Column::encode`] builds it.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Encoded {
+    /// The sorted distinct non-null values.
+    pub distinct: Vec<Value>,
+    /// Per row, the index of the row's value in `distinct` (`None` for
+    /// null).
+    pub codes: Vec<Option<u32>>,
+}
+
+/// Dictionary-encoded columns by name: what the encoded cores of
+/// grouping, coverage counting and tailoring read instead of cells.
+///
+/// A [`crate::Table`] encodes the named column on every call; a caller
+/// that keeps codes across requests (a serving index) hands out the
+/// ones it encoded once. Either way a name the table lacks is
+/// [`TableError::UnknownColumn`].
+pub trait ColumnCodes {
+    /// The named column's codes.
+    ///
+    /// # Errors
+    /// [`TableError::UnknownColumn`] for a column that does not exist.
+    fn codes(&self, column: &str) -> Result<Arc<Encoded>>;
+}
+
+/// Encoded columns kept by name: codes encoded once and read by any
+/// number of encoded cores. A name not among them is
+/// [`TableError::UnknownColumn`], as [`crate::Table::column`] reports it.
+#[derive(Debug, Clone, Default)]
+pub struct EncodedColumns(Vec<(String, Arc<Encoded>)>);
+
+impl EncodedColumns {
+    /// Every column of `table`, each encoded once.
+    pub fn of(table: &crate::Table) -> Self {
+        table
+            .schema()
+            .fields()
+            .iter()
+            .enumerate()
+            .map(|(i, f)| (f.name.clone(), Arc::new(table.column_at(i).encode())))
+            .collect()
+    }
+}
+
+impl FromIterator<(String, Arc<Encoded>)> for EncodedColumns {
+    fn from_iter<I: IntoIterator<Item = (String, Arc<Encoded>)>>(iter: I) -> Self {
+        EncodedColumns(iter.into_iter().collect())
+    }
+}
+
+impl ColumnCodes for EncodedColumns {
+    fn codes(&self, column: &str) -> Result<Arc<Encoded>> {
+        self.0
+            .iter()
+            .find(|(name, _)| name == column)
+            .map(|(_, codes)| Arc::clone(codes))
+            .ok_or_else(|| TableError::UnknownColumn(column.to_string()))
     }
 }
 
@@ -269,7 +330,7 @@ fn encode_cells<'a, T, K: Ord>(
     cells: &'a [Option<T>],
     key: impl Fn(&'a T) -> K,
     value: impl Fn(&T) -> Value,
-) -> (Vec<Value>, Vec<Option<u32>>) {
+) -> Encoded {
     // key -> first-seen id; `firsts[id]` is that id's representative
     let mut ids: BTreeMap<K, u32> = BTreeMap::new();
     let mut firsts: Vec<&T> = Vec::new();
@@ -294,7 +355,7 @@ fn encode_cells<'a, T, K: Ord>(
     for code in codes.iter_mut().flatten() {
         *code = rank[*code as usize];
     }
-    (distinct, codes)
+    Encoded { distinct, codes }
 }
 
 #[cfg(test)]
@@ -381,7 +442,7 @@ mod tests {
     #[test]
     fn encode_keeps_the_first_of_values_equal_as_f64() {
         let c = Column::Int(vec![Some(TWO_53 + 1), None, Some(TWO_53), Some(-1)]);
-        let (distinct, codes) = c.encode();
+        let Encoded { distinct, codes } = c.encode();
         assert_eq!(exact(&distinct), ["Int(-1)", "Int(9007199254740993)"]);
         assert_eq!(codes, [Some(1), None, Some(1), Some(0)]);
     }
@@ -389,7 +450,7 @@ mod tests {
     #[test]
     fn encode_separates_signed_zeros() {
         let c = Column::Float(vec![Some(0.0), Some(-0.0), Some(0.0)]);
-        let (distinct, codes) = c.encode();
+        let Encoded { distinct, codes } = c.encode();
         assert_eq!(exact(&distinct), ["Float(-0.0)", "Float(0.0)"]);
         assert_eq!(codes, [Some(1), Some(0), Some(1)]);
     }
@@ -446,7 +507,7 @@ mod tests {
         /// kept) plus a per-row `==` lookup, on every column type.
         #[test]
         fn encode_matches_sort_dedup_and_lookup(c in arb_column()) {
-            let (distinct, codes) = c.encode();
+            let Encoded { distinct, codes } = c.encode();
             let (want_distinct, want_codes) = encode_by_sort(&c);
             prop_assert_eq!(exact(&distinct), exact(&want_distinct));
             prop_assert_eq!(codes, want_codes);

@@ -5,7 +5,9 @@
 //! names the grouping attributes; [`GroupKey`] is one concrete combination.
 
 use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
+use crate::column::{ColumnCodes, Encoded};
 use crate::table::Table;
 use crate::value::Value;
 use crate::Result;
@@ -65,50 +67,81 @@ impl GroupSpec {
     /// For each row, the position in `keys` of the first key equal to
     /// the row's [`GroupSpec::key_of`] key, or `None` if no key matches.
     ///
-    /// The answer is exactly `keys.iter().position(|k| *k == key_of(i))`
-    /// per row, but it is computed from one [`crate::Column::encode`]
-    /// pass per attribute: each key is translated once into per-attribute
-    /// codes (a key of the wrong length, or naming a value absent from its
-    /// column, matches no row) and rows are looked up by code, so no
-    /// per-row [`GroupKey`] is built.
+    /// Encodes each attribute once ([`crate::Column::encode`]) and looks
+    /// every row up in [`GroupSpec::index_codes`].
     ///
     /// # Errors
     /// The first unknown attribute, with the error
     /// [`GroupSpec::key_of`] reports for it — also on an empty table,
     /// where a per-row `key_of` loop would never look.
     pub fn assign(&self, table: &Table, keys: &[GroupKey]) -> Result<Vec<Option<usize>>> {
-        let encoded = self
+        let index = self.index_codes(keys, table)?;
+        Ok((0..table.num_rows()).map(|i| index.lookup(i)).collect())
+    }
+
+    /// Index `keys` against the attribute codes `codes` hands out, so
+    /// that [`GroupIndex::lookup`] finds a row's first equal key without
+    /// building its [`GroupKey`].
+    ///
+    /// Each key is translated once into per-attribute codes (a key of
+    /// the wrong length, or naming a value absent from its column,
+    /// matches no row). Per attribute and code, the index holds the set
+    /// of keys with that code as a bitset over key positions; a row's
+    /// matching keys are the intersection of its codes' sets, and the
+    /// lowest set bit is the first matching key. Building costs the
+    /// attributes' dictionary sizes times the key count, not the rows.
+    ///
+    /// # Errors
+    /// The first attribute `codes` does not know.
+    pub fn index_codes(
+        &self,
+        keys: &[GroupKey],
+        codes: &(impl ColumnCodes + ?Sized),
+    ) -> Result<GroupIndex> {
+        let columns = self
             .attributes
             .iter()
-            .map(|a| Ok(table.column(a)?.encode()))
+            .map(|a| codes.codes(a))
             .collect::<Result<Vec<_>>>()?;
-        // code tuple -> position of the first key with that tuple
-        let mut first_key: BTreeMap<Vec<Option<u32>>, usize> = BTreeMap::new();
+        let words = keys.len().div_ceil(64);
+        // per attribute: slot (a code, or `distinct.len()` for null) ->
+        // bitset of the keys with that slot, `words` u64s per slot
+        let mut bits: Vec<Vec<u64>> = columns
+            .iter()
+            .map(|c| vec![0; (c.distinct.len() + 1) * words])
+            .collect();
+        // the keys some row can match: right length, every value present
+        let mut live = vec![0u64; words];
+        let mut slots = Vec::with_capacity(columns.len());
         for (pos, key) in keys.iter().enumerate() {
-            if key.0.len() != encoded.len() {
+            if key.0.len() != columns.len() {
                 continue;
             }
-            let codes: Option<Vec<Option<u32>>> = key
-                .0
-                .iter()
-                .zip(&encoded)
-                .map(|(v, (distinct, _))| match v {
-                    Value::Null => Some(None),
-                    v => distinct.binary_search(v).ok().map(|c| Some(c as u32)),
-                })
-                .collect();
-            if let Some(codes) = codes {
-                first_key.entry(codes).or_insert(pos);
+            slots.clear();
+            for (v, c) in key.0.iter().zip(&columns) {
+                match v {
+                    Value::Null => slots.push(c.distinct.len()),
+                    v => match c.distinct.binary_search(v) {
+                        Ok(code) => slots.push(code),
+                        Err(_) => break,
+                    },
+                }
+            }
+            if slots.len() != columns.len() {
+                continue;
+            }
+            let bit = 1u64 << (pos % 64);
+            live[pos / 64] |= bit;
+            for (s, b) in slots.iter().zip(&mut bits) {
+                b[s * words + pos / 64] |= bit;
             }
         }
-        let mut row_codes = Vec::with_capacity(encoded.len());
-        Ok((0..table.num_rows())
-            .map(|i| {
-                row_codes.clear();
-                row_codes.extend(encoded.iter().map(|(_, codes)| codes[i]));
-                first_key.get(row_codes.as_slice()).copied()
-            })
-            .collect())
+        Ok(GroupIndex {
+            columns,
+            words,
+            bits,
+            live,
+        })
     }
 
     /// Per-group row counts.
@@ -160,6 +193,40 @@ impl GroupSpec {
             out.push((k, GroupStats::from_values(idxs.len(), &vals)));
         }
         Ok(out)
+    }
+}
+
+/// Which of a list of group keys each row's key equals, looked up by
+/// the row's attribute codes (see [`GroupSpec::index_codes`]).
+#[derive(Debug, Clone)]
+pub struct GroupIndex {
+    /// The attributes' codes, in [`GroupSpec`] order.
+    columns: Vec<Arc<Encoded>>,
+    /// `u64`s per key bitset.
+    words: usize,
+    /// Per attribute, `words` bitset words per slot.
+    bits: Vec<Vec<u64>>,
+    /// The keys some row can match.
+    live: Vec<u64>,
+}
+
+impl GroupIndex {
+    /// The position of the first key equal to row `i`'s key, or `None`
+    /// if no key matches: exactly
+    /// `keys.iter().position(|k| *k == key_of(i))`.
+    ///
+    /// # Panics
+    /// If `i` is not a row of the indexed codes (and the spec has an
+    /// attribute).
+    pub fn lookup(&self, i: usize) -> Option<usize> {
+        (0..self.words).find_map(|w| {
+            let mut m = self.live[w];
+            for (c, bits) in self.columns.iter().zip(&self.bits) {
+                let slot = c.codes[i].map_or(c.distinct.len(), |x| x as usize);
+                m &= bits[slot * self.words + w];
+            }
+            (m != 0).then(|| w * 64 + m.trailing_zeros() as usize)
+        })
     }
 }
 
@@ -291,6 +358,25 @@ mod tests {
         assert_eq!(
             spec.assign(&t, &keys).unwrap(),
             [Some(1), None, Some(4), Some(1)]
+        );
+    }
+
+    /// Key sets past one 64-bit word: the first match is found in
+    /// whichever word holds it.
+    #[test]
+    fn assign_finds_keys_past_the_first_word() {
+        let t = t();
+        let spec = GroupSpec::new(vec!["race"]);
+        let mut keys: Vec<GroupKey> = (0..130)
+            .map(|i| GroupKey(vec![Value::str(format!("k{i}"))]))
+            .collect();
+        keys[70] = GroupKey(vec![Value::str("b")]);
+        keys[129] = GroupKey(vec![Value::str("w")]);
+        keys.push(GroupKey(vec![Value::str("b")]));
+        // rows: w w b w
+        assert_eq!(
+            spec.assign(&t, &keys).unwrap(),
+            [Some(129), Some(129), Some(70), Some(129)]
         );
     }
 

@@ -44,11 +44,11 @@ pub mod schema;
 pub mod table;
 pub mod value;
 
-pub use column::Column;
+pub use column::{Column, ColumnCodes, Encoded, EncodedColumns};
 pub use csv::{read_csv_str, write_csv_string};
 pub use delta::TableDelta;
 pub use error::TableError;
-pub use group::{GroupKey, GroupSpec, GroupStats};
+pub use group::{GroupIndex, GroupKey, GroupSpec, GroupStats};
 pub use join::{hash_join, join_multiplicity, JoinSide};
 pub use predicate::Predicate;
 pub use schema::{DataType, Field, Role, Schema};

@@ -1,6 +1,8 @@
 //! The [`Table`]: a schema plus typed columns.
 
-use crate::column::Column;
+use std::sync::Arc;
+
+use crate::column::{Column, ColumnCodes, Encoded};
 use crate::error::TableError;
 use crate::predicate::Predicate;
 use crate::schema::{DataType, Schema};
@@ -261,7 +263,7 @@ impl Table {
 
     /// Distinct non-null values of a column, sorted.
     pub fn distinct(&self, name: &str) -> Result<Vec<Value>> {
-        Ok(self.column(name)?.encode().0)
+        Ok(self.column(name)?.encode().distinct)
     }
 
     /// Mean of a numeric column over non-null cells (None if no such cells).
@@ -333,6 +335,13 @@ impl Table {
             out.push_str(&format!("... ({} rows total)\n", self.num_rows));
         }
         out
+    }
+}
+
+/// A table encodes the named column afresh on every call.
+impl ColumnCodes for Table {
+    fn codes(&self, column: &str) -> Result<Arc<Encoded>> {
+        Ok(Arc::new(self.column(column)?.encode()))
     }
 }
 

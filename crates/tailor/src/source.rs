@@ -13,10 +13,10 @@
 //!   `try_draw` never fails; fault behaviour is layered on by
 //!   `rdi-fault`'s `FaultySource` wrapper.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::{Rng, RngCore};
-use rdi_table::{Schema, Table, TableError, Value};
+use rdi_table::{ColumnCodes, GroupIndex, Schema, Table, TableError, Value};
 
 use crate::problem::DtProblem;
 
@@ -122,20 +122,23 @@ pub trait Source {
 /// the paper's model of querying an external API whose each request
 /// returns one random record at a fixed cost.
 ///
-/// Group membership of every row is precomputed against the problem's
-/// [`rdi_table::GroupSpec`]; rows in none of the target groups report
-/// `None`. The backing table is shared, never copied: sources built
-/// over one registered `Arc<Table>` all read the same rows.
+/// A drawn row's group is looked up in a [`GroupIndex`] of the
+/// problem's target groups, built from the group attributes' codes;
+/// rows in none of the target groups report `None`. The backing table
+/// is shared, never copied: sources built over one registered
+/// `Arc<Table>` all read the same rows.
 #[derive(Debug, Clone)]
 pub struct TableSource {
     name: String,
     table: Arc<Table>,
     cost: f64,
-    /// Per-row target-group index (None = not a target group).
-    row_group: Vec<Option<usize>>,
+    /// Row -> target-group index (None = not a target group).
+    groups: GroupIndex,
+    num_groups: usize,
     /// True per-group frequencies P_i(g) (fraction of rows in each target
-    /// group) — available to *known-distribution* policies only.
-    frequencies: Vec<f64>,
+    /// group) — read by *known-distribution* policies only, so counted
+    /// over every row on first read.
+    frequencies: OnceLock<Vec<f64>>,
 }
 
 impl TableSource {
@@ -143,13 +146,12 @@ impl TableSource {
     ///
     /// `table` is anything that converts into an `Arc<Table>`: an owned
     /// [`Table`] is moved into a fresh `Arc`, and an existing `Arc` (say,
-    /// a table registered with a serving index) is shared as is. Row
-    /// group membership comes from [`rdi_table::GroupSpec::assign`]
-    /// against the problem's target groups.
+    /// a table registered with a serving index) is shared as is. The
+    /// group attributes are encoded once and handed to
+    /// [`TableSource::with_codes`].
     ///
     /// # Errors
-    /// An empty table, a cost that is not positive (NaN included), or a
-    /// group attribute the table lacks.
+    /// As [`TableSource::with_codes`].
     pub fn new(
         name: impl Into<String>,
         table: impl Into<Arc<Table>>,
@@ -157,6 +159,24 @@ impl TableSource {
         problem: &DtProblem,
     ) -> rdi_table::Result<Self> {
         let table = table.into();
+        TableSource::with_codes(name, Arc::clone(&table), cost, problem, &*table)
+    }
+
+    /// Wrap a table as a source with per-sample `cost`, reading the
+    /// group attributes' codes from `codes`: row group membership comes
+    /// from [`rdi_table::GroupSpec::index_codes`] over the problem's
+    /// target groups.
+    ///
+    /// # Errors
+    /// In this order: an empty table, a cost that is not positive (NaN
+    /// included), or a group attribute `codes` does not know.
+    pub fn with_codes(
+        name: impl Into<String>,
+        table: Arc<Table>,
+        cost: f64,
+        problem: &DtProblem,
+        codes: &(impl ColumnCodes + ?Sized),
+    ) -> rdi_table::Result<Self> {
         if table.is_empty() {
             return Err(TableError::SchemaMismatch("empty source table".into()));
         }
@@ -166,19 +186,14 @@ impl TableSource {
                 "source cost must be positive".into(),
             ));
         }
-        let row_group = problem.spec.assign(&table, &problem.groups)?;
-        let mut counts = vec![0usize; problem.num_groups()];
-        for g in row_group.iter().flatten() {
-            counts[*g] += 1;
-        }
-        let n = table.num_rows() as f64;
-        let frequencies = counts.iter().map(|&c| c as f64 / n).collect();
+        let groups = problem.spec.index_codes(&problem.groups, codes)?;
         Ok(TableSource {
             name: name.into(),
             table,
             cost,
-            row_group,
-            frequencies,
+            groups,
+            num_groups: problem.num_groups(),
+            frequencies: OnceLock::new(),
         })
     }
 
@@ -196,7 +211,14 @@ impl TableSource {
     /// Policies modelling the *unknown*-distribution setting must not read
     /// this.
     pub fn frequencies(&self) -> &[f64] {
-        &self.frequencies
+        self.frequencies.get_or_init(|| {
+            let rows = self.table.num_rows();
+            let mut counts = vec![0usize; self.num_groups];
+            for g in (0..rows).filter_map(|i| self.groups.lookup(i)) {
+                counts[g] += 1;
+            }
+            counts.iter().map(|&c| c as f64 / rows as f64).collect()
+        })
     }
 
     /// Draw one random record (uniform with replacement): returns the
@@ -208,7 +230,7 @@ impl TableSource {
             reason = "`i` is drawn from 0..num_rows, so the row lookup cannot fail"
         )]
         let row = self.table.row(i).expect("index in range");
-        (self.row_group[i], row)
+        (self.groups.lookup(i), row)
     }
 
     /// The backing table's schema.
@@ -302,6 +324,24 @@ mod tests {
         assert!(TableSource::new("s", table(&[]), 1.0, &p).is_err());
         assert!(TableSource::new("s", table(&["a"]), 0.0, &p).is_err());
         assert!(TableSource::new("s", table(&["a"]), -1.0, &p).is_err());
+    }
+
+    /// The checks run empty table, then cost, then group attribute.
+    #[test]
+    fn construction_errors_come_in_a_fixed_order() {
+        let p = DtProblem::exact_counts(
+            GroupSpec::new(vec!["nope"]),
+            vec![(GroupKey(vec![Value::str("a")]), 1)],
+        );
+        let err = |t: Table, cost: f64| TableSource::new("s", t, cost, &p).unwrap_err();
+        let empty = TableError::SchemaMismatch("empty source table".into());
+        let cost = TableError::SchemaMismatch("source cost must be positive".into());
+        assert_eq!(err(table(&[]), f64::NAN), empty);
+        assert_eq!(err(table(&["a"]), 0.0), cost);
+        assert_eq!(
+            err(table(&["a"]), 1.0),
+            TableError::UnknownColumn("nope".into())
+        );
     }
 
     #[test]
