@@ -13,17 +13,18 @@
 //! crates. R7 reads the crate manifests.
 //!
 //! Invariants that clippy can state are left to clippy, so each has one
-//! checker: the root `clippy.toml` bans `std::thread::spawn`, and the CI
-//! `--lib` clippy step denies `unwrap_used`, `expect_used`, `panic`,
-//! `let_underscore_must_use` and `unused_result_ok` in library code. The
-//! ids of the rules that moved (R2, R5, R8) and of R4 (an entropy-seeded
-//! RNG cannot compile: the workspace `rand` only has `seed_from_u64`)
-//! are retired, and so are R6, R11 and the inline-directive half of R7
-//! (DESIGN.md names what replaced each). R1 and R3 stay here: they
-//! apply to algorithm crates only, outside `#[cfg(test)]`, while
-//! clippy's `disallowed-types` is set once per `clippy.toml` and has no
-//! test exemption, so scoping it would repeat the algorithm-crate list
-//! beside `[package.metadata.rdi-lint]`.
+//! checker: the root `clippy.toml` bans `std::thread::spawn` and
+//! `std::thread::Builder::spawn` (rdi-par's pool is the one exception),
+//! and the CI `--lib` clippy step denies `unwrap_used`, `expect_used`,
+//! `panic`, `let_underscore_must_use` and `unused_result_ok` in library
+//! code. The ids of the rules that moved (R2, R5, R8) and of R4 (an
+//! entropy-seeded RNG cannot compile: the workspace `rand` only has
+//! `seed_from_u64`) are retired, and so are R6, R11 and the
+//! inline-directive half of R7 (DESIGN.md names what replaced each). R1
+//! and R3 stay here: they apply to algorithm crates only, outside
+//! `#[cfg(test)]`, while clippy's `disallowed-types` is set once per
+//! `clippy.toml` and has no test exemption, so scoping it would repeat
+//! the algorithm-crate list beside `[package.metadata.rdi-lint]`.
 //!
 //! ## Rule catalog
 //!

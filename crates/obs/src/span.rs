@@ -11,9 +11,32 @@ use crate::MetricsRegistry;
 
 thread_local! {
     /// Names of the spans currently open on this thread, outermost
-    /// first. Nesting is tracked per thread: spans opened on parallel
-    /// workers do not inherit the spawning thread's stack.
+    /// first. Nesting is tracked per thread: work handed to another
+    /// thread carries the stack along explicitly (see
+    /// [`with_span_stack`]).
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+}
+
+/// The names of the spans open on the calling thread, outermost first.
+pub fn span_stack() -> Vec<String> {
+    SPAN_STACK.with(|stack| stack.borrow().clone())
+}
+
+/// Run `f` with `stack` as the calling thread's open spans, so spans it
+/// opens nest as they would on the thread that read `stack` (see
+/// [`span_stack`]). The thread's own stack is restored afterwards, also
+/// when `f` panics.
+pub fn with_span_stack<R>(stack: &[String], f: impl FnOnce() -> R) -> R {
+    /// Puts the saved stack back on drop.
+    struct Restore(Vec<String>);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            SPAN_STACK.with(|stack| std::mem::swap(&mut *stack.borrow_mut(), &mut self.0));
+        }
+    }
+    let _restore =
+        Restore(SPAN_STACK.with(|s| std::mem::replace(&mut *s.borrow_mut(), stack.to_vec())));
+    f()
 }
 
 /// One finished span: its slash-separated nesting path and wall time.
@@ -175,6 +198,28 @@ mod tests {
                 let inner = reg.span("worker");
                 // no inheritance across threads
                 assert_eq!(inner.path(), "worker");
+            });
+        });
+    }
+
+    #[test]
+    fn a_carried_stack_nests_worker_spans_and_is_restored() {
+        let reg = MetricsRegistry::new();
+        let _outer = reg.span("outer");
+        let stack = span_stack();
+        assert_eq!(stack, vec!["outer"]);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                let _own = reg.span("own");
+                with_span_stack(&stack, || {
+                    assert_eq!(reg.span("worker").path(), "outer/worker");
+                });
+                assert_eq!(span_stack(), vec!["own"]);
+                let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                    with_span_stack(&stack, || panic!("job failed"))
+                }));
+                assert!(unwound.is_err());
+                assert_eq!(span_stack(), vec!["own"]);
             });
         });
     }

@@ -1,10 +1,20 @@
 //! `rdi-par`: a zero-dependency parallel execution layer for RDI kernels.
 //!
-//! Built entirely on [`std::thread::scope`] — no external crates — this
-//! module gives the workspace's hot paths (column sketching, lake-wide
-//! candidate scoring, MUP lattice search, join-sampling trials, data
-//! generation) a single, deterministic way to fan work out across
-//! cores.
+//! Built entirely on `std` — no external crates — this module gives the
+//! workspace's hot paths (column sketching, lake-wide candidate
+//! scoring, MUP lattice search, join-sampling trials, data generation,
+//! serving batches) a single, deterministic way to fan work out across
+//! cores. It has two primitives:
+//!
+//! * [`par_map`] and its relatives run on [`std::thread::scope`], so
+//!   they borrow their input; each parallel call spawns its threads.
+//! * [`Pool`] keeps worker threads between calls and maps owned jobs;
+//!   its owner pays the thread start once, not per call. Every thread
+//!   a pool starts is joined when the pool drops.
+//!
+//! Work run on another thread nests its spans under the submitting
+//! thread's open spans ([`rdi_obs::with_span_stack`]), so span paths do
+//! not depend on which thread ran a job.
 //!
 //! # Determinism contract
 //!
@@ -17,6 +27,9 @@
 //!   outputs back **in input order**. The result is always exactly
 //!   `items.iter().map(f).collect()`, independent of thread count or
 //!   scheduling.
+//! * [`Pool::map`] lets the caller and the workers claim jobs one at a
+//!   time and places each result by its job's index, so it too returns
+//!   exactly the serial map.
 //! * [`par_reduce`] folds each chunk serially, then combines the
 //!   per-chunk accumulators **left to right** in chunk order. With the
 //!   chunk count fixed (see [`Threads::chunks_of`]) the combination
@@ -43,6 +56,10 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::thread;
+
+mod pool;
+
+pub use pool::Pool;
 
 /// Cached handles onto the global [`rdi_obs`] registry for the hot
 /// dispatch paths ([`rdi_obs::MetricsRegistry::reset`] zeroes values
@@ -253,9 +270,9 @@ where
 
 /// Run `job` once per range and return the results in range order.
 /// The calling thread runs the first range itself and `ranges.len() - 1`
-/// scoped threads take the rest, so a two-chunk split spawns one thread
-/// and spans the caller opens inside chunk 0 nest under its open spans.
-/// A panicking job re-raises its original payload on the caller.
+/// scoped threads take the rest, so a two-chunk split spawns one thread.
+/// Every chunk runs under the caller's open spans. A panicking job
+/// re-raises its original payload on the caller.
 fn run_chunks<R, J>(ranges: Vec<Range<usize>>, job: J) -> Vec<R>
 where
     R: Send,
@@ -265,9 +282,12 @@ where
     let Some(first) = ranges.next() else {
         return Vec::new();
     };
+    let stack = rdi_obs::span_stack();
     thread::scope(|scope| {
-        let job = &job;
-        let handles: Vec<_> = ranges.map(|r| scope.spawn(move || job(r))).collect();
+        let (job, stack) = (&job, &stack);
+        let handles: Vec<_> = ranges
+            .map(|r| scope.spawn(move || rdi_obs::with_span_stack(stack, || job(r))))
+            .collect();
         let mut out = Vec::with_capacity(handles.len() + 1);
         out.push(job(first));
         // join errs only when the worker panicked — re-raise that panic
@@ -442,18 +462,15 @@ mod tests {
     #[test]
     fn caller_chunk_spans_nest_like_serial_ones() {
         let items = vec![(); 64];
-        for (threads, last_path) in [
-            (Threads::serial(), "caller/probe"),
-            (Threads::fixed(2), "probe"),
-        ] {
+        for threads in [Threads::serial(), Threads::fixed(2), Threads::fixed(8)] {
             let _caller = rdi_obs::span("caller");
             let paths = par_map_indexed(threads, &items, |i, ()| {
                 (i == 0 || i == 63).then(|| rdi_obs::span("probe").path().to_string())
             });
             assert_eq!(paths[0].as_deref(), Some("caller/probe"));
             // In parallel the last item runs on a worker thread, which
-            // starts with an empty span stack.
-            assert_eq!(paths[63].as_deref(), Some(last_path));
+            // carries the caller's span stack.
+            assert_eq!(paths[63].as_deref(), Some("caller/probe"));
         }
     }
 

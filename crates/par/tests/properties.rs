@@ -2,7 +2,12 @@
 //! serial execution across thread counts.
 
 use proptest::prelude::*;
-use rdi_par::{par_map, par_map_indexed, par_reduce, par_run, stream_seed, Threads};
+use rdi_par::{par_map, par_map_indexed, par_reduce, par_run, stream_seed, Pool, Threads};
+
+/// A job whose cost is its first field: that many chained seed steps.
+fn uneven(&(cost, x): &(u32, u64)) -> u64 {
+    (0..cost).fold(x, |z, i| stream_seed(z, u64::from(i)))
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -62,6 +67,25 @@ proptest! {
         let out = par_run(Threads::fixed(t), n, |i| stream_seed(7, i as u64));
         let serial: Vec<u64> = (0..n).map(|i| stream_seed(7, i as u64)).collect();
         prop_assert_eq!(out, serial);
+    }
+
+    /// One pool per thread count serves 50 calls of uneven jobs, each
+    /// equal to the serial map: claiming order never shows in the
+    /// output, and workers carry nothing from one call to the next.
+    #[test]
+    fn pool_map_identical_across_thread_counts_and_calls(
+        calls in prop::collection::vec(
+            prop::collection::vec((0u32..400, any::<u64>()), 0..40),
+            50..51))
+    {
+        for t in [1usize, 2, 8] {
+            let mut pool = Pool::new(Threads::fixed(t).min_len(2));
+            for jobs in &calls {
+                let serial: Vec<u64> = jobs.iter().map(uneven).collect();
+                prop_assert_eq!(pool.map(jobs.clone(), uneven), serial, "thread count {}", t);
+            }
+            prop_assert!(pool.workers() < t.max(2));
+        }
     }
 
     /// Stream seeds form distinct streams per block index.

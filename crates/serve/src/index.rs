@@ -31,14 +31,14 @@
 //! policy only; answers are bitwise identical on both sides.
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rdi_coverage::{CoverageAnalyzer, PatternCounter};
 use rdi_discovery::hash::hash_bytes;
 use rdi_discovery::{rank_scored, table_unionability, MinHash, TableSignature};
-use rdi_obs::ProvenanceEvent;
+use rdi_obs::{Counter, ProvenanceEvent};
 use rdi_par::Threads;
 use rdi_policy::{PolicyId, PolicyParams, PolicySet};
 use rdi_table::{Encoded, EncodedColumns, Table, TableDelta};
@@ -1240,10 +1240,17 @@ fn execute_inner(
     }
 }
 
+/// `serve.candidates_scored`, resolved on first use: executes run side
+/// by side, and a by-name lookup takes the registry lock.
+fn candidates_scored() -> &'static Counter {
+    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
+    HANDLE.get_or_init(|| rdi_obs::counter("serve.candidates_scored"))
+}
+
 /// Score every candidate's unionability with the query and rank the
 /// top `k`, recording the `discovery.union_rank` decision.
 fn execute_union(plan: &UnionPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<(String, f64)> {
-    rdi_obs::counter("serve.candidates_scored").add(plan.candidates.len() as u64);
+    candidates_scored().add(plan.candidates.len() as u64);
     let scored: Vec<(Arc<str>, f64)> = plan
         .candidates
         .iter()
@@ -1259,7 +1266,7 @@ fn execute_union(plan: &UnionPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<
 /// Score every candidate's estimated key containment of the query and
 /// rank the top `k`, recording the `discovery.join_rank` decision.
 fn execute_join(plan: &JoinPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<(String, f64)> {
-    rdi_obs::counter("serve.candidates_scored").add(plan.candidates.len() as u64);
+    candidates_scored().add(plan.candidates.len() as u64);
     let scored: Vec<(Arc<str>, f64)> = plan
         .candidates
         .iter()

@@ -30,8 +30,9 @@
 //!   per-tenant `rdi-fault` circuit breakers, degrading to **partial
 //!   batch results** instead of panicking — one tenant's flood or
 //!   poison traffic never starves or sheds another's.
-//! * Batches execute over `rdi-par` with one RNG stream per request
-//!   (`stream_seed(session seed, arrival index)`), so a batch is
+//! * Batches execute on the session's own `rdi-par` worker pool with
+//!   one RNG stream per request (`stream_seed(session seed, arrival
+//!   index)`), so a batch is
 //!   bitwise identical to serial one-at-a-time execution for any
 //!   `RDI_THREADS` — and a warm replay of the same stream is bitwise
 //!   identical to the cold run while building zero new sketches.

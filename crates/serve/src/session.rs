@@ -14,12 +14,14 @@
 //!    validated and its sketches are built or fetched from the cache —
 //!    the only cache-mutating phase, so hit/miss/eviction accounting is
 //!    a pure function of the request stream.
-//! 3. **Execute** (parallel over `rdi-par`): plans run as pure
-//!    functions of `(plan, seed)`, each request drawing from its own
-//!    RNG stream `stream_seed(session seed, arrival index)`. Results
-//!    are spliced back in arrival order, so a batch is **bitwise
-//!    identical** to submitting the same requests one at a time — for
-//!    any `RDI_THREADS`.
+//! 3. **Execute** (parallel on the session's own [`rdi_par::Pool`],
+//!    whose workers start with the first parallel batch and live as
+//!    long as the session): plans run as pure functions of
+//!    `(plan, seed)`, each request drawing from its own RNG stream
+//!    `stream_seed(session seed, arrival index)`. Results are spliced
+//!    back in arrival order, so a batch is **bitwise identical** to
+//!    submitting the same requests one at a time — for any
+//!    `RDI_THREADS`.
 //!
 //! Admission is multi-tenant and fairness-aware (see [`crate::admit`]):
 //! every request belongs to a [`TenantId`] (untagged batches to the
@@ -35,7 +37,7 @@
 //! exactly one probe per cooled-down tenant.
 
 use rdi_fault::RecoveryState;
-use rdi_par::{par_map, Threads};
+use rdi_par::{Pool, Threads};
 
 use crate::admit::{lay_out, AdmitConfig, Admitter, TaggedRequest, TenantId};
 use crate::error::ServeError;
@@ -55,7 +57,8 @@ pub struct SessionConfig {
     /// down before admitting a single half-open probe request (clamped
     /// to ≥ 1).
     pub breaker_cooldown_ticks: u64,
-    /// Thread configuration for the execute phase.
+    /// Thread configuration for the execute phase: the session keeps
+    /// at most `threads − 1` execute workers.
     pub threads: Threads,
     /// Master seed. The default tenant's request `i` (by arrival,
     /// across batches) executes with RNG stream `stream_seed(seed, i)`;
@@ -103,6 +106,8 @@ pub struct ServeSession {
     index: LakeIndex,
     config: SessionConfig,
     admitter: Admitter,
+    /// The execute phase's workers, joined when the session drops.
+    pool: Pool,
 }
 
 impl ServeSession {
@@ -121,6 +126,7 @@ impl ServeSession {
         ServeSession {
             index,
             admitter: Admitter::new(admit, config.seed),
+            pool: Pool::new(config.threads.min_len(2)),
             config,
         }
     }
@@ -136,10 +142,11 @@ impl ServeSession {
         &self.index
     }
 
-    /// Tear the session down, keeping the (warm) index. A new session
-    /// over the returned index restarts the arrival counter, so
-    /// replaying the same request stream yields bitwise-identical
-    /// responses — now served from cache.
+    /// Tear the session down, keeping the (warm) index; the execute
+    /// workers are joined. A new session over the returned index
+    /// restarts the arrival counter, so replaying the same request
+    /// stream yields bitwise-identical responses — now served from
+    /// cache.
     pub fn into_index(self) -> LakeIndex {
         self.index
     }
@@ -211,10 +218,14 @@ impl ServeSession {
 
         // Phase 2: warm, serial in arrival order — the only phase that
         // touches the cache.
-        let mut jobs: Vec<(usize, u64, Prepared)> = Vec::with_capacity(admitted.len());
+        let mut slots = Vec::with_capacity(admitted.len());
+        let mut jobs: Vec<(u64, Prepared)> = Vec::with_capacity(admitted.len());
         for &(pos, seed) in &admitted {
             match self.index.prepare(requests[pos]) {
-                Ok(plan) => jobs.push((pos, seed, plan)),
+                Ok(plan) => {
+                    slots.push(pos);
+                    jobs.push((seed, plan));
+                }
                 Err(e) => responses[pos] = Some(Err(e)),
             }
         }
@@ -224,12 +235,11 @@ impl ServeSession {
         let mut decisions = self.admitter.drain_decisions();
         decisions.extend(self.index.drain_decisions());
 
-        // Phase 3: execute in parallel; results splice back in input
-        // order (rdi-par contract), each job on its own RNG stream.
-        let results = par_map(self.config.threads.min_len(2), &jobs, |(_, seed, plan)| {
-            execute(plan, *seed)
-        });
-        for ((pos, _, _), (result, job_decisions)) in jobs.into_iter().zip(results) {
+        // Phase 3: execute in parallel on the session's workers; results
+        // come back in input order (rdi-par contract), each job on its
+        // own RNG stream.
+        let results = self.pool.map(jobs, |(seed, plan)| execute(plan, *seed));
+        for (pos, (result, job_decisions)) in slots.into_iter().zip(results) {
             responses[pos] = Some(result);
             decisions.extend(job_decisions);
         }
@@ -614,6 +624,168 @@ mod tests {
         let serial = run(Threads::fixed(1));
         assert_eq!(serial, run(Threads::fixed(2)));
         assert_eq!(serial, run(Threads::fixed(8)));
+    }
+
+    /// One seeded `session_workload` stream: its lake and its batches as
+    /// serving requests.
+    fn workload_stream(
+        seed: u64,
+        batches: usize,
+    ) -> (Vec<(String, Table)>, Vec<Vec<ServeRequest>>) {
+        use rdi_datagen::{session_workload, SessionOp, SessionWorkloadConfig};
+        let config = SessionWorkloadConfig {
+            num_sessions: 1,
+            batches_per_session: batches,
+            requests_per_batch_max: 6,
+            ..SessionWorkloadConfig::default()
+        };
+        let w = session_workload(&config, seed);
+        let to_request = |op: &SessionOp| match op.clone() {
+            SessionOp::Union { query, k } => ServeRequest::UnionTopK { query, k },
+            SessionOp::Joinable { query, column, k } => {
+                ServeRequest::JoinableTopK { query, column, k }
+            }
+            SessionOp::Coverage {
+                table,
+                attributes,
+                threshold,
+            } => ServeRequest::CoverageProbe {
+                table,
+                attributes,
+                threshold,
+            },
+            SessionOp::Tailor {
+                problem,
+                sources,
+                max_draws,
+            } => ServeRequest::TailorRun {
+                problem,
+                sources,
+                max_draws,
+            },
+        };
+        let stream = w.sessions[0]
+            .batches
+            .iter()
+            .map(|b| b.iter().map(to_request).collect())
+            .collect();
+        (w.tables, stream)
+    }
+
+    fn session_over(tables: &[(String, Table)], threads: Threads) -> ServeSession {
+        let mut idx = LakeIndex::new(LakeIndexConfig::default());
+        for (id, table) in tables {
+            idx.register(id.clone(), table.clone(), 1.0).unwrap();
+        }
+        ServeSession::new(
+            idx,
+            SessionConfig {
+                threads,
+                ..SessionConfig::default()
+            },
+        )
+    }
+
+    #[test]
+    fn workload_stream_replays_bitwise_across_thread_counts() {
+        // Sixty batches through one session reuse its execute workers
+        // batch after batch; every response and decision list (Debug
+        // prints each f64 exactly) must match the serial replay.
+        let (tables, stream) = workload_stream(0x5eed, 60);
+        let run = |threads: Threads| {
+            let mut s = session_over(&tables, threads);
+            let reports: Vec<String> = stream
+                .iter()
+                .map(|b| {
+                    let r = s.submit_batch(b);
+                    format!("{:?}\n{:?}", r.responses, r.decisions)
+                })
+                .collect();
+            assert!(s.pool.workers() < threads.get().max(2));
+            reports
+        };
+        let serial = run(Threads::fixed(1));
+        assert!(serial.iter().any(|r| r.contains("Tailored")));
+        for t in [2, 8] {
+            let parallel = run(Threads::fixed(t));
+            for (b, (want, got)) in serial.iter().zip(&parallel).enumerate() {
+                assert_eq!(want, got, "batch {b} at {t} threads");
+            }
+        }
+    }
+
+    #[test]
+    fn worker_spans_nest_like_serial_ones() {
+        // A root no other test opens keeps concurrent tests' spans out
+        // of the global registry's records read here.
+        let mut batch = mixed_batch();
+        batch.extend(vec![mixed_batch().remove(3); 3]);
+        let paths = |threads: Threads| {
+            let root = format!("span_probe_{}", threads.get());
+            let mut s = ServeSession::new(
+                session().into_index(),
+                SessionConfig {
+                    threads,
+                    ..SessionConfig::default()
+                },
+            );
+            {
+                let _root = rdi_obs::span(&root);
+                s.submit_batch(&batch);
+            }
+            let prefix = format!("{root}/");
+            let mut paths: Vec<String> = rdi_obs::global()
+                .span_records()
+                .into_iter()
+                .filter_map(|r| r.path.strip_prefix(&prefix).map(str::to_string))
+                .collect();
+            paths.sort();
+            paths
+        };
+        let serial = paths(Threads::serial());
+        assert!(serial.contains(&"serve.batch/serve.tailor/tailor".to_string()));
+        assert_eq!(paths(Threads::fixed(2)), serial);
+        assert_eq!(paths(Threads::fixed(8)), serial);
+    }
+
+    #[test]
+    fn a_long_session_keeps_few_workers_and_into_index_joins_them() {
+        thread_local! {
+            /// A clone of the watched `Arc`, dropped when the thread exits.
+            static HELD: std::cell::RefCell<Option<std::sync::Arc<()>>> =
+                const { std::cell::RefCell::new(None) };
+        }
+        let t = 3;
+        let mut s = session_over(
+            &[("abc".into(), keyed(&["a", "b", "c"]))],
+            Threads::fixed(t),
+        );
+        let batch = vec![
+            ServeRequest::UnionTopK {
+                query: keyed(&["a", "b"]),
+                k: 1,
+            };
+            t
+        ];
+        for _ in 0..1_000 {
+            assert_eq!(s.submit_batch(&batch).admitted, t);
+        }
+        assert_eq!(s.pool.workers(), t - 1);
+        // Jobs that wait for each other run on the caller and on every
+        // worker at once; each worker keeps a clone until it exits.
+        let watched = std::sync::Arc::new(());
+        let barrier = std::sync::Arc::new(std::sync::Barrier::new(t));
+        let caller = std::thread::current().id();
+        let w = std::sync::Arc::clone(&watched);
+        s.pool.map(vec![(); t], move |()| {
+            barrier.wait();
+            if std::thread::current().id() != caller {
+                HELD.with(|held| *held.borrow_mut() = Some(std::sync::Arc::clone(&w)));
+            }
+        });
+        assert!(std::sync::Arc::strong_count(&watched) > t - 1);
+        let _index = s.into_index();
+        assert_eq!(std::sync::Arc::strong_count(&watched), 1);
     }
 
     /// The replay's "builds no sketch" counter check lives in

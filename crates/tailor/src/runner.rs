@@ -9,10 +9,10 @@
 //! and `rdi-core`'s resilient executor (retries, breakers, redirects).
 
 use std::collections::BTreeSet;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
-use rdi_obs::{Counter, ProvenanceEvent};
+use rdi_obs::{Counter, Gauge, ProvenanceEvent};
 use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
 use rdi_table::{Table, TableError};
 
@@ -67,12 +67,21 @@ struct KeepDrop {
 
 impl KeepDrop {
     fn new(params: PolicyParams) -> Self {
+        // Resolved once per process: runs start side by side in a
+        // serving batch, and a by-name lookup takes the registry lock.
+        static HANDLES: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
+        let handles = HANDLES.get_or_init(|| {
+            (
+                rdi_obs::counter("policy.decisions"),
+                rdi_obs::counter(&format!("policy.{}.decisions", PolicyId::TAILOR_KEEP)),
+            )
+        });
         KeepDrop {
             policy: RankByScore::new(PolicyId::TAILOR_KEEP),
             params,
             exemplar: None,
-            total: rdi_obs::counter("policy.decisions"),
-            site: rdi_obs::counter(&format!("policy.{}.decisions", PolicyId::TAILOR_KEEP)),
+            total: Arc::clone(&handles.0),
+            site: Arc::clone(&handles.1),
         }
     }
 
@@ -239,13 +248,34 @@ pub(crate) fn source_out_of_range(policy: &dyn Policy, chosen: usize, len: usize
 /// registry: total draws, per-group collected progress, and the run's
 /// cost (gauge; last run wins).
 fn record_outcome(per_group: &[usize], draws: usize, total_cost: f64) {
-    rdi_obs::counter("tailor.runs").inc();
-    rdi_obs::counter("tailor.draws").add(draws as u64);
-    rdi_obs::counter("tailor.kept").add(per_group.iter().sum::<usize>() as u64);
+    let m = outcome_metrics();
+    m.runs.inc();
+    m.draws.add(draws as u64);
+    m.kept.add(per_group.iter().sum::<usize>() as u64);
     for (gi, &c) in per_group.iter().enumerate() {
         rdi_obs::counter(&format!("tailor.group_{gi}_kept")).add(c as u64);
     }
-    rdi_obs::gauge("tailor.last_cost").set(total_cost);
+    m.last_cost.set(total_cost);
+}
+
+/// The fixed-name handles [`record_outcome`] publishes through,
+/// resolved on the first finished run: runs finish side by side in a
+/// serving batch, and a by-name lookup takes the registry lock.
+struct OutcomeMetrics {
+    runs: Arc<Counter>,
+    draws: Arc<Counter>,
+    kept: Arc<Counter>,
+    last_cost: Arc<Gauge>,
+}
+
+fn outcome_metrics() -> &'static OutcomeMetrics {
+    static HANDLES: OnceLock<OutcomeMetrics> = OnceLock::new();
+    HANDLES.get_or_init(|| OutcomeMetrics {
+        runs: rdi_obs::counter("tailor.runs"),
+        draws: rdi_obs::counter("tailor.draws"),
+        kept: rdi_obs::counter("tailor.kept"),
+        last_cost: rdi_obs::gauge("tailor.last_cost"),
+    })
 }
 
 /// Tailoring over sources drawn once per pick, the fault-free runner
