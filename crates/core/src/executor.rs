@@ -30,18 +30,15 @@
 //! table, counters, provenance — is bitwise identical to the legacy
 //! runner's.
 
-use std::sync::Arc;
-
 use rand::Rng;
 use rdi_fault::{RecoveringBreaker, ResilienceConfig, TickClock};
-use rdi_obs::{Counter, ProvenanceEvent};
-use rdi_policy::{
-    Candidate, PolicyId, PolicyParams, PolicySet, RankByScore, Score, SelectionPolicy,
-};
+use rdi_obs::ProvenanceEvent;
+use rdi_policy::{Candidate, ExemplarSite, PolicyId, PolicySet, Score};
 use rdi_tailor::{run_draw_loop, DrawStep, DtProblem, Policy, Source, SourceError, TailorOutcome};
 
-/// The `core.redirect` decision site: which healthy source absorbs a
-/// draw aimed at a quarantined one.
+/// The `core.redirect` decision: which healthy source absorbs a draw
+/// aimed at quarantined `chosen`, plus the exemplar event on the run's
+/// first redirect.
 ///
 /// Candidates are the non-quarantined sources at cyclic offsets
 /// `1..len` from the chosen source, scored `-offset` (an [`Score::I64`])
@@ -51,62 +48,29 @@ use rdi_tailor::{run_draw_loop, DrawStep, DtProblem, Policy, Source, SourceError
 /// auditable "every source quarantined" outcome.
 ///
 /// Redirects fire per draw (thousands per degraded run), so like the
-/// `tailor.keep` site the first decision emits the full `PolicyDecision`
-/// event (returned for the caller's event stream) and every decision
-/// ticks the `policy.*` counters through cached handles.
-#[derive(Debug)]
-struct RedirectAudit {
-    policy: RankByScore,
-    params: PolicyParams,
-    emitted: bool,
-    total: Arc<Counter>,
-    site: Arc<Counter>,
-}
-
-impl RedirectAudit {
-    fn new(params: PolicyParams) -> Self {
-        RedirectAudit {
-            policy: RankByScore::new(PolicyId::REDIRECT),
-            params,
-            emitted: false,
-            total: rdi_obs::counter("policy.decisions"),
-            site: rdi_obs::counter(&format!("policy.{}.decisions", PolicyId::REDIRECT)),
+/// `tailor.keep` site this is an [`ExemplarSite`]: the first decision
+/// emits the full `PolicyDecision` event (returned for the caller's
+/// event stream) and every later one is only tallied.
+fn redirect_target(
+    site: &mut ExemplarSite,
+    chosen: usize,
+    breakers: &[RecoveringBreaker],
+    health: &[SourceHealth],
+) -> (Option<usize>, Option<ProvenanceEvent>) {
+    let mut candidates = Vec::new();
+    let mut indices = Vec::new();
+    for off in 1..breakers.len() {
+        let i = (chosen + off) % breakers.len();
+        if !breakers[i].is_open() {
+            candidates.push(Candidate::new(
+                health[i].name.clone(),
+                Score::I64(-(off as i64)),
+            ));
+            indices.push(i);
         }
     }
-
-    /// Pick the live source absorbing a draw aimed at quarantined
-    /// `chosen`, plus the exemplar event on the run's first redirect.
-    fn decide(
-        &mut self,
-        chosen: usize,
-        breakers: &[RecoveringBreaker],
-        health: &[SourceHealth],
-    ) -> (Option<usize>, Option<ProvenanceEvent>) {
-        let mut candidates = Vec::new();
-        let mut indices = Vec::new();
-        for off in 1..breakers.len() {
-            let i = (chosen + off) % breakers.len();
-            if !breakers[i].is_open() {
-                candidates.push(Candidate::new(
-                    health[i].name.clone(),
-                    Score::I64(-(off as i64)),
-                ));
-                indices.push(i);
-            }
-        }
-        let decision = self.policy.choose(&candidates, &self.params);
-        let event = if self.emitted {
-            self.total.inc();
-            self.site.inc();
-            None
-        } else {
-            self.emitted = true;
-            Some(rdi_obs::policy_decision_event(
-                decision.rationale(&candidates, &self.params),
-            ))
-        };
-        (decision.winner.map(|w| indices[w]), event)
-    }
+    let (event, ranking) = site.decide(&candidates);
+    (ranking.first().map(|&w| indices[w]), event)
 }
 
 /// How one source fared over a resilient run.
@@ -240,7 +204,8 @@ pub fn run_resilient<S: Source, R: Rng>(
     let mut events: Vec<ProvenanceEvent> = Vec::new();
     let mut backoff_ticks = 0u64;
     let mut all_quarantined = false;
-    let mut redirect = RedirectAudit::new(policies.params_for(PolicyId::REDIRECT));
+    let mut redirect =
+        ExemplarSite::new(PolicyId::REDIRECT, policies.params_for(PolicyId::REDIRECT));
 
     let attempts_hist = rdi_obs::histogram("executor.attempts_per_draw", &[1.0, 2.0, 4.0, 8.0]);
 
@@ -257,7 +222,7 @@ pub fn run_resilient<S: Source, R: Rng>(
             // cyclically by index). No live source left → the run
             // degrades instead of spinning.
             let s = if breakers[chosen].is_open() {
-                let (winner, event) = redirect.decide(chosen, &breakers, &health);
+                let (winner, event) = redirect_target(&mut redirect, chosen, &breakers, &health);
                 events.extend(event);
                 let Some(s) = winner else {
                     all_quarantined = true;
@@ -288,7 +253,7 @@ pub fn run_resilient<S: Source, R: Rng>(
                     Err(e) => {
                         health[s].failures_by_kind[e.index()] += 1;
                         rdi_obs::counter("executor.faults").inc();
-                        if breakers[s].record_failure(clock.now()) {
+                        if breakers[s].record_failure(clock.now()).tripped() {
                             let q = Quarantine {
                                 consecutive_failures: breakers[s].consecutive_failures(),
                                 at_tick: clock.now(),
@@ -360,6 +325,7 @@ mod tests {
     use rand::rngs::StdRng;
     use rand::SeedableRng;
     use rdi_fault::{FaultSpec, FaultySource};
+    use rdi_policy::PolicyParams;
     use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Table, Value};
     use rdi_tailor::{run_tailoring, RandomPolicy, TableSource};
 

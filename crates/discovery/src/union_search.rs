@@ -37,14 +37,8 @@ pub fn rank_scored<N: Clone + Into<Arc<str>>>(
         .iter()
         .map(|(name, s)| Candidate::new(name.clone(), Score::F64(*s)))
         .collect();
-    let decision = RankByScore::new(id).choose(&candidates, params);
-    let event = rdi_obs::policy_decision_event(decision.rationale(&candidates, params));
-    let ranked = decision
-        .ranking
-        .iter()
-        .take(k)
-        .map(|&i| scored[i].clone())
-        .collect();
+    let (event, ranking) = RankByScore::new(id).choose(&candidates, params).record();
+    let ranked = ranking.iter().take(k).map(|&i| scored[i].clone()).collect();
     (ranked, event)
 }
 

@@ -107,11 +107,12 @@ pub fn relax_for_coverage_explained(
         if candidates.is_empty() {
             break; // data exhausted
         }
-        let decision = policy.choose(&candidates, params);
-        events.push(rdi_obs::policy_decision_event(
-            decision.rationale(&candidates, params),
-        ));
-        if decision.winner_key(&candidates) == Some("left") {
+        let (event, ranking) = policy.choose(&candidates, params).record();
+        events.push(event);
+        if ranking
+            .first()
+            .is_some_and(|&w| &*candidates[w].key == "left")
+        {
             i -= 1;
             *counts.entry(pts[i].1.clone()).or_insert(0) += 1;
         } else {

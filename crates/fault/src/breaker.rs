@@ -24,6 +24,36 @@ pub enum Admission {
     Shed,
 }
 
+/// What one recorded failure did to a [`RecoveringBreaker`]: tripped
+/// it open, or not.
+///
+/// Only [`RecoveringBreaker::record_failure`] builds one, through a
+/// constructor that counts `fault.breaker.failures` and, for a trip,
+/// `fault.breaker.opened`. Both trip paths (a closed breaker reaching
+/// its threshold and a failed half-open probe) therefore share one
+/// counted exit, so the goldens that pin the counters cover both.
+#[must_use = "a trip quarantines the source: branch on `tripped()`"]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct TripVerdict {
+    tripped: bool,
+}
+
+impl TripVerdict {
+    fn counted(tripped: bool) -> Self {
+        rdi_obs::counter("fault.breaker.failures").inc();
+        if tripped {
+            rdi_obs::counter("fault.breaker.opened").inc();
+        }
+        TripVerdict { tripped }
+    }
+
+    /// True exactly when this failure tripped (or re-tripped) the
+    /// breaker.
+    pub fn tripped(self) -> bool {
+        self.tripped
+    }
+}
+
 /// A circuit breaker with deterministic half-open recovery.
 ///
 /// It opens after `threshold` consecutive failures (a success while
@@ -107,34 +137,25 @@ impl RecoveringBreaker {
         }
     }
 
-    /// Record one failed attempt at virtual tick `now`. Returns `true`
-    /// exactly when this failure tripped (or re-tripped) the breaker.
-    /// Every call counts toward `fault.breaker.failures`; a trip
-    /// additionally counts toward `fault.breaker.opened`, so breaker
-    /// transitions are auditable even when the caller drops the
-    /// boolean.
-    pub fn record_failure(&mut self, now: u64) -> bool {
-        rdi_obs::counter("fault.breaker.failures").inc();
-        match self.state {
+    /// Record one failed attempt at virtual tick `now`. The verdict
+    /// says whether this failure tripped (or re-tripped) the breaker;
+    /// building it counts the failure, and the trip, in the
+    /// `fault.breaker.*` counters.
+    pub fn record_failure(&mut self, now: u64) -> TripVerdict {
+        let tripped = match self.state {
             RecoveryState::Closed => {
                 self.consecutive += 1;
-                if self.consecutive >= self.threshold {
-                    self.state = RecoveryState::Open;
-                    self.opened_at = now;
-                    rdi_obs::counter("fault.breaker.opened").inc();
-                    return true;
-                }
-                false
+                self.consecutive >= self.threshold
             }
-            RecoveryState::HalfOpen => {
-                // the probe failed: re-open and restart the cooldown
-                self.state = RecoveryState::Open;
-                self.opened_at = now;
-                rdi_obs::counter("fault.breaker.opened").inc();
-                true
-            }
+            // the probe failed: re-open and restart the cooldown
+            RecoveryState::HalfOpen => true,
             RecoveryState::Open => false,
+        };
+        if tripped {
+            self.state = RecoveryState::Open;
+            self.opened_at = now;
         }
+        TripVerdict::counted(tripped)
     }
 
     /// Record one successful attempt. While closed this resets the
@@ -160,28 +181,31 @@ mod tests {
     #[test]
     fn opens_on_kth_consecutive_failure() {
         let mut b = RecoveringBreaker::new(3, 1);
-        assert!(!b.record_failure(0));
-        assert!(!b.record_failure(0));
+        assert!(!b.record_failure(0).tripped());
+        assert!(!b.record_failure(0).tripped());
         assert!(!b.is_open());
-        assert!(b.record_failure(0), "third failure newly trips");
+        assert!(b.record_failure(0).tripped(), "third failure newly trips");
         assert!(b.is_open());
-        assert!(!b.record_failure(0), "already open: not newly tripped");
+        assert!(
+            !b.record_failure(0).tripped(),
+            "already open: not newly tripped"
+        );
     }
 
     #[test]
     fn success_resets_consecutive_count() {
         let mut b = RecoveringBreaker::new(2, 1);
-        assert!(!b.record_failure(0));
+        assert!(!b.record_failure(0).tripped());
         b.record_success();
         assert_eq!(b.consecutive_failures(), 0);
-        assert!(!b.record_failure(0));
-        assert!(b.record_failure(0));
+        assert!(!b.record_failure(0).tripped());
+        assert!(b.record_failure(0).tripped());
     }
 
     #[test]
     fn open_stays_open_until_admitted() {
         let mut b = RecoveringBreaker::new(1, u64::MAX);
-        assert!(b.record_failure(0));
+        assert!(b.record_failure(0).tripped());
         b.record_success();
         assert!(b.is_open(), "success after opening must not close it");
         assert_eq!(b.state(), RecoveryState::Open);
@@ -199,14 +223,20 @@ mod tests {
         assert_eq!(b.admit(0), Admission::Admit, "fresh breaker must admit");
         b.record_success();
         assert!(!b.is_open());
-        assert!(b.record_failure(0), "clamped threshold 1 trips on first");
+        assert!(
+            b.record_failure(0).tripped(),
+            "clamped threshold 1 trips on first"
+        );
     }
 
     #[test]
     fn recovering_breaker_probes_after_cooldown() {
         let mut b = RecoveringBreaker::new(2, 3);
-        assert!(!b.record_failure(0));
-        assert!(b.record_failure(1), "second consecutive failure trips");
+        assert!(!b.record_failure(0).tripped());
+        assert!(
+            b.record_failure(1).tripped(),
+            "second consecutive failure trips"
+        );
         assert_eq!(b.state(), RecoveryState::Open);
         // cooling: ticks 2..4 shed (opened at 1, cooldown 3)
         assert_eq!(b.admit(2), Admission::Shed);
@@ -225,9 +255,9 @@ mod tests {
     #[test]
     fn failed_probe_reopens_and_restarts_cooldown() {
         let mut b = RecoveringBreaker::new(1, 2);
-        assert!(b.record_failure(0));
+        assert!(b.record_failure(0).tripped());
         assert_eq!(b.admit(2), Admission::Probe);
-        assert!(b.record_failure(2), "probe failure re-trips");
+        assert!(b.record_failure(2).tripped(), "probe failure re-trips");
         assert_eq!(b.state(), RecoveryState::Open);
         assert_eq!(b.admit(3), Admission::Shed, "cooldown restarted at 2");
         assert_eq!(b.admit(4), Admission::Probe);

@@ -77,7 +77,7 @@ pub mod inject;
 pub mod spec;
 
 pub use backoff::Backoff;
-pub use breaker::{Admission, RecoveringBreaker, RecoveryState};
+pub use breaker::{Admission, RecoveringBreaker, RecoveryState, TripVerdict};
 pub use clock::TickClock;
 pub use config::ResilienceConfig;
 pub use inject::FaultySource;

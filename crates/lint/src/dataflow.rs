@@ -1,308 +1,13 @@
-//! Lightweight flow analysis inside a single function body.
+//! Lightweight flow analysis inside a single function body, for **R9
+//! seed-purity**: def-use chains resolving whether the argument of an
+//! RNG construction traces back to a parameter or a `stream_seed(..)`
+//! call.
 //!
-//! Two consumers:
-//!
-//! * **R9 seed-purity** — def-use chains resolving whether the argument
-//!   of an RNG construction traces back to a parameter or a
-//!   `stream_seed(..)` call.
-//! * **R10 provenance-completeness** — the set of *exit points* of a
-//!   body (explicit `return`s plus the tails of the trailing
-//!   expression, recursing through `match` arms and `if`/`else`
-//!   chains), and whether each exit is preceded by an emission whose
-//!   enclosing block dominates it.
-//!
-//! Documented approximations (see DESIGN.md): `?`-operator early exits
-//! are ignored (the error path is the *caller's* decision point);
-//! loops and bare `if` tails are treated as a single fall-through exit
-//! at the end of the body; emission-before-exit uses block
-//! ancestry as a stand-in for dominance.
+//! Approximation: a `let` binds every identifier of its pattern, and a
+//! name resolves to its nearest preceding `let`, without regard to
+//! scopes.
 
 use crate::lexer::{Token, TokenKind};
-
-/// Block tree over a token range: every `{`..`}` pair is a block; block
-/// 0 is the body itself. `block_of[i]` maps each token index (relative
-/// to the range start) to its innermost block.
-pub struct BlockTree {
-    parent: Vec<Option<usize>>,
-    block_of: Vec<usize>,
-    lo: usize,
-}
-
-impl BlockTree {
-    /// Build the tree for `code[lo..hi]`.
-    pub fn build(code: &[Token], lo: usize, hi: usize) -> BlockTree {
-        let hi = hi.min(code.len());
-        let mut parent = vec![None];
-        let mut block_of = Vec::with_capacity(hi.saturating_sub(lo));
-        let mut stack = vec![0usize];
-        for tok in code.iter().take(hi).skip(lo) {
-            match tok.text.as_str() {
-                "{" => {
-                    // The `{` belongs to the enclosing block; the new
-                    // block starts after it.
-                    block_of.push(*stack.last().unwrap_or(&0));
-                    let id = parent.len();
-                    parent.push(stack.last().copied());
-                    stack.push(id);
-                }
-                "}" => {
-                    if stack.len() > 1 {
-                        stack.pop();
-                    }
-                    block_of.push(*stack.last().unwrap_or(&0));
-                }
-                _ => block_of.push(*stack.last().unwrap_or(&0)),
-            }
-        }
-        BlockTree {
-            parent,
-            block_of,
-            lo,
-        }
-    }
-
-    /// Innermost block of absolute token index `i`.
-    pub fn block_of(&self, i: usize) -> usize {
-        self.block_of
-            .get(i.saturating_sub(self.lo))
-            .copied()
-            .unwrap_or(0)
-    }
-
-    /// Is `anc` an ancestor of (or equal to) `blk`?
-    pub fn is_ancestor(&self, anc: usize, blk: usize) -> bool {
-        let mut cur = Some(blk);
-        while let Some(b) = cur {
-            if b == anc {
-                return true;
-            }
-            cur = self.parent.get(b).copied().flatten();
-        }
-        false
-    }
-}
-
-/// One exit point of a body: the absolute index of the token at which
-/// control leaves (a `return` keyword, an arm tail, the body end).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Exit {
-    /// Absolute code-token index.
-    pub at: usize,
-    /// 1-based source line (for findings).
-    pub line: u32,
-}
-
-/// Compute the exit points of `code[lo..hi]` (a fn body, braces
-/// excluded).
-pub fn exits(code: &[Token], lo: usize, hi: usize) -> Vec<Exit> {
-    let hi = hi.min(code.len());
-    let mut out = Vec::new();
-    // Every explicit `return` anywhere in the body.
-    for (i, tok) in code.iter().enumerate().take(hi).skip(lo) {
-        if tok.kind == TokenKind::Ident && tok.text == "return" {
-            out.push(Exit {
-                at: i,
-                line: tok.line,
-            });
-        }
-    }
-    tail_exits(code, lo, hi, &mut out);
-    out.sort_by_key(|e| e.at);
-    out.dedup();
-    out
-}
-
-/// Push the exits of the *tail* (final expression/statement) of
-/// `code[lo..hi]`.
-fn tail_exits(code: &[Token], lo: usize, hi: usize, out: &mut Vec<Exit>) {
-    if lo >= hi {
-        // Empty body: the exit is the body start, nothing can precede it.
-        let line = code.get(lo).or_else(|| code.last()).map_or(0, |t| t.line);
-        out.push(Exit { at: lo, line });
-        return;
-    }
-    let last = hi - 1;
-    if code[last].text != "}" {
-        // Trailing statement (`x.inc();`) or braceless tail expression:
-        // one fall-through exit at the end.
-        out.push(Exit {
-            at: last,
-            line: code[last].line,
-        });
-        return;
-    }
-    // Trailing `{ ... }`: classify the construct that owns it.
-    let Some(open) = match_back(code, lo, last) else {
-        out.push(Exit {
-            at: last,
-            line: code[last].line,
-        });
-        return;
-    };
-    if open > lo && code[open - 1].text == "else" {
-        // `if … { } else if … { } else { }` chain: every branch body's
-        // tail is an exit; an explicit trailing `else` makes the chain
-        // exhaustive, so no extra fall-through exit.
-        let mut close = last;
-        while let Some(open) = match_back(code, lo, close) {
-            tail_exits(code, open + 1, close, out);
-            if open > lo + 1 && code[open - 1].text == "else" && code[open - 2].text == "}" {
-                close = open - 2;
-            } else {
-                break;
-            }
-        }
-        return;
-    }
-    match head_keyword(code, lo, open) {
-        Some("match") => {
-            // Each arm tail is an exit.
-            arm_exits(code, open + 1, last, out);
-        }
-        Some("if") | Some("while") | Some("for") | Some("loop") => {
-            // Bare `if` (may not run) and loops (may run zero times, or
-            // exit via break): conservative single fall-through exit at
-            // the closing brace.
-            out.push(Exit {
-                at: last,
-                line: code[last].line,
-            });
-        }
-        Some("unsafe") | None => {
-            // `unsafe { … }` or a plain trailing block: its tail is the
-            // body's tail.
-            tail_exits(code, open + 1, last, out);
-        }
-        Some(_) => {
-            // Struct literal or other expression ending in braces.
-            out.push(Exit {
-                at: last,
-                line: code[last].line,
-            });
-        }
-    }
-}
-
-/// Index of the `{` matching the `}` at `close`, scanning no further
-/// back than `lo`.
-fn match_back(code: &[Token], lo: usize, close: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    let mut i = close;
-    loop {
-        match code[i].text.as_str() {
-            "}" => depth += 1,
-            "{" => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(i);
-                }
-            }
-            _ => {}
-        }
-        if i == lo {
-            return None;
-        }
-        i -= 1;
-    }
-}
-
-/// The keyword introducing the trailing-brace construct whose `{` is at
-/// `open`: scan back to the previous statement boundary at this nesting
-/// level and report the first identifier of that segment. `None` means
-/// the segment is empty (a plain block).
-fn head_keyword(code: &[Token], lo: usize, open: usize) -> Option<&str> {
-    let mut depth = 0i32;
-    let mut head = lo;
-    let mut i = open;
-    while i > lo {
-        i -= 1;
-        match code[i].text.as_str() {
-            ")" | "]" | "}" => depth += 1,
-            "(" | "[" | "{" => depth -= 1,
-            ";" if depth == 0 => {
-                head = i + 1;
-                break;
-            }
-            // `=>` at depth 0 bounds a match-arm body.
-            ">" if depth == 0 && i > lo && code[i - 1].text == "=" => {
-                head = i + 1;
-                break;
-            }
-            _ => {}
-        }
-        if depth < 0 {
-            head = i + 1;
-            break;
-        }
-    }
-    if head >= open {
-        return None;
-    }
-    code[head..open]
-        .iter()
-        .find(|t| t.kind == TokenKind::Ident)
-        .map(|t| t.text.as_str())
-}
-
-/// Exits of the arms of a `match` body `code[lo..hi]` (inside the match
-/// braces). Arms are split on `,` at direct nesting level; each arm's
-/// body (after `=>`) contributes its tail.
-fn arm_exits(code: &[Token], lo: usize, hi: usize, out: &mut Vec<Exit>) {
-    let mut depth = 0i32;
-    let mut seg_start = lo;
-    let mut i = lo;
-    let flush = |s: usize, e: usize, out: &mut Vec<Exit>| {
-        // Within one arm segment, find the `=>` at depth 0.
-        let mut d = 0i32;
-        let mut j = s;
-        while j + 1 < e {
-            match code[j].text.as_str() {
-                "(" | "[" | "{" => d += 1,
-                ")" | "]" | "}" => d -= 1,
-                "=" if d == 0 && code[j + 1].text == ">" => {
-                    let body_lo = j + 2;
-                    if body_lo >= e {
-                        out.push(Exit {
-                            at: e.saturating_sub(1),
-                            line: code.get(e.saturating_sub(1)).map_or(0, |t| t.line),
-                        });
-                    } else if code[body_lo].text == "{" && code[e - 1].text == "}" {
-                        tail_exits(code, body_lo + 1, e - 1, out);
-                    } else {
-                        out.push(Exit {
-                            at: e - 1,
-                            line: code[e - 1].line,
-                        });
-                    }
-                    return;
-                }
-                _ => {}
-            }
-            j += 1;
-        }
-    };
-    while i < hi {
-        match code[i].text.as_str() {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => depth -= 1,
-            "," if depth == 0 => {
-                if i > seg_start {
-                    flush(seg_start, i, out);
-                }
-                seg_start = i + 1;
-            }
-            _ => {}
-        }
-        i += 1;
-    }
-    if hi > seg_start {
-        flush(seg_start, hi, out);
-    }
-}
-
-// ---------------------------------------------------------------------
-// R9 seed-purity: def-use resolution
-// ---------------------------------------------------------------------
 
 /// A `let` binding: the names it introduces and the token range of its
 /// initializer.

@@ -2,15 +2,14 @@
 //!
 //! A zero-dependency static analyzer enforcing the workspace invariants
 //! that make RDI results *accountable*: reproducible execution and
-//! auditable provenance (tutorial §2.5/§5). The thread-invariance and
+//! consistent metrics (tutorial §2.5/§5). The thread-invariance and
 //! metrics guarantees built in earlier PRs are runtime-tested; this
 //! crate statically prevents the easy ways to silently break them.
 //!
-//! v2 is a two-layer analyzer: a token-pattern layer (R1, R3) on the
-//! hand-written lexer, and a flow-sensitive layer (R9, R10, R12) on an
-//! item-level parser ([`parser`]) plus a workspace symbol graph
-//! ([`symbols`]) that links function definitions to call sites across
-//! crates. R7 reads the crate manifests.
+//! It is a two-layer analyzer: a token-pattern layer (R1, R3, R12) on
+//! the hand-written lexer, and a flow-sensitive layer (R9) on an
+//! item-level parser ([`parser`]) with per-body def-use chains
+//! ([`dataflow`]). R7 reads the crate manifests.
 //!
 //! Invariants that clippy can state are left to clippy, so each has one
 //! checker: the root `clippy.toml` bans `std::thread::spawn` and
@@ -20,11 +19,14 @@
 //! code. The ids of the rules that moved (R2, R5, R8) and of R4 (an
 //! entropy-seeded RNG cannot compile: the workspace `rand` only has
 //! `seed_from_u64`) are retired, and so are R6, R11 and the
-//! inline-directive half of R7 (DESIGN.md names what replaced each). R1
-//! and R3 stay here: they apply to algorithm crates only, outside
-//! `#[cfg(test)]`, while clippy's `disallowed-types` is set once per
-//! `clippy.toml` and has no test exemption, so scoping it would repeat
-//! the algorithm-crate list beside `[package.metadata.rdi-lint]`.
+//! inline-directive half of R7 (DESIGN.md names what replaced each).
+//! So is R10 (provenance completeness): a selection decision is read
+//! only by `rdi_policy::SelectionDecision::record` or `tally`, which
+//! count it, so the compiler enforces the rule. R1 and R3 stay here:
+//! they apply to algorithm crates only, outside `#[cfg(test)]`, while
+//! clippy's `disallowed-types` is set once per `clippy.toml` and has no
+//! test exemption, so scoping it would repeat the algorithm-crate list
+//! beside `[package.metadata.rdi-lint]`.
 //!
 //! ## Rule catalog
 //!
@@ -34,7 +36,6 @@
 //! | R3 | `wall-clock` | algorithm crates | no `Instant`/`SystemTime` (obs spans and bench harnesses live elsewhere and are exempt) |
 //! | R7 | `bad-suppression` | crate manifests | every `[package.metadata.rdi-lint]` opt-out must carry a reason |
 //! | R9 | `seed-purity` | algorithm crates | every RNG construction's seed must flow, via the body's def-use chains, from a parameter or `stream_seed(..)` |
-//! | R10 | `provenance-completeness` | decision-point registry + `.choose(` sites | registered functions emit a `ProvenanceEvent` or metrics update on every return path; every selection-policy `.choose(..)` call reaches a `PolicyDecision` emission |
 //! | R12 | `metrics-consistency` | whole workspace | names asserted by the goldens are updated in source; every `serve.*`/`actor.*`/`fault.*` name updated is declared exactly once in `METRIC_NAMES` |
 //!
 //! Algorithm crates are derived from the workspace manifests: every
@@ -43,8 +44,6 @@
 //! `workspace.rs`). Vendored `crates/compat-*` shims are skipped
 //! entirely, as are `tests/`, `benches/`, `examples/`, `build.rs`, and
 //! `#[cfg(test)]` modules (by convention the trailing module of a file).
-//! Every file of a package with `src/main.rs` and no `src/lib.rs` is
-//! binary code, so the R10 choose-site leg skips it.
 //!
 //! ## Escape hatches
 //!
@@ -60,12 +59,10 @@ pub mod lexer;
 pub mod parser;
 mod report;
 mod rules;
-pub mod symbols;
 pub mod workspace;
 
 pub use report::{fingerprint, report_json, Report};
-pub use rules::{analyze_source, FileReport, DECISION_POINTS, RULES};
-pub use symbols::{SymbolGraph, SymbolStats};
+pub use rules::{analyze_source, FileReport, RULES};
 
 use std::fs;
 use std::io;
@@ -107,12 +104,10 @@ fn walk(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
 /// Analyze every workspace `.rs` file under `root`: the full pipeline.
 ///
 /// 1. classify crates from the manifests (`workspace.rs`), raising R7;
-/// 2. per file: parse items, run R1/R3/R9 and the R10 choose-site leg,
-///    collect metric uses/declarations;
-/// 3. build the workspace symbol graph and run R10 over the
-///    decision-point registry;
-/// 4. run R12 against the goldens;
-/// 5. per file: name each finding's enclosing item and sort.
+/// 2. per file: parse items, run R1/R3/R9, collect metric
+///    uses/declarations;
+/// 3. run R12 against the goldens;
+/// 4. per file: name each finding's enclosing item and sort.
 pub fn analyze_tree(root: &Path) -> io::Result<Report> {
     let class = workspace::classify_workspace(root);
     let files = collect_rs_files(root)?;
@@ -124,17 +119,8 @@ pub fn analyze_tree(root: &Path) -> io::Result<Report> {
             .to_string_lossy()
             .replace('\\', "/");
         let src = fs::read_to_string(path)?;
-        let bin_only = is_bin_only_package(root, &rel);
-        fas.push(rules::analyze_file(&rel, &src, class.as_ref(), bin_only));
+        fas.push(rules::analyze_file(&rel, &src, class.as_ref()));
     }
-
-    // Symbol graph over non-exempt, non-test code.
-    let graph = SymbolGraph::build(
-        fas.iter()
-            .filter(|fa| !fa.exempt)
-            .map(|fa| (fa.rel.as_str(), &fa.parsed, fa.test_boundary)),
-    );
-    rules::check_decision_points(&mut fas, &graph);
 
     // R12: workspace-level metric consistency.
     let uses: Vec<_> = fas
@@ -159,10 +145,7 @@ pub fn analyze_tree(root: &Path) -> io::Result<Report> {
         tree_findings.extend(class.findings.iter().cloned());
     }
 
-    let mut report = Report {
-        symbols: graph.stats.clone(),
-        ..Report::default()
-    };
+    let mut report = Report::default();
     if let Some(class) = &class {
         report.classification = class
             .crates
@@ -185,20 +168,6 @@ pub fn analyze_tree(root: &Path) -> io::Result<Report> {
         .findings
         .sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
     Ok(report)
-}
-
-/// Is `rel` under the `src/` of a package that has `src/main.rs` and no
-/// `src/lib.rs`? Such a package has no lib target, so every module in
-/// it is binary code, not only `main.rs`.
-fn is_bin_only_package(root: &Path, rel: &str) -> bool {
-    let package = match rel.split_once("/src/") {
-        Some((dir, _)) => root.join(dir),
-        None if rel.starts_with("src/") => root.to_path_buf(),
-        None => return false,
-    };
-    package.join("Cargo.toml").is_file()
-        && package.join("src/main.rs").is_file()
-        && !package.join("src/lib.rs").is_file()
 }
 
 /// One row of the crate-classification table in the report.

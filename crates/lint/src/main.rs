@@ -1,5 +1,5 @@
-//! `rdi-lint` — scan the workspace for determinism / provenance /
-//! metrics-consistency violations.
+//! `rdi-lint` — scan the workspace for determinism, manifest-marker
+//! and metrics-consistency violations.
 //!
 //! ```text
 //! rdi-lint [ROOT] [--json] [--expect FILE]
@@ -8,7 +8,7 @@
 //! * `ROOT` — tree to scan; defaults to the workspace root (derived from
 //!   this crate's manifest directory, falling back to the current
 //!   directory).
-//! * `--json` — print the machine-readable schema-v3 report to stdout
+//! * `--json` — print the machine-readable schema-v4 report to stdout
 //!   (findings still go to stderr); without it the findings print to
 //!   stdout.
 //! * `--expect FILE` — self-check mode: compare the findings against the

@@ -3,7 +3,6 @@
 use serde_json::Value;
 
 use crate::rules::RULES;
-use crate::symbols::SymbolStats;
 use crate::{ClassEntry, Finding};
 
 /// Aggregated analysis result for a tree.
@@ -13,8 +12,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Symbol-graph statistics (zero when built per-file).
-    pub symbols: SymbolStats,
     /// Crate classification table (empty when no workspace manifest).
     pub classification: Vec<ClassEntry>,
 }
@@ -53,17 +50,15 @@ pub fn fingerprint(f: &Finding) -> String {
 }
 
 /// Render the report as the JSON document consumed by `validate_lint`
-/// in CI. Schema v3 (stable; bump `version` on change):
+/// in CI. Schema v4 (stable; bump `version` on change):
 ///
 /// ```json
 /// {
-///   "version": 3,
+///   "version": 4,
 ///   "root": "...",
 ///   "files_scanned": 160,
 ///   "rules": [{"id": "R1", "name": "hash-collection", "summary": "..."}],
 ///   "rule_counts": {"R1": 0, "...": 0, "R12": 0},
-///   "symbols": {"files_parsed": 120, "items": 900, "functions": 400,
-///               "call_edges": 2100, "emitting_functions": 90},
 ///   "classification": [{"name": "coverage", "algo": true,
 ///                       "explicit": false, "reason": ""}],
 ///   "findings": [{"rule": "R1", "name": "...", "file": "...",
@@ -87,25 +82,6 @@ pub fn report_json(report: &Report, root: &str) -> Value {
         .into_iter()
         .map(|(id, n)| (id.to_string(), Value::U64(n as u64)))
         .collect();
-    let symbols = Value::Obj(vec![
-        (
-            "files_parsed".into(),
-            Value::U64(report.symbols.files_parsed as u64),
-        ),
-        ("items".into(), Value::U64(report.symbols.items as u64)),
-        (
-            "functions".into(),
-            Value::U64(report.symbols.functions as u64),
-        ),
-        (
-            "call_edges".into(),
-            Value::U64(report.symbols.call_edges as u64),
-        ),
-        (
-            "emitting_functions".into(),
-            Value::U64(report.symbols.emitting_functions as u64),
-        ),
-    ]);
     let classification = report
         .classification
         .iter()
@@ -134,7 +110,7 @@ pub fn report_json(report: &Report, root: &str) -> Value {
         })
         .collect();
     Value::Obj(vec![
-        ("version".into(), Value::U64(3)),
+        ("version".into(), Value::U64(4)),
         ("root".into(), Value::Str(root.into())),
         (
             "files_scanned".into(),
@@ -142,7 +118,6 @@ pub fn report_json(report: &Report, root: &str) -> Value {
         ),
         ("rules".into(), Value::Arr(rules)),
         ("rule_counts".into(), Value::Obj(rule_counts)),
-        ("symbols".into(), symbols),
         ("classification".into(), Value::Arr(classification)),
         ("findings".into(), Value::Arr(findings)),
     ])

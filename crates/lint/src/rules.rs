@@ -1,21 +1,19 @@
 //! The rule engine: file classification plus the per-file rules
-//! (token-pattern R1/R3, flow-sensitive R9, the R10 choose-site leg).
-//! Tree-level rules (R10 via the symbol graph, R12 via the workspace
-//! metric inventory) are driven from `lib.rs` but their registries live
-//! here.
+//! (token-pattern R1/R3, flow-sensitive R9). The tree-level rule (R12,
+//! over the workspace metric inventory) is driven from `lib.rs`; this
+//! pass collects its inputs.
 
-use crate::dataflow::{self, BlockTree};
+use crate::dataflow;
 use crate::lexer::{Token, TokenKind};
 use crate::parser::{parse, ItemKind, ParsedFile};
-use crate::symbols::{emission_sites, SymbolGraph};
 use crate::workspace::{Classification, MetricDecl, MetricUse};
 use crate::Finding;
 
 /// The rule catalog: `(id, name, summary)`. The ids are stable — they
 /// appear in the JSON report consumed by CI and in the fixture
 /// expectations — so renumbering is a breaking change. The gaps (R2,
-/// R4, R5, R6, R8, R11) are retired ids (see the crate docs) and are
-/// never reused.
+/// R4, R5, R6, R8, R10, R11) are retired ids (see the crate docs) and
+/// are never reused.
 pub const RULES: &[(&str, &str, &str)] = &[
     (
         "R1",
@@ -42,14 +40,6 @@ pub const RULES: &[(&str, &str, &str)] = &[
          stream_seed(..) call: ambient or literal reseeding breaks replay",
     ),
     (
-        "R10",
-        "provenance-completeness",
-        "registered decision points must emit a ProvenanceEvent or metrics \
-         update on every return path, directly or via a callee; every \
-         selection-policy .choose( call site must reach a PolicyDecision \
-         emission",
-    ),
-    (
         "R12",
         "metrics-consistency",
         "metric names asserted by goldens must be updated somewhere in \
@@ -72,28 +62,6 @@ const ALGO_CRATES: &[&str] = &[
     "actor",
 ];
 
-/// The R10 decision-point registry: `(crate, qualified fn, what it
-/// decides)`. A function listed here must emit a `ProvenanceEvent` or a
-/// metrics update on **every** return path. Growing the registry is the
-/// expected way to put a new decision under audit; see CONTRIBUTING.md.
-pub const DECISION_POINTS: &[(&str, &str, &str)] = &[
-    (
-        "discovery",
-        "UnionSearchIndex::top_k_with",
-        "union candidate ranking",
-    ),
-    ("serve", "execute", "serving query execution"),
-    ("serve", "SketchCache::insert", "cache admission/eviction"),
-    ("serve", "SketchCache::evict_where", "cache invalidation"),
-    ("core", "run_resilient", "source quarantine and redirect"),
-    ("tailor", "run_draw_loop", "tailoring keep/drop"),
-    (
-        "fault",
-        "RecoveringBreaker::record_failure",
-        "breaker transition",
-    ),
-];
-
 /// What the analyzer decided about one file.
 #[derive(Debug)]
 pub struct FileReport {
@@ -109,16 +77,12 @@ struct FileCtx<'a> {
     /// Under a `tests/`, `benches/` or `examples/` directory, or
     /// `build.rs`: no rules apply.
     exempt_all: bool,
-    /// Binary code (`src/bin/...`, `src/main.rs`, or any module of a
-    /// package without a lib target): the R10 choose-site leg does not
-    /// apply.
-    is_bin: bool,
     /// Do the algorithm-crate rules (R1/R3/R9) apply?
     is_algo: bool,
 }
 
 impl<'a> FileCtx<'a> {
-    fn classify(rel: &'a str, class: Option<&Classification>, bin_only: bool) -> Self {
+    fn classify(rel: &'a str, class: Option<&Classification>) -> Self {
         let components: Vec<&str> = rel.split('/').collect();
         let crate_name = match components.first() {
             Some(&"crates") => components.get(1).copied(),
@@ -130,7 +94,6 @@ impl<'a> FileCtx<'a> {
             .iter()
             .any(|d| matches!(*d, "tests" | "benches" | "examples"))
             || file_name == "build.rs";
-        let is_bin = bin_only || dirs.ends_with(&["src", "bin"]) || rel.ends_with("src/main.rs");
         let is_algo = match (crate_name, class) {
             (Some(name), Some(class)) => class.crates.get(name).is_some_and(|c| c.algo),
             (Some(name), None) => ALGO_CRATES.contains(&name),
@@ -139,25 +102,20 @@ impl<'a> FileCtx<'a> {
         FileCtx {
             crate_name,
             exempt_all,
-            is_bin,
             is_algo,
         }
     }
 }
 
-/// Everything the per-file pass learned. Tree-level passes (R10/R12)
-/// append to `raw` and `lib.rs` finalizes.
+/// Everything the per-file pass learned. The tree-level pass (R12)
+/// appends to `raw` and `lib.rs` finalizes.
 pub(crate) struct FileAnalysis {
     /// Workspace-relative path.
     pub rel: String,
-    /// All rules skipped (tests/benches/examples/build.rs)?
-    pub exempt: bool,
     /// Findings, before item names are filled in and they are sorted.
     pub raw: Vec<Finding>,
     /// Item-level parse (comment-free tokens + item skeleton).
     pub parsed: ParsedFile,
-    /// First `#[cfg(test)]` line: everything from it on is test code.
-    pub test_boundary: Option<u32>,
     /// Metric names updated in this file (R12 input).
     pub metric_uses: Vec<MetricUse>,
     /// `METRIC_NAMES` registry entries found in this file (R12 input).
@@ -166,25 +124,17 @@ pub(crate) struct FileAnalysis {
 
 /// Analyze one file's source. `rel` is its workspace-relative path with
 /// `/` separators (used for scoping rules and reported in findings).
-/// This is the single-file API: R1/R3/R9 and the R10 choose-site leg,
-/// with the built-in fallback crate classification and path-only
-/// binary detection. The full scan (`analyze_tree`) additionally runs
-/// the R10 decision-point registry, R12, R7 on the manifests, the
-/// manifest-driven classification and bin-only package detection.
+/// This is the single-file API: R1/R3/R9 with the built-in fallback
+/// crate classification. The full scan (`analyze_tree`) additionally
+/// runs R12, R7 on the manifests and the manifest-driven
+/// classification.
 pub fn analyze_source(rel: &str, src: &str) -> FileReport {
-    finalize(analyze_file(rel, src, None, false))
+    finalize(analyze_file(rel, src, None))
 }
 
-/// The per-file pass: parse, R1/R3/R9, the R10 choose-site leg, metric
-/// collection. `bin_only` marks a file of a package without a lib
-/// target.
-pub(crate) fn analyze_file(
-    rel: &str,
-    src: &str,
-    class: Option<&Classification>,
-    bin_only: bool,
-) -> FileAnalysis {
-    let ctx = FileCtx::classify(rel, class, bin_only);
+/// The per-file pass: parse, R1/R3/R9, metric collection.
+pub(crate) fn analyze_file(rel: &str, src: &str, class: Option<&Classification>) -> FileAnalysis {
+    let ctx = FileCtx::classify(rel, class);
     let mut raw: Vec<Finding> = Vec::new();
     let parsed = parse(src);
     let code = &parsed.code;
@@ -246,20 +196,12 @@ pub(crate) fn analyze_file(
         if ctx.is_algo {
             check_seed_purity(&parsed, rel, &in_test, &mut raw);
         }
-
-        // R10 choose-site leg: every selection-policy `.choose(..)` in
-        // library code must reach a PolicyDecision emission.
-        if !ctx.is_bin {
-            check_choose_sites(&parsed, rel, &in_test, &mut raw);
-        }
     }
 
     FileAnalysis {
         rel: rel.to_string(),
-        exempt: ctx.exempt_all,
         raw,
         parsed,
-        test_boundary,
         metric_uses,
         metric_decls,
     }
@@ -322,142 +264,6 @@ fn check_seed_purity(
     }
 }
 
-/// R10: check every registered decision point found in the symbol
-/// graph. Appends raw findings to the owning file's analysis.
-pub(crate) fn check_decision_points(fas: &mut [FileAnalysis], graph: &SymbolGraph) {
-    for &(crate_name, qual, what) in DECISION_POINTS {
-        for id in graph.lookup_in_crate(crate_name, qual) {
-            let info = graph.fns[id].clone();
-            let Some(fa) = fas.iter_mut().find(|fa| fa.rel == info.file) else {
-                continue;
-            };
-            let Some(item) = fa
-                .parsed
-                .items
-                .iter()
-                .find(|it| it.kind == ItemKind::Fn && it.qual_name == qual && it.line == info.line)
-                .cloned()
-            else {
-                continue;
-            };
-            let Some((blo, bhi)) = item.body else {
-                continue;
-            };
-            let code = &fa.parsed.code;
-            let tree = BlockTree::build(code, blo, bhi);
-            let emissions = emission_sites(&fa.parsed, blo, bhi, graph);
-            for exit in dataflow::exits(code, blo, bhi) {
-                let covered = emissions.iter().any(|&e| {
-                    e < exit.at && tree.is_ancestor(tree.block_of(e), tree.block_of(exit.at))
-                });
-                if !covered {
-                    fa.raw.push(Finding {
-                        rule: "R10",
-                        name: "provenance-completeness",
-                        file: info.file.clone(),
-                        line: exit.line,
-                        item: item.qual_name.clone(),
-                        message: format!(
-                            "decision point `{qual}` ({what}) reaches this return path \
-                             without emitting a ProvenanceEvent or metrics update — the \
-                             decision is unauditable; emit before every exit",
-                        ),
-                    });
-                }
-            }
-        }
-    }
-}
-
-/// Idents whose presence marks a `.choose(..)` call as a *selection
-/// policy* invocation (vs `rand`'s `SliceRandom::choose` or the tailor
-/// source-policy's `choose(remaining, rng)`): the argument list passes a
-/// `PolicyParams` value, by type name or by the workspace's `*params`
-/// binding convention.
-const POLICY_ARG_MARKERS: &[&str] = &["PolicyParams"];
-
-/// Idents that constitute a PolicyDecision emission: the typed event
-/// constructor, or the variant itself for direct construction.
-const POLICY_EMITTERS: &[&str] = &["policy_decision_event", "PolicyDecision"];
-
-/// R10, choose-site leg: every `.choose(` call that takes selection
-/// [`PolicyParams`] must be followed, in the same function body, by a
-/// `PolicyDecision` emission (`rdi_obs::policy_decision_event` or a
-/// direct `ProvenanceEvent::PolicyDecision` construction). A ranking
-/// whose rationale never reaches the provenance stream is an
-/// unauditable decision — exactly what the policy engine exists to
-/// prevent.
-pub(crate) fn check_choose_sites(
-    parsed: &ParsedFile,
-    rel: &str,
-    in_test: &dyn Fn(u32) -> bool,
-    raw: &mut Vec<Finding>,
-) {
-    let code = &parsed.code;
-    for item in &parsed.items {
-        if item.kind != ItemKind::Fn || in_test(item.line) {
-            continue;
-        }
-        let Some((blo, bhi)) = item.body else {
-            continue;
-        };
-        let hi = bhi.min(code.len());
-        for i in blo..hi {
-            if code[i].text != "choose"
-                || code[i].kind != TokenKind::Ident
-                || !is_method_call(code, i)
-            {
-                continue;
-            }
-            // Walk the argument list to its matching close paren.
-            let mut depth = 0usize;
-            let mut end = i + 1;
-            let mut is_policy_call = false;
-            for (j, t) in code.iter().enumerate().take(hi).skip(i + 1) {
-                match t.text.as_str() {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => {
-                        depth -= 1;
-                        if depth == 0 {
-                            end = j;
-                            break;
-                        }
-                    }
-                    _ => {
-                        if t.kind == TokenKind::Ident
-                            && (POLICY_ARG_MARKERS.contains(&t.text.as_str())
-                                || t.text.ends_with("params"))
-                        {
-                            is_policy_call = true;
-                        }
-                    }
-                }
-            }
-            if !is_policy_call {
-                continue;
-            }
-            let emitted = code[end..hi]
-                .iter()
-                .any(|t| t.kind == TokenKind::Ident && POLICY_EMITTERS.contains(&t.text.as_str()));
-            if !emitted {
-                raw.push(Finding {
-                    rule: "R10",
-                    name: "provenance-completeness",
-                    file: rel.to_string(),
-                    line: code[i].line,
-                    item: item.qual_name.clone(),
-                    message: String::from(
-                        "selection-policy `.choose(..)` whose enclosing function never \
-                         reaches a PolicyDecision emission — build the rationale and emit \
-                         `rdi_obs::policy_decision_event` (or construct \
-                         `ProvenanceEvent::PolicyDecision`) before returning",
-                    ),
-                });
-            }
-        }
-    }
-}
-
 fn finding(out: &mut Vec<Finding>, rule: &'static str, file: &str, line: u32, message: String) {
     let name = RULES
         .iter()
@@ -480,11 +286,6 @@ fn cfg_test_boundary(code: &[Token]) -> Option<u32> {
         let texts: Vec<&str> = w.iter().map(|t| t.text.as_str()).collect();
         (texts == ["#", "[", "cfg", "(", "test", ")", "]"]).then(|| w[0].line)
     })
-}
-
-/// Is `code[i]` the method segment of `recv.name(...)`?
-fn is_method_call(code: &[Token], i: usize) -> bool {
-    i >= 1 && code[i - 1].text == "." && code.get(i + 1).is_some_and(|t| t.text == "(")
 }
 
 /// Is `code[i]` a metric-registry call (`counter("..")`, `obs::gauge(..)`,

@@ -40,7 +40,7 @@ mod span;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use names::METRIC_NAMES;
-pub use provenance::{policy_decision_event, ProvenanceEvent, ProvenanceLog};
+pub use provenance::{ProvenanceEvent, ProvenanceLog};
 pub use span::{span_stack, with_span_stack, SpanGuard, SpanRecord};
 
 use std::sync::Arc;

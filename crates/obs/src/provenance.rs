@@ -7,9 +7,7 @@
 //! log output are unchanged while audits and experiment harnesses can
 //! now match on variants and read fields directly.
 
-use std::sync::{Arc, OnceLock};
-
-use crate::Counter;
+use std::sync::Arc;
 
 /// One step of pipeline provenance.
 #[derive(Debug, Clone, PartialEq)]
@@ -85,10 +83,10 @@ pub enum ProvenanceEvent {
         missing_per_group: Vec<usize>,
     },
     /// A selection policy decided a winner (or found nothing
-    /// eligible). Emitted *before* the decision takes effect, one per
-    /// routed `rdi_policy::SelectionPolicy::choose` call (high-rate
-    /// sites emit the first decision of a run and count the rest —
-    /// see DESIGN.md, "Policy engine").
+    /// eligible), as `rdi_policy::SelectionDecision::record` builds it.
+    /// Emitted *before* the decision takes effect, one per recorded
+    /// decision (high-rate sites record the first decision of a run and
+    /// tally the rest — see DESIGN.md, "Policy engine").
     PolicyDecision {
         /// Decision-site id (`rdi_policy::PolicyId::as_str`).
         policy: &'static str,
@@ -113,48 +111,6 @@ pub enum ProvenanceEvent {
         /// The annotation text; rendered verbatim.
         text: String,
     },
-}
-
-/// Build a [`ProvenanceEvent::PolicyDecision`] from a policy rationale
-/// and count it: bumps the global `policy.decisions` counter and the
-/// per-site `policy.{id}.decisions` counter. Call sites emit the
-/// returned event into their audit stream *before* applying the
-/// decision. High-rate sites (per-draw verdicts) instead cache the
-/// counter handles and emit one exemplar event per run — see DESIGN.md,
-/// "Policy engine".
-///
-/// The rationale's fields move into the event without a copy: the site
-/// id and tie-break rule are `&'static str` and the winner is the
-/// candidate's shared key. Both counter handles
-/// are resolved on a site's first decision and kept (registry handles
-/// survive [`crate::MetricsRegistry::reset`]), so later decisions take
-/// no registry lock and format no name.
-pub fn policy_decision_event(r: rdi_policy::Rationale) -> ProvenanceEvent {
-    const SITES: usize = rdi_policy::PolicyId::ALL.len();
-    static DECISIONS: OnceLock<Arc<Counter>> = OnceLock::new();
-    static PER_SITE: [OnceLock<Arc<Counter>>; SITES] = [const { OnceLock::new() }; SITES];
-    DECISIONS
-        .get_or_init(|| crate::counter("policy.decisions"))
-        .inc();
-    let site = || crate::counter(&format!("policy.{}.decisions", r.policy));
-    match rdi_policy::PolicyId::ALL
-        .iter()
-        .position(|id| id.as_str() == r.policy)
-    {
-        Some(i) => PER_SITE[i].get_or_init(site).inc(),
-        // a hand-built rationale naming no registered site
-        None => site().inc(),
-    }
-    ProvenanceEvent::PolicyDecision {
-        policy: r.policy,
-        params_hash: r.params_hash,
-        considered: r.considered,
-        winner: r.winner,
-        winner_score: r.winner_score,
-        ties: r.ties,
-        tie_break: r.tie_break,
-        params: r.params,
-    }
 }
 
 impl ProvenanceEvent {

@@ -1,8 +1,12 @@
-//! The selection API: candidates in, an auditable decision out.
+//! The selection API: candidates in, a decision out that can only be
+//! read by counting it.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
+
+use rdi_obs::{Counter, ProvenanceEvent};
 
 use crate::params::PolicyParams;
+use crate::rank::RankByScore;
 use crate::score::Score;
 use crate::PolicyId;
 
@@ -37,87 +41,346 @@ impl Candidate {
 /// Implementations must be pure — the decision is a function of the
 /// candidate set and the params alone (no clocks, no RNGs, no interior
 /// mutability), which is what makes every decision replayable from its
-/// [`Rationale`].
+/// `PolicyDecision` event.
 pub trait SelectionPolicy {
     /// The decision site this policy instance serves.
     fn id(&self) -> PolicyId;
 
-    /// Rank `candidates` under `params` and pick a winner. An empty
-    /// candidate slice yields a decision with `winner == None` — "no
-    /// eligible option" is itself an auditable outcome.
-    fn choose(&self, candidates: &[Candidate], params: &PolicyParams) -> SelectionDecision;
+    /// Rank `candidates` under `params`. An empty candidate slice
+    /// yields an empty ranking — "no eligible option" is itself an
+    /// auditable outcome.
+    fn choose<'a>(
+        &self,
+        candidates: &'a [Candidate],
+        params: &'a PolicyParams,
+    ) -> SelectionDecision<'a>;
 }
 
-/// The outcome of one [`SelectionPolicy::choose`] call.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SelectionDecision {
-    /// The deciding site.
-    pub policy: PolicyId,
-    /// Canonical hash of the params the decision was made under.
-    pub params_hash: u64,
-    /// Indices into the candidate slice, best first (full ranking).
-    pub ranking: Vec<usize>,
-    /// `ranking[0]`, or `None` when no candidate was eligible.
-    pub winner: Option<usize>,
-    /// Candidates sharing the winner's exact score (≥ 1 when a winner
-    /// exists; 0 otherwise).
-    pub ties: usize,
-    /// Name of the rule that separated tied candidates (`"none"` when
-    /// the primary score was already decisive).
-    pub tie_break: &'static str,
-    /// Number of candidates considered.
-    pub considered: usize,
+/// The outcome of one [`SelectionPolicy::choose`] call, borrowing the
+/// candidates and params it was made over.
+///
+/// Its fields are private, and it has exactly two readers, each of
+/// which counts the decision (`policy.decisions` and
+/// `policy.{id}.decisions`) before handing over the ranking:
+///
+/// * [`record`](SelectionDecision::record) also returns the decision's
+///   `ProvenanceEvent::PolicyDecision`, which the caller emits before
+///   acting on the ranking;
+/// * [`tally`](SelectionDecision::tally) only counts. It serves the
+///   high-rate sites after their first, recorded decision (see
+///   [`ExemplarSite`]).
+///
+/// So no caller can act on a decision that was never counted:
+///
+/// ```
+/// use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
+///
+/// let candidates = [Candidate::new("a", Score::U64(1)), Candidate::new("b", Score::U64(2))];
+/// let params = PolicyParams::new();
+/// let decision = RankByScore::new(PolicyId::UNION_RANK).choose(&candidates, &params);
+/// let (event, ranking) = decision.record();
+/// assert_eq!(ranking, vec![1, 0]);
+/// assert!(event.render().starts_with("policy `discovery.union_rank` chose `b`"));
+/// ```
+///
+/// Reading the ranking without counting it does not compile:
+///
+/// ```compile_fail,E0616
+/// use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
+///
+/// let candidates = [Candidate::new("a", Score::U64(1))];
+/// let params = PolicyParams::new();
+/// let decision = RankByScore::new(PolicyId::UNION_RANK).choose(&candidates, &params);
+/// let winner = decision.ranking.first();
+/// ```
+///
+/// Neither does discarding a decision:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
+///
+/// let candidates = [Candidate::new("a", Score::U64(1))];
+/// let params = PolicyParams::new();
+/// RankByScore::new(PolicyId::UNION_RANK).choose(&candidates, &params);
+/// ```
+///
+/// nor discarding the event that `record` returns:
+///
+/// ```compile_fail
+/// #![deny(unused_must_use)]
+/// use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
+///
+/// let candidates = [Candidate::new("a", Score::U64(1))];
+/// let params = PolicyParams::new();
+/// let decision = RankByScore::new(PolicyId::UNION_RANK).choose(&candidates, &params);
+/// decision.record();
+/// ```
+#[must_use = "a decision takes effect only through `record` or `tally`"]
+#[derive(Debug)]
+pub struct SelectionDecision<'a> {
+    policy: PolicyId,
+    candidates: &'a [Candidate],
+    params: &'a PolicyParams,
+    /// Indices into `candidates`, best first (full ranking).
+    ranking: Vec<usize>,
+    /// Candidates sharing the winner's exact score (0 without one).
+    ties: usize,
+    /// Rule that separated tied candidates (`"none"` if untied).
+    tie_break: &'static str,
 }
 
-impl SelectionDecision {
-    /// The winning candidate's key, borrowed from the slice the
-    /// decision was made over.
-    pub fn winner_key<'a>(&self, candidates: &'a [Candidate]) -> Option<&'a str> {
-        self.winner.map(|i| &*candidates[i].key)
+impl<'a> SelectionDecision<'a> {
+    /// A decision by `policy` over `candidates` and `params`: a policy
+    /// builds it and only `record`/`tally` read it, even in this crate.
+    pub(crate) fn new(
+        policy: PolicyId,
+        candidates: &'a [Candidate],
+        params: &'a PolicyParams,
+        ranking: Vec<usize>,
+        ties: usize,
+        tie_break: &'static str,
+    ) -> Self {
+        SelectionDecision {
+            policy,
+            candidates,
+            params,
+            ranking,
+            ties,
+            tie_break,
+        }
     }
 
-    /// Build the typed rationale for this decision. `params` must be
-    /// the set the decision was made under (asserted via the hash in
-    /// debug builds).
-    pub fn rationale(&self, candidates: &[Candidate], params: &PolicyParams) -> Rationale {
-        debug_assert_eq!(self.params_hash, params.hash());
-        Rationale {
+    /// Count the decision and return its `PolicyDecision` event with
+    /// the ranking (indices into the candidate slice, best first). The
+    /// caller emits the event into its audit stream *before* acting on
+    /// the ranking.
+    ///
+    /// The event shares the winner's key with its candidate; the only
+    /// text rendered is the winner's score and the params.
+    #[must_use = "the event is the decision's audit record: emit it before acting on the ranking"]
+    pub fn record(self) -> (ProvenanceEvent, Vec<usize>) {
+        count(self.policy);
+        let winner = self.ranking.first().map(|&i| &self.candidates[i]);
+        let event = ProvenanceEvent::PolicyDecision {
             policy: self.policy.as_str(),
-            params_hash: self.params_hash,
-            considered: self.considered,
-            winner: self.winner.map(|i| Arc::clone(&candidates[i].key)),
-            winner_score: self
-                .winner
-                .map(|i| candidates[i].score.render())
-                .unwrap_or_default(),
+            params_hash: self.params.hash(),
+            considered: self.candidates.len(),
+            winner: winner.map(|c| Arc::clone(&c.key)),
+            winner_score: winner.map(|c| c.score.render()).unwrap_or_default(),
             ties: self.ties,
             tie_break: self.tie_break,
-            params: params.render(),
+            params: self.params.render(),
+        };
+        (event, self.ranking)
+    }
+
+    /// Count the decision and return its ranking, emitting no event:
+    /// two counter increments through held handles.
+    #[must_use = "tallying a decision without acting on it counts a decision that took no effect"]
+    pub fn tally(self) -> Vec<usize> {
+        count(self.policy);
+        self.ranking
+    }
+}
+
+/// The `policy.decisions` and `policy.{id}.decisions` handles for a
+/// site. Each is resolved on first use and kept (registry handles
+/// survive [`rdi_obs::MetricsRegistry::reset`]), so a decision takes no
+/// registry lock and formats no name.
+fn counters(id: PolicyId) -> (&'static Counter, &'static Counter) {
+    const SITES: usize = PolicyId::ALL.len();
+    static DECISIONS: OnceLock<Arc<Counter>> = OnceLock::new();
+    static PER_SITE: [OnceLock<Arc<Counter>>; SITES] = [const { OnceLock::new() }; SITES];
+    (
+        DECISIONS.get_or_init(|| rdi_obs::counter("policy.decisions")),
+        PER_SITE[id.slot()].get_or_init(|| rdi_obs::counter(&format!("policy.{id}.decisions"))),
+    )
+}
+
+fn count(id: PolicyId) {
+    let (total, site) = counters(id);
+    total.inc();
+    site.inc();
+}
+
+/// A high-rate decision site (a verdict per draw): the first decision
+/// of a run is recorded in full — the run's exemplar event — and every
+/// later one only tallied, so the provenance stream gets one event per
+/// run while the `policy.*` counters still count every decision.
+#[derive(Debug)]
+pub struct ExemplarSite {
+    policy: RankByScore,
+    params: PolicyParams,
+    recorded: bool,
+}
+
+impl ExemplarSite {
+    /// A [`RankByScore`] site for `id` deciding under `params`. Both
+    /// counters are resolved here, so a run that never decides still
+    /// lists them (at zero) in the metrics snapshot.
+    pub fn new(id: PolicyId, params: PolicyParams) -> Self {
+        counters(id);
+        ExemplarSite {
+            policy: RankByScore::new(id),
+            params,
+            recorded: false,
+        }
+    }
+
+    /// Rank `candidates`: the ranking, plus the exemplar event when
+    /// this is the site's first decision.
+    #[must_use = "the first decision's event is the run's exemplar: emit it"]
+    pub fn decide(&mut self, candidates: &[Candidate]) -> (Option<ProvenanceEvent>, Vec<usize>) {
+        let decision = self.policy.choose(candidates, &self.params);
+        if self.recorded {
+            (None, decision.tally())
+        } else {
+            self.recorded = true;
+            let (event, ranking) = decision.record();
+            (Some(event), ranking)
         }
     }
 }
 
-/// Why a winner won: the auditable record call sites emit as a
-/// `ProvenanceEvent::PolicyDecision` *before* the decision takes
-/// effect. Plain data so any crate can convert it without depending on
-/// this one's internals; the winner shares the candidate's key.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Rationale {
-    /// The deciding site id (`PolicyId::as_str`).
-    pub policy: &'static str,
-    /// Canonical hash of the deciding params.
-    pub params_hash: u64,
-    /// Candidates considered.
-    pub considered: usize,
-    /// Winning key (the candidate's shared key), or `None` when
-    /// nothing was eligible.
-    pub winner: Option<Arc<str>>,
-    /// The winner's rendered score (`""` when no winner).
-    pub winner_score: String,
-    /// Candidates sharing the winner's exact score.
-    pub ties: usize,
-    /// Rule that separated the tied candidates.
-    pub tie_break: &'static str,
-    /// Rendered `k=v` params (`∅` when default).
-    pub params: String,
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::SelectionPolicy;
+    use proptest::prelude::*;
+
+    /// The audit record as it was built before decisions were read only
+    /// by recording them: a plain-data rationale, taken from the
+    /// decision with the candidates and params passed in again.
+    struct Rationale {
+        policy: &'static str,
+        params_hash: u64,
+        considered: usize,
+        winner: Option<Arc<str>>,
+        winner_score: String,
+        ties: usize,
+        tie_break: &'static str,
+        params: String,
+    }
+
+    fn rationale(
+        d: &SelectionDecision,
+        candidates: &[Candidate],
+        params: &PolicyParams,
+    ) -> Rationale {
+        let winner = d.ranking.first().copied();
+        Rationale {
+            policy: d.policy.as_str(),
+            params_hash: params.hash(),
+            considered: candidates.len(),
+            winner: winner.map(|i| Arc::clone(&candidates[i].key)),
+            winner_score: winner
+                .map(|i| candidates[i].score.render())
+                .unwrap_or_default(),
+            ties: d.ties,
+            tie_break: d.tie_break,
+            params: params.render(),
+        }
+    }
+
+    /// The event and per-site counter key the old emission built from a
+    /// rationale.
+    fn reference_event(r: Rationale) -> (ProvenanceEvent, String) {
+        let key = format!("policy.{}.decisions", r.policy);
+        let event = ProvenanceEvent::PolicyDecision {
+            policy: r.policy,
+            params_hash: r.params_hash,
+            considered: r.considered,
+            winner: r.winner,
+            winner_score: r.winner_score,
+            ties: r.ties,
+            tie_break: r.tie_break,
+            params: r.params,
+        };
+        (event, key)
+    }
+
+    /// Keys with unicode and shared prefixes; a pool this small makes
+    /// duplicate keys and exact ties common.
+    const KEYS: [&str; 6] = ["a", "b", "é", "日本", "ab", "a"];
+
+    /// One score of each kind, drawn from small pools so ties occur.
+    fn score(kind: usize, v: u64) -> Score {
+        match kind {
+            0 => Score::U64(v),
+            1 => Score::F64(v as f64 / 2.0),
+            2 => Score::I64(1 - v as i64),
+            _ => Score::Tuple(vec![Score::U64(v % 2), Score::F64(v as f64)]),
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over random candidate sets — empty, all tied, mixed score
+        /// kinds, unicode keys, either `dir` and `tie` — `record` returns
+        /// the event, ranking and per-site counter the old rationale
+        /// path built.
+        #[test]
+        fn record_matches_the_rationale_reference(
+            spec in proptest::collection::vec((0usize..6, 0usize..4, 0u64..3), 0..12),
+            tied in 0usize..4,
+            site in 0usize..7,
+            dir in 0usize..3,
+            tie in 0usize..3,
+        ) {
+            // `tied == 0` scores every candidate alike
+            let candidates: Vec<Candidate> = spec
+                .iter()
+                .map(|&(k, kind, v)| {
+                    let s = if tied == 0 { Score::U64(1) } else { score(kind, v) };
+                    Candidate::new(KEYS[k], s)
+                })
+                .collect();
+            let mut params = PolicyParams::new();
+            if dir > 0 {
+                params.set("dir", ["max", "min"][dir - 1]);
+            }
+            if tie > 0 {
+                params.set("tie", ["key_asc", "key_desc"][tie - 1]);
+            }
+            let id = PolicyId::ALL[site];
+            let policy = RankByScore::new(id);
+
+            let reference = policy.choose(&candidates, &params);
+            let (expected, key) = reference_event(rationale(&reference, &candidates, &params));
+            let expected_ranking = reference.tally();
+            let (event, ranking) = policy.choose(&candidates, &params).record();
+
+            prop_assert_eq!(event.render(), expected.render());
+            prop_assert_eq!(format!("{event:?}"), format!("{expected:?}"));
+            prop_assert_eq!(ranking, expected_ranking);
+            let (total, site) = counters(id);
+            prop_assert!(std::ptr::eq(site, &*rdi_obs::counter(&key)));
+            prop_assert!(std::ptr::eq(total, &*rdi_obs::counter("policy.decisions")));
+        }
+    }
+
+    #[test]
+    fn exemplar_site_records_once_then_tallies() {
+        let mut site = ExemplarSite::new(PolicyId::TAILOR_KEEP, PolicyParams::new());
+        let candidates = [
+            Candidate::new("keep", Score::U64(2)),
+            Candidate::new("drop", Score::U64(1)),
+        ];
+        let (first, ranking) = site.decide(&candidates);
+        assert_eq!(ranking, vec![0, 1]);
+        assert_eq!(
+            first.map(|e| e.render()).as_deref(),
+            Some(
+                "policy `tailor.keep` chose `keep` (score 2) from 2 candidate(s); ties=1 \
+                 tie_break=none params=∅ params_hash=af63bc4c8601b62c"
+            )
+        );
+        for _ in 0..3 {
+            let (event, ranking) = site.decide(&candidates);
+            assert!(event.is_none());
+            assert_eq!(ranking, vec![0, 1]);
+        }
+    }
 }

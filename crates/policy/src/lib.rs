@@ -19,13 +19,16 @@
 //!   hashes to a stable [`PolicyParams::hash`] (FNV-1a over a
 //!   versioned byte layout) — fingerprints change **iff** the policy
 //!   or its parameters change;
-//! * every [`SelectionDecision`] carries a replayable [`Rationale`]
-//!   that call sites emit as a `ProvenanceEvent::PolicyDecision`
-//!   *before* the decision takes effect.
+//! * every choice comes back as a [`SelectionDecision`] whose only
+//!   readers count it: [`SelectionDecision::record`] returns the
+//!   `ProvenanceEvent::PolicyDecision` the call site emits *before* the
+//!   decision takes effect, and [`SelectionDecision::tally`] serves the
+//!   high-rate sites ([`ExemplarSite`]) after their first recorded
+//!   decision. Provenance is a property of the types, not of a lint.
 //!
-//! The crate is **zero-dependency** (no rand, no serde, no obs) so it
-//! can sit below every decision-making crate in the graph; call sites
-//! convert [`Rationale`] into their own provenance representation.
+//! The crate depends only on `rdi-obs` (for the event type and the
+//! `policy.*` counters), so it sits below every decision-making crate
+//! in the graph.
 //!
 //! ## Determinism contract
 //!
@@ -45,7 +48,7 @@ mod params;
 mod rank;
 mod score;
 
-pub use decision::{Candidate, Rationale, SelectionDecision, SelectionPolicy};
+pub use decision::{Candidate, ExemplarSite, SelectionDecision, SelectionPolicy};
 pub use params::{fnv1a, PolicyParams, PolicySet, PARAMS_ENCODING_VERSION};
 pub use rank::RankByScore;
 pub use score::Score;
@@ -55,31 +58,32 @@ pub use score::Score;
 /// The id appears in provenance events, metric names
 /// (`policy.{id}.decisions`), and the DESIGN.md decision-site catalog,
 /// so it is part of the audit surface — renaming one is a breaking
-/// change.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct PolicyId(&'static str);
+/// change. Ids are only the constants below, each a slot in
+/// [`PolicyId::ALL`], so a site's counters are found by index.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct PolicyId(u8);
 
 impl PolicyId {
     /// Union top-k candidate ranking (`rdi-discovery::union_search`,
     /// replayed warm by `rdi-serve`'s execute phase).
-    pub const UNION_RANK: PolicyId = PolicyId("discovery.union_rank");
+    pub const UNION_RANK: PolicyId = PolicyId(0);
     /// Joinability top-k candidate ranking (`rdi-serve`'s execute
     /// phase; same ranking rule as union, scored by containment).
-    pub const JOIN_RANK: PolicyId = PolicyId("discovery.join_rank");
+    pub const JOIN_RANK: PolicyId = PolicyId(1);
     /// Quarantine redirect: which healthy source absorbs a draw aimed
     /// at a quarantined one (`rdi-core::run_resilient`).
-    pub const REDIRECT: PolicyId = PolicyId("core.redirect");
+    pub const REDIRECT: PolicyId = PolicyId(2);
     /// Tailoring keep/drop verdict for one drawn record
     /// (`rdi-tailor::run_tailoring*` and the resilient executor).
-    pub const TAILOR_KEEP: PolicyId = PolicyId("tailor.keep");
+    pub const TAILOR_KEEP: PolicyId = PolicyId(3);
     /// Sketch-cache eviction victim ordering (`rdi-serve::SketchCache`).
-    pub const CACHE_EVICT: PolicyId = PolicyId("serve.cache_evict");
+    pub const CACHE_EVICT: PolicyId = PolicyId(4);
     /// Admission reserved-slot ordering across tenants
     /// (`rdi-serve::Admitter`).
-    pub const ADMIT_RESERVE: PolicyId = PolicyId("serve.admit_reserve");
+    pub const ADMIT_RESERVE: PolicyId = PolicyId(5);
     /// Fair-range relaxation direction choice
     /// (`rdi-fairquery::relax_for_coverage`).
-    pub const FAIRQUERY_RELAX: PolicyId = PolicyId("fairquery.relax");
+    pub const FAIRQUERY_RELAX: PolicyId = PolicyId(6);
 
     /// Every registered decision site, in stable order.
     pub const ALL: [PolicyId; 7] = [
@@ -92,15 +96,37 @@ impl PolicyId {
         PolicyId::FAIRQUERY_RELAX,
     ];
 
+    /// The stable string forms, indexed like [`PolicyId::ALL`].
+    const NAMES: [&'static str; 7] = [
+        "discovery.union_rank",
+        "discovery.join_rank",
+        "core.redirect",
+        "tailor.keep",
+        "serve.cache_evict",
+        "serve.admit_reserve",
+        "fairquery.relax",
+    ];
+
     /// The stable string form (used in metrics and provenance).
     pub fn as_str(self) -> &'static str {
-        self.0
+        Self::NAMES[self.slot()]
+    }
+
+    /// This id's index into [`PolicyId::ALL`].
+    fn slot(self) -> usize {
+        usize::from(self.0)
+    }
+}
+
+impl std::fmt::Debug for PolicyId {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_tuple("PolicyId").field(&self.as_str()).finish()
     }
 }
 
 impl std::fmt::Display for PolicyId {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.0)
+        f.write_str(self.as_str())
     }
 }
 
@@ -117,5 +143,8 @@ mod tests {
         }
         assert_eq!(PolicyId::UNION_RANK.as_str(), "discovery.union_rank");
         assert_eq!(PolicyId::REDIRECT.to_string(), "core.redirect");
+        for (i, id) in PolicyId::ALL.iter().enumerate() {
+            assert_eq!(id.slot(), i);
+        }
     }
 }

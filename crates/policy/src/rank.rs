@@ -41,7 +41,11 @@ impl SelectionPolicy for RankByScore {
         self.id
     }
 
-    fn choose(&self, candidates: &[Candidate], params: &PolicyParams) -> SelectionDecision {
+    fn choose<'a>(
+        &self,
+        candidates: &'a [Candidate],
+        params: &'a PolicyParams,
+    ) -> SelectionDecision<'a> {
         let max_wins = params.get("dir").unwrap_or("max") != "min";
         let key_desc = params.get("tie") == Some("key_desc");
 
@@ -62,8 +66,7 @@ impl SelectionPolicy for RankByScore {
                 .then_with(|| a.cmp(&b))
         });
 
-        let winner = ranking.first().copied();
-        let ties = match winner {
+        let ties = match ranking.first().copied() {
             Some(w) => candidates
                 .iter()
                 .filter(|c| c.score.cmp_total(&candidates[w].score) == Ordering::Equal)
@@ -79,15 +82,7 @@ impl SelectionPolicy for RankByScore {
         } else {
             "none"
         };
-        SelectionDecision {
-            policy: self.id,
-            params_hash: params.hash(),
-            ranking,
-            winner,
-            ties,
-            tie_break,
-            considered: candidates.len(),
-        }
+        SelectionDecision::new(self.id, candidates, params, ranking, ties, tie_break)
     }
 }
 
@@ -96,6 +91,44 @@ mod tests {
     use super::*;
     use crate::Score;
     use proptest::prelude::*;
+    use rdi_obs::ProvenanceEvent;
+
+    /// What a recorded decision shows.
+    #[derive(Debug)]
+    struct Seen {
+        ranking: Vec<usize>,
+        keys: Vec<String>,
+        winner: Option<String>,
+        ties: usize,
+        tie_break: &'static str,
+        considered: usize,
+        params_hash: u64,
+    }
+
+    /// Record `d`, made over `c`, and read its ranking and event.
+    fn seen(d: SelectionDecision<'_>, c: &[Candidate]) -> Seen {
+        let (event, ranking) = d.record();
+        let ProvenanceEvent::PolicyDecision {
+            winner,
+            ties,
+            tie_break,
+            considered,
+            params_hash,
+            ..
+        } = event
+        else {
+            panic!("not a policy decision: {event:?}");
+        };
+        Seen {
+            keys: ranking.iter().map(|&i| c[i].key.to_string()).collect(),
+            ranking,
+            winner: winner.map(|w| w.to_string()),
+            ties,
+            tie_break,
+            considered,
+            params_hash,
+        }
+    }
 
     fn cands(items: &[(&str, f64)]) -> Vec<Candidate> {
         items
@@ -108,10 +141,9 @@ mod tests {
     fn ranks_score_descending_then_key_ascending_by_default() {
         let p = RankByScore::new(PolicyId::UNION_RANK);
         let c = cands(&[("b", 0.5), ("a", 0.9), ("c", 0.5)]);
-        let d = p.choose(&c, &PolicyParams::new());
-        assert_eq!(d.winner_key(&c), Some("a"));
-        let keys: Vec<&str> = d.ranking.iter().map(|&i| &*c[i].key).collect();
-        assert_eq!(keys, vec!["a", "b", "c"]);
+        let d = seen(p.choose(&c, &PolicyParams::new()), &c);
+        assert_eq!(d.winner.as_deref(), Some("a"));
+        assert_eq!(d.keys, vec!["a", "b", "c"]);
         assert_eq!(d.ties, 1);
         assert_eq!(d.tie_break, "none");
         assert_eq!(d.considered, 3);
@@ -123,10 +155,10 @@ mod tests {
         let c = cands(&[("alpha", 1.0), ("beta", 1.0)]);
         let default = PolicyParams::new();
         let flipped = PolicyParams::new().with("tie", "key_desc");
-        let d1 = p.choose(&c, &default);
-        let d2 = p.choose(&c, &flipped);
-        assert_eq!(d1.winner_key(&c), Some("alpha"));
-        assert_eq!(d2.winner_key(&c), Some("beta"));
+        let d1 = seen(p.choose(&c, &default), &c);
+        let d2 = seen(p.choose(&c, &flipped), &c);
+        assert_eq!(d1.winner.as_deref(), Some("alpha"));
+        assert_eq!(d2.winner.as_deref(), Some("beta"));
         assert_eq!(d1.ties, 2);
         assert_eq!(d1.tie_break, "key_asc");
         assert_eq!(d2.tie_break, "key_desc");
@@ -140,14 +172,14 @@ mod tests {
             Candidate::new("new", Score::U64(9)),
             Candidate::new("old", Score::U64(1)),
         ];
-        let d = p.choose(&c, &PolicyParams::new().with("dir", "min"));
-        assert_eq!(d.winner_key(&c), Some("old"));
+        let d = seen(p.choose(&c, &PolicyParams::new().with("dir", "min")), &c);
+        assert_eq!(d.winner.as_deref(), Some("old"));
     }
 
     #[test]
     fn empty_candidates_yield_no_winner() {
         let p = RankByScore::new(PolicyId::REDIRECT);
-        let d = p.choose(&[], &PolicyParams::new());
+        let d = seen(p.choose(&[], &PolicyParams::new()), &[]);
         assert_eq!(d.winner, None);
         assert_eq!(d.ties, 0);
         assert!(d.ranking.is_empty());
@@ -163,9 +195,8 @@ mod tests {
             Candidate::new("amy", Score::Tuple(vec![Score::U64(2), Score::U64(1)])),
             Candidate::new("cat", Score::Tuple(vec![Score::U64(2), Score::U64(1)])),
         ];
-        let d = p.choose(&c, &PolicyParams::new());
-        let keys: Vec<&str> = d.ranking.iter().map(|&i| &*c[i].key).collect();
-        assert_eq!(keys, vec!["amy", "cat", "bob"]);
+        let d = seen(p.choose(&c, &PolicyParams::new()), &c);
+        assert_eq!(d.keys, vec!["amy", "cat", "bob"]);
     }
 
     #[test]
@@ -173,28 +204,41 @@ mod tests {
         let p = RankByScore::new(PolicyId::UNION_RANK);
         let a = cands(&[("x", 0.3), ("y", 0.3), ("z", 0.1)]);
         let b = cands(&[("z", 0.1), ("y", 0.3), ("x", 0.3)]);
-        let da = p.choose(&a, &PolicyParams::new());
-        let db = p.choose(&b, &PolicyParams::new());
-        assert_eq!(da.winner_key(&a), db.winner_key(&b));
-        let ka: Vec<&str> = da.ranking.iter().map(|&i| &*a[i].key).collect();
-        let kb: Vec<&str> = db.ranking.iter().map(|&i| &*b[i].key).collect();
-        assert_eq!(ka, kb);
+        let params = PolicyParams::new();
+        let da = seen(p.choose(&a, &params), &a);
+        let db = seen(p.choose(&b, &params), &b);
+        assert_eq!(da.winner, db.winner);
+        assert_eq!(da.keys, db.keys);
     }
 
     #[test]
-    fn rationale_carries_the_audit_fields() {
+    fn record_carries_the_audit_fields() {
         let p = RankByScore::new(PolicyId::UNION_RANK);
         let c = cands(&[("alpha", 1.0), ("beta", 1.0)]);
         let params = PolicyParams::new().with("tie", "key_desc");
-        let d = p.choose(&c, &params);
-        let r = d.rationale(&c, &params);
-        assert_eq!(r.policy, "discovery.union_rank");
-        assert_eq!(r.winner.as_deref(), Some("beta"));
-        assert_eq!(r.winner_score, "1");
-        assert_eq!(r.ties, 2);
-        assert_eq!(r.tie_break, "key_desc");
-        assert_eq!(r.params, "tie=key_desc");
-        assert_eq!(r.params_hash, params.hash());
+        let (event, ranking) = p.choose(&c, &params).record();
+        assert_eq!(ranking, vec![1, 0]);
+        let ProvenanceEvent::PolicyDecision {
+            policy,
+            params_hash,
+            considered,
+            winner,
+            winner_score,
+            ties,
+            tie_break,
+            params: rendered,
+        } = event
+        else {
+            panic!("not a policy decision: {event:?}");
+        };
+        assert_eq!(policy, "discovery.union_rank");
+        assert_eq!(considered, 2);
+        assert_eq!(winner.as_deref(), Some("beta"));
+        assert_eq!(winner_score, "1");
+        assert_eq!(ties, 2);
+        assert_eq!(tie_break, "key_desc");
+        assert_eq!(rendered, "tie=key_desc");
+        assert_eq!(params_hash, params.hash());
     }
 
     /// The ranking as it was computed before keys were compared lazily:
@@ -234,10 +278,12 @@ mod tests {
             let params = PolicyParams::new()
                 .with("dir", ["max", "min"][dir])
                 .with("tie", ["key_asc", "key_desc"][tie]);
-            let d = RankByScore::new(PolicyId::CACHE_EVICT).choose(&candidates, &params);
+            let d = seen(
+                RankByScore::new(PolicyId::CACHE_EVICT).choose(&candidates, &params),
+                &candidates,
+            );
             let eager = eager_ranking(&candidates, &params);
             prop_assert_eq!(&d.ranking, &eager);
-            prop_assert_eq!(d.winner, eager.first().copied());
             let expected_ties = eager.first().map_or(0, |&w| {
                 candidates
                     .iter()

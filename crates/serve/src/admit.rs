@@ -451,11 +451,9 @@ impl Admitter {
             Vec::new()
         } else {
             let reserve = RankByScore::new(PolicyId::ADMIT_RESERVE);
-            let decision = reserve.choose(&candidates, &self.reserve_params);
-            self.decisions.push(rdi_obs::policy_decision_event(
-                decision.rationale(&candidates, &self.reserve_params),
-            ));
-            decision.ranking.iter().map(|&i| keys[i]).collect()
+            let (event, ranking) = reserve.choose(&candidates, &self.reserve_params).record();
+            self.decisions.push(event);
+            ranking.iter().map(|&i| keys[i]).collect()
         };
         let mut remaining = cap;
         let mut reserved: BTreeMap<&TenantId, u64> = BTreeMap::new();
@@ -615,7 +613,7 @@ impl Admitter {
                 Err(_) => {
                     failed += 1;
                     *failed_by.entry(t).or_default() += 1;
-                    if st.breaker.record_failure(self.ticks) {
+                    if st.breaker.record_failure(self.ticks).tripped() {
                         rdi_obs::counter("serve.breaker_trips").inc();
                     }
                 }

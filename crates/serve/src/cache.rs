@@ -377,14 +377,12 @@ impl SketchCache {
             self.ticks.push(tick);
         }
         let policy = RankByScore::new(PolicyId::CACHE_EVICT);
-        let decision = policy.choose(&self.candidates, &self.evict_params);
-        self.decisions.push(rdi_obs::policy_decision_event(
-            decision.rationale(&self.candidates, &self.evict_params),
-        ));
+        let (event, ranking) = policy.choose(&self.candidates, &self.evict_params).record();
+        self.decisions.push(event);
         // the audit keys are released with their slots, not held here
         self.candidates.clear();
         let mut evicted = 0;
-        for &i in &decision.ranking {
+        for &i in &ranking {
             if self.bytes <= self.capacity {
                 break;
             }
@@ -683,12 +681,10 @@ mod tests {
             keys.push(k.clone());
         }
         let policy = RankByScore::new(PolicyId::CACHE_EVICT);
-        let decision = policy.choose(&candidates, &c.evict_params);
-        c.decisions.push(rdi_obs::policy_decision_event(
-            decision.rationale(&candidates, &c.evict_params),
-        ));
+        let (event, ranking) = policy.choose(&candidates, &c.evict_params).record();
+        c.decisions.push(event);
         let mut evicted = 0;
-        for &i in &decision.ranking {
+        for &i in &ranking {
             if c.bytes <= c.capacity {
                 break;
             }

@@ -13,7 +13,7 @@ use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
 use rdi_obs::{Counter, Gauge, ProvenanceEvent};
-use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
+use rdi_policy::{Candidate, ExemplarSite, PolicyId, PolicyParams, Score};
 use rdi_table::{Table, TableError};
 
 use crate::policy::Policy;
@@ -42,7 +42,7 @@ pub struct TailorOutcome {
 }
 
 /// The `tailor.keep` decision site: audited keep/drop verdicts for
-/// drawn records, routed through [`RankByScore`].
+/// drawn records, routed through an [`ExemplarSite`].
 ///
 /// Every verdict ranks two candidates — `keep` scored `2` when the
 /// record's group is still under its `hi` cap (else `0`) and `drop`
@@ -51,37 +51,20 @@ pub struct TailorOutcome {
 /// overriding `dir=min` inverts it auditablely.
 ///
 /// Keep/drop fires once per useful draw (tens of thousands per run), so
-/// emitting one `PolicyDecision` provenance event per verdict would
-/// swamp the log. Instead the **first** verdict of a run emits the full
-/// event (the exemplar, carried on [`TailorOutcome::decisions`]) while
-/// every verdict ticks the `policy.decisions` and
-/// `policy.tailor.keep.decisions` counters through cached handles.
+/// the first verdict of a run emits the full `PolicyDecision` event
+/// (the exemplar, carried on [`TailorOutcome::decisions`]) and every
+/// later verdict is only tallied in the `policy.*` counters.
 #[derive(Debug)]
 struct KeepDrop {
-    policy: RankByScore,
-    params: PolicyParams,
+    site: ExemplarSite,
     exemplar: Option<ProvenanceEvent>,
-    total: Arc<Counter>,
-    site: Arc<Counter>,
 }
 
 impl KeepDrop {
     fn new(params: PolicyParams) -> Self {
-        // Resolved once per process: runs start side by side in a
-        // serving batch, and a by-name lookup takes the registry lock.
-        static HANDLES: OnceLock<(Arc<Counter>, Arc<Counter>)> = OnceLock::new();
-        let handles = HANDLES.get_or_init(|| {
-            (
-                rdi_obs::counter("policy.decisions"),
-                rdi_obs::counter(&format!("policy.{}.decisions", PolicyId::TAILOR_KEEP)),
-            )
-        });
         KeepDrop {
-            policy: RankByScore::new(PolicyId::TAILOR_KEEP),
-            params,
+            site: ExemplarSite::new(PolicyId::TAILOR_KEEP, params),
             exemplar: None,
-            total: Arc::clone(&handles.0),
-            site: Arc::clone(&handles.1),
         }
     }
 
@@ -92,17 +75,11 @@ impl KeepDrop {
             Candidate::new("keep", Score::U64(if eligible { 2 } else { 0 })),
             Candidate::new("drop", Score::U64(1)),
         ];
-        let decision = self.policy.choose(&candidates, &self.params);
-        if self.exemplar.is_none() {
-            // emits *and* counts the first verdict
-            self.exemplar = Some(rdi_obs::policy_decision_event(
-                decision.rationale(&candidates, &self.params),
-            ));
-        } else {
-            self.total.inc();
-            self.site.inc();
+        let (event, ranking) = self.site.decide(&candidates);
+        if event.is_some() {
+            self.exemplar = event;
         }
-        decision.winner_key(&candidates) == Some("keep")
+        ranking.first() == Some(&0)
     }
 }
 

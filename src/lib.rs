@@ -53,8 +53,8 @@ pub mod prelude {
         skewed_sources, LakeConfig, PopulationSpec, SourceConfig, SyntheticLake,
     };
     pub use rdi_policy::{
-        Candidate, PolicyId, PolicyParams, PolicySet, RankByScore, Rationale, Score,
-        SelectionDecision, SelectionPolicy,
+        Candidate, PolicyId, PolicyParams, PolicySet, RankByScore, Score, SelectionDecision,
+        SelectionPolicy,
     };
     pub use rdi_profile::{LabelConfig, NutritionalLabel};
     pub use rdi_serve::{

@@ -16,6 +16,7 @@
 use proptest::prelude::*;
 use rdi_par::Threads;
 use responsible_data_integration::discovery::{TableSignature, UnionSearchIndex};
+use responsible_data_integration::obs::ProvenanceEvent;
 use responsible_data_integration::policy::{
     Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy,
 };
@@ -62,19 +63,28 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
     idx
 }
 
-/// The observable outcome of a choice, keyed by candidate *content*.
+/// The observable outcome of a choice, keyed by candidate *content*:
+/// the ranking and the recorded `PolicyDecision` event's winner, ties
+/// and params hash.
 fn outcome(cands: &[Candidate], p: &PolicyParams) -> (Option<String>, Vec<String>, usize, u64) {
-    let decision = RankByScore::new(PolicyId::UNION_RANK).choose(cands, p);
-    let ranked_keys = decision
-        .ranking
-        .iter()
-        .map(|&i| cands[i].key.to_string())
-        .collect();
+    let (event, ranking) = RankByScore::new(PolicyId::UNION_RANK)
+        .choose(cands, p)
+        .record();
+    let ranked_keys = ranking.iter().map(|&i| cands[i].key.to_string()).collect();
+    let ProvenanceEvent::PolicyDecision {
+        winner,
+        ties,
+        params_hash,
+        ..
+    } = event
+    else {
+        panic!("record returns a PolicyDecision event, got {event:?}");
+    };
     (
-        decision.winner_key(cands).map(str::to_string),
+        winner.as_deref().map(str::to_string),
         ranked_keys,
-        decision.ties,
-        decision.params_hash,
+        ties,
+        params_hash,
     )
 }
 
