@@ -2,8 +2,8 @@
 //!
 //! A **deterministic actor runtime** for concurrent serving: typed
 //! mailboxes on std `mpsc`, a seeded virtual-time scheduler that
-//! delivers message cohorts over `rdi-par` threads, and an append-only
-//! replayable event log.
+//! delivers message cohorts on the runtime's own `rdi-par` worker pool,
+//! and an append-only replayable event log.
 //!
 //! The paper's serving-time responsibility argument (and the RAIDS
 //! "responsible intelligent infrastructure" agenda, PAPERS.md) requires

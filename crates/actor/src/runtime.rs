@@ -19,18 +19,20 @@
 //! One [`Runtime::step`] delivers the *cohort*: every envelope at the
 //! minimal pending virtual time. The cohort is grouped by target actor
 //! (targets in actor-id order, messages in sequence order within a
-//! target) and the groups run in parallel via `rdi_par::par_map`, which
-//! splices results back in input order. Handlers never touch shared
-//! state: sends go to a per-group outbox and the event log is assembled
-//! by the runtime from the returned fragments, so any `RDI_THREADS`
-//! value replays bitwise.
+//! target) and the groups run as owned jobs on the runtime's
+//! [`rdi_par::Pool`], which places each result at its job's index. Its
+//! workers start with the first cohort that runs in parallel, serve
+//! every later one and are joined when the runtime drops. Handlers
+//! never touch shared state: sends go to a per-group outbox and the
+//! event log is assembled by the runtime from the returned fragments,
+//! in actor-id order, so any `RDI_THREADS` value replays bitwise.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
-use std::sync::{mpsc, Mutex, PoisonError};
+use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
 
-use rdi_par::{par_map, stream_seed, Threads};
+use rdi_par::{stream_seed, Pool, Threads};
 
 use crate::log::{EventLog, EventRecord};
 
@@ -45,7 +47,7 @@ const SUMMARY_MAX: usize = 96;
 const SUMMARY_CAP: usize = SUMMARY_MAX + 4;
 
 /// Anything an actor can receive: `Debug` (for the event log), `Send`
-/// (cohorts deliver on `rdi-par` threads), `'static` (type-erased in
+/// (cohorts deliver on `rdi-par` workers), `'static` (type-erased in
 /// flight). Blanket-implemented — never implement it by hand.
 pub trait Message: fmt::Debug + Send + 'static {}
 
@@ -310,7 +312,35 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// What one job (all of a cohort's messages for one target) produced.
+/// Handles onto the global registry for the metrics every step feeds,
+/// resolved once (a registry reset zeroes values but keeps entries, so
+/// the handles stay valid). `actor.delivery_errors` is resolved at its
+/// first use instead, so a run without errors adds no name.
+struct StepMetrics {
+    scheduler_steps: Arc<rdi_obs::Counter>,
+    mailbox_depth: Arc<rdi_obs::Gauge>,
+    messages_delivered: Arc<rdi_obs::Counter>,
+}
+
+fn step_metrics() -> &'static StepMetrics {
+    static METRICS: OnceLock<StepMetrics> = OnceLock::new();
+    METRICS.get_or_init(|| StepMetrics {
+        scheduler_steps: rdi_obs::counter("actor.scheduler_steps"),
+        mailbox_depth: rdi_obs::gauge("actor.mailbox_depth"),
+        messages_delivered: rdi_obs::counter("actor.messages_delivered"),
+    })
+}
+
+/// One job: all of a cohort's messages for one target, with the actor
+/// taken out of its slot so the handler has exclusive mutable access on
+/// whatever thread the job lands on.
+struct Job {
+    id: ActorId,
+    actor: Option<Box<dyn DynActor>>,
+    msgs: Vec<Envelope>,
+}
+
+/// What one job produced.
 struct JobOut {
     id: ActorId,
     actor: Option<Box<dyn DynActor>>,
@@ -351,6 +381,9 @@ pub struct Runtime {
     steps: u64,
     delivery_errors: u64,
     log: EventLog,
+    /// Cohort workers, sized by `config.threads`: started at the first
+    /// parallel cohort, joined when the runtime drops.
+    pool: Pool,
 }
 
 impl fmt::Debug for Runtime {
@@ -380,6 +413,7 @@ impl Runtime {
             steps: 0,
             delivery_errors: 0,
             log: EventLog::default(),
+            pool: Pool::new(config.threads.min_len(2)),
         }
     }
 
@@ -501,8 +535,9 @@ impl Runtime {
         };
         self.now = vtime;
         self.steps += 1;
-        rdi_obs::counter("actor.scheduler_steps").inc();
-        rdi_obs::gauge("actor.mailbox_depth").set_max(self.queue.len() as f64);
+        let metrics = step_metrics();
+        metrics.scheduler_steps.inc();
+        metrics.mailbox_depth.set_max(self.queue.len() as f64);
 
         // Pop the cohort: every envelope at `vtime`, in sequence order.
         let mut cohort: Vec<Envelope> = Vec::new();
@@ -524,14 +559,7 @@ impl Runtime {
             groups.entry(env.to).or_default().push(env);
         }
 
-        // One job per target: the actor is taken out of its slot so the
-        // handler has exclusive mutable access on whatever thread the
-        // job lands on.
-        struct Job {
-            id: ActorId,
-            actor: Option<Box<dyn DynActor>>,
-            msgs: Vec<Envelope>,
-        }
+        // One job per target, in actor-id order.
         let jobs: Vec<Mutex<Option<Job>>> = groups
             .into_iter()
             .map(|(id, msgs)| {
@@ -540,7 +568,7 @@ impl Runtime {
             })
             .collect();
 
-        let outs: Vec<Option<JobOut>> = par_map(self.config.threads.min_len(2), &jobs, |cell| {
+        let outs: Vec<Option<JobOut>> = self.pool.map(jobs, move |cell| {
             let Job {
                 id,
                 mut actor,
@@ -580,7 +608,7 @@ impl Runtime {
             })
         });
 
-        // Splice: par_map returns jobs in input (actor-id) order, so
+        // Splice: the pool returns jobs in input (actor-id) order, so
         // log appends and outbox enqueues below are deterministic.
         let mut delivered_total = 0usize;
         for out in outs.into_iter().flatten() {
@@ -614,7 +642,7 @@ impl Runtime {
                 self.enqueue(Some(id), to, msg);
             }
         }
-        rdi_obs::counter("actor.messages_delivered").add(delivered_total as u64);
+        metrics.messages_delivered.add(delivered_total as u64);
         delivered_total
     }
 
@@ -641,7 +669,21 @@ fn lock_cell<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::cell::RefCell;
+    use std::panic::{self, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{Barrier, Condvar, MutexGuard};
+    use std::thread;
+    use std::time::Duration;
+
+    /// Every test that steps a runtime feeds the global `actor.*`
+    /// metrics; holding this lock keeps them out of the exact counts
+    /// `fan_out_replays_at_any_thread_count` reads.
+    static METRICS: Mutex<()> = Mutex::new(());
+
+    fn metrics_lock() -> MutexGuard<'static, ()> {
+        lock_cell(&METRICS)
+    }
 
     /// Counts greetings; replies `Pong(count)` to the given id.
     struct Ping {
@@ -677,6 +719,7 @@ mod tests {
     }
 
     fn ping_pong(seed: u64, threads: Threads, n: u64) -> (String, Vec<u64>) {
+        let _metrics = metrics_lock();
         let mut rt = Runtime::new(RuntimeConfig {
             seed,
             latency_spread: 4,
@@ -734,6 +777,7 @@ mod tests {
                 ctx.send(me, Greet { reply_to: me });
             }
         }
+        let _metrics = metrics_lock();
         let mut rt = Runtime::new(RuntimeConfig::default());
         let a = rt.spawn("confused", Confused);
         a.send(Pong(1)).unwrap();
@@ -759,6 +803,7 @@ mod tests {
             type Msg = String;
             fn handle(&mut self, _msg: String, _ctx: &mut Ctx<'_>) {}
         }
+        let _metrics = metrics_lock();
         let mut rt = Runtime::new(RuntimeConfig::default());
         let echo = rt.spawn("echo", Echo);
         echo.send(String::from(" !error: x")).unwrap();
@@ -895,6 +940,7 @@ mod tests {
 
     #[test]
     fn virtual_time_is_monotone_and_steps_counted() {
+        let _metrics = metrics_lock();
         let mut rt = Runtime::new(RuntimeConfig {
             seed: 3,
             latency_spread: 8,
@@ -912,5 +958,296 @@ mod tests {
         }
         assert!(rt.steps() >= 1);
         assert_eq!(rt.event_log().len(), 10);
+    }
+
+    /// Nodes in the fan-out graph.
+    const NODES: u64 = 16;
+
+    /// Where the first targets of one cohort wait for each other. The
+    /// pool hands out a cohort's jobs in actor-id order and a waiting
+    /// job holds its thread, so `targets.len()` threads run the cohort
+    /// at once.
+    struct Rendezvous {
+        targets: Vec<ActorId>,
+        arrived: Mutex<usize>,
+        all_arrived: Condvar,
+    }
+
+    impl Rendezvous {
+        fn meet(&self) {
+            let mut arrived = lock_cell(&self.arrived);
+            *arrived += 1;
+            self.all_arrived.notify_all();
+            // The bound only turns a changed schedule (a target that
+            // never comes) into a failure instead of a hang.
+            let (_arrived, wait) = self
+                .all_arrived
+                .wait_timeout_while(arrived, Duration::from_secs(30), |n| {
+                    *n < self.targets.len()
+                })
+                .unwrap_or_else(PoisonError::into_inner);
+            assert!(!wait.timed_out(), "cohort {:?} never met", self.targets);
+        }
+    }
+
+    /// A node of a seeded fan-out graph: folds every hop into a digest
+    /// and forwards it to zero to three seeded nodes while it has hops
+    /// to live. Where it goes depends only on the hop, so every run
+    /// has the same cohorts.
+    struct Node {
+        digest: u64,
+        seen: u64,
+        /// Rendezvous by delivery time.
+        meet: Arc<BTreeMap<u64, Rendezvous>>,
+        met_at: Option<u64>,
+    }
+
+    #[derive(Debug)]
+    struct Hop {
+        ttl: u32,
+        key: u64,
+    }
+
+    impl Actor for Node {
+        type Msg = Hop;
+        fn handle(&mut self, hop: Hop, ctx: &mut Ctx<'_>) {
+            if let Some(r) = self.meet.get(&ctx.now()) {
+                if self.met_at != Some(ctx.now()) && r.targets.contains(&ctx.self_id()) {
+                    self.met_at = Some(ctx.now());
+                    r.meet();
+                }
+            }
+            self.seen += 1;
+            self.digest = stream_seed(self.digest ^ hop.key, ctx.now());
+            if hop.ttl == 0 {
+                return;
+            }
+            for k in 0..stream_seed(hop.key, 0) % 4 {
+                let key = stream_seed(hop.key, k + 1);
+                let to = ActorId((key % NODES) as usize);
+                ctx.send(
+                    to,
+                    Hop {
+                        ttl: hop.ttl - 1,
+                        key,
+                    },
+                );
+            }
+        }
+    }
+
+    /// The metrics the runtime feeds, read from the global registry.
+    fn actor_metrics() -> [u64; 4] {
+        [
+            rdi_obs::counter("actor.scheduler_steps").get(),
+            rdi_obs::counter("actor.messages_delivered").get(),
+            rdi_obs::counter("actor.delivery_errors").get(),
+            rdi_obs::gauge("actor.mailbox_depth").get() as u64,
+        ]
+    }
+
+    /// What a fan-out run leaves: the rendered log, each node's
+    /// `(digest, seen)`, the `actor.*` metrics and each step's
+    /// `(vtime, targets)`.
+    type FanOut = (String, Vec<(u64, u64)>, [u64; 4], Vec<(u64, Vec<ActorId>)>);
+
+    /// Run the fan-out graph from every node at once on zeroed metrics.
+    fn fan_out(threads: Threads, meet: BTreeMap<u64, Rendezvous>) -> FanOut {
+        rdi_obs::global().reset();
+        let mut rt = Runtime::new(RuntimeConfig {
+            seed: 11,
+            latency_spread: 3,
+            threads,
+        });
+        let meet = Arc::new(meet);
+        let nodes: Vec<Addr<Hop>> = (0..NODES)
+            .map(|i| {
+                let node = Node {
+                    digest: i,
+                    seen: 0,
+                    meet: Arc::clone(&meet),
+                    met_at: None,
+                };
+                rt.spawn(&format!("n{i}"), node)
+            })
+            .collect();
+        for (i, node) in nodes.iter().enumerate() {
+            for round in 0..3 {
+                let key = stream_seed(i as u64, round);
+                let ttl = (key % 10) as u32;
+                node.send(Hop { ttl, key }).unwrap();
+            }
+        }
+        let mut cohorts = Vec::new();
+        loop {
+            let before = rt.event_log().len();
+            if rt.step() == 0 {
+                break;
+            }
+            let mut targets: Vec<ActorId> = rt.event_log().records()[before..]
+                .iter()
+                .map(|r| r.to)
+                .collect();
+            targets.dedup();
+            cohorts.push((rt.now(), targets));
+        }
+        let states = nodes
+            .iter()
+            .map(|n| {
+                let node = rt.actor::<Node>(n.id()).unwrap();
+                (node.digest, node.seen)
+            })
+            .collect();
+        (rt.event_log().render(), states, actor_metrics(), cohorts)
+    }
+
+    #[test]
+    fn fan_out_replays_at_any_thread_count() {
+        let _metrics = metrics_lock();
+        let serial = fan_out(Threads::fixed(1), BTreeMap::new());
+        let widths: Vec<usize> = serial.3.iter().map(|(_, t)| t.len()).collect();
+        assert_eq!(widths.iter().min(), Some(&1), "{widths:?}");
+        assert_eq!(widths.iter().max(), Some(&(NODES as usize)), "{widths:?}");
+        let [steps, delivered, errors, _] = serial.2;
+        assert_eq!(steps, widths.len() as u64);
+        assert_eq!(delivered, serial.0.lines().count() as u64);
+        assert_eq!(errors, 0);
+        for t in [2, 8] {
+            // Every cohort of two or more targets runs on
+            // `min(targets, t)` threads at once.
+            let meet = serial
+                .3
+                .iter()
+                .filter(|(_, targets)| targets.len() > 1)
+                .map(|(vtime, targets)| {
+                    let rendezvous = Rendezvous {
+                        targets: targets[..targets.len().min(t)].to_vec(),
+                        arrived: Mutex::new(0),
+                        all_arrived: Condvar::new(),
+                    };
+                    (*vtime, rendezvous)
+                })
+                .collect();
+            assert!(serial == fan_out(Threads::fixed(t), meet), "{t} threads");
+        }
+    }
+
+    thread_local! {
+        /// A clone of the watched `Arc`, dropped when the thread exits.
+        static HELD: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
+    }
+
+    /// Holds a clone of `watched` in [`HELD`] on any thread but
+    /// `caller`; with a barrier, waits for as many handlers as it has
+    /// parties, so that many threads run the cohort at once.
+    struct Holder {
+        caller: thread::ThreadId,
+    }
+
+    #[derive(Debug)]
+    struct Hold {
+        watched: Arc<()>,
+        barrier: Option<Arc<Barrier>>,
+    }
+
+    impl Actor for Holder {
+        type Msg = Hold;
+        fn handle(&mut self, msg: Hold, _ctx: &mut Ctx<'_>) {
+            if let Some(barrier) = &msg.barrier {
+                barrier.wait();
+            }
+            if thread::current().id() != self.caller {
+                HELD.with(|held| *held.borrow_mut() = Some(msg.watched));
+            }
+        }
+    }
+
+    #[test]
+    fn cohort_workers_stay_within_threads_and_drop_joins_them() {
+        let _metrics = metrics_lock();
+        let t = 4;
+        let watched = Arc::new(());
+        // A spread of 1 adds no jitter: each round's messages land in
+        // one cohort.
+        let mut rt = Runtime::new(RuntimeConfig {
+            seed: 5,
+            latency_spread: 1,
+            threads: Threads::fixed(t),
+        });
+        let caller = thread::current().id();
+        let holders: Vec<Addr<Hold>> = (0..16)
+            .map(|i| rt.spawn(&format!("h{i}"), Holder { caller }))
+            .collect();
+        // Cohorts of 1, 2 and 16 targets; a 16-target cohort waits on
+        // a barrier of `t`, so it runs on the caller and `t − 1`
+        // workers at once.
+        for (width, parties) in [(1, None), (2, None), (16, Some(t)), (16, None)] {
+            let barrier = parties.map(|n| Arc::new(Barrier::new(n)));
+            for holder in &holders[..width] {
+                holder
+                    .send(Hold {
+                        watched: Arc::clone(&watched),
+                        barrier: barrier.clone(),
+                    })
+                    .unwrap();
+            }
+            assert_eq!(rt.step(), width);
+            assert!(rt.pool.workers() < t, "{} workers", rt.pool.workers());
+            if width == 1 {
+                assert_eq!(rt.pool.workers(), 0, "a lone target runs serially");
+            }
+        }
+        assert_eq!(rt.pool.workers(), t - 1);
+        // Each worker holds one clone in a thread local.
+        assert_eq!(Arc::strong_count(&watched), t);
+        drop(rt);
+        assert_eq!(Arc::strong_count(&watched), 1);
+    }
+
+    /// Panic payload naming the actor whose handler raised it.
+    #[derive(Debug, PartialEq)]
+    struct HandlerPanic(usize);
+
+    struct Fragile {
+        index: usize,
+        explode: bool,
+    }
+
+    impl Actor for Fragile {
+        type Msg = ();
+        fn handle(&mut self, (): (), _ctx: &mut Ctx<'_>) {
+            if self.explode {
+                panic::panic_any(HandlerPanic(self.index));
+            }
+        }
+    }
+
+    #[test]
+    fn a_panicking_handler_reraises_its_payload_from_step() {
+        let _metrics = metrics_lock();
+        for threads in [1, 2, 8] {
+            for bad in [0, 3, 7] {
+                let mut rt = Runtime::new(RuntimeConfig {
+                    seed: 1,
+                    latency_spread: 1,
+                    threads: Threads::fixed(threads),
+                });
+                for index in 0..8 {
+                    let explode = index == bad;
+                    rt.spawn("fragile", Fragile { index, explode })
+                        .send(())
+                        .unwrap();
+                }
+                let caught = panic::catch_unwind(AssertUnwindSafe(|| rt.step()));
+                let payload = caught.expect_err("a handler panicked");
+                assert_eq!(
+                    *payload
+                        .downcast::<HandlerPanic>()
+                        .expect("original payload"),
+                    HandlerPanic(bad),
+                    "{threads} threads"
+                );
+            }
+        }
     }
 }

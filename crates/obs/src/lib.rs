@@ -21,8 +21,10 @@
 //! `RDI_THREADS`**. The instrumented kernels in `rdi-discovery`,
 //! `rdi-coverage`, `rdi-joinsample`, `rdi-tailor`, and `rdi-par` all
 //! follow that rule (verified by property tests). Histogram *bucket
-//! counts* carry the same guarantee; histogram float `sum`s, span
-//! timings, and gauges (last-write-wins) do not.
+//! counts* carry the same guarantee, and so do span durations under the
+//! fake clock (`RDI_FAKE_CLOCK=1`: tick counts, see
+//! [`MetricsRegistry::with_fake_clock`]); histogram float `sum`s, wall
+//! span timings, and gauges (last-write-wins) do not.
 //!
 //! # Metric naming
 //!
@@ -41,7 +43,7 @@ mod span;
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use names::METRIC_NAMES;
 pub use provenance::{ProvenanceEvent, ProvenanceLog};
-pub use span::{span_stack, with_span_stack, SpanGuard, SpanRecord};
+pub use span::{span_stack, with_span_stack, SpanGuard, SpanRecord, SpanStack};
 
 use std::sync::Arc;
 use std::sync::OnceLock;

@@ -187,22 +187,21 @@ pub struct MetricsRegistry {
 
 /// Time source for span durations.
 ///
-/// `Wall` (the default) reads the OS monotonic clock. `Fake` is a
-/// per-registry tick counter: every clock read returns the next integer,
-/// so span "nanos" become deterministic tick deltas and snapshots are
-/// byte-reproducible across runs — selected by `RDI_FAKE_CLOCK=1` in the
-/// environment or [`MetricsRegistry::with_fake_clock`].
+/// `Wall` (the default) reads the OS monotonic clock. `Fake` counts
+/// ticks instead of time: a span takes one tick plus, for every span
+/// that finishes directly inside it, that span's ticks and one more. On
+/// one thread that is what a counter advanced by every clock read
+/// gives. Spans opened under a carried stack (see
+/// [`crate::with_span_stack`]) count toward the carrying span on
+/// whichever thread they run, and no thread's ticks depend on what
+/// other threads do meanwhile, so span "nanos" and snapshots are
+/// byte-reproducible across runs and thread counts. Selected by
+/// `RDI_FAKE_CLOCK=1` in the environment or
+/// [`MetricsRegistry::with_fake_clock`].
 #[derive(Debug)]
 enum ClockSource {
     Wall,
-    Fake(AtomicU64),
-}
-
-/// An opaque span start time from either clock source.
-#[derive(Debug)]
-pub(crate) enum ClockInstant {
-    Wall(std::time::Instant),
-    Fake(u64),
+    Fake,
 }
 
 impl Default for MetricsRegistry {
@@ -214,7 +213,7 @@ impl Default for MetricsRegistry {
             histograms: Mutex::default(),
             spans: Mutex::default(),
             clock: if fake {
-                ClockSource::Fake(AtomicU64::new(0))
+                ClockSource::Fake
             } else {
                 ClockSource::Wall
             },
@@ -242,38 +241,15 @@ impl MetricsRegistry {
     /// durations.
     pub fn with_fake_clock() -> Self {
         MetricsRegistry {
-            clock: ClockSource::Fake(AtomicU64::new(0)),
+            clock: ClockSource::Fake,
             ..MetricsRegistry::default()
         }
     }
 
-    /// True when span durations come from the deterministic tick
-    /// counter rather than the wall clock.
+    /// True when span durations are deterministic fake-clock tick
+    /// counts rather than wall time.
     pub fn uses_fake_clock(&self) -> bool {
-        matches!(self.clock, ClockSource::Fake(_))
-    }
-
-    /// Read the span clock: a wall instant, or the next tick.
-    pub(crate) fn clock_now(&self) -> ClockInstant {
-        match &self.clock {
-            ClockSource::Wall => ClockInstant::Wall(std::time::Instant::now()),
-            ClockSource::Fake(ticks) => {
-                ClockInstant::Fake(ticks.fetch_add(1, Ordering::Relaxed) + 1)
-            }
-        }
-    }
-
-    /// Nanoseconds (wall) or elapsed ticks (fake) since `start`.
-    pub(crate) fn clock_elapsed(&self, start: &ClockInstant) -> u64 {
-        match (start, &self.clock) {
-            (ClockInstant::Wall(t), _) => t.elapsed().as_nanos() as u64,
-            (ClockInstant::Fake(s), ClockSource::Fake(ticks)) => {
-                (ticks.fetch_add(1, Ordering::Relaxed) + 1).saturating_sub(*s)
-            }
-            // A fake start can only come from this registry's own fake
-            // clock, so this arm is unreachable; 0 keeps it total.
-            (ClockInstant::Fake(_), ClockSource::Wall) => 0,
-        }
+        matches!(self.clock, ClockSource::Fake)
     }
 
     /// The counter named `name`, created on first access.

@@ -1,12 +1,14 @@
 //! RAII span timers with per-thread parent/child nesting.
 //!
 //! Durations come from the registry's clock source: the wall clock by
-//! default, or a deterministic tick counter under `RDI_FAKE_CLOCK=1`
-//! (see [`MetricsRegistry::with_fake_clock`]).
+//! default, or deterministic tick counts under `RDI_FAKE_CLOCK=1` (see
+//! [`MetricsRegistry::with_fake_clock`]).
 
 use std::cell::RefCell;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Instant;
 
-use crate::metrics::ClockInstant;
 use crate::MetricsRegistry;
 
 thread_local! {
@@ -15,27 +17,46 @@ thread_local! {
     /// thread carries the stack along explicitly (see
     /// [`with_span_stack`]).
     static SPAN_STACK: RefCell<Vec<String>> = const { RefCell::new(Vec::new()) };
+    /// One tally per fake-clock span open on this thread, outermost
+    /// first: where the spans finishing inside it add their ticks.
+    static FAKE_TALLIES: RefCell<Vec<Arc<AtomicU64>>> = const { RefCell::new(Vec::new()) };
 }
 
-/// The names of the spans open on the calling thread, outermost first.
-pub fn span_stack() -> Vec<String> {
-    SPAN_STACK.with(|stack| stack.borrow().clone())
+/// The spans open on a thread when [`span_stack`] read them. Carried to
+/// another thread with [`with_span_stack`], they are the parents of the
+/// spans opened there.
+#[derive(Debug, Clone, Default)]
+pub struct SpanStack {
+    names: Vec<String>,
+    tallies: Vec<Arc<AtomicU64>>,
+}
+
+/// The spans open on the calling thread, outermost first.
+pub fn span_stack() -> SpanStack {
+    SpanStack {
+        names: SPAN_STACK.with(|stack| stack.borrow().clone()),
+        tallies: FAKE_TALLIES.with(|tallies| tallies.borrow().clone()),
+    }
 }
 
 /// Run `f` with `stack` as the calling thread's open spans, so spans it
 /// opens nest as they would on the thread that read `stack` (see
-/// [`span_stack`]). The thread's own stack is restored afterwards, also
-/// when `f` panics.
-pub fn with_span_stack<R>(stack: &[String], f: impl FnOnce() -> R) -> R {
+/// [`span_stack`]); under the fake clock their ticks count toward that
+/// thread's innermost span. The thread's own stack is restored
+/// afterwards, also when `f` panics.
+pub fn with_span_stack<R>(stack: &SpanStack, f: impl FnOnce() -> R) -> R {
     /// Puts the saved stack back on drop.
-    struct Restore(Vec<String>);
+    struct Restore(Vec<String>, Vec<Arc<AtomicU64>>);
     impl Drop for Restore {
         fn drop(&mut self) {
             SPAN_STACK.with(|stack| std::mem::swap(&mut *stack.borrow_mut(), &mut self.0));
+            FAKE_TALLIES.with(|tallies| std::mem::swap(&mut *tallies.borrow_mut(), &mut self.1));
         }
     }
-    let _restore =
-        Restore(SPAN_STACK.with(|s| std::mem::replace(&mut *s.borrow_mut(), stack.to_vec())));
+    let _restore = Restore(
+        SPAN_STACK.with(|s| std::mem::replace(&mut *s.borrow_mut(), stack.names.clone())),
+        FAKE_TALLIES.with(|t| std::mem::replace(&mut *t.borrow_mut(), stack.tallies.clone())),
+    );
     f()
 }
 
@@ -44,7 +65,8 @@ pub fn with_span_stack<R>(stack: &[String], f: impl FnOnce() -> R) -> R {
 pub struct SpanRecord {
     /// `outer/inner` path of span names at completion time.
     pub path: String,
-    /// Elapsed wall time in nanoseconds.
+    /// Elapsed wall time in nanoseconds (fake-clock ticks under the
+    /// fake clock).
     pub nanos: u64,
 }
 
@@ -56,10 +78,19 @@ pub struct SpanRecord {
 pub struct SpanGuard<'r> {
     registry: &'r MetricsRegistry,
     path: String,
-    start: ClockInstant,
+    start: Start,
     /// Keep the guard `!Send`: the thread-local stack entry must be
     /// popped by the opening thread.
     _not_send: std::marker::PhantomData<*const ()>,
+}
+
+/// When a span started, on the registry's clock.
+enum Start {
+    Wall(Instant),
+    /// Under the fake clock: the ticks taken so far by the spans
+    /// finished inside this one, added by whichever thread finished
+    /// them.
+    Fake(Arc<AtomicU64>),
 }
 
 impl<'r> SpanGuard<'r> {
@@ -69,10 +100,17 @@ impl<'r> SpanGuard<'r> {
             stack.push(name.to_string());
             stack.join("/")
         });
+        let start = if registry.uses_fake_clock() {
+            let tally = Arc::new(AtomicU64::new(0));
+            FAKE_TALLIES.with(|tallies| tallies.borrow_mut().push(Arc::clone(&tally)));
+            Start::Fake(tally)
+        } else {
+            Start::Wall(Instant::now())
+        };
         SpanGuard {
             registry,
             path,
-            start: registry.clock_now(),
+            start,
             _not_send: std::marker::PhantomData,
         }
     }
@@ -85,7 +123,23 @@ impl<'r> SpanGuard<'r> {
 
 impl Drop for SpanGuard<'_> {
     fn drop(&mut self) {
-        let nanos = self.registry.clock_elapsed(&self.start);
+        let nanos = match &self.start {
+            Start::Wall(t) => t.elapsed().as_nanos() as u64,
+            Start::Fake(tally) => {
+                // One tick of its own; the spans finished inside it
+                // added theirs. Acquire pairs with their Release adds
+                // below: they may have finished on other threads.
+                let nanos = 1 + tally.load(Ordering::Acquire);
+                FAKE_TALLIES.with(|tallies| {
+                    let mut tallies = tallies.borrow_mut();
+                    tallies.pop();
+                    if let Some(parent) = tallies.last() {
+                        parent.fetch_add(nanos + 1, Ordering::Release);
+                    }
+                });
+                nanos
+            }
+        };
         SPAN_STACK.with(|stack| {
             stack.borrow_mut().pop();
         });
@@ -99,6 +153,10 @@ impl Drop for SpanGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn names(stack: &SpanStack) -> Vec<&str> {
+        stack.names.iter().map(String::as_str).collect()
+    }
 
     #[test]
     fn nesting_paths_and_completion_order() {
@@ -172,6 +230,76 @@ mod tests {
     }
 
     #[test]
+    fn fake_clock_ignores_other_threads() {
+        // Two threads open and close their spans in lockstep, so each
+        // opens and closes spans inside the other's; each still counts
+        // only its own.
+        let reg = MetricsRegistry::with_fake_clock();
+        let barrier = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                s.spawn(|| {
+                    let _outer = reg.span("outer");
+                    barrier.wait();
+                    let _inner = reg.span("inner");
+                    barrier.wait();
+                });
+            }
+        });
+        let mut nanos: Vec<(String, u64)> = reg
+            .span_records()
+            .into_iter()
+            .map(|r| (r.path, r.nanos))
+            .collect();
+        nanos.sort();
+        let expected = [
+            ("outer", 3),
+            ("outer", 3),
+            ("outer/inner", 1),
+            ("outer/inner", 1),
+        ];
+        assert_eq!(nanos, expected.map(|(p, n)| (p.to_string(), n)));
+    }
+
+    #[test]
+    fn fake_ticks_of_carried_spans_count_toward_the_carrier() {
+        // Two jobs, each a span with one nested span, run on two
+        // threads under the caller's stack: every span reads as when
+        // both jobs run on the caller (job 1 + 2, outer 1 + 2 × 4).
+        let reg = MetricsRegistry::with_fake_clock();
+        {
+            let _outer = reg.span("outer");
+            let stack = span_stack();
+            let barrier = std::sync::Barrier::new(2);
+            std::thread::scope(|s| {
+                for _ in 0..2 {
+                    s.spawn(|| {
+                        with_span_stack(&stack, || {
+                            let _job = reg.span("job");
+                            barrier.wait();
+                            let _step = reg.span("step");
+                        })
+                    });
+                }
+            });
+        }
+        let mut nanos: Vec<(String, u64)> = reg
+            .span_records()
+            .into_iter()
+            .map(|r| (r.path, r.nanos))
+            .collect();
+        nanos.sort();
+        let expected = [
+            ("outer", 9),
+            ("outer/job", 3),
+            ("outer/job", 3),
+            ("outer/job/step", 1),
+            ("outer/job/step", 1),
+        ];
+        assert_eq!(nanos, expected.map(|(p, n)| (p.to_string(), n)));
+    }
+
+    #[test]
     fn fake_clock_snapshot_is_reproducible() {
         let snap = || {
             let reg = MetricsRegistry::with_fake_clock();
@@ -207,19 +335,19 @@ mod tests {
         let reg = MetricsRegistry::new();
         let _outer = reg.span("outer");
         let stack = span_stack();
-        assert_eq!(stack, vec!["outer"]);
+        assert_eq!(names(&stack), ["outer"]);
         std::thread::scope(|s| {
             s.spawn(|| {
                 let _own = reg.span("own");
                 with_span_stack(&stack, || {
                     assert_eq!(reg.span("worker").path(), "outer/worker");
                 });
-                assert_eq!(span_stack(), vec!["own"]);
+                assert_eq!(names(&span_stack()), ["own"]);
                 let unwound = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                     with_span_stack(&stack, || panic!("job failed"))
                 }));
                 assert!(unwound.is_err());
-                assert_eq!(span_stack(), vec!["own"]);
+                assert_eq!(names(&span_stack()), ["own"]);
             });
         });
     }

@@ -60,7 +60,7 @@ struct Batch<T, U, F> {
     f: F,
     /// The submitting thread's open spans, so spans a worker opens nest
     /// as on the caller.
-    stack: Vec<String>,
+    stack: rdi_obs::SpanStack,
     /// The next unclaimed job. `Relaxed`: it hands out indices and
     /// publishes no data.
     next: AtomicUsize,
