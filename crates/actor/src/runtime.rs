@@ -30,7 +30,9 @@
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::thread;
 
 use rdi_par::{stream_seed, Pool, Threads};
 
@@ -358,6 +360,47 @@ struct Delivery {
     failed: bool,
 }
 
+/// Deliver one job's messages in sequence order at virtual time `vtime`.
+fn run_job(job: Job, vtime: u64) -> JobOut {
+    let Job {
+        id,
+        mut actor,
+        msgs,
+    } = job;
+    let mut outbox: Vec<(ActorId, Box<dyn AnyMessage>)> = Vec::new();
+    let mut delivered: Vec<Delivery> = Vec::with_capacity(msgs.len());
+    for env in msgs {
+        let mut summary = env.msg.summary();
+        let outcome = match actor.as_mut() {
+            Some(a) => {
+                let mut ctx = Ctx {
+                    self_id: id,
+                    now: vtime,
+                    outbox: &mut outbox,
+                };
+                a.deliver(env.msg.into_any(), &mut ctx)
+            }
+            None => Err(String::from("target actor was taken")),
+        };
+        if let Err(e) = &outcome {
+            summary.push_str(" !error: ");
+            summary.push_str(e);
+        }
+        delivered.push(Delivery {
+            seq: env.seq,
+            from: env.from,
+            summary,
+            failed: outcome.is_err(),
+        });
+    }
+    JobOut {
+        id,
+        actor,
+        delivered,
+        outbox,
+    }
+}
+
 /// The deterministic actor runtime: a registry of actors, their
 /// mailboxes, the pending virtual-time queue, and the event log.
 ///
@@ -568,50 +611,29 @@ impl Runtime {
             })
             .collect();
 
-        let outs: Vec<Option<JobOut>> = self.pool.map(jobs, move |cell| {
-            let Job {
-                id,
-                mut actor,
-                msgs,
-            } = lock_cell(cell).take()?;
-            let mut outbox: Vec<(ActorId, Box<dyn AnyMessage>)> = Vec::new();
-            let mut delivered: Vec<Delivery> = Vec::with_capacity(msgs.len());
-            for env in msgs {
-                let mut summary = env.msg.summary();
-                let outcome = match actor.as_mut() {
-                    Some(a) => {
-                        let mut ctx = Ctx {
-                            self_id: id,
-                            now: vtime,
-                            outbox: &mut outbox,
-                        };
-                        a.deliver(env.msg.into_any(), &mut ctx)
-                    }
-                    None => Err(String::from("target actor was taken")),
-                };
-                if let Err(e) = &outcome {
-                    summary.push_str(" !error: ");
-                    summary.push_str(e);
-                }
-                delivered.push(Delivery {
-                    seq: env.seq,
-                    from: env.from,
-                    summary,
-                    failed: outcome.is_err(),
-                });
-            }
-            Some(JobOut {
-                id,
-                actor,
-                delivered,
-                outbox,
-            })
+        // Each job catches its own unwind, so one panicking handler
+        // loses only its own actor: every other job is spliced back
+        // below before the panic goes on.
+        let outs: Vec<Option<thread::Result<JobOut>>> = self.pool.map(jobs, move |cell| {
+            let job = lock_cell(cell).take()?;
+            Some(panic::catch_unwind(AssertUnwindSafe(|| {
+                run_job(job, vtime)
+            })))
         });
 
         // Splice: the pool returns jobs in input (actor-id) order, so
         // log appends and outbox enqueues below are deterministic.
         let mut delivered_total = 0usize;
+        let mut panicked = None;
         for out in outs.into_iter().flatten() {
+            let out = match out {
+                Ok(out) => out,
+                Err(payload) => {
+                    // the lowest actor id's payload is the one re-raised
+                    panicked.get_or_insert(payload);
+                    continue;
+                }
+            };
             let JobOut {
                 id,
                 actor,
@@ -643,6 +665,9 @@ impl Runtime {
             }
         }
         metrics.messages_delivered.add(delivered_total as u64);
+        if let Some(payload) = panicked {
+            panic::resume_unwind(payload);
+        }
         delivered_total
     }
 
@@ -1232,11 +1257,17 @@ mod tests {
                     latency_spread: 1,
                     threads: Threads::fixed(threads),
                 });
-                for index in 0..8 {
-                    let explode = index == bad;
-                    rt.spawn("fragile", Fragile { index, explode })
-                        .send(())
-                        .unwrap();
+                // Actor 7 always explodes too: the lowest id's payload
+                // is the one re-raised.
+                let explodes = |index: usize| index == bad || index == 7;
+                let addrs: Vec<Addr<()>> = (0..8)
+                    .map(|index| {
+                        let explode = explodes(index);
+                        rt.spawn("fragile", Fragile { index, explode })
+                    })
+                    .collect();
+                for addr in &addrs {
+                    addr.send(()).unwrap();
                 }
                 let caught = panic::catch_unwind(AssertUnwindSafe(|| rt.step()));
                 let payload = caught.expect_err("a handler panicked");
@@ -1247,6 +1278,20 @@ mod tests {
                     HandlerPanic(bad),
                     "{threads} threads"
                 );
+                // Only the exploding actors are lost; every other one
+                // is back in its slot and takes further messages.
+                for (index, addr) in addrs.iter().enumerate() {
+                    let present = rt.actor::<Fragile>(addr.id()).is_some();
+                    assert_eq!(
+                        present,
+                        !explodes(index),
+                        "{threads} threads, actor {index}"
+                    );
+                }
+                let survivor = if bad == 0 { &addrs[1] } else { &addrs[0] };
+                survivor.send(()).unwrap();
+                assert_eq!(rt.step(), 1);
+                assert_eq!(rt.delivery_errors(), 0, "{threads} threads");
             }
         }
     }

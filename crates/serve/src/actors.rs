@@ -14,34 +14,23 @@
 //! (token buckets, queue shares, per-tenant half-open breakers) as the
 //! serial [`ServeSession`](crate::ServeSession).
 //!
-//! ## The admit → warm → execute contract, per actor
+//! ## One batch, driven by messages
 //!
-//! The serial session's three-phase batch protocol becomes a message
-//! protocol; every phase calls the code the serial path calls:
-//!
-//! 1. **Admit** (session actor, serial in arrival order): the shared
-//!    [`Admitter`] entry point — per-tenant quota, queue share, then
-//!    breaker verdict, one tick per batch.
-//! 2. **Warm** (shard actors, the only cache-mutating phase): request
-//!    preparation is `needs` → `Shard::warm` → `assemble` (see
-//!    `crate::index`). The session runs `needs` on each admitted
-//!    request and sends each contacted shard one [`ShardMsg::Warm`]
-//!    holding its needs in arrival order; the shard answers each with
-//!    `Shard::warm` and replies with the parts.
-//! 3. **Execute** (session actor, pure): once every contacted shard
-//!    has replied, `assemble` turns each request's parts into its plan
-//!    and `execute` runs it on the request's own RNG stream
-//!    `stream_seed(session seed, arrival index)`.
-//!
-//! Plans, error precedence and seeds therefore match the serial path
-//! by construction, so **responses are bitwise identical to the
-//! equivalent serial [`ServeSession`](crate::ServeSession) runs** — for
-//! any scheduler seed, any interleaving of sessions, and any
-//! `RDI_THREADS` value. A session processes one batch at a time (later
-//! submissions are backlogged in arrival order), so per-session breaker
-//! and arrival state evolve exactly as they do serially.
+//! A session actor drives the same batch (`crate::batch`) as the serial
+//! session: it admits through the shared [`Admitter`], sends each
+//! contacted shard one [`ShardMsg::Warm`] holding its needs in arrival
+//! order, hands each reply's parts, table count and eviction decisions
+//! back to the batch, and once every contacted shard has replied runs
+//! the plans inline in its handler. Plans, error precedence and seeds
+//! therefore match the serial path by construction, so **responses are
+//! bitwise identical to the equivalent serial
+//! [`ServeSession`](crate::ServeSession) runs** — for any scheduler
+//! seed, any interleaving of sessions, and any `RDI_THREADS` value. A
+//! session processes one batch at a time (later submissions are
+//! backlogged in arrival order), so per-session breaker and arrival
+//! state evolve exactly as they do serially.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use rdi_actor::{Actor, ActorId, Addr, Ctx, Runtime};
 use rdi_fault::RecoveryState;
@@ -49,12 +38,11 @@ use rdi_obs::ProvenanceEvent;
 use rdi_policy::PolicySet;
 use rdi_table::{Table, TableDelta};
 
-use crate::admit::{lay_out, AdmitConfig, Admitter, TaggedRequest, TenantId};
+use crate::admit::{AdmitConfig, Admitter, TaggedRequest, TenantId};
+use crate::batch::Batch;
 use crate::error::ServeError;
-use crate::index::{
-    assemble, execute, needs, shard_route, LakeIndex, LakeIndexConfig, Shard, WarmNeed, WarmPart,
-};
-use crate::request::{ServeRequest, ServeResponse};
+use crate::index::{execute, shard_route, LakeIndex, LakeIndexConfig, Shard, WarmNeed, WarmPart};
+use crate::request::ServeRequest;
 use crate::session::{BatchReport, SessionConfig};
 
 /// A warm fan-out to one shard: the needs of every admitted request in
@@ -306,26 +294,14 @@ pub enum SessionMsg {
     Warm(WarmReply),
 }
 
-/// Bookkeeping for the batch currently in flight.
+/// The batch in flight (numbered by the admitter's tick): its requests,
+/// the shards still owed a warm reply, and the [`Batch`] their replies
+/// feed.
 #[derive(Debug)]
 struct Inflight {
-    batch: u64,
     requests: Vec<TaggedRequest>,
-    tenants: Vec<TenantId>,
-    responses: Vec<Option<Result<ServeResponse, ServeError>>>,
-    admitted: Vec<(usize, u64)>, // (position, execute seed)
-    shed: usize,
-    /// Errors `needs` decided, parked until shard counts arrive because
-    /// `EmptyIndex` takes precedence.
-    local_errors: BTreeMap<usize, ServeError>,
-    /// Shard indices still owed a reply.
     pending: BTreeSet<usize>,
-    /// Registered-table count per replying shard.
-    counts: BTreeMap<usize, usize>,
-    /// Plan parts per request position, in reply order.
-    parts: BTreeMap<usize, Vec<WarmPart>>,
-    /// Eviction decisions per replying shard.
-    evictions: BTreeMap<usize, Vec<ProvenanceEvent>>,
+    state: Batch,
 }
 
 /// A serving session hosted as a client actor over a shard group.
@@ -343,31 +319,12 @@ pub struct SessionActor {
     shards: Vec<ActorId>,
     admitter: Admitter,
     policies: PolicySet,
-    batches: u64,
     inflight: Option<Inflight>,
     backlog: VecDeque<Vec<TaggedRequest>>,
     completed: Vec<BatchReport>,
 }
 
 impl SessionActor {
-    fn new(
-        config: SessionConfig,
-        admit: AdmitConfig,
-        shards: Vec<ActorId>,
-        policies: PolicySet,
-    ) -> Self {
-        SessionActor {
-            admitter: Admitter::new(admit, config.seed),
-            config,
-            shards,
-            policies,
-            batches: 0,
-            inflight: None,
-            backlog: VecDeque::new(),
-            completed: Vec::new(),
-        }
-    }
-
     /// Completed batch reports, in submission order.
     pub fn completed(&self) -> &[BatchReport] {
         &self.completed
@@ -399,119 +356,57 @@ impl SessionActor {
         &self.config
     }
 
-    /// Phase 1 + warm fan-out. Runs the same shared [`Admitter`] entry
-    /// point as `ServeSession::submit_batch` (one tick per batch,
-    /// quota > queue > breaker shed precedence), so both paths stay
-    /// bitwise identical by construction.
+    /// Admit through [`Batch::start`] and send each contacted shard one
+    /// [`ShardMsg::Warm`] holding its needs in arrival order.
     fn start_batch(&mut self, requests: Vec<TaggedRequest>, ctx: &mut Ctx<'_>) {
-        self.batches += 1;
-        let tenants: Vec<TenantId> = requests.iter().map(|r| r.tenant.clone()).collect();
-        let verdicts = self.admitter.admit_batch(&tenants);
-        let layout = lay_out(verdicts);
-        let admitted = layout.admitted;
-
-        // Warm fan-out: the same per-shard needs the inline index
-        // warms, batched into one message per contacted shard.
+        let tenants = requests.iter().map(|r| r.tenant.clone()).collect();
+        let refs: Vec<&ServeRequest> = requests.iter().map(|r| &r.request).collect();
+        let (state, warm) = Batch::start(&mut self.admitter, tenants, &refs, self.shards.len());
         let mut per_shard: Vec<Vec<(usize, WarmNeed)>> =
             self.shards.iter().map(|_| Vec::new()).collect();
-        let mut local_errors = BTreeMap::new();
-        for &(pos, _) in &admitted {
-            let (shard_needs, local_error) = needs(&requests[pos].request, self.shards.len());
-            for (si, need) in shard_needs {
-                per_shard[si].push((pos, need));
-            }
-            if let Some(e) = local_error {
-                local_errors.insert(pos, e);
-            }
+        for (pos, si, need) in warm {
+            per_shard[si].push((pos, need));
         }
-
         let mut pending = BTreeSet::new();
-        let session = ctx.self_id();
-        let batch = self.batches;
-        for (si, shard_needs) in per_shard.into_iter().enumerate() {
-            if shard_needs.is_empty() {
-                continue;
-            }
-            pending.insert(si);
-            ctx.send(
-                self.shards[si],
-                ShardMsg::Warm(WarmBatch {
+        let (session, batch) = (ctx.self_id(), self.admitter.ticks());
+        for (si, needs) in per_shard.into_iter().enumerate() {
+            if !needs.is_empty() {
+                pending.insert(si);
+                let msg = WarmBatch {
                     session,
                     batch,
-                    needs: shard_needs,
-                }),
-            );
+                    needs,
+                };
+                ctx.send(self.shards[si], ShardMsg::Warm(msg));
+            }
         }
-
         let done = pending.is_empty();
         self.inflight = Some(Inflight {
-            batch,
             requests,
-            tenants,
-            responses: layout.responses,
-            admitted,
-            shed: layout.shed,
-            local_errors,
             pending,
-            counts: BTreeMap::new(),
-            parts: BTreeMap::new(),
-            evictions: BTreeMap::new(),
+            state,
         });
         if done {
             self.finish_batch(ctx);
         }
     }
 
-    /// Phase 3: assemble plans (the same `assemble` the inline index
-    /// calls), execute, feed the breaker, report.
+    /// Once every contacted shard has replied: run the plans inline in
+    /// this handler, keep the report and start the next backlogged
+    /// batch.
     fn finish_batch(&mut self, ctx: &mut Ctx<'_>) {
-        let Some(mut fl) = self.inflight.take() else {
+        let Some(fl) = self.inflight.take() else {
             return;
         };
-        let total_tables: usize = fl.counts.values().sum();
-        // Decision audit, in the serial session's order: admission
-        // ranking, then the replying shards' cache evictions in shard
-        // order, then per-request ranking decisions in slot order.
-        let mut decisions = self.admitter.drain_decisions();
-        decisions.extend(std::mem::take(&mut fl.evictions).into_values().flatten());
-        for &(pos, seed) in &fl.admitted {
-            let result = assemble(
-                &fl.requests[pos].request,
-                fl.parts.remove(&pos).unwrap_or_default(),
-                total_tables,
-                fl.local_errors.remove(&pos),
-                &self.policies,
-            )
-            .and_then(|plan| {
-                let (r, plan_decisions) = execute(&plan, seed);
-                decisions.extend(plan_decisions);
-                r
+        let refs: Vec<&ServeRequest> = fl.requests.iter().map(|r| &r.request).collect();
+        let report = fl
+            .state
+            .finish(&mut self.admitter, &refs, &self.policies, |jobs| {
+                jobs.iter()
+                    .map(|(seed, plan)| execute(plan, *seed))
+                    .collect()
             });
-            fl.responses[pos] = Some(result);
-        }
-
-        // Post phase: the same shared admitter entry point the serial
-        // session uses — each tenant's breaker consumes its own
-        // outcomes in arrival order, sheds never count.
-        let failed = self.admitter.note_outcomes(&fl.tenants, &fl.responses);
-
-        let responses: Vec<Result<ServeResponse, ServeError>> = fl
-            .responses
-            .into_iter()
-            .map(|r| match r {
-                Some(r) => r,
-                None => Err(ServeError::EmptyQuery("request slot never resolved".into())),
-            })
-            .collect();
-        let degraded = fl.shed > 0 || failed > 0;
-        self.completed.push(BatchReport {
-            admitted: fl.admitted.len(),
-            responses,
-            shed: fl.shed,
-            degraded,
-            decisions,
-        });
-
+        self.completed.push(report);
         if let Some(next) = self.backlog.pop_front() {
             self.start_batch(next, ctx);
         }
@@ -538,11 +433,11 @@ impl Actor for SessionActor {
             }
             SessionMsg::Warm(reply) => {
                 let finished = match self.inflight.as_mut() {
-                    Some(fl) if fl.batch == reply.batch => {
-                        fl.counts.insert(reply.shard_index, reply.tables_in_shard);
-                        fl.evictions.insert(reply.shard_index, reply.evictions);
+                    Some(fl) if reply.batch == self.admitter.ticks() => {
+                        let state = &mut fl.state;
+                        state.replied(reply.shard_index, reply.tables_in_shard, reply.evictions);
                         for (pos, part) in reply.parts {
-                            fl.parts.entry(pos).or_default().push(part);
+                            state.warmed(pos, part);
                         }
                         fl.pending.remove(&reply.shard_index);
                         fl.pending.is_empty()
@@ -633,8 +528,9 @@ impl LakeActorGroup {
     }
 
     /// Spawn a client session with explicit multi-tenant admission
-    /// knobs (quotas, weights, aging); `config` still supplies the
-    /// session seed.
+    /// knobs (quotas, weights, aging); `config` supplies only the
+    /// session seed: its `queue_capacity`, `breaker_threshold` and
+    /// `breaker_cooldown_ticks` are ignored.
     pub fn spawn_session_with_admission(
         &self,
         rt: &mut Runtime,
@@ -642,15 +538,16 @@ impl LakeActorGroup {
         config: SessionConfig,
         admit: AdmitConfig,
     ) -> Addr<SessionMsg> {
-        rt.spawn(
-            name,
-            SessionActor::new(
-                config,
-                admit,
-                self.shard_actors.clone(),
-                self.policies.clone(),
-            ),
-        )
+        let session = SessionActor {
+            admitter: Admitter::new(admit, config.seed),
+            config,
+            shards: self.shard_actors.clone(),
+            policies: self.policies.clone(),
+            inflight: None,
+            backlog: VecDeque::new(),
+            completed: Vec::new(),
+        };
+        rt.spawn(name, session)
     }
 
     /// Take the shards back out of the runtime and reassemble the
@@ -696,7 +593,18 @@ mod tests {
     }
 
     fn lake() -> LakeIndex {
-        let mut idx = LakeIndex::default();
+        lake_over(LakeIndexConfig::default().shard_count)
+    }
+
+    fn empty_lake(shard_count: usize) -> LakeIndex {
+        LakeIndex::new(LakeIndexConfig {
+            shard_count,
+            ..LakeIndexConfig::default()
+        })
+    }
+
+    fn lake_over(shard_count: usize) -> LakeIndex {
+        let mut idx = empty_lake(shard_count);
         idx.register("abc", keyed(&["a", "b", "c"]), 1.0).unwrap();
         idx.register("abx", keyed(&["a", "b", "x"]), 1.0).unwrap();
         let rows: Vec<(&str, f64)> = (0..60)
@@ -777,46 +685,88 @@ mod tests {
         ]
     }
 
-    /// Responses from the actor-hosted session must be bitwise equal
-    /// to the serial session fed the same stream over the same lake,
-    /// and the hosted shards must end up holding exactly the sketches
-    /// the serial index holds.
-    fn assert_matches_serial(lake: fn() -> LakeIndex, batches: &[Vec<ServeRequest>]) {
-        let mut serial = ServeSession::new(lake(), SessionConfig::default());
-        let serial_reports: Vec<BatchReport> =
-            batches.iter().map(|b| serial.submit_batch(b)).collect();
+    /// Default-tenant batches under the session's own admission knobs.
+    fn untagged(batches: &[Vec<ServeRequest>]) -> (AdmitConfig, Vec<Vec<TaggedRequest>>) {
+        let tagged = batches
+            .iter()
+            .map(|b| b.iter().cloned().map(TaggedRequest::from).collect())
+            .collect();
+        (AdmitConfig::from_session(&SessionConfig::default()), tagged)
+    }
 
-        let mut rt = Runtime::new(RuntimeConfig::default());
-        let group = LakeActorGroup::host(&mut rt, lake());
-        let session = group.spawn_session(&mut rt, "s0", SessionConfig::default());
-        for b in batches {
-            session.send(SessionMsg::Submit(b.clone())).unwrap();
+    /// The actor-hosted session must answer like the serial session fed
+    /// the same stream over the same lake under the same admission: at
+    /// shard counts {1, 8}, runtime threads {1, 8} and two scheduler
+    /// seeds, every report matches bitwise (decisions included), every
+    /// tenant's breaker, tokens, aging and arrivals match, and the
+    /// hosted shards end up holding exactly the serial index's sketches.
+    fn assert_matches_serial(
+        lake: fn(usize) -> LakeIndex,
+        admit: &AdmitConfig,
+        batches: &[Vec<TaggedRequest>],
+    ) {
+        use rdi_par::Threads;
+        let config = SessionConfig::default();
+        let mut tenants: Vec<&TenantId> = batches.iter().flatten().map(|r| &r.tenant).collect();
+        tenants.sort();
+        tenants.dedup();
+        for shards in [1, 8] {
+            let mut serial = ServeSession::with_admission(lake(shards), config, admit.clone());
+            let want: Vec<BatchReport> = batches
+                .iter()
+                .map(|b| serial.submit_batch_tagged(b))
+                .collect();
+            for (threads, seed) in [(1, 7), (1, 99), (8, 7), (8, 99)] {
+                let at = format!("{shards} shards, {threads} threads, scheduler seed {seed}");
+                let mut rt = Runtime::new(RuntimeConfig {
+                    seed,
+                    latency_spread: 4,
+                    threads: Threads::fixed(threads),
+                });
+                let group = LakeActorGroup::host(&mut rt, lake(shards));
+                let session =
+                    group.spawn_session_with_admission(&mut rt, "s0", config, admit.clone());
+                for b in batches {
+                    session.send(SessionMsg::SubmitTagged(b.clone())).unwrap();
+                }
+                rt.run_until_idle();
+                let actor = rt.actor::<SessionActor>(session.id()).unwrap();
+                assert_eq!(actor.completed().len(), want.len(), "{at}");
+                for (got, want) in actor.completed().iter().zip(&want) {
+                    assert_eq!(got.admitted, want.admitted, "{at}");
+                    assert_eq!(got.shed, want.shed, "{at}");
+                    assert_eq!(got.degraded, want.degraded, "{at}");
+                    assert_eq!(got.responses, want.responses, "{at}");
+                    assert_eq!(got.decisions, want.decisions, "{at}");
+                }
+                let (got, want) = (actor.admitter(), serial.admitter());
+                for t in &tenants {
+                    assert_eq!(got.breaker_state(t), want.breaker_state(t), "{t}, {at}");
+                    assert_eq!(got.tokens(t), want.tokens(t), "{t}, {at}");
+                    assert_eq!(got.aging(t), want.aging(t), "{t}, {at}");
+                    let arrivals = (got.tenant_arrivals(t), want.tenant_arrivals(t));
+                    assert_eq!(arrivals.0, arrivals.1, "{t}, {at}");
+                }
+                let hosted = group.reassemble(&mut rt).unwrap();
+                let index = serial.index();
+                assert_eq!(hosted.cached_sketches(), index.cached_sketches(), "{at}");
+                assert_eq!(hosted.cache_bytes(), index.cache_bytes(), "{at}");
+            }
         }
-        rt.run_until_idle();
-        let actor = rt.actor::<SessionActor>(session.id()).unwrap();
-        assert_eq!(actor.completed().len(), serial_reports.len());
-        for (got, want) in actor.completed().iter().zip(&serial_reports) {
-            assert_eq!(got.admitted, want.admitted);
-            assert_eq!(got.shed, want.shed);
-            assert_eq!(got.degraded, want.degraded);
-            assert_eq!(got.responses, want.responses);
-            assert_eq!(got.decisions, want.decisions);
-        }
-        let hosted = group.reassemble(&mut rt).unwrap();
-        assert_eq!(hosted.cached_sketches(), serial.index().cached_sketches());
-        assert_eq!(hosted.cache_bytes(), serial.index().cache_bytes());
     }
 
     #[test]
     fn hosted_session_matches_serial_session_bitwise() {
-        assert_matches_serial(lake, &[mixed_batch(), mixed_batch()]);
+        let (admit, batches) = untagged(&[mixed_batch(), mixed_batch()]);
+        assert_matches_serial(lake_over, &admit, &batches);
     }
 
     /// A lake whose sketches overflow a 4 KiB cache, so most warms
     /// evict.
-    fn tight_lake() -> LakeIndex {
+    fn tight_lake(shard_count: usize) -> LakeIndex {
         let mut idx = LakeIndex::new(LakeIndexConfig {
             cache_capacity_bytes: 4 << 10,
+            shard_count,
             ..LakeIndexConfig::default()
         });
         for i in 0..16 {
@@ -839,10 +789,11 @@ mod tests {
             }]
         };
         let batches: Vec<Vec<ServeRequest>> = (0..4).map(batch).collect();
-        assert_matches_serial(tight_lake, &batches);
+        let (admit, tagged) = untagged(&batches);
+        assert_matches_serial(tight_lake, &admit, &tagged);
 
         let mut rt = Runtime::new(RuntimeConfig::default());
-        let group = LakeActorGroup::host(&mut rt, tight_lake());
+        let group = LakeActorGroup::host(&mut rt, tight_lake(8));
         let session = group.spawn_session(&mut rt, "s0", SessionConfig::default());
         for i in 0..1_000 {
             session.send(SessionMsg::Submit(batch(i))).unwrap();
@@ -866,8 +817,10 @@ mod tests {
     /// so on the empty lake the well-formed batch goes first.)
     #[test]
     fn error_precedence_matches_serial() {
-        assert_matches_serial(lake, &[error_batch(), mixed_batch()]);
-        assert_matches_serial(LakeIndex::default, &[mixed_batch(), error_batch()]);
+        let (admit, batches) = untagged(&[error_batch(), mixed_batch()]);
+        assert_matches_serial(lake_over, &admit, &batches);
+        let (admit, batches) = untagged(&[mixed_batch(), error_batch()]);
+        assert_matches_serial(empty_lake, &admit, &batches);
     }
 
     #[test]
@@ -883,19 +836,19 @@ mod tests {
         for _ in 0..=cooldown {
             batches.push(mixed_batch());
         }
-        assert_matches_serial(lake, &batches);
+        let (admit, batches) = untagged(&batches);
+        assert_matches_serial(lake_over, &admit, &batches);
     }
 
     /// Multi-tenant admission dedup regression: a tagged stream that
     /// exercises every shed kind (quota, queue, breaker) must produce
     /// bitwise-identical reports and identical per-tenant admission
-    /// state on the serial and actor paths — both call the same
-    /// `Admitter`, so any drift means the logic forked.
+    /// state on the serial and actor paths — both run the same `Batch`
+    /// over the same `Admitter`, so any drift means the logic forked.
     #[test]
     fn tagged_multitenant_stream_matches_serial_bitwise() {
         use crate::admit::TenantPolicy;
-        let config = SessionConfig::default();
-        let mut admit = AdmitConfig::from_session(&config);
+        let mut admit = AdmitConfig::from_session(&SessionConfig::default());
         admit.queue_capacity = 4;
         admit.breaker_threshold = 2;
         admit.breaker_cooldown_ticks = 2;
@@ -904,11 +857,6 @@ mod tests {
             (TenantId::new("greedy"), TenantPolicy::default()),
             (TenantId::new("pois"), TenantPolicy::default()),
         ]);
-        let tenants = [
-            TenantId::new("metered"),
-            TenantId::new("greedy"),
-            TenantId::new("pois"),
-        ];
         let poison = ServeRequest::CoverageProbe {
             table: "missing".into(),
             attributes: vec!["group".into()],
@@ -928,41 +876,7 @@ mod tests {
             w
         };
         let batches: Vec<Vec<TaggedRequest>> = (0..4).map(window).collect();
-
-        let mut serial = ServeSession::with_admission(lake(), config, admit.clone());
-        let serial_reports: Vec<BatchReport> = batches
-            .iter()
-            .map(|b| serial.submit_batch_tagged(b))
-            .collect();
-
-        let mut rt = Runtime::new(RuntimeConfig::default());
-        let group = LakeActorGroup::host(&mut rt, lake());
-        let session = group.spawn_session_with_admission(&mut rt, "s0", config, admit);
-        for b in &batches {
-            session.send(SessionMsg::SubmitTagged(b.clone())).unwrap();
-        }
-        rt.run_until_idle();
-        let actor = rt.actor::<SessionActor>(session.id()).unwrap();
-        assert_eq!(actor.completed().len(), serial_reports.len());
-        for (got, want) in actor.completed().iter().zip(&serial_reports) {
-            assert_eq!(got.admitted, want.admitted);
-            assert_eq!(got.shed, want.shed);
-            assert_eq!(got.degraded, want.degraded);
-            assert_eq!(got.responses, want.responses);
-        }
-        for t in &tenants {
-            assert_eq!(
-                actor.admitter().breaker_state(t),
-                serial.admitter().breaker_state(t),
-                "breaker state diverged for {t}"
-            );
-            assert_eq!(actor.admitter().tokens(t), serial.admitter().tokens(t));
-            assert_eq!(actor.admitter().aging(t), serial.admitter().aging(t));
-            assert_eq!(
-                actor.admitter().tenant_arrivals(t),
-                serial.admitter().tenant_arrivals(t)
-            );
-        }
+        assert_matches_serial(lake_over, &admit, &batches);
     }
 
     /// Shed requests never feed any tenant's breaker on the actor

@@ -578,19 +578,19 @@ impl Admitter {
         verdicts
     }
 
-    /// Post phase, shared by both paths: feed each tenant's breaker its
-    /// own outcomes in arrival order (sheds never feed any breaker) and
-    /// emit failure/degradation counters. Returns the failed count.
+    /// A batch's post phase (see `crate::batch`): feed each tenant's
+    /// breaker its own outcomes in arrival order (sheds never feed any
+    /// breaker) and emit failure/degradation counters. Returns the
+    /// failed count.
     pub(crate) fn note_outcomes(
         &mut self,
         tenants: &[TenantId],
-        responses: &[Option<Result<ServeResponse, ServeError>>],
+        responses: &[Result<ServeResponse, ServeError>],
     ) -> usize {
         let mut failed = 0usize;
         let mut shed = 0usize;
         let mut failed_by: BTreeMap<&TenantId, u64> = BTreeMap::new();
         for (t, r) in tenants.iter().zip(responses) {
-            let Some(r) = r else { continue };
             #[expect(
                 clippy::expect_used,
                 reason = "outcomes only arrive for tenants admit_batch saw"
@@ -625,42 +625,6 @@ impl Admitter {
             rdi_obs::counter(&format!("serve.tenant.{t}.failed")).add(v);
         }
         failed
-    }
-}
-
-/// Admission verdicts laid out as batch-report scaffolding: shed slots
-/// pre-filled with their typed errors, admitted positions paired with
-/// their execute seeds.
-#[derive(Debug)]
-pub(crate) struct AdmissionLayout {
-    /// One slot per request; `Some(Err(..))` for sheds, `None` pending.
-    pub responses: Vec<Option<Result<ServeResponse, ServeError>>>,
-    /// `(position, execute seed)` per admitted request, arrival order.
-    pub admitted: Vec<(usize, u64)>,
-    /// Requests shed at admission.
-    pub shed: usize,
-}
-
-/// Expand verdicts into the layout both serving paths build their batch
-/// around.
-pub(crate) fn lay_out(verdicts: Vec<AdmitVerdict>) -> AdmissionLayout {
-    let mut responses: Vec<Option<Result<ServeResponse, ServeError>>> =
-        (0..verdicts.len()).map(|_| None).collect();
-    let mut admitted = Vec::new();
-    let mut shed = 0usize;
-    for (pos, v) in verdicts.into_iter().enumerate() {
-        match v {
-            AdmitVerdict::Admitted { seed, .. } => admitted.push((pos, seed)),
-            AdmitVerdict::Shed(e) => {
-                responses[pos] = Some(Err(e));
-                shed += 1;
-            }
-        }
-    }
-    AdmissionLayout {
-        responses,
-        admitted,
-        shed,
     }
 }
 
@@ -875,8 +839,8 @@ mod tests {
             let v = a.admit_batch(&batch);
             assert_eq!(admitted(&v), 2);
             let outcomes = vec![
-                Some(Ok(ServeResponse::UnionTopK(vec![]))),
-                Some(Err(ServeError::UnknownTable("ghost".into()))),
+                Ok(ServeResponse::UnionTopK(vec![])),
+                Err(ServeError::UnknownTable("ghost".into())),
             ];
             a.note_outcomes(&batch, &outcomes);
         }
@@ -896,9 +860,16 @@ mod tests {
         let mut a = admitter(8, vec![(zero.clone(), TenantPolicy::limited(1, 0, 0))]);
         for _ in 0..5 {
             let batch = vec![zero.clone(); 3];
-            let v = a.admit_batch(&batch);
-            let layout = lay_out(v);
-            a.note_outcomes(&batch, &layout.responses);
+            // every request is quota-shed, and its shed error is its outcome
+            let outcomes: Vec<Result<ServeResponse, ServeError>> = a
+                .admit_batch(&batch)
+                .into_iter()
+                .map(|v| match v {
+                    AdmitVerdict::Shed(e) => Err(e),
+                    AdmitVerdict::Admitted { .. } => panic!("a zero-quota tenant was admitted"),
+                })
+                .collect();
+            a.note_outcomes(&batch, &outcomes);
         }
         assert_eq!(a.breaker_failures(&zero), 0);
         assert_eq!(a.breaker_state(&zero), RecoveryState::Closed);

@@ -44,6 +44,7 @@ use rdi_policy::{PolicyId, PolicyParams, PolicySet};
 use rdi_table::{Encoded, EncodedColumns, Table, TableDelta};
 use rdi_tailor::{DtProblem, RandomPolicy, TableSource};
 
+use crate::batch::Executed;
 use crate::cache::{CacheKey, KeyProfile, Sketch, SketchCache, SketchKind};
 use crate::error::ServeError;
 use crate::fingerprint::{table_fingerprint, FpState};
@@ -131,14 +132,13 @@ impl Registered {
 /// One shard: its slice of the table map and its slice of the cache
 /// byte budget.
 ///
-/// Request preparation is three steps, written once and called by
-/// both serving paths: [`needs`] turns a request into per-shard
-/// [`WarmNeed`]s without touching any shard, [`Shard::warm`] serves one
-/// need from one shard (the only cache-mutating step), and [`assemble`]
-/// merges the shards' [`WarmPart`]s into a [`Prepared`] plan. A
-/// [`LakeIndex`] runs the three inline over its own shards; the actor
-/// host (`crate::actors`) moves each shard into its own `ShardActor`,
-/// sends it the same needs as messages and assembles the replies.
+/// Request preparation is three steps, written once: [`needs`] turns a
+/// request into per-shard [`WarmNeed`]s without touching any shard,
+/// [`Shard::warm`] serves one need from one shard (the only
+/// cache-mutating step), and [`assemble`] merges the shards'
+/// [`WarmPart`]s into a [`Prepared`] plan. A serving batch
+/// (`crate::batch`) runs `needs` and `assemble` around shards its driver
+/// reaches inline, or as `ShardActor`s (`crate::actors`) by message.
 /// Sizing knobs (`minhash_k`, `deletion_debt_threshold`) are passed per
 /// call: the shard itself stays config-free so it can move between
 /// hosts.
@@ -544,6 +544,12 @@ impl LakeIndex {
         (self.config, self.policies, self.shards)
     }
 
+    /// The shards, in shard order: the serial session warms a batch's
+    /// needs on them and drains their eviction decisions.
+    pub(crate) fn shards_mut(&mut self) -> &mut [Shard] {
+        &mut self.shards
+    }
+
     /// Reassemble an index from shards previously produced by
     /// [`LakeIndex::into_shards`] (shard order must be preserved —
     /// routing is positional).
@@ -729,13 +735,10 @@ impl LakeIndex {
         self.shards.iter().map(|s| s.cache.len()).sum()
     }
 
-    /// Validate a request and warm every sketch it needs, returning an
-    /// immutable execution plan: [`needs`], then [`Shard::warm`] on
-    /// each shard with a need, in shard order, then [`assemble`]. This
-    /// is the *only* cache-mutating step of request handling;
-    /// [`execute`] is a pure function of the plan and a seed, so plans
-    /// from one serial warm pass can run in parallel with
-    /// bitwise-serial results.
+    /// Warm a one-shot request into its plan: [`needs`], then
+    /// [`Shard::warm`] on each shard with a need, in shard order, then
+    /// [`assemble`] (a session's batches take the same steps through
+    /// `crate::batch`).
     pub(crate) fn prepare(&mut self, request: &ServeRequest) -> Result<Prepared, ServeError> {
         let (shard_needs, local_error) = needs(request, self.shards.len());
         let k = self.config.minhash_k;
@@ -1115,8 +1118,8 @@ pub(crate) fn assemble(
     }
 }
 
-/// An immutable, `Send + Sync` execution plan produced by
-/// [`LakeIndex::prepare`]. All shared state is behind `Arc`.
+/// An immutable, `Send + Sync` execution plan produced by [`assemble`].
+/// All shared state is behind `Arc`.
 #[derive(Debug, Clone)]
 pub(crate) enum Prepared {
     Union(UnionPlan),
@@ -1161,10 +1164,7 @@ pub(crate) struct JoinPlan {
 /// the plan and `seed` alone (the seed feeds the request's private RNG
 /// stream; only tailoring consumes randomness), so execution order and
 /// thread count cannot change any answer — or any rationale.
-pub(crate) fn execute(
-    plan: &Prepared,
-    seed: u64,
-) -> (Result<ServeResponse, ServeError>, Vec<ProvenanceEvent>) {
+pub(crate) fn execute(plan: &Prepared, seed: u64) -> Executed {
     let mut decisions = Vec::new();
     let result = execute_inner(plan, seed, &mut decisions);
     (result, decisions)

@@ -60,6 +60,7 @@
 
 pub mod actors;
 pub mod admit;
+mod batch;
 pub mod cache;
 pub mod error;
 pub mod fingerprint;

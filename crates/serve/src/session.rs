@@ -1,7 +1,9 @@
 //! Batched request execution with bounded admission and load shedding.
 //!
 //! A [`ServeSession`] owns a [`LakeIndex`] and answers batches of
-//! [`ServeRequest`]s in three deterministic phases:
+//! [`ServeRequest`]s. It is the serial driver of the batch
+//! (`crate::batch`) the actor path drives too, in three deterministic
+//! phases:
 //!
 //! 1. **Admission** (serial, arrival order): each request either enters
 //!    the bounded queue or is shed with a typed error —
@@ -10,10 +12,10 @@
 //!    [`ServeError::CircuitOpen`] once its tenant's breaker has
 //!    tripped. Shedding *degrades the batch to partial results*; it
 //!    never panics and never blocks.
-//! 2. **Warm** (serial, arrival order): every admitted request is
-//!    validated and its sketches are built or fetched from the cache —
-//!    the only cache-mutating phase, so hit/miss/eviction accounting is
-//!    a pure function of the request stream.
+//! 2. **Warm** (serial, request-major in arrival order): every admitted
+//!    request's sketches are built or fetched from the cache — the
+//!    only cache-mutating phase, so hit/miss/eviction accounting is a
+//!    pure function of the request stream.
 //! 3. **Execute** (parallel on the session's own [`rdi_par::Pool`],
 //!    whose workers start with the first parallel batch and live as
 //!    long as the session): plans run as pure functions of
@@ -39,9 +41,10 @@
 use rdi_fault::RecoveryState;
 use rdi_par::{Pool, Threads};
 
-use crate::admit::{lay_out, AdmitConfig, Admitter, TaggedRequest, TenantId};
+use crate::admit::{AdmitConfig, Admitter, TaggedRequest, TenantId};
+use crate::batch::Batch;
 use crate::error::ServeError;
-use crate::index::{execute, LakeIndex, Prepared};
+use crate::index::{execute, LakeIndex};
 use crate::request::{ServeRequest, ServeResponse};
 
 /// Session knobs.
@@ -120,8 +123,9 @@ impl ServeSession {
 
     /// Wrap an index in a session with explicit multi-tenant admission
     /// knobs. `admit` governs admission (capacity, quotas, aging,
-    /// breakers); `config` still supplies the execute-phase threads and
-    /// the session seed.
+    /// breakers); `config` supplies only the execute-phase threads and
+    /// the session seed: its `queue_capacity`, `breaker_threshold` and
+    /// `breaker_cooldown_ticks` are ignored.
     pub fn with_admission(index: LakeIndex, config: SessionConfig, admit: AdmitConfig) -> Self {
         ServeSession {
             index,
@@ -192,7 +196,7 @@ impl ServeSession {
     pub fn submit_batch(&mut self, requests: &[ServeRequest]) -> BatchReport {
         let tenants = vec![TenantId::default(); requests.len()];
         let refs: Vec<&ServeRequest> = requests.iter().collect();
-        self.submit_inner(&tenants, &refs)
+        self.submit_inner(tenants, &refs)
     }
 
     /// Answer a batch of tenant-tagged requests; slots keep submission
@@ -201,70 +205,36 @@ impl ServeSession {
     pub fn submit_batch_tagged(&mut self, requests: &[TaggedRequest]) -> BatchReport {
         let tenants: Vec<TenantId> = requests.iter().map(|r| r.tenant.clone()).collect();
         let refs: Vec<&ServeRequest> = requests.iter().map(|r| &r.request).collect();
-        self.submit_inner(&tenants, &refs)
+        self.submit_inner(tenants, &refs)
     }
 
-    fn submit_inner(&mut self, tenants: &[TenantId], requests: &[&ServeRequest]) -> BatchReport {
+    /// The serial driver of a [`Batch`]: warm every need inline,
+    /// request-major in arrival order (the only step that touches the
+    /// cache), then run the plans on the session's workers, which return
+    /// results in input order.
+    fn submit_inner(&mut self, tenants: Vec<TenantId>, requests: &[&ServeRequest]) -> BatchReport {
         let _span = rdi_obs::span("serve.batch");
-        // Phase 1: admission, serial in arrival order, through the
-        // shared admitter (one tick per batch; quota > queue > breaker
-        // shed precedence; per-request execute seeds on the owning
-        // tenant's stream).
-        let verdicts = self.admitter.admit_batch(tenants);
-        let layout = lay_out(verdicts);
-        let mut responses = layout.responses;
-        let admitted = layout.admitted;
-        let shed = layout.shed;
-
-        // Phase 2: warm, serial in arrival order — the only phase that
-        // touches the cache.
-        let mut slots = Vec::with_capacity(admitted.len());
-        let mut jobs: Vec<(u64, Prepared)> = Vec::with_capacity(admitted.len());
-        for &(pos, seed) in &admitted {
-            match self.index.prepare(requests[pos]) {
-                Ok(plan) => {
-                    slots.push(pos);
-                    jobs.push((seed, plan));
-                }
-                Err(e) => responses[pos] = Some(Err(e)),
-            }
+        let (mut batch, warm) = Batch::start(
+            &mut self.admitter,
+            tenants,
+            requests,
+            self.index.shard_count(),
+        );
+        let k = self.index.config().minhash_k;
+        let shards = self.index.shards_mut();
+        for (pos, si, need) in warm {
+            batch.warmed(pos, shards[si].warm(need, k));
         }
-
-        // Decision audit: the admitter's reserved-slot ranking, then
-        // any cache evictions the warm pass forced.
-        let mut decisions = self.admitter.drain_decisions();
-        decisions.extend(self.index.drain_decisions());
-
-        // Phase 3: execute in parallel on the session's workers; results
-        // come back in input order (rdi-par contract), each job on its
-        // own RNG stream.
-        let results = self.pool.map(jobs, |(seed, plan)| execute(plan, *seed));
-        for (pos, (result, job_decisions)) in slots.into_iter().zip(results) {
-            responses[pos] = Some(result);
-            decisions.extend(job_decisions);
+        for (si, shard) in shards.iter_mut().enumerate() {
+            batch.replied(si, shard.len(), shard.drain_decisions().collect());
         }
-
-        // Post phase: feed each tenant's breaker its own outcomes in
-        // arrival order (sheds never count); a half-open probe's
-        // outcome lands here too.
-        let failed = self.admitter.note_outcomes(tenants, &responses);
-
-        let responses: Vec<Result<ServeResponse, ServeError>> = responses
-            .into_iter()
-            .map(|r| match r {
-                Some(r) => r,
-                // every slot is filled by exactly one of the phases above
-                None => Err(ServeError::EmptyQuery("request slot never resolved".into())),
-            })
-            .collect();
-        let degraded = shed > 0 || failed > 0;
-        BatchReport {
-            admitted: admitted.len(),
-            responses,
-            shed,
-            degraded,
-            decisions,
-        }
+        let pool = &mut self.pool;
+        batch.finish(
+            &mut self.admitter,
+            requests,
+            self.index.policies(),
+            |jobs| pool.map(jobs, |(seed, plan)| execute(plan, *seed)),
+        )
     }
 }
 
@@ -387,6 +357,27 @@ mod tests {
             })
             .collect();
         assert_eq!(whole.responses, singles);
+    }
+
+    /// A one-shot ranking made on the session's index is not behind the
+    /// next batch's answers: it stays on the index for its own drain.
+    #[test]
+    fn one_shot_decisions_stay_out_of_the_next_report() {
+        let is_union_rank = |e: &rdi_obs::ProvenanceEvent| {
+            matches!(e, rdi_obs::ProvenanceEvent::PolicyDecision { policy, .. }
+                if *policy == "discovery.union_rank")
+        };
+        let mut s = session();
+        s.index_mut().union_top_k(&keyed(&["a", "b"]), 1).unwrap();
+        let report = s.submit_batch(&[mixed_batch().remove(2)]);
+        assert!(report.responses[0].is_ok(), "{:?}", report.responses);
+        assert!(
+            !report.decisions.iter().any(is_union_rank),
+            "{:?}",
+            report.decisions
+        );
+        let held = s.index_mut().drain_decisions();
+        assert_eq!(held.iter().filter(|e| is_union_rank(e)).count(), 1);
     }
 
     #[test]
