@@ -32,7 +32,6 @@ use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
-use std::thread;
 
 use rdi_par::{stream_seed, Pool, Threads};
 
@@ -348,6 +347,9 @@ struct JobOut {
     actor: Option<Box<dyn DynActor>>,
     delivered: Vec<Delivery>,
     outbox: Vec<(ActorId, Box<dyn AnyMessage>)>,
+    /// The payload of the handler that panicked; the actor is lost
+    /// with it.
+    panic: Option<Box<dyn Any + Send>>,
 }
 
 /// Log fragment for one delivered message.
@@ -355,12 +357,17 @@ struct Delivery {
     seq: u64,
     from: Option<ActorId>,
     summary: String,
-    /// The payload was dropped undelivered (its ` !error: ` suffix is
-    /// already in `summary`).
+    /// The payload was dropped undelivered or its handler panicked (the
+    /// ` !error: ` suffix is already in `summary`).
     failed: bool,
 }
 
 /// Deliver one job's messages in sequence order at virtual time `vtime`.
+///
+/// Each delivery catches its own unwind. A panicking handler loses the
+/// actor and the sends of that delivery; its message and every later
+/// one in the job are logged as failed deliveries, and the payload is
+/// returned for [`Runtime::step`] to re-raise.
 fn run_job(job: Job, vtime: u64) -> JobOut {
     let Job {
         id,
@@ -369,17 +376,29 @@ fn run_job(job: Job, vtime: u64) -> JobOut {
     } = job;
     let mut outbox: Vec<(ActorId, Box<dyn AnyMessage>)> = Vec::new();
     let mut delivered: Vec<Delivery> = Vec::with_capacity(msgs.len());
+    let mut panicked = None;
     for env in msgs {
         let mut summary = env.msg.summary();
         let outcome = match actor.as_mut() {
             Some(a) => {
+                let sent = outbox.len();
                 let mut ctx = Ctx {
                     self_id: id,
                     now: vtime,
                     outbox: &mut outbox,
                 };
-                a.deliver(env.msg.into_any(), &mut ctx)
+                let msg = env.msg.into_any();
+                match panic::catch_unwind(AssertUnwindSafe(|| a.deliver(msg, &mut ctx))) {
+                    Ok(outcome) => outcome,
+                    Err(payload) => {
+                        panicked = Some(payload);
+                        actor = None;
+                        outbox.truncate(sent);
+                        Err(String::from("handler panicked; actor lost"))
+                    }
+                }
             }
+            None if panicked.is_some() => Err(String::from("actor lost to an earlier panic")),
             None => Err(String::from("target actor was taken")),
         };
         if let Err(e) = &outcome {
@@ -398,6 +417,7 @@ fn run_job(job: Job, vtime: u64) -> JobOut {
         actor,
         delivered,
         outbox,
+        panic: panicked,
     }
 }
 
@@ -611,14 +631,12 @@ impl Runtime {
             })
             .collect();
 
-        // Each job catches its own unwind, so one panicking handler
-        // loses only its own actor: every other job is spliced back
+        // Each delivery catches its own unwind, so one panicking
+        // handler loses only its own actor: every job is spliced back
         // below before the panic goes on.
-        let outs: Vec<Option<thread::Result<JobOut>>> = self.pool.map(jobs, move |cell| {
+        let outs: Vec<Option<JobOut>> = self.pool.map(jobs, move |cell| {
             let job = lock_cell(cell).take()?;
-            Some(panic::catch_unwind(AssertUnwindSafe(|| {
-                run_job(job, vtime)
-            })))
+            Some(run_job(job, vtime))
         });
 
         // Splice: the pool returns jobs in input (actor-id) order, so
@@ -626,20 +644,17 @@ impl Runtime {
         let mut delivered_total = 0usize;
         let mut panicked = None;
         for out in outs.into_iter().flatten() {
-            let out = match out {
-                Ok(out) => out,
-                Err(payload) => {
-                    // the lowest actor id's payload is the one re-raised
-                    panicked.get_or_insert(payload);
-                    continue;
-                }
-            };
             let JobOut {
                 id,
                 actor,
                 delivered,
                 outbox,
+                panic,
             } = out;
+            if let Some(payload) = panic {
+                // the lowest actor id's payload is the one re-raised
+                panicked.get_or_insert(payload);
+            }
             if let Some(slot) = self.actors.get_mut(id.0) {
                 *slot = actor;
             }
@@ -1233,15 +1248,33 @@ mod tests {
     #[derive(Debug, PartialEq)]
     struct HandlerPanic(usize);
 
+    /// Panics on its `explode_on`-th message (counting from 1); a
+    /// `true` message first sends `false` to itself.
     struct Fragile {
         index: usize,
-        explode: bool,
+        explode_on: Option<usize>,
+        seen: usize,
+    }
+
+    impl Fragile {
+        fn new(index: usize, explode_on: Option<usize>) -> Self {
+            Fragile {
+                index,
+                explode_on,
+                seen: 0,
+            }
+        }
     }
 
     impl Actor for Fragile {
-        type Msg = ();
-        fn handle(&mut self, (): (), _ctx: &mut Ctx<'_>) {
-            if self.explode {
+        type Msg = bool;
+        fn handle(&mut self, echo: bool, ctx: &mut Ctx<'_>) {
+            self.seen += 1;
+            if echo {
+                let me = ctx.self_id();
+                ctx.send(me, false);
+            }
+            if self.explode_on == Some(self.seen) {
                 panic::panic_any(HandlerPanic(self.index));
             }
         }
@@ -1260,14 +1293,14 @@ mod tests {
                 // Actor 7 always explodes too: the lowest id's payload
                 // is the one re-raised.
                 let explodes = |index: usize| index == bad || index == 7;
-                let addrs: Vec<Addr<()>> = (0..8)
+                let addrs: Vec<Addr<bool>> = (0..8)
                     .map(|index| {
-                        let explode = explodes(index);
-                        rt.spawn("fragile", Fragile { index, explode })
+                        let explode_on = explodes(index).then_some(1);
+                        rt.spawn("fragile", Fragile::new(index, explode_on))
                     })
                     .collect();
                 for addr in &addrs {
-                    addr.send(()).unwrap();
+                    addr.send(false).unwrap();
                 }
                 let caught = panic::catch_unwind(AssertUnwindSafe(|| rt.step()));
                 let payload = caught.expect_err("a handler panicked");
@@ -1288,11 +1321,65 @@ mod tests {
                         "{threads} threads, actor {index}"
                     );
                 }
+                // the panicking deliveries are logged as failed
+                let lost = (0..8).filter(|&i| explodes(i)).count() as u64;
+                assert_eq!(rt.event_log().len(), 8, "{threads} threads");
+                assert_eq!(rt.delivery_errors(), lost, "{threads} threads");
                 let survivor = if bad == 0 { &addrs[1] } else { &addrs[0] };
-                survivor.send(()).unwrap();
+                survivor.send(false).unwrap();
                 assert_eq!(rt.step(), 1);
-                assert_eq!(rt.delivery_errors(), 0, "{threads} threads");
+                assert_eq!(rt.delivery_errors(), lost, "{threads} threads");
             }
+            // Three messages to one actor whose second delivery panics,
+            // beside a healthy actor: the first delivery is logged and
+            // its send enqueued, the panicking one and the third are
+            // failed deliveries, and the panicking one's send is
+            // dropped.
+            let mut rt = Runtime::new(RuntimeConfig {
+                seed: 1,
+                latency_spread: 1,
+                threads: Threads::fixed(threads),
+            });
+            let fragile = rt.spawn("fragile", Fragile::new(0, Some(2)));
+            let healthy = rt.spawn("healthy", Fragile::new(1, None));
+            for echo in [true, true, false] {
+                fragile.send(echo).unwrap();
+            }
+            healthy.send(false).unwrap();
+            let caught = panic::catch_unwind(AssertUnwindSafe(|| rt.step()));
+            let payload = caught.expect_err("the second delivery panicked");
+            assert_eq!(
+                *payload
+                    .downcast::<HandlerPanic>()
+                    .expect("original payload"),
+                HandlerPanic(0)
+            );
+            let summaries: Vec<(usize, String)> = rt
+                .event_log()
+                .records()
+                .iter()
+                .map(|r| (r.to.index(), r.summary.clone()))
+                .collect();
+            assert_eq!(
+                summaries,
+                vec![
+                    (0, "true".to_string()),
+                    (0, "true !error: handler panicked; actor lost".to_string()),
+                    (
+                        0,
+                        "false !error: actor lost to an earlier panic".to_string()
+                    ),
+                    (1, "false".to_string()),
+                ],
+                "{threads} threads"
+            );
+            assert_eq!(rt.delivery_errors(), 2, "{threads} threads");
+            assert_eq!(rt.queue_len(), 1, "{threads} threads");
+            assert!(rt.actor::<Fragile>(fragile.id()).is_none());
+            assert_eq!(rt.actor::<Fragile>(healthy.id()).map(|a| a.seen), Some(1));
+            // the surviving send reaches the lost actor as an error
+            assert_eq!(rt.run_until_idle(), 1);
+            assert_eq!(rt.delivery_errors(), 3, "{threads} threads");
         }
     }
 }

@@ -256,7 +256,10 @@ mod tests {
 
         assert_eq!(implicit.data, explicit.data);
         assert_eq!(implicit.provenance_lines(), explicit.provenance_lines());
-        assert_eq!(implicit.label.scope_notes, explicit.label.scope_notes);
+        assert_eq!(
+            implicit.label().unwrap().scope_notes,
+            explicit.label().unwrap().scope_notes
+        );
         assert_eq!(implicit.total_cost.to_bits(), explicit.total_cost.to_bits());
         assert_eq!(implicit.audit.to_markdown(), explicit.audit.to_markdown());
         assert_eq!(implicit.degraded, explicit.degraded);

@@ -5,7 +5,9 @@
 //! (§2.5 transparency). Events render to the same human-readable lines
 //! the pipeline always emitted ([`ProvenanceEvent::render`]), and each
 //! stage runs under an `rdi-obs` span so wall time lands in the global
-//! metrics registry.
+//! metrics registry. The label is generated on its first read
+//! ([`PipelineResult::label`]), so a caller that never reads it (a
+//! serving tailor request) does not pay for it.
 //!
 //! Tailoring runs on the resilient executor ([`crate::executor`]): the
 //! pipeline accepts any fallible [`Source`], retries transient
@@ -15,6 +17,8 @@
 //! source and the rows that could not be collected. With fault-free
 //! sources the behaviour (data, provenance, metrics) is bitwise
 //! identical to the pre-resilience pipeline.
+
+use std::sync::OnceLock;
 
 use rand::Rng;
 use rdi_cleaning::{impute, ImputeStrategy};
@@ -79,12 +83,11 @@ pub struct Pipeline {
     pub max_draws: usize,
 }
 
-/// Everything the pipeline produces.
+/// Everything the pipeline produces. The nutritional label is built on
+/// its first read ([`PipelineResult::label`]).
 pub struct PipelineResult {
     /// The integrated, cleaned dataset.
     pub data: Table,
-    /// Its nutritional label (scope notes included).
-    pub label: NutritionalLabel,
     /// The responsibility audit.
     pub audit: AuditReport,
     /// Step-by-step typed provenance log (render with
@@ -100,9 +103,47 @@ pub struct PipelineResult {
     pub quarantined: Vec<String>,
     /// Per-source fault/retry/quarantine accounting, in source order.
     pub health: Vec<SourceHealth>,
+    /// What the label is generated with, and the spec's scope notes it
+    /// carries before the provenance lines.
+    label_config: LabelConfig,
+    scope_notes: Vec<String>,
+    label: OnceLock<Result<NutritionalLabel, TableError>>,
 }
 
 impl PipelineResult {
+    /// The nutritional label of [`PipelineResult::data`], carrying the
+    /// spec's scope notes and then one note per provenance event (the
+    /// complete log: label generation and the audit included).
+    ///
+    /// The label is generated on the first read, under an `rdi-obs`
+    /// `label` span nested in whatever span the reader holds (the run's
+    /// root span has closed by then), from `data` and `provenance` as
+    /// they are at that read. It is kept: later reads return the same
+    /// label and record nothing. A run whose label is never read never
+    /// generates it, although its [`ProvenanceEvent::LabelGenerated`]
+    /// event keeps its place in the log.
+    ///
+    /// # Errors
+    /// A label-generation error surfaces here as
+    /// [`PipelineError::Table`], not from
+    /// [`crate::BuiltPipeline::run`]; every read returns it.
+    pub fn label(&self) -> Result<&NutritionalLabel, PipelineError> {
+        self.label
+            .get_or_init(|| {
+                let _span = rdi_obs::span("label");
+                let mut label = NutritionalLabel::generate(&self.data, &self.label_config)?;
+                for note in &self.scope_notes {
+                    label.add_scope_note(note.clone());
+                }
+                for p in &self.provenance {
+                    label.add_scope_note(p.render());
+                }
+                Ok(label)
+            })
+            .as_ref()
+            .map_err(|e| PipelineError::Table(e.clone()))
+    }
+
     /// The provenance log as legacy human-readable lines.
     pub fn provenance_lines(&self) -> Vec<String> {
         self.provenance
@@ -178,10 +219,6 @@ impl Pipeline {
             });
         }
 
-        let mut label = {
-            let _span = rdi_obs::span("label");
-            NutritionalLabel::generate(&data, &self.label_config)?
-        };
         provenance.push(ProvenanceEvent::LabelGenerated);
 
         let mut report = {
@@ -217,26 +254,17 @@ impl Pipeline {
             total: report.findings.len(),
         });
 
-        // Copy scope notes onto the label *after* the audit so the
-        // shipped label carries the complete provenance log — including
-        // the label-generation and audit events (they used to be
-        // silently dropped because the copy ran before they existed).
-        for note in &self.spec.scope_notes {
-            label.add_scope_note(note.clone());
-        }
-        for p in &provenance {
-            label.add_scope_note(p.render());
-        }
-
         Ok(PipelineResult {
             data,
-            label,
             audit: report,
             provenance,
             total_cost: outcome.tailor.total_cost,
             degraded: outcome.degraded,
             quarantined,
             health: outcome.health,
+            label_config: self.label_config.clone(),
+            scope_notes: self.spec.scope_notes.clone(),
+            label: OnceLock::new(),
         })
     }
 }
@@ -306,23 +334,19 @@ mod tests {
         // the label carries the FULL provenance log as scope notes:
         // every event (including label generation and the audit, which
         // happen after the label is created) plus the spec's own note
+        let label = result.label().unwrap();
         for line in result.provenance_lines() {
             assert!(
-                result.label.scope_notes.contains(&line),
+                label.scope_notes.contains(&line),
                 "label is missing provenance line `{line}`"
             );
         }
-        assert!(result
-            .label
-            .scope_notes
-            .iter()
-            .any(|n| n.starts_with("audit: ")));
-        assert!(result
-            .label
+        assert!(label.scope_notes.iter().any(|n| n.starts_with("audit: ")));
+        assert!(label
             .scope_notes
             .contains(&"nutritional label generated".to_string()));
         assert_eq!(
-            result.label.scope_notes.len(),
+            label.scope_notes.len(),
             pipeline.pipeline().spec.scope_notes.len() + result.provenance.len()
         );
         // events are typed and ordered: tailoring start, the keep/drop
@@ -405,8 +429,9 @@ mod tests {
             Some(E::TailoringStarted { .. })
         ));
         // scope notes still carry the complete provenance log
+        let label = result.label().unwrap();
         for line in result.provenance_lines() {
-            assert!(result.label.scope_notes.contains(&line));
+            assert!(label.scope_notes.contains(&line));
         }
     }
 
@@ -446,12 +471,11 @@ mod tests {
         ];
         let mut policy = rdi_tailor::RandomPolicy::new(2);
         let mut rng = StdRng::seed_from_u64(3);
-        let result = PipelineBuilder::new(problem)
+        let built = PipelineBuilder::new(problem)
             .scope_note("degradation test")
             .max_draws(2_000)
-            .build()
-            .run(&mut sources, &mut policy, &mut rng)
-            .unwrap();
+            .build();
+        let result = built.run(&mut sources, &mut policy, &mut rng).unwrap();
         // completes without panic or error, with partial data
         assert!(result.degraded);
         assert_eq!(result.quarantined, vec!["dead-b".to_string()]);
@@ -488,13 +512,79 @@ mod tests {
             .any(|l| l.contains("rows not collected per group")));
         // the shipped label discloses the degradation as a scope note
         assert!(result
-            .label
+            .label()
+            .unwrap()
             .scope_notes
             .iter()
             .any(|n| n.starts_with("DEGRADED:")));
         // health accounting: the dead source was quarantined with zero successes
         assert_eq!(result.health[1].successes, 0);
         assert!(result.health[1].quarantined.is_some());
+        // the label built on first read is the one an eager build makes
+        // (`Debug` prints every field, floats to their exact value)
+        let pipeline = built.pipeline();
+        let mut eager = NutritionalLabel::generate(&result.data, &pipeline.label_config).unwrap();
+        for note in &pipeline.spec.scope_notes {
+            eager.add_scope_note(note.clone());
+        }
+        for line in result.provenance_lines() {
+            eager.add_scope_note(line);
+        }
+        let label = result.label().unwrap();
+        assert_eq!(format!("{label:?}"), format!("{eager:?}"));
+        assert_eq!(
+            label.scope_notes.len(),
+            pipeline.spec.scope_notes.len() + result.provenance.len()
+        );
+    }
+
+    /// The label is generated once, on the first read, under a `label`
+    /// span in the reader's span; a second read hands back the same
+    /// label and records nothing.
+    #[test]
+    fn the_label_is_built_once_on_first_read() {
+        let pop = PopulationSpec::two_group(0.5);
+        let mut rng = StdRng::seed_from_u64(5);
+        let table = pop.generate(400, &mut rng);
+        let problem = DtProblem::exact_counts(
+            GroupSpec::new(vec!["group"]),
+            vec![
+                (GroupKey(vec![Value::str("maj")]), 20),
+                (GroupKey(vec![Value::str("min")]), 20),
+            ],
+        );
+        let mut sources = vec![TableSource::new("s", table, 1.0, &problem).unwrap()];
+        let mut policy = RatioColl::from_sources(&sources);
+        let result = PipelineBuilder::new(problem)
+            .span_root("lazy_label_run")
+            .build()
+            .run(&mut sources, &mut policy, &mut rng)
+            .unwrap();
+        // span names unique to this test: other tests share the registry
+        let spans_under = |prefix: &str| {
+            rdi_obs::global()
+                .span_records()
+                .iter()
+                .filter(|r| r.path.starts_with(prefix))
+                .map(|r| r.path.clone())
+                .collect::<Vec<_>>()
+        };
+        // the run itself generated no label
+        assert!(!spans_under("lazy_label_run").is_empty());
+        assert!(!spans_under("lazy_label_run")
+            .iter()
+            .any(|p| p.ends_with("/label")));
+        let (first, second) = {
+            let _reader = rdi_obs::span("lazy_label_reader");
+            (result.label().unwrap(), result.label().unwrap())
+        };
+        assert!(std::ptr::eq(first, second));
+        assert_eq!(
+            spans_under("lazy_label_reader/"),
+            vec!["lazy_label_reader/label".to_string()]
+        );
+        assert!(std::ptr::eq(result.label().unwrap(), first));
+        assert_eq!(spans_under("lazy_label_reader/").len(), 1);
     }
 
     #[test]

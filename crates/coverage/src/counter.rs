@@ -6,6 +6,12 @@
 //! pattern count is a sum over matching combinations — O(#distinct cells)
 //! instead of O(#rows) per query, a large win on low-cardinality
 //! categorical data.
+//!
+//! The index is counted in a flat array indexed by each row's
+//! mixed-radix cell number when the cross product of the domains is at
+//! most `max(rows, FLAT_CELLS_MIN)` cells, so its memory stays O(rows);
+//! larger products are counted in a `BTreeMap`. Both list the cells in
+//! lexicographic order.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -13,6 +19,10 @@ use std::sync::Arc;
 use rdi_table::{ColumnCodes, Encoded, Table, TableError, Value};
 
 use crate::pattern::Pattern;
+
+/// The flat count array may always hold this many cells, however few
+/// rows there are.
+const FLAT_CELLS_MIN: usize = 1024;
 
 /// Encodes rows of selected categorical attributes as dense value indices
 /// and answers pattern-count queries.
@@ -23,8 +33,11 @@ pub struct PatternCounter {
     /// Per-attribute sorted distinct values; a cell value's index in this
     /// vector is its code.
     domains: Vec<Vec<Value>>,
-    /// count per distinct full assignment.
-    cells: Vec<(Vec<u16>, usize)>,
+    /// The distinct full assignments present in the data, in
+    /// lexicographic order, laid end to end (`dim` codes each).
+    cells: Vec<u16>,
+    /// Rows per cell, parallel to `cells`.
+    counts: Vec<usize>,
     /// Total rows indexed.
     total: usize,
 }
@@ -82,29 +95,16 @@ impl PatternCounter {
             domains.push(domain);
             columns.push(column);
         }
-        // every code is below `domain.len() <= u16::MAX`, so the casts
-        // are exact; null takes the code after the non-null values
-        let mut counts: BTreeMap<Vec<u16>, usize> = BTreeMap::new();
-        let mut cell: Vec<u16> = Vec::with_capacity(attributes.len());
-        for i in 0..rows {
-            cell.clear();
-            cell.extend(
-                columns
-                    .iter()
-                    .map(|c| c.codes[i].map_or(c.distinct.len(), |x| x as usize) as u16),
-            );
-            match counts.get_mut(cell.as_slice()) {
-                Some(n) => *n += 1,
-                None => {
-                    counts.insert(cell.clone(), 1);
-                }
-            }
-        }
+        let cards: Vec<usize> = domains.iter().map(Vec::len).collect();
+        let (cells, counts) = match flat_cells(&cards, rows) {
+            Some(size) => count_flat(rows, &columns, &cards, size),
+            None => count_sparse(rows, &columns),
+        };
         Ok(PatternCounter {
             attributes: attributes.iter().map(|s| s.to_string()).collect(),
             domains,
-            // BTreeMap order: cells sorted, so the layout is deterministic
-            cells: counts.into_iter().collect(),
+            cells,
+            counts,
             total: rows,
         })
     }
@@ -132,16 +132,11 @@ impl PatternCounter {
     /// Number of tuples matching `pattern`.
     pub fn count(&self, pattern: &Pattern) -> usize {
         self.cells
-            .iter()
+            .chunks_exact(self.dim())
+            .zip(&self.counts)
             .filter(|(cell, _)| pattern.matches(cell))
             .map(|(_, c)| *c)
             .sum()
-    }
-
-    /// Number of tuples matching `pattern`, counted by a full table
-    /// re-scan. Only used to cross-check the index in tests/ablation.
-    pub fn count_by_scan(&self, pattern: &Pattern) -> usize {
-        self.count(pattern)
     }
 
     /// Decode a pattern into `attr=value` form (wildcards omitted).
@@ -193,6 +188,84 @@ impl PatternCounter {
         }
         out
     }
+}
+
+/// The length of the flat count array for domains of sizes `cards`
+/// over `rows` rows, or `None` when their cross product exceeds
+/// `max(rows, FLAT_CELLS_MIN)`.
+fn flat_cells(cards: &[usize], rows: usize) -> Option<usize> {
+    let bound = rows.max(FLAT_CELLS_MIN);
+    cards
+        .iter()
+        .try_fold(1usize, |size, &card| size.checked_mul(card))
+        .filter(|&size| size <= bound)
+}
+
+/// Count rows into a flat array of `size` cells indexed by each row's
+/// mixed-radix cell number (the first attribute most significant), then
+/// list the non-zero cells in index order, which is lexicographic order.
+/// A null takes the code after its attribute's non-null values.
+fn count_flat(
+    rows: usize,
+    columns: &[Arc<Encoded>],
+    cards: &[usize],
+    size: usize,
+) -> (Vec<u16>, Vec<usize>) {
+    let mut index = vec![0usize; rows];
+    for (column, &card) in columns.iter().zip(cards) {
+        let null = column.distinct.len();
+        for (ix, c) in index.iter_mut().zip(&column.codes[..rows]) {
+            *ix = *ix * card + c.map_or(null, |x| x as usize);
+        }
+    }
+    let mut tally = vec![0usize; size];
+    for ix in index {
+        tally[ix] += 1;
+    }
+    let mut cells = Vec::new();
+    let mut counts = Vec::new();
+    for (ix, &n) in tally.iter().enumerate().filter(|(_, &n)| n > 0) {
+        let start = cells.len();
+        let mut rest = ix;
+        for &card in cards.iter().rev() {
+            // below `card <= u16::MAX`, so the cast is exact
+            cells.push((rest % card) as u16);
+            rest /= card;
+        }
+        cells[start..].reverse();
+        counts.push(n);
+    }
+    (cells, counts)
+}
+
+/// Count rows per distinct cell in a `BTreeMap`, for domains whose
+/// cross product is too large for a flat array.
+fn count_sparse(rows: usize, columns: &[Arc<Encoded>]) -> (Vec<u16>, Vec<usize>) {
+    // every code is below `domain.len() <= u16::MAX`, so the casts are
+    // exact; null takes the code after the non-null values
+    let mut tally: BTreeMap<Vec<u16>, usize> = BTreeMap::new();
+    let mut cell: Vec<u16> = Vec::with_capacity(columns.len());
+    for row in 0..rows {
+        cell.clear();
+        cell.extend(
+            columns
+                .iter()
+                .map(|c| c.codes[row].map_or(c.distinct.len(), |x| x as usize) as u16),
+        );
+        match tally.get_mut(cell.as_slice()) {
+            Some(n) => *n += 1,
+            None => {
+                tally.insert(cell.clone(), 1);
+            }
+        }
+    }
+    let mut cells = Vec::with_capacity(tally.len() * columns.len());
+    let mut counts = Vec::with_capacity(tally.len());
+    for (cell, n) in tally {
+        cells.extend(cell);
+        counts.push(n);
+    }
+    (cells, counts)
 }
 
 #[cfg(test)]
@@ -335,14 +408,22 @@ mod tests {
                 .collect();
             *counts.entry(cell).or_insert(0) += 1;
         }
-        let mut cells: Vec<(Vec<u16>, usize)> = counts.into_iter().collect();
-        cells.sort();
         PatternCounter {
             attributes: attributes.iter().map(|s| s.to_string()).collect(),
             domains,
-            cells,
+            cells: counts.keys().flatten().copied().collect(),
+            counts: counts.into_values().collect(),
             total: table.num_rows(),
         }
+    }
+
+    /// The counter's cells with their row counts, in its order.
+    fn cells(c: &PatternCounter) -> Vec<(Vec<u16>, usize)> {
+        c.cells
+            .chunks_exact(c.dim())
+            .map(<[u16]>::to_vec)
+            .zip(c.counts.iter().copied())
+            .collect()
     }
 
     fn exact(domains: &[Vec<Value>]) -> Vec<Vec<String>> {
@@ -400,9 +481,153 @@ mod tests {
             let c = PatternCounter::new(&t, &attrs).unwrap();
             let want = reference_build(&t, &attrs);
             prop_assert_eq!(exact(&c.domains), exact(&want.domains));
-            prop_assert_eq!(&c.cells, &want.cells);
+            prop_assert_eq!(cells(&c), cells(&want));
             prop_assert_eq!(c.total, want.total);
             prop_assert_eq!(c.cardinalities(), want.cardinalities());
+        }
+    }
+
+    /// The oracle for cell counting: per row, each attribute's code is
+    /// the position of its value among the sorted distinct non-null
+    /// values (null after them), and rows are tallied by a linear search
+    /// over the cells seen so far; the cells are then sorted.
+    fn naive_tally(t: &Table, attributes: &[&str]) -> Vec<(Vec<u16>, usize)> {
+        let domains: Vec<Vec<Value>> = attributes
+            .iter()
+            .map(|a| {
+                let col = t.column(a).unwrap();
+                let mut d: Vec<Value> = (0..t.num_rows())
+                    .map(|i| col.value(i))
+                    .filter(|v| !v.is_null())
+                    .collect();
+                d.sort();
+                d.dedup();
+                d
+            })
+            .collect();
+        let mut tally: Vec<(Vec<u16>, usize)> = Vec::new();
+        for i in 0..t.num_rows() {
+            let cell: Vec<u16> = attributes
+                .iter()
+                .zip(&domains)
+                .map(|(a, d)| {
+                    let v = t.column(a).unwrap().value(i);
+                    d.iter().position(|x| *x == v).unwrap_or(d.len()) as u16
+                })
+                .collect();
+            match tally.iter_mut().find(|(c, _)| *c == cell) {
+                Some((_, n)) => *n += 1,
+                None => tally.push((cell, 1)),
+            }
+        }
+        tally.sort();
+        tally
+    }
+
+    /// `attrs` Int columns `a0..`: column `j` takes values `0..cards[j]`
+    /// (`None` drawn as null); each row is one entry of `rows`.
+    fn codes_table(cards: &[i64], rows: &[Vec<Option<i64>>]) -> Table {
+        let names: Vec<String> = (0..cards.len()).map(|j| format!("a{j}")).collect();
+        let schema = Schema::new(names.iter().map(|n| Field::new(n, DataType::Int)).collect());
+        let columns = (0..cards.len())
+            .map(|j| Column::Int(rows.iter().map(|r| r[j]).collect()))
+            .collect();
+        Table::from_columns(schema, columns).unwrap()
+    }
+
+    /// Attribute cardinalities drawn from `cards`, one per attribute
+    /// (`attrs` many), over up to 60 rows of codes, one in five null;
+    /// with `every_value`, first rows holding every value of every
+    /// attribute are added, so each domain is its full range.
+    fn arb_codes(
+        attrs: std::ops::RangeInclusive<usize>,
+        cards: std::ops::RangeInclusive<i64>,
+        every_value: bool,
+    ) -> impl Strategy<Value = (Vec<i64>, Vec<Vec<Option<i64>>>)> {
+        let draws = prop::collection::vec(prop::collection::vec(0i64..1000, 4), 0..60);
+        (prop::collection::vec(cards, attrs), draws).prop_map(move |(cards, draws)| {
+            let widest = cards.iter().copied().max().unwrap_or(0);
+            let cover = (0..widest)
+                .filter(|_| every_value)
+                .map(|v| cards.iter().map(|&k| Some(v % k)).collect());
+            let drawn = draws.iter().map(|d| {
+                cards
+                    .iter()
+                    .zip(d)
+                    .map(|(&k, &x)| (x % 5 != 0).then_some(x / 5 % k))
+                    .collect()
+            });
+            let rows = cover.chain(drawn).collect();
+            (cards, rows)
+        })
+    }
+
+    proptest! {
+        /// Domains whose cross product fits the flat array (at most
+        /// 5 codes, null included, over at most 4 attributes) count
+        /// every cell exactly as the naive tally does.
+        #[test]
+        fn flat_counting_matches_a_naive_tally((cards, rows) in arb_codes(1..=4, 1..=4, false)) {
+            let t = codes_table(&cards, &rows);
+            let names: Vec<String> = (0..cards.len()).map(|j| format!("a{j}")).collect();
+            let attrs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let c = PatternCounter::new(&t, &attrs).unwrap();
+            let sizes: Vec<usize> = c.cardinalities().iter().map(|&k| usize::from(k)).collect();
+            prop_assert!(flat_cells(&sizes, t.num_rows()).is_some());
+            prop_assert_eq!(cells(&c), naive_tally(&t, &attrs));
+            prop_assert_eq!(c.total(), t.num_rows());
+        }
+
+        /// Domains whose cross product exceeds the flat bound (at least
+        /// 11^3 cells over fewer than 1024 rows) are counted in the map,
+        /// with the same cells as the naive tally.
+        #[test]
+        fn sparse_counting_matches_a_naive_tally((cards, rows) in arb_codes(3..=4, 11..=14, true)) {
+            let t = codes_table(&cards, &rows);
+            let names: Vec<String> = (0..cards.len()).map(|j| format!("a{j}")).collect();
+            let attrs: Vec<&str> = names.iter().map(String::as_str).collect();
+            let c = PatternCounter::new(&t, &attrs).unwrap();
+            let sizes: Vec<usize> = c.cardinalities().iter().map(|&k| usize::from(k)).collect();
+            prop_assert!(flat_cells(&sizes, t.num_rows()).is_none());
+            prop_assert_eq!(cells(&c), naive_tally(&t, &attrs));
+            prop_assert_eq!(c.total(), t.num_rows());
+        }
+    }
+
+    #[test]
+    fn the_flat_bound_is_the_larger_of_rows_and_its_floor() {
+        assert_eq!(flat_cells(&[32, 32], 0), Some(1024));
+        assert_eq!(flat_cells(&[32, 33], 1000), None);
+        assert_eq!(flat_cells(&[32, 33], 1056), Some(1056));
+        assert_eq!(flat_cells(&[3, 0, 5], 0), Some(0));
+        // a product past `usize` is not flat
+        assert_eq!(flat_cells(&[usize::MAX, 2], usize::MAX), None);
+    }
+
+    /// Errors keep their order whichever way the cells would be
+    /// counted: an empty attribute list first, then an attribute whose
+    /// domain is past `u16::MAX` codes, before any counting starts.
+    #[test]
+    fn error_precedence_is_unchanged() {
+        let wide = ints("id", 65_537, false);
+        assert_eq!(
+            PatternCounter::new(&wide, &[]).unwrap_err(),
+            TableError::SchemaMismatch("coverage needs at least one attribute".into())
+        );
+        let two = Table::from_columns(
+            Schema::new(vec![
+                Field::new("small", DataType::Int),
+                Field::new("id", DataType::Int),
+            ]),
+            vec![
+                Column::Int((0..65_537).map(|i| Some(i % 2)).collect()),
+                Column::Int((0..65_537).map(Some).collect()),
+            ],
+        )
+        .unwrap();
+        match PatternCounter::new(&two, &["small", "id"]) {
+            Err(TableError::SchemaMismatch(msg)) => assert!(msg.contains("`id`"), "{msg}"),
+            other => panic!("expected the oversized-domain error, got {other:?}"),
         }
     }
 }

@@ -40,6 +40,7 @@ use rdi_table::{Table, TableDelta};
 
 use crate::admit::{AdmitConfig, Admitter, TaggedRequest, TenantId};
 use crate::batch::Batch;
+use crate::cache::CacheGauges;
 use crate::error::ServeError;
 use crate::index::{execute, shard_route, LakeIndex, LakeIndexConfig, Shard, WarmNeed, WarmPart};
 use crate::request::ServeRequest;
@@ -121,6 +122,7 @@ impl Actor for ShardActor {
                         batch: wb.batch,
                         shard_index: self.shard_index,
                         tables_in_shard: self.shard.len(),
+                        cache_bytes: self.shard.cache_bytes(),
                         parts,
                         evictions: self.shard.drain_decisions().collect(),
                     }),
@@ -263,14 +265,16 @@ pub struct WarmReply {
     pub(crate) batch: u64,
     pub(crate) shard_index: usize,
     pub(crate) tables_in_shard: usize,
+    /// The bytes the shard's cache holds after the warm.
+    pub(crate) cache_bytes: usize,
     pub(crate) parts: Vec<(usize, WarmPart)>,
     /// The shard cache's eviction decisions since its last reply.
     pub(crate) evictions: Vec<ProvenanceEvent>,
 }
 
-/// Leaves out `evictions`: the actor event log summarizes messages by
-/// their `Debug` text, and a reply renders as it did before it carried
-/// the shard's decisions.
+/// Leaves out `cache_bytes` and `evictions`: the actor event log
+/// summarizes messages by their `Debug` text, and a reply renders as it
+/// did before it carried the shard's cache size and decisions.
 impl std::fmt::Debug for WarmReply {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WarmReply")
@@ -322,6 +326,9 @@ pub struct SessionActor {
     inflight: Option<Inflight>,
     backlog: VecDeque<Vec<TaggedRequest>>,
     completed: Vec<BatchReport>,
+    /// Publishes the replying shards' cache bytes at the end of every
+    /// batch.
+    gauges: CacheGauges,
 }
 
 impl SessionActor {
@@ -399,13 +406,17 @@ impl SessionActor {
             return;
         };
         let refs: Vec<&ServeRequest> = fl.requests.iter().map(|r| &r.request).collect();
-        let report = fl
-            .state
-            .finish(&mut self.admitter, &refs, &self.policies, |jobs| {
+        let report = fl.state.finish(
+            &mut self.admitter,
+            &refs,
+            &self.policies,
+            &mut self.gauges,
+            |jobs| {
                 jobs.iter()
                     .map(|(seed, plan)| execute(plan, *seed))
                     .collect()
-            });
+            },
+        );
         self.completed.push(report);
         if let Some(next) = self.backlog.pop_front() {
             self.start_batch(next, ctx);
@@ -435,7 +446,12 @@ impl Actor for SessionActor {
                 let finished = match self.inflight.as_mut() {
                     Some(fl) if reply.batch == self.admitter.ticks() => {
                         let state = &mut fl.state;
-                        state.replied(reply.shard_index, reply.tables_in_shard, reply.evictions);
+                        state.replied(
+                            reply.shard_index,
+                            reply.tables_in_shard,
+                            reply.cache_bytes,
+                            reply.evictions,
+                        );
                         for (pos, part) in reply.parts {
                             state.warmed(pos, part);
                         }
@@ -546,6 +562,7 @@ impl LakeActorGroup {
             inflight: None,
             backlog: VecDeque::new(),
             completed: Vec::new(),
+            gauges: CacheGauges::default(),
         };
         rt.spawn(name, session)
     }

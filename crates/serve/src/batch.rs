@@ -1,11 +1,11 @@
 //! One serving batch, written once for both serving paths: admission,
 //! what each admitted request [`needs`] from which shard, the warm parts
 //! per request, [`assemble`], splicing answers and decisions back in
-//! slot order, breaker feedback and the [`BatchReport`]. A driver only
-//! reaches the shards and runs the plans: the serial
-//! [`ServeSession`](crate::ServeSession) warms inline and executes on its
-//! pool; the [`SessionActor`](crate::SessionActor) warms through shard
-//! actors and executes in its handler.
+//! slot order, breaker feedback, the cache-size gauges and the
+//! [`BatchReport`]. A driver only reaches the shards and runs the
+//! plans: the serial [`ServeSession`](crate::ServeSession) warms inline
+//! and executes on its pool; the [`SessionActor`](crate::SessionActor)
+//! warms through shard actors and executes in its handler.
 
 use std::collections::BTreeMap;
 
@@ -13,6 +13,7 @@ use rdi_obs::ProvenanceEvent;
 use rdi_policy::PolicySet;
 
 use crate::admit::{AdmitVerdict, Admitter, TenantId};
+use crate::cache::CacheGauges;
 use crate::error::ServeError;
 use crate::index::{assemble, needs, Prepared, WarmNeed, WarmPart};
 use crate::request::{ServeRequest, ServeResponse};
@@ -45,8 +46,9 @@ pub(crate) struct Batch {
     tables: usize,
     /// The admitter's reserved-slot ranking.
     decisions: Vec<ProvenanceEvent>,
-    /// Each replying shard's eviction decisions, by shard index.
-    evictions: BTreeMap<usize, Vec<ProvenanceEvent>>,
+    /// Each replying shard's cache bytes and eviction decisions, by
+    /// shard index.
+    replies: BTreeMap<usize, (usize, Vec<ProvenanceEvent>)>,
 }
 
 impl Batch {
@@ -66,7 +68,7 @@ impl Batch {
             answers: BTreeMap::new(),
             tables: 0,
             decisions: admitter.drain_decisions(),
-            evictions: BTreeMap::new(),
+            replies: BTreeMap::new(),
         };
         let mut warm = Vec::new();
         for ((pos, verdict), request) in verdicts.into_iter().enumerate().zip(requests) {
@@ -96,24 +98,32 @@ impl Batch {
         }
     }
 
-    /// Record one shard's registered-table count and the eviction
-    /// decisions its cache made since it last replied.
-    pub(crate) fn replied(&mut self, shard: usize, tables: usize, evictions: Vec<ProvenanceEvent>) {
+    /// Record one shard's registered-table count, the bytes its cache
+    /// holds and the eviction decisions its cache made since it last
+    /// replied.
+    pub(crate) fn replied(
+        &mut self,
+        shard: usize,
+        tables: usize,
+        cache_bytes: usize,
+        evictions: Vec<ProvenanceEvent>,
+    ) {
         self.tables += tables;
-        self.evictions.insert(shard, evictions);
+        self.replies.insert(shard, (cache_bytes, evictions));
     }
 
-    /// Assemble every admitted request's plan, run the `(seed, plan)`
-    /// jobs with `run` (one result per job, in job order), feed each
-    /// tenant's breaker its own outcomes in arrival order (sheds never
-    /// count) and report. Decisions are listed admitter first, then
-    /// evictions in shard order, then each plan's rankings in slot
-    /// order.
+    /// Publish the replying shards' cache bytes on `gauges`, assemble
+    /// every admitted request's plan, run the `(seed, plan)` jobs with
+    /// `run` (one result per job, in job order), feed each tenant's
+    /// breaker its own outcomes in arrival order (sheds never count)
+    /// and report. Decisions are listed admitter first, then evictions
+    /// in shard order, then each plan's rankings in slot order.
     pub(crate) fn finish(
         self,
         admitter: &mut Admitter,
         requests: &[&ServeRequest],
         policies: &PolicySet,
+        gauges: &mut CacheGauges,
         run: impl FnOnce(Vec<(u64, Prepared)>) -> Vec<Executed>,
     ) -> BatchReport {
         let Batch {
@@ -122,11 +132,12 @@ impl Batch {
             mut answers,
             tables,
             mut decisions,
-            evictions,
+            replies,
         } = self;
         let shed = answers.len();
         let admitted_count = admitted.len();
-        decisions.extend(evictions.into_values().flatten());
+        gauges.publish(replies.iter().map(|(&shard, (bytes, _))| (shard, *bytes)));
+        decisions.extend(replies.into_values().flat_map(|(_, evictions)| evictions));
         let mut running = Vec::with_capacity(admitted_count);
         let mut jobs = Vec::with_capacity(admitted_count);
         for a in admitted {

@@ -30,8 +30,9 @@
 //! `serve.cache.misses`, `serve.cache.evictions` (capacity pressure),
 //! `serve.cache.invalidated` (explicit owner/fingerprint eviction) and
 //! `serve.cache.evicted_bytes` (bytes released by either path)
-//! counters, plus a `serve.cache.bytes` gauge. Each handle is resolved
-//! on its first use and kept (see DESIGN.md, "Metric handles").
+//! counters. Each handle is resolved on its first use and kept (see
+//! DESIGN.md, "Metric handles"). The bytes a cache holds are published
+//! by its owner, which sees every shard (`CacheGauges`).
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -172,7 +173,6 @@ struct CacheMetrics {
     evictions: OnceLock<Arc<Counter>>,
     evicted_bytes: OnceLock<Arc<Counter>>,
     invalidated: OnceLock<Arc<Counter>>,
-    bytes: OnceLock<Arc<Gauge>>,
 }
 
 impl CacheMetrics {
@@ -200,10 +200,38 @@ impl CacheMetrics {
         self.invalidated
             .get_or_init(|| rdi_obs::counter("serve.cache.invalidated"))
     }
+}
 
-    fn held_bytes(&self) -> &Gauge {
-        self.bytes
-            .get_or_init(|| rdi_obs::gauge("serve.cache.bytes"))
+/// The cache-size gauges of a sharded index: `serve.cache.bytes`, the
+/// sum over its shards, and each shard's `serve.shard.{i}.cache_bytes`.
+/// It keeps the bytes each shard last reported, so a report from some
+/// of the shards still publishes the sum over all of them. Each handle
+/// is resolved when it is first published and kept.
+#[derive(Debug, Default)]
+pub(crate) struct CacheGauges {
+    total: Option<Arc<Gauge>>,
+    /// Per shard, by index: its gauge and the bytes it last reported.
+    shards: Vec<(Arc<Gauge>, usize)>,
+}
+
+impl CacheGauges {
+    /// Take each `(shard index, cache bytes)` report, publish those
+    /// shards' gauges, then the sum over every shard reported so far.
+    pub(crate) fn publish(&mut self, reports: impl IntoIterator<Item = (usize, usize)>) {
+        for (shard, bytes) in reports {
+            while self.shards.len() <= shard {
+                let i = self.shards.len();
+                let gauge = rdi_obs::gauge(&format!("serve.shard.{i}.cache_bytes"));
+                self.shards.push((gauge, 0));
+            }
+            let (gauge, held) = &mut self.shards[shard];
+            *held = bytes;
+            gauge.set(bytes as f64);
+        }
+        let total: usize = self.shards.iter().map(|(_, bytes)| bytes).sum();
+        self.total
+            .get_or_insert_with(|| rdi_obs::gauge("serve.cache.bytes"))
+            .set(total as f64);
     }
 }
 
@@ -318,7 +346,6 @@ impl SketchCache {
         if evicted > 0 {
             self.metrics.evictions().add(evicted as u64);
         }
-        self.metrics.held_bytes().set(self.bytes as f64);
     }
 
     /// Store `sketch` under `key` (replacing any previous entry) as the
@@ -440,7 +467,6 @@ impl SketchCache {
                 self.metrics.evicted_bytes().add(e.bytes as u64);
             }
         }
-        self.metrics.held_bytes().set(self.bytes as f64);
         victims.len()
     }
 }

@@ -45,7 +45,7 @@ use rdi_table::{Encoded, EncodedColumns, Table, TableDelta};
 use rdi_tailor::{DtProblem, RandomPolicy, TableSource};
 
 use crate::batch::Executed;
-use crate::cache::{CacheKey, KeyProfile, Sketch, SketchCache, SketchKind};
+use crate::cache::{CacheGauges, CacheKey, KeyProfile, Sketch, SketchCache, SketchKind};
 use crate::error::ServeError;
 use crate::fingerprint::{table_fingerprint, FpState};
 use crate::maint::{Maintained, UpdatableKeyProfile, UpdatableSignature};
@@ -161,6 +161,11 @@ impl Shard {
     /// Registered-table count in this shard.
     pub(crate) fn len(&self) -> usize {
         self.tables.len()
+    }
+
+    /// Accounted bytes this shard's cache holds.
+    pub(crate) fn cache_bytes(&self) -> usize {
+        self.cache.bytes()
     }
 
     /// Take the cache's eviction decisions recorded since the last
@@ -510,6 +515,9 @@ pub struct LakeIndex {
     shards: Vec<Shard>,
     policies: PolicySet,
     decisions: Vec<ProvenanceEvent>,
+    /// Publishes the shards' cache bytes after a change or a one-shot
+    /// query.
+    gauges: CacheGauges,
 }
 
 impl Default for LakeIndex {
@@ -532,6 +540,7 @@ impl LakeIndex {
             shards,
             policies: PolicySet::new(),
             decisions: Vec::new(),
+            gauges: CacheGauges::default(),
         }
     }
 
@@ -563,6 +572,7 @@ impl LakeIndex {
             shards,
             policies,
             decisions: Vec::new(),
+            gauges: CacheGauges::default(),
         }
     }
 
@@ -686,12 +696,18 @@ impl LakeIndex {
     }
 
     /// Publish index-level and per-shard gauges.
-    fn publish_stats(&self) {
+    fn publish_stats(&mut self) {
         rdi_obs::gauge("serve.index.tables").set(self.len() as f64);
         for (i, s) in self.shards.iter().enumerate() {
             rdi_obs::gauge(&format!("serve.shard.{i}.tables")).set(s.tables.len() as f64);
-            rdi_obs::gauge(&format!("serve.shard.{i}.cache_bytes")).set(s.cache.bytes() as f64);
         }
+        self.publish_cache_bytes();
+    }
+
+    /// Publish every shard's cache bytes and their sum.
+    fn publish_cache_bytes(&mut self) {
+        let bytes = self.shards.iter().map(|s| s.cache.bytes()).enumerate();
+        self.gauges.publish(bytes);
     }
 
     /// Number of registered tables.
@@ -778,7 +794,9 @@ impl LakeIndex {
     }
 
     fn top_k(&mut self, request: &ServeRequest) -> Result<Vec<(String, f64)>, ServeError> {
-        Ok(match self.prepare(request)? {
+        let prepared = self.prepare(request);
+        self.publish_cache_bytes();
+        Ok(match prepared? {
             Prepared::Union(plan) => execute_union(&plan, &mut self.decisions),
             Prepared::Join(plan) => execute_join(&plan, &mut self.decisions),
             // a top-k request prepares a top-k plan

@@ -43,6 +43,7 @@ use rdi_par::{Pool, Threads};
 
 use crate::admit::{AdmitConfig, Admitter, TaggedRequest, TenantId};
 use crate::batch::Batch;
+use crate::cache::CacheGauges;
 use crate::error::ServeError;
 use crate::index::{execute, LakeIndex};
 use crate::request::{ServeRequest, ServeResponse};
@@ -111,6 +112,8 @@ pub struct ServeSession {
     admitter: Admitter,
     /// The execute phase's workers, joined when the session drops.
     pool: Pool,
+    /// Publishes the shards' cache bytes at the end of every batch.
+    gauges: CacheGauges,
 }
 
 impl ServeSession {
@@ -132,6 +135,7 @@ impl ServeSession {
             admitter: Admitter::new(admit, config.seed),
             pool: Pool::new(config.threads.min_len(2)),
             config,
+            gauges: CacheGauges::default(),
         }
     }
 
@@ -226,13 +230,15 @@ impl ServeSession {
             batch.warmed(pos, shards[si].warm(need, k));
         }
         for (si, shard) in shards.iter_mut().enumerate() {
-            batch.replied(si, shard.len(), shard.drain_decisions().collect());
+            let bytes = shard.cache_bytes();
+            batch.replied(si, shard.len(), bytes, shard.drain_decisions().collect());
         }
         let pool = &mut self.pool;
         batch.finish(
             &mut self.admitter,
             requests,
             self.index.policies(),
+            &mut self.gauges,
             |jobs| pool.map(jobs, |(seed, plan)| execute(plan, *seed)),
         )
     }

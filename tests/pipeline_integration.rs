@@ -12,6 +12,7 @@ use responsible_data_integration::datagen::{
     healthcare_sources, inject_missing, HealthcareConfig, Mechanism, MissingSpec, PopulationSpec,
 };
 use responsible_data_integration::fairness::Categorical;
+use responsible_data_integration::profile::NutritionalLabel;
 use responsible_data_integration::table::{GroupKey, GroupSpec, Value};
 use responsible_data_integration::tailor::prelude::*;
 
@@ -109,7 +110,7 @@ fn full_pipeline_with_imputation_and_provenance() {
         sources.push(TableSource::new(name, table, g.cost, &problem).unwrap());
     }
     let mut policy = RatioColl::from_sources(&sources);
-    let result = PipelineBuilder::new(problem)
+    let built = PipelineBuilder::new(problem)
         .impute(
             "screening_score",
             ImputeStrategy::GroupMean(GroupSpec::new(vec!["race"])),
@@ -124,9 +125,8 @@ fn full_pipeline_with_imputation_and_provenance() {
         .require(Requirement::ScopeOfUse { min_scope_notes: 1 })
         .scope_note("integration test data")
         .max_draws(5_000_000)
-        .build()
-        .run(&mut sources, &mut policy, &mut rng)
-        .unwrap();
+        .build();
+    let result = built.run(&mut sources, &mut policy, &mut rng).unwrap();
     assert!(result.audit.passed(), "{:?}", result.audit.failures());
     assert_eq!(
         result.data.column("screening_score").unwrap().null_count(),
@@ -154,13 +154,26 @@ fn full_pipeline_with_imputation_and_provenance() {
         .iter()
         .any(|l| l.starts_with("tailoring: ")));
     // and the shipped label carries the complete log, audit included
-    assert!(result
-        .label
-        .scope_notes
-        .iter()
-        .any(|n| n.starts_with("audit: ")));
+    let label = result.label().unwrap();
+    assert!(label.scope_notes.iter().any(|n| n.starts_with("audit: ")));
     // label carries group fractions for all four races
-    assert_eq!(result.label.group_fractions.len(), 4);
+    assert_eq!(label.group_fractions.len(), 4);
+    // the label built on first read is the one an eager build makes
+    // from the shipped data, the spec's notes and the provenance lines
+    // (`Debug` prints every field, floats to their exact value)
+    let pipeline = built.pipeline();
+    let mut eager = NutritionalLabel::generate(&result.data, &pipeline.label_config).unwrap();
+    for note in &pipeline.spec.scope_notes {
+        eager.add_scope_note(note.clone());
+    }
+    for line in result.provenance_lines() {
+        eager.add_scope_note(line);
+    }
+    assert_eq!(format!("{label:?}"), format!("{eager:?}"));
+    assert_eq!(
+        label.scope_notes.len(),
+        pipeline.spec.scope_notes.len() + result.provenance.len()
+    );
 }
 
 #[test]
