@@ -35,7 +35,7 @@ pub struct RangeQuery2d {
     xs: Vec<f64>,
     /// Candidate y endpoints.
     ys: Vec<f64>,
-    /// prefix_total[i][j] = # points with x < xs[i] threshold index i and
+    /// `prefix_total[i][j]` = # points with x < `xs[i]` threshold index i and
     /// y index j (standard 2-D prefix sums over the quantized grid).
     prefix_total: Vec<Vec<i64>>,
     /// Same, group A only.

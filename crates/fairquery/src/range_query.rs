@@ -24,7 +24,7 @@ pub struct FairRange {
 pub struct RangeQueryEngine {
     /// Sorted attribute values.
     xs: Vec<f64>,
-    /// prefix_a[i] = #group-A points among the first i sorted points.
+    /// `prefix_a[i]` = #group-A points among the first i sorted points.
     prefix_a: Vec<usize>,
 }
 

@@ -6,7 +6,7 @@
 //!
 //! * a [`MetricsRegistry`] of named [`Counter`]s, [`Gauge`]s, and
 //!   fixed-bucket [`Histogram`]s,
-//! * lightweight [`span`] timers (RAII guards with explicit
+//! * lightweight [`span()`] timers (RAII guards with explicit
 //!   parent/child nesting tracked per thread), and
 //! * a typed [`ProvenanceEvent`] log whose [`ProvenanceEvent::render`]
 //!   output preserves the human-readable provenance lines the pipeline
@@ -42,7 +42,7 @@ mod span;
 
 pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
 pub use names::METRIC_NAMES;
-pub use provenance::{ProvenanceEvent, ProvenanceLog};
+pub use provenance::{push_decimal, ProvenanceEvent, ProvenanceLog};
 pub use span::{span_stack, with_span_stack, SpanGuard, SpanRecord, SpanStack};
 
 use std::sync::Arc;

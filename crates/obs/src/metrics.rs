@@ -294,7 +294,7 @@ impl MetricsRegistry {
     }
 
     /// Open a timing span; the guard records into this registry's span
-    /// log on drop. See [`crate::span`].
+    /// log on drop. See [`crate::span()`].
     pub fn span(&self, name: &str) -> SpanGuard<'_> {
         SpanGuard::enter(self, name)
     }

@@ -9,6 +9,23 @@
 
 use std::sync::Arc;
 
+/// Append `v` to `out` in decimal, the text `format!("{v}")` gives,
+/// without going through `fmt`: audit keys and decision rationales
+/// render integers on every cache insert.
+pub fn push_decimal(out: &mut String, mut v: u64) {
+    let mut digits = [0u8; 20];
+    let mut start = digits.len();
+    loop {
+        start -= 1;
+        digits[start] = b'0' + (v % 10) as u8;
+        v /= 10;
+        if v == 0 {
+            break;
+        }
+    }
+    out.extend(digits[start..].iter().map(|&d| char::from(d)));
+}
+
 /// One step of pipeline provenance.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ProvenanceEvent {

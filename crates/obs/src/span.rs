@@ -70,7 +70,7 @@ pub struct SpanRecord {
     pub nanos: u64,
 }
 
-/// Guard returned by [`MetricsRegistry::span`] / [`crate::span`]:
+/// Guard returned by [`MetricsRegistry::span`] / [`crate::span()`]:
 /// records a [`SpanRecord`] into the registry when dropped. Guards are
 /// expected to drop in LIFO order (ordinary scoping guarantees this);
 /// they are deliberately `!Send` so a span cannot close on a different

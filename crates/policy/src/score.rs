@@ -62,8 +62,16 @@ impl Score {
     pub fn render(&self) -> String {
         match self {
             Score::F64(v) => format!("{v}"),
-            Score::U64(v) => format!("{v}"),
-            Score::I64(v) => format!("{v}"),
+            Score::U64(v) => {
+                let mut out = String::new();
+                rdi_obs::push_decimal(&mut out, *v);
+                out
+            }
+            Score::I64(v) => {
+                let mut out = String::from(if *v < 0 { "-" } else { "" });
+                rdi_obs::push_decimal(&mut out, v.unsigned_abs());
+                out
+            }
             Score::Tuple(items) => {
                 let inner: Vec<String> = items.iter().map(Score::render).collect();
                 format!("[{}]", inner.join(", "))
@@ -75,6 +83,7 @@ impl Score {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn same_variant_orders_numerically() {
@@ -111,6 +120,19 @@ mod tests {
             Score::Tuple(vec![]).cmp_total(&Score::I64(i64::MAX)),
             Ordering::Greater
         );
+    }
+
+    proptest! {
+        /// Integer scores render exactly as `format!` renders them,
+        /// extremes included.
+        #[test]
+        fn integer_render_matches_format(
+            u in prop_oneof![Just(0u64), Just(u64::MAX), any::<u64>()],
+            i in prop_oneof![Just(0i64), Just(i64::MIN), Just(i64::MAX), Just(-1i64), any::<i64>()],
+        ) {
+            prop_assert_eq!(Score::U64(u).render(), format!("{u}"));
+            prop_assert_eq!(Score::I64(i).render(), format!("{i}"));
+        }
     }
 
     #[test]

@@ -91,17 +91,31 @@ impl CacheKey {
 
     /// Append [`CacheKey::render`]'s text to `out`, so a cache can
     /// render every audit key into one reused buffer.
+    ///
+    /// Written by hand, not through `fmt`: a cache renders one key per
+    /// insert.
     fn render_into(&self, out: &mut String) {
-        use std::fmt::Write;
-        let (owner, fingerprint) = (&self.owner, self.fingerprint);
-        match &self.kind {
-            SketchKind::Union { k } => write!(out, "{owner}#{fingerprint:016x}#union:{k}"),
-            SketchKind::Join { column, k } => {
-                write!(out, "{owner}#{fingerprint:016x}#join:{column}:{k}")
-            }
+        const HEX: &[u8; 16] = b"0123456789abcdef";
+        out.push_str(&self.owner);
+        out.push('#');
+        for shift in (0..16).rev() {
+            out.push(char::from(
+                HEX[(self.fingerprint >> (4 * shift)) as usize & 0xf],
+            ));
         }
-        // writing into a `String` cannot fail
-        .unwrap_or_default();
+        let k = match &self.kind {
+            SketchKind::Union { k } => {
+                out.push_str("#union:");
+                k
+            }
+            SketchKind::Join { column, k } => {
+                out.push_str("#join:");
+                out.push_str(column);
+                out.push(':');
+                k
+            }
+        };
+        rdi_obs::push_decimal(out, *k as u64);
     }
 }
 
@@ -763,8 +777,40 @@ mod tests {
         }
     }
 
+    /// Integers at both ends of their range, and in between.
+    fn edge_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(u64::MAX), Just(9), Just(10), any::<u64>()]
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// The hand-written key rendering is byte-identical to the
+        /// `format!` text it replaced, for owners and columns holding
+        /// `#`, `:` and non-ASCII text and for fingerprints and `k` at
+        /// both ends of their range.
+        #[test]
+        fn key_render_matches_format(
+            owner in 0usize..5,
+            column in prop_oneof![Just(None), (0usize..5).prop_map(Some)],
+            fingerprint in edge_u64(),
+            k in edge_u64(),
+        ) {
+            let names = ["", "t#1", "<query>", "größe:é#", "表#𝔘"];
+            let (owner, k) = (names[owner], k as usize);
+            let (kind, reference) = match column {
+                None => (
+                    SketchKind::Union { k },
+                    format!("{owner}#{fingerprint:016x}#union:{k}"),
+                ),
+                Some(c) => (
+                    SketchKind::Join { column: names[c].into(), k },
+                    format!("{owner}#{fingerprint:016x}#join:{}:{k}", names[c]),
+                ),
+            };
+            let key = CacheKey { owner: owner.into(), fingerprint, kind };
+            prop_assert_eq!(key.render(), reference);
+        }
 
         /// Random get/insert/invalidate sequences on two caches, one
         /// evicting through `evict_over_budget`, the other through the

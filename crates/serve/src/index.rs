@@ -188,7 +188,7 @@ impl Shard {
         if cost.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(ServeError::InvalidCost(cost));
         }
-        rdi_obs::counter("serve.shard.routed").inc();
+        shard_routed().inc();
         let fp = FpState::from_table(&table);
         let keep = fp.fingerprint();
         self.tables.insert(
@@ -216,7 +216,7 @@ impl Shard {
         k: usize,
         debt_threshold: u64,
     ) -> Result<usize, ServeError> {
-        rdi_obs::counter("serve.shard.routed").inc();
+        shard_routed().inc();
 
         if matches!(delta, TableDelta::Drop) {
             if self.tables.remove(id).is_none() {
@@ -258,11 +258,11 @@ impl Shard {
                         let table = r.table.clone();
                         if let Some(u) = &mut r.maint.union {
                             *u = UpdatableSignature::build(id, &table, k);
-                            rdi_obs::counter("sketch.rebuilds").inc();
+                            sketch_rebuilds().inc();
                         }
                         for (col, p) in r.maint.joins.iter_mut() {
                             *p = UpdatableKeyProfile::build(&table, col, k)?;
-                            rdi_obs::counter("sketch.rebuilds").inc();
+                            sketch_rebuilds().inc();
                         }
                         r.maint.debt = 0;
                     } else {
@@ -307,7 +307,7 @@ impl Shard {
             );
         }
         self.cache.evict_stale(id, new_fp);
-        rdi_obs::counter("serve.delta.rows_applied").add(rows_touched as u64);
+        delta_rows_applied().add(rows_touched as u64);
         Ok(rows_touched)
     }
 
@@ -1263,6 +1263,26 @@ fn execute_inner(
 fn candidates_scored() -> &'static Counter {
     static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
     HANDLE.get_or_init(|| rdi_obs::counter("serve.candidates_scored"))
+}
+
+/// `serve.shard.routed`, resolved on first use: counted on every
+/// registration and delta.
+fn shard_routed() -> &'static Counter {
+    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
+    HANDLE.get_or_init(|| rdi_obs::counter("serve.shard.routed"))
+}
+
+/// `sketch.rebuilds`, resolved on first use (first debt rebuild).
+fn sketch_rebuilds() -> &'static Counter {
+    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
+    HANDLE.get_or_init(|| rdi_obs::counter("sketch.rebuilds"))
+}
+
+/// `serve.delta.rows_applied`, resolved on first use: counted on every
+/// non-drop delta.
+fn delta_rows_applied() -> &'static Counter {
+    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
+    HANDLE.get_or_init(|| rdi_obs::counter("serve.delta.rows_applied"))
 }
 
 /// Score every candidate's unionability with the query and rank the

@@ -16,9 +16,10 @@
 //!   whose multiplicity map also yields the exact distinct count.
 //! * [`Maintained`] — a table's lazily-populated collection of the
 //!   above, plus the **deletion debt** counter. Incremental deletion
-//!   repair is exact but costs O(distinct values) per repaired
-//!   signature position; once accumulated deleted rows exceed the
-//!   index's `deletion_debt_threshold` the index performs one counted
+//!   repair is exact, but a delete whose departed values held signature
+//!   minima re-hashes every surviving distinct value once; once
+//!   accumulated deleted rows exceed the index's
+//!   `deletion_debt_threshold` the index performs one counted
 //!   rebuild (`sketch.rebuilds`) from the table and resets the debt —
 //!   a cost policy, not a correctness one: answers are bitwise
 //!   identical on both sides of the threshold.
@@ -61,8 +62,7 @@ impl UpdatableSignature {
     pub fn build(name: &str, table: &Table, k: usize) -> Self {
         let mut columns = Vec::with_capacity(table.num_columns());
         for (ci, f) in table.schema().fields().iter().enumerate() {
-            let col = table.column_at(ci);
-            let m = UpdatableMinHash::build((0..table.num_rows()).map(|ri| col.value(ri)), k);
+            let m = UpdatableMinHash::from_column(table.column_at(ci), k);
             columns.push((f.name.clone(), m));
         }
         rdi_obs::counter("discovery.sketches_built").add(columns.len() as u64);
@@ -96,7 +96,7 @@ impl UpdatableSignature {
         for (ci, (_, m)) in self.columns.iter_mut().enumerate() {
             let col = rows.column_at(ci);
             for ri in 0..rows.num_rows() {
-                m.insert(&col.value(ri));
+                m.insert(col.value(ri));
             }
         }
     }
@@ -106,9 +106,7 @@ impl UpdatableSignature {
         self.snapshot = None;
         for (ci, (_, m)) in self.columns.iter_mut().enumerate() {
             let col = removed.column_at(ci);
-            for ri in 0..removed.num_rows() {
-                m.remove(&col.value(ri));
-            }
+            m.remove_all((0..removed.num_rows()).map(|ri| col.value(ri)));
         }
     }
 }
@@ -126,8 +124,7 @@ pub(crate) struct UpdatableKeyProfile {
 impl UpdatableKeyProfile {
     /// Build from one column of a table's full content.
     pub fn build(table: &Table, column: &str, k: usize) -> rdi_table::Result<Self> {
-        let col = table.column(column)?;
-        let minhash = UpdatableMinHash::build((0..table.num_rows()).map(|ri| col.value(ri)), k);
+        let minhash = UpdatableMinHash::from_column(table.column(column)?, k);
         Ok(UpdatableKeyProfile {
             column: column.to_string(),
             minhash,
@@ -154,7 +151,7 @@ impl UpdatableKeyProfile {
         self.snapshot = None;
         let col = rows.column(&self.column)?;
         for ri in 0..rows.num_rows() {
-            self.minhash.insert(&col.value(ri));
+            self.minhash.insert(col.value(ri));
         }
         Ok(())
     }
@@ -163,9 +160,8 @@ impl UpdatableKeyProfile {
     pub fn remove_rows(&mut self, removed: &Table) -> rdi_table::Result<()> {
         self.snapshot = None;
         let col = removed.column(&self.column)?;
-        for ri in 0..removed.num_rows() {
-            self.minhash.remove(&col.value(ri));
-        }
+        self.minhash
+            .remove_all((0..removed.num_rows()).map(|ri| col.value(ri)));
         Ok(())
     }
 }
