@@ -33,6 +33,10 @@
 //! assert!(alloc[0] > alloc[1]); // budget flows to the starved slice
 //! ```
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the slice finder tallies slices in a hash map and sorts them before ranking"
+)]
 
 pub mod curve;
 pub mod fairprep;

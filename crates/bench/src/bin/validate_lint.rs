@@ -3,11 +3,10 @@
 //!
 //! Reads the lint JSON document on **stdin** and checks the schema
 //! contract the CI gate relies on: `version` is the supported one
-//! (v4; older reports are rejected), the summary fields
+//! (v5; older reports are rejected), the summary fields
 //! are present, the rule catalog lists every live rule exactly once
-//! and no other, `rule_counts` covers the same catalog,
-//! `classification` lists the workspace crates, and each finding is a
-//! well-formed object with a stable fingerprint.
+//! and no other, `rule_counts` covers the same catalog, and each
+//! finding is a well-formed object with a stable fingerprint.
 //! Exits non-zero (with a message on stderr) on any violation — so a
 //! pipeline like
 //!
@@ -24,13 +23,12 @@ use std::process::exit;
 
 /// Schema version this validator understands (see
 /// `crates/lint/src/report.rs`).
-const SUPPORTED_VERSION: u64 = 4;
+const SUPPORTED_VERSION: u64 = 5;
 
-/// Every rule the catalog must list, in order. R2, R4, R5, R6, R8, R10
-/// and R11 are retired (DESIGN.md names what replaced each); the
-/// surviving ids keep their numbers because the report and the fixture
-/// expectations key on them.
-const RULE_IDS: [&str; 5] = ["R1", "R3", "R7", "R9", "R12"];
+/// Every rule the catalog must list, in order. R1 to R11 are retired
+/// (DESIGN.md names what replaced each); R12 keeps its number because
+/// the report and the fixture expectations key on it.
+const RULE_IDS: [&str; 1] = ["R12"];
 
 fn main() {
     let mut input = String::new();
@@ -94,22 +92,6 @@ fn main() {
         }
     }
 
-    // Crate classification table (may be empty for fixture trees, but
-    // must be present and well-formed).
-    let Some(classes) = doc.get("classification").and_then(|v| v.as_array()) else {
-        eprintln!("validate_lint: report missing `classification` array");
-        exit(2);
-    };
-    for c in classes {
-        if c.get("name").and_then(|v| v.as_str()).is_none()
-            || c.get("algo").and_then(|v| v.as_bool()).is_none()
-            || c.get("explicit").and_then(|v| v.as_bool()).is_none()
-        {
-            eprintln!("validate_lint: malformed classification entry: {c:?}");
-            exit(2);
-        }
-    }
-
     let Some(findings) = doc.get("findings").and_then(|v| v.as_array()) else {
         eprintln!("validate_lint: report missing `findings` array");
         exit(2);
@@ -125,7 +107,6 @@ fn main() {
         }
         if f.get("file").and_then(|v| v.as_str()).is_none()
             || f.get("line").and_then(|v| v.as_u64()).is_none()
-            || f.get("item").and_then(|v| v.as_str()).is_none()
             || f.get("message").and_then(|v| v.as_str()).is_none()
         {
             eprintln!("validate_lint: malformed finding entry: {f:?}");

@@ -7,6 +7,10 @@
 //! stdout; there is no statistical analysis, plotting, or HTML output.
 
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "a benchmark timer measures wall-clock time by definition"
+)]
 
 use std::fmt;
 use std::time::{Duration, Instant};

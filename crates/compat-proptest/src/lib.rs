@@ -415,7 +415,12 @@ pub mod test_runner {
                 seed ^= b as u64;
                 seed = seed.wrapping_mul(0x0000_0100_0000_01b3);
             }
-            TestRng(StdRng::seed_from_u64(seed))
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "a test's stream is seeded from its name, so every run replays it"
+            )]
+            let rng = StdRng::seed_from_u64(seed);
+            TestRng(rng)
         }
     }
 

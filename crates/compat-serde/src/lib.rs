@@ -15,6 +15,10 @@
 //! 64-bit hash values in sketch signatures.
 
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "the serde shim serializes std hash maps, as serde does"
+)]
 
 /// A JSON value: the single data model of the compat serde stack.
 #[derive(Debug, Clone, PartialEq)]

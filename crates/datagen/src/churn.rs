@@ -5,7 +5,7 @@
 //! appended to in small batches, rows corrected away, sources dropped
 //! and replaced — not just one synthetic append. [`churn_workload`]
 //! generates exactly that: an initial lake plus a delta stream, every
-//! byte a pure function of `(config, seed)` via [`stream_seed`], so
+//! byte a pure function of `(config, seed)` via [`stream_rng`], so
 //! two replays of the same workload (e.g. an incremental index and a
 //! cold-rebuilt reference, or the same index at different
 //! `RDI_THREADS`) see identical inputs.
@@ -17,9 +17,8 @@
 
 use std::collections::BTreeMap;
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rdi_par::stream_seed;
+use rand::Rng;
+use rdi_par::stream_rng;
 use rdi_table::{DataType, Field, Role, Schema, Table, TableDelta, Value};
 
 use crate::rng::normal;
@@ -121,7 +120,7 @@ fn gen_rows<R: Rng + ?Sized>(rng: &mut R, n: usize, key_pool: usize) -> Table {
 
 /// Generate a churn workload. Initial table `i` is drawn from RNG
 /// stream `i + 1` and the event stream from stream 0 (both via
-/// [`stream_seed`]), so the workload is a pure function of
+/// [`stream_rng`]), so the workload is a pure function of
 /// `(config, seed)`.
 pub fn churn_workload(config: &ChurnConfig, seed: u64) -> ChurnWorkload {
     assert!(config.num_tables > 0 && config.initial_rows > 0);
@@ -129,14 +128,14 @@ pub fn churn_workload(config: &ChurnConfig, seed: u64) -> ChurnWorkload {
     // live row counts as the stream will observe them
     let mut live: BTreeMap<String, usize> = BTreeMap::new();
     for i in 0..config.num_tables {
-        let mut trng = StdRng::seed_from_u64(stream_seed(seed, i as u64 + 1));
+        let mut trng = stream_rng(seed, i as u64 + 1);
         let id = format!("t{i:02}");
         let t = gen_rows(&mut trng, config.initial_rows, config.key_pool);
         live.insert(id.clone(), t.num_rows());
         tables.push((id, t));
     }
 
-    let mut rng = StdRng::seed_from_u64(stream_seed(seed, 0));
+    let mut rng = stream_rng(seed, 0);
     let mut events = Vec::with_capacity(config.events);
     for e in 0..config.events {
         let names: Vec<String> = live.keys().cloned().collect();

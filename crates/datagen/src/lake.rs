@@ -6,9 +6,8 @@
 //! feature and the query target is. Real lakes (open-data portals) don't
 //! come with that ground truth; this generator plants it.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rdi_par::{par_map, stream_seed, Threads};
+use rand::Rng;
+use rdi_par::{par_map, stream_rng, Threads};
 use rdi_table::{DataType, Field, Role, Schema, Table, Value};
 
 use crate::rng::normal;
@@ -100,7 +99,7 @@ impl SyntheticLake {
     /// Generate a lake with candidate tables built in parallel.
     ///
     /// The query table is drawn from RNG stream 0 and candidate `c` from
-    /// stream `c + 1` (both via [`stream_seed`]), so the output is a pure
+    /// stream `c + 1` (both via [`stream_rng`]), so the output is a pure
     /// function of `(config, seed)` and bitwise identical for any thread
     /// count — including [`Threads::serial`]. The stream differs from
     /// [`Self::generate`] with a single shared RNG, but the planted
@@ -113,7 +112,7 @@ impl SyntheticLake {
         ]);
         let mut query = Table::with_capacity(query_schema, config.query_keys);
         let mut target_by_key = Vec::with_capacity(config.query_keys);
-        let mut qrng = StdRng::seed_from_u64(stream_seed(seed, 0));
+        let mut qrng = stream_rng(seed, 0);
         for i in 0..config.query_keys {
             let key = format!("q{i:06}");
             let t = normal(&mut qrng, 0.0, 1.0);
@@ -128,7 +127,7 @@ impl SyntheticLake {
         }
         let cand_ids: Vec<usize> = (0..config.num_candidates).collect();
         let candidates = par_map(threads.min_len(2), &cand_ids, |&c| {
-            let mut rng = StdRng::seed_from_u64(stream_seed(seed, c as u64 + 1));
+            let mut rng = stream_rng(seed, c as u64 + 1);
             generate_candidate(config, &target_by_key, c, &mut rng)
         });
         SyntheticLake {

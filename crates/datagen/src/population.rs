@@ -6,10 +6,9 @@
 //! effects. Generated tables carry the proper [`Role`] annotations so the
 //! rest of the toolkit can find sensitive/target columns automatically.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::Rng;
 use rdi_fairness::Categorical;
-use rdi_par::{par_run, stream_seed, Threads};
+use rdi_par::{par_run, stream_rng, Threads};
 use rdi_table::{DataType, Field, Role, Schema, Table, Value};
 
 use crate::rng::normal;
@@ -180,8 +179,8 @@ impl PopulationSpec {
 
     /// Parallel [`Self::generate_with_marginals`]. The `n` rows are
     /// split into fixed blocks of `ROW_BLOCK` (a function of `n`
-    /// alone); block `b` is drawn from a `StdRng` seeded with
-    /// [`stream_seed`]`(seed, b)` and the blocks are concatenated in
+    /// alone); block `b` is drawn from
+    /// [`stream_rng`]`(seed, b)` and the blocks are concatenated in
     /// order, so the output is a pure function of `(spec, n, seed)` —
     /// bitwise identical for any thread count, including
     /// [`Threads::serial`]. The stream differs from the single-RNG
@@ -200,7 +199,7 @@ impl PopulationSpec {
         let blocks = n.div_ceil(ROW_BLOCK).max(1);
         let per_block = par_run(threads.min_len(2), blocks, |b| {
             let quota = ROW_BLOCK.min(n - (b * ROW_BLOCK).min(n));
-            let mut rng = StdRng::seed_from_u64(stream_seed(seed, b as u64));
+            let mut rng = stream_rng(seed, b as u64);
             (0..quota)
                 .map(|_| self.sample_row(&mut rng, first_marginal))
                 .collect::<Vec<_>>()

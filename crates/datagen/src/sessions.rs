@@ -22,9 +22,8 @@
 //! that exercise admission-control and breaker-recovery paths under
 //! concurrency.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rdi_par::stream_seed;
+use rand::Rng;
+use rdi_par::stream_rng;
 use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Table, Value};
 use rdi_tailor::DtProblem;
 
@@ -258,7 +257,7 @@ pub(crate) fn lake_tables(
 ) -> Vec<(String, Table)> {
     let mut tables = Vec::with_capacity(num_tables);
     for i in 0..num_tables {
-        let mut trng = StdRng::seed_from_u64(stream_seed(seed, i as u64 + 1));
+        let mut trng = stream_rng(seed, i as u64 + 1);
         tables.push((
             format!("lake{i:02}"),
             gen_rows(&mut trng, rows_per_table, key_pool),
@@ -269,7 +268,7 @@ pub(crate) fn lake_tables(
 
 /// Generate a concurrent-session workload. Lake table `i` draws from
 /// RNG stream `i + 1` and session `s` from stream `1000 + s` (both via
-/// [`stream_seed`]; streams `2000 + t` are reserved for the
+/// [`stream_rng`]; streams `2000 + t` are reserved for the
 /// [`crate::tenants`] generator), so every table and every per-session
 /// script is a pure function of `(config, seed)` — and a session's
 /// script does not change when sessions are added or removed around
@@ -287,7 +286,7 @@ pub fn session_workload(config: &SessionWorkloadConfig, seed: u64) -> SessionWor
 
     let sessions = (0..config.num_sessions)
         .map(|s| {
-            let mut rng = StdRng::seed_from_u64(stream_seed(seed, 1000 + s as u64));
+            let mut rng = stream_rng(seed, 1000 + s as u64);
             let batches = (0..config.batches_per_session)
                 .map(|_| {
                     let n = 1 + rng.gen_range(0..config.requests_per_batch_max.max(1));

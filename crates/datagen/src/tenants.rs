@@ -25,9 +25,8 @@
 //! [`TenantSpec`] onto its own policy type, keeping the dependency
 //! arrow pointing from the serving layer to the generator.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rdi_par::stream_seed;
+use rand::Rng;
+use rdi_par::stream_rng;
 use rdi_table::Table;
 
 use crate::sessions::{gen_op, lake_tables, SessionOp, SessionWorkloadConfig};
@@ -175,7 +174,7 @@ fn tenant_ops(
     seed: u64,
     table_ids: &[String],
 ) -> Vec<Vec<SessionOp>> {
-    let mut rng = StdRng::seed_from_u64(stream_seed(seed, 2000 + spec.stream));
+    let mut rng = stream_rng(seed, 2000 + spec.stream);
     // gen_op only reads the mix knobs, so a throwaway session config
     // carries them; honest and flood traffic are both poison-free.
     let mix = SessionWorkloadConfig {

@@ -33,10 +33,15 @@ impl<S: Source> FaultySource<S> {
     /// with `seed`.
     pub fn new(inner: S, spec: crate::FaultSpec, seed: u64) -> Self {
         spec.validate();
+        #[allow(
+            clippy::disallowed_methods,
+            reason = "the caller's seed is this fault stream's own seed, so injection replays from it"
+        )]
+        let fault_rng = StdRng::seed_from_u64(seed);
         FaultySource {
             inner,
             spec,
-            fault_rng: StdRng::seed_from_u64(seed),
+            fault_rng,
             injected: [0; 4],
         }
     }

@@ -14,9 +14,8 @@
 //!
 //! Both return exact uniform i.i.d. samples of `R ⋈ S`.
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rdi_par::{par_run, stream_seed, Threads};
+use rand::Rng;
+use rdi_par::{par_run, stream_rng, Threads};
 use rdi_table::{Table, TableError, Value};
 
 use crate::index::JoinIndex;
@@ -87,8 +86,8 @@ pub fn olken_sample<R: Rng>(
 const OLKEN_BLOCK: usize = 256;
 
 /// Parallel [`olken_sample`]: the `n` draws are split into fixed
-/// blocks of `OLKEN_BLOCK`, each driven by its own `StdRng` seeded
-/// with [`stream_seed`]`(seed, block)`, and blocks run across
+/// blocks of `OLKEN_BLOCK`, each driven by its own
+/// [`stream_rng`]`(seed, block)`, and blocks run across
 /// `threads`. Because both the block boundaries and the per-block
 /// streams are functions of `(n, seed)` alone, the samples and attempt
 /// count are bitwise identical for any thread count (including 1).
@@ -108,7 +107,7 @@ pub fn olken_sample_par(
     let blocks = n.div_ceil(OLKEN_BLOCK).max(1);
     let per_block = par_run(threads.min_len(2), blocks, |b| {
         let quota = OLKEN_BLOCK.min(n - (b * OLKEN_BLOCK).min(n));
-        let mut rng = StdRng::seed_from_u64(stream_seed(seed, b as u64));
+        let mut rng = stream_rng(seed, b as u64);
         olken_sample(left, left_key, right_index, quota, &mut rng)
     });
     let mut out = Vec::with_capacity(n);

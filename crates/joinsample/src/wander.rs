@@ -7,9 +7,8 @@
 //! Horvitz–Thompson estimator `Σ f(path)/p(path) / n_walks` is unbiased for
 //! any SUM/COUNT aggregate — no uniformity needed (tutorial §3.4).
 
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-use rdi_par::{par_run, stream_seed, Threads};
+use rand::Rng;
+use rdi_par::{par_run, stream_rng, Threads};
 use rdi_table::{Table, TableError, Value};
 
 use crate::estimator::AqpEstimate;
@@ -136,8 +135,8 @@ impl<'a> WanderJoin<'a> {
 
     /// Parallel [`Self::aggregate_estimate`]. The `n_walks` trials are
     /// split into fixed blocks of `WALK_BLOCK` (a function of
-    /// `n_walks` alone), each driven by a `StdRng` seeded with
-    /// [`stream_seed`]`(seed, block)`, and blocks run across `threads`.
+    /// `n_walks` alone), each driven by
+    /// [`stream_rng`]`(seed, block)`, and blocks run across `threads`.
     /// Per-block contributions are concatenated in block order before
     /// the estimator folds them, so the returned estimate is bitwise
     /// identical for any thread count (including 1).
@@ -155,7 +154,7 @@ impl<'a> WanderJoin<'a> {
         let blocks = n_walks.div_ceil(WALK_BLOCK).max(1);
         let per_block = par_run(threads.min_len(2), blocks, |b| {
             let quota = WALK_BLOCK.min(n_walks - (b * WALK_BLOCK).min(n_walks));
-            let mut rng = StdRng::seed_from_u64(stream_seed(seed, b as u64));
+            let mut rng = stream_rng(seed, b as u64);
             let mut contributions = Vec::with_capacity(quota);
             let mut dead_ends = 0u64;
             for _ in 0..quota {

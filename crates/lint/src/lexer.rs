@@ -11,12 +11,11 @@
 //! * comments, including **nested** block comments.
 //!
 //! Comments are kept as tokens (rather than dropped) so the span
-//! invariants below hold over the whole source; the item parser filters
-//! them out.
+//! invariants below hold over the whole source; the metric collector
+//! filters them out.
 //!
 //! Every token carries its `[start, end)` **byte** span in the source.
-//! The item parser ([`crate::parser`]) and the symbol graph lean on
-//! these spans; the invariants they may assume are pinned by tests:
+//! The invariants a caller may assume are pinned by tests:
 //! spans are in-bounds, strictly increasing, non-overlapping, aligned to
 //! UTF-8 boundaries, the text between consecutive spans is pure
 //! whitespace, and for identifier/number/punct/comment tokens the span

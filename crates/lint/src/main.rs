@@ -1,5 +1,5 @@
-//! `rdi-lint` — scan the workspace for determinism, manifest-marker
-//! and metrics-consistency violations.
+//! `rdi-lint` — scan the workspace for metrics-consistency (R12)
+//! violations.
 //!
 //! ```text
 //! rdi-lint [ROOT] [--json] [--expect FILE]
@@ -8,7 +8,7 @@
 //! * `ROOT` — tree to scan; defaults to the workspace root (derived from
 //!   this crate's manifest directory, falling back to the current
 //!   directory).
-//! * `--json` — print the machine-readable schema-v4 report to stdout
+//! * `--json` — print the machine-readable schema-v5 report to stdout
 //!   (findings still go to stderr); without it the findings print to
 //!   stdout.
 //! * `--expect FILE` — self-check mode: compare the findings against the
@@ -66,28 +66,6 @@ fn print_findings(report: &Report, to_stderr: bool) {
         report.findings.len(),
         report.files_scanned,
     ));
-    if !report.classification.is_empty() {
-        let algo: Vec<&str> = report
-            .classification
-            .iter()
-            .filter(|c| c.algo)
-            .map(|c| c.name.as_str())
-            .collect();
-        let shell: Vec<String> = report
-            .classification
-            .iter()
-            .filter(|c| !c.algo)
-            .map(|c| {
-                if c.explicit {
-                    c.name.clone()
-                } else {
-                    format!("{}(?)", c.name)
-                }
-            })
-            .collect();
-        emit(format!("rdi-lint: algo crates: {}", algo.join(" ")));
-        emit(format!("rdi-lint: opted-out crates: {}", shell.join(" ")));
-    }
 }
 
 /// Compare findings against a fixture expectation file: one

@@ -3,7 +3,7 @@
 use serde_json::Value;
 
 use crate::rules::RULES;
-use crate::{ClassEntry, Finding};
+use crate::Finding;
 
 /// Aggregated analysis result for a tree.
 #[derive(Debug, Default)]
@@ -12,8 +12,6 @@ pub struct Report {
     pub findings: Vec<Finding>,
     /// Number of `.rs` files scanned.
     pub files_scanned: usize,
-    /// Crate classification table (empty when no workspace manifest).
-    pub classification: Vec<ClassEntry>,
 }
 
 impl Report {
@@ -31,14 +29,15 @@ impl Report {
     }
 }
 
-/// Stable finding fingerprint: FNV-1a 64 over
-/// `rule|file|item|message`. The line number is deliberately excluded
-/// so fingerprints survive unrelated edits above the finding; two
-/// identical violations in the same item collapse to one fingerprint,
-/// which is the desired diff granularity.
+/// Stable finding fingerprint: FNV-1a 64 over `rule|file|message`.
+/// The line number is deliberately excluded so fingerprints survive
+/// unrelated edits above the finding. Every R12 message names its
+/// metric, so two findings collapse to one fingerprint only when they
+/// are about the same metric in the same file, which is the desired
+/// diff granularity.
 pub fn fingerprint(f: &Finding) -> String {
     let mut h: u64 = 0xcbf29ce484222325;
-    for part in [f.rule, &f.file, &f.item, &f.message] {
+    for part in [f.rule, &f.file, &f.message] {
         for b in part.as_bytes() {
             h ^= *b as u64;
             h = h.wrapping_mul(0x100000001b3);
@@ -50,19 +49,17 @@ pub fn fingerprint(f: &Finding) -> String {
 }
 
 /// Render the report as the JSON document consumed by `validate_lint`
-/// in CI. Schema v4 (stable; bump `version` on change):
+/// in CI. Schema v5 (stable; bump `version` on change):
 ///
 /// ```json
 /// {
-///   "version": 4,
+///   "version": 5,
 ///   "root": "...",
 ///   "files_scanned": 160,
-///   "rules": [{"id": "R1", "name": "hash-collection", "summary": "..."}],
-///   "rule_counts": {"R1": 0, "...": 0, "R12": 0},
-///   "classification": [{"name": "coverage", "algo": true,
-///                       "explicit": false, "reason": ""}],
-///   "findings": [{"rule": "R1", "name": "...", "file": "...",
-///                 "line": 10, "item": "Type::fn", "message": "...",
+///   "rules": [{"id": "R12", "name": "metrics-consistency", "summary": "..."}],
+///   "rule_counts": {"R12": 0},
+///   "findings": [{"rule": "R12", "name": "...", "file": "...",
+///                 "line": 10, "message": "...",
 ///                 "fingerprint": "9f3a5c..."}]
 /// }
 /// ```
@@ -82,18 +79,6 @@ pub fn report_json(report: &Report, root: &str) -> Value {
         .into_iter()
         .map(|(id, n)| (id.to_string(), Value::U64(n as u64)))
         .collect();
-    let classification = report
-        .classification
-        .iter()
-        .map(|c| {
-            Value::Obj(vec![
-                ("name".into(), Value::Str(c.name.clone())),
-                ("algo".into(), Value::Bool(c.algo)),
-                ("explicit".into(), Value::Bool(c.explicit)),
-                ("reason".into(), Value::Str(c.reason.clone())),
-            ])
-        })
-        .collect();
     let findings = report
         .findings
         .iter()
@@ -103,14 +88,13 @@ pub fn report_json(report: &Report, root: &str) -> Value {
                 ("name".into(), Value::Str(f.name.into())),
                 ("file".into(), Value::Str(f.file.clone())),
                 ("line".into(), Value::U64(f.line as u64)),
-                ("item".into(), Value::Str(f.item.clone())),
                 ("message".into(), Value::Str(f.message.clone())),
                 ("fingerprint".into(), Value::Str(fingerprint(f))),
             ])
         })
         .collect();
     Value::Obj(vec![
-        ("version".into(), Value::U64(4)),
+        ("version".into(), Value::U64(5)),
         ("root".into(), Value::Str(root.into())),
         (
             "files_scanned".into(),
@@ -118,7 +102,6 @@ pub fn report_json(report: &Report, root: &str) -> Value {
         ),
         ("rules".into(), Value::Arr(rules)),
         ("rule_counts".into(), Value::Obj(rule_counts)),
-        ("classification".into(), Value::Arr(classification)),
         ("findings".into(), Value::Arr(findings)),
     ])
 }

@@ -1,136 +1,11 @@
-//! Workspace-level context: crate classification derived from the
-//! manifests, and the external input of the R12 metrics-consistency
-//! check (the checked-in goldens).
-//!
-//! ## Crate classification
-//!
-//! A crate under `crates/` is an **algorithm crate** (R1/R3/R9 apply)
-//! *by default* — a newly added crate is policed until someone says
-//! otherwise. The opt-out lives in the crate's own manifest:
-//!
-//! ```toml
-//! [package.metadata.rdi-lint]
-//! algo = false
-//! reason = "serving shell: no order-sensitive kernels"
-//! ```
-//!
-//! An opt-out without a `reason` is an R7 finding: the marker is
-//! rdi-lint's only escape hatch, so it must say why. When no workspace
-//! manifest is present (unit tests, fixture trees), classification
-//! falls back to the built-in list in `rules.rs`.
+//! The R12 metrics-consistency check: metric names used and declared
+//! in source (collected per file by `rules.rs`), the names the
+//! checked-in goldens assert, and the checks between them.
 
-use std::collections::BTreeMap;
 use std::fs;
 use std::path::Path;
 
 use crate::Finding;
-
-/// Classification of one crate.
-#[derive(Debug, Clone)]
-pub struct CrateClass {
-    /// Do the algorithm-crate rules apply?
-    pub algo: bool,
-    /// Did the manifest say so explicitly (vs defaulting)?
-    pub explicit: bool,
-    /// The audited reason attached to an explicit marker.
-    pub reason: String,
-}
-
-/// The full workspace classification.
-#[derive(Debug, Default)]
-pub struct Classification {
-    /// Crate name → class, sorted for deterministic reports.
-    pub crates: BTreeMap<String, CrateClass>,
-    /// Findings raised while classifying (unexplained opt-outs).
-    pub findings: Vec<Finding>,
-}
-
-/// Classify the workspace rooted at `root`. Returns `None` when `root`
-/// has no `[workspace]` manifest (caller falls back to the built-in
-/// list).
-pub fn classify_workspace(root: &Path) -> Option<Classification> {
-    let manifest = fs::read_to_string(root.join("Cargo.toml")).ok()?;
-    if !manifest.contains("[workspace]") {
-        return None;
-    }
-    let mut out = Classification::default();
-    let crates_dir = root.join("crates");
-    let mut names = Vec::new();
-    if let Ok(entries) = fs::read_dir(&crates_dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().to_string();
-            if name.starts_with("compat-") || !entry.path().join("Cargo.toml").is_file() {
-                continue;
-            }
-            names.push(name);
-        }
-    }
-    names.sort();
-    for name in names {
-        let path = crates_dir.join(&name).join("Cargo.toml");
-        let text = fs::read_to_string(&path).unwrap_or_default();
-        let rel = format!("crates/{name}/Cargo.toml");
-        let class = parse_metadata(&text, &rel, &mut out.findings);
-        out.crates.insert(name, class);
-    }
-    Some(out)
-}
-
-/// Parse the `[package.metadata.rdi-lint]` section of one manifest.
-fn parse_metadata(text: &str, rel: &str, findings: &mut Vec<Finding>) -> CrateClass {
-    let mut in_section = false;
-    let mut algo: Option<(bool, u32)> = None;
-    let mut reason = String::new();
-    for (idx, line) in text.lines().enumerate() {
-        let line_no = idx as u32 + 1;
-        let trimmed = line.trim();
-        if trimmed.starts_with('[') {
-            in_section = trimmed == "[package.metadata.rdi-lint]";
-            continue;
-        }
-        if !in_section {
-            continue;
-        }
-        if let Some(value) = trimmed.strip_prefix("algo") {
-            let value = value.trim_start().trim_start_matches('=').trim();
-            algo = Some((value == "true", line_no));
-        } else if let Some(value) = trimmed.strip_prefix("reason") {
-            let value = value.trim_start().trim_start_matches('=').trim();
-            reason = value.trim_matches('"').to_string();
-        }
-    }
-    match algo {
-        Some((is_algo, line)) => {
-            if reason.is_empty() {
-                findings.push(Finding {
-                    rule: "R7",
-                    name: "bad-suppression",
-                    file: rel.to_string(),
-                    line,
-                    item: String::new(),
-                    message: String::from(
-                        "[package.metadata.rdi-lint] marker without a `reason`: crate-level \
-                         classification is an audited decision; say why",
-                    ),
-                });
-            }
-            CrateClass {
-                algo: is_algo,
-                explicit: true,
-                reason,
-            }
-        }
-        None => CrateClass {
-            algo: true,
-            explicit: false,
-            reason: String::new(),
-        },
-    }
-}
-
-// ---------------------------------------------------------------------
-// R12 inputs: metric names used, declared, and asserted
-// ---------------------------------------------------------------------
 
 /// A metric name passed to `counter(..)`/`gauge(..)`/`histogram(..)`/
 /// `span(..)` in source. A name containing `{` came from a `format!`
@@ -275,7 +150,6 @@ pub fn check_metrics(
         name: "metrics-consistency",
         file: file.to_string(),
         line,
-        item: String::new(),
         message,
     };
 

@@ -1,10 +1,10 @@
-//! `rdi-par`: a zero-dependency parallel execution layer for RDI kernels.
+//! `rdi-par`: a deterministic parallel execution layer for RDI kernels.
 //!
-//! Built entirely on `std` — no external crates — this module gives the
-//! workspace's hot paths (column sketching, lake-wide candidate
-//! scoring, MUP lattice search, join-sampling trials, data generation,
-//! serving batches) a single, deterministic way to fan work out across
-//! cores. It has two primitives:
+//! Built on `std` and the workspace's in-repo `rand` — no external
+//! crates — this module gives the workspace's hot paths (column
+//! sketching, lake-wide candidate scoring, MUP lattice search,
+//! join-sampling trials, data generation, serving batches) a single,
+//! deterministic way to fan work out across cores. It has two primitives:
 //!
 //! * [`par_map`] and its relatives run on [`std::thread::scope`], so
 //!   they borrow their input; each parallel call spawns its threads.
@@ -35,10 +35,11 @@
 //!   chunk count fixed (see [`Threads::chunks_of`]) the combination
 //!   tree is a function of the input alone, so associative-but-not-
 //!   commutative combines (e.g. float sums) stay reproducible.
-//! * Randomized kernels should derive one RNG stream per *fixed-size
-//!   block of work* via [`stream_seed`], never per thread: block
-//!   boundaries depend only on the input size, so estimates are
-//!   bitwise identical whether the blocks run on 1 thread or 8.
+//! * Randomized kernels derive one RNG stream per *fixed-size block of
+//!   work* via [`stream_rng`] (seeded by [`stream_seed`]), never per
+//!   thread: block boundaries depend only on the input size, so
+//!   estimates are bitwise identical whether the blocks run on 1
+//!   thread or 8.
 //!
 //! # Thread-count resolution
 //!
@@ -56,6 +57,9 @@ use std::num::NonZeroUsize;
 use std::ops::Range;
 use std::sync::{Arc, OnceLock};
 use std::thread;
+
+use rand::rngs::StdRng;
+use rand::SeedableRng;
 
 mod pool;
 
@@ -329,6 +333,21 @@ pub fn stream_seed(master: u64, index: u64) -> u64 {
     z ^ (z >> 31)
 }
 
+/// The random stream of work-block `index` under a master seed:
+/// `StdRng` seeded with [`stream_seed`]`(master, index)`.
+///
+/// This is the one constructor of a seeded RNG that library code may
+/// call: the `--lib` clippy configuration bans `seed_from_u64`
+/// elsewhere, so every library stream is a pure function of the
+/// experiment seed and its block index.
+#[allow(
+    clippy::disallowed_methods,
+    reason = "the sanctioned seeding site: every library stream is derived here"
+)]
+pub fn stream_rng(master: u64, index: u64) -> StdRng {
+    StdRng::seed_from_u64(stream_seed(master, index))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -482,5 +501,24 @@ mod tests {
             (0..10_000).map(|i| stream_seed(42, i)).collect();
         assert_eq!(seeds.len(), 10_000);
         assert_ne!(stream_seed(42, 7), stream_seed(43, 7));
+    }
+
+    #[test]
+    fn stream_rng_is_the_stream_seeded_std_rng() {
+        use rand::RngCore;
+        for (m, i) in [
+            (0, 0),
+            (0, u64::MAX),
+            (u64::MAX, 0),
+            (u64::MAX, u64::MAX),
+            (42, 7),
+            (0x5eed, 2000),
+        ] {
+            let mut ours = stream_rng(m, i);
+            let mut direct = StdRng::seed_from_u64(stream_seed(m, i));
+            for _ in 0..16 {
+                assert_eq!(ours.next_u64(), direct.next_u64(), "({m}, {i})");
+            }
+        }
     }
 }

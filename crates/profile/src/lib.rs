@@ -33,6 +33,10 @@
 //! assert!(label.to_markdown().contains("Group representation"));
 //! ```
 #![warn(missing_docs)]
+#![allow(
+    clippy::disallowed_types,
+    reason = "profiling tallies integer counts in hash maps and sorts what it reports"
+)]
 
 pub mod datasheet;
 pub mod fd;

@@ -55,6 +55,13 @@
 //! counters plus per-tenant `serve.tenant.{t}.*` families (requests,
 //! admitted, typed sheds, failures) that let harnesses prove fairness
 //! by exact counter arithmetic.
+//!
+//! Every integer operation here is checked or saturating (clippy's
+//! `arithmetic_side_effects` is denied): below overflow the results are
+//! the plain arithmetic's, and no configuration or traffic can make
+//! admission panic or wrap.
+
+#![deny(clippy::arithmetic_side_effects)]
 
 use std::collections::BTreeMap;
 
@@ -251,8 +258,13 @@ pub enum AdmitVerdict {
 #[derive(Debug)]
 struct TenantState {
     policy: TenantPolicy,
-    /// Token bucket level (saturating; `u64::MAX` lane for unlimited).
+    /// Token bucket level as of tick `refilled_at` (saturating;
+    /// `u64::MAX` lane for unlimited).
     tokens: u64,
+    /// The tick `tokens` was last brought up to date. A bucket refills
+    /// only when its tenant is touched, so a batch costs its own
+    /// tenants, not every tenant ever seen.
+    refilled_at: u64,
     /// Priority-aging credit: windows of denied base share.
     aging: u64,
     /// Tenant-local arrival counter (admitted or shed).
@@ -260,6 +272,34 @@ struct TenantState {
     /// This tenant's seed lane (see module docs).
     lane: u64,
     breaker: RecoveringBreaker,
+}
+
+impl TenantState {
+    /// The bucket level at tick `now`.
+    fn tokens_at(&self, now: u64) -> u64 {
+        refilled(
+            self.tokens,
+            self.policy,
+            now.saturating_sub(self.refilled_at),
+        )
+    }
+}
+
+/// A bucket's level `elapsed` ticks after it stood at `level`: the
+/// per-tick refill `min(burst, level + quota_per_tick)` applied
+/// `elapsed` times, in closed form. A level starts at or below `burst`
+/// and each step clamps there, so the steps add up until the first
+/// clamp and change nothing after it.
+fn refilled(level: u64, policy: TenantPolicy, elapsed: u64) -> u64 {
+    level
+        .saturating_add(policy.quota_per_tick.saturating_mul(elapsed))
+        .min(policy.burst)
+}
+
+/// Add one to `tenant`'s count.
+fn bump<'a>(counts: &mut BTreeMap<&'a TenantId, u64>, tenant: &'a TenantId) {
+    let n = counts.entry(tenant).or_default();
+    *n = n.saturating_add(1);
 }
 
 /// FNV-1a over the tenant name: the deterministic, dependency-free map
@@ -335,9 +375,10 @@ impl Admitter {
         self.states.get(tenant).map_or(0, |s| s.arrivals)
     }
 
-    /// Current bucket level for `tenant` (`None` before first contact).
+    /// Current bucket level for `tenant`, refilled up to the current
+    /// tick (`None` before first contact).
     pub fn tokens(&self, tenant: &TenantId) -> Option<u64> {
-        self.states.get(tenant).map(|s| s.tokens)
+        self.states.get(tenant).map(|s| s.tokens_at(self.ticks))
     }
 
     /// Current aging credit for `tenant` (0 before first contact).
@@ -369,21 +410,20 @@ impl Admitter {
     /// `serve.*` batch counters and per-tenant `serve.tenant.{t}.*`
     /// families. One call advances the fake clock by one tick.
     pub fn admit_batch(&mut self, tenants: &[TenantId]) -> Vec<AdmitVerdict> {
-        self.ticks += 1;
+        self.ticks = self.ticks.saturating_add(1);
         rdi_obs::counter("serve.batches").inc();
         rdi_obs::counter("serve.requests").add(tenants.len() as u64);
         rdi_obs::histogram("serve.batch_size", &SIZE_BOUNDS).record(tenants.len() as f64);
 
-        // Refill known buckets (one tick), then open accounts for
-        // first-seen tenants with one tick's worth of tokens.
-        for st in self.states.values_mut() {
-            st.tokens = st
-                .tokens
-                .saturating_add(st.policy.quota_per_tick)
-                .min(st.policy.burst);
-        }
+        // Bring this batch's known buckets up to the current tick, and
+        // open accounts for first-seen tenants with one tick's worth of
+        // tokens. Buckets of tenants absent from the batch wait until
+        // their next touch.
         for t in tenants {
-            if !self.states.contains_key(t) {
+            if let Some(st) = self.states.get_mut(t) {
+                st.tokens = st.tokens_at(self.ticks);
+                st.refilled_at = self.ticks;
+            } else {
                 let policy = self.config.policy(t);
                 let lane = if t.is_default() {
                     self.seed
@@ -395,6 +435,7 @@ impl Admitter {
                     TenantState {
                         policy,
                         tokens: policy.quota_per_tick.min(policy.burst),
+                        refilled_at: self.ticks,
                         aging: 0,
                         arrivals: 0,
                         lane,
@@ -413,25 +454,26 @@ impl Admitter {
         // asc); what remains is first-come-first-served leftover.
         let mut demand: BTreeMap<&TenantId, u64> = BTreeMap::new();
         for t in tenants {
-            *demand.entry(t).or_default() += 1;
+            bump(&mut demand, t);
         }
         let cap = self.config.queue_capacity as u64;
         let base_weight: u128 = demand
             .keys()
             .map(|t| u128::from(self.states[*t].policy.clamped_weight()))
             .sum();
-        let aged_weight: u128 = demand
+        let aged = |st: &TenantState| {
+            u128::from(st.policy.clamped_weight())
+                .saturating_mul(u128::from(st.aging.saturating_add(1)))
+        };
+        let aged_weight = demand
             .keys()
-            .map(|t| {
-                let st = &self.states[*t];
-                u128::from(st.policy.clamped_weight()) * u128::from(1 + st.aging)
-            })
-            .sum();
+            .map(|t| aged(&self.states[*t]))
+            .fold(0u128, u128::saturating_add);
         let share = |w: u128, total: u128| -> u64 {
-            if total == 0 {
-                return 0;
-            }
-            u64::try_from((u128::from(cap) * w / total).max(1)).unwrap_or(u64::MAX)
+            u128::from(cap)
+                .saturating_mul(w)
+                .checked_div(total)
+                .map_or(0, |s| u64::try_from(s.max(1)).unwrap_or(u64::MAX))
         };
         let keys: Vec<&TenantId> = demand.keys().copied().collect();
         let candidates: Vec<Candidate> = keys
@@ -460,11 +502,15 @@ impl Admitter {
         let mut base_share: BTreeMap<&TenantId, u64> = BTreeMap::new();
         for t in order {
             let st = &self.states[t];
-            let w = u128::from(st.policy.clamped_weight());
-            let aged = share(w * u128::from(1 + st.aging), aged_weight);
-            base_share.insert(t, share(w, base_weight));
-            let r = aged.min(demand[t]).min(st.tokens).min(remaining);
-            remaining -= r;
+            base_share.insert(
+                t,
+                share(u128::from(st.policy.clamped_weight()), base_weight),
+            );
+            let r = share(aged(st), aged_weight)
+                .min(demand[t])
+                .min(st.tokens)
+                .min(remaining);
+            remaining = remaining.saturating_sub(r);
             reserved.insert(t, r);
         }
         let mut leftover = remaining;
@@ -486,14 +532,14 @@ impl Admitter {
             )]
             let st = self.states.get_mut(t).expect("state opened above");
             let arrival = st.arrivals;
-            st.arrivals += 1;
-            self.arrivals += 1;
+            st.arrivals = st.arrivals.saturating_add(1);
+            self.arrivals = self.arrivals.saturating_add(1);
             if st.tokens == 0 {
                 verdicts.push(AdmitVerdict::Shed(ServeError::QuotaExceeded {
                     tenant: t.name().to_string(),
                 }));
-                *quota_shed.entry(t).or_default() += 1;
-                shed_total += 1;
+                bump(&mut quota_shed, t);
+                shed_total = shed_total.saturating_add(1);
                 continue;
             }
             let granted = admitted_by.get(t).copied().unwrap_or(0);
@@ -502,8 +548,8 @@ impl Admitter {
                 verdicts.push(AdmitVerdict::Shed(ServeError::QueueFull {
                     capacity: self.config.queue_capacity,
                 }));
-                *queue_shed.entry(t).or_default() += 1;
-                shed_total += 1;
+                bump(&mut queue_shed, t);
+                shed_total = shed_total.saturating_add(1);
                 continue;
             }
             let probe = match st.breaker.admit(self.ticks) {
@@ -516,17 +562,19 @@ impl Admitter {
                     verdicts.push(AdmitVerdict::Shed(ServeError::CircuitOpen {
                         consecutive_failures: st.breaker.consecutive_failures(),
                     }));
-                    *breaker_shed.entry(t).or_default() += 1;
-                    shed_total += 1;
+                    bump(&mut breaker_shed, t);
+                    shed_total = shed_total.saturating_add(1);
                     continue;
                 }
             };
+            // Neither subtraction can underflow: an empty bucket, or a
+            // full queue with no reserved slot left, was shed above.
             if !has_reserved {
-                leftover -= 1;
+                leftover = leftover.saturating_sub(1);
             }
-            st.tokens -= 1;
-            *admitted_by.entry(t).or_default() += 1;
-            admitted_total += 1;
+            st.tokens = st.tokens.saturating_sub(1);
+            bump(&mut admitted_by, t);
+            admitted_total = admitted_total.saturating_add(1);
             verdicts.push(AdmitVerdict::Admitted {
                 seed: stream_seed(st.lane, arrival),
                 probe,
@@ -550,7 +598,7 @@ impl Admitter {
             )]
             let st = self.states.get_mut(*t).expect("state opened above");
             st.aging = if squeezed {
-                (st.aging + 1).min(self.config.aging_cap)
+                st.aging.saturating_add(1).min(self.config.aging_cap)
             } else {
                 0
             };
@@ -608,11 +656,11 @@ impl Admitter {
                 | Err(ServeError::QueueFull { .. })
                 | Err(ServeError::CircuitOpen { .. }) => {
                     // shed, not failed: sheds never trip any breaker
-                    shed += 1;
+                    shed = shed.saturating_add(1);
                 }
                 Err(_) => {
-                    failed += 1;
-                    *failed_by.entry(t).or_default() += 1;
+                    failed = failed.saturating_add(1);
+                    bump(&mut failed_by, t);
                     if st.breaker.record_failure(self.ticks).tripped() {
                         rdi_obs::counter("serve.breaker_trips").inc();
                     }
@@ -620,7 +668,7 @@ impl Admitter {
             }
         }
         rdi_obs::counter("serve.requests_failed").add(failed as u64);
-        rdi_obs::counter("serve.requests_degraded").add((shed + failed) as u64);
+        rdi_obs::counter("serve.requests_degraded").add(shed.saturating_add(failed) as u64);
         for (t, v) in failed_by {
             rdi_obs::counter(&format!("serve.tenant.{t}.failed")).add(v);
         }
@@ -629,8 +677,13 @@ impl Admitter {
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    reason = "test fixtures count small, known quantities"
+)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn tagged(counts: &[(&str, usize)]) -> Vec<TenantId> {
         // round-robin interleave so no tenant monopolizes the prefix
@@ -801,6 +854,96 @@ mod tests {
         let v = a.admit_batch(&vec![t.clone(); 6]);
         // the tick of the batch itself also refills (+2, capped at 3)
         assert_eq!(admitted(&v), 3);
+    }
+
+    /// The per-tick refill, one tick at a time: what [`refilled`] must
+    /// equal. A tick that leaves the level unchanged leaves every later
+    /// tick unchanged too, so the loop stops there, and a huge
+    /// `elapsed` costs only the ticks the bucket takes to fill.
+    fn refilled_per_tick(mut level: u64, policy: TenantPolicy, elapsed: u64) -> u64 {
+        for _ in 0..elapsed {
+            let next = level
+                .saturating_add(policy.quota_per_tick)
+                .min(policy.burst);
+            if next == level {
+                break;
+            }
+            level = next;
+        }
+        level
+    }
+
+    fn edge_u64() -> impl Strategy<Value = u64> {
+        prop_oneof![Just(0u64), Just(1u64), 2u64..4096, Just(u64::MAX)]
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        #[test]
+        fn lazy_refill_equals_the_per_tick_loop(
+            (policy, level, elapsed) in (edge_u64(), edge_u64()).prop_flat_map(|(quota, burst)| {
+                let elapsed = prop_oneof![
+                    Just(0u64),
+                    Just(1u64),
+                    2u64..4096,
+                    Just(u64::MAX - 1),
+                    Just(u64::MAX),
+                ]
+                .prop_map(move |e| {
+                    // Filling an unlimited bucket a few tokens a tick
+                    // takes up to 2^64 ticks of the loop: keep those
+                    // gaps short. Every other bucket fills (or stays
+                    // put) within 4096 ticks, whatever the gap.
+                    if burst == u64::MAX && (1..u64::MAX).contains(&quota) {
+                        e % 4096
+                    } else {
+                        e
+                    }
+                });
+                (Just(TenantPolicy::limited(1, quota, burst)), 0..=burst, elapsed)
+            })
+        ) {
+            prop_assert_eq!(
+                refilled(level, policy, elapsed),
+                refilled_per_tick(level, policy, elapsed)
+            );
+        }
+    }
+
+    #[test]
+    fn lazy_refill_edges() {
+        let p = TenantPolicy::limited;
+        // unlimited quota fills any bucket in one tick
+        assert_eq!(refilled(0, p(1, u64::MAX, 5), 1), 5);
+        assert_eq!(refilled(0, p(1, u64::MAX, u64::MAX), u64::MAX), u64::MAX);
+        // a zero burst never holds a token
+        assert_eq!(refilled(0, p(1, u64::MAX, 0), u64::MAX), 0);
+        assert_eq!(refilled(0, p(1, 3, 0), 7), 0);
+        // a gap near u64::MAX saturates instead of wrapping
+        assert_eq!(refilled(2, p(1, 3, u64::MAX), u64::MAX - 1), u64::MAX);
+        assert_eq!(refilled(2, p(1, 3, 100), u64::MAX), 100);
+        // no elapsed tick, no refill
+        assert_eq!(refilled(2, p(1, 3, 100), 0), 2);
+    }
+
+    #[test]
+    fn an_absent_tenant_refills_for_every_tick_it_missed() {
+        let t = TenantId::new("returning");
+        let mut a = admitter(8, vec![(t.clone(), TenantPolicy::limited(1, 2, 7))]);
+        let v = a.admit_batch(&vec![t.clone(); 2]);
+        assert_eq!(admitted(&v), 2);
+        assert_eq!(a.tokens(&t), Some(0));
+        let other = [TenantId::new("other")];
+        a.admit_batch(&other);
+        assert_eq!(a.tokens(&t), Some(2), "read between touches refills");
+        a.admit_batch(&other);
+        a.admit_batch(&other);
+        // three missed ticks bank 6 tokens, and the returning batch's
+        // own tick tops the bucket up to its burst of 7
+        let v = a.admit_batch(&vec![t.clone(); 9]);
+        assert_eq!(admitted(&v), 7);
+        assert_eq!(a.tokens(&t), Some(0));
     }
 
     #[test]

@@ -1230,6 +1230,10 @@ fn execute_inner(
                 )?);
             }
             let mut policy = RandomPolicy::new(table_sources.len());
+            #[allow(
+                clippy::disallowed_methods,
+                reason = "the session derives each request's private seed; execute only replays it"
+            )]
             let mut rng = StdRng::seed_from_u64(seed);
             let built = rdi_core::PipelineBuilder::new(problem.clone())
                 .max_draws(*max_draws)

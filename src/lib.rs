@@ -34,6 +34,10 @@
 
 #![warn(missing_docs)]
 
+#[allow(
+    clippy::disallowed_types,
+    reason = "parsed flags are looked up by name, never iterated"
+)]
 pub mod cli;
 
 /// One-stop imports for examples, experiments, and downstream binaries.
