@@ -61,6 +61,6 @@ pub use navigate::{symmetric_unionability, Navigator};
 pub use overlap::OverlapIndex;
 pub use schema_match::{align_table, match_schemas, ColumnMatch};
 pub use union_search::{
-    column_matching, column_matching_indices, rank_scored, table_unionability, TableSignature,
-    UnionSearchIndex,
+    column_matching, column_matching_indices, rank_scored, table_unionability, ColumnMatcher,
+    TableSignature, UnionSearchIndex,
 };

@@ -82,52 +82,103 @@ impl TableSignature {
     }
 }
 
-/// Greedy best column matching between two signatures, as
-/// `(query column index, candidate column index, score)` triples (each
-/// column used at most once, highest scores first). This is the
-/// allocation-free core of [`column_matching`]: no column names are
-/// cloned, so scoring loops can run over indices alone.
-pub fn column_matching_indices(q: &TableSignature, x: &TableSignature) -> Vec<(usize, usize, f64)> {
-    let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
-    for (i, (_, qs)) in q.columns.iter().enumerate() {
-        for (j, (_, xs)) in x.columns.iter().enumerate() {
-            if qs.k() == xs.k() {
-                pairs.push((i, j, qs.jaccard(xs)));
+/// Reusable buffers for greedy column matching: the one matching
+/// implementation behind [`column_matching_indices`],
+/// [`column_matching`] and [`table_unionability`]. A scoring loop that
+/// keeps one across its candidates allocates only while a candidate is
+/// wider than every one before it.
+#[derive(Debug, Default)]
+pub struct ColumnMatcher {
+    /// Every same-`k` column pair and its Jaccard estimate.
+    pairs: Vec<(usize, usize, f64)>,
+    used_q: Vec<bool>,
+    used_x: Vec<bool>,
+    /// The last matching, best first.
+    matched: Vec<(usize, usize, f64)>,
+}
+
+impl ColumnMatcher {
+    /// An empty matcher; its buffers grow on first use.
+    pub fn new() -> Self {
+        ColumnMatcher::default()
+    }
+
+    /// Greedy best column matching between two signatures, as
+    /// `(query column index, candidate column index, score)` triples:
+    /// each column used at most once, highest scores first, only
+    /// positive scores, and only pairs whose signatures share `k`.
+    pub(crate) fn matching(
+        &mut self,
+        q: &TableSignature,
+        x: &TableSignature,
+    ) -> &[(usize, usize, f64)] {
+        self.pairs.clear();
+        for (i, (_, qs)) in q.columns.iter().enumerate() {
+            for (j, (_, xs)) in x.columns.iter().enumerate() {
+                if qs.k() == xs.k() {
+                    self.pairs.push((i, j, qs.jaccard(xs)));
+                }
             }
         }
-    }
-    pairs.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
-    let mut used_q = vec![false; q.columns.len()];
-    let mut used_x = vec![false; x.columns.len()];
-    let mut out = Vec::new();
-    for (i, j, s) in pairs {
-        if !used_q[i] && !used_x[j] && s > 0.0 {
-            used_q[i] = true;
-            used_x[j] = true;
-            out.push((i, j, s));
+        // `(i, j)` is unique per pair, so the order is total and an
+        // unstable sort gives the stable one's result without its buffer
+        self.pairs
+            .sort_unstable_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+        self.used_q.clear();
+        self.used_q.resize(q.columns.len(), false);
+        self.used_x.clear();
+        self.used_x.resize(x.columns.len(), false);
+        self.matched.clear();
+        for &(i, j, s) in &self.pairs {
+            if !self.used_q[i] && !self.used_x[j] && s > 0.0 {
+                self.used_q[i] = true;
+                self.used_x[j] = true;
+                self.matched.push((i, j, s));
+            }
         }
+        &self.matched
     }
-    out
+
+    /// Table unionability: the mean matched score over the query's
+    /// columns (unmatched query columns contribute 0; a query without
+    /// columns scores 0). The matched scores are summed best first, as
+    /// `Iterator::sum` sums them, so an empty matching sums to `-0.0`
+    /// and the mean keeps that sign.
+    pub fn unionability(&mut self, q: &TableSignature, x: &TableSignature) -> f64 {
+        if q.columns.is_empty() {
+            return 0.0;
+        }
+        let total: f64 = self.matching(q, x).iter().map(|&(_, _, s)| s).sum();
+        total / q.columns.len() as f64
+    }
+}
+
+/// Greedy best column matching between two signatures, as
+/// `(query column index, candidate column index, score)` triples: each
+/// column used at most once, highest scores first, only positive
+/// scores, and only pairs whose signatures share `k`. No column names
+/// are cloned, so scoring loops can run over indices alone.
+pub fn column_matching_indices(q: &TableSignature, x: &TableSignature) -> Vec<(usize, usize, f64)> {
+    ColumnMatcher::new().matching(q, x).to_vec()
 }
 
 /// Greedy best column matching between two signatures; returns
 /// `(query column, candidate column, score)` triples (each column used at
 /// most once, highest scores first).
 pub fn column_matching(q: &TableSignature, x: &TableSignature) -> Vec<(String, String, f64)> {
-    column_matching_indices(q, x)
-        .into_iter()
-        .map(|(i, j, s)| (q.columns[i].0.clone(), x.columns[j].0.clone(), s))
+    ColumnMatcher::new()
+        .matching(q, x)
+        .iter()
+        .map(|&(i, j, s)| (q.columns[i].0.clone(), x.columns[j].0.clone(), s))
         .collect()
 }
 
 /// Table unionability: mean matched score over the query's columns
-/// (unmatched query columns contribute 0).
+/// (unmatched query columns contribute 0). A one-off call; a loop over
+/// many candidates keeps one [`ColumnMatcher`] and calls
+/// [`ColumnMatcher::unionability`], which returns the same bits.
 pub fn table_unionability(q: &TableSignature, x: &TableSignature) -> f64 {
-    if q.columns.is_empty() {
-        return 0.0;
-    }
-    let matched = column_matching_indices(q, x);
-    matched.iter().map(|(_, _, s)| s).sum::<f64>() / q.columns.len() as f64
+    ColumnMatcher::new().unionability(q, x)
 }
 
 /// A ranked union-search index over table signatures.
@@ -199,6 +250,7 @@ impl UnionSearchIndex {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rdi_table::{DataType, Field, Schema, Value};
 
     fn table(cols: &[(&str, &[&str])]) -> Table {
@@ -254,6 +306,93 @@ mod tests {
         ]);
         let x = TableSignature::build("x", &other, 128).unwrap();
         assert!(table_unionability(&q, &x) < 0.05);
+    }
+
+    /// The greedy matching as it was written before it ran in reused
+    /// buffers: fresh vectors per call and a stable sort. Kept as the
+    /// model for [`ColumnMatcher`].
+    fn reference_matching(q: &TableSignature, x: &TableSignature) -> Vec<(usize, usize, f64)> {
+        let mut pairs: Vec<(usize, usize, f64)> = Vec::new();
+        for (i, (_, qs)) in q.columns.iter().enumerate() {
+            for (j, (_, xs)) in x.columns.iter().enumerate() {
+                if qs.k() == xs.k() {
+                    pairs.push((i, j, qs.jaccard(xs)));
+                }
+            }
+        }
+        pairs.sort_by(|a, b| b.2.total_cmp(&a.2).then(a.0.cmp(&b.0)).then(a.1.cmp(&b.1)));
+        let mut used_q = vec![false; q.columns.len()];
+        let mut used_x = vec![false; x.columns.len()];
+        let mut out = Vec::new();
+        for (i, j, s) in pairs {
+            if !used_q[i] && !used_x[j] && s > 0.0 {
+                used_q[i] = true;
+                used_x[j] = true;
+                out.push((i, j, s));
+            }
+        }
+        out
+    }
+
+    /// A signature of one column per `(k choice, value base, length)`:
+    /// the column holds the integers `offset + 10·base ..` of that
+    /// (non-zero) length, sketched at `k` = 8 or 16, so columns overlap,
+    /// repeat and differ in `k`.
+    fn signature(name: &str, columns: &[(usize, i64, i64)], offset: i64) -> TableSignature {
+        TableSignature {
+            name: name.into(),
+            columns: columns
+                .iter()
+                .enumerate()
+                .map(|(c, &(k, base, len))| {
+                    let start = offset + 10 * base;
+                    let values = (start..start + len).map(Value::Int);
+                    (format!("c{c}"), MinHash::from_values(values, [8, 16][k]))
+                })
+                .collect(),
+        }
+    }
+
+    fn columns() -> impl Strategy<Value = Vec<(usize, i64, i64)>> {
+        proptest::collection::vec((0usize..2, 0i64..4, 1i64..20), 0..=12)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// One matcher, reused across three candidates of 0 to 12
+        /// columns and mixed `k`, scores each to the bit of the
+        /// reference matching's `Iterator::sum` over the query's
+        /// columns, and `column_matching_indices` returns the reference
+        /// matching. With `disjoint` the candidates share no value with
+        /// the query, every score is 0, and an empty matching's `-0.0`
+        /// sum must survive.
+        #[test]
+        fn matcher_scores_match_the_reference_to_the_bit(
+            query in columns(),
+            candidates in proptest::collection::vec(columns(), 3),
+            disjoint in any::<bool>(),
+        ) {
+            let q = signature("q", &query, 0);
+            let offset = if disjoint { 1_000_000 } else { 0 };
+            let mut matcher = ColumnMatcher::new();
+            for (n, spec) in candidates.iter().enumerate() {
+                let x = signature(&format!("x{n}"), spec, offset);
+                let reference = reference_matching(&q, &x);
+                prop_assert_eq!(column_matching_indices(&q, &x), reference.clone());
+                let expected = if q.columns.is_empty() {
+                    0.0
+                } else {
+                    reference.iter().map(|&(_, _, s)| s).sum::<f64>() / q.columns.len() as f64
+                };
+                prop_assert_eq!(matcher.unionability(&q, &x).to_bits(), expected.to_bits());
+                prop_assert_eq!(table_unionability(&q, &x).to_bits(), expected.to_bits());
+                if disjoint && !q.columns.is_empty() {
+                    prop_assert!(reference.is_empty());
+                    prop_assert_eq!(expected.to_bits(), (-0.0f64).to_bits());
+                }
+            }
+        }
     }
 
     #[test]

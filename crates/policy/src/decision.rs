@@ -6,7 +6,7 @@ use std::sync::{Arc, OnceLock};
 use rdi_obs::{Counter, ProvenanceEvent};
 
 use crate::params::PolicyParams;
-use crate::rank::RankByScore;
+use crate::rank::{RankByScore, WinningEnd};
 use crate::score::Score;
 use crate::PolicyId;
 
@@ -160,18 +160,15 @@ impl<'a> SelectionDecision<'a> {
     /// text rendered is the winner's score and the params.
     #[must_use = "the event is the decision's audit record: emit it before acting on the ranking"]
     pub fn record(self) -> (ProvenanceEvent, Vec<usize>) {
-        count(self.policy);
         let winner = self.ranking.first().map(|&i| &self.candidates[i]);
-        let event = ProvenanceEvent::PolicyDecision {
-            policy: self.policy.as_str(),
-            params_hash: self.params.hash(),
-            considered: self.candidates.len(),
-            winner: winner.map(|c| Arc::clone(&c.key)),
-            winner_score: winner.map(|c| c.score.render()).unwrap_or_default(),
-            ties: self.ties,
-            tie_break: self.tie_break,
-            params: self.params.render(),
-        };
+        let event = record(
+            self.policy,
+            self.params,
+            self.candidates.len(),
+            winner,
+            self.ties,
+            self.tie_break,
+        );
         (event, self.ranking)
     }
 
@@ -181,6 +178,86 @@ impl<'a> SelectionDecision<'a> {
     pub fn tally(self) -> Vec<usize> {
         count(self.policy);
         self.ranking
+    }
+}
+
+/// The outcome of one [`RankByScore::choose_ascending`] call: a
+/// decision over candidates the caller holds in ascending order of
+/// unique scores, of which only the winner was built.
+///
+/// Like [`SelectionDecision`], it can only be read by counting it.
+#[must_use = "a decision takes effect only through `record`"]
+#[derive(Debug)]
+pub struct OrderedDecision<'a> {
+    policy: PolicyId,
+    /// How many candidates the caller holds.
+    considered: usize,
+    params: &'a PolicyParams,
+    /// The candidate at the winning end (`None` when none are held).
+    winner: Option<Candidate>,
+    end: WinningEnd,
+}
+
+impl<'a> OrderedDecision<'a> {
+    /// A decision by `policy` over `considered` held candidates: only
+    /// [`RankByScore::choose_ascending`] builds one.
+    pub(crate) fn new(
+        policy: PolicyId,
+        considered: usize,
+        params: &'a PolicyParams,
+        winner: Option<Candidate>,
+        end: WinningEnd,
+    ) -> Self {
+        OrderedDecision {
+            policy,
+            considered,
+            params,
+            winner,
+            end,
+        }
+    }
+
+    /// Count the decision and return its `PolicyDecision` event with
+    /// the end the ranking starts from: the caller walks its held
+    /// candidates from that end, emitting the event first. The event is
+    /// the one [`SelectionDecision::record`] returns for the same
+    /// candidates, and it takes the winner's key without copying it.
+    #[must_use = "the event is the decision's audit record: emit it before acting on the ranking"]
+    pub fn record(self) -> (ProvenanceEvent, WinningEnd) {
+        let ties = usize::from(self.winner.is_some());
+        let event = record(
+            self.policy,
+            self.params,
+            self.considered,
+            self.winner.as_ref(),
+            ties,
+            "none",
+        );
+        (event, self.end)
+    }
+}
+
+/// Count a decision and build its `PolicyDecision` event: the one
+/// recording path of every decision type. The winner's key is shared;
+/// the only text rendered is its score and the params.
+fn record(
+    policy: PolicyId,
+    params: &PolicyParams,
+    considered: usize,
+    winner: Option<&Candidate>,
+    ties: usize,
+    tie_break: &'static str,
+) -> ProvenanceEvent {
+    count(policy);
+    ProvenanceEvent::PolicyDecision {
+        policy: policy.as_str(),
+        params_hash: params.hash(),
+        considered,
+        winner: winner.map(|c| Arc::clone(&c.key)),
+        winner_score: winner.map(|c| c.score.render()).unwrap_or_default(),
+        ties,
+        tie_break,
+        params: params.render(),
     }
 }
 
@@ -358,6 +435,79 @@ mod tests {
             let (total, site) = counters(id);
             prop_assert!(std::ptr::eq(site, &*rdi_obs::counter(&key)));
             prop_assert!(std::ptr::eq(total, &*rdi_obs::counter("policy.decisions")));
+        }
+    }
+
+    /// `dir` values as a site may pass them: `choose` reads every one
+    /// other than `min` as `max`.
+    const DIRS: [Option<&str>; 5] = [None, Some("min"), Some("max"), Some("MIN"), Some("")];
+    const TIES: [Option<&str>; 3] = [None, Some("key_asc"), Some("key_desc")];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Over up to 300 candidates held in ascending order of unique
+        /// `U64` scores, under every `dir` and `tie` form, the ordered
+        /// entry point records what `choose(..).record()` records: the
+        /// same rendered event and `Debug`, the same winner, a walk from
+        /// its end that visits the candidates in `choose`'s ranking
+        /// order, and both counters through the same handles. It builds
+        /// at most one candidate.
+        #[test]
+        fn ascending_decision_matches_choose(
+            mut scores in proptest::collection::vec(any::<u64>(), 0..=300),
+            dir in 0usize..5,
+            tie in 0usize..3,
+            site in 0usize..7,
+        ) {
+            scores.sort_unstable();
+            scores.dedup();
+            // keys follow no order of their own, so only the scores rank
+            let candidates: Vec<Candidate> = scores
+                .iter()
+                .map(|&s| Candidate::new(format!("e{}", s.rotate_left(17) % 1000), Score::U64(s)))
+                .collect();
+            let mut params = PolicyParams::new();
+            if let Some(d) = DIRS[dir] {
+                params.set("dir", d);
+            }
+            if let Some(t) = TIES[tie] {
+                params.set("tie", t);
+            }
+            let id = PolicyId::ALL[site];
+            let policy = RankByScore::new(id);
+            let (total, per_site) = counters(id);
+            let read = || (total.get(), per_site.get());
+
+            let before = read();
+            let (expected, ranking) = policy.choose(&candidates, &params).record();
+            let between = read();
+            let mut built = 0;
+            let (event, end) = policy
+                .choose_ascending(candidates.len(), candidates.iter(), &params, |c| {
+                    built += 1;
+                    c.clone()
+                })
+                .record();
+            let after = read();
+
+            prop_assert_eq!(event.render(), expected.render());
+            prop_assert_eq!(format!("{event:?}"), format!("{expected:?}"));
+            let winner = |e: &ProvenanceEvent| match e {
+                ProvenanceEvent::PolicyDecision { winner, .. } => winner.clone(),
+                _ => None,
+            };
+            prop_assert_eq!(winner(&event), winner(&expected));
+            prop_assert_eq!(built, usize::from(!candidates.is_empty()));
+            let walked: Vec<usize> = match end {
+                WinningEnd::Lowest => (0..candidates.len()).collect(),
+                WinningEnd::Highest => (0..candidates.len()).rev().collect(),
+            };
+            prop_assert_eq!(walked, ranking);
+            // other tests in this binary may count concurrently, so each
+            // decision shows as a rise of at least one on both counters
+            prop_assert!(between.0 > before.0 && between.1 > before.1);
+            prop_assert!(after.0 > between.0 && after.1 > between.1);
         }
     }
 

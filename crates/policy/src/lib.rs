@@ -26,6 +26,12 @@
 //!   high-rate sites ([`ExemplarSite`]) after their first recorded
 //!   decision. Provenance is a property of the types, not of a lint.
 //!
+//! A site that already holds its candidates in ascending order of
+//! unique scores (the sketch cache's recency map) decides through
+//! [`RankByScore::choose_ascending`] instead: it builds only the
+//! winner, records the event `choose` would, and tells the site which
+//! end of its order to walk from.
+//!
 //! The crate depends only on `rdi-obs` (for the event type and the
 //! `policy.*` counters), so it sits below every decision-making crate
 //! in the graph.
@@ -48,9 +54,9 @@ mod params;
 mod rank;
 mod score;
 
-pub use decision::{Candidate, ExemplarSite, SelectionDecision, SelectionPolicy};
+pub use decision::{Candidate, ExemplarSite, OrderedDecision, SelectionDecision, SelectionPolicy};
 pub use params::{fnv1a, PolicyParams, PolicySet, PARAMS_ENCODING_VERSION};
-pub use rank::RankByScore;
+pub use rank::{RankByScore, WinningEnd};
 pub use score::Score;
 
 /// A stable, workspace-unique name for one decision site.

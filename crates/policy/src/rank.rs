@@ -3,7 +3,7 @@
 
 use std::cmp::Ordering;
 
-use crate::decision::{Candidate, SelectionDecision, SelectionPolicy};
+use crate::decision::{Candidate, OrderedDecision, SelectionDecision, SelectionPolicy};
 use crate::params::PolicyParams;
 use crate::PolicyId;
 
@@ -34,6 +34,52 @@ impl RankByScore {
     pub const fn new(id: PolicyId) -> Self {
         RankByScore { id }
     }
+
+    /// Decide over `len` candidates that the caller holds in ascending
+    /// order of unique scores, building only the winner: the entry
+    /// point takes the item at the winning end of `held` (which yields
+    /// the `len` held items in that order) and turns it into the one
+    /// [`Candidate`] the decision records.
+    ///
+    /// With unique scores the full ranking is the held order read from
+    /// the winning end, whatever `tie` says, so the decision records
+    /// exactly what [`SelectionPolicy::choose`] over all `len`
+    /// candidates would (same event, same counters) and its
+    /// [`record`](OrderedDecision::record) names the end to walk from.
+    /// The caller owns the promises of order, uniqueness and `len`: a
+    /// repeated score would bring in `choose`'s key tie-break, which is
+    /// never consulted here.
+    pub fn choose_ascending<'a, T>(
+        &self,
+        len: usize,
+        mut held: impl DoubleEndedIterator<Item = T>,
+        params: &'a PolicyParams,
+        candidate: impl FnOnce(T) -> Candidate,
+    ) -> OrderedDecision<'a> {
+        let (end, winner) = if max_wins(params) {
+            (WinningEnd::Highest, held.next_back())
+        } else {
+            (WinningEnd::Lowest, held.next())
+        };
+        OrderedDecision::new(self.id, len, params, winner.map(candidate), end)
+    }
+}
+
+/// Which end of a sequence held in ascending score order ranks first.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WinningEnd {
+    /// The lowest score wins (`dir=min`): the ranking reads front to
+    /// back.
+    Lowest,
+    /// The highest score wins (any other `dir`, or none): the ranking
+    /// reads back to front.
+    Highest,
+}
+
+/// Does a larger score win under `params`? Every `dir` other than
+/// `min`, and a missing one, means yes.
+fn max_wins(params: &PolicyParams) -> bool {
+    params.get("dir").unwrap_or("max") != "min"
 }
 
 impl SelectionPolicy for RankByScore {
@@ -46,7 +92,7 @@ impl SelectionPolicy for RankByScore {
         candidates: &'a [Candidate],
         params: &'a PolicyParams,
     ) -> SelectionDecision<'a> {
-        let max_wins = params.get("dir").unwrap_or("max") != "min";
+        let max_wins = max_wins(params);
         let key_desc = params.get("tie") == Some("key_desc");
 
         let mut ranking: Vec<usize> = (0..candidates.len()).collect();

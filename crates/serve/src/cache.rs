@@ -7,18 +7,16 @@
 //! wall clocks, no hash-map iteration order (`BTreeMap` throughout).
 //!
 //! Ids are shared: a key's owner (and a join key's column) is an
-//! `Arc<str>` cloned from the registered table id, and each entry's
-//! [`CacheKey::render`]ed audit key is rendered once at insert and
-//! kept as an `Arc<str>` in the recency map. A hit moves its recency
-//! slot without touching a string. An eviction episode walks the
-//! recency map in sequence order, so its candidates arrive already
-//! ranked: building them costs one refcount bump per resident entry,
-//! and [`RankByScore`]'s stable sort confirms the order in one linear
-//! pass (descending under `dir=max`, which it reverses as one run).
-//! The candidate and sequence buffers are kept across episodes, and the
-//! episode's audit event names its winner through the candidate's
-//! shared key, so an episode copies no string. Drained decisions leave
-//! the event buffer's capacity in place for the next batch.
+//! `Arc<str>` cloned from the registered table id. A hit moves its
+//! recency slot without touching a string. The recency map holds the
+//! residents in ascending order of unique sequences, which is the
+//! ranking an eviction episode needs, so an episode decides through
+//! [`RankByScore::choose_ascending`]: it renders the
+//! [`CacheKey::render`]ed audit key of the winner alone, builds that one
+//! candidate, and walks the map from the winning end, evicting until the
+//! budget holds. Its cost is one rendered key plus O(log n) per victim,
+//! whatever the number of residents. Drained decisions leave the event
+//! buffer's capacity in place for the next batch.
 //!
 //! On a miss, a registered table's sketch comes from its maintained
 //! state's shared snapshot (module `maint`): the cache and the
@@ -33,13 +31,21 @@
 //! counters. Each handle is resolved on its first use and kept (see
 //! DESIGN.md, "Metric handles"). The bytes a cache holds are published
 //! by its owner, which sees every shard (`CacheGauges`).
+//!
+//! Every integer operation here is checked or saturating (clippy's
+//! `arithmetic_side_effects` is denied): below overflow the byte
+//! accounting is the plain arithmetic's, and the recency clock, which
+//! advances once per call, stops with a message rather than wrap and
+//! reorder the residents.
+
+#![deny(clippy::arithmetic_side_effects)]
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
 
 use rdi_discovery::{MinHash, TableSignature};
 use rdi_obs::{Counter, Gauge, ProvenanceEvent};
-use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
+use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, WinningEnd};
 
 /// What kind of sketch an entry holds (part of the cache key: the same
 /// table content can carry a union signature *and* per-column join
@@ -82,26 +88,16 @@ impl CacheKey {
 
     /// Stable `owner#fingerprint#kind` rendering — the candidate key
     /// under which this entry appears in `serve.cache_evict` policy
-    /// decisions.
+    /// decisions. Written by hand, not through `fmt`: a cache renders
+    /// one key per eviction episode.
     pub fn render(&self) -> String {
-        let mut out = String::new();
-        self.render_into(&mut out);
-        out
-    }
-
-    /// Append [`CacheKey::render`]'s text to `out`, so a cache can
-    /// render every audit key into one reused buffer.
-    ///
-    /// Written by hand, not through `fmt`: a cache renders one key per
-    /// insert.
-    fn render_into(&self, out: &mut String) {
         const HEX: &[u8; 16] = b"0123456789abcdef";
+        let mut out = String::new();
         out.push_str(&self.owner);
         out.push('#');
-        for shift in (0..16).rev() {
-            out.push(char::from(
-                HEX[(self.fingerprint >> (4 * shift)) as usize & 0xf],
-            ));
+        for byte in self.fingerprint.to_be_bytes() {
+            out.push(char::from(HEX[usize::from(byte >> 4)]));
+            out.push(char::from(HEX[usize::from(byte & 0xf)]));
         }
         let k = match &self.kind {
             SketchKind::Union { k } => {
@@ -115,7 +111,8 @@ impl CacheKey {
                 k
             }
         };
-        rdi_obs::push_decimal(out, *k as u64);
+        rdi_obs::push_decimal(&mut out, *k as u64);
+        out
     }
 }
 
@@ -143,20 +140,19 @@ pub enum Sketch {
 }
 
 impl Sketch {
-    /// Approximate heap footprint, charged against the cache capacity.
+    /// Approximate heap footprint, charged against the cache capacity
+    /// (saturating: a footprint past `usize::MAX` reads as the maximum).
     fn bytes(&self) -> usize {
         const ENTRY_OVERHEAD: usize = 64;
+        let column = |name: &str, m: &MinHash| name.len().saturating_add(m.k().saturating_mul(8));
         match self {
-            Sketch::Union(sig) => {
-                sig.name.len()
-                    + sig
-                        .columns
-                        .iter()
-                        .map(|(n, m)| n.len() + m.k() * 8 + 32)
-                        .sum::<usize>()
-                    + ENTRY_OVERHEAD
-            }
-            Sketch::Join(p) => p.column.len() + p.minhash.k() * 8 + ENTRY_OVERHEAD,
+            Sketch::Union(sig) => sig
+                .columns
+                .iter()
+                .map(|(n, m)| column(n, m).saturating_add(32))
+                .fold(sig.name.len(), usize::saturating_add)
+                .saturating_add(ENTRY_OVERHEAD),
+            Sketch::Join(p) => column(&p.column, &p.minhash).saturating_add(ENTRY_OVERHEAD),
         }
     }
 }
@@ -166,15 +162,6 @@ struct Entry {
     sketch: Sketch,
     bytes: usize,
     last_used: u64,
-}
-
-/// One entry's place in the recency order.
-#[derive(Debug, PartialEq)]
-struct Slot {
-    key: CacheKey,
-    /// [`CacheKey::render`], rendered once at insert: the candidate key
-    /// of this entry in every later eviction episode.
-    audit_key: Arc<str>,
 }
 
 /// The cache's `serve.cache.*` handles, each resolved on its first use
@@ -254,8 +241,8 @@ impl CacheGauges {
 pub struct SketchCache {
     capacity: usize,
     entries: BTreeMap<CacheKey, Entry>,
-    /// recency sequence → slot; the smallest sequence is the LRU victim.
-    recency: BTreeMap<u64, Slot>,
+    /// recency sequence → key; the smallest sequence is the LRU victim.
+    recency: BTreeMap<u64, CacheKey>,
     clock: u64,
     bytes: usize,
     /// `serve.cache_evict` params (default `dir=min` over the recency
@@ -264,13 +251,6 @@ pub struct SketchCache {
     /// One `PolicyDecision` audit event per eviction episode, drained
     /// by the owning index/session.
     decisions: Vec<ProvenanceEvent>,
-    /// An eviction episode's candidates and their recency sequences:
-    /// buffers kept between episodes, empty outside one.
-    candidates: Vec<Candidate>,
-    ticks: Vec<u64>,
-    /// Reused buffer each audit key is rendered into before it is
-    /// copied into its one `Arc<str>` allocation.
-    render_buf: String,
     metrics: CacheMetrics,
 }
 
@@ -287,9 +267,6 @@ impl SketchCache {
             bytes: 0,
             evict_params: PolicyParams::new().with("dir", "min"),
             decisions: Vec::new(),
-            candidates: Vec::new(),
-            ticks: Vec::new(),
-            render_buf: String::new(),
             metrics: CacheMetrics::default(),
         }
     }
@@ -332,8 +309,7 @@ impl SketchCache {
     /// Look up a sketch, bumping its recency on hit. Counts
     /// `serve.cache.hits` / `serve.cache.misses`.
     pub fn get(&mut self, key: &CacheKey) -> Option<Sketch> {
-        self.clock += 1;
-        let clock = self.clock;
+        let clock = self.tick();
         match self.entries.get_mut(key) {
             Some(e) => {
                 if let Some(slot) = self.recency.remove(&e.last_used) {
@@ -368,28 +344,31 @@ impl SketchCache {
         let bytes = sketch.bytes();
         if let Some(old) = self.entries.remove(&key) {
             self.recency.remove(&old.last_used);
-            self.bytes -= old.bytes;
+            self.bytes = self.bytes.saturating_sub(old.bytes);
         }
-        self.clock += 1;
-        self.bytes += bytes;
-        self.render_buf.clear();
-        key.render_into(&mut self.render_buf);
-        let audit_key = Arc::from(self.render_buf.as_str());
-        self.recency.insert(
-            self.clock,
-            Slot {
-                key: key.clone(),
-                audit_key,
-            },
-        );
+        let clock = self.tick();
+        self.bytes = self.bytes.saturating_add(bytes);
+        self.recency.insert(clock, key.clone());
         self.entries.insert(
             key,
             Entry {
                 sketch,
                 bytes,
-                last_used: self.clock,
+                last_used: clock,
             },
         );
+        clock
+    }
+
+    /// Advance the recency clock and return its new value. It advances
+    /// once per call, so it would take 2^64 calls to run out; it stops
+    /// there rather than wrap and rank new entries as the oldest.
+    #[expect(
+        clippy::expect_used,
+        reason = "the clock advances by one per call from 0, so u64::MAX is out of reach"
+    )]
+    fn tick(&mut self) -> u64 {
+        self.clock = self.clock.checked_add(1).expect("recency clock overflow");
         self.clock
     }
 
@@ -400,44 +379,39 @@ impl SketchCache {
     /// ranked order until the budget holds. Returns the eviction count.
     ///
     /// The fresh entry holds the newest sequence, so the candidates are
-    /// every recency slot before it, in sequence order, keyed by the
-    /// audit keys rendered at insert. Sequences are unique, so the
-    /// ranking is the one any candidate order would give; victims
-    /// resolve through their sequence. The candidate and sequence
-    /// buffers are reused across episodes, and the audit event's winner
-    /// shares its candidate's key.
+    /// every recency slot before it, already in ascending order of
+    /// unique sequences. The policy names the winning end; only the
+    /// winner's audit key is rendered, and victims are taken from that
+    /// end of the map one at a time.
     fn evict_over_budget(&mut self, fresh: u64) -> usize {
         if self.bytes <= self.capacity || self.entries.len() <= 1 {
             return 0;
         }
-        for (&tick, slot) in self.recency.range(..fresh) {
-            self.candidates.push(Candidate::new(
-                Arc::clone(&slot.audit_key),
-                Score::U64(tick),
-            ));
-            self.ticks.push(tick);
-        }
-        let policy = RankByScore::new(PolicyId::CACHE_EVICT);
-        let (event, ranking) = policy.choose(&self.candidates, &self.evict_params).record();
+        let residents = self.recency.len().saturating_sub(1);
+        let (event, end) = RankByScore::new(PolicyId::CACHE_EVICT)
+            .choose_ascending(
+                residents,
+                self.recency.range(..fresh),
+                &self.evict_params,
+                |(&tick, key)| Candidate::new(key.render(), Score::U64(tick)),
+            )
+            .record();
         self.decisions.push(event);
-        // the audit keys are released with their slots, not held here
-        self.candidates.clear();
-        let mut evicted = 0;
-        for &i in &ranking {
-            if self.bytes <= self.capacity {
+        let mut evicted: usize = 0;
+        while self.bytes > self.capacity {
+            let Some(tick) = resident_at(&self.recency, fresh, end).map(|(&tick, _)| tick) else {
                 break;
-            }
+            };
             if let Some(e) = self
                 .recency
-                .remove(&self.ticks[i])
-                .and_then(|slot| self.entries.remove(&slot.key))
+                .remove(&tick)
+                .and_then(|key| self.entries.remove(&key))
             {
-                self.bytes -= e.bytes;
+                self.bytes = self.bytes.saturating_sub(e.bytes);
                 self.metrics.evicted_bytes().add(e.bytes as u64);
             }
-            evicted += 1;
+            evicted = evicted.saturating_add(1);
         }
-        self.ticks.clear();
         evicted
     }
 
@@ -476,7 +450,7 @@ impl SketchCache {
         for key in &victims {
             if let Some(e) = self.entries.remove(key) {
                 self.recency.remove(&e.last_used);
-                self.bytes -= e.bytes;
+                self.bytes = self.bytes.saturating_sub(e.bytes);
                 self.metrics.invalidated().inc();
                 self.metrics.evicted_bytes().add(e.bytes as u64);
             }
@@ -485,10 +459,29 @@ impl SketchCache {
     }
 }
 
+/// The resident at `end` of the recency order, leaving out the fresh
+/// entry (sequence `fresh`, the newest).
+fn resident_at(
+    recency: &BTreeMap<u64, CacheKey>,
+    fresh: u64,
+    end: WinningEnd,
+) -> Option<(&u64, &CacheKey)> {
+    let mut residents = recency.range(..fresh);
+    match end {
+        WinningEnd::Lowest => residents.next(),
+        WinningEnd::Highest => residents.next_back(),
+    }
+}
+
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    reason = "test fixtures count small, known quantities"
+)]
 mod tests {
     use super::*;
     use proptest::prelude::*;
+    use rdi_policy::SelectionPolicy;
     use rdi_table::{DataType, Field, Schema, Table, Value};
 
     fn sig(name: &str, k: usize) -> Sketch {
@@ -755,10 +748,9 @@ mod tests {
         }
     }
 
-    /// One cache operation, decoded from `(op, owner, fingerprint,
-    /// kind, size)`: half inserts (a one-column signature of length 8,
-    /// 16 or 64, accounting 162, 226 or 610 bytes), then gets, stale
-    /// evictions and owner evictions.
+    /// One cache operation on key `(owner, fingerprint, kind)`. An
+    /// insert's last field picks a one-column signature of length 8, 16
+    /// or 64 (accounting 162, 226 or 610 bytes).
     #[derive(Debug, Clone, Copy)]
     enum Op {
         Insert(usize, u64, usize, usize),
@@ -767,14 +759,109 @@ mod tests {
         EvictOwner(usize),
     }
 
-    fn decode(spec: (usize, usize, u64, usize, usize)) -> Op {
-        let (op, owner, fp, kind, size) = spec;
-        match op {
-            0..=4 => Op::Insert(owner, fp, kind, [8, 16, 64][size]),
-            5..=7 => Op::Get(owner, fp, kind),
-            8 => Op::EvictStale(owner, fp),
-            _ => Op::EvictOwner(owner),
+    /// Operation sequences of a length in `len` over `fingerprints`
+    /// fingerprints per owner, mixed by `weights`: inserts, gets, stale
+    /// evictions and owner evictions.
+    fn ops(
+        fingerprints: std::ops::Range<u64>,
+        weights: [u32; 4],
+        len: std::ops::Range<usize>,
+    ) -> impl Strategy<Value = Vec<Op>> {
+        let [insert, get, stale, owner] = weights;
+        let op = prop_oneof![
+            insert => (0usize..5, fingerprints.clone(), 0usize..2, 0usize..3)
+                .prop_map(|(o, fp, kind, size)| Op::Insert(o, fp, kind, size)),
+            get => (0usize..5, fingerprints.clone(), 0usize..2)
+                .prop_map(|(o, fp, kind)| Op::Get(o, fp, kind)),
+            stale => (0usize..5, fingerprints).prop_map(|(o, fp)| Op::EvictStale(o, fp)),
+            owner => (0usize..5).prop_map(Op::EvictOwner),
+        ];
+        proptest::collection::vec(op, len)
+    }
+
+    /// `dir` values as a site may pass them: the policy reads every one
+    /// other than `min` as `max`.
+    const DIRS: [Option<&str>; 5] = [None, Some("min"), Some("max"), Some("MIN"), Some("")];
+
+    /// The `considered` field of a `PolicyDecision` event.
+    fn considered(event: &ProvenanceEvent) -> Option<usize> {
+        match event {
+            ProvenanceEvent::PolicyDecision { considered, .. } => Some(*considered),
+            _ => None,
         }
+    }
+
+    /// Run `ops` on two caches, one evicting through
+    /// `evict_over_budget`, the other through the reference episode:
+    /// after every op the survivors, the recency order and the held
+    /// bytes agree, and every episode's event considered every resident
+    /// but the fresh entry; at the end the rendered decisions and the
+    /// eviction counts agree. Returns the most residents an episode
+    /// considered.
+    fn match_reference(
+        ops: &[Op],
+        capacity: usize,
+        dir: Option<&str>,
+    ) -> Result<usize, TestCaseError> {
+        let mut params = PolicyParams::new();
+        if let Some(d) = dir {
+            params.set("dir", d);
+        }
+        let mut new = SketchCache::new(capacity);
+        let mut old = SketchCache::new(capacity);
+        new.set_evict_params(params.clone());
+        old.set_evict_params(params);
+        // one sketch per (owner, length), shared by both caches
+        let sketches: Vec<Sketch> = (0..OWNERS.len() * 3)
+            .map(|i| sig(OWNERS[i / 3], [8, 16, 64][i % 3]))
+            .collect();
+        let (mut new_evictions, mut old_evictions, mut peak) = (0, 0, 0);
+        for (step, &op) in ops.iter().enumerate() {
+            match op {
+                Op::Insert(owner, fp, kind, size) => {
+                    let key = op_key(owner, fp, kind);
+                    let sketch = &sketches[owner * 3 + size];
+                    let fresh = new.admit(key.clone(), sketch.clone());
+                    let residents = new.len() - 1;
+                    let episodes = new.decisions.len();
+                    new_evictions += new.evict_over_budget(fresh);
+                    if new.decisions.len() > episodes {
+                        let event = new.decisions.last().expect("an episode was recorded");
+                        prop_assert_eq!(considered(event), Some(residents), "step {}", step);
+                        peak = peak.max(residents);
+                    }
+                    old.admit(key.clone(), sketch.clone());
+                    old_evictions += reference_evict_over_budget(&mut old, &key);
+                }
+                Op::Get(owner, fp, kind) => {
+                    let key = op_key(owner, fp, kind);
+                    prop_assert_eq!(new.get(&key).is_some(), old.get(&key).is_some());
+                }
+                Op::EvictStale(owner, fp) => {
+                    prop_assert_eq!(
+                        new.evict_stale(OWNERS[owner], fp),
+                        old.evict_stale(OWNERS[owner], fp)
+                    );
+                }
+                Op::EvictOwner(owner) => {
+                    prop_assert_eq!(
+                        new.evict_owner(OWNERS[owner]),
+                        old.evict_owner(OWNERS[owner])
+                    );
+                }
+            }
+            let survivors: Vec<&CacheKey> = new.entries.keys().collect();
+            let expected: Vec<&CacheKey> = old.entries.keys().collect();
+            prop_assert_eq!(survivors, expected, "step {}", step);
+            prop_assert_eq!(&new.recency, &old.recency, "step {}", step);
+            prop_assert_eq!(new.bytes(), old.bytes(), "step {}", step);
+        }
+        let rendered = |c: &mut SketchCache| -> Vec<String> {
+            c.drain_decisions().map(|e| e.render()).collect()
+        };
+        prop_assert_eq!(rendered(&mut new), rendered(&mut old));
+        prop_assert_eq!(new_evictions, old_evictions);
+        Ok(peak)
     }
 
     /// Integers at both ends of their range, and in between.
@@ -812,61 +899,34 @@ mod tests {
             prop_assert_eq!(key.render(), reference);
         }
 
-        /// Random get/insert/invalidate sequences on two caches, one
-        /// evicting through `evict_over_budget`, the other through the
-        /// reference episode, under `dir=min` and `dir=max`: after
-        /// every op the survivors, the recency order and the held
-        /// bytes agree, and at the end so do the rendered decisions
-        /// and the eviction counts.
+        /// Random get/insert/invalidate sequences over a few keys and
+        /// small capacities (at most about 7 residents) match the
+        /// reference episode under every `dir` form.
         #[test]
         fn eviction_episodes_match_the_reference_model(
-            spec in proptest::collection::vec((0usize..10, 0usize..5, 1u64..3, 0usize..2, 0usize..3), 0..48),
+            ops in ops(1..3, [5, 3, 1, 1], 0..48),
             capacity in prop_oneof![Just(1usize), Just(340), Just(700), Just(1200)],
-            dir in 0usize..2,
+            dir in 0usize..5,
         ) {
-            let params = PolicyParams::new().with("dir", ["min", "max"][dir]);
-            let mut new = SketchCache::new(capacity);
-            let mut old = SketchCache::new(capacity);
-            new.set_evict_params(params.clone());
-            old.set_evict_params(params);
-            let (mut new_evictions, mut old_evictions) = (0, 0);
-            for (step, &s) in spec.iter().enumerate() {
-                match decode(s) {
-                    Op::Insert(owner, fp, kind, k) => {
-                        let key = op_key(owner, fp, kind);
-                        let fresh = new.admit(key.clone(), sig(OWNERS[owner], k));
-                        new_evictions += new.evict_over_budget(fresh);
-                        old.admit(key.clone(), sig(OWNERS[owner], k));
-                        old_evictions += reference_evict_over_budget(&mut old, &key);
-                    }
-                    Op::Get(owner, fp, kind) => {
-                        let key = op_key(owner, fp, kind);
-                        prop_assert_eq!(new.get(&key).is_some(), old.get(&key).is_some());
-                    }
-                    Op::EvictStale(owner, fp) => {
-                        prop_assert_eq!(
-                            new.evict_stale(OWNERS[owner], fp),
-                            old.evict_stale(OWNERS[owner], fp)
-                        );
-                    }
-                    Op::EvictOwner(owner) => {
-                        prop_assert_eq!(
-                            new.evict_owner(OWNERS[owner]),
-                            old.evict_owner(OWNERS[owner])
-                        );
-                    }
-                }
-                let survivors: Vec<&CacheKey> = new.entries.keys().collect();
-                let expected: Vec<&CacheKey> = old.entries.keys().collect();
-                prop_assert_eq!(survivors, expected, "step {}", step);
-                prop_assert_eq!(&new.recency, &old.recency, "step {}", step);
-                prop_assert_eq!(new.bytes(), old.bytes(), "step {}", step);
-            }
-            let rendered = |c: &mut SketchCache| -> Vec<String> {
-                c.drain_decisions().map(|e| e.render()).collect()
-            };
-            prop_assert_eq!(rendered(&mut new), rendered(&mut old));
-            prop_assert_eq!(new_evictions, old_evictions);
+            match_reference(&ops, capacity, DIRS[dir])?;
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// The same match at the size of a serving lake's query cache:
+        /// 300 keys, capacities for about 120 and 150 residents of the
+        /// mixed sizes, and enough inserts to fill them, so episodes
+        /// rank 100 to 300 residents.
+        #[test]
+        fn large_eviction_episodes_match_the_reference_model(
+            ops in ops(1..31, [600, 400, 1, 1], 600..900),
+            capacity in prop_oneof![Just(40_000usize), Just(50_000)],
+            dir in 0usize..5,
+        ) {
+            let peak = match_reference(&ops, capacity, DIRS[dir])?;
+            prop_assert!((100..=300).contains(&peak), "peak {} residents", peak);
         }
     }
 

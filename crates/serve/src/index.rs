@@ -37,7 +37,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rdi_coverage::{CoverageAnalyzer, PatternCounter};
 use rdi_discovery::hash::hash_bytes;
-use rdi_discovery::{rank_scored, table_unionability, MinHash, TableSignature};
+use rdi_discovery::{rank_scored, ColumnMatcher, MinHash, TableSignature};
 use rdi_obs::{Counter, ProvenanceEvent};
 use rdi_par::Threads;
 use rdi_policy::{PolicyId, PolicyParams, PolicySet};
@@ -1289,14 +1289,16 @@ fn delta_rows_applied() -> &'static Counter {
     HANDLE.get_or_init(|| rdi_obs::counter("serve.delta.rows_applied"))
 }
 
-/// Score every candidate's unionability with the query and rank the
-/// top `k`, recording the `discovery.union_rank` decision.
+/// Score every candidate's unionability with the query, through one
+/// matcher whose buffers every candidate reuses, and rank the top `k`,
+/// recording the `discovery.union_rank` decision.
 fn execute_union(plan: &UnionPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<(String, f64)> {
     candidates_scored().add(plan.candidates.len() as u64);
+    let mut matcher = ColumnMatcher::new();
     let scored: Vec<(Arc<str>, f64)> = plan
         .candidates
         .iter()
-        .map(|(id, sig)| (Arc::clone(id), table_unionability(&plan.query, sig)))
+        .map(|(id, sig)| (Arc::clone(id), matcher.unionability(&plan.query, sig)))
         .collect();
     // under default params, identical ranking to the historic inline
     // sort and to `UnionSearchIndex::top_k`
