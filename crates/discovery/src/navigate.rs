@@ -8,12 +8,19 @@
 //! the tree comparing only against medoids — touching O(branching × depth)
 //! tables instead of all of them.
 
-use crate::union_search::{table_unionability, TableSignature};
+use crate::union_search::{ColumnMatcher, TableSignature};
 
-/// Symmetrized unionability (plain [`table_unionability`] normalizes by
-/// the query's column count, so it is asymmetric).
+/// Symmetrized unionability (plain
+/// [`table_unionability`](crate::table_unionability) normalizes by the
+/// query's column count, so it is asymmetric).
 pub fn symmetric_unionability(a: &TableSignature, b: &TableSignature) -> f64 {
-    0.5 * (table_unionability(a, b) + table_unionability(b, a))
+    symmetric(&mut ColumnMatcher::new(), a, b)
+}
+
+/// [`symmetric_unionability`] through a caller's matcher, so a loop
+/// over many pairs reuses its buffers; the bits are the same.
+fn symmetric(matcher: &mut ColumnMatcher, a: &TableSignature, b: &TableSignature) -> f64 {
+    0.5 * (matcher.unionability(a, b) + matcher.unionability(b, a))
 }
 
 /// A node of the navigation hierarchy.
@@ -51,9 +58,10 @@ impl Navigator {
         let n = signatures.len();
         // pairwise similarity matrix
         let mut sim = vec![vec![0.0f64; n]; n];
+        let mut matcher = ColumnMatcher::new();
         for i in 0..n {
             for j in i + 1..n {
-                let s = symmetric_unionability(&signatures[i], &signatures[j]);
+                let s = symmetric(&mut matcher, &signatures[i], &signatures[j]);
                 sim[i][j] = s;
                 sim[j][i] = s;
             }
@@ -139,6 +147,7 @@ impl Navigator {
     pub fn navigate(&self, query: &TableSignature) -> (usize, usize) {
         let mut node = self.root;
         let mut comparisons = 0;
+        let mut matcher = ColumnMatcher::new();
         loop {
             match &self.nodes[node] {
                 NavNode::Leaf(idx) => return (*idx, comparisons),
@@ -150,7 +159,7 @@ impl Navigator {
                             NavNode::Internal { medoid, .. } => *medoid,
                         };
                         comparisons += 1;
-                        let s = table_unionability(query, &self.signatures[rep]);
+                        let s = matcher.unionability(query, &self.signatures[rep]);
                         if s > best.0 {
                             best = (s, c);
                         }

@@ -20,15 +20,18 @@
 //! work proportional to the delta, not the table: appends extend the
 //! maintained per-column sketches value by value, deletes repair them
 //! exactly through their multiplicity maps, and both refresh the
-//! table's [`crate::fingerprint::FpState`] incrementally. Each delta
-//! re-inserts the refreshed sketches under the new fingerprint and
-//! eagerly evicts the old-fingerprint entries, so the next query is a
-//! cache hit that builds nothing. Deletion repair is exact but its
-//! signature-position repair cost grows with accumulated churn, so
-//! once absorbed deletions exceed
-//! [`LakeIndexConfig::deletion_debt_threshold`] the index performs one
-//! counted rebuild (`sketch.rebuilds`) and resets the debt — a cost
-//! policy only; answers are bitwise identical on both sides.
+//! table's [`crate::fingerprint::FpState`] incrementally. A table's
+//! union signature and join profiles read the same column sketches (one
+//! store per table, module `maint`), so each column absorbs a delta
+//! once. Each delta re-inserts the refreshed sketches under the new
+//! fingerprint and eagerly evicts the old-fingerprint entries, so the
+//! next query is a cache hit that builds nothing. Deletion repair is
+//! exact but its signature-position repair cost grows with accumulated
+//! churn, so once absorbed deletions exceed
+//! [`LakeIndexConfig::deletion_debt_threshold`] the index rebuilds each
+//! maintained column once (one `sketch.rebuilds` count per sketch kind)
+//! and resets the debt — a cost policy only; answers are bitwise
+//! identical on both sides.
 
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -48,7 +51,7 @@ use crate::batch::Executed;
 use crate::cache::{CacheGauges, CacheKey, KeyProfile, Sketch, SketchCache, SketchKind};
 use crate::error::ServeError;
 use crate::fingerprint::{table_fingerprint, FpState};
-use crate::maint::{Maintained, UpdatableKeyProfile, UpdatableSignature};
+use crate::maint::Maintained;
 use crate::request::{CoverageReport, ServeRequest, ServeResponse, TailorReport};
 
 /// Seed domain for shard assignment (distinct from every sketch seed).
@@ -191,13 +194,14 @@ impl Shard {
         shard_routed().inc();
         let fp = FpState::from_table(&table);
         let keep = fp.fingerprint();
+        let maint = Maintained::new(table.num_columns());
         self.tables.insert(
             id.clone(),
             Registered {
                 table: Arc::new(table),
                 fp,
                 cost,
-                maint: Maintained::default(),
+                maint,
                 codes: BTreeMap::new(),
             },
         );
@@ -236,12 +240,7 @@ impl Shard {
             TableDelta::Append(rows) => {
                 Arc::make_mut(&mut r.table).append(rows)?;
                 r.fp.append(rows);
-                if let Some(u) = &mut r.maint.union {
-                    u.append_rows(rows);
-                }
-                for p in r.maint.joins.values_mut() {
-                    p.append_rows(rows)?;
-                }
+                r.maint.append_rows(rows);
                 rows.num_rows()
             }
             TableDelta::Delete(indices) => {
@@ -250,30 +249,7 @@ impl Shard {
                 sorted.sort_unstable();
                 sorted.dedup();
                 r.fp.delete(&sorted);
-                if r.maint.has_sketches() {
-                    r.maint.debt += removed.num_rows() as u64;
-                    if r.maint.debt > debt_threshold {
-                        // debt crossed: one counted rebuild per
-                        // maintained sketch, then a clean slate
-                        let table = r.table.clone();
-                        if let Some(u) = &mut r.maint.union {
-                            *u = UpdatableSignature::build(id, &table, k);
-                            sketch_rebuilds().inc();
-                        }
-                        for (col, p) in r.maint.joins.iter_mut() {
-                            *p = UpdatableKeyProfile::build(&table, col, k)?;
-                            sketch_rebuilds().inc();
-                        }
-                        r.maint.debt = 0;
-                    } else {
-                        if let Some(u) = &mut r.maint.union {
-                            u.remove_rows(&removed);
-                        }
-                        for p in r.maint.joins.values_mut() {
-                            p.remove_rows(&removed)?;
-                        }
-                    }
-                }
+                r.maint.remove_rows(&removed, &r.table, k, debt_threshold);
                 removed.num_rows()
             }
             TableDelta::Drop => 0, // handled above
@@ -283,29 +259,15 @@ impl Shard {
         // the now-unreachable old-fingerprint entries.
         let owner: Arc<str> = id.into();
         let new_fp = r.fp.fingerprint();
-        if let Some(u) = &mut r.maint.union {
-            self.cache.insert(
-                CacheKey {
-                    owner: Arc::clone(&owner),
-                    fingerprint: new_fp,
-                    kind: SketchKind::Union { k },
-                },
-                Sketch::Union(u.signature()),
-            );
-        }
-        for (col, p) in &mut r.maint.joins {
-            self.cache.insert(
-                CacheKey {
-                    owner: Arc::clone(&owner),
-                    fingerprint: new_fp,
-                    kind: SketchKind::Join {
-                        column: col.as_str().into(),
-                        k,
-                    },
-                },
-                Sketch::Join(p.profile()),
-            );
-        }
+        let cache = &mut self.cache;
+        r.maint.for_each_snapshot(id, &r.table, k, |kind, sketch| {
+            let key = CacheKey {
+                owner: Arc::clone(&owner),
+                fingerprint: new_fp,
+                kind,
+            };
+            cache.insert(key, sketch);
+        });
         self.cache.evict_stale(id, new_fp);
         delta_rows_applied().add(rows_touched as u64);
         Ok(rows_touched)
@@ -462,12 +424,7 @@ fn union_signature(
     if let Some(Sketch::Union(sig)) = cache.get(&key) {
         return sig;
     }
-    let table = &r.table;
-    let sig = r
-        .maint
-        .union
-        .get_or_insert_with(|| UpdatableSignature::build(id, table, k))
-        .signature();
+    let sig = r.maint.signature(id, &r.table, k);
     cache.insert(key, Sketch::Union(sig.clone()));
     sig
 }
@@ -493,17 +450,7 @@ fn key_profile(
     if let Some(Sketch::Join(p)) = cache.get(&key) {
         return Ok(p);
     }
-    let profile = match r.maint.joins.get_mut(&**column) {
-        Some(p) => p.profile(),
-        None => {
-            let p = UpdatableKeyProfile::build(&r.table, column, k)?;
-            r.maint
-                .joins
-                .entry(column.to_string())
-                .or_insert(p)
-                .profile()
-        }
-    };
+    let profile = r.maint.profile(&r.table, column, k)?;
     cache.insert(key, Sketch::Join(profile.clone()));
     Ok(profile)
 }
@@ -681,7 +628,8 @@ impl LakeIndex {
     /// and any materialized sketches with work proportional to the
     /// delta. Counts `serve.delta.rows_applied`; sketch maintenance
     /// counts `sketch.incremental_updates` per absorbed value and
-    /// `sketch.rebuilds` when deletion debt crosses the threshold.
+    /// maintained column, and `sketch.rebuilds` per maintained sketch
+    /// kind when deletion debt crosses the threshold.
     /// Returns the number of rows touched.
     ///
     /// `Drop` deregisters the table and evicts everything it cached;
@@ -1276,12 +1224,6 @@ fn shard_routed() -> &'static Counter {
     HANDLE.get_or_init(|| rdi_obs::counter("serve.shard.routed"))
 }
 
-/// `sketch.rebuilds`, resolved on first use (first debt rebuild).
-fn sketch_rebuilds() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| rdi_obs::counter("sketch.rebuilds"))
-}
-
 /// `serve.delta.rows_applied`, resolved on first use: counted on every
 /// non-drop delta.
 fn delta_rows_applied() -> &'static Counter {
@@ -1343,8 +1285,11 @@ fn containment_estimate(q: &KeyProfile, x: &KeyProfile) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::BTreeSet;
+
     use proptest::collection::vec;
     use proptest::prelude::*;
+    use proptest::test_runner::TestCaseError;
     use rdi_table::{DataType, Field, Schema, Value};
 
     fn str_table(col: &str, vals: &[&str]) -> Table {
@@ -1615,23 +1560,108 @@ mod tests {
         );
     }
 
-    /// A two-column table (`key` strings, `n` integers with nulls) of
-    /// `(key, n)` codes drawn from small pools, so values repeat.
+    /// A two-column table (`key` strings, `val` integers with nulls) of
+    /// `(key, val)` codes drawn from small pools, so values repeat.
     fn coded_table(rows: &[(usize, usize)]) -> Table {
         let schema = Schema::new(vec![
             Field::new("key", DataType::Str),
-            Field::new("n", DataType::Int),
+            Field::new("val", DataType::Int),
         ]);
         let mut t = Table::new(schema);
-        for &(key, n) in rows {
-            let n = if n == 0 {
+        for &(key, val) in rows {
+            let val = if val == 0 {
                 Value::Null
             } else {
-                Value::Int(n as i64)
+                Value::Int(val as i64)
             };
-            t.push_row(vec![Value::str(format!("v{key}")), n]).unwrap();
+            t.push_row(vec![Value::str(format!("v{key}")), val])
+                .unwrap();
         }
         t
+    }
+
+    /// A sketch kind read by one step of the maintenance property.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Kind {
+        Union,
+        Join,
+    }
+
+    /// The orders in which a step reads the two kinds.
+    const READ_ORDERS: [&[Kind]; 4] = [
+        &[Kind::Union, Kind::Join],
+        &[Kind::Join, Kind::Union],
+        &[Kind::Join],
+        &[Kind::Union],
+    ];
+
+    /// One step of the maintenance property: read `kinds` in order (the
+    /// join on `column`) twice, check that the second reads
+    /// share the first reads' `Arc`s and that every read equals a cold
+    /// build over the current table bitwise, and that the store holds
+    /// one column sketch per distinct column in `read` (which the step
+    /// extends).
+    fn read_and_check(
+        shard: &mut Shard,
+        id: &Arc<str>,
+        kinds: &[Kind],
+        column: &Arc<str>,
+        read: &mut BTreeSet<String>,
+    ) -> Result<(), TestCaseError> {
+        let k = 16;
+        let Shard { tables, cache } = shard;
+        let r = tables.get_mut(id).unwrap();
+        let has_column = r.table.column(column).is_ok();
+        let (mut sig, mut profile) = (None, None);
+        for &kind in kinds {
+            if kind == Kind::Union {
+                sig = Some(union_signature(cache, id, r, k));
+                read.extend(r.table.schema().fields().iter().map(|f| f.name.clone()));
+            } else if has_column {
+                profile = Some(key_profile(cache, id, column, r, k).unwrap());
+                read.insert(column.to_string());
+            } else {
+                let err = key_profile(cache, id, column, r, k).unwrap_err();
+                prop_assert!(matches!(err, ServeError::Table(_)), "{:?}", err);
+            }
+        }
+        prop_assert_eq!(
+            r.maint.sketch_count(),
+            read.len(),
+            "one sketch per column read"
+        );
+        // reread in the same order: with a 1-byte cache, a mixed step's
+        // rereads miss and must be served from the shared snapshots
+        for &kind in kinds {
+            if let (Kind::Union, Some(sig)) = (kind, &sig) {
+                prop_assert!(Arc::ptr_eq(sig, &union_signature(cache, id, r, k)));
+            }
+            if let (Kind::Join, Some(profile)) = (kind, &profile) {
+                let again = key_profile(cache, id, column, r, k).unwrap();
+                prop_assert!(Arc::ptr_eq(profile, &again));
+            }
+        }
+
+        if let Some(sig) = sig {
+            let cold = TableSignature::build(&**id, &r.table, k).unwrap();
+            prop_assert_eq!(&sig.name, &cold.name);
+            prop_assert_eq!(&sig.columns, &cold.columns);
+        }
+        if let Some(profile) = profile {
+            let cold = KeyProfile {
+                column: column.to_string(),
+                minhash: MinHash::from_column(&r.table, column, k).unwrap(),
+                distinct: r
+                    .table
+                    .distinct(column)
+                    .unwrap()
+                    .iter()
+                    .filter(|v| !v.is_null())
+                    .count(),
+            };
+            prop_assert_eq!(&*profile, &cold);
+        }
+        Ok(())
     }
 
     proptest! {
@@ -1639,50 +1669,79 @@ mod tests {
 
         /// Random append/delete streams through a shard with a 1-byte
         /// cache and a deletion-debt threshold of 3, so deltas both
-        /// repair incrementally and rebuild. After every delta the
-        /// maintained union signature and `key` profile equal cold
-        /// builds over the current table bitwise, and two reads with no
-        /// delta between them return the same `Arc` even though the
-        /// cache evicted the entry in between (each read's insert
-        /// evicts the other kind).
+        /// repair incrementally and rebuild. Before every delta and
+        /// after the last, the step reads the union signature and a
+        /// join profile (on `key`, on `val` or on a column the table
+        /// lacks) in a drawn order, or only one of them. Every read
+        /// equals a cold build over the current table bitwise; two
+        /// reads with no delta between them return the same `Arc` even
+        /// though the cache evicted the entry in between; and the
+        /// table's store holds exactly one column sketch per distinct
+        /// column read so far, so union and join reads share them.
         #[test]
         fn maintained_snapshots_match_cold_builds_and_are_shared(
             initial in vec((0usize..8, 0usize..4), 1..8),
             ops in vec((any::<bool>(), vec((0usize..8, 0usize..4), 1..4)), 1..16),
+            reads in vec((0usize..4, 0usize..3), 17),
         ) {
-            let k = 16;
             let id: Arc<str> = "t".into();
-            let column: Arc<str> = "key".into();
+            let columns: [Arc<str>; 3] = ["key".into(), "val".into(), "missing".into()];
             let mut shard = Shard::new(1);
             shard.upsert(Arc::clone(&id), coded_table(&initial), 1.0).unwrap();
-            for step in 0..=ops.len() {
-                let Shard { tables, cache } = &mut shard;
-                let r = tables.get_mut(&id).unwrap();
-                let sig = union_signature(cache, &id, r, k);
-                let profile = key_profile(cache, &id, &column, r, k).unwrap();
-                prop_assert!(cache.len() == 1, "the profile evicted the signature");
-                prop_assert!(Arc::ptr_eq(&sig, &union_signature(cache, &id, r, k)));
-                prop_assert!(Arc::ptr_eq(&profile, &key_profile(cache, &id, &column, r, k).unwrap()));
-
-                let cold = TableSignature::build(&*id, &r.table, k).unwrap();
-                prop_assert_eq!(&sig.name, &cold.name);
-                prop_assert_eq!(&sig.columns, &cold.columns, "step {}", step);
-                let cold = KeyProfile {
-                    column: column.to_string(),
-                    minhash: MinHash::from_column(&r.table, &column, k).unwrap(),
-                    distinct: r.table.distinct(&column).unwrap().iter().filter(|v| !v.is_null()).count(),
-                };
-                prop_assert_eq!(&*profile, &cold, "step {}", step);
+            let mut read = BTreeSet::new();
+            for (step, &(order, column)) in reads.iter().enumerate() {
+                let kinds = READ_ORDERS[order];
+                read_and_check(&mut shard, &id, kinds, &columns[column], &mut read)
+                    .map_err(|e| TestCaseError::fail(format!("step {step} ({kinds:?} on {}): {e}", columns[column])))?;
 
                 let Some((append, rows)) = ops.get(step) else { break };
-                let rows_now = r.table.num_rows();
+                let rows_now = shard.tables[&id].table.num_rows();
                 let delta = if *append || rows_now <= rows.len() {
                     TableDelta::Append(coded_table(rows))
                 } else {
                     TableDelta::Delete(rows.iter().map(|&(i, _)| i % rows_now).collect())
                 };
-                shard.apply_delta(&id, &delta, k, 3).unwrap();
+                shard.apply_delta(&id, &delta, 16, 3).unwrap();
             }
+        }
+    }
+
+    /// At the largest deletion-debt threshold the debt saturates instead
+    /// of wrapping, the table never rebuilds, and answers stay equal to
+    /// a cold index's.
+    #[test]
+    fn maximum_debt_threshold_never_rebuilds_and_matches_cold_answers() {
+        let config = LakeIndexConfig {
+            deletion_debt_threshold: u64::MAX,
+            ..LakeIndexConfig::default()
+        };
+        let vals = ["a", "b", "c", "d", "e", "f", "g", "h"];
+        let mut idx = LakeIndex::new(config);
+        idx.register("t1", str_table("key", &vals), 1.0).unwrap();
+        idx.register("t2", str_table("key", &["a", "x"]), 1.0)
+            .unwrap();
+        let q = str_table("key", &["a", "b", "c"]);
+        idx.union_top_k(&q, 2).unwrap();
+        idx.joinable_top_k(&q, "key", 2).unwrap();
+        fn maint(idx: &mut LakeIndex) -> &mut Maintained {
+            let si = idx.shard_of("t1");
+            &mut idx.shards[si].tables.get_mut("t1").unwrap().maint
+        }
+        maint(&mut idx).set_debt(u64::MAX - 1);
+
+        for left in [6, 4, 2] {
+            idx.apply_delta("t1", &TableDelta::Delete(vec![0, 1]))
+                .unwrap();
+            assert_eq!(maint(&mut idx).debt(), u64::MAX, "saturated, never reset");
+            let mut cold = index_with(&[("t1", &vals[vals.len() - left..]), ("t2", &["a", "x"])]);
+            assert_ranking_eq(
+                &idx.union_top_k(&q, 2).unwrap(),
+                &cold.union_top_k(&q, 2).unwrap(),
+            );
+            assert_ranking_eq(
+                &idx.joinable_top_k(&q, "key", 2).unwrap(),
+                &cold.joinable_top_k(&q, "key", 2).unwrap(),
+            );
         }
     }
 
