@@ -17,9 +17,11 @@
 //!   counted rebuild per maintained sketch resets the debt;
 //! * an [`UpdatableKmv`] absorbing the same stream stays bitwise
 //!   identical to a cold `KmvSketch::build` at every step; and
-//! * under a deliberately tiny byte budget the per-shard caches evict
+//! * under a deliberately tiny byte budget, a stream of distinct ad-hoc
+//!   queries makes the per-shard query caches evict
 //!   (`serve.cache.evictions` / `serve.cache.evicted_bytes`) instead
-//!   of overflowing.
+//!   of overflowing. Registered tables' sketches live in their
+//!   maintained stores, outside that budget.
 
 use std::collections::BTreeMap;
 
@@ -406,6 +408,9 @@ fn main() {
     );
 
     // --- 4. tiny byte budget: caches evict instead of overflowing ---
+    // Six distinct queries (the probe's first 60, 50, 40, 30, 20 and
+    // 10 rows) through a 2 KiB per-shard slice, which holds two
+    // queries' union signatures and join profiles.
     let ev_0 = counter("serve.cache.evictions");
     let evb_0 = counter("serve.cache.evicted_bytes");
     let mut tiny = LakeIndex::new(LakeIndexConfig {
@@ -417,8 +422,11 @@ fn main() {
     for (id, (t, cost)) in &mirror {
         tiny.register(id.clone(), t.clone(), *cost).unwrap();
     }
-    tiny.union_top_k(&query, 3).unwrap();
-    tiny.joinable_top_k(&query, "key", 3).unwrap();
+    for rows in [60, 50, 40, 30, 20, 10] {
+        let q = query.take(&(0..rows).collect::<Vec<_>>());
+        tiny.union_top_k(&q, 3).unwrap();
+        tiny.joinable_top_k(&q, "key", 3).unwrap();
+    }
     let evictions = counter("serve.cache.evictions") - ev_0;
     let evicted_bytes = counter("serve.cache.evicted_bytes") - evb_0;
     assert!(evictions > 0, "4 KiB budget must evict");

@@ -14,10 +14,12 @@
 //!   tailoring run, which replays on the same per-arrival RNG stream;
 //! * overload and poison requests degrade to typed partial results
 //!   (queue shedding, breaker trip) — the batch never panics;
-//! * under a deliberately small byte budget the sketch caches evict
-//!   LRU entries and account every released byte
-//!   (`serve.cache.evictions` / `serve.cache.evicted_bytes`) instead
-//!   of overflowing.
+//! * under a deliberately small byte budget, a stream of distinct
+//!   ad-hoc queries makes the query-sketch caches evict LRU entries and
+//!   account every released byte (`serve.cache.evictions` /
+//!   `serve.cache.evicted_bytes`) instead of overflowing. Registered
+//!   tables' sketches live in their maintained stores, outside that
+//!   budget.
 
 use rdi_bench::{emit_metrics_snapshot, f1, f3, print_table};
 use rdi_datagen::{skewed_sources, LakeConfig, PopulationSpec, SourceConfig, SyntheticLake};
@@ -294,6 +296,9 @@ fn main() {
     );
 
     // --- 5. byte-budget pressure: caches evict, and account for it ---
+    // Four distinct queries (the first 500, 400, 300 and 200 query
+    // rows) through a 2 KiB per-shard slice: each query's union
+    // signature and join profile evict the sketch before them.
     let budget = 16 << 10;
     let ev_0 = counter("serve.cache.evictions");
     let evb_0 = counter("serve.cache.evicted_bytes");
@@ -307,8 +312,11 @@ fn main() {
             .register(id, big.table(id).unwrap().clone(), 1.0)
             .unwrap();
     }
-    small.union_top_k(&query, 5).unwrap();
-    small.joinable_top_k(&query, "key", 5).unwrap();
+    for rows in [500, 400, 300, 200] {
+        let q = query.take(&(0..rows).collect::<Vec<_>>());
+        small.union_top_k(&q, 5).unwrap();
+        small.joinable_top_k(&q, "key", 5).unwrap();
+    }
     let evictions = counter("serve.cache.evictions") - ev_0;
     let evicted_bytes = counter("serve.cache.evicted_bytes") - evb_0;
     assert!(evictions > 0, "a {budget}-byte budget must evict");

@@ -6,10 +6,10 @@
 //! best greedy column matching, and define table unionability as the mean
 //! matched-column score over the query's columns.
 
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use rdi_obs::ProvenanceEvent;
-use rdi_par::{par_map, Threads};
+use rdi_obs::{Counter, ProvenanceEvent};
+use rdi_par::{par_map, par_reduce, Threads};
 use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
 use rdi_table::Table;
 
@@ -232,6 +232,11 @@ impl UnionSearchIndex {
     /// event explaining the ranking. Callers with a provenance stream
     /// (e.g. `rdi-serve` sessions) attach the event; one-shot callers
     /// may drop it — the `policy.*` counters are recorded either way.
+    ///
+    /// Each chunk of candidates is scored through one [`ColumnMatcher`]
+    /// whose buffers its candidates reuse; chunks are concatenated in
+    /// order, so the scores are those of [`table_unionability`] in
+    /// candidate order for any thread count.
     pub fn top_k_explained(
         &self,
         query: &TableSignature,
@@ -239,12 +244,29 @@ impl UnionSearchIndex {
         threads: Threads,
         params: &PolicyParams,
     ) -> (Vec<(String, f64)>, ProvenanceEvent) {
-        rdi_obs::counter("discovery.candidates_scored").add(self.tables.len() as u64);
-        let scored: Vec<(String, f64)> = par_map(threads.min_len(4), &self.tables, |t| {
-            (t.name.clone(), table_unionability(query, t))
-        });
+        candidates_scored().add(self.tables.len() as u64);
+        let (_, scored) = par_reduce(
+            threads.min_len(4),
+            &self.tables,
+            || (ColumnMatcher::new(), Vec::new()),
+            |(mut matcher, mut scored), t| {
+                scored.push((t.name.clone(), matcher.unionability(query, t)));
+                (matcher, scored)
+            },
+            |(matcher, mut left), (_, mut right)| {
+                left.append(&mut right);
+                (matcher, left)
+            },
+        );
         rank_scored(PolicyId::UNION_RANK, &scored, k, params)
     }
+}
+
+/// `discovery.candidates_scored`, resolved on first use: a by-name
+/// lookup takes the registry lock on every query.
+fn candidates_scored() -> &'static Counter {
+    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
+    HANDLE.get_or_init(|| rdi_obs::counter("discovery.candidates_scored"))
 }
 
 #[cfg(test)]

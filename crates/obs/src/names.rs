@@ -38,17 +38,18 @@ pub const METRIC_NAMES: &[&str] = &[
     "serve.cache.evicted_bytes",
     "serve.cache.evictions",
     "serve.cache.hits",
-    "serve.cache.invalidated",
     "serve.cache.misses",
     "serve.candidates_scored",
     "serve.delta.rows_applied",
     "serve.index.tables",
+    "serve.maint.bytes",
     "serve.queue_depth",
     "serve.requests",
     "serve.requests_degraded",
     "serve.requests_failed",
     "serve.shard.routed",
     "serve.shard.{i}.cache_bytes",
+    "serve.shard.{i}.maint_bytes",
     "serve.shard.{i}.tables",
     "serve.shed",
     "serve.tailor",

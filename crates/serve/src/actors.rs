@@ -40,7 +40,7 @@ use rdi_table::{Table, TableDelta};
 
 use crate::admit::{AdmitConfig, Admitter, TaggedRequest, TenantId};
 use crate::batch::Batch;
-use crate::cache::CacheGauges;
+use crate::cache::{CacheGauges, ShardBytes};
 use crate::error::ServeError;
 use crate::index::{execute, shard_route, LakeIndex, LakeIndexConfig, Shard, WarmNeed, WarmPart};
 use crate::request::ServeRequest;
@@ -122,7 +122,7 @@ impl Actor for ShardActor {
                         batch: wb.batch,
                         shard_index: self.shard_index,
                         tables_in_shard: self.shard.len(),
-                        cache_bytes: self.shard.cache_bytes(),
+                        bytes: self.shard.bytes(),
                         parts,
                         evictions: self.shard.drain_decisions().collect(),
                     }),
@@ -265,16 +265,17 @@ pub struct WarmReply {
     pub(crate) batch: u64,
     pub(crate) shard_index: usize,
     pub(crate) tables_in_shard: usize,
-    /// The bytes the shard's cache holds after the warm.
-    pub(crate) cache_bytes: usize,
+    /// The bytes the shard's cache and maintained stores hold after
+    /// the warm.
+    pub(crate) bytes: ShardBytes,
     pub(crate) parts: Vec<(usize, WarmPart)>,
     /// The shard cache's eviction decisions since its last reply.
     pub(crate) evictions: Vec<ProvenanceEvent>,
 }
 
-/// Leaves out `cache_bytes` and `evictions`: the actor event log
-/// summarizes messages by their `Debug` text, and a reply renders as it
-/// did before it carried the shard's cache size and decisions.
+/// Leaves out `bytes` and `evictions`: the actor event log summarizes
+/// messages by their `Debug` text, and a reply renders as it did before
+/// it carried the shard's memory sizes and decisions.
 impl std::fmt::Debug for WarmReply {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("WarmReply")
@@ -326,8 +327,8 @@ pub struct SessionActor {
     inflight: Option<Inflight>,
     backlog: VecDeque<Vec<TaggedRequest>>,
     completed: Vec<BatchReport>,
-    /// Publishes the replying shards' cache bytes at the end of every
-    /// batch.
+    /// Publishes the replying shards' cache and maintained-store bytes
+    /// at the end of every batch.
     gauges: CacheGauges,
 }
 
@@ -449,7 +450,7 @@ impl Actor for SessionActor {
                         state.replied(
                             reply.shard_index,
                             reply.tables_in_shard,
-                            reply.cache_bytes,
+                            reply.bytes,
                             reply.evictions,
                         );
                         for (pos, part) in reply.parts {
@@ -778,11 +779,10 @@ mod tests {
         assert_matches_serial(lake_over, &admit, &batches);
     }
 
-    /// A lake whose sketches overflow a 4 KiB cache, so most warms
-    /// evict.
-    fn tight_lake(shard_count: usize) -> LakeIndex {
+    /// Sixteen one-column tables over a query cache of `budget` bytes.
+    fn budget_lake(shard_count: usize, budget: usize) -> LakeIndex {
         let mut idx = LakeIndex::new(LakeIndexConfig {
-            cache_capacity_bytes: 4 << 10,
+            cache_capacity_bytes: budget,
             shard_count,
             ..LakeIndexConfig::default()
         });
@@ -794,16 +794,33 @@ mod tests {
         idx
     }
 
+    /// A lake with a 4 KiB query cache: 512 bytes a shard, which one
+    /// query signature or profile (about 1.1 KB at `k` = 128) already
+    /// overflows, so every further query sketch evicts.
+    fn tight_lake(shard_count: usize) -> LakeIndex {
+        budget_lake(shard_count, 4 << 10)
+    }
+
     /// Eviction decisions travel back with each warm reply and land in
     /// the batch report in the serial order, so none pile up in the
-    /// shard actors however long the session runs.
+    /// shard actors however long the session runs. Each batch brings a
+    /// new query's union signature and join profile to the query-owner
+    /// shard, and each of the two evicts the sketch before it.
     #[test]
     fn eviction_decisions_are_reported_per_batch_not_hoarded() {
         let batch = |i: usize| {
-            vec![ServeRequest::UnionTopK {
-                query: keyed(&[&format!("v{i}"), "v1"]),
-                k: 2,
-            }]
+            let query = keyed(&[&format!("v{i}"), "v1"]);
+            vec![
+                ServeRequest::UnionTopK {
+                    query: query.clone(),
+                    k: 2,
+                },
+                ServeRequest::JoinableTopK {
+                    query,
+                    column: "key".into(),
+                    k: 2,
+                },
+            ]
         };
         let batches: Vec<Vec<ServeRequest>> = (0..4).map(batch).collect();
         let (admit, tagged) = untagged(&batches);
@@ -822,11 +839,58 @@ mod tests {
             .completed()
             .iter()
             .flat_map(|r| &r.decisions)
-            .filter(|e| matches!(e, ProvenanceEvent::PolicyDecision { policy, .. } if *policy == "serve.cache_evict"))
+            .filter(|e| is_eviction(e))
             .count();
         assert!(reported > 1_000, "the stream must evict: {reported}");
         let mut hosted = group.reassemble(&mut rt).unwrap();
         assert_eq!(hosted.drain_decisions().len(), 0, "undrained in the shards");
+    }
+
+    /// True for a `serve.cache_evict` decision.
+    fn is_eviction(event: &ProvenanceEvent) -> bool {
+        matches!(event, ProvenanceEvent::PolicyDecision { policy, .. } if *policy == "serve.cache_evict")
+    }
+
+    /// A lake with no query-cache budget at all answers on the actor
+    /// path as on the serial one, and serially as the default lake
+    /// does, decisions aside from evictions: the cache only ever holds
+    /// query sketches, and registered tables read their maintained
+    /// stores whatever the budget.
+    #[test]
+    fn zero_cache_budget_matches_the_default_budget_on_both_paths() {
+        let zero_lake = |n| budget_lake(n, 0);
+        let default_lake = |n| budget_lake(n, LakeIndexConfig::default().cache_capacity_bytes);
+        let batches: Vec<Vec<ServeRequest>> = (0..6)
+            .map(|i| {
+                let query = keyed(&[&format!("v{}", i % 3), "v1", "v7"]);
+                vec![
+                    ServeRequest::UnionTopK {
+                        query: query.clone(),
+                        k: 3,
+                    },
+                    ServeRequest::JoinableTopK {
+                        query,
+                        column: "key".into(),
+                        k: 3,
+                    },
+                ]
+            })
+            .collect();
+        let (admit, tagged) = untagged(&batches);
+        assert_matches_serial(zero_lake, &admit, &tagged);
+
+        let config = SessionConfig::default();
+        let mut zero = ServeSession::with_admission(zero_lake(8), config, admit.clone());
+        let mut default = ServeSession::with_admission(default_lake(8), config, admit);
+        let ranks = |decisions: Vec<ProvenanceEvent>| -> Vec<ProvenanceEvent> {
+            decisions.into_iter().filter(|e| !is_eviction(e)).collect()
+        };
+        for b in &tagged {
+            let (z, d) = (zero.submit_batch_tagged(b), default.submit_batch_tagged(b));
+            assert_eq!(z.responses, d.responses);
+            assert_eq!(ranks(z.decisions), ranks(d.decisions));
+        }
+        assert_eq!(zero.index().maint_bytes(), default.index().maint_bytes());
     }
 
     /// Pins ZeroK > EmptyIndex > query errors on both paths, over a

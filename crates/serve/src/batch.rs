@@ -1,7 +1,7 @@
 //! One serving batch, written once for both serving paths: admission,
 //! what each admitted request [`needs`] from which shard, the warm parts
 //! per request, [`assemble`], splicing answers and decisions back in
-//! slot order, breaker feedback, the cache-size gauges and the
+//! slot order, breaker feedback, the memory gauges and the
 //! [`BatchReport`]. A driver only reaches the shards and runs the
 //! plans: the serial [`ServeSession`](crate::ServeSession) warms inline
 //! and executes on its pool; the [`SessionActor`](crate::SessionActor)
@@ -13,7 +13,7 @@ use rdi_obs::ProvenanceEvent;
 use rdi_policy::PolicySet;
 
 use crate::admit::{AdmitVerdict, Admitter, TenantId};
-use crate::cache::CacheGauges;
+use crate::cache::{CacheGauges, ShardBytes};
 use crate::error::ServeError;
 use crate::index::{assemble, needs, Prepared, WarmNeed, WarmPart};
 use crate::request::{ServeRequest, ServeResponse};
@@ -46,9 +46,9 @@ pub(crate) struct Batch {
     tables: usize,
     /// The admitter's reserved-slot ranking.
     decisions: Vec<ProvenanceEvent>,
-    /// Each replying shard's cache bytes and eviction decisions, by
-    /// shard index.
-    replies: BTreeMap<usize, (usize, Vec<ProvenanceEvent>)>,
+    /// Each replying shard's cache and maintained-store bytes and its
+    /// eviction decisions, by shard index.
+    replies: BTreeMap<usize, (ShardBytes, Vec<ProvenanceEvent>)>,
 }
 
 impl Batch {
@@ -99,20 +99,20 @@ impl Batch {
     }
 
     /// Record one shard's registered-table count, the bytes its cache
-    /// holds and the eviction decisions its cache made since it last
-    /// replied.
+    /// and its maintained stores hold, and the eviction decisions its
+    /// cache made since it last replied.
     pub(crate) fn replied(
         &mut self,
         shard: usize,
         tables: usize,
-        cache_bytes: usize,
+        bytes: ShardBytes,
         evictions: Vec<ProvenanceEvent>,
     ) {
         self.tables += tables;
-        self.replies.insert(shard, (cache_bytes, evictions));
+        self.replies.insert(shard, (bytes, evictions));
     }
 
-    /// Publish the replying shards' cache bytes on `gauges`, assemble
+    /// Publish the replying shards' bytes on `gauges`, assemble
     /// every admitted request's plan, run the `(seed, plan)` jobs with
     /// `run` (one result per job, in job order), feed each tenant's
     /// breaker its own outcomes in arrival order (sheds never count)

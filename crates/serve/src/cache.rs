@@ -1,36 +1,32 @@
-//! The memoized sketch/signature cache behind [`crate::LakeIndex`].
+//! The memoized query-sketch cache behind [`crate::LakeIndex`].
 //!
-//! Entries are keyed by `(owner table id, content fingerprint, sketch
-//! kind)` and evicted least-recently-used under a byte-accounted
-//! capacity. Recency is a logical sequence number bumped on every hit,
-//! so eviction order is a pure function of the access sequence — no
-//! wall clocks, no hash-map iteration order (`BTreeMap` throughout).
+//! It holds the sketches of ad-hoc query tables only, keyed by `(content
+//! fingerprint, sketch kind)` and evicted least-recently-used under a
+//! byte-accounted capacity. A registered table's union signature and
+//! join profiles are not cached here: they live in its maintained store
+//! (module `maint`) for as long as the table does, and a read takes
+//! them from there. So every byte this cache accounts is a byte that
+//! evicting its entry releases.
 //!
-//! Ids are shared: a key's owner (and a join key's column) is an
-//! `Arc<str>` cloned from the registered table id. A hit moves its
-//! recency slot without touching a string. The recency map holds the
-//! residents in ascending order of unique sequences, which is the
-//! ranking an eviction episode needs, so an episode decides through
-//! [`RankByScore::choose_ascending`]: it renders the
-//! [`CacheKey::render`]ed audit key of the winner alone, builds that one
-//! candidate, and walks the map from the winning end, evicting until the
-//! budget holds. Its cost is one rendered key plus O(log n) per victim,
-//! whatever the number of residents. Drained decisions leave the event
-//! buffer's capacity in place for the next batch.
-//!
-//! On a miss, a registered table's sketch comes from its maintained
-//! state's shared snapshot (module `maint`): the cache and the
-//! maintained state hold the same `Arc`, so evicting an entry and
-//! missing on it again re-inserts that `Arc` without copying a
-//! signature.
+//! Recency is a logical sequence number bumped on every hit, so
+//! eviction order is a pure function of the access sequence — no wall
+//! clocks, no hash-map iteration order (`BTreeMap` throughout). The
+//! recency map holds the residents in ascending order of unique
+//! sequences, which is the ranking an eviction episode needs, so an
+//! episode decides through [`RankByScore::choose_ascending`]: it renders
+//! the [`CacheKey::render`]ed audit key of the winner alone, builds that
+//! one candidate, and walks the map from the winning end, evicting until
+//! the budget holds. Its cost is one rendered key plus O(log n) per
+//! victim, whatever the number of residents. Drained decisions leave the
+//! event buffer's capacity in place for the next batch.
 //!
 //! The cache reports itself through `rdi-obs`: `serve.cache.hits`,
-//! `serve.cache.misses`, `serve.cache.evictions` (capacity pressure),
-//! `serve.cache.invalidated` (explicit owner/fingerprint eviction) and
-//! `serve.cache.evicted_bytes` (bytes released by either path)
-//! counters. Each handle is resolved on its first use and kept (see
-//! DESIGN.md, "Metric handles"). The bytes a cache holds are published
-//! by its owner, which sees every shard (`CacheGauges`).
+//! `serve.cache.misses`, `serve.cache.evictions` and
+//! `serve.cache.evicted_bytes` counters. Each handle is resolved on its
+//! first use and kept (see DESIGN.md, "Metric handles"). The bytes a
+//! cache holds, and the bytes of the shard's maintained stores beside
+//! it, are published by its owner, which sees every shard
+//! (`CacheGauges`).
 //!
 //! Every integer operation here is checked or saturating (clippy's
 //! `arithmetic_side_effects` is denied): below overflow the byte
@@ -68,13 +64,10 @@ pub enum SketchKind {
     },
 }
 
-/// Full cache key: which table, which content, which sketch. Cloning
-/// one bumps refcounts only.
+/// Full cache key of an ad-hoc query sketch: which content, which
+/// sketch. Cloning one bumps refcounts only.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
-    /// Registered table id, or [`CacheKey::QUERY_OWNER`] for ad-hoc
-    /// query tables.
-    pub owner: Arc<str>,
     /// Content fingerprint ([`crate::fingerprint::table_fingerprint`]).
     pub fingerprint: u64,
     /// Sketch kind + parameters.
@@ -82,18 +75,19 @@ pub struct CacheKey {
 }
 
 impl CacheKey {
-    /// Owner id used for ad-hoc query tables (not registered in the
-    /// index); their fingerprint alone identifies the content.
+    /// The name an ad-hoc query table goes by (it is not registered in
+    /// the index): the prefix of every rendered key, the name of a query
+    /// signature, and the table named by a query's errors.
     pub const QUERY_OWNER: &'static str = "<query>";
 
-    /// Stable `owner#fingerprint#kind` rendering — the candidate key
+    /// Stable `<query>#fingerprint#kind` rendering — the candidate key
     /// under which this entry appears in `serve.cache_evict` policy
     /// decisions. Written by hand, not through `fmt`: a cache renders
     /// one key per eviction episode.
     pub fn render(&self) -> String {
         const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut out = String::new();
-        out.push_str(&self.owner);
+        out.push_str(Self::QUERY_OWNER);
         out.push('#');
         for byte in self.fingerprint.to_be_bytes() {
             out.push(char::from(HEX[usize::from(byte >> 4)]));
@@ -173,7 +167,6 @@ struct CacheMetrics {
     misses: OnceLock<Arc<Counter>>,
     evictions: OnceLock<Arc<Counter>>,
     evicted_bytes: OnceLock<Arc<Counter>>,
-    invalidated: OnceLock<Arc<Counter>>,
 }
 
 impl CacheMetrics {
@@ -196,43 +189,62 @@ impl CacheMetrics {
         self.evicted_bytes
             .get_or_init(|| rdi_obs::counter("serve.cache.evicted_bytes"))
     }
-
-    fn invalidated(&self) -> &Counter {
-        self.invalidated
-            .get_or_init(|| rdi_obs::counter("serve.cache.invalidated"))
-    }
 }
 
-/// The cache-size gauges of a sharded index: `serve.cache.bytes`, the
-/// sum over its shards, and each shard's `serve.shard.{i}.cache_bytes`.
-/// It keeps the bytes each shard last reported, so a report from some
-/// of the shards still publishes the sum over all of them. Each handle
-/// is resolved when it is first published and kept.
+/// One shard's report to [`CacheGauges`]: the accounted bytes its query
+/// cache holds and the footprint of its maintained sketch stores.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct ShardBytes {
+    pub(crate) cache: usize,
+    pub(crate) maint: usize,
+}
+
+/// The memory gauges of a sharded index: `serve.cache.bytes` and
+/// `serve.maint.bytes`, the sums over its shards, and each shard's
+/// `serve.shard.{i}.cache_bytes` and `serve.shard.{i}.maint_bytes`. It
+/// keeps what each shard last reported, so a report from some of the
+/// shards still publishes the sums over all of them. Each handle is
+/// resolved when it is first published and kept.
 #[derive(Debug, Default)]
 pub(crate) struct CacheGauges {
-    total: Option<Arc<Gauge>>,
-    /// Per shard, by index: its gauge and the bytes it last reported.
-    shards: Vec<(Arc<Gauge>, usize)>,
+    totals: Option<[Arc<Gauge>; 2]>,
+    /// Per shard, by index: its cache and maint gauges and the bytes it
+    /// last reported.
+    shards: Vec<([Arc<Gauge>; 2], ShardBytes)>,
 }
 
 impl CacheGauges {
-    /// Take each `(shard index, cache bytes)` report, publish those
-    /// shards' gauges, then the sum over every shard reported so far.
-    pub(crate) fn publish(&mut self, reports: impl IntoIterator<Item = (usize, usize)>) {
+    /// Take each `(shard index, bytes)` report, publish those shards'
+    /// gauges, then the sums over every shard reported so far.
+    pub(crate) fn publish(&mut self, reports: impl IntoIterator<Item = (usize, ShardBytes)>) {
         for (shard, bytes) in reports {
             while self.shards.len() <= shard {
                 let i = self.shards.len();
-                let gauge = rdi_obs::gauge(&format!("serve.shard.{i}.cache_bytes"));
-                self.shards.push((gauge, 0));
+                let gauges = [
+                    rdi_obs::gauge(&format!("serve.shard.{i}.cache_bytes")),
+                    rdi_obs::gauge(&format!("serve.shard.{i}.maint_bytes")),
+                ];
+                self.shards.push((gauges, ShardBytes::default()));
             }
-            let (gauge, held) = &mut self.shards[shard];
+            let ([cache, maint], held) = &mut self.shards[shard];
             *held = bytes;
-            gauge.set(bytes as f64);
+            cache.set(bytes.cache as f64);
+            maint.set(bytes.maint as f64);
         }
-        let total: usize = self.shards.iter().map(|(_, bytes)| bytes).sum();
-        self.total
-            .get_or_insert_with(|| rdi_obs::gauge("serve.cache.bytes"))
-            .set(total as f64);
+        let (cache, maint) = self
+            .shards
+            .iter()
+            .fold((0usize, 0usize), |(c, m), (_, held)| {
+                (c.saturating_add(held.cache), m.saturating_add(held.maint))
+            });
+        let [cache_total, maint_total] = self.totals.get_or_insert_with(|| {
+            [
+                rdi_obs::gauge("serve.cache.bytes"),
+                rdi_obs::gauge("serve.maint.bytes"),
+            ]
+        });
+        cache_total.set(cache as f64);
+        maint_total.set(maint as f64);
     }
 }
 
@@ -414,49 +426,6 @@ impl SketchCache {
         }
         evicted
     }
-
-    /// Evict every entry owned by `owner`, regardless of fingerprint
-    /// (the table was dropped). Counts `serve.cache.invalidated` per
-    /// entry and `serve.cache.evicted_bytes`. Returns entries removed.
-    pub fn evict_owner(&mut self, owner: &str) -> usize {
-        self.evict_where(owner, |_| true)
-    }
-
-    /// Evict `owner`'s entries whose fingerprint is *not*
-    /// `keep_fingerprint` — the content changed, so old-fingerprint
-    /// entries are unreachable and must not squat in the byte budget.
-    /// Counts `serve.cache.invalidated` per entry and
-    /// `serve.cache.evicted_bytes`. Returns entries removed.
-    pub fn evict_stale(&mut self, owner: &str, keep_fingerprint: u64) -> usize {
-        self.evict_where(owner, |key| key.fingerprint != keep_fingerprint)
-    }
-
-    /// Shared owner-scoped eviction: `CacheKey` orders by owner first,
-    /// so the owner's entries form one contiguous `BTreeMap` range.
-    fn evict_where(&mut self, owner: &str, doomed: impl Fn(&CacheKey) -> bool) -> usize {
-        let victims: Vec<CacheKey> = self
-            .entries
-            .range(
-                CacheKey {
-                    owner: owner.into(),
-                    fingerprint: 0,
-                    kind: SketchKind::Union { k: 0 },
-                }..,
-            )
-            .take_while(|(k, _)| &*k.owner == owner)
-            .filter(|(k, _)| doomed(k))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in &victims {
-            if let Some(e) = self.entries.remove(key) {
-                self.recency.remove(&e.last_used);
-                self.bytes = self.bytes.saturating_sub(e.bytes);
-                self.metrics.invalidated().inc();
-                self.metrics.evicted_bytes().add(e.bytes as u64);
-            }
-        }
-        victims.len()
-    }
 }
 
 /// The resident at `end` of the recency order, leaving out the fresh
@@ -491,10 +460,10 @@ mod tests {
         Sketch::Union(Arc::new(TableSignature::build(name, &t, k).unwrap()))
     }
 
-    fn key(owner: &str) -> CacheKey {
+    /// The union-signature key of query content `fingerprint`.
+    fn key(fingerprint: u64) -> CacheKey {
         CacheKey {
-            owner: owner.into(),
-            fingerprint: 1,
+            fingerprint,
             kind: SketchKind::Union { k: 8 },
         }
     }
@@ -502,9 +471,9 @@ mod tests {
     #[test]
     fn hit_returns_the_inserted_sketch() {
         let mut c = SketchCache::new(1 << 20);
-        assert!(c.get(&key("a")).is_none());
-        c.insert(key("a"), sig("a", 8));
-        assert!(matches!(c.get(&key("a")), Some(Sketch::Union(_))));
+        assert!(c.get(&key(1)).is_none());
+        c.insert(key(1), sig("a", 8));
+        assert!(matches!(c.get(&key(1)), Some(Sketch::Union(_))));
         assert_eq!(c.len(), 1);
         assert!(c.bytes() > 0);
     }
@@ -513,15 +482,15 @@ mod tests {
     fn lru_eviction_is_by_last_touch() {
         // Each signature is ~160 bytes; capacity fits two of them.
         let mut c = SketchCache::new(340);
-        c.insert(key("a"), sig("a", 8));
-        c.insert(key("b"), sig("b", 8));
+        c.insert(key(1), sig("a", 8));
+        c.insert(key(2), sig("b", 8));
         assert_eq!(c.len(), 2);
-        // touch `a` so `b` becomes the LRU victim
-        assert!(c.get(&key("a")).is_some());
-        c.insert(key("c"), sig("c", 8));
-        assert!(c.get(&key("a")).is_some(), "recently touched survives");
-        assert!(c.get(&key("b")).is_none(), "LRU evicted");
-        assert!(c.get(&key("c")).is_some());
+        // touch 1 so 2 becomes the LRU victim
+        assert!(c.get(&key(1)).is_some());
+        c.insert(key(3), sig("c", 8));
+        assert!(c.get(&key(1)).is_some(), "recently touched survives");
+        assert!(c.get(&key(2)).is_none(), "LRU evicted");
+        assert!(c.get(&key(3)).is_some());
     }
 
     /// The rendered `serve.cache_evict` audit line of one episode,
@@ -530,15 +499,15 @@ mod tests {
     #[test]
     fn eviction_decision_renders_byte_identically() {
         let mut c = SketchCache::new(340);
-        c.insert(key("a"), sig("a", 8));
-        c.insert(key("b"), sig("b", 8));
-        assert!(c.get(&key("a")).is_some());
-        c.insert(key("c"), sig("c", 8));
+        c.insert(key(1), sig("a", 8));
+        c.insert(key(2), sig("b", 8));
+        assert!(c.get(&key(1)).is_some());
+        c.insert(key(3), sig("c", 8));
         let rendered: Vec<String> = c.drain_decisions().map(|e| e.render()).collect();
         assert_eq!(
             rendered,
             vec![
-                "policy `serve.cache_evict` chose `b#0000000000000001#union:8` (score 2) from 2 \
+                "policy `serve.cache_evict` chose `<query>#0000000000000002#union:8` (score 2) from 2 \
                  candidate(s); ties=1 tie_break=none params=dir=min params_hash=9ec324015275699f"
             ]
         );
@@ -547,70 +516,22 @@ mod tests {
     #[test]
     fn oversized_entry_still_admitted() {
         let mut c = SketchCache::new(1);
-        c.insert(key("big"), sig("big", 64));
+        c.insert(key(1), sig("big", 64));
         assert_eq!(c.len(), 1, "a lone oversized entry is kept");
         assert!(c.bytes() > c.capacity());
         // the next insert evicts it
-        c.insert(key("next"), sig("next", 64));
+        c.insert(key(2), sig("next", 64));
         assert_eq!(c.len(), 1);
-        assert!(c.get(&key("big")).is_none());
-    }
-
-    fn key_fp(owner: &str, fingerprint: u64) -> CacheKey {
-        CacheKey {
-            owner: owner.into(),
-            fingerprint,
-            kind: SketchKind::Union { k: 8 },
-        }
-    }
-
-    #[test]
-    fn owner_eviction_releases_bytes_and_counts() {
-        // counters are process-global; other tests may bump them
-        // concurrently, so assert exact effects via return values and
-        // monotone movement via the counters
-        let invalidated = rdi_obs::counter("serve.cache.invalidated").get();
-        let freed = rdi_obs::counter("serve.cache.evicted_bytes").get();
-        let mut c = SketchCache::new(1 << 20);
-        c.insert(key_fp("t1", 1), sig("t1", 8));
-        c.insert(
-            CacheKey {
-                owner: "t1".into(),
-                fingerprint: 1,
-                kind: SketchKind::Join {
-                    column: "c".into(),
-                    k: 8,
-                },
-            },
-            sig("t1", 8),
-        );
-        c.insert(key_fp("t2", 7), sig("t2", 8));
-        let held = c.bytes();
-
-        // stale eviction: t1's fingerprint moved 1 → 2; both kinds go
-        assert_eq!(c.evict_stale("t1", 2), 2);
-        assert_eq!(c.len(), 1, "t2 untouched");
-        assert!(c.bytes() < held);
-        // keep-fingerprint entries survive
-        c.insert(key_fp("t2", 7), sig("t2", 8));
-        assert_eq!(c.evict_stale("t2", 7), 0);
-        assert_eq!(c.len(), 1);
-
-        // owner eviction: drop removes everything t2 owns
-        assert_eq!(c.evict_owner("t2"), 1);
-        assert!(c.is_empty());
-        assert_eq!(c.bytes(), 0);
-        assert!(rdi_obs::counter("serve.cache.invalidated").get() >= invalidated + 3);
-        assert!(rdi_obs::counter("serve.cache.evicted_bytes").get() > freed);
+        assert!(c.get(&key(1)).is_none());
     }
 
     #[test]
     fn capacity_eviction_accounts_released_bytes() {
         let before = rdi_obs::counter("serve.cache.evicted_bytes").get();
         let mut c = SketchCache::new(340);
-        c.insert(key("a"), sig("a", 8));
-        c.insert(key("b"), sig("b", 8));
-        c.insert(key("c"), sig("c", 8)); // evicts the LRU
+        c.insert(key(1), sig("a", 8));
+        c.insert(key(2), sig("b", 8));
+        c.insert(key(3), sig("c", 8)); // evicts the LRU
         assert!(
             rdi_obs::counter("serve.cache.evicted_bytes").get() > before,
             "capacity eviction reports the bytes it released"
@@ -678,10 +599,11 @@ mod tests {
             for (i, n) in names.iter().enumerate() {
                 let s = sig(n, 8 + 8 * (i % 3));
                 let b = s.bytes();
-                c.insert(key(n), s);
-                oracle.insert(key(n), b);
+                let fp = i as u64;
+                c.insert(key(fp), s);
+                oracle.insert(key(fp), b);
                 // interleave touches so recency diverges from insertion
-                let t = names[(i + round) % names.len()];
+                let t = ((i + round) % names.len()) as u64;
                 assert_eq!(c.get(&key(t)).is_some(), oracle.get(&key(t)));
                 let survivors: Vec<&CacheKey> = c.entries.keys().collect();
                 let expected: Vec<&CacheKey> = oracle.entries.keys().collect();
@@ -730,13 +652,10 @@ mod tests {
         evicted
     }
 
-    const OWNERS: [&str; 5] = ["a", "b", "c", "d", "e"];
-
-    /// Key `(owner, fingerprint, kind)` for the parity property: kind 0
-    /// is a union signature, kind 1 a join profile of column `c`.
-    fn op_key(owner: usize, fingerprint: u64, kind: usize) -> CacheKey {
+    /// Key `(fingerprint, kind)` for the parity property: kind 0 is a
+    /// union signature, kind 1 a join profile of column `c`.
+    fn op_key(fingerprint: u64, kind: usize) -> CacheKey {
         CacheKey {
-            owner: OWNERS[owner].into(),
             fingerprint,
             kind: match kind {
                 0 => SketchKind::Union { k: 8 },
@@ -748,33 +667,27 @@ mod tests {
         }
     }
 
-    /// One cache operation on key `(owner, fingerprint, kind)`. An
-    /// insert's last field picks a one-column signature of length 8, 16
-    /// or 64 (accounting 162, 226 or 610 bytes).
+    /// One cache operation on key `(fingerprint, kind)`. An insert's
+    /// last field picks a one-column signature of length 8, 16 or 64
+    /// (accounting 162, 226 or 610 bytes).
     #[derive(Debug, Clone, Copy)]
     enum Op {
-        Insert(usize, u64, usize, usize),
-        Get(usize, u64, usize),
-        EvictStale(usize, u64),
-        EvictOwner(usize),
+        Insert(u64, usize, usize),
+        Get(u64, usize),
     }
 
-    /// Operation sequences of a length in `len` over `fingerprints`
-    /// fingerprints per owner, mixed by `weights`: inserts, gets, stale
-    /// evictions and owner evictions.
+    /// Operation sequences of a length in `len` over `fingerprints`,
+    /// mixed by `weights`: inserts and gets.
     fn ops(
         fingerprints: std::ops::Range<u64>,
-        weights: [u32; 4],
+        weights: [u32; 2],
         len: std::ops::Range<usize>,
     ) -> impl Strategy<Value = Vec<Op>> {
-        let [insert, get, stale, owner] = weights;
+        let [insert, get] = weights;
         let op = prop_oneof![
-            insert => (0usize..5, fingerprints.clone(), 0usize..2, 0usize..3)
-                .prop_map(|(o, fp, kind, size)| Op::Insert(o, fp, kind, size)),
-            get => (0usize..5, fingerprints.clone(), 0usize..2)
-                .prop_map(|(o, fp, kind)| Op::Get(o, fp, kind)),
-            stale => (0usize..5, fingerprints).prop_map(|(o, fp)| Op::EvictStale(o, fp)),
-            owner => (0usize..5).prop_map(Op::EvictOwner),
+            insert => (fingerprints.clone(), 0usize..2, 0usize..3)
+                .prop_map(|(fp, kind, size)| Op::Insert(fp, kind, size)),
+            get => (fingerprints, 0usize..2).prop_map(|(fp, kind)| Op::Get(fp, kind)),
         ];
         proptest::collection::vec(op, len)
     }
@@ -811,16 +724,14 @@ mod tests {
         let mut old = SketchCache::new(capacity);
         new.set_evict_params(params.clone());
         old.set_evict_params(params);
-        // one sketch per (owner, length), shared by both caches
-        let sketches: Vec<Sketch> = (0..OWNERS.len() * 3)
-            .map(|i| sig(OWNERS[i / 3], [8, 16, 64][i % 3]))
-            .collect();
+        // one sketch per length, shared by both caches
+        let sketches: Vec<Sketch> = [8, 16, 64].map(|k| sig("q", k)).into();
         let (mut new_evictions, mut old_evictions, mut peak) = (0, 0, 0);
         for (step, &op) in ops.iter().enumerate() {
             match op {
-                Op::Insert(owner, fp, kind, size) => {
-                    let key = op_key(owner, fp, kind);
-                    let sketch = &sketches[owner * 3 + size];
+                Op::Insert(fp, kind, size) => {
+                    let key = op_key(fp, kind);
+                    let sketch = &sketches[size];
                     let fresh = new.admit(key.clone(), sketch.clone());
                     let residents = new.len() - 1;
                     let episodes = new.decisions.len();
@@ -833,21 +744,9 @@ mod tests {
                     old.admit(key.clone(), sketch.clone());
                     old_evictions += reference_evict_over_budget(&mut old, &key);
                 }
-                Op::Get(owner, fp, kind) => {
-                    let key = op_key(owner, fp, kind);
+                Op::Get(fp, kind) => {
+                    let key = op_key(fp, kind);
                     prop_assert_eq!(new.get(&key).is_some(), old.get(&key).is_some());
-                }
-                Op::EvictStale(owner, fp) => {
-                    prop_assert_eq!(
-                        new.evict_stale(OWNERS[owner], fp),
-                        old.evict_stale(OWNERS[owner], fp)
-                    );
-                }
-                Op::EvictOwner(owner) => {
-                    prop_assert_eq!(
-                        new.evict_owner(OWNERS[owner]),
-                        old.evict_owner(OWNERS[owner])
-                    );
                 }
             }
             let survivors: Vec<&CacheKey> = new.entries.keys().collect();
@@ -873,38 +772,37 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(256))]
 
         /// The hand-written key rendering is byte-identical to the
-        /// `format!` text it replaced, for owners and columns holding
-        /// `#`, `:` and non-ASCII text and for fingerprints and `k` at
-        /// both ends of their range.
+        /// `format!` text it replaced, for columns holding `#`, `:` and
+        /// non-ASCII text and for fingerprints and `k` at both ends of
+        /// their range.
         #[test]
         fn key_render_matches_format(
-            owner in 0usize..5,
             column in prop_oneof![Just(None), (0usize..5).prop_map(Some)],
             fingerprint in edge_u64(),
             k in edge_u64(),
         ) {
             let names = ["", "t#1", "<query>", "größe:é#", "表#𝔘"];
-            let (owner, k) = (names[owner], k as usize);
+            let k = k as usize;
             let (kind, reference) = match column {
                 None => (
                     SketchKind::Union { k },
-                    format!("{owner}#{fingerprint:016x}#union:{k}"),
+                    format!("<query>#{fingerprint:016x}#union:{k}"),
                 ),
                 Some(c) => (
                     SketchKind::Join { column: names[c].into(), k },
-                    format!("{owner}#{fingerprint:016x}#join:{}:{k}", names[c]),
+                    format!("<query>#{fingerprint:016x}#join:{}:{k}", names[c]),
                 ),
             };
-            let key = CacheKey { owner: owner.into(), fingerprint, kind };
+            let key = CacheKey { fingerprint, kind };
             prop_assert_eq!(key.render(), reference);
         }
 
-        /// Random get/insert/invalidate sequences over a few keys and
-        /// small capacities (at most about 7 residents) match the
-        /// reference episode under every `dir` form.
+        /// Random get/insert sequences over a few keys and small
+        /// capacities (at most about 7 residents) match the reference
+        /// episode under every `dir` form.
         #[test]
         fn eviction_episodes_match_the_reference_model(
-            ops in ops(1..3, [5, 3, 1, 1], 0..48),
+            ops in ops(0..10, [5, 3], 0..48),
             capacity in prop_oneof![Just(1usize), Just(340), Just(700), Just(1200)],
             dir in 0usize..5,
         ) {
@@ -921,7 +819,7 @@ mod tests {
         /// rank 100 to 300 residents.
         #[test]
         fn large_eviction_episodes_match_the_reference_model(
-            ops in ops(1..31, [600, 400, 1, 1], 600..900),
+            ops in ops(0..150, [600, 400], 600..900),
             capacity in prop_oneof![Just(40_000usize), Just(50_000)],
             dir in 0usize..5,
         ) {
@@ -933,9 +831,9 @@ mod tests {
     #[test]
     fn reinsert_replaces_without_double_accounting() {
         let mut c = SketchCache::new(1 << 20);
-        c.insert(key("a"), sig("a", 8));
+        c.insert(key(1), sig("a", 8));
         let b1 = c.bytes();
-        c.insert(key("a"), sig("a", 8));
+        c.insert(key(1), sig("a", 8));
         assert_eq!(c.bytes(), b1);
         assert_eq!(c.len(), 1);
     }

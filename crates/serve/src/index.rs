@@ -1,18 +1,22 @@
-//! The persistent lake index: registered tables + memoized sketches,
-//! sharded by table id and maintained incrementally under lake churn.
+//! The persistent lake index: registered tables, their maintained
+//! sketch stores and a memoized query-sketch cache, sharded by table id
+//! and maintained incrementally under lake churn.
 //!
 //! A [`LakeIndex`] owns every registered table (shared as `Arc` so
 //! batch execution can read them without cloning) behind a fixed
 //! number of **shards**: each table id is assigned to
 //! `hash(id) % shard_count` — a pure function of the id, so the
-//! assignment is identical across processes and thread counts — and
-//! each shard carries its own [`SketchCache`] slice of the global byte
-//! budget. All mutation — registration, delta application, and cache
-//! warming — happens on `&mut self`; query *execution* runs over
-//! immutable `Prepared` plans whose `Arc` handles were cloned out of
-//! the caches during the serial warm pass, which is what lets a batch
-//! fan out over `rdi-par` while staying bitwise identical to serial
-//! execution.
+//! assignment is identical across processes and thread counts. A
+//! registered table's union signature and join profiles are read
+//! straight from its own maintained store (module `maint`), which
+//! lives exactly as long as the table; each shard's [`SketchCache`]
+//! slice of the global byte budget holds ad-hoc query sketches only.
+//! All mutation — registration, delta application, and sketch warming
+//! — happens on `&mut self`; query *execution* runs over immutable
+//! `Prepared` plans whose `Arc` handles were cloned out of the stores
+//! and the caches during the serial warm pass, which is what lets a
+//! batch fan out over `rdi-par` while staying bitwise identical to
+//! serial execution.
 //!
 //! ## Incremental maintenance
 //!
@@ -22,12 +26,10 @@
 //! exactly through their multiplicity maps, and both refresh the
 //! table's [`crate::fingerprint::FpState`] incrementally. A table's
 //! union signature and join profiles read the same column sketches (one
-//! store per table, module `maint`), so each column absorbs a delta
-//! once. Each delta re-inserts the refreshed sketches under the new
-//! fingerprint and eagerly evicts the old-fingerprint entries, so the
-//! next query is a cache hit that builds nothing. Deletion repair is
-//! exact but its signature-position repair cost grows with accumulated
-//! churn, so once absorbed deletions exceed
+//! store per table), so each column absorbs a delta once, and the next
+//! read derives its snapshots from them without building a sketch.
+//! Deletion repair is exact but its signature-position repair cost
+//! grows with accumulated churn, so once absorbed deletions exceed
 //! [`LakeIndexConfig::deletion_debt_threshold`] the index rebuilds each
 //! maintained column once (one `sketch.rebuilds` count per sketch kind)
 //! and resets the debt — a cost policy only; answers are bitwise
@@ -48,7 +50,9 @@ use rdi_table::{Encoded, EncodedColumns, Table, TableDelta};
 use rdi_tailor::{DtProblem, RandomPolicy, TableSource};
 
 use crate::batch::Executed;
-use crate::cache::{CacheGauges, CacheKey, KeyProfile, Sketch, SketchCache, SketchKind};
+use crate::cache::{
+    CacheGauges, CacheKey, KeyProfile, ShardBytes, Sketch, SketchCache, SketchKind,
+};
 use crate::error::ServeError;
 use crate::fingerprint::{table_fingerprint, FpState};
 use crate::maint::Maintained;
@@ -70,8 +74,10 @@ pub(crate) fn shard_route(id: &str, shard_count: usize) -> usize {
 pub struct LakeIndexConfig {
     /// MinHash signature length for union signatures and join profiles.
     pub minhash_k: usize,
-    /// Total sketch-cache capacity in accounted bytes, split across
-    /// shards (remainder bytes go to the lowest-numbered shards).
+    /// Total query-sketch cache capacity in accounted bytes, split
+    /// across shards (remainder bytes go to the lowest-numbered shards).
+    /// Registered tables' sketches live in their maintained stores and
+    /// are not charged against it.
     pub cache_capacity_bytes: usize,
     /// Number of index shards (≥ 1; table ids are assigned by hash).
     pub shard_count: usize,
@@ -132,13 +138,15 @@ impl Registered {
     }
 }
 
-/// One shard: its slice of the table map and its slice of the cache
-/// byte budget.
+/// One shard: its slice of the table map, each table with its
+/// maintained sketch store, and its slice of the query-cache byte
+/// budget.
 ///
 /// Request preparation is three steps, written once: [`needs`] turns a
 /// request into per-shard [`WarmNeed`]s without touching any shard,
-/// [`Shard::warm`] serves one need from one shard (the only
-/// cache-mutating step), and [`assemble`] merges the shards'
+/// [`Shard::warm`] serves one need from one shard (the only step that
+/// reads sketches, and so the only one that builds them or touches the
+/// cache), and [`assemble`] merges the shards'
 /// [`WarmPart`]s into a [`Prepared`] plan. A serving batch
 /// (`crate::batch`) runs `needs` and `assemble` around shards its driver
 /// reaches inline, or as `ShardActor`s (`crate::actors`) by message.
@@ -147,8 +155,8 @@ impl Registered {
 /// hosts.
 #[derive(Debug)]
 pub(crate) struct Shard {
-    /// Registered tables by id. The id is shared from here on: cache
-    /// keys, plan candidates and policy candidates clone the `Arc`.
+    /// Registered tables by id. The id is shared from here on: plan
+    /// candidates and policy candidates clone the `Arc`.
     tables: BTreeMap<Arc<str>, Registered>,
     cache: SketchCache,
 }
@@ -166,9 +174,17 @@ impl Shard {
         self.tables.len()
     }
 
-    /// Accounted bytes this shard's cache holds.
-    pub(crate) fn cache_bytes(&self) -> usize {
-        self.cache.bytes()
+    /// The accounted bytes this shard's query cache holds and the
+    /// footprint of its tables' maintained stores.
+    pub(crate) fn bytes(&self) -> ShardBytes {
+        ShardBytes {
+            cache: self.cache.bytes(),
+            maint: self
+                .tables
+                .values()
+                .map(|r| r.maint.bytes())
+                .fold(0, usize::saturating_add),
+        }
     }
 
     /// Take the cache's eviction decisions recorded since the last
@@ -177,8 +193,10 @@ impl Shard {
         self.cache.drain_decisions()
     }
 
-    /// Register or replace a table (validation included); evicts
-    /// stale-fingerprint cache entries for the id.
+    /// Register or replace a table (validation included). Replacing a
+    /// table by equal content (same fingerprint, and equal on
+    /// comparison) keeps its maintained store, so the next read builds
+    /// nothing; any other replacement starts an empty one.
     pub(crate) fn upsert(
         &mut self,
         id: Arc<str>,
@@ -193,10 +211,14 @@ impl Shard {
         }
         shard_routed().inc();
         let fp = FpState::from_table(&table);
-        let keep = fp.fingerprint();
-        let maint = Maintained::new(table.num_columns());
+        let maint = match self.tables.remove(&id) {
+            Some(old) if old.fp.fingerprint() == fp.fingerprint() && *old.table == table => {
+                old.maint
+            }
+            _ => Maintained::new(table.num_columns()),
+        };
         self.tables.insert(
-            id.clone(),
+            id,
             Registered {
                 table: Arc::new(table),
                 fp,
@@ -205,9 +227,6 @@ impl Shard {
                 codes: BTreeMap::new(),
             },
         );
-        // Defensive even on fresh registration: a previous life of this
-        // id (dropped, re-registered) must leave no stale entries.
-        self.cache.evict_stale(&id, keep);
         Ok(())
     }
 
@@ -223,10 +242,10 @@ impl Shard {
         shard_routed().inc();
 
         if matches!(delta, TableDelta::Drop) {
+            // the table's sketches go with its maintained store
             if self.tables.remove(id).is_none() {
                 return Err(ServeError::UnknownTable(id.to_string()));
             }
-            self.cache.evict_owner(id);
             return Ok(0);
         }
 
@@ -254,31 +273,16 @@ impl Shard {
             }
             TableDelta::Drop => 0, // handled above
         };
-
-        // Refresh the cache under the new fingerprint and eagerly evict
-        // the now-unreachable old-fingerprint entries.
-        let owner: Arc<str> = id.into();
-        let new_fp = r.fp.fingerprint();
-        let cache = &mut self.cache;
-        r.maint.for_each_snapshot(id, &r.table, k, |kind, sketch| {
-            let key = CacheKey {
-                owner: Arc::clone(&owner),
-                fingerprint: new_fp,
-                kind,
-            };
-            cache.insert(key, sketch);
-        });
-        self.cache.evict_stale(id, new_fp);
         delta_rows_applied().add(rows_touched as u64);
         Ok(rows_touched)
     }
 
     /// Serve one request's need from this shard: fetch or build every
     /// sketch it names, the query sketch first (on the query-owner
-    /// shard only), then each registered table's in sorted-id order.
-    /// The only cache-mutating step of request preparation, so this
-    /// order is what the cache's hit, miss and eviction accounting
-    /// sees.
+    /// shard only, through the cache), then each registered table's in
+    /// sorted-id order, from its maintained store. The only step of
+    /// request preparation that reads sketches, so this order is what
+    /// the cache's hit, miss and eviction accounting sees.
     pub(crate) fn warm(&mut self, need: WarmNeed, k: usize) -> WarmPart {
         match need {
             WarmNeed::Count => WarmPart::Count,
@@ -287,7 +291,7 @@ impl Shard {
                 let candidates = self
                     .tables
                     .iter_mut()
-                    .map(|(id, r)| (Arc::clone(id), union_signature(&mut self.cache, id, r, k)))
+                    .map(|(id, r)| (Arc::clone(id), r.maint.signature(id, &r.table, k)))
                     .collect();
                 WarmPart::Union { query, candidates }
             }
@@ -300,9 +304,9 @@ impl Shard {
                     if r.table.column(&column).is_err() {
                         continue;
                     }
-                    match key_profile(&mut self.cache, id, &column, r, k) {
+                    match r.maint.profile(&r.table, &column, k) {
                         Ok(p) => candidates.push((Arc::clone(id), p)),
-                        Err(e) => errors.push((Arc::clone(id), e)),
+                        Err(e) => errors.push((Arc::clone(id), e.into())),
                     }
                 }
                 WarmPart::Join {
@@ -352,7 +356,6 @@ impl Shard {
         k: usize,
     ) -> Result<Arc<TableSignature>, ServeError> {
         let key = CacheKey {
-            owner: CacheKey::QUERY_OWNER.into(),
             fingerprint,
             kind: SketchKind::Union { k },
         };
@@ -383,7 +386,6 @@ impl Shard {
         k: usize,
     ) -> Result<Arc<KeyProfile>, ServeError> {
         let key = CacheKey {
-            owner: CacheKey::QUERY_OWNER.into(),
             fingerprint,
             kind: SketchKind::Join {
                 column: Arc::clone(column),
@@ -408,53 +410,6 @@ impl Shard {
     }
 }
 
-/// Union signature for a registered table: cache hit, or the maintained
-/// state's shared snapshot, or cold-build (which starts maintenance).
-fn union_signature(
-    cache: &mut SketchCache,
-    id: &Arc<str>,
-    r: &mut Registered,
-    k: usize,
-) -> Arc<TableSignature> {
-    let key = CacheKey {
-        owner: Arc::clone(id),
-        fingerprint: r.fp.fingerprint(),
-        kind: SketchKind::Union { k },
-    };
-    if let Some(Sketch::Union(sig)) = cache.get(&key) {
-        return sig;
-    }
-    let sig = r.maint.signature(id, &r.table, k);
-    cache.insert(key, Sketch::Union(sig.clone()));
-    sig
-}
-
-/// Join profile for one column of a registered table: cache hit, or
-/// the maintained state's shared snapshot, or cold-build (which starts
-/// maintenance). The column must exist — callers check first.
-fn key_profile(
-    cache: &mut SketchCache,
-    id: &Arc<str>,
-    column: &Arc<str>,
-    r: &mut Registered,
-    k: usize,
-) -> Result<Arc<KeyProfile>, ServeError> {
-    let key = CacheKey {
-        owner: Arc::clone(id),
-        fingerprint: r.fp.fingerprint(),
-        kind: SketchKind::Join {
-            column: Arc::clone(column),
-            k,
-        },
-    };
-    if let Some(Sketch::Join(p)) = cache.get(&key) {
-        return Ok(p);
-    }
-    let profile = r.maint.profile(&r.table, column, k)?;
-    cache.insert(key, Sketch::Join(profile.clone()));
-    Ok(profile)
-}
-
 /// A persistent, in-process index over a lake of registered tables.
 #[derive(Debug)]
 pub struct LakeIndex {
@@ -462,8 +417,8 @@ pub struct LakeIndex {
     shards: Vec<Shard>,
     policies: PolicySet,
     decisions: Vec<ProvenanceEvent>,
-    /// Publishes the shards' cache bytes after a change or a one-shot
-    /// query.
+    /// Publishes the shards' cache and maintained-store bytes after a
+    /// change or a one-shot query.
     gauges: CacheGauges,
 }
 
@@ -607,10 +562,10 @@ impl LakeIndex {
     }
 
     /// Register or replace a table. Replacing an id whose content
-    /// changed eagerly evicts the old-fingerprint cache entries — they
-    /// are unreachable (nothing holds the old fingerprint any more)
-    /// and must not squat in the byte budget. Replacing with identical
-    /// content keeps the warm entries.
+    /// changed drops its maintained sketch store with the old content;
+    /// the next read builds and counts fresh sketches. Replacing it
+    /// with equal content keeps the store, so the next read builds
+    /// nothing.
     pub fn upsert(
         &mut self,
         id: impl Into<String>,
@@ -632,8 +587,8 @@ impl LakeIndex {
     /// kind when deletion debt crosses the threshold.
     /// Returns the number of rows touched.
     ///
-    /// `Drop` deregisters the table and evicts everything it cached;
-    /// the id can be registered again later.
+    /// `Drop` deregisters the table and drops its maintained sketch
+    /// store; the id can be registered again later.
     pub fn apply_delta(&mut self, id: &str, delta: &TableDelta) -> Result<usize, ServeError> {
         let k = self.config.minhash_k;
         let debt_threshold = self.config.deletion_debt_threshold;
@@ -649,12 +604,13 @@ impl LakeIndex {
         for (i, s) in self.shards.iter().enumerate() {
             rdi_obs::gauge(&format!("serve.shard.{i}.tables")).set(s.tables.len() as f64);
         }
-        self.publish_cache_bytes();
+        self.publish_bytes();
     }
 
-    /// Publish every shard's cache bytes and their sum.
-    fn publish_cache_bytes(&mut self) {
-        let bytes = self.shards.iter().map(|s| s.cache.bytes()).enumerate();
+    /// Publish every shard's cache and maintained-store bytes and their
+    /// sums.
+    fn publish_bytes(&mut self) {
+        let bytes = self.shards.iter().map(Shard::bytes).enumerate();
         self.gauges.publish(bytes);
     }
 
@@ -689,14 +645,26 @@ impl LakeIndex {
         self.registered(id).map(|r| r.table.as_ref())
     }
 
-    /// Accounted bytes currently held across all shard caches.
+    /// Accounted bytes currently held across all shard caches (query
+    /// sketches only).
     pub fn cache_bytes(&self) -> usize {
         self.shards.iter().map(|s| s.cache.bytes()).sum()
     }
 
-    /// Number of cached sketches across all shards.
+    /// Number of cached sketches across all shards: ad-hoc query
+    /// sketches only, since registered tables' sketches live in their
+    /// maintained stores.
     pub fn cached_sketches(&self) -> usize {
         self.shards.iter().map(|s| s.cache.len()).sum()
+    }
+
+    /// Charged footprint of every registered table's maintained sketch
+    /// store, across all shards (published as `serve.maint.bytes`).
+    pub fn maint_bytes(&self) -> usize {
+        self.shards
+            .iter()
+            .map(|s| s.bytes().maint)
+            .fold(0, usize::saturating_add)
     }
 
     /// Warm a one-shot request into its plan: [`needs`], then
@@ -743,7 +711,7 @@ impl LakeIndex {
 
     fn top_k(&mut self, request: &ServeRequest) -> Result<Vec<(String, f64)>, ServeError> {
         let prepared = self.prepare(request);
-        self.publish_cache_bytes();
+        self.publish_bytes();
         Ok(match prepared? {
             Prepared::Union(plan) => execute_union(&plan, &mut self.decisions),
             Prepared::Join(plan) => execute_join(&plan, &mut self.decisions),
@@ -1600,7 +1568,7 @@ mod tests {
     /// share the first reads' `Arc`s and that every read equals a cold
     /// build over the current table bitwise, and that the store holds
     /// one column sketch per distinct column in `read` (which the step
-    /// extends).
+    /// extends). No read touches the shard's cache.
     fn read_and_check(
         shard: &mut Shard,
         id: &Arc<str>,
@@ -1609,20 +1577,23 @@ mod tests {
         read: &mut BTreeSet<String>,
     ) -> Result<(), TestCaseError> {
         let k = 16;
-        let Shard { tables, cache } = shard;
-        let r = tables.get_mut(id).unwrap();
+        let r = shard.tables.get_mut(id).unwrap();
         let has_column = r.table.column(column).is_ok();
         let (mut sig, mut profile) = (None, None);
         for &kind in kinds {
             if kind == Kind::Union {
-                sig = Some(union_signature(cache, id, r, k));
+                sig = Some(r.maint.signature(id, &r.table, k));
                 read.extend(r.table.schema().fields().iter().map(|f| f.name.clone()));
             } else if has_column {
-                profile = Some(key_profile(cache, id, column, r, k).unwrap());
+                profile = Some(r.maint.profile(&r.table, column, k).unwrap());
                 read.insert(column.to_string());
             } else {
-                let err = key_profile(cache, id, column, r, k).unwrap_err();
-                prop_assert!(matches!(err, ServeError::Table(_)), "{:?}", err);
+                let err = r.maint.profile(&r.table, column, k).unwrap_err();
+                prop_assert!(
+                    matches!(err, rdi_table::TableError::UnknownColumn(_)),
+                    "{:?}",
+                    err
+                );
             }
         }
         prop_assert_eq!(
@@ -1630,17 +1601,18 @@ mod tests {
             read.len(),
             "one sketch per column read"
         );
-        // reread in the same order: with a 1-byte cache, a mixed step's
-        // rereads miss and must be served from the shared snapshots
+        // reread in the same order: each read shares the snapshot the
+        // first read derived
         for &kind in kinds {
             if let (Kind::Union, Some(sig)) = (kind, &sig) {
-                prop_assert!(Arc::ptr_eq(sig, &union_signature(cache, id, r, k)));
+                prop_assert!(Arc::ptr_eq(sig, &r.maint.signature(id, &r.table, k)));
             }
             if let (Kind::Join, Some(profile)) = (kind, &profile) {
-                let again = key_profile(cache, id, column, r, k).unwrap();
+                let again = r.maint.profile(&r.table, column, k).unwrap();
                 prop_assert!(Arc::ptr_eq(profile, &again));
             }
         }
+        prop_assert!(shard.cache.is_empty(), "registered reads cache nothing");
 
         if let Some(sig) = sig {
             let cold = TableSignature::build(&**id, &r.table, k).unwrap();
@@ -1667,17 +1639,16 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
-        /// Random append/delete streams through a shard with a 1-byte
-        /// cache and a deletion-debt threshold of 3, so deltas both
-        /// repair incrementally and rebuild. Before every delta and
-        /// after the last, the step reads the union signature and a
-        /// join profile (on `key`, on `val` or on a column the table
-        /// lacks) in a drawn order, or only one of them. Every read
-        /// equals a cold build over the current table bitwise; two
-        /// reads with no delta between them return the same `Arc` even
-        /// though the cache evicted the entry in between; and the
-        /// table's store holds exactly one column sketch per distinct
-        /// column read so far, so union and join reads share them.
+        /// Random append/delete streams through a shard with a
+        /// deletion-debt threshold of 3, so deltas both repair
+        /// incrementally and rebuild. Before every delta and after the
+        /// last, the step reads the union signature and a join profile
+        /// (on `key`, on `val` or on a column the table lacks) in a
+        /// drawn order, or only one of them. Every read equals a cold
+        /// build over the current table bitwise; two reads with no
+        /// delta between them return the same `Arc`; and the table's
+        /// store holds exactly one column sketch per distinct column
+        /// read so far, so union and join reads share them.
         #[test]
         fn maintained_snapshots_match_cold_builds_and_are_shared(
             initial in vec((0usize..8, 0usize..4), 1..8),
@@ -1745,53 +1716,93 @@ mod tests {
         }
     }
 
+    /// The maintained store of registered table `id`.
+    fn store<'a>(idx: &'a LakeIndex, id: &str) -> &'a Maintained {
+        &idx.registered(id).unwrap().maint
+    }
+
+    /// The union signature `idx` serves for registered table `id`.
+    fn served_signature(idx: &mut LakeIndex, id: &str) -> Arc<TableSignature> {
+        let (k, si) = (idx.config.minhash_k, idx.shard_of(id));
+        let r = idx.shards[si].tables.get_mut(id).unwrap();
+        r.maint.signature(id, &r.table, k)
+    }
+
     #[test]
-    fn drop_delta_deregisters_and_evicts_the_owner() {
+    fn drop_delta_deregisters_and_drops_the_store() {
         let mut idx = index_with(&[("t1", &["a", "b"]), ("t2", &["x", "y"])]);
         let q = str_table("key", &["a"]);
         idx.union_top_k(&q, 2).unwrap();
-        assert!(idx.cached_sketches() >= 3, "query + two candidates cached");
+        assert_eq!(idx.cached_sketches(), 1, "only the query sketch is cached");
+        assert_eq!(store(&idx, "t1").sketch_count(), 1);
+        let maint_before = idx.maint_bytes();
         assert_eq!(idx.apply_delta("t1", &TableDelta::Drop).unwrap(), 0);
         assert!(!idx.contains("t1"));
         assert_eq!(idx.len(), 1);
+        assert_eq!(idx.maint_bytes(), store(&idx, "t2").bytes());
+        assert!(idx.maint_bytes() < maint_before, "t1's store went with it");
+        assert_eq!(idx.cached_sketches(), 1, "the query sketch stays");
         assert_eq!(
             idx.apply_delta("t1", &TableDelta::Drop).unwrap_err(),
             ServeError::UnknownTable("t1".into())
         );
-        // the id can be registered again
+        // the id can be registered again, with an empty store
         idx.register("t1", str_table("key", &["fresh"]), 1.0)
             .unwrap();
         assert!(idx.contains("t1"));
+        assert_eq!(store(&idx, "t1").sketch_count(), 0);
     }
 
     #[test]
-    fn upsert_evicts_stale_fingerprint_entries_eagerly() {
+    fn upsert_drops_the_store_on_changed_content_and_keeps_it_on_equal_content() {
         let mut idx = index_with(&[("t1", &["a", "b"])]);
         let q = str_table("key", &["a"]);
         idx.union_top_k(&q, 1).unwrap();
-        assert_eq!(idx.cached_sketches(), 2, "query sig + t1 sig");
-        let bytes_before = idx.cache_bytes();
+        let before = served_signature(&mut idx, "t1");
+        assert_eq!(store(&idx, "t1").sketch_count(), 1);
 
-        // changed content: the old-fingerprint entry must not squat
+        // changed content: a fresh, empty store; the next read builds
         idx.upsert("t1", str_table("key", &["a", "b", "c"]), 1.0)
             .unwrap();
-        assert_eq!(
-            idx.cached_sketches(),
-            1,
-            "stale t1 entry evicted; query entry kept"
-        );
-        assert!(idx.cache_bytes() < bytes_before);
+        assert_eq!(store(&idx, "t1").sketch_count(), 0, "old store dropped");
+        assert_eq!(idx.maint_bytes(), 0);
+        let changed = served_signature(&mut idx, "t1");
+        assert!(!Arc::ptr_eq(&before, &changed));
+        assert_eq!(store(&idx, "t1").sketch_count(), 1, "rebuilt on read");
 
-        // identical content: warm entries survive an upsert
-        idx.union_top_k(&q, 1).unwrap();
-        assert_eq!(idx.cached_sketches(), 2);
+        // equal content (another cost): the store and its snapshot stay
         idx.upsert("t1", str_table("key", &["a", "b", "c"]), 2.0)
             .unwrap();
+        assert!(Arc::ptr_eq(&changed, &served_signature(&mut idx, "t1")));
+        assert_eq!(idx.cached_sketches(), 1, "only the query sketch is cached");
+    }
+
+    /// After a union and a join over every registered table, the cache
+    /// holds the query's two sketches and nothing else, while every
+    /// table's store holds its sketches.
+    #[test]
+    fn the_cache_holds_only_query_sketches() {
+        let mut idx = index_with(&[
+            ("t1", &["a", "b"]),
+            ("t2", &["x", "y"]),
+            ("t3", &["a", "x"]),
+            ("t4", &["b", "q"]),
+        ]);
+        let q = str_table("key", &["a", "b"]);
+        idx.union_top_k(&q, 2).unwrap();
+        idx.joinable_top_k(&q, "key", 2).unwrap();
         assert_eq!(
             idx.cached_sketches(),
             2,
-            "same fingerprint: nothing evicted"
+            "the query's union and join sketches"
         );
+        for id in ["t1", "t2", "t3", "t4"] {
+            assert_eq!(store(&idx, id).sketch_count(), 1, "{id}");
+        }
+        let query_shard = idx.shard_of(CacheKey::QUERY_OWNER);
+        for (si, s) in idx.shards.iter().enumerate() {
+            assert_eq!(s.cache.is_empty(), si != query_shard, "shard {si}");
+        }
     }
 
     #[test]

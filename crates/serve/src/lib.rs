@@ -8,17 +8,18 @@
 //!
 //! * [`LakeIndex`] owns registered tables behind a fixed number of
 //!   **shards** (`hash(table id) % shard_count`, a pure function of
-//!   the id bytes) plus per-shard memoized sketch/signature caches
-//!   ([`SketchCache`]) keyed by
-//!   `(table id, content fingerprint, sketch kind)` and evicted LRU,
-//!   each against its slice of the global byte budget — the sketches
-//!   that every `exp_*` harness used to rebuild from scratch are
-//!   built once and amortized across queries.
+//!   the id bytes). Each table keeps its own maintained sketch store,
+//!   read directly by union and join requests, so the sketches that
+//!   every `exp_*` harness used to rebuild from scratch are built once
+//!   and amortized across queries. Ad-hoc query sketches go through
+//!   per-shard memoized caches ([`SketchCache`]) keyed by
+//!   `(content fingerprint, sketch kind)` and evicted LRU, each against
+//!   its slice of the global byte budget.
 //! * [`LakeIndex::apply_delta`] absorbs `rdi_table::TableDelta`
 //!   append/delete/drop streams with sketch work proportional to the
 //!   **delta, not the table**: maintained updatable sketches extend
 //!   value by value, fingerprints refresh incrementally ([`FpState`]),
-//!   stale cache entries are eagerly evicted, and deletion debt past
+//!   and deletion debt past
 //!   `LakeIndexConfig::deletion_debt_threshold` triggers one counted
 //!   rebuild (`sketch.rebuilds`) — a cost policy only: answers stay
 //!   bitwise identical to cold rebuilds throughout.
@@ -37,8 +38,9 @@
 //!   `RDI_THREADS` — and a warm replay of the same stream is bitwise
 //!   identical to the cold run while building zero new sketches.
 //! * Everything reports through `rdi-obs` under `serve.*`: cache
-//!   hits/misses/evictions and bytes, batch sizes, queue depths, shed
-//!   and degraded request counts, breaker trips.
+//!   hits/misses/evictions and bytes, maintained-store bytes, batch
+//!   sizes, queue depths, shed and degraded request counts, breaker
+//!   trips.
 //!
 //! ## Example
 //!

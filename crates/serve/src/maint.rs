@@ -1,14 +1,10 @@
 //! Incremental sketch maintenance for registered tables.
 //!
-//! The cache ([`crate::cache::SketchCache`]) memoizes *immutable*
-//! sketches keyed by content fingerprint; this module keeps the
-//! *updatable* state behind them so a [`crate::LakeIndex`] can refresh
-//! a table's cached sketches after a delta in O(delta) sketch work
-//! instead of rebuilding from the full table.
-//!
-//! [`Maintained`] is one table's store: one [`UpdatableMinHash`] per
-//! column, each created the first time a read names its column, and
-//! read by both sketch kinds.
+//! [`Maintained`] is one registered table's sketch store, and the only
+//! place its sketches live: a union or join read takes them from here,
+//! never from the shard's query cache ([`crate::cache::SketchCache`]).
+//! It holds one [`UpdatableMinHash`] per column, each created the first
+//! time a read names its column, and read by both sketch kinds.
 //!
 //! * A **union read** materializes every column and derives the
 //!   table's `TableSignature` from them.
@@ -33,12 +29,15 @@
 //! threshold.
 //!
 //! **Shared snapshots.** The union signature and each join column's
-//! profile are handed out as `Arc` snapshots: built on the first read
+//! profile are handed out as `Arc` snapshots: derived on the first read
 //! after a change, and dropped by every append, delete and rebuild.
-//! Between changes every read (a cache miss after the entry was
-//! evicted, or a delta's cache refresh) clones the `Arc` instead of
-//! copying `k` words per column, so a lake whose sketch working set
-//! exceeds the cache re-serves the same snapshot.
+//! Between changes every read clones the `Arc` instead of copying `k`
+//! words per column.
+//!
+//! **Footprint.** [`Maintained::bytes`] charges each maintained column
+//! its signature words plus [`MULTIPLICITY_ENTRY_BYTES`] per
+//! multiplicity-map entry; the index publishes the sums as
+//! `serve.shard.{i}.maint_bytes` and `serve.maint.bytes`.
 //!
 //! **Counters.**
 //! * `discovery.sketches_built` counts a union signature's columns at
@@ -51,7 +50,8 @@
 //!   crossing: the union signature, and each join column.
 //!
 //! The store is created empty with its table and dropped wholesale
-//! when the table is dropped or replaced. Every integer operation here
+//! when the table is dropped or replaced by different content (an
+//! upsert of equal content keeps it). Every integer operation here
 //! is checked or saturating (clippy's `arithmetic_side_effects` is
 //! denied): the debt stops at `u64::MAX` rather than wrap below the
 //! threshold.
@@ -63,9 +63,15 @@ use std::sync::{Arc, OnceLock};
 
 use rdi_discovery::{TableSignature, UpdatableMinHash};
 use rdi_obs::Counter;
-use rdi_table::Table;
+use rdi_table::{Table, Value};
 
-use crate::cache::{KeyProfile, Sketch, SketchKind};
+use crate::cache::KeyProfile;
+
+/// The charge per multiplicity-map entry in [`Maintained::bytes`]: one
+/// `(Value, u64)` pair, the value's inline size plus its count. Heap
+/// bytes behind a value (a string's text) and the map's node slack are
+/// not charged, so the footprint is a lower bound on the store's heap.
+const MULTIPLICITY_ENTRY_BYTES: usize = std::mem::size_of::<(Value, u64)>();
 
 /// A registered table's maintained sketch state: one column sketch per
 /// column read so far, the snapshots derived from them, and the
@@ -79,19 +85,11 @@ pub(crate) struct Maintained {
     union: bool,
     /// The union signature as of the last change, built on first read.
     signature: Option<Arc<TableSignature>>,
-    /// Join columns read so far.
-    joins: BTreeMap<Arc<str>, Join>,
+    /// Join columns read so far, each with its profile as of the last
+    /// change (built on first read).
+    joins: BTreeMap<Arc<str>, Option<Arc<KeyProfile>>>,
     /// Deleted rows absorbed incrementally since the last rebuild.
     debt: u64,
-}
-
-/// One join column of a [`Maintained`] store.
-#[derive(Debug)]
-struct Join {
-    /// The column's schema position.
-    ci: usize,
-    /// The profile as of the last change, built on first read.
-    profile: Option<Arc<KeyProfile>>,
 }
 
 impl Maintained {
@@ -147,42 +145,26 @@ impl Maintained {
         let ci = table.schema().index_of(column)?;
         let m = self.columns[ci]
             .get_or_insert_with(|| UpdatableMinHash::from_column(table.column_at(ci), k));
-        let join = self
-            .joins
-            .entry(Arc::clone(column))
-            .or_insert(Join { ci, profile: None });
-        Ok(profile_snapshot(&mut join.profile, column, m))
+        let join = self.joins.entry(Arc::clone(column)).or_insert(None);
+        Ok(profile_snapshot(join, column, m))
     }
 
-    /// Hand every maintained snapshot to `insert`, the union signature
-    /// first and then the join profiles in column order, building each
-    /// one a change dropped. A delta's cache refresh inserts them under
-    /// the table's new fingerprint.
-    pub fn for_each_snapshot(
-        &mut self,
-        name: &str,
-        table: &Table,
-        k: usize,
-        mut insert: impl FnMut(SketchKind, Sketch),
-    ) {
-        if self.union {
-            insert(
-                SketchKind::Union { k },
-                Sketch::Union(self.signature(name, table, k)),
-            );
-        }
-        for (column, join) in &mut self.joins {
-            if let Some(m) = &self.columns[join.ci] {
-                let kind = SketchKind::Join {
-                    column: Arc::clone(column),
-                    k,
-                };
-                insert(
-                    kind,
-                    Sketch::Join(profile_snapshot(&mut join.profile, column, m)),
-                );
-            }
-        }
+    /// The store's charged footprint: for each maintained column, its
+    /// signature words (8 bytes each) plus its multiplicity-map entries
+    /// at [`MULTIPLICITY_ENTRY_BYTES`] each. Snapshots are not charged:
+    /// they copy words already charged to their columns and last only
+    /// until the next change. Saturating, so a footprint past
+    /// `usize::MAX` reads as the maximum.
+    pub fn bytes(&self) -> usize {
+        self.columns
+            .iter()
+            .flatten()
+            .map(|m| {
+                m.k()
+                    .saturating_mul(8)
+                    .saturating_add(m.distinct().saturating_mul(MULTIPLICITY_ENTRY_BYTES))
+            })
+            .fold(0, usize::saturating_add)
     }
 
     /// Absorb appended rows (same schema as the registered table,
@@ -234,8 +216,8 @@ impl Maintained {
 
     fn drop_snapshots(&mut self) {
         self.signature = None;
-        for join in self.joins.values_mut() {
-            join.profile = None;
+        for profile in self.joins.values_mut() {
+            *profile = None;
         }
     }
 
@@ -296,4 +278,55 @@ fn sketches_built() -> &'static Counter {
 fn sketch_rebuilds() -> &'static Counter {
     static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
     HANDLE.get_or_init(|| rdi_obs::counter("sketch.rebuilds"))
+}
+
+#[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    reason = "test fixtures count small, known quantities"
+)]
+mod tests {
+    use super::*;
+    use rdi_table::{DataType, Field, Schema};
+
+    /// `key` holds 4 distinct strings over 5 rows; `val` holds 2
+    /// distinct integers and a null, which the map does not keep.
+    fn known_table() -> Table {
+        let schema = Schema::new(vec![
+            Field::new("key", DataType::Str),
+            Field::new("val", DataType::Int),
+        ]);
+        let mut t = Table::new(schema);
+        for (key, val) in [("a", 1), ("b", 1), ("c", 2), ("d", 0), ("a", 2)] {
+            let val = if val == 0 {
+                Value::Null
+            } else {
+                Value::Int(val)
+            };
+            t.push_row(vec![Value::str(key), val]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn footprint_is_signature_words_plus_charged_map_entries() {
+        let (t, k) = (known_table(), 16);
+        let mut store = Maintained::new(t.num_columns());
+        assert_eq!(store.bytes(), 0, "nothing maintained yet");
+
+        // a join read maintains `key` alone: k words, 4 entries
+        store.profile(&t, &"key".into(), k).unwrap();
+        assert_eq!(store.bytes(), 16 * 8 + 4 * MULTIPLICITY_ENTRY_BYTES);
+
+        // a union read adds `val`: k more words, 2 more entries
+        store.signature("t", &t, k);
+        assert_eq!(store.bytes(), 2 * 16 * 8 + 6 * MULTIPLICITY_ENTRY_BYTES);
+
+        // appending a new key value and a repeated one adds one entry
+        let mut rows = Table::new(t.schema().clone());
+        rows.push_row(vec![Value::str("e"), Value::Int(1)]).unwrap();
+        rows.push_row(vec![Value::str("a"), Value::Int(2)]).unwrap();
+        store.append_rows(&rows);
+        assert_eq!(store.bytes(), 2 * 16 * 8 + 7 * MULTIPLICITY_ENTRY_BYTES);
+    }
 }

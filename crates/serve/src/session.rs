@@ -112,7 +112,8 @@ pub struct ServeSession {
     admitter: Admitter,
     /// The execute phase's workers, joined when the session drops.
     pool: Pool,
-    /// Publishes the shards' cache bytes at the end of every batch.
+    /// Publishes the shards' cache and maintained-store bytes at the
+    /// end of every batch.
     gauges: CacheGauges,
 }
 
@@ -230,7 +231,7 @@ impl ServeSession {
             batch.warmed(pos, shards[si].warm(need, k));
         }
         for (si, shard) in shards.iter_mut().enumerate() {
-            let bytes = shard.cache_bytes();
+            let bytes = shard.bytes();
             batch.replied(si, shard.len(), bytes, shard.drain_decisions().collect());
         }
         let pool = &mut self.pool;

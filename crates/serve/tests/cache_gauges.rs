@@ -1,9 +1,12 @@
-//! The cache-size gauges read what the caches hold: after a batch on
-//! either serving path, after a delta and after a one-shot query,
-//! `serve.cache.bytes` is the bytes every shard's cache holds together,
-//! and the `serve.shard.{i}.cache_bytes` gauges add up to it. The
-//! gauges are process-global, so these checks live in their own test
-//! binary with no other test running beside them.
+//! The memory gauges read what the caches and the maintained stores
+//! hold: after a batch on either serving path, after a delta and after
+//! a one-shot query, `serve.cache.bytes` is the bytes every shard's
+//! query cache holds together and `serve.maint.bytes` the footprint of
+//! every registered table's maintained store, and the per-shard
+//! `serve.shard.{i}.cache_bytes` and `serve.shard.{i}.maint_bytes`
+//! gauges add up to them. The gauges are process-global, so these
+//! checks live in their own test binary with no other test running
+//! beside them.
 
 use rdi_actor::{Runtime, RuntimeConfig};
 use rdi_serve::{
@@ -23,7 +26,7 @@ fn str_table(vals: &[String]) -> Table {
     t
 }
 
-/// Twelve tables over eight shards, so several shards cache sketches.
+/// Twelve tables over eight shards, so several shards maintain sketches.
 fn index() -> LakeIndex {
     let mut idx = LakeIndex::new(LakeIndexConfig {
         shard_count: SHARDS,
@@ -56,17 +59,35 @@ fn gauge(name: &str) -> f64 {
     rdi_obs::gauge(name).get()
 }
 
-/// The total gauge is `held`, the shard gauges add up to it, and more
-/// than one shard holds bytes (so no single shard's bytes is the sum).
-fn assert_gauges_hold(held: usize, at: &str) {
-    assert_eq!(gauge("serve.cache.bytes"), held as f64, "{at}");
-    let shards: Vec<f64> = (0..SHARDS)
-        .map(|i| gauge(&format!("serve.shard.{i}.cache_bytes")))
-        .collect();
-    assert_eq!(shards.iter().sum::<f64>(), held as f64, "{at}: {shards:?}");
+/// The total gauges read what `index` holds and the shard gauges add up
+/// to them. Only the query-owner shard caches sketches, while more than
+/// one shard maintains them (so no single shard's bytes is the sum).
+fn assert_gauges_hold(index: &LakeIndex, at: &str) {
+    let shards = |kind: &str| -> Vec<f64> {
+        (0..SHARDS)
+            .map(|i| gauge(&format!("serve.shard.{i}.{kind}_bytes")))
+            .collect()
+    };
+    let (cache, maint) = (index.cache_bytes(), index.maint_bytes());
+    assert!(cache > 0 && maint > 0, "{at}");
+    assert_eq!(gauge("serve.cache.bytes"), cache as f64, "{at}");
+    assert_eq!(gauge("serve.maint.bytes"), maint as f64, "{at}");
+    let cached = shards("cache");
+    assert_eq!(cached.iter().sum::<f64>(), cache as f64, "{at}: {cached:?}");
+    assert_eq!(
+        cached.iter().filter(|&&b| b > 0.0).count(),
+        1,
+        "{at}: {cached:?}"
+    );
+    let maintained = shards("maint");
+    assert_eq!(
+        maintained.iter().sum::<f64>(),
+        maint as f64,
+        "{at}: {maintained:?}"
+    );
     assert!(
-        shards.iter().filter(|&&b| b > 0.0).count() > 1,
-        "{at}: {shards:?}"
+        maintained.iter().filter(|&&b| b > 0.0).count() > 1,
+        "{at}: {maintained:?}"
     );
 }
 
@@ -75,20 +96,23 @@ fn cache_gauges_read_what_the_caches_hold() {
     // serial session
     let mut session = ServeSession::new(index(), SessionConfig::default());
     session.submit_batch(&batch());
-    assert_gauges_hold(session.index().cache_bytes(), "serial batch");
+    assert_gauges_hold(session.index(), "serial batch");
 
-    // a delta that drops a table evicts its sketches
-    let idx = session.index_mut();
-    idx.apply_delta("t03", &TableDelta::Drop).unwrap();
-    let held = idx.cache_bytes();
-    assert_gauges_hold(held, "after a drop delta");
+    // a delta that drops a table drops its store
+    let before = session.index().maint_bytes();
+    session
+        .index_mut()
+        .apply_delta("t03", &TableDelta::Drop)
+        .unwrap();
+    assert!(session.index().maint_bytes() < before);
+    assert_gauges_hold(session.index(), "after a drop delta");
 
     // a one-shot query warms the caches outside any batch
-    let idx = session.index_mut();
-    idx.union_top_k(&str_table(&["v9".into(), "v10".into()]), 2)
+    session
+        .index_mut()
+        .union_top_k(&str_table(&["v9".into(), "v10".into()]), 2)
         .unwrap();
-    let held = idx.cache_bytes();
-    assert_gauges_hold(held, "after a one-shot query");
+    assert_gauges_hold(session.index(), "after a one-shot query");
 
     // actor path: every shard replies to the batch's union request
     let mut rt = Runtime::new(RuntimeConfig::default());
@@ -97,5 +121,5 @@ fn cache_gauges_read_what_the_caches_hold() {
     addr.send(SessionMsg::Submit(batch())).unwrap();
     rt.run_until_idle();
     let hosted = group.reassemble(&mut rt).unwrap();
-    assert_gauges_hold(hosted.cache_bytes(), "actor batch");
+    assert_gauges_hold(&hosted, "actor batch");
 }

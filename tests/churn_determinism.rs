@@ -9,8 +9,8 @@
 //! 2. **identical shard assignment** — `shard_of` is a pure function
 //!    of the id bytes, so per-shard table counts match too; and
 //! 3. **identical cache-eviction order** — the exact per-run deltas of
-//!    `serve.cache.{hits,misses,evictions,evicted_bytes,invalidated}`
-//!    and the final `(cached sketches, cached bytes)` agree, which
+//!    `serve.cache.{hits,misses,evictions,evicted_bytes}` and the
+//!    final `(cached sketches, cached bytes)` agree, which
 //!    they only can if every run evicted the same entries in the same
 //!    order under the same byte budget.
 //!
@@ -74,19 +74,17 @@ struct Trace {
     misses: u64,
     evictions: u64,
     evicted_bytes: u64,
-    invalidated: u64,
     rows_applied: u64,
     incremental_updates: u64,
     rebuilds: u64,
 }
 
-fn counter_snapshot() -> [u64; 8] {
+fn counter_snapshot() -> [u64; 7] {
     [
         obs::counter("serve.cache.hits").get(),
         obs::counter("serve.cache.misses").get(),
         obs::counter("serve.cache.evictions").get(),
         obs::counter("serve.cache.evicted_bytes").get(),
-        obs::counter("serve.cache.invalidated").get(),
         obs::counter("serve.delta.rows_applied").get(),
         obs::counter("sketch.incremental_updates").get(),
         obs::counter("sketch.rebuilds").get(),
@@ -130,8 +128,9 @@ fn run_trial(seed: u64) -> Trace {
                 session.index_mut().apply_delta(id, delta).unwrap();
             }
         }
-        // Interleave query batches so sketches are (re)materialized,
-        // cached, and evicted while the lake churns.
+        // Interleave query batches so registered sketches are
+        // (re)materialized, and query sketches cached and evicted,
+        // while the lake churns.
         if i % 4 == 0 {
             let q = query_table(seed.wrapping_add(i as u64));
             let report = session.submit_batch(&[
@@ -166,10 +165,9 @@ fn run_trial(seed: u64) -> Trace {
         misses: after[1] - before[1],
         evictions: after[2] - before[2],
         evicted_bytes: after[3] - before[3],
-        invalidated: after[4] - before[4],
-        rows_applied: after[5] - before[5],
-        incremental_updates: after[6] - before[6],
-        rebuilds: after[7] - before[7],
+        rows_applied: after[4] - before[4],
+        incremental_updates: after[5] - before[5],
+        rebuilds: after[6] - before[6],
     }
 }
 
