@@ -52,6 +52,7 @@
 #![warn(missing_docs)]
 
 pub mod log;
+mod metrics;
 pub mod runtime;
 
 pub use crate::log::{EventLog, EventRecord};

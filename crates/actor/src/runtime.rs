@@ -31,11 +31,12 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{mpsc, Arc, Mutex, OnceLock, PoisonError};
+use std::sync::{mpsc, Mutex, PoisonError};
 
 use rdi_par::{stream_seed, Pool, Threads};
 
 use crate::log::{EventLog, EventRecord};
+use crate::metrics;
 
 /// Maximum bytes of a message's `Debug` rendering kept in the event
 /// log; a longer rendering is cut at the last char boundary at or below
@@ -313,25 +314,6 @@ impl Default for RuntimeConfig {
     }
 }
 
-/// Handles onto the global registry for the metrics every step feeds,
-/// resolved once (a registry reset zeroes values but keeps entries, so
-/// the handles stay valid). `actor.delivery_errors` is resolved at its
-/// first use instead, so a run without errors adds no name.
-struct StepMetrics {
-    scheduler_steps: Arc<rdi_obs::Counter>,
-    mailbox_depth: Arc<rdi_obs::Gauge>,
-    messages_delivered: Arc<rdi_obs::Counter>,
-}
-
-fn step_metrics() -> &'static StepMetrics {
-    static METRICS: OnceLock<StepMetrics> = OnceLock::new();
-    METRICS.get_or_init(|| StepMetrics {
-        scheduler_steps: rdi_obs::counter("actor.scheduler_steps"),
-        mailbox_depth: rdi_obs::gauge("actor.mailbox_depth"),
-        messages_delivered: rdi_obs::counter("actor.messages_delivered"),
-    })
-}
-
 /// One job: all of a cohort's messages for one target, with the actor
 /// taken out of its slot so the handler has exclusive mutable access on
 /// whatever thread the job lands on.
@@ -598,9 +580,8 @@ impl Runtime {
         };
         self.now = vtime;
         self.steps += 1;
-        let metrics = step_metrics();
-        metrics.scheduler_steps.inc();
-        metrics.mailbox_depth.set_max(self.queue.len() as f64);
+        metrics::SCHEDULER_STEPS.inc();
+        metrics::MAILBOX_DEPTH.set_max(self.queue.len() as f64);
 
         // Pop the cohort: every envelope at `vtime`, in sequence order.
         let mut cohort: Vec<Envelope> = Vec::new();
@@ -663,7 +644,7 @@ impl Runtime {
                 delivered_total += 1;
                 if d.failed {
                     self.delivery_errors += 1;
-                    rdi_obs::counter("actor.delivery_errors").inc();
+                    metrics::DELIVERY_ERRORS.inc();
                 }
                 self.log.push(EventRecord {
                     step: self.steps,
@@ -679,7 +660,7 @@ impl Runtime {
                 self.enqueue(Some(id), to, msg);
             }
         }
-        metrics.messages_delivered.add(delivered_total as u64);
+        metrics::MESSAGES_DELIVERED.add(delivered_total as u64);
         if let Some(payload) = panicked {
             panic::resume_unwind(payload);
         }
@@ -712,7 +693,7 @@ mod tests {
     use std::cell::RefCell;
     use std::panic::{self, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Barrier, Condvar, MutexGuard};
+    use std::sync::{Arc, Barrier, Condvar, MutexGuard};
     use std::thread;
     use std::time::Duration;
 

@@ -29,6 +29,7 @@ use rdi_policy::{PolicyId, PolicyParams, PolicySet};
 use rdi_profile::LabelConfig;
 use rdi_tailor::{DtProblem, Policy, Source};
 
+use crate::metrics;
 use crate::pipeline::{Pipeline, PipelineError, PipelineResult};
 use crate::requirement::{Requirement, RequirementSpec};
 
@@ -63,7 +64,7 @@ impl PipelineBuilder {
             max_draws: 100_000,
             resilience: ResilienceConfig::default(),
             policies: PolicySet::new(),
-            span_root: "pipeline".to_string(),
+            span_root: metrics::PIPELINE_SPAN.to_string(),
         }
     }
 

@@ -32,9 +32,11 @@
 
 use rand::Rng;
 use rdi_fault::{RecoveringBreaker, ResilienceConfig, TickClock};
-use rdi_obs::ProvenanceEvent;
+use rdi_obs::{Histogram, ProvenanceEvent};
 use rdi_policy::{Candidate, ExemplarSite, PolicyId, PolicySet, Score};
 use rdi_tailor::{run_draw_loop, DrawStep, DtProblem, Policy, Source, SourceError, TailorOutcome};
+
+use crate::metrics;
 
 /// The `core.redirect` decision: which healthy source absorbs a draw
 /// aimed at quarantined `chosen`, plus the exemplar event on the run's
@@ -207,7 +209,9 @@ pub fn run_resilient<S: Source, R: Rng>(
     let mut redirect =
         ExemplarSite::new(PolicyId::REDIRECT, policies.params_for(PolicyId::REDIRECT));
 
-    let attempts_hist = rdi_obs::histogram("executor.attempts_per_draw", &[1.0, 2.0, 4.0, 8.0]);
+    // Resolved before the first draw: a run that draws nothing still
+    // lists the histogram.
+    let attempts_hist: &Histogram = &metrics::ATTEMPTS_PER_DRAW;
 
     let tailor = run_draw_loop(
         sources,
@@ -233,7 +237,7 @@ pub fn run_resilient<S: Source, R: Rng>(
                 chosen
             };
             if s != chosen {
-                rdi_obs::counter("executor.redirects").inc();
+                metrics::REDIRECTS.inc();
             }
 
             // One logical draw: up to max_attempts physical attempts,
@@ -252,7 +256,7 @@ pub fn run_resilient<S: Source, R: Rng>(
                     }
                     Err(e) => {
                         health[s].failures_by_kind[e.index()] += 1;
-                        rdi_obs::counter("executor.faults").inc();
+                        metrics::FAULTS.inc();
                         if breakers[s].record_failure(clock.now()).tripped() {
                             let q = Quarantine {
                                 consecutive_failures: breakers[s].consecutive_failures(),
@@ -264,7 +268,7 @@ pub fn run_resilient<S: Source, R: Rng>(
                                 consecutive_failures: q.consecutive_failures,
                                 at_tick: q.at_tick,
                             });
-                            rdi_obs::counter("executor.breaker_trips").inc();
+                            metrics::BREAKER_TRIPS.inc();
                             break; // no more attempts against a quarantined source
                         }
                         if attempt >= config.max_attempts {
@@ -274,7 +278,7 @@ pub fn run_resilient<S: Source, R: Rng>(
                         clock.advance(wait);
                         backoff_ticks += wait;
                         health[s].retries += 1;
-                        rdi_obs::counter("executor.retries").inc();
+                        metrics::RETRIES.inc();
                     }
                 }
             }
@@ -286,7 +290,7 @@ pub fn run_resilient<S: Source, R: Rng>(
             // avoid useless ones.
             if drawn.is_none() {
                 health[s].abandoned_draws += 1;
-                rdi_obs::counter("executor.abandoned_draws").inc();
+                metrics::ABANDONED_DRAWS.inc();
             }
             DrawStep::Drew {
                 source: s,
@@ -295,7 +299,7 @@ pub fn run_resilient<S: Source, R: Rng>(
             }
         },
     )?;
-    rdi_obs::counter("executor.backoff_ticks").add(backoff_ticks);
+    metrics::BACKOFF_TICKS.add(backoff_ticks);
 
     for h in &health {
         if h.failures_total() > 0 {

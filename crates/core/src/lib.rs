@@ -38,6 +38,7 @@
 pub mod audit;
 pub mod builder;
 pub mod executor;
+mod metrics;
 pub mod pipeline;
 pub mod requirement;
 

@@ -31,6 +31,7 @@ use rdi_tailor::{DtProblem, Policy, Source};
 
 use crate::audit::{audit, AuditReport};
 use crate::executor::{run_resilient, SourceHealth};
+use crate::metrics;
 use crate::requirement::RequirementSpec;
 
 /// Why a pipeline run failed outright.
@@ -130,7 +131,7 @@ impl PipelineResult {
     pub fn label(&self) -> Result<&NutritionalLabel, PipelineError> {
         self.label
             .get_or_init(|| {
-                let _span = rdi_obs::span("label");
+                let _span = rdi_obs::span(metrics::LABEL_SPAN);
                 let mut label = NutritionalLabel::generate(&self.data, &self.label_config)?;
                 for note in &self.scope_notes {
                     label.add_scope_note(note.clone());
@@ -175,7 +176,7 @@ impl Pipeline {
             policy: policy.name().to_string(),
         });
         let outcome = {
-            let _span = rdi_obs::span("tailor");
+            let _span = rdi_obs::span(metrics::TAILOR_SPAN);
             run_resilient(
                 sources,
                 &self.problem,
@@ -207,7 +208,7 @@ impl Pipeline {
 
         let mut data = outcome.tailor.collected;
         for (column, strategy) in &self.imputations {
-            let _span = rdi_obs::span("impute");
+            let _span = rdi_obs::span(metrics::IMPUTE_SPAN);
             let before = data.column(column)?.null_count();
             data = impute(&data, column, strategy)?;
             let after = data.column(column)?.null_count();
@@ -222,7 +223,7 @@ impl Pipeline {
         provenance.push(ProvenanceEvent::LabelGenerated);
 
         let mut report = {
-            let _span = rdi_obs::span("audit");
+            let _span = rdi_obs::span(metrics::AUDIT_SPAN);
             audit(&data, &self.spec)?
         };
         // Disclose degradation in the audit itself: every quarantined

@@ -42,6 +42,7 @@
 
 pub mod continuous;
 pub mod counter;
+mod metrics;
 pub mod mup;
 pub mod pattern;
 pub mod remedy;

@@ -7,9 +7,9 @@
 //! uncovered iff it specializes some MUP (Asudeh et al., ICDE 2019).
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::{Arc, OnceLock};
 
 use crate::counter::PatternCounter;
+use crate::metrics;
 use crate::pattern::Pattern;
 use rdi_par::{par_map, Threads};
 use rdi_table::Table;
@@ -39,32 +39,11 @@ impl SearchStats {
     /// already-aggregated stats, so the recorded totals are functions of
     /// the work alone — identical for any thread count.
     fn record(&self) {
-        let m = search_metrics();
-        m.searches.inc();
-        m.nodes_evaluated.add(self.nodes_evaluated as u64);
-        m.mups_found.add(self.mups as u64);
-        m.peak_frontier.set_max(self.peak_frontier as f64);
+        metrics::SEARCHES.inc();
+        metrics::NODES_EVALUATED.add(self.nodes_evaluated as u64);
+        metrics::MUPS_FOUND.add(self.mups as u64);
+        metrics::PEAK_FRONTIER.set_max(self.peak_frontier as f64);
     }
-}
-
-/// Handles [`SearchStats::record`] publishes through, resolved on the
-/// first search: searches run side by side in a serving batch, and a
-/// by-name lookup takes the registry lock.
-struct SearchMetrics {
-    searches: Arc<rdi_obs::Counter>,
-    nodes_evaluated: Arc<rdi_obs::Counter>,
-    mups_found: Arc<rdi_obs::Counter>,
-    peak_frontier: Arc<rdi_obs::Gauge>,
-}
-
-fn search_metrics() -> &'static SearchMetrics {
-    static HANDLES: OnceLock<SearchMetrics> = OnceLock::new();
-    HANDLES.get_or_init(|| SearchMetrics {
-        searches: rdi_obs::counter("coverage.searches"),
-        nodes_evaluated: rdi_obs::counter("coverage.nodes_evaluated"),
-        mups_found: rdi_obs::counter("coverage.mups_found"),
-        peak_frontier: rdi_obs::gauge("coverage.peak_frontier"),
-    })
 }
 
 impl CoverageAnalyzer {

@@ -16,6 +16,7 @@ use std::collections::BTreeMap;
 use rdi_table::{Table, Value};
 
 use crate::hash::{hash_value, to_unit};
+use crate::metrics;
 
 /// Seed for the shared (coordinated) key-hash function.
 const KEY_SEED: u64 = 0x5eed_cafe;
@@ -80,7 +81,7 @@ impl KmvSketch {
             .collect();
         entries.sort_by(|a, b| a.0.total_cmp(&b.0));
         entries.truncate(k);
-        rdi_obs::counter("discovery.kmv_sketches_built").inc();
+        metrics::KMV_SKETCHES_BUILT.inc();
         Ok(KmvSketch { k, entries })
     }
 
@@ -251,7 +252,7 @@ impl UpdatableKmv {
             horizon = entries[cap].u;
             entries.truncate(cap);
         }
-        rdi_obs::counter("discovery.kmv_sketches_built").inc();
+        metrics::KMV_SKETCHES_BUILT.inc();
         Ok(UpdatableKmv {
             k,
             slack,
@@ -271,7 +272,7 @@ impl UpdatableKmv {
         if key.is_null() {
             return;
         }
-        rdi_obs::counter("sketch.incremental_updates").inc();
+        metrics::INCREMENTAL_UPDATES.inc();
         let u = to_unit(hash_value(key, KEY_SEED));
         match self
             .entries
@@ -332,7 +333,7 @@ impl UpdatableKmv {
         if key.is_null() {
             return;
         }
-        rdi_obs::counter("sketch.incremental_updates").inc();
+        metrics::INCREMENTAL_UPDATES.inc();
         self.debt += 1;
         let u = to_unit(hash_value(key, KEY_SEED));
         if let Ok(i) = self
@@ -377,7 +378,7 @@ impl UpdatableKmv {
         payload: Option<&str>,
     ) -> rdi_table::Result<()> {
         *self = UpdatableKmv::build(table, key, payload, self.k, self.slack, self.debt_threshold)?;
-        rdi_obs::counter("sketch.rebuilds").inc();
+        metrics::REBUILDS.inc();
         Ok(())
     }
 

@@ -45,6 +45,7 @@ pub mod hash;
 pub mod keyword;
 pub mod kmv;
 pub mod lsh;
+mod metrics;
 pub mod minhash;
 pub mod navigate;
 pub mod overlap;

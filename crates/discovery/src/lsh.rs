@@ -10,6 +10,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use rdi_par::{par_map, Threads};
 
 use crate::hash::hash_bytes;
+use crate::metrics;
 use crate::minhash::MinHash;
 
 /// An LSH index over MinHash signatures.
@@ -112,7 +113,7 @@ impl MinHashLsh {
     pub fn query(&self, sig: &MinHash) -> Vec<usize> {
         assert_eq!(sig.k(), self.signature_len(), "signature length mismatch");
         // every query probes one bucket per band
-        rdi_obs::counter("discovery.lsh_probes").add(self.bands as u64);
+        metrics::LSH_PROBES.add(self.bands as u64);
         let mut out: BTreeSet<usize> = BTreeSet::new();
         for (band, table) in self.tables.iter().enumerate() {
             let h = band_hash(sig, band, self.rows);

@@ -21,12 +21,11 @@ use std::borrow::Borrow;
 use std::cmp::Ordering;
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
 
-use rdi_obs::Counter;
 use rdi_table::{Column, Table, Value};
 
 use crate::hash::{hash_bytes, hash_value, splitmix64};
+use crate::metrics;
 
 /// Golden-gamma increment perturbing the base hash per position.
 const GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -48,14 +47,6 @@ fn lower(sig: &mut [u64], base: u64) {
             *s = h;
         }
     }
-}
-
-/// `sketch.incremental_updates`, resolved on first use: maintained
-/// sketches count every applied value, and a by-name lookup takes the
-/// registry lock.
-fn incremental_updates() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| rdi_obs::counter("sketch.incremental_updates"))
 }
 
 /// A borrowed non-null cell of a [`Column`].
@@ -308,7 +299,7 @@ impl UpdatableMinHash {
         if v.is_null() {
             return;
         }
-        incremental_updates().inc();
+        metrics::INCREMENTAL_UPDATES.inc();
         match self.counts.entry(v) {
             Entry::Occupied(mut e) => *e.get_mut() += 1,
             Entry::Vacant(e) => {
@@ -354,7 +345,7 @@ impl UpdatableMinHash {
             }
         }
         if applied > 0 {
-            incremental_updates().add(applied);
+            metrics::INCREMENTAL_UPDATES.add(applied);
         }
         let dirty: Vec<usize> = dirty
             .iter()

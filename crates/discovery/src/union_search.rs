@@ -6,13 +6,14 @@
 //! best greedy column matching, and define table unionability as the mean
 //! matched-column score over the query's columns.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use rdi_obs::{Counter, ProvenanceEvent};
+use rdi_obs::ProvenanceEvent;
 use rdi_par::{par_map, par_reduce, Threads};
 use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
 use rdi_table::Table;
 
+use crate::metrics;
 use crate::minhash::MinHash;
 
 /// Rank scored `(name, score)` candidates through the workspace policy
@@ -74,7 +75,7 @@ impl TableSignature {
         .into_iter()
         .collect::<rdi_table::Result<Vec<_>>>()?;
         // one increment per call, sized by the work — schedule-independent
-        rdi_obs::counter("discovery.sketches_built").add(columns.len() as u64);
+        metrics::SKETCHES_BUILT.add(columns.len() as u64);
         Ok(TableSignature {
             name: name.into(),
             columns,
@@ -244,7 +245,7 @@ impl UnionSearchIndex {
         threads: Threads,
         params: &PolicyParams,
     ) -> (Vec<(String, f64)>, ProvenanceEvent) {
-        candidates_scored().add(self.tables.len() as u64);
+        metrics::CANDIDATES_SCORED.add(self.tables.len() as u64);
         let (_, scored) = par_reduce(
             threads.min_len(4),
             &self.tables,
@@ -260,13 +261,6 @@ impl UnionSearchIndex {
         );
         rank_scored(PolicyId::UNION_RANK, &scored, k, params)
     }
-}
-
-/// `discovery.candidates_scored`, resolved on first use: a by-name
-/// lookup takes the registry lock on every query.
-fn candidates_scored() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| rdi_obs::counter("discovery.candidates_scored"))
 }
 
 #[cfg(test)]

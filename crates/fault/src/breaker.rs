@@ -1,6 +1,8 @@
 //! The per-source circuit breaker: [`RecoveringBreaker`], with
 //! deterministic half-open recovery.
 
+use crate::metrics;
+
 /// State of a [`RecoveringBreaker`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum RecoveryState {
@@ -40,9 +42,9 @@ pub struct TripVerdict {
 
 impl TripVerdict {
     fn counted(tripped: bool) -> Self {
-        rdi_obs::counter("fault.breaker.failures").inc();
+        metrics::BREAKER_FAILURES.inc();
         if tripped {
-            rdi_obs::counter("fault.breaker.opened").inc();
+            metrics::BREAKER_OPENED.inc();
         }
         TripVerdict { tripped }
     }
@@ -167,7 +169,7 @@ impl RecoveringBreaker {
             RecoveryState::HalfOpen => {
                 self.state = RecoveryState::Closed;
                 self.consecutive = 0;
-                rdi_obs::counter("fault.breaker.closed").inc();
+                metrics::BREAKER_CLOSED.inc();
             }
             RecoveryState::Open => {}
         }

@@ -5,6 +5,8 @@ use rand::{RngCore, SeedableRng};
 use rdi_table::Schema;
 use rdi_tailor::{Draw, Source, SourceError};
 
+use crate::metrics;
+
 /// Wraps any [`Source`] and makes a configurable fraction of draws
 /// fail.
 ///
@@ -92,7 +94,7 @@ impl<S: Source> Source for FaultySource<S> {
     fn try_draw(&mut self, rng: &mut dyn RngCore) -> Result<Draw, SourceError> {
         if let Some(e) = self.spec.sample(&mut self.fault_rng) {
             self.injected[e.index()] += 1;
-            rdi_obs::counter(&format!("fault.injected.{}", e.kind())).inc();
+            metrics::injected(e).inc();
             return Err(e);
         }
         self.inner.try_draw(rng)

@@ -74,6 +74,7 @@ pub mod breaker;
 pub mod clock;
 pub mod config;
 pub mod inject;
+mod metrics;
 pub mod spec;
 
 pub use backoff::Backoff;

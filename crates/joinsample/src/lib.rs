@@ -49,6 +49,7 @@
 pub mod estimator;
 pub mod exact_chain;
 pub mod index;
+mod metrics;
 pub mod naive;
 pub mod olken;
 pub mod ripple;

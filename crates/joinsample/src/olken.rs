@@ -19,6 +19,7 @@ use rdi_par::{par_run, stream_rng, Threads};
 use rdi_table::{Table, TableError, Value};
 
 use crate::index::JoinIndex;
+use crate::metrics;
 
 /// One sampled join tuple: row indices into the left and right tables.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -75,8 +76,8 @@ pub fn olken_sample<R: Rng>(
     }
     // recorded once per call from the final tallies; `olken_sample_par`
     // adds per block, which is commutative across schedules
-    rdi_obs::counter("joinsample.olken_attempts").add(attempts as u64);
-    rdi_obs::counter("joinsample.olken_accepted").add(out.len() as u64);
+    metrics::OLKEN_ATTEMPTS.add(attempts as u64);
+    metrics::OLKEN_ACCEPTED.add(out.len() as u64);
     Ok((out, attempts))
 }
 
@@ -159,7 +160,7 @@ pub fn chaudhuri_sample<R: Rng>(
         let s = partners[rng.gen_range(0..partners.len())];
         out.push(JoinSample { left: r, right: s });
     }
-    rdi_obs::counter("joinsample.chaudhuri_draws").add(out.len() as u64);
+    metrics::CHAUDHURI_DRAWS.add(out.len() as u64);
     Ok(out)
 }
 

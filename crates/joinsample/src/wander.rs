@@ -13,6 +13,7 @@ use rdi_table::{Table, TableError, Value};
 
 use crate::estimator::AqpEstimate;
 use crate::index::JoinIndex;
+use crate::metrics;
 
 /// Walks per independent RNG block in the `_par` estimators. Block
 /// boundaries depend only on the walk count, never on the thread
@@ -121,8 +122,8 @@ impl<'a> WanderJoin<'a> {
                 }
             }
         }
-        rdi_obs::counter("joinsample.walks_attempted").add(n_walks as u64);
-        rdi_obs::counter("joinsample.walks_dead_ended").add(dead_ends);
+        metrics::WALKS_ATTEMPTED.add(n_walks as u64);
+        metrics::WALKS_DEAD_ENDED.add(dead_ends);
         AqpEstimate::from_contributions(&contributions)
     }
 
@@ -169,8 +170,8 @@ impl<'a> WanderJoin<'a> {
             // per-block adds are commutative, and each block's tallies are
             // a function of (n_walks, seed) alone — totals match any
             // thread count
-            rdi_obs::counter("joinsample.walks_attempted").add(quota as u64);
-            rdi_obs::counter("joinsample.walks_dead_ended").add(dead_ends);
+            metrics::WALKS_ATTEMPTED.add(quota as u64);
+            metrics::WALKS_DEAD_ENDED.add(dead_ends);
             contributions
         });
         AqpEstimate::from_contributions(&per_block.concat())

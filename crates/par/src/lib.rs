@@ -55,39 +55,16 @@
 
 use std::num::NonZeroUsize;
 use std::ops::Range;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::thread;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+mod metrics;
 mod pool;
 
 pub use pool::Pool;
-
-/// Cached handles onto the global [`rdi_obs`] registry for the hot
-/// dispatch paths ([`rdi_obs::MetricsRegistry::reset`] zeroes values
-/// but keeps entries alive, so the `Arc`s stay valid forever).
-///
-/// These dispatch counters describe the *schedule* — how work was run,
-/// not how much there was — so unlike the per-layer work counters they
-/// legitimately differ across `RDI_THREADS` settings (a 1-thread run is
-/// all serial fallbacks) and are excluded from the thread-invariance
-/// contract.
-struct DispatchCounters {
-    serial_runs: Arc<rdi_obs::Counter>,
-    parallel_runs: Arc<rdi_obs::Counter>,
-    tasks_dispatched: Arc<rdi_obs::Counter>,
-}
-
-fn dispatch_counters() -> &'static DispatchCounters {
-    static COUNTERS: OnceLock<DispatchCounters> = OnceLock::new();
-    COUNTERS.get_or_init(|| DispatchCounters {
-        serial_runs: rdi_obs::counter("par.serial_runs"),
-        parallel_runs: rdi_obs::counter("par.parallel_runs"),
-        tasks_dispatched: rdi_obs::counter("par.tasks_dispatched"),
-    })
-}
 
 /// Environment variable consulted by [`Threads::auto`].
 pub const THREADS_ENV: &str = "RDI_THREADS";
@@ -217,11 +194,11 @@ where
     F: Fn(usize, &T) -> U + Sync,
 {
     if !threads.is_parallel() || items.len() < threads.min_len {
-        dispatch_counters().serial_runs.inc();
+        metrics::DISPATCH.serial_runs.inc();
         return items.iter().enumerate().map(|(i, x)| f(i, x)).collect();
     }
     let ranges = threads.chunks_of(items.len());
-    let c = dispatch_counters();
+    let c = &*metrics::DISPATCH;
     c.parallel_runs.inc();
     c.tasks_dispatched.add(ranges.len() as u64);
     let mut per_chunk = run_chunks(ranges, |range| {
@@ -257,11 +234,11 @@ where
     C: Fn(A, A) -> A,
 {
     if !threads.is_parallel() || items.len() < threads.min_len {
-        dispatch_counters().serial_runs.inc();
+        metrics::DISPATCH.serial_runs.inc();
         return items.iter().fold(init(), fold);
     }
     let ranges = threads.chunks_of(items.len());
-    let c = dispatch_counters();
+    let c = &*metrics::DISPATCH;
     c.parallel_runs.inc();
     c.tasks_dispatched.add(ranges.len() as u64);
     let per_chunk = run_chunks(ranges, |range| items[range].iter().fold(init(), &fold));

@@ -12,7 +12,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 
-use crate::{dispatch_counters, Threads};
+use crate::{metrics, Threads};
 
 /// A pool of worker threads that maps `Vec`s of owned jobs.
 ///
@@ -198,11 +198,11 @@ impl Pool {
         F: Fn(&T) -> U + Send + Sync + 'static,
     {
         if !self.threads.is_parallel() || jobs.len() < self.threads.min_len {
-            dispatch_counters().serial_runs.inc();
+            metrics::DISPATCH.serial_runs.inc();
             return jobs.iter().map(f).collect();
         }
         let tasks = self.threads.chunk_count(jobs.len());
-        let c = dispatch_counters();
+        let c = &*metrics::DISPATCH;
         c.parallel_runs.inc();
         c.tasks_dispatched.add(tasks as u64);
         self.grow(tasks - 1);

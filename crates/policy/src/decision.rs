@@ -1,10 +1,11 @@
 //! The selection API: candidates in, a decision out that can only be
 //! read by counting it.
 
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
-use rdi_obs::{Counter, ProvenanceEvent};
+use rdi_obs::ProvenanceEvent;
 
+use crate::metrics::counters;
 use crate::params::PolicyParams;
 use crate::rank::{RankByScore, WinningEnd};
 use crate::score::Score;
@@ -259,20 +260,6 @@ fn record(
         tie_break,
         params: params.render(),
     }
-}
-
-/// The `policy.decisions` and `policy.{id}.decisions` handles for a
-/// site. Each is resolved on first use and kept (registry handles
-/// survive [`rdi_obs::MetricsRegistry::reset`]), so a decision takes no
-/// registry lock and formats no name.
-fn counters(id: PolicyId) -> (&'static Counter, &'static Counter) {
-    const SITES: usize = PolicyId::ALL.len();
-    static DECISIONS: OnceLock<Arc<Counter>> = OnceLock::new();
-    static PER_SITE: [OnceLock<Arc<Counter>>; SITES] = [const { OnceLock::new() }; SITES];
-    (
-        DECISIONS.get_or_init(|| rdi_obs::counter("policy.decisions")),
-        PER_SITE[id.slot()].get_or_init(|| rdi_obs::counter(&format!("policy.{id}.decisions"))),
-    )
 }
 
 fn count(id: PolicyId) {

@@ -50,6 +50,7 @@
 #![forbid(unsafe_code)]
 
 mod decision;
+mod metrics;
 mod params;
 mod rank;
 mod score;

@@ -71,11 +71,9 @@ use rdi_par::stream_seed;
 use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
 
 use crate::error::ServeError;
+use crate::metrics;
 use crate::request::{ServeRequest, ServeResponse};
 use crate::session::SessionConfig;
-
-/// Histogram bounds for batch size and admitted queue depth.
-pub(crate) const SIZE_BOUNDS: [f64; 8] = [1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0, 128.0];
 
 /// Name of the tenant untagged requests belong to.
 const DEFAULT_TENANT: &str = "default";
@@ -411,9 +409,9 @@ impl Admitter {
     /// families. One call advances the fake clock by one tick.
     pub fn admit_batch(&mut self, tenants: &[TenantId]) -> Vec<AdmitVerdict> {
         self.ticks = self.ticks.saturating_add(1);
-        rdi_obs::counter("serve.batches").inc();
-        rdi_obs::counter("serve.requests").add(tenants.len() as u64);
-        rdi_obs::histogram("serve.batch_size", &SIZE_BOUNDS).record(tenants.len() as f64);
+        metrics::BATCHES.inc();
+        metrics::REQUESTS.add(tenants.len() as u64);
+        metrics::BATCH_SIZE.record(tenants.len() as f64);
 
         // Bring this batch's known buckets up to the current tick, and
         // open accounts for first-seen tenants with one tick's worth of
@@ -447,7 +445,7 @@ impl Admitter {
                 );
             }
         }
-        rdi_obs::gauge("serve.tenants").set(self.states.len() as f64);
+        metrics::TENANTS.set(self.states.len() as f64);
 
         // Pass 1: per-tenant demand, then the queue-share plan. Slots
         // reserve in priority order (aging desc, weight desc, name
@@ -555,7 +553,7 @@ impl Admitter {
             let probe = match st.breaker.admit(self.ticks) {
                 Admission::Admit => false,
                 Admission::Probe => {
-                    rdi_obs::counter("serve.breaker_probes").inc();
+                    metrics::BREAKER_PROBES.inc();
                     true
                 }
                 Admission::Shed => {
@@ -580,8 +578,8 @@ impl Admitter {
                 probe,
             });
         }
-        rdi_obs::counter("serve.shed").add(shed_total);
-        rdi_obs::histogram("serve.queue_depth", &SIZE_BOUNDS).record(admitted_total as f64);
+        metrics::SHED.add(shed_total);
+        metrics::QUEUE_DEPTH.record(admitted_total as f64);
 
         // Aging: a tenant denied its base (aging-free) share by queue
         // contention banks one window of priority, up to the cap; a
@@ -608,19 +606,19 @@ impl Admitter {
         // carry no dead zero keys).
         for (t, d) in &demand {
             if *d > 0 {
-                rdi_obs::counter(&format!("serve.tenant.{t}.requests")).add(*d);
+                metrics::tenant_requests(t).add(*d);
             }
             if let Some(v) = admitted_by.get(t).filter(|v| **v > 0) {
-                rdi_obs::counter(&format!("serve.tenant.{t}.admitted")).add(*v);
+                metrics::tenant_admitted(t).add(*v);
             }
             if let Some(v) = quota_shed.get(t).filter(|v| **v > 0) {
-                rdi_obs::counter(&format!("serve.tenant.{t}.shed_quota")).add(*v);
+                metrics::tenant_shed_quota(t).add(*v);
             }
             if let Some(v) = queue_shed.get(t).filter(|v| **v > 0) {
-                rdi_obs::counter(&format!("serve.tenant.{t}.shed_queue")).add(*v);
+                metrics::tenant_shed_queue(t).add(*v);
             }
             if let Some(v) = breaker_shed.get(t).filter(|v| **v > 0) {
-                rdi_obs::counter(&format!("serve.tenant.{t}.shed_breaker")).add(*v);
+                metrics::tenant_shed_breaker(t).add(*v);
             }
         }
         verdicts
@@ -649,7 +647,7 @@ impl Admitter {
                     let was_half_open = st.breaker.state() == RecoveryState::HalfOpen;
                     st.breaker.record_success();
                     if was_half_open {
-                        rdi_obs::counter("serve.breaker_recoveries").inc();
+                        metrics::BREAKER_RECOVERIES.inc();
                     }
                 }
                 Err(ServeError::QuotaExceeded { .. })
@@ -662,15 +660,15 @@ impl Admitter {
                     failed = failed.saturating_add(1);
                     bump(&mut failed_by, t);
                     if st.breaker.record_failure(self.ticks).tripped() {
-                        rdi_obs::counter("serve.breaker_trips").inc();
+                        metrics::BREAKER_TRIPS.inc();
                     }
                 }
             }
         }
-        rdi_obs::counter("serve.requests_failed").add(failed as u64);
-        rdi_obs::counter("serve.requests_degraded").add(shed.saturating_add(failed) as u64);
+        metrics::REQUESTS_FAILED.add(failed as u64);
+        metrics::REQUESTS_DEGRADED.add(shed.saturating_add(failed) as u64);
         for (t, v) in failed_by {
-            rdi_obs::counter(&format!("serve.tenant.{t}.failed")).add(v);
+            metrics::tenant_failed(t).add(v);
         }
         failed
     }

@@ -22,8 +22,8 @@
 //!
 //! The cache reports itself through `rdi-obs`: `serve.cache.hits`,
 //! `serve.cache.misses`, `serve.cache.evictions` and
-//! `serve.cache.evicted_bytes` counters. Each handle is resolved on its
-//! first use and kept (see DESIGN.md, "Metric handles"). The bytes a
+//! `serve.cache.evicted_bytes` counters, through the crate's `metrics`
+//! module (see DESIGN.md, "Metric handles"). The bytes a
 //! cache holds, and the bytes of the shard's maintained stores beside
 //! it, are published by its owner, which sees every shard
 //! (`CacheGauges`).
@@ -37,11 +37,13 @@
 #![deny(clippy::arithmetic_side_effects)]
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rdi_discovery::{MinHash, TableSignature};
-use rdi_obs::{Counter, Gauge, ProvenanceEvent};
+use rdi_obs::{Gauge, ProvenanceEvent};
 use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, WinningEnd};
+
+use crate::metrics;
 
 /// What kind of sketch an entry holds (part of the cache key: the same
 /// table content can carry a union signature *and* per-column join
@@ -158,39 +160,6 @@ struct Entry {
     last_used: u64,
 }
 
-/// The cache's `serve.cache.*` handles, each resolved on its first use
-/// — never eagerly, so a cache that never evicts adds no zero-valued
-/// eviction counters to a metrics snapshot.
-#[derive(Debug, Default)]
-struct CacheMetrics {
-    hits: OnceLock<Arc<Counter>>,
-    misses: OnceLock<Arc<Counter>>,
-    evictions: OnceLock<Arc<Counter>>,
-    evicted_bytes: OnceLock<Arc<Counter>>,
-}
-
-impl CacheMetrics {
-    fn hits(&self) -> &Counter {
-        self.hits
-            .get_or_init(|| rdi_obs::counter("serve.cache.hits"))
-    }
-
-    fn misses(&self) -> &Counter {
-        self.misses
-            .get_or_init(|| rdi_obs::counter("serve.cache.misses"))
-    }
-
-    fn evictions(&self) -> &Counter {
-        self.evictions
-            .get_or_init(|| rdi_obs::counter("serve.cache.evictions"))
-    }
-
-    fn evicted_bytes(&self) -> &Counter {
-        self.evicted_bytes
-            .get_or_init(|| rdi_obs::counter("serve.cache.evicted_bytes"))
-    }
-}
-
 /// One shard's report to [`CacheGauges`]: the accounted bytes its query
 /// cache holds and the footprint of its maintained sketch stores.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -207,7 +176,6 @@ pub(crate) struct ShardBytes {
 /// resolved when it is first published and kept.
 #[derive(Debug, Default)]
 pub(crate) struct CacheGauges {
-    totals: Option<[Arc<Gauge>; 2]>,
     /// Per shard, by index: its cache and maint gauges and the bytes it
     /// last reported.
     shards: Vec<([Arc<Gauge>; 2], ShardBytes)>,
@@ -220,10 +188,7 @@ impl CacheGauges {
         for (shard, bytes) in reports {
             while self.shards.len() <= shard {
                 let i = self.shards.len();
-                let gauges = [
-                    rdi_obs::gauge(&format!("serve.shard.{i}.cache_bytes")),
-                    rdi_obs::gauge(&format!("serve.shard.{i}.maint_bytes")),
-                ];
+                let gauges = [metrics::shard_cache_bytes(i), metrics::shard_maint_bytes(i)];
                 self.shards.push((gauges, ShardBytes::default()));
             }
             let ([cache, maint], held) = &mut self.shards[shard];
@@ -237,14 +202,8 @@ impl CacheGauges {
             .fold((0usize, 0usize), |(c, m), (_, held)| {
                 (c.saturating_add(held.cache), m.saturating_add(held.maint))
             });
-        let [cache_total, maint_total] = self.totals.get_or_insert_with(|| {
-            [
-                rdi_obs::gauge("serve.cache.bytes"),
-                rdi_obs::gauge("serve.maint.bytes"),
-            ]
-        });
-        cache_total.set(cache as f64);
-        maint_total.set(maint as f64);
+        metrics::CACHE_BYTES.set(cache as f64);
+        metrics::MAINT_BYTES.set(maint as f64);
     }
 }
 
@@ -263,7 +222,6 @@ pub struct SketchCache {
     /// One `PolicyDecision` audit event per eviction episode, drained
     /// by the owning index/session.
     decisions: Vec<ProvenanceEvent>,
-    metrics: CacheMetrics,
 }
 
 impl SketchCache {
@@ -279,7 +237,6 @@ impl SketchCache {
             bytes: 0,
             evict_params: PolicyParams::new().with("dir", "min"),
             decisions: Vec::new(),
-            metrics: CacheMetrics::default(),
         }
     }
 
@@ -328,11 +285,11 @@ impl SketchCache {
                     self.recency.insert(clock, slot);
                 }
                 e.last_used = clock;
-                self.metrics.hits().inc();
+                metrics::CACHE_HITS.inc();
                 Some(e.sketch.clone())
             }
             None => {
-                self.metrics.misses().inc();
+                metrics::CACHE_MISSES.inc();
                 None
             }
         }
@@ -346,7 +303,7 @@ impl SketchCache {
         let fresh = self.admit(key, sketch);
         let evicted = self.evict_over_budget(fresh);
         if evicted > 0 {
-            self.metrics.evictions().add(evicted as u64);
+            metrics::CACHE_EVICTIONS.add(evicted as u64);
         }
     }
 
@@ -420,7 +377,7 @@ impl SketchCache {
                 .and_then(|key| self.entries.remove(&key))
             {
                 self.bytes = self.bytes.saturating_sub(e.bytes);
-                self.metrics.evicted_bytes().add(e.bytes as u64);
+                metrics::CACHE_EVICTED_BYTES.add(e.bytes as u64);
             }
             evicted = evicted.saturating_add(1);
         }

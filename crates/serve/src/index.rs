@@ -36,14 +36,14 @@
 //! identical on both sides.
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use rdi_coverage::{CoverageAnalyzer, PatternCounter};
 use rdi_discovery::hash::hash_bytes;
 use rdi_discovery::{rank_scored, ColumnMatcher, MinHash, TableSignature};
-use rdi_obs::{Counter, ProvenanceEvent};
+use rdi_obs::ProvenanceEvent;
 use rdi_par::Threads;
 use rdi_policy::{PolicyId, PolicyParams, PolicySet};
 use rdi_table::{Encoded, EncodedColumns, Table, TableDelta};
@@ -56,6 +56,7 @@ use crate::cache::{
 use crate::error::ServeError;
 use crate::fingerprint::{table_fingerprint, FpState};
 use crate::maint::Maintained;
+use crate::metrics;
 use crate::request::{CoverageReport, ServeRequest, ServeResponse, TailorReport};
 
 /// Seed domain for shard assignment (distinct from every sketch seed).
@@ -77,7 +78,10 @@ pub struct LakeIndexConfig {
     /// Total query-sketch cache capacity in accounted bytes, split
     /// across shards (remainder bytes go to the lowest-numbered shards).
     /// Registered tables' sketches live in their maintained stores and
-    /// are not charged against it.
+    /// are not charged against it. Every query sketch is cached on the
+    /// one shard that `"<query>"` routes to ([`LakeIndex::shard_of`]), so
+    /// the query cache holds at most that shard's slice, about
+    /// `1/shard_count` of this budget; the other slices stay empty.
     pub cache_capacity_bytes: usize,
     /// Number of index shards (≥ 1; table ids are assigned by hash).
     pub shard_count: usize,
@@ -209,7 +213,7 @@ impl Shard {
         if cost.partial_cmp(&0.0) != Some(std::cmp::Ordering::Greater) {
             return Err(ServeError::InvalidCost(cost));
         }
-        shard_routed().inc();
+        metrics::SHARD_ROUTED.inc();
         let fp = FpState::from_table(&table);
         let maint = match self.tables.remove(&id) {
             Some(old) if old.fp.fingerprint() == fp.fingerprint() && *old.table == table => {
@@ -239,7 +243,7 @@ impl Shard {
         k: usize,
         debt_threshold: u64,
     ) -> Result<usize, ServeError> {
-        shard_routed().inc();
+        metrics::SHARD_ROUTED.inc();
 
         if matches!(delta, TableDelta::Drop) {
             // the table's sketches go with its maintained store
@@ -273,7 +277,7 @@ impl Shard {
             }
             TableDelta::Drop => 0, // handled above
         };
-        delta_rows_applied().add(rows_touched as u64);
+        metrics::DELTA_ROWS_APPLIED.add(rows_touched as u64);
         Ok(rows_touched)
     }
 
@@ -298,22 +302,14 @@ impl Shard {
             WarmNeed::Join { column, query } => {
                 let query = query.map(|(fp, t)| self.query_key_profile(fp, &t, &column, k));
                 let mut candidates = Vec::new();
-                let mut errors = Vec::new();
-                // candidates without the key column are skipped, not errors
+                // A candidate without the key column is skipped, not an
+                // error: that lookup is the profile's only fallible step.
                 for (id, r) in &mut self.tables {
-                    if r.table.column(&column).is_err() {
-                        continue;
-                    }
-                    match r.maint.profile(&r.table, &column, k) {
-                        Ok(p) => candidates.push((Arc::clone(id), p)),
-                        Err(e) => errors.push((Arc::clone(id), e.into())),
+                    if let Ok(p) = r.maint.profile(&r.table, &column, k) {
+                        candidates.push((Arc::clone(id), p));
                     }
                 }
-                WarmPart::Join {
-                    query,
-                    candidates,
-                    errors,
-                }
+                WarmPart::Join { query, candidates }
             }
             WarmNeed::Coverage {
                 table,
@@ -534,7 +530,9 @@ impl LakeIndex {
     }
 
     /// Per-shard cache capacities, in shard order; they sum to the
-    /// configured global budget.
+    /// configured global budget. Only the slice of the shard that
+    /// `"<query>"` routes to is ever filled, since every query sketch is
+    /// cached there (see [`LakeIndexConfig::cache_capacity_bytes`]).
     pub fn shard_cache_capacities(&self) -> Vec<usize> {
         self.shards.iter().map(|s| s.cache.capacity()).collect()
     }
@@ -600,9 +598,9 @@ impl LakeIndex {
 
     /// Publish index-level and per-shard gauges.
     fn publish_stats(&mut self) {
-        rdi_obs::gauge("serve.index.tables").set(self.len() as f64);
+        metrics::INDEX_TABLES.set(self.len() as f64);
         for (i, s) in self.shards.iter().enumerate() {
-            rdi_obs::gauge(&format!("serve.shard.{i}.tables")).set(s.tables.len() as f64);
+            metrics::shard_tables(i).set(s.tables.len() as f64);
         }
         self.publish_bytes();
     }
@@ -789,13 +787,11 @@ pub(crate) enum WarmPart {
         query: Option<Result<Arc<TableSignature>, ServeError>>,
         candidates: Vec<(Arc<str>, Arc<TableSignature>)>,
     },
-    /// Join candidates (+ query profile from the owner shard). Build
-    /// failures are reported per candidate id so [`assemble`] can pick
-    /// the first by sorted id.
+    /// Join candidates that have the key column (+ query profile from
+    /// the owner shard).
     Join {
         query: Option<Result<Arc<KeyProfile>, ServeError>>,
         candidates: Vec<(Arc<str>, Arc<KeyProfile>)>,
-        errors: Vec<(Arc<str>, ServeError)>,
     },
     /// Everything a coverage plan needs, or why it cannot be built.
     Coverage(Result<CoverageTarget, ServeError>),
@@ -943,9 +939,9 @@ fn check_query_shape(query: &Table, column: Option<&str>) -> Result<(), ServeErr
 ///
 /// Error precedence, the same on both serving paths: `ZeroK` >
 /// `EmptyIndex` (top-k requests only) > the local query error > the
-/// owner shard's query-sketch error > the first failing candidate by
-/// sorted id. Tailoring sources resolve in list order, the first error
-/// winning. Candidates are merged in sorted-id order.
+/// owner shard's query-sketch error. Tailoring sources resolve in list
+/// order, the first error winning. Candidates are merged in sorted-id
+/// order.
 pub(crate) fn assemble(
     request: &ServeRequest,
     parts: Vec<WarmPart>,
@@ -990,24 +986,18 @@ pub(crate) fn assemble(
         ServeRequest::JoinableTopK { k, .. } => {
             let mut query = None;
             let mut candidates = Vec::new();
-            let mut errors = Vec::new();
             for part in parts {
                 if let WarmPart::Join {
                     query: q,
                     candidates: c,
-                    errors: e,
                 } = part
                 {
                     query = query.or(q);
                     candidates.extend(c);
-                    errors.extend(e);
                 }
             }
             let never = || Err(ServeError::EmptyQuery("query profile never built".into()));
             let query = query.unwrap_or_else(never)?;
-            if let Some((_, e)) = errors.into_iter().min_by(|a, b| a.0.cmp(&b.0)) {
-                return Err(e);
-            }
             candidates.sort_by(|a, b| a.0.cmp(&b.0));
             Ok(Prepared::Join(JoinPlan {
                 k: *k,
@@ -1153,7 +1143,7 @@ fn execute_inner(
             let mut rng = StdRng::seed_from_u64(seed);
             let built = rdi_core::PipelineBuilder::new(problem.clone())
                 .max_draws(*max_draws)
-                .span_root("serve.tailor")
+                .span_root(metrics::TAILOR_SPAN)
                 .build();
             let result = built
                 .run(&mut table_sources, &mut policy, &mut rng)
@@ -1178,32 +1168,11 @@ fn execute_inner(
     }
 }
 
-/// `serve.candidates_scored`, resolved on first use: executes run side
-/// by side, and a by-name lookup takes the registry lock.
-fn candidates_scored() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| rdi_obs::counter("serve.candidates_scored"))
-}
-
-/// `serve.shard.routed`, resolved on first use: counted on every
-/// registration and delta.
-fn shard_routed() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| rdi_obs::counter("serve.shard.routed"))
-}
-
-/// `serve.delta.rows_applied`, resolved on first use: counted on every
-/// non-drop delta.
-fn delta_rows_applied() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| rdi_obs::counter("serve.delta.rows_applied"))
-}
-
 /// Score every candidate's unionability with the query, through one
 /// matcher whose buffers every candidate reuses, and rank the top `k`,
 /// recording the `discovery.union_rank` decision.
 fn execute_union(plan: &UnionPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<(String, f64)> {
-    candidates_scored().add(plan.candidates.len() as u64);
+    metrics::CANDIDATES_SCORED.add(plan.candidates.len() as u64);
     let mut matcher = ColumnMatcher::new();
     let scored: Vec<(Arc<str>, f64)> = plan
         .candidates
@@ -1220,7 +1189,7 @@ fn execute_union(plan: &UnionPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<
 /// Score every candidate's estimated key containment of the query and
 /// rank the top `k`, recording the `discovery.join_rank` decision.
 fn execute_join(plan: &JoinPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<(String, f64)> {
-    candidates_scored().add(plan.candidates.len() as u64);
+    metrics::CANDIDATES_SCORED.add(plan.candidates.len() as u64);
     let scored: Vec<(Arc<str>, f64)> = plan
         .candidates
         .iter()

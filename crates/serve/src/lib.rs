@@ -68,6 +68,7 @@ pub mod error;
 pub mod fingerprint;
 pub mod index;
 mod maint;
+mod metrics;
 pub mod request;
 pub mod session;
 

@@ -59,13 +59,13 @@
 #![deny(clippy::arithmetic_side_effects)]
 
 use std::collections::BTreeMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 use rdi_discovery::{TableSignature, UpdatableMinHash};
-use rdi_obs::Counter;
 use rdi_table::{Table, Value};
 
 use crate::cache::KeyProfile;
+use crate::metrics;
 
 /// The charge per multiplicity-map entry in [`Maintained::bytes`]: one
 /// `(Value, u64)` pair, the value's inline size plus its count. Heap
@@ -113,7 +113,7 @@ impl Maintained {
             for (ci, m) in self.columns.iter_mut().enumerate() {
                 m.get_or_insert_with(|| UpdatableMinHash::from_column(table.column_at(ci), k));
             }
-            sketches_built().add(self.columns.len() as u64);
+            metrics::SKETCHES_BUILT.add(self.columns.len() as u64);
             self.union = true;
         }
         let columns = &self.columns;
@@ -202,9 +202,9 @@ impl Maintained {
             *m = UpdatableMinHash::from_column(table.column_at(ci), k);
         }
         if self.union {
-            sketches_built().add(self.columns.len() as u64);
+            metrics::SKETCHES_BUILT.add(self.columns.len() as u64);
         }
-        sketch_rebuilds().add(u64::from(self.union).saturating_add(self.joins.len() as u64));
+        metrics::SKETCH_REBUILDS.add(u64::from(self.union).saturating_add(self.joins.len() as u64));
         self.debt = 0;
     }
 
@@ -265,19 +265,6 @@ fn profile_snapshot(
             distinct: m.distinct(),
         })
     }))
-}
-
-/// `discovery.sketches_built`, resolved on first use (first union
-/// read).
-fn sketches_built() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| rdi_obs::counter("discovery.sketches_built"))
-}
-
-/// `sketch.rebuilds`, resolved on first use (first debt rebuild).
-fn sketch_rebuilds() -> &'static Counter {
-    static HANDLE: OnceLock<Arc<Counter>> = OnceLock::new();
-    HANDLE.get_or_init(|| rdi_obs::counter("sketch.rebuilds"))
 }
 
 #[cfg(test)]

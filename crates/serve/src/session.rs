@@ -46,6 +46,7 @@ use crate::batch::Batch;
 use crate::cache::CacheGauges;
 use crate::error::ServeError;
 use crate::index::{execute, LakeIndex};
+use crate::metrics;
 use crate::request::{ServeRequest, ServeResponse};
 
 /// Session knobs.
@@ -218,7 +219,7 @@ impl ServeSession {
     /// cache), then run the plans on the session's workers, which return
     /// results in input order.
     fn submit_inner(&mut self, tenants: Vec<TenantId>, requests: &[&ServeRequest]) -> BatchReport {
-        let _span = rdi_obs::span("serve.batch");
+        let _span = rdi_obs::span(metrics::BATCH_SPAN);
         let (mut batch, warm) = Batch::start(
             &mut self.admitter,
             tenants,

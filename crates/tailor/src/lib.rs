@@ -66,6 +66,7 @@
 #![warn(missing_docs)]
 
 pub mod marginal;
+mod metrics;
 pub mod policy;
 pub mod problem;
 pub mod runner;

@@ -9,13 +9,13 @@
 //! and `rdi-core`'s resilient executor (retries, breakers, redirects).
 
 use std::collections::BTreeSet;
-use std::sync::{Arc, OnceLock};
 
 use rand::Rng;
-use rdi_obs::{Counter, Gauge, ProvenanceEvent};
+use rdi_obs::ProvenanceEvent;
 use rdi_policy::{Candidate, ExemplarSite, PolicyId, PolicyParams, Score};
 use rdi_table::{Table, TableError};
 
+use crate::metrics;
 use crate::policy::Policy;
 use crate::problem::DtProblem;
 use crate::source::{Draw, Source};
@@ -225,34 +225,13 @@ pub(crate) fn source_out_of_range(policy: &dyn Policy, chosen: usize, len: usize
 /// registry: total draws, per-group collected progress, and the run's
 /// cost (gauge; last run wins).
 fn record_outcome(per_group: &[usize], draws: usize, total_cost: f64) {
-    let m = outcome_metrics();
-    m.runs.inc();
-    m.draws.add(draws as u64);
-    m.kept.add(per_group.iter().sum::<usize>() as u64);
+    metrics::RUNS.inc();
+    metrics::DRAWS.add(draws as u64);
+    metrics::KEPT.add(per_group.iter().sum::<usize>() as u64);
     for (gi, &c) in per_group.iter().enumerate() {
-        rdi_obs::counter(&format!("tailor.group_{gi}_kept")).add(c as u64);
+        metrics::group_kept(gi).add(c as u64);
     }
-    m.last_cost.set(total_cost);
-}
-
-/// The fixed-name handles [`record_outcome`] publishes through,
-/// resolved on the first finished run: runs finish side by side in a
-/// serving batch, and a by-name lookup takes the registry lock.
-struct OutcomeMetrics {
-    runs: Arc<Counter>,
-    draws: Arc<Counter>,
-    kept: Arc<Counter>,
-    last_cost: Arc<Gauge>,
-}
-
-fn outcome_metrics() -> &'static OutcomeMetrics {
-    static HANDLES: OnceLock<OutcomeMetrics> = OnceLock::new();
-    HANDLES.get_or_init(|| OutcomeMetrics {
-        runs: rdi_obs::counter("tailor.runs"),
-        draws: rdi_obs::counter("tailor.draws"),
-        kept: rdi_obs::counter("tailor.kept"),
-        last_cost: rdi_obs::gauge("tailor.last_cost"),
-    })
+    metrics::LAST_COST.set(total_cost);
 }
 
 /// Tailoring over sources drawn once per pick, the fault-free runner
@@ -325,7 +304,7 @@ pub fn run_tailoring_dedup<S: Source, R: Rng>(
             }
         },
     )?;
-    rdi_obs::counter("tailor.duplicates").add(duplicates as u64);
+    metrics::DUPLICATES.add(duplicates as u64);
     Ok((outcome, duplicates))
 }
 
