@@ -27,12 +27,12 @@
 //! `actor_determinism` proptest sweeps thread counts.
 
 use rdi_actor::{Runtime, RuntimeConfig};
-use rdi_bench::{emit_metrics_snapshot, print_table};
+use rdi_bench::{digest, emit_metrics_snapshot, print_table};
 use rdi_datagen::sessions::{session_workload, SessionOp, SessionWorkload, SessionWorkloadConfig};
 use rdi_fault::RecoveryState;
 use rdi_serve::{
-    LakeActorGroup, LakeIndex, LakeIndexConfig, MaintActor, MaintMsg, ServeError, ServeRequest,
-    ServeResponse, ServeSession, SessionActor, SessionConfig, SessionMsg,
+    render_answer, LakeActorGroup, LakeIndex, LakeIndexConfig, MaintActor, MaintMsg, ServeRequest,
+    ServeSession, SessionActor, SessionConfig, SessionMsg,
 };
 use rdi_table::{Table, TableDelta};
 
@@ -40,47 +40,6 @@ const SEED: u64 = 2107;
 
 fn counter(name: &str) -> u64 {
     rdi_obs::counter(name).get()
-}
-
-/// Bit-exact encoding of one response: float scores go through
-/// `to_bits`, so equal strings ⇔ bitwise-identical responses.
-fn fingerprint(r: &Result<ServeResponse, ServeError>) -> String {
-    fn bits(pairs: &[(String, f64)]) -> String {
-        pairs
-            .iter()
-            .map(|(id, s)| format!("{id}:{:016x}", s.to_bits()))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-    match r {
-        Ok(ServeResponse::UnionTopK(v)) => format!("U[{}]", bits(v)),
-        Ok(ServeResponse::JoinableTopK(v)) => format!("J[{}]", bits(v)),
-        Ok(ServeResponse::Coverage(c)) => format!(
-            "C[{} mups={:?} frac={:016x}]",
-            c.table,
-            c.mups,
-            c.uncovered_fraction.to_bits()
-        ),
-        Ok(ServeResponse::Tailored(t)) => format!(
-            "T[rows={} cost={:016x} degraded={} quarantined={:?} audit={}]",
-            t.rows,
-            t.total_cost.to_bits(),
-            t.degraded,
-            t.quarantined,
-            t.audit_passed
-        ),
-        Err(e) => format!("E[{e:?}]"),
-    }
-}
-
-/// FNV-1a over a string — a compact stable digest for report tables.
-fn digest(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// Map a serve-agnostic workload op onto the serving request type.
@@ -137,8 +96,8 @@ fn fresh_index(w: &SessionWorkload) -> LakeIndex {
 
 /// One hosted run's observable outcome.
 struct HostedRun {
-    /// Per-session flattened response fingerprints.
-    fingerprints: Vec<Vec<String>>,
+    /// Per-session rendered answers ([`render_answer`]), flattened.
+    answers: Vec<Vec<String>>,
     /// Per-session (batches, requests, admitted, shed, degraded).
     tallies: Vec<(usize, usize, usize, usize, usize)>,
     /// Rendered append-only event log.
@@ -182,7 +141,7 @@ fn run_hosted(w: &SessionWorkload, index: LakeIndex, scheduler_seed: u64) -> Hos
     let steps = rt.run_until_idle();
     assert_eq!(rt.delivery_errors(), 0, "no dead letters expected");
 
-    let mut fingerprints = Vec::new();
+    let mut answers = Vec::new();
     let mut tallies = Vec::new();
     for (s, addr) in addrs.iter().enumerate() {
         let actor = rt.actor::<SessionActor>(addr.id()).unwrap();
@@ -194,7 +153,7 @@ fn run_hosted(w: &SessionWorkload, index: LakeIndex, scheduler_seed: u64) -> Hos
         );
         let fps: Vec<String> = reports
             .iter()
-            .flat_map(|r| r.responses.iter().map(fingerprint))
+            .flat_map(|r| r.responses.iter().map(render_answer))
             .collect();
         let (mut adm, mut shed, mut deg, mut reqs) = (0, 0, 0, 0);
         for r in reports {
@@ -204,13 +163,13 @@ fn run_hosted(w: &SessionWorkload, index: LakeIndex, scheduler_seed: u64) -> Hos
             reqs += r.responses.len();
         }
         tallies.push((reports.len(), reqs, adm, shed, deg));
-        fingerprints.push(fps);
+        answers.push(fps);
     }
     let log = rt.event_log().render();
     let delivered = counter("actor.messages_delivered") - delivered_before;
     let index = group.reassemble(&mut rt).unwrap();
     HostedRun {
-        fingerprints,
+        answers,
         tallies,
         log,
         steps,
@@ -231,7 +190,7 @@ fn run_serial(w: &SessionWorkload) -> Vec<Vec<String>> {
             for batch in &script.batches {
                 let reqs: Vec<ServeRequest> = batch.iter().map(to_request).collect();
                 let report = session.submit_batch(&reqs);
-                fps.extend(report.responses.iter().map(fingerprint));
+                fps.extend(report.responses.iter().map(render_answer));
             }
             fps
         })
@@ -347,7 +306,7 @@ fn main() {
         .map(|(s, script)| {
             let (batches, reqs, adm, shed, deg) = cold.tallies[s];
             assert_eq!(
-                cold.fingerprints[s], serial[s],
+                cold.answers[s], serial[s],
                 "session {} hosted != serial",
                 script.name
             );
@@ -358,7 +317,7 @@ fn main() {
                 adm.to_string(),
                 shed.to_string(),
                 deg.to_string(),
-                format!("{:016x}", digest(&cold.fingerprints[s].join(";"))),
+                format!("{:016x}", digest(&cold.answers[s].join(";"))),
                 "true".to_string(),
             ]
         })
@@ -382,10 +341,10 @@ fn main() {
     //     different seed ⇒ different schedule, same responses ---
     let replay = run_hosted(&workload, fresh_index(&workload), 0);
     assert_eq!(cold.log, replay.log, "same seed must replay the log");
-    assert_eq!(cold.fingerprints, replay.fingerprints);
+    assert_eq!(cold.answers, replay.answers);
     let reseeded = run_hosted(&workload, fresh_index(&workload), 1);
     assert_eq!(
-        cold.fingerprints, reseeded.fingerprints,
+        cold.answers, reseeded.answers,
         "scheduler seed must never change responses"
     );
     print_table(
@@ -417,7 +376,7 @@ fn main() {
     let built_delta = counter("discovery.sketches_built") - built_before;
     assert_eq!(built_delta, 0, "warm replay must build zero sketches");
     assert_eq!(
-        warm.fingerprints, cold.fingerprints,
+        warm.answers, cold.answers,
         "warm replay must be bitwise identical"
     );
     print_table(

@@ -29,8 +29,7 @@ use rdi_bench::{emit_metrics_snapshot, print_table};
 use rdi_datagen::churn::{churn_workload, ChurnConfig, ChurnEvent};
 use rdi_discovery::{KmvSketch, UpdatableKmv};
 use rdi_serve::{
-    LakeIndex, LakeIndexConfig, ServeError, ServeRequest, ServeResponse, ServeSession,
-    SessionConfig,
+    render_answer, LakeIndex, LakeIndexConfig, ServeRequest, ServeSession, SessionConfig,
 };
 use rdi_table::{GroupKey, GroupSpec, Table, TableDelta, Value};
 use rdi_tailor::DtProblem;
@@ -54,37 +53,6 @@ fn index_config() -> LakeIndexConfig {
     LakeIndexConfig {
         deletion_debt_threshold: DEBT_THRESHOLD,
         ..LakeIndexConfig::default()
-    }
-}
-
-/// Bit-exact encoding of one response: float scores go through
-/// `to_bits`, so equal strings ⇔ bitwise-identical responses.
-fn fingerprint(r: &Result<ServeResponse, ServeError>) -> String {
-    fn bits(pairs: &[(String, f64)]) -> String {
-        pairs
-            .iter()
-            .map(|(id, s)| format!("{id}:{:016x}", s.to_bits()))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-    match r {
-        Ok(ServeResponse::UnionTopK(v)) => format!("U[{}]", bits(v)),
-        Ok(ServeResponse::JoinableTopK(v)) => format!("J[{}]", bits(v)),
-        Ok(ServeResponse::Coverage(c)) => format!(
-            "C[{} mups={:?} frac={:016x}]",
-            c.table,
-            c.mups,
-            c.uncovered_fraction.to_bits()
-        ),
-        Ok(ServeResponse::Tailored(t)) => format!(
-            "T[rows={} cost={:016x} degraded={} quarantined={:?} audit={}]",
-            t.rows,
-            t.total_cost.to_bits(),
-            t.degraded,
-            t.quarantined,
-            t.audit_passed
-        ),
-        Err(e) => format!("E[{e:?}]"),
     }
 }
 
@@ -133,7 +101,7 @@ fn probe(index: LakeIndex, batch: &[ServeRequest]) -> (LakeIndex, Vec<String>) {
         },
     );
     let report = session.submit_batch(batch);
-    let fps = report.responses.iter().map(fingerprint).collect();
+    let fps = report.responses.iter().map(render_answer).collect();
     (session.into_index(), fps)
 }
 

@@ -32,15 +32,15 @@
 use std::collections::BTreeMap;
 
 use rdi_actor::{Runtime, RuntimeConfig};
-use rdi_bench::{emit_metrics_snapshot, print_table};
+use rdi_bench::{digest, emit_metrics_snapshot, print_table};
 use rdi_datagen::tenants::{
     tenant_workload, TenantBehavior, TenantSpec, TenantWorkload, TenantWorkloadConfig,
 };
 use rdi_datagen::SessionOp;
 use rdi_fault::RecoveryState;
 use rdi_serve::{
-    AdmitConfig, BatchReport, LakeActorGroup, LakeIndex, LakeIndexConfig, ServeError, ServeRequest,
-    ServeResponse, ServeSession, SessionActor, SessionConfig, SessionMsg, TaggedRequest, TenantId,
+    render_answer, AdmitConfig, BatchReport, LakeActorGroup, LakeIndex, LakeIndexConfig,
+    ServeRequest, ServeSession, SessionActor, SessionConfig, SessionMsg, TaggedRequest, TenantId,
     TenantPolicy,
 };
 
@@ -50,47 +50,6 @@ const WINDOWS: usize = 6;
 
 fn counter(name: &str) -> u64 {
     rdi_obs::counter(name).get()
-}
-
-/// Bit-exact encoding of one response: float scores go through
-/// `to_bits`, so equal strings ⇔ bitwise-identical responses.
-fn fingerprint(r: &Result<ServeResponse, ServeError>) -> String {
-    fn bits(pairs: &[(String, f64)]) -> String {
-        pairs
-            .iter()
-            .map(|(id, s)| format!("{id}:{:016x}", s.to_bits()))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-    match r {
-        Ok(ServeResponse::UnionTopK(v)) => format!("U[{}]", bits(v)),
-        Ok(ServeResponse::JoinableTopK(v)) => format!("J[{}]", bits(v)),
-        Ok(ServeResponse::Coverage(c)) => format!(
-            "C[{} mups={:?} frac={:016x}]",
-            c.table,
-            c.mups,
-            c.uncovered_fraction.to_bits()
-        ),
-        Ok(ServeResponse::Tailored(t)) => format!(
-            "T[rows={} cost={:016x} degraded={} quarantined={:?} audit={}]",
-            t.rows,
-            t.total_cost.to_bits(),
-            t.degraded,
-            t.quarantined,
-            t.audit_passed
-        ),
-        Err(e) => format!("E[{e:?}]"),
-    }
-}
-
-/// FNV-1a over a string — a compact stable digest for report tables.
-fn digest(s: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in s.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 /// Map a serve-agnostic workload op onto the serving request type.
@@ -221,9 +180,9 @@ fn tenant_deltas<T>(names: &[&str], run: impl FnOnce() -> T) -> (T, BTreeMap<Str
     (out, deltas)
 }
 
-/// All of one tenant's response fingerprints across a run's reports,
+/// All of one tenant's rendered answers across a run's reports,
 /// in arrival order.
-fn tenant_fingerprints(
+fn tenant_answers(
     windows: &[Vec<TaggedRequest>],
     reports: &[BatchReport],
     tenant: &str,
@@ -235,7 +194,7 @@ fn tenant_fingerprints(
             reqs.iter()
                 .zip(&report.responses)
                 .filter(|(r, _)| r.tenant.name() == tenant)
-                .map(|(_, resp)| fingerprint(resp))
+                .map(|(_, resp)| render_answer(resp))
         })
         .collect()
 }
@@ -429,8 +388,8 @@ fn isolation_scenario() {
         run_serial(&baseline_workload, admit_config(&specs));
     let mut rows = Vec::new();
     for victim in ["alice", "bob"] {
-        let with = tenant_fingerprints(&windows, &reports, victim);
-        let without = tenant_fingerprints(&baseline_windows, &baseline_reports, victim);
+        let with = tenant_answers(&windows, &reports, victim);
+        let without = tenant_answers(&baseline_windows, &baseline_reports, victim);
         assert_eq!(with.len(), 12);
         assert_eq!(
             with, without,

@@ -41,6 +41,16 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
+/// FNV-1a over a string: a compact, stable digest for report tables.
+pub fn digest(s: &str) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for b in s.as_bytes() {
+        h ^= u64::from(*b);
+        h = h.wrapping_mul(0x1000_0000_01b3);
+    }
+    h
+}
+
 /// Marker prefixing the metrics line every `exp_*` binary prints last,
 /// so scripts (and the `validate_metrics` CI helper) can find it
 /// without parsing the human-readable tables above it.

@@ -29,6 +29,12 @@
 //! per attempt), so with fault-free sources the outcome — collected
 //! table, counters, provenance — is bitwise identical to the legacy
 //! runner's.
+//!
+//! Every integer operation here is checked or saturating (clippy's
+//! `arithmetic_side_effects` is denied): attempt counts, health
+//! tallies and backoff ticks stop at their maximum rather than wrap.
+
+#![deny(clippy::arithmetic_side_effects)]
 
 use rand::Rng;
 use rdi_fault::{RecoveringBreaker, ResilienceConfig, TickClock};
@@ -61,12 +67,13 @@ fn redirect_target(
 ) -> (Option<usize>, Option<ProvenanceEvent>) {
     let mut candidates = Vec::new();
     let mut indices = Vec::new();
-    for off in 1..breakers.len() {
-        let i = (chosen + off) % breakers.len();
+    // every index but `chosen`, cyclically from `chosen + 1`
+    let cyclic = (chosen..breakers.len()).chain(0..chosen).skip(1);
+    for (off, i) in (1i64..).zip(cyclic) {
         if !breakers[i].is_open() {
             candidates.push(Candidate::new(
                 health[i].name.clone(),
-                Score::I64(-(off as i64)),
+                Score::I64(off.saturating_neg()),
             ));
             indices.push(i);
         }
@@ -118,9 +125,11 @@ impl SourceHealth {
         }
     }
 
-    /// Total failed attempts across all modes.
+    /// Total failed attempts across all modes (saturating).
     pub fn failures_total(&self) -> u64 {
-        self.failures_by_kind.iter().sum()
+        self.failures_by_kind
+            .iter()
+            .fold(0, |total, &n| total.saturating_add(n))
     }
 
     /// The non-zero `(kind, count)` pairs in stable taxonomy order.
@@ -245,17 +254,18 @@ pub fn run_resilient<S: Source, R: Rng>(
             let mut attempt: u32 = 0;
             let mut drawn = None;
             loop {
-                attempt += 1;
-                health[s].attempts += 1;
+                attempt = attempt.saturating_add(1);
+                health[s].attempts = health[s].attempts.saturating_add(1);
                 match sources[s].try_draw(rng) {
                     Ok(d) => {
                         breakers[s].record_success();
-                        health[s].successes += 1;
+                        health[s].successes = health[s].successes.saturating_add(1);
                         drawn = Some(d);
                         break;
                     }
                     Err(e) => {
-                        health[s].failures_by_kind[e.index()] += 1;
+                        let failures = &mut health[s].failures_by_kind[e.index()];
+                        *failures = failures.saturating_add(1);
                         metrics::FAULTS.inc();
                         if breakers[s].record_failure(clock.now()).tripped() {
                             let q = Quarantine {
@@ -276,8 +286,8 @@ pub fn run_resilient<S: Source, R: Rng>(
                         }
                         let wait = config.backoff.delay(attempt);
                         clock.advance(wait);
-                        backoff_ticks += wait;
-                        health[s].retries += 1;
+                        backoff_ticks = backoff_ticks.saturating_add(wait);
+                        health[s].retries = health[s].retries.saturating_add(1);
                         metrics::RETRIES.inc();
                     }
                 }
@@ -289,7 +299,7 @@ pub fn run_resilient<S: Source, R: Rng>(
             // policies learn to avoid flaky sources exactly as they
             // avoid useless ones.
             if drawn.is_none() {
-                health[s].abandoned_draws += 1;
+                health[s].abandoned_draws = health[s].abandoned_draws.saturating_add(1);
                 metrics::ABANDONED_DRAWS.inc();
             }
             DrawStep::Drew {
@@ -324,6 +334,10 @@ pub fn run_resilient<S: Source, R: Rng>(
 }
 
 #[cfg(test)]
+#[allow(
+    clippy::arithmetic_side_effects,
+    reason = "test fixtures count small, known quantities"
+)]
 mod tests {
     use super::*;
     use rand::rngs::StdRng;
@@ -513,6 +527,34 @@ mod tests {
             default.tailor.per_source_draws, flipped.tailor.per_source_draws,
             "the override must reroute real draws"
         );
+    }
+
+    #[test]
+    fn redirect_walks_the_sources_cyclically_from_the_chosen_one() {
+        let health = ["s0", "s1", "s2", "s3"].map(SourceHealth::new);
+        let mut breakers: Vec<RecoveringBreaker> = (0..4)
+            .map(|_| RecoveringBreaker::new(1, u64::MAX))
+            .collect();
+        for i in [2, 3] {
+            assert!(breakers[i].record_failure(0).tripped());
+        }
+        let target = |params: PolicyParams| {
+            let mut site = ExemplarSite::new(PolicyId::REDIRECT, params);
+            redirect_target(&mut site, 2, &breakers, &health).0
+        };
+        assert_eq!(
+            target(PolicyParams::new()),
+            Some(0),
+            "closest, past the end"
+        );
+        assert_eq!(target(PolicyParams::new().with("dir", "min")), Some(1));
+    }
+
+    #[test]
+    fn failure_tallies_saturate() {
+        let mut h = SourceHealth::new("s");
+        h.failures_by_kind = [u64::MAX, 1, 0, 0];
+        assert_eq!(h.failures_total(), u64::MAX);
     }
 
     #[test]

@@ -2,11 +2,13 @@
 //!
 //! It holds the sketches of ad-hoc query tables only, keyed by `(content
 //! fingerprint, sketch kind)` and evicted least-recently-used under a
-//! byte-accounted capacity. A registered table's union signature and
-//! join profiles are not cached here: they live in its maintained store
-//! (module `maint`) for as long as the table does, and a read takes
-//! them from there. So every byte this cache accounts is a byte that
-//! evicting its entry releases.
+//! byte-accounted capacity. The fingerprint (`fingerprint`) is an
+//! order-dependent fold over the query's schema, every cell and its row
+//! count, so any edit to the content misses the cache. A registered
+//! table's union signature and join profiles are not cached here: they
+//! live in its maintained store (module `maint`) for as long as the
+//! table does, and a read takes them from there. So every byte this
+//! cache accounts is a byte that evicting its entry releases.
 //!
 //! Recency is a logical sequence number bumped on every hit, so
 //! eviction order is a pure function of the access sequence — no wall
@@ -39,9 +41,11 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use rdi_discovery::hash::{hash_bytes, hash_value, splitmix64};
 use rdi_discovery::{MinHash, TableSignature};
 use rdi_obs::{Gauge, ProvenanceEvent};
 use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, WinningEnd};
+use rdi_table::Table;
 
 use crate::metrics;
 
@@ -70,7 +74,8 @@ pub enum SketchKind {
 /// sketch. Cloning one bumps refcounts only.
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord)]
 pub struct CacheKey {
-    /// Content fingerprint ([`crate::fingerprint::table_fingerprint`]).
+    /// Content fingerprint of the query table: a fold over its schema,
+    /// every cell in row-major order and its row count.
     pub fingerprint: u64,
     /// Sketch kind + parameters.
     pub kind: SketchKind,
@@ -110,6 +115,49 @@ impl CacheKey {
         rdi_obs::push_decimal(&mut out, *k as u64);
         out
     }
+}
+
+/// Seed domain for schema bytes, distinct from value hashing so a
+/// column *named* like a value never collides with one *containing* it.
+const SCHEMA_SEED: u64 = 0x5348_454d_4121;
+/// Seed domain for cell values.
+const VALUE_SEED: u64 = 0x5641_4c55_4521;
+/// Initial state of every row's hash chain.
+const ROW_SEED: u64 = 0x524f_5721;
+
+/// Order-dependent combine: position matters, so row and column
+/// permutations of the same cells fingerprint differently.
+fn fold(h: u64, x: u64) -> u64 {
+    splitmix64(h.rotate_left(7) ^ x)
+}
+
+/// The content fingerprint of a query table, its [`CacheKey`]: the
+/// schema (field names, types, roles), then each row's hash (a fold of
+/// its cells in column order) in row order, then the row count. Built
+/// from the seeded hashing the sketches use (`rdi_discovery::hash`), so
+/// equal content fingerprints identically in every process. The bytes
+/// are pinned: `WarmNeed`'s `Debug` prints them into the actor event
+/// log.
+pub(crate) fn fingerprint(table: &Table) -> u64 {
+    let mut h = splitmix64(0x7264_692d_7365_7276); // "rdi-serv"
+    for field in table.schema().fields() {
+        h = fold(h, hash_bytes(field.name.as_bytes(), SCHEMA_SEED));
+        h = fold(
+            h,
+            hash_bytes(format!("{:?}", field.dtype).as_bytes(), SCHEMA_SEED),
+        );
+        h = fold(
+            h,
+            hash_bytes(format!("{:?}", field.role).as_bytes(), SCHEMA_SEED),
+        );
+    }
+    for ri in 0..table.num_rows() {
+        let row = (0..table.num_columns()).fold(ROW_SEED, |r, ci| {
+            fold(r, hash_value(&table.column_at(ci).value(ri), VALUE_SEED))
+        });
+        h = fold(h, row);
+    }
+    fold(h, table.num_rows() as u64)
 }
 
 /// A single-column joinability profile: the column's MinHash plus its
@@ -408,7 +456,7 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
     use rdi_policy::SelectionPolicy;
-    use rdi_table::{DataType, Field, Schema, Table, Value};
+    use rdi_table::{DataType, Field, Schema, Value};
 
     fn sig(name: &str, k: usize) -> Sketch {
         let schema = Schema::new(vec![Field::new("c", DataType::Str)]);
@@ -423,6 +471,54 @@ mod tests {
             fingerprint,
             kind: SketchKind::Union { k: 8 },
         }
+    }
+
+    fn two_col(vals: &[(&str, f64)]) -> Table {
+        let schema = Schema::new(vec![
+            Field::new("k", DataType::Str),
+            Field::new("v", DataType::Float),
+        ]);
+        let mut t = Table::new(schema);
+        for (k, v) in vals {
+            t.push_row(vec![Value::str(*k), Value::Float(*v)]).unwrap();
+        }
+        t
+    }
+
+    #[test]
+    fn equal_content_equal_fingerprint() {
+        let a = two_col(&[("x", 1.0), ("y", 2.0)]);
+        let b = two_col(&[("x", 1.0), ("y", 2.0)]);
+        assert_eq!(fingerprint(&a), fingerprint(&b));
+    }
+
+    #[test]
+    fn any_edit_changes_the_fingerprint() {
+        let base = two_col(&[("x", 1.0), ("y", 2.0)]);
+        let cell = two_col(&[("x", 1.0), ("y", 2.5)]);
+        let order = two_col(&[("y", 2.0), ("x", 1.0)]);
+        assert_ne!(fingerprint(&base), fingerprint(&cell));
+        assert_ne!(fingerprint(&base), fingerprint(&order));
+    }
+
+    #[test]
+    fn schema_rename_changes_the_fingerprint() {
+        let a = two_col(&[("x", 1.0)]);
+        let schema = Schema::new(vec![
+            Field::new("key", DataType::Str),
+            Field::new("v", DataType::Float),
+        ]);
+        let mut b = Table::new(schema);
+        b.push_row(vec![Value::str("x"), Value::Float(1.0)])
+            .unwrap();
+        assert_ne!(fingerprint(&a), fingerprint(&b));
+    }
+
+    #[test]
+    fn empty_tables_with_different_schemas_differ() {
+        let a = Table::new(Schema::new(vec![Field::new("a", DataType::Int)]));
+        let b = Table::new(Schema::new(vec![Field::new("b", DataType::Int)]));
+        assert_ne!(fingerprint(&a), fingerprint(&b));
     }
 
     #[test]

@@ -23,11 +23,14 @@
 //! [`LakeIndex::apply_delta`] absorbs a [`TableDelta`] with sketch
 //! work proportional to the delta, not the table: appends extend the
 //! maintained per-column sketches value by value, deletes repair them
-//! exactly through their multiplicity maps, and both refresh the
-//! table's [`crate::fingerprint::FpState`] incrementally. A table's
-//! union signature and join profiles read the same column sketches (one
-//! store per table), so each column absorbs a delta once, and the next
-//! read derives its snapshots from them without building a sketch.
+//! exactly through their multiplicity maps. A table's union signature
+//! and join profiles read the same column sketches (one store per
+//! table), so each column absorbs a delta once, and the next read
+//! derives its snapshots from them without building a sketch. A
+//! registered table carries no content fingerprint: an upsert keeps
+//! the store only when the new table equals the old (`Table ==`, which
+//! compares float cells bit for bit, as the sketches hash them), and
+//! only ad-hoc query tables are fingerprinted, for their cache keys.
 //! Deletion repair is exact but its signature-position repair cost
 //! grows with accumulated churn, so once absorbed deletions exceed
 //! [`LakeIndexConfig::deletion_debt_threshold`] the index rebuilds each
@@ -43,7 +46,7 @@ use rand::SeedableRng;
 use rdi_coverage::{CoverageAnalyzer, PatternCounter};
 use rdi_discovery::hash::hash_bytes;
 use rdi_discovery::{rank_scored, ColumnMatcher, MinHash, TableSignature};
-use rdi_obs::ProvenanceEvent;
+use rdi_obs::{Gauge, ProvenanceEvent};
 use rdi_par::Threads;
 use rdi_policy::{PolicyId, PolicyParams, PolicySet};
 use rdi_table::{Encoded, EncodedColumns, Table, TableDelta};
@@ -51,10 +54,9 @@ use rdi_tailor::{DtProblem, RandomPolicy, TableSource};
 
 use crate::batch::Executed;
 use crate::cache::{
-    CacheGauges, CacheKey, KeyProfile, ShardBytes, Sketch, SketchCache, SketchKind,
+    self, CacheGauges, CacheKey, KeyProfile, ShardBytes, Sketch, SketchCache, SketchKind,
 };
 use crate::error::ServeError;
-use crate::fingerprint::{table_fingerprint, FpState};
 use crate::maint::Maintained;
 use crate::metrics;
 use crate::request::{CoverageReport, ServeRequest, ServeResponse, TailorReport};
@@ -105,8 +107,6 @@ impl Default for LakeIndexConfig {
 #[derive(Debug)]
 struct Registered {
     table: Arc<Table>,
-    /// Incrementally maintained content fingerprint.
-    fp: FpState,
     cost: f64,
     /// Lazily-populated maintained sketch state (see `maint`).
     maint: Maintained,
@@ -198,9 +198,10 @@ impl Shard {
     }
 
     /// Register or replace a table (validation included). Replacing a
-    /// table by equal content (same fingerprint, and equal on
-    /// comparison) keeps its maintained store, so the next read builds
-    /// nothing; any other replacement starts an empty one.
+    /// table by equal content (`Table ==`, float cells bit for bit, the
+    /// equality the sketches see) keeps its maintained store, so the
+    /// next read builds nothing; any other replacement starts an empty
+    /// one.
     pub(crate) fn upsert(
         &mut self,
         id: Arc<str>,
@@ -214,18 +215,14 @@ impl Shard {
             return Err(ServeError::InvalidCost(cost));
         }
         metrics::SHARD_ROUTED.inc();
-        let fp = FpState::from_table(&table);
         let maint = match self.tables.remove(&id) {
-            Some(old) if old.fp.fingerprint() == fp.fingerprint() && *old.table == table => {
-                old.maint
-            }
+            Some(old) if *old.table == table => old.maint,
             _ => Maintained::new(table.num_columns()),
         };
         self.tables.insert(
             id,
             Registered {
                 table: Arc::new(table),
-                fp,
                 cost,
                 maint,
                 codes: BTreeMap::new(),
@@ -262,16 +259,11 @@ impl Shard {
         let rows_touched = match delta {
             TableDelta::Append(rows) => {
                 Arc::make_mut(&mut r.table).append(rows)?;
-                r.fp.append(rows);
                 r.maint.append_rows(rows);
                 rows.num_rows()
             }
             TableDelta::Delete(indices) => {
                 let removed = Arc::make_mut(&mut r.table).delete_rows(indices)?;
-                let mut sorted = indices.clone();
-                sorted.sort_unstable();
-                sorted.dedup();
-                r.fp.delete(&sorted);
                 r.maint.remove_rows(&removed, &r.table, k, debt_threshold);
                 removed.num_rows()
             }
@@ -416,6 +408,10 @@ pub struct LakeIndex {
     /// Publishes the shards' cache and maintained-store bytes after a
     /// change or a one-shot query.
     gauges: CacheGauges,
+    /// Each shard's `serve.shard.{i}.tables` gauge, in shard order:
+    /// resolved on the first change, so an index that never changes
+    /// publishes none, and kept from then on.
+    table_gauges: Vec<Arc<Gauge>>,
 }
 
 impl Default for LakeIndex {
@@ -439,6 +435,7 @@ impl LakeIndex {
             policies: PolicySet::new(),
             decisions: Vec::new(),
             gauges: CacheGauges::default(),
+            table_gauges: Vec::new(),
         }
     }
 
@@ -471,6 +468,7 @@ impl LakeIndex {
             policies,
             decisions: Vec::new(),
             gauges: CacheGauges::default(),
+            table_gauges: Vec::new(),
         }
     }
 
@@ -542,10 +540,11 @@ impl LakeIndex {
     }
 
     /// Register a table under a unique id with a per-draw cost (used by
-    /// [`ServeRequest::TailorRun`]). The content fingerprint is
-    /// computed once here; re-registering the same id is an error
-    /// ([`ServeError::DuplicateTable`]) — use [`LakeIndex::upsert`] to
-    /// replace — as are empty tables and non-positive costs.
+    /// [`ServeRequest::TailorRun`]). Registration hashes no cell: the
+    /// table's sketches are built on first read. Re-registering the same
+    /// id is an error ([`ServeError::DuplicateTable`]) — use
+    /// [`LakeIndex::upsert`] to replace — as are empty tables and
+    /// non-positive costs.
     pub fn register(
         &mut self,
         id: impl Into<String>,
@@ -577,9 +576,8 @@ impl LakeIndex {
         Ok(())
     }
 
-    /// Apply a delta to a registered table, maintaining its fingerprint
-    /// and any materialized sketches with work proportional to the
-    /// delta. Counts `serve.delta.rows_applied`; sketch maintenance
+    /// Apply a delta to a registered table, maintaining its
+    /// materialized sketches with work proportional to the delta. Counts `serve.delta.rows_applied`; sketch maintenance
     /// counts `sketch.incremental_updates` per absorbed value and
     /// maintained column, and `sketch.rebuilds` per maintained sketch
     /// kind when deletion debt crosses the threshold.
@@ -599,8 +597,11 @@ impl LakeIndex {
     /// Publish index-level and per-shard gauges.
     fn publish_stats(&mut self) {
         metrics::INDEX_TABLES.set(self.len() as f64);
-        for (i, s) in self.shards.iter().enumerate() {
-            metrics::shard_tables(i).set(s.tables.len() as f64);
+        if self.table_gauges.is_empty() {
+            self.table_gauges = (0..self.shards.len()).map(metrics::shard_tables).collect();
+        }
+        for (gauge, s) in self.table_gauges.iter().zip(&self.shards) {
+            gauge.set(s.tables.len() as f64);
         }
         self.publish_bytes();
     }
@@ -886,7 +887,7 @@ fn top_k_needs(
         return (counts, Some(e));
     }
     let owner = shard_route(CacheKey::QUERY_OWNER, shard_count);
-    let fp = table_fingerprint(query);
+    let fp = cache::fingerprint(query);
     let query = Arc::new(query.clone());
     // shared by every shard's cache keys
     let column: Option<Arc<str>> = column.map(Arc::from);
@@ -1227,7 +1228,7 @@ mod tests {
     use proptest::collection::vec;
     use proptest::prelude::*;
     use proptest::test_runner::TestCaseError;
-    use rdi_table::{DataType, Field, Schema, Value};
+    use rdi_table::{Column, DataType, Field, Schema, Value};
 
     fn str_table(col: &str, vals: &[&str]) -> Table {
         let schema = Schema::new(vec![Field::new(col, DataType::Str)]);
@@ -1744,6 +1745,34 @@ mod tests {
             .unwrap();
         assert!(Arc::ptr_eq(&changed, &served_signature(&mut idx, "t1")));
         assert_eq!(idx.cached_sketches(), 1, "only the query sketch is cached");
+
+        // `-0.0` over `0.0` is changed content: the sketches hash value
+        // bits, so a store built from `0.0` must not answer for `-0.0`
+        let floats = |x: f64| {
+            let schema = Schema::new(vec![Field::new("key", DataType::Float)]);
+            Table::from_columns(schema, vec![Column::Float(vec![Some(x), Some(1.0)])]).unwrap()
+        };
+        idx.upsert("t2", floats(0.0), 1.0).unwrap();
+        served_signature(&mut idx, "t2");
+        idx.upsert("t2", floats(-0.0), 1.0).unwrap();
+        assert_eq!(store(&idx, "t2").sketch_count(), 0, "-0.0 is not 0.0");
+        let mut fresh = LakeIndex::default();
+        for id in idx.table_ids() {
+            fresh
+                .register(id, idx.table(id).unwrap().clone(), 1.0)
+                .unwrap();
+        }
+        let q = floats(-0.0);
+        assert_ranking_eq(
+            &idx.union_top_k(&q, 2).unwrap(),
+            &fresh.union_top_k(&q, 2).unwrap(),
+        );
+
+        // NaN content of the same bits is equal content: the store stays
+        idx.upsert("t2", floats(f64::NAN), 1.0).unwrap();
+        let nan = served_signature(&mut idx, "t2");
+        idx.upsert("t2", floats(f64::NAN), 1.0).unwrap();
+        assert!(Arc::ptr_eq(&nan, &served_signature(&mut idx, "t2")));
     }
 
     /// After a union and a join over every registered table, the cache

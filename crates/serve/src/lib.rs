@@ -13,16 +13,18 @@
 //!   every `exp_*` harness used to rebuild from scratch are built once
 //!   and amortized across queries. Ad-hoc query sketches go through
 //!   per-shard memoized caches ([`SketchCache`]) keyed by
-//!   `(content fingerprint, sketch kind)` and evicted LRU, each against
-//!   its slice of the global byte budget.
+//!   `(query content fingerprint, sketch kind)` and evicted LRU, each
+//!   against its slice of the global byte budget. Registered tables
+//!   carry no fingerprint: replacing one with content equal to the old
+//!   (`Table ==`, which compares float cells bit for bit) keeps its
+//!   store, and any other replacement starts an empty one.
 //! * [`LakeIndex::apply_delta`] absorbs `rdi_table::TableDelta`
 //!   append/delete/drop streams with sketch work proportional to the
 //!   **delta, not the table**: maintained updatable sketches extend
-//!   value by value, fingerprints refresh incrementally ([`FpState`]),
-//!   and deletion debt past
-//!   `LakeIndexConfig::deletion_debt_threshold` triggers one counted
-//!   rebuild (`sketch.rebuilds`) — a cost policy only: answers stay
-//!   bitwise identical to cold rebuilds throughout.
+//!   value by value and shrink exactly on deletes, and deletion debt
+//!   past `LakeIndexConfig::deletion_debt_threshold` triggers one
+//!   counted rebuild (`sketch.rebuilds`) — a cost policy only: answers
+//!   stay bitwise identical to cold rebuilds throughout.
 //! * [`ServeSession`] answers batches of typed requests
 //!   ([`ServeRequest`]: union top-k, joinability top-k, coverage
 //!   probes, tailoring runs) through a multi-tenant fairness-aware
@@ -65,7 +67,6 @@ pub mod admit;
 mod batch;
 pub mod cache;
 pub mod error;
-pub mod fingerprint;
 pub mod index;
 mod maint;
 mod metrics;
@@ -76,7 +77,6 @@ pub use actors::{LakeActorGroup, MaintActor, MaintMsg, SessionActor, SessionMsg,
 pub use admit::{AdmitConfig, AdmitVerdict, Admitter, TaggedRequest, TenantId, TenantPolicy};
 pub use cache::{CacheKey, KeyProfile, Sketch, SketchCache, SketchKind};
 pub use error::ServeError;
-pub use fingerprint::{table_fingerprint, FpState};
 pub use index::{LakeIndex, LakeIndexConfig};
-pub use request::{CoverageReport, ServeRequest, ServeResponse, TailorReport};
+pub use request::{render_answer, CoverageReport, ServeRequest, ServeResponse, TailorReport};
 pub use session::{BatchReport, ServeSession, SessionConfig};

@@ -3,6 +3,8 @@
 use rdi_table::Table;
 use rdi_tailor::DtProblem;
 
+use crate::ServeError;
+
 /// One query against a [`crate::LakeIndex`], submitted through a
 /// [`crate::ServeSession`] batch.
 #[derive(Debug, Clone)]
@@ -100,4 +102,38 @@ pub enum ServeResponse {
     Coverage(CoverageReport),
     /// Tailoring run outcome.
     Tailored(TailorReport),
+}
+
+/// One answer rendered bit for bit: every score and fraction prints its
+/// `f64` bits, so two renderings are equal exactly when the answers
+/// are bitwise identical. Replay checks compare these strings, and the
+/// serving experiments digest them into their `response_digest`
+/// columns, which pin the bytes.
+pub fn render_answer(answer: &Result<ServeResponse, ServeError>) -> String {
+    fn bits(pairs: &[(String, f64)]) -> String {
+        pairs
+            .iter()
+            .map(|(id, s)| format!("{id}:{:016x}", s.to_bits()))
+            .collect::<Vec<_>>()
+            .join(",")
+    }
+    match answer {
+        Ok(ServeResponse::UnionTopK(v)) => format!("U[{}]", bits(v)),
+        Ok(ServeResponse::JoinableTopK(v)) => format!("J[{}]", bits(v)),
+        Ok(ServeResponse::Coverage(c)) => format!(
+            "C[{} mups={:?} frac={:016x}]",
+            c.table,
+            c.mups,
+            c.uncovered_fraction.to_bits()
+        ),
+        Ok(ServeResponse::Tailored(t)) => format!(
+            "T[rows={} cost={:016x} degraded={} quarantined={:?} audit={}]",
+            t.rows,
+            t.total_cost.to_bits(),
+            t.degraded,
+            t.quarantined,
+            t.audit_passed
+        ),
+        Err(e) => format!("E[{e:?}]"),
+    }
 }

@@ -15,7 +15,13 @@ use crate::Result;
 /// and auditable; a null bitmap + dense vector would be faster but is not
 /// needed at the scales the RDI experiments run at (≤ tens of millions of
 /// cells).
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Two columns are equal when they have the same type and the same
+/// cells, with `Float` cells compared bit for bit (as
+/// [`f64::total_cmp`] compares them): `0.0` and `-0.0` differ, and a
+/// NaN equals a NaN of the same bits. That is how the sketches and
+/// [`Column::encode`] tell float cells apart.
+#[derive(Debug, Clone)]
 pub enum Column {
     /// Integer column.
     Int(Vec<Option<i64>>),
@@ -25,6 +31,21 @@ pub enum Column {
     Str(Vec<Option<String>>),
     /// Boolean column.
     Bool(Vec<Option<bool>>),
+}
+
+impl PartialEq for Column {
+    fn eq(&self, other: &Self) -> bool {
+        match (self, other) {
+            (Column::Int(a), Column::Int(b)) => a == b,
+            (Column::Float(a), Column::Float(b)) => {
+                let bits = |x: &Option<f64>| x.map(f64::to_bits);
+                a.iter().map(bits).eq(b.iter().map(bits))
+            }
+            (Column::Str(a), Column::Str(b)) => a == b,
+            (Column::Bool(a), Column::Bool(b)) => a == b,
+            _ => false,
+        }
+    }
 }
 
 impl Column {
@@ -387,6 +408,17 @@ mod tests {
         let err = c.push(Value::str("x"), "age").unwrap_err();
         assert!(matches!(err, TableError::TypeMismatch { .. }));
         assert!(err.to_string().contains("age"));
+    }
+
+    #[test]
+    fn float_cells_compare_bit_for_bit() {
+        let col = |x: f64| Column::Float(vec![Some(x), None]);
+        assert_eq!(col(1.5), col(1.5));
+        assert_ne!(col(0.0), col(-0.0));
+        assert_eq!(col(f64::NAN), col(f64::NAN));
+        assert_ne!(col(f64::NAN), col(-f64::NAN));
+        assert_ne!(col(0.0), Column::Float(vec![Some(0.0)]));
+        assert_ne!(Column::Int(vec![Some(0)]), Column::Float(vec![Some(0.0)]));
     }
 
     #[test]

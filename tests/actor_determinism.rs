@@ -24,8 +24,8 @@ use responsible_data_integration::datagen::sessions::{
 };
 use responsible_data_integration::obs;
 use responsible_data_integration::serve::{
-    LakeActorGroup, LakeIndex, LakeIndexConfig, ServeError, ServeRequest, ServeResponse,
-    SessionActor, SessionConfig, SessionMsg,
+    render_answer, LakeActorGroup, LakeIndex, LakeIndexConfig, ServeRequest, SessionActor,
+    SessionConfig, SessionMsg,
 };
 
 fn workload(seed: u64) -> SessionWorkload {
@@ -83,37 +83,6 @@ fn to_request(op: &SessionOp) -> ServeRequest {
     }
 }
 
-/// Bit-exact encoding of one response: float scores go through
-/// `to_bits`, so equal strings ⇔ bitwise-identical responses.
-fn fingerprint(r: &Result<ServeResponse, ServeError>) -> String {
-    fn bits(pairs: &[(String, f64)]) -> String {
-        pairs
-            .iter()
-            .map(|(id, s)| format!("{id}:{:016x}", s.to_bits()))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-    match r {
-        Ok(ServeResponse::UnionTopK(v)) => format!("U[{}]", bits(v)),
-        Ok(ServeResponse::JoinableTopK(v)) => format!("J[{}]", bits(v)),
-        Ok(ServeResponse::Coverage(c)) => format!(
-            "C[{} mups={:?} frac={:016x}]",
-            c.table,
-            c.mups,
-            c.uncovered_fraction.to_bits()
-        ),
-        Ok(ServeResponse::Tailored(t)) => format!(
-            "T[rows={} cost={:016x} degraded={} quarantined={:?} audit={}]",
-            t.rows,
-            t.total_cost.to_bits(),
-            t.degraded,
-            t.quarantined,
-            t.audit_passed
-        ),
-        Err(e) => format!("E[{e:?}]"),
-    }
-}
-
 const DELTA_COUNTERS: [&str; 4] = [
     "actor.messages_delivered",
     "actor.scheduler_steps",
@@ -122,7 +91,7 @@ const DELTA_COUNTERS: [&str; 4] = [
 ];
 
 /// Host the workload, run every batch interleaved round-robin, and
-/// return (per-session response fingerprints, rendered event log,
+/// return (per-session rendered answers, rendered event log,
 /// `actor.*`/`serve.cache.*` counter deltas).
 fn run_hosted(w: &SessionWorkload, scheduler_seed: u64) -> (Vec<Vec<String>>, String, [u64; 4]) {
     let before: Vec<u64> = DELTA_COUNTERS
@@ -172,7 +141,7 @@ fn run_hosted(w: &SessionWorkload, scheduler_seed: u64) -> (Vec<Vec<String>>, St
             actor
                 .completed()
                 .iter()
-                .flat_map(|r| r.responses.iter().map(fingerprint))
+                .flat_map(|r| r.responses.iter().map(render_answer))
                 .collect()
         })
         .collect();

@@ -24,7 +24,7 @@ use rdi_par::THREADS_ENV;
 use responsible_data_integration::datagen::churn::{churn_workload, ChurnConfig, ChurnEvent};
 use responsible_data_integration::obs;
 use responsible_data_integration::prelude::*;
-use responsible_data_integration::serve::ServeRequest as Req;
+use responsible_data_integration::serve::{render_answer, ServeRequest as Req};
 
 /// Small sketches + a tiny byte budget so the workload *must* evict,
 /// and a low debt threshold so the rebuild policy is exercised.
@@ -46,19 +46,6 @@ fn query_table(seed: u64) -> Table {
             .unwrap();
     }
     t
-}
-
-/// Bit-exact encoding of one response (only union/join answers appear
-/// in this stream; anything else would be a bug worth seeing verbatim).
-fn fingerprint(r: &Result<ServeResponse, ServeError>) -> String {
-    match r {
-        Ok(ServeResponse::UnionTopK(v)) | Ok(ServeResponse::JoinableTopK(v)) => v
-            .iter()
-            .map(|(id, s)| format!("{id}:{:016x}", s.to_bits()))
-            .collect::<Vec<_>>()
-            .join(","),
-        other => format!("{other:?}"),
-    }
 }
 
 /// Everything one replay observed; two replays are interchangeable iff
@@ -144,7 +131,7 @@ fn run_trial(seed: u64) -> Trace {
                     k: 3,
                 },
             ]);
-            responses.extend(report.responses.iter().map(fingerprint));
+            responses.extend(report.responses.iter().map(render_answer));
         }
     }
 

@@ -19,7 +19,7 @@ use proptest::prelude::*;
 use rdi_par::THREADS_ENV;
 use responsible_data_integration::obs;
 use responsible_data_integration::prelude::*;
-use responsible_data_integration::serve::ServeRequest as Req;
+use responsible_data_integration::serve::{render_answer, ServeRequest as Req};
 
 fn keyed_table(seed: u64, rows: usize) -> Table {
     let schema = Schema::new(vec![Field::new("key", DataType::Str)]);
@@ -99,38 +99,6 @@ fn batch(seed: u64) -> Vec<Req> {
     ]
 }
 
-/// Bit-exact encoding of one response: float scores go through
-/// `to_bits`, so two fingerprints compare equal iff the responses are
-/// bitwise identical.
-fn fingerprint(r: &Result<ServeResponse, ServeError>) -> String {
-    fn bits(pairs: &[(String, f64)]) -> String {
-        pairs
-            .iter()
-            .map(|(id, s)| format!("{id}:{:016x}", s.to_bits()))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-    match r {
-        Ok(ServeResponse::UnionTopK(v)) => format!("U[{}]", bits(v)),
-        Ok(ServeResponse::JoinableTopK(v)) => format!("J[{}]", bits(v)),
-        Ok(ServeResponse::Coverage(c)) => format!(
-            "C[{} mups={:?} frac={:016x}]",
-            c.table,
-            c.mups,
-            c.uncovered_fraction.to_bits()
-        ),
-        Ok(ServeResponse::Tailored(t)) => format!(
-            "T[rows={} cost={:016x} degraded={} quarantined={:?} audit={}]",
-            t.rows,
-            t.total_cost.to_bits(),
-            t.degraded,
-            t.quarantined,
-            t.audit_passed
-        ),
-        Err(e) => format!("E[{e:?}]"),
-    }
-}
-
 fn config(seed: u64) -> SessionConfig {
     SessionConfig {
         seed,
@@ -154,7 +122,7 @@ proptest! {
         let mut reference = Vec::new();
         for r in &reqs {
             let mut rep = one.submit_batch(std::slice::from_ref(r));
-            reference.push(fingerprint(&rep.responses.remove(0)));
+            reference.push(render_answer(&rep.responses.remove(0)));
         }
 
         for threads in ["1", "2", "8"] {
@@ -163,7 +131,7 @@ proptest! {
             // Cold: whole batch at once over a fresh index.
             let mut session = ServeSession::new(scenario_index(seed), config(session_seed));
             let cold = session.submit_batch(&reqs);
-            let cold_fp: Vec<String> = cold.responses.iter().map(fingerprint).collect();
+            let cold_fp: Vec<String> = cold.responses.iter().map(render_answer).collect();
             prop_assert_eq!(
                 &cold_fp, &reference,
                 "batched != one-at-a-time under RDI_THREADS={}", threads
@@ -180,7 +148,7 @@ proptest! {
                 built,
                 "warm replay must build zero sketches"
             );
-            let warm_fp: Vec<String> = warm.responses.iter().map(fingerprint).collect();
+            let warm_fp: Vec<String> = warm.responses.iter().map(render_answer).collect();
             prop_assert_eq!(
                 &warm_fp, &reference,
                 "cache-warm != cache-cold under RDI_THREADS={}", threads
