@@ -4,10 +4,11 @@
 //! Expected shape: MUP count grows with dimension and threshold;
 //! Pattern-Breaker evaluates far fewer lattice nodes than the naive
 //! full-lattice scan, with the advantage growing with dimension.
+//! The PB and naive ms columns are [`rdi_bench::time_ms`] readings.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdi_bench::{f1, print_table};
+use rdi_bench::{f1, print_table, time_ms};
 use rdi_coverage::CoverageAnalyzer;
 use rdi_table::{DataType, Field, Schema, Table, Value};
 
@@ -49,13 +50,9 @@ fn main() {
         let attrs: Vec<String> = (0..d).map(|i| format!("a{i}")).collect();
         let attrs_ref: Vec<&str> = attrs.iter().map(String::as_str).collect();
         let an = CoverageAnalyzer::new(&t, &attrs_ref, 25).unwrap();
-        let start = std::time::Instant::now();
         let (mups, pb) = an.mups_pattern_breaker();
-        let pb_time = start.elapsed().as_secs_f64() * 1000.0;
         let (dd_mups, dd) = an.mups_deep_diver();
-        let start = std::time::Instant::now();
         let (naive_mups, nv) = an.mups_naive();
-        let nv_time = start.elapsed().as_secs_f64() * 1000.0;
         assert_eq!(mups, naive_mups, "algorithms must agree");
         assert_eq!(mups, dd_mups, "deep diver must agree");
         rows.push(vec![
@@ -63,8 +60,8 @@ fn main() {
             mups.len().to_string(),
             pb.nodes_evaluated.to_string(),
             nv.nodes_evaluated.to_string(),
-            f1(pb_time),
-            f1(nv_time),
+            f1(time_ms(|| an.mups_pattern_breaker())),
+            f1(time_ms(|| an.mups_naive())),
             format!("{}/{}", pb.peak_frontier, dd.peak_frontier),
         ]);
     }

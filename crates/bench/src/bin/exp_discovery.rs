@@ -2,15 +2,28 @@
 //!
 //! (a) LSH Ensemble containment search: precision/recall vs the exact
 //!     overlap index at several containment thresholds (Zhu et al. shape:
-//!     high recall, precision recovered by post-filtering);
+//!     high recall, precision recovered by post-filtering), timed
+//!     against a flat MinHash LSH tuned to τ and the exact overlap scan;
 //! (b) correlation sketches: join-correlation estimation error shrinks
-//!     with sketch size (Santos et al. shape).
+//!     with sketch size (Santos et al. shape);
+//! (c) navigation over a medoid organization of the lake.
+//!
+//! Query, sketch-build, organize and navigate times are
+//! [`rdi_bench::time_ms`] readings. The organize time includes cloning
+//! the 40 signatures it consumes.
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rdi_bench::{f3, mean, print_table};
+use rdi_bench::{f3, mean, print_table, time_ms};
 use rdi_datagen::{LakeConfig, SyntheticLake};
-use rdi_discovery::{CorrelationSketch, LshEnsemble, MinHash, Navigator, TableSignature};
+use rdi_discovery::{
+    CorrelationSketch, LshEnsemble, MinHash, MinHashLsh, Navigator, OverlapIndex, TableSignature,
+};
+
+/// A millisecond reading as whole microseconds.
+fn us(ms: f64) -> String {
+    format!("{:.0}µs", ms * 1e3)
+}
 
 fn main() {
     let mut rng = StdRng::seed_from_u64(4);
@@ -26,13 +39,16 @@ fn main() {
 
     // (a) containment search P/R vs threshold
     let k = 128;
+    // the exact inverted index doubles as the source of distinct sizes
+    let mut exact = OverlapIndex::new();
     let sigs: Vec<(MinHash, usize)> = lake
         .candidates
         .iter()
         .map(|c| {
+            let id = exact.insert(c.name.clone(), &c.table, "key").unwrap();
             (
                 MinHash::from_column(&c.table, "key", k).unwrap(),
-                c.table.distinct("key").unwrap().len(),
+                exact.size(id),
             )
         })
         .collect();
@@ -42,13 +58,14 @@ fn main() {
     let mut rows = Vec::new();
     for threshold in [0.3, 0.5, 0.7, 0.9] {
         let mut ens = LshEnsemble::new(k, threshold, 8, 1_000_000);
+        // the single-band-scheme baseline the ensemble refines
+        let mut flat = MinHashLsh::tuned(k, threshold);
         for (i, (s, size)) in sigs.iter().enumerate() {
             ens.insert(i, s.clone(), *size);
+            flat.insert(s.clone());
         }
         ens.build(qsize);
-        let t0 = std::time::Instant::now();
         let hits = ens.query(&qsig, qsize);
-        let lsh_us = t0.elapsed().as_secs_f64() * 1e6;
         let truth: Vec<usize> = lake
             .candidates
             .iter()
@@ -63,7 +80,9 @@ fn main() {
             hits.len().to_string(),
             f3(tp / truth.len().max(1) as f64),
             f3(tp / hits.len().max(1) as f64),
-            format!("{lsh_us:.0}µs"),
+            us(time_ms(|| ens.query(&qsig, qsize))),
+            us(time_ms(|| flat.query(&qsig))),
+            us(time_ms(|| exact.overlaps(&lake.query, "key").unwrap())),
         ]);
     }
     print_table(
@@ -74,7 +93,9 @@ fn main() {
             "returned",
             "recall",
             "precision",
-            "query time",
+            "ensemble query",
+            "flat LSH query",
+            "exact overlap query",
         ],
         &rows,
     );
@@ -100,6 +121,9 @@ fn main() {
             errs.len().to_string(),
             f3(mean(&errs)),
             f3(errs.iter().cloned().fold(0.0, f64::max)),
+            us(time_ms(|| {
+                CorrelationSketch::build(&lake.query, "key", "target", k).unwrap()
+            })),
         ]);
     }
     print_table(
@@ -109,6 +133,7 @@ fn main() {
             "estimable candidates",
             "mean abs error",
             "max abs error",
+            "query sketch build",
         ],
         &rows,
     );
@@ -122,9 +147,8 @@ fn main() {
         .take(n_org)
         .map(|c| TableSignature::build(c.name.clone(), &c.table, 64).unwrap())
         .collect();
-    let t0 = std::time::Instant::now();
+    let build_ms = time_ms(|| Navigator::build(sigs.clone()));
     let nav = Navigator::build(sigs);
-    let build_ms = t0.elapsed().as_secs_f64() * 1e3;
     let qsig = TableSignature::build("q", &lake.query, 64).unwrap();
     let (reached, comparisons) = nav.navigate(&qsig);
     let reached_name = nav.signature(reached).name.clone();
@@ -144,13 +168,15 @@ fn main() {
         "E8c — navigation over a 40-table organization",
         &[
             "organize time",
+            "navigate time",
             "medoids compared",
             "lake size",
             "reached containment",
             "best in lake",
         ],
         &[vec![
-            format!("{build_ms:.0}ms"),
+            format!("{build_ms:.2}ms"),
+            us(time_ms(|| nav.navigate(&qsig))),
             comparisons.to_string(),
             n_org.to_string(),
             f3(reached_containment),

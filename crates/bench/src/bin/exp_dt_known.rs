@@ -3,10 +3,11 @@
 //! Expected shape (VLDB 2021): RatioColl tracks the exact DP oracle and
 //! beats Random/RoundRobin, with the gap growing as the minority gets
 //! rarer; the win holds for both equal and proportional requirements.
+//! E5d times one run of each policy with [`rdi_bench::time_ms`].
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use rdi_bench::{f1, mean, print_table};
+use rdi_bench::{f1, f3, mean, print_table, time_ms};
 use rdi_table::{DataType, Field, GroupKey, GroupSpec, Role, Schema, Table, Value};
 use rdi_tailor::prelude::*;
 use rdi_tailor::OracleDp;
@@ -37,13 +38,10 @@ fn problem(n_min: usize, n_maj: usize) -> DtProblem {
     )
 }
 
-fn avg_cost(
-    mk_policy: &dyn Fn(&[TableSource]) -> Box<dyn Policy>,
-    p: &DtProblem,
-    fracs: &[f64],
-    runs: usize,
-    seed: u64,
-) -> f64 {
+/// Builds a fresh policy over a run's sources.
+type MakePolicy = dyn Fn(&[TableSource]) -> Box<dyn Policy>;
+
+fn avg_cost(mk_policy: &MakePolicy, p: &DtProblem, fracs: &[f64], runs: usize, seed: u64) -> f64 {
     let mut rng = StdRng::seed_from_u64(seed);
     let mut costs = Vec::with_capacity(runs);
     for _ in 0..runs {
@@ -186,6 +184,41 @@ fn main() {
             "RatioColl mean cost",
             "OracleDP expected",
         ],
+        &rows,
+    );
+
+    // wall time of one run per policy, on E5a's sources at a 5%
+    // minority rate; the sources are built once and cloned per run
+    let p = problem(50, 50);
+    let sources: Vec<TableSource> = [0.05, 0.001, 0.10]
+        .iter()
+        .enumerate()
+        .map(|(i, &f)| TableSource::new(format!("s{i}"), source_table(f, 2_000), 1.0, &p).unwrap())
+        .collect();
+    let policies: [(&str, &MakePolicy); 5] = [
+        ("OracleDP", &|s| Box::new(OracleDp::from_sources(s))),
+        ("RatioColl", &|s| Box::new(RatioColl::from_sources(s))),
+        ("UcbColl (E6's learner)", &|s| {
+            Box::new(UcbColl::from_sources(s, 2, 1.4))
+        }),
+        ("Random", &|s| Box::new(RandomPolicy::new(s.len()))),
+        ("RoundRobin", &|s| Box::new(RoundRobin::new(s.len()))),
+    ];
+    let rows: Vec<Vec<String>> = policies
+        .iter()
+        .map(|(name, mk)| {
+            let run = || {
+                let mut sources = sources.clone();
+                let mut policy = mk(&sources);
+                let mut rng = StdRng::seed_from_u64(40);
+                run_tailoring(&mut sources, &p, policy.as_mut(), &mut rng, 10_000_000).unwrap()
+            };
+            vec![name.to_string(), f1(run().total_cost), f3(time_ms(run))]
+        })
+        .collect();
+    print_table(
+        "E5d — wall time of one tailoring run (50+50, best source minority rate 5%)",
+        &["policy", "cost of the run", "ms per run"],
         &rows,
     );
     rdi_bench::emit_metrics_snapshot();

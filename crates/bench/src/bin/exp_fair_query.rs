@@ -3,11 +3,12 @@
 //! Expected shape (Shetiya et al., ICDE 2022): tighter disparity bounds
 //! cost similarity, the greedy heuristic closely tracks the exact
 //! optimum at a fraction of the runtime, and exact runtime grows
-//! quadratically with n while greedy stays near-linear.
+//! quadratically with n while greedy stays near-linear. Runtimes are
+//! [`rdi_bench::time_ms`] readings.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdi_bench::{f3, print_table};
+use rdi_bench::{f3, print_table, time_ms};
 use rdi_fairquery::{RangeQuery2d, RangeQueryEngine};
 
 /// Women cluster young, men spread wide — the imbalanced-query workload.
@@ -59,12 +60,10 @@ fn main() {
     let mut rows = Vec::new();
     for n in [250, 500, 1_000, 2_000, 4_000] {
         let e = engine(n, &mut rng);
-        let t0 = std::time::Instant::now();
         let ex = e.fair_range_exact(lo, hi, 10);
-        let exact_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = std::time::Instant::now();
         let gr = e.fair_range_greedy(lo, hi, 10);
-        let greedy_us = t0.elapsed().as_secs_f64() * 1e6;
+        let exact_ms = time_ms(|| e.fair_range_exact(lo, hi, 10));
+        let greedy_us = time_ms(|| e.fair_range_greedy(lo, hi, 10)) * 1e3;
         rows.push(vec![
             n.to_string(),
             format!("{exact_ms:.1}ms"),
@@ -96,15 +95,14 @@ fn main() {
     for grid in [6usize, 10, 14] {
         let e2 = RangeQuery2d::from_points(&pts, grid);
         let orig = e2.disparity(35.0, 55.0, 5.0, 20.0);
-        let t0 = std::time::Instant::now();
         let fb = e2.fair_box(35.0, 55.0, 5.0, 20.0, 20);
-        let ms = t0.elapsed().as_secs_f64() * 1e3;
+        let ms = time_ms(|| e2.fair_box(35.0, 55.0, 5.0, 20.0, 20));
         rows.push(vec![
             grid.to_string(),
             orig.to_string(),
             fb.disparity.to_string(),
             f3(fb.similarity),
-            format!("{ms:.1}ms"),
+            format!("{:.0}µs", ms * 1e3),
         ]);
     }
     print_table(

@@ -4,13 +4,17 @@
 //!     from the join's), accept-reject is uniform;
 //! (b) throughput: accept-reject wastes draws as skew grows, the
 //!     weighted (Chaudhuri) variant doesn't; wander join trades
-//!     per-sample cost for uniformity;
+//!     per-sample cost for uniformity; the join-index build is the
+//!     samplers' setup cost, the full hash join the cost of not
+//!     sampling at all;
 //! (c) AQP error vs sample size: group-by AVG error shrinks as 1/√n and
 //!     is always worst for the smallest group.
+//!
+//! Every ms column is an [`rdi_bench::time_ms`] reading.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rdi_bench::{f1, f3, print_table};
+use rdi_bench::{f1, f3, print_table, time_ms};
 use rdi_joinsample::olken::materialize_samples;
 use rdi_joinsample::{
     chaudhuri_sample, olken_sample, sample_then_join, ExactChainSampler, JoinIndex, WanderJoin,
@@ -130,17 +134,21 @@ fn main() {
     for skew in [0.0, 0.6, 1.2, 2.0] {
         let (l, r) = zipf_join(500, skew, &mut rng);
         let idx = JoinIndex::build(&r, "k").unwrap();
-        let t0 = std::time::Instant::now();
+        // each timed repetition replays the draw from a copy of the
+        // RNG, so the stream the later tables see is unchanged
+        let at = rng.clone();
         let (_, attempts) = olken_sample(&l, "k", &idx, 5_000, &mut rng).unwrap();
-        let olken_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = std::time::Instant::now();
+        let olken_ms = time_ms(|| olken_sample(&l, "k", &idx, 5_000, &mut at.clone()));
+        let at = rng.clone();
         chaudhuri_sample(&l, "k", &idx, 5_000, &mut rng).unwrap();
-        let chaud_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let chaud_ms = time_ms(|| chaudhuri_sample(&l, "k", &idx, 5_000, &mut at.clone()));
         rows.push(vec![
             format!("{skew:.1}"),
             f3(5_000.0 / attempts as f64),
             f1(olken_ms),
             f1(chaud_ms),
+            f1(time_ms(|| JoinIndex::build(&r, "k"))),
+            f1(time_ms(|| hash_join(&l, &r, "k", "k"))),
         ]);
     }
     print_table(
@@ -150,6 +158,8 @@ fn main() {
             "olken acceptance rate",
             "olken ms",
             "chaudhuri ms",
+            "index build ms",
+            "full hash join ms",
         ],
         &rows,
     );
@@ -215,12 +225,12 @@ fn main() {
     let truth3 = exact.join_size() as f64;
     let mut rows = Vec::new();
     for n in [500, 2_000, 10_000] {
-        let t0 = std::time::Instant::now();
+        let at = rng.clone();
         let w_est = wj3.count_estimate(n, &mut rng);
-        let w_ms = t0.elapsed().as_secs_f64() * 1e3;
-        let t0 = std::time::Instant::now();
+        let w_ms = time_ms(|| wj3.count_estimate(n, &mut at.clone()));
+        let at = rng.clone();
         let samples = exact.sample_n(n, &mut rng);
-        let e_ms = t0.elapsed().as_secs_f64() * 1e3;
+        let e_ms = time_ms(|| exact.sample_n(n, &mut at.clone()));
         rows.push(vec![
             n.to_string(),
             f3(w_est.relative_error(truth3)),

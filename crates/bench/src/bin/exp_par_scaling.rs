@@ -11,30 +11,23 @@
 //! generation) until it saturates at the physical core count; on a
 //! single-core host all thread counts collapse to ~1× (the chunked
 //! dispatch adds only a small constant overhead).
+//!
+//! E17b times the `rdi-table` kernels every experiment stands on
+//! (filter, group counts, hash join, CSV round trip). They run on one
+//! thread: `rdi-table` does not dispatch through `rdi-par`.
 
-use std::time::Instant;
-
-use rdi_bench::{f1, print_table};
+use rdi_bench::{f1, print_table, time_ms};
 use rdi_coverage::CoverageAnalyzer;
 use rdi_datagen::{LakeConfig, PopulationSpec, SyntheticLake};
 use rdi_discovery::{TableSignature, UnionSearchIndex};
 use rdi_joinsample::{olken_sample_par, JoinIndex};
 use rdi_par::Threads;
-use rdi_table::{DataType, Field, Schema, Table, Value};
+use rdi_table::{
+    hash_join, read_csv_str, write_csv_string, DataType, Field, GroupSpec, Predicate, Role, Schema,
+    Table, Value,
+};
 
 const THREAD_COUNTS: [usize; 4] = [1, 2, 4, 8];
-
-/// Best-of-3 wall time in milliseconds.
-fn time_ms(mut f: impl FnMut()) -> f64 {
-    f(); // warm-up
-    (0..3)
-        .map(|_| {
-            let start = Instant::now();
-            f();
-            start.elapsed().as_secs_f64() * 1000.0
-        })
-        .fold(f64::INFINITY, f64::min)
-}
 
 fn scaling_row<T: PartialEq>(name: &str, run: impl Fn(Threads) -> T) -> Vec<String> {
     let baseline = run(Threads::serial());
@@ -46,7 +39,7 @@ fn scaling_row<T: PartialEq>(name: &str, run: impl Fn(Threads) -> T) -> Vec<Stri
     }
     let times: Vec<f64> = THREAD_COUNTS
         .iter()
-        .map(|&tc| time_ms(|| drop(run(Threads::fixed(tc)))))
+        .map(|&tc| time_ms(|| run(Threads::fixed(tc))))
         .collect();
     let mut row = vec![name.to_string()];
     for t in &times {
@@ -81,6 +74,36 @@ fn skewed_table(n: usize, d: usize) -> Table {
         t.push_row(row).unwrap();
     }
     t
+}
+
+/// `n` people: id, a 10% minority group, and a score in [0, 100).
+fn people(n: usize) -> Table {
+    let schema = Schema::new(vec![
+        Field::new("id", DataType::Int),
+        Field::new("g", DataType::Str).with_role(Role::Sensitive),
+        Field::new("x", DataType::Float),
+    ]);
+    let mut t = Table::with_capacity(schema, n);
+    for i in 0..n {
+        let g = if (i * 31) % 10 == 0 { "min" } else { "maj" };
+        t.push_row(vec![
+            Value::Int(i as i64),
+            Value::str(g),
+            Value::Float(((i * 7_919) % 10_000) as f64 / 100.0),
+        ])
+        .unwrap();
+    }
+    t
+}
+
+/// One E17b row: kernel, input rows, output rows, wall ms.
+fn table_row(name: &str, rows_in: usize, run: impl Fn() -> usize) -> Vec<String> {
+    vec![
+        name.to_string(),
+        rows_in.to_string(),
+        run().to_string(),
+        f1(time_ms(run)),
+    ]
 }
 
 fn main() {
@@ -140,6 +163,30 @@ fn main() {
         &[
             "kernel", "1T ms", "2T ms", "4T ms", "8T ms", "2T", "4T", "8T",
         ],
+        &rows,
+    );
+
+    let t = people(100_000);
+    let small = t.take(&(0..10_000).collect::<Vec<_>>());
+    let in_range = Predicate::between("x", Value::Float(25.0), Value::Float(75.0));
+    let by_group = GroupSpec::new(vec!["g"]);
+    let rows = vec![
+        table_row("filter (range)", t.num_rows(), || {
+            t.filter(&in_range).num_rows()
+        }),
+        table_row("group counts", t.num_rows(), || {
+            by_group.counts(&t).unwrap().len()
+        }),
+        table_row("hash join (self, on id)", small.num_rows(), || {
+            hash_join(&small, &small, "id", "id").unwrap().num_rows()
+        }),
+        table_row("CSV write + read", small.num_rows(), || {
+            read_csv_str(&write_csv_string(&small)).unwrap().num_rows()
+        }),
+    ];
+    print_table(
+        "E17b — one-thread rdi-table kernels (wall ms, best of 3)",
+        &["kernel", "rows in", "rows out", "1T ms"],
         &rows,
     );
     println!(

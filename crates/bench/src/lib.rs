@@ -1,11 +1,12 @@
 //! # rdi-bench
 //!
-//! Experiment harnesses and benchmarks for the RDI toolkit.
+//! Experiment harnesses for the RDI toolkit.
 //!
 //! Each `exp_*` binary in `src/bin/` regenerates one experiment from
-//! `EXPERIMENTS.md` (E1–E14) and prints the result as a markdown table;
-//! the Criterion benches in `benches/` measure the hot algorithms.
-//! Everything is seeded — reruns are bit-for-bit reproducible.
+//! `EXPERIMENTS.md` and prints the result as markdown tables. An
+//! experiment that ablates a kernel's runtime times it with
+//! [`time_ms`], beside the quality numbers it reports. Everything is
+//! seeded: reruns print the same bytes, except the wall-clock cells.
 
 #![warn(missing_docs)]
 
@@ -51,6 +52,26 @@ pub fn digest(s: &str) -> u64 {
     h
 }
 
+/// Wall time of `f` in milliseconds: one warm-up call, then the best
+/// of 3 timed calls. The one timer of every `exp_*` binary. A reading is
+/// printed, never asserted on: it depends on the host. `f` must repeat
+/// the same work on each call (clone any RNG it consumes), and its
+/// result is kept opaque to the optimizer.
+#[allow(
+    clippy::disallowed_types,
+    reason = "a runtime ablation measures wall-clock time by definition"
+)]
+pub fn time_ms<T>(mut f: impl FnMut() -> T) -> f64 {
+    std::hint::black_box(f());
+    (0..3)
+        .map(|_| {
+            let start = std::time::Instant::now();
+            std::hint::black_box(f());
+            start.elapsed().as_secs_f64() * 1000.0
+        })
+        .fold(f64::INFINITY, f64::min)
+}
+
 /// Marker prefixing the metrics line every `exp_*` binary prints last,
 /// so scripts (and the `validate_metrics` CI helper) can find it
 /// without parsing the human-readable tables above it.
@@ -71,6 +92,13 @@ mod tests {
     fn mean_works() {
         assert_eq!(mean(&[1.0, 3.0]), 2.0);
         assert_eq!(mean(&[]), 0.0);
+    }
+
+    #[test]
+    fn time_ms_warms_up_once_then_takes_three_readings() {
+        let mut calls = 0;
+        time_ms(|| calls += 1);
+        assert_eq!(calls, 4);
     }
 
     #[test]

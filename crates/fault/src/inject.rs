@@ -94,7 +94,7 @@ impl<S: Source> Source for FaultySource<S> {
     fn try_draw(&mut self, rng: &mut dyn RngCore) -> Result<Draw, SourceError> {
         if let Some(e) = self.spec.sample(&mut self.fault_rng) {
             self.injected[e.index()] += 1;
-            metrics::injected(e).inc();
+            metrics::INJECTED[e.index()].inc();
             return Err(e);
         }
         self.inner.try_draw(rng)

@@ -20,7 +20,28 @@ pub(crate) static BREAKER_OPENED: LazyLock<Arc<Counter>> =
 pub(crate) static BREAKER_CLOSED: LazyLock<Arc<Counter>> =
     LazyLock::new(|| rdi_obs::counter("fault.breaker.closed"));
 
-/// `fault.injected.{kind}`: the faults of kind `e` injected so far.
-pub(crate) fn injected(e: SourceError) -> Arc<Counter> {
+/// `fault.injected.{kind}` for each kind in [`SourceError::ALL`]
+/// order: the faults of that kind injected so far.
+pub(crate) static INJECTED: [LazyLock<Arc<Counter>>; 4] = [
+    LazyLock::new(|| injected(SourceError::Unavailable)),
+    LazyLock::new(|| injected(SourceError::Corrupt)),
+    LazyLock::new(|| injected(SourceError::Truncated)),
+    LazyLock::new(|| injected(SourceError::Timeout)),
+];
+
+fn injected(e: SourceError) -> Arc<Counter> {
     rdi_obs::counter(&format!("fault.injected.{}", e.kind()))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn injected_handles_follow_the_kind_order() {
+        for e in SourceError::ALL {
+            let named = rdi_obs::counter(&format!("fault.injected.{}", e.kind()));
+            assert!(Arc::ptr_eq(&INJECTED[e.index()], &named), "{e:?}");
+        }
+    }
 }

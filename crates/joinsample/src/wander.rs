@@ -108,20 +108,7 @@ impl<'a> WanderJoin<'a> {
         rng: &mut R,
         f: impl Fn(&WanderPath) -> f64,
     ) -> AqpEstimate {
-        let mut contributions = Vec::with_capacity(n_walks);
-        let mut dead_ends = 0u64;
-        for _ in 0..n_walks {
-            match self.walk(rng) {
-                Some(path) => {
-                    let v = f(&path) / path.probability;
-                    contributions.push(v);
-                }
-                None => {
-                    dead_ends += 1;
-                    contributions.push(0.0);
-                }
-            }
-        }
+        let (contributions, dead_ends) = self.walks(n_walks, rng, &f);
         metrics::WALKS_ATTEMPTED.add(n_walks as u64);
         metrics::WALKS_DEAD_ENDED.add(dead_ends);
         AqpEstimate::from_contributions(&contributions)
@@ -155,18 +142,7 @@ impl<'a> WanderJoin<'a> {
         let blocks = n_walks.div_ceil(WALK_BLOCK).max(1);
         let per_block = par_run(threads.min_len(2), blocks, |b| {
             let quota = WALK_BLOCK.min(n_walks - (b * WALK_BLOCK).min(n_walks));
-            let mut rng = stream_rng(seed, b as u64);
-            let mut contributions = Vec::with_capacity(quota);
-            let mut dead_ends = 0u64;
-            for _ in 0..quota {
-                match self.walk(&mut rng) {
-                    Some(path) => contributions.push(f(&path) / path.probability),
-                    None => {
-                        dead_ends += 1;
-                        contributions.push(0.0);
-                    }
-                }
-            }
+            let (contributions, dead_ends) = self.walks(quota, &mut stream_rng(seed, b as u64), &f);
             // per-block adds are commutative, and each block's tallies are
             // a function of (n_walks, seed) alone — totals match any
             // thread count
@@ -175,6 +151,29 @@ impl<'a> WanderJoin<'a> {
             contributions
         });
         AqpEstimate::from_contributions(&per_block.concat())
+    }
+
+    /// Run `n` walks on `rng`: each walk's Horvitz–Thompson
+    /// contribution `f(path) / p(path)` (0 for a dead end), and the
+    /// dead-end count.
+    fn walks<R: Rng>(
+        &self,
+        n: usize,
+        rng: &mut R,
+        f: &impl Fn(&WanderPath) -> f64,
+    ) -> (Vec<f64>, u64) {
+        let mut contributions = Vec::with_capacity(n);
+        let mut dead_ends = 0u64;
+        for _ in 0..n {
+            match self.walk(rng) {
+                Some(path) => contributions.push(f(&path) / path.probability),
+                None => {
+                    dead_ends += 1;
+                    contributions.push(0.0);
+                }
+            }
+        }
+        (contributions, dead_ends)
     }
 
     /// Value of column `col` in chain table `table_idx` on a path.

@@ -16,7 +16,7 @@ const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
 
 /// FNV-1a over a byte slice — the workspace's standard cheap stable
-/// hash (the admission layer uses the same function for tenant names).
+/// hash (the admission layer hashes tenant names into seed lanes with it).
 pub fn fnv1a(bytes: &[u8]) -> u64 {
     fnv1a_extend(FNV_OFFSET, bytes)
 }

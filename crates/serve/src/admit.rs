@@ -45,16 +45,18 @@
 //! `stream_seed(tenant lane, tenant arrival)`. The default tenant's
 //! lane is the session seed itself (so single-tenant streams replay
 //! bitwise against pre-tenant sessions); tenant `t`'s lane is
-//! `stream_seed(session seed, fnv1a(t))`. Because neither the lane nor
-//! the tenant-local arrival index depends on *other* tenants' traffic,
-//! a victim tenant's admitted responses are bitwise identical with and
-//! without an adversary interleaved into the same session — the
-//! bounded-blast-radius invariant E22 replays.
+//! `stream_seed(session seed, rdi_policy::fnv1a(t))`. Because neither
+//! the lane nor the tenant-local arrival index depends on *other*
+//! tenants' traffic, a victim tenant's admitted responses are bitwise
+//! identical with and without an adversary interleaved into the same
+//! session — the bounded-blast-radius invariant E22 replays.
 //!
 //! Everything reports through `rdi-obs`: the global `serve.*` batch
 //! counters plus per-tenant `serve.tenant.{t}.*` families (requests,
 //! admitted, typed sheds, failures) that let harnesses prove fairness
-//! by exact counter arithmetic.
+//! by exact counter arithmetic. A tenant's state keeps each family's
+//! handle, resolved by name on that family's first nonzero add: a
+//! snapshot never lists a zero key, and later batches skip the lookup.
 //!
 //! Every integer operation here is checked or saturating (clippy's
 //! `arithmetic_side_effects` is denied): below overflow the results are
@@ -64,11 +66,12 @@
 #![deny(clippy::arithmetic_side_effects)]
 
 use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use rdi_fault::{Admission, RecoveringBreaker, RecoveryState};
-use rdi_obs::ProvenanceEvent;
+use rdi_obs::{Counter, ProvenanceEvent};
 use rdi_par::stream_seed;
-use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
+use rdi_policy::{fnv1a, Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
 
 use crate::error::ServeError;
 use crate::metrics;
@@ -270,6 +273,28 @@ struct TenantState {
     /// This tenant's seed lane (see module docs).
     lane: u64,
     breaker: RecoveringBreaker,
+    counters: TenantCounters,
+}
+
+/// A tenant's `serve.tenant.{t}.*` counter handles, each `None` until
+/// its family's first nonzero add resolves it.
+#[derive(Debug, Default)]
+struct TenantCounters {
+    requests: Option<Arc<Counter>>,
+    admitted: Option<Arc<Counter>>,
+    shed_quota: Option<Arc<Counter>>,
+    shed_queue: Option<Arc<Counter>>,
+    shed_breaker: Option<Arc<Counter>>,
+    failed: Option<Arc<Counter>>,
+}
+
+/// Add `n` to the counter in `slot`, resolving it with `resolve` on
+/// the first nonzero add. A zero `n` resolves nothing, so goldens carry
+/// no dead zero keys.
+fn add_kept(slot: &mut Option<Arc<Counter>>, n: u64, resolve: impl FnOnce() -> Arc<Counter>) {
+    if n > 0 {
+        slot.get_or_insert_with(resolve).add(n);
+    }
 }
 
 impl TenantState {
@@ -298,17 +323,6 @@ fn refilled(level: u64, policy: TenantPolicy, elapsed: u64) -> u64 {
 fn bump<'a>(counts: &mut BTreeMap<&'a TenantId, u64>, tenant: &'a TenantId) {
     let n = counts.entry(tenant).or_default();
     *n = n.saturating_add(1);
-}
-
-/// FNV-1a over the tenant name: the deterministic, dependency-free map
-/// from tenant names to seed lanes.
-fn fnv1a(name: &str) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for b in name.as_bytes() {
-        h ^= u64::from(*b);
-        h = h.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    h
 }
 
 /// The fairness-aware admission state machine shared by both serving
@@ -426,7 +440,7 @@ impl Admitter {
                 let lane = if t.is_default() {
                     self.seed
                 } else {
-                    stream_seed(self.seed, fnv1a(t.name()))
+                    stream_seed(self.seed, fnv1a(t.name().as_bytes()))
                 };
                 self.states.insert(
                     t.clone(),
@@ -441,6 +455,7 @@ impl Admitter {
                             self.config.breaker_threshold,
                             self.config.breaker_cooldown_ticks,
                         ),
+                        counters: TenantCounters::default(),
                     },
                 );
             }
@@ -586,10 +601,11 @@ impl Admitter {
         // tenant served its share resets. Quota and breaker sheds are
         // the tenant's own contract/poison and never age. Idle tenants
         // keep their credit — aging persists across idle windows.
+        // The same pass feeds the per-tenant counter families.
         for (t, d) in &demand {
-            let granted = admitted_by.get(t).copied().unwrap_or(0);
-            let squeezed =
-                queue_shed.get(t).copied().unwrap_or(0) > 0 && granted < (*d).min(base_share[t]);
+            let tally = |m: &BTreeMap<&TenantId, u64>| m.get(t).copied().unwrap_or(0);
+            let granted = tally(&admitted_by);
+            let squeezed = tally(&queue_shed) > 0 && granted < (*d).min(base_share[t]);
             #[expect(
                 clippy::expect_used,
                 reason = "demand keys are batch tenants, all opened above"
@@ -600,26 +616,18 @@ impl Admitter {
             } else {
                 0
             };
-        }
-
-        // Per-tenant counter families (only nonzero deltas, so goldens
-        // carry no dead zero keys).
-        for (t, d) in &demand {
-            if *d > 0 {
-                metrics::tenant_requests(t).add(*d);
-            }
-            if let Some(v) = admitted_by.get(t).filter(|v| **v > 0) {
-                metrics::tenant_admitted(t).add(*v);
-            }
-            if let Some(v) = quota_shed.get(t).filter(|v| **v > 0) {
-                metrics::tenant_shed_quota(t).add(*v);
-            }
-            if let Some(v) = queue_shed.get(t).filter(|v| **v > 0) {
-                metrics::tenant_shed_queue(t).add(*v);
-            }
-            if let Some(v) = breaker_shed.get(t).filter(|v| **v > 0) {
-                metrics::tenant_shed_breaker(t).add(*v);
-            }
+            let c = &mut st.counters;
+            add_kept(&mut c.requests, *d, || metrics::tenant_requests(t));
+            add_kept(&mut c.admitted, granted, || metrics::tenant_admitted(t));
+            add_kept(&mut c.shed_quota, tally(&quota_shed), || {
+                metrics::tenant_shed_quota(t)
+            });
+            add_kept(&mut c.shed_queue, tally(&queue_shed), || {
+                metrics::tenant_shed_queue(t)
+            });
+            add_kept(&mut c.shed_breaker, tally(&breaker_shed), || {
+                metrics::tenant_shed_breaker(t)
+            });
         }
         verdicts
     }
@@ -635,7 +643,6 @@ impl Admitter {
     ) -> usize {
         let mut failed = 0usize;
         let mut shed = 0usize;
-        let mut failed_by: BTreeMap<&TenantId, u64> = BTreeMap::new();
         for (t, r) in tenants.iter().zip(responses) {
             #[expect(
                 clippy::expect_used,
@@ -658,7 +665,7 @@ impl Admitter {
                 }
                 Err(_) => {
                     failed = failed.saturating_add(1);
-                    bump(&mut failed_by, t);
+                    add_kept(&mut st.counters.failed, 1, || metrics::tenant_failed(t));
                     if st.breaker.record_failure(self.ticks).tripped() {
                         metrics::BREAKER_TRIPS.inc();
                     }
@@ -667,9 +674,6 @@ impl Admitter {
         }
         metrics::REQUESTS_FAILED.add(failed as u64);
         metrics::REQUESTS_DEGRADED.add(shed.saturating_add(failed) as u64);
-        for (t, v) in failed_by {
-            metrics::tenant_failed(t).add(v);
-        }
         failed
     }
 }
@@ -1024,5 +1028,38 @@ mod tests {
         assert_eq!(ac.breaker_threshold, sc.breaker_threshold);
         assert_eq!(ac.breaker_cooldown_ticks, sc.breaker_cooldown_ticks);
         assert_eq!(ac.policy(&TenantId::default()), TenantPolicy::default());
+    }
+
+    /// The `serve.tenant.{name}.*` families in the global snapshot, by
+    /// suffix, in name order.
+    fn tenant_families(name: &str) -> Vec<String> {
+        let json = rdi_obs::global().snapshot_json();
+        json.split(&format!("\"serve.tenant.{name}."))
+            .skip(1)
+            .map(|rest| rest[..rest.find('"').unwrap()].to_string())
+            .collect()
+    }
+
+    #[test]
+    fn a_tenant_that_never_sheds_publishes_no_shed_counters() {
+        // a name no other test uses: tests share the global registry
+        let name = "lazy_handle_probe";
+        let probe = TenantId::new(name);
+        let mut a = admitter(8, vec![(probe.clone(), TenantPolicy::limited(1, 1, 1))]);
+        let v = a.admit_batch(std::slice::from_ref(&probe));
+        assert_eq!(admitted(&v), 1);
+        assert_eq!(tenant_families(name), ["admitted", "requests"]);
+
+        // one token per tick: the second request of a batch of two is a
+        // quota shed, and only its family appears
+        let v = a.admit_batch(&[probe.clone(), probe]);
+        assert_eq!(
+            shed_kind(&v, |e| matches!(e, ServeError::QuotaExceeded { .. })),
+            1
+        );
+        assert_eq!(
+            tenant_families(name),
+            ["admitted", "requests", "shed_quota"]
+        );
     }
 }
