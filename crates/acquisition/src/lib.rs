@@ -33,6 +33,7 @@
 //! assert!(alloc[0] > alloc[1]); // budget flows to the starved slice
 //! ```
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![allow(
     clippy::disallowed_types,
     reason = "the slice finder tallies slices in a hash map and sorts them before ranking"

@@ -9,6 +9,7 @@
 //! seeded: reruns print the same bytes, except the wall-clock cells.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Print a markdown table: header row + rows, all pre-formatted strings.
 pub fn print_table(title: &str, header: &[&str], rows: &[Vec<String>]) {
@@ -42,7 +43,11 @@ pub fn mean(xs: &[f64]) -> f64 {
     }
 }
 
-/// FNV-1a over a string: a compact, stable digest for report tables.
+/// A compact, stable digest of a string for report tables: an
+/// FNV-1a-shaped xor-multiply loop from the FNV offset basis, with the
+/// multiplier `0x1000_0000_01b3` rather than the FNV prime
+/// `0x100_0000_01b3` (so not FNV-1a; `rdi_policy::fnv1a` is). The E21
+/// and E22 goldens pin digests made with this multiplier.
 pub fn digest(s: &str) -> u64 {
     let mut h = 0xcbf2_9ce4_8422_2325u64;
     for b in s.as_bytes() {

@@ -34,6 +34,7 @@
 //! assert_eq!(fixed.value(1, "x").unwrap().as_f64().unwrap(), 1.0);
 //! ```
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod bias_amp;
 pub mod er;

@@ -12,6 +12,7 @@
 //! persistence or shrinking.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};

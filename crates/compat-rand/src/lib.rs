@@ -16,6 +16,7 @@
 //! the substitution is observationally equivalent for this workspace.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 /// Core trait: a source of random 64-bit words.
 pub trait RngCore {

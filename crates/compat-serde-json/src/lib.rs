@@ -6,6 +6,7 @@
 //! uses, and a strict recursive-descent parser into [`Value`].
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub use serde::Error;
 /// A parsed JSON value (alias of the compat serde data model).

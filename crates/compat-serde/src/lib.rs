@@ -15,6 +15,7 @@
 //! 64-bit hash values in sketch signatures.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![allow(
     clippy::disallowed_types,
     reason = "the serde shim serializes std hash maps, as serde does"

@@ -39,6 +39,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod continuous;
 pub mod counter;

@@ -37,6 +37,7 @@
 //! assert_eq!(table.schema().sensitive(), vec!["group"]);
 //! ```
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![allow(
     clippy::disallowed_types,
     reason = "the planted-truth check counts key overlap in hash sets, which no iteration order can change"

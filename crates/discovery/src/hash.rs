@@ -14,7 +14,11 @@ pub fn splitmix64(mut x: u64) -> u64 {
     x ^ (x >> 31)
 }
 
-/// Hash raw bytes with a seed (FNV-1a folded through splitmix64).
+/// Hash raw bytes with a seed: an FNV-1a-shaped xor-multiply loop
+/// folded through splitmix64. The loop starts from the FNV offset basis
+/// but multiplies by `0x1000_0000_01b3`, not the FNV prime
+/// `0x100_0000_01b3`, so it is not FNV-1a. Every sketch hashes through
+/// it, so the multiplier stays as it is.
 pub fn hash_bytes(bytes: &[u8], seed: u64) -> u64 {
     let mut h: u64 = 0xcbf2_9ce4_8422_2325 ^ splitmix64(seed);
     for &b in bytes {

@@ -38,6 +38,7 @@
 //! assert!((sa.jaccard(&sb) - 1.0 / 3.0).abs() < 0.1);
 //! ```
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod ensemble;
 pub mod feature;

@@ -10,14 +10,15 @@ use std::sync::Arc;
 
 use rdi_obs::ProvenanceEvent;
 use rdi_par::{par_map, par_reduce, Threads};
-use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score, SelectionPolicy};
+use rdi_policy::{Candidate, PolicyId, PolicyParams, RankByScore, Score};
 use rdi_table::Table;
 
 use crate::metrics;
 use crate::minhash::MinHash;
 
-/// Rank scored `(name, score)` candidates through the workspace policy
-/// engine and truncate to `k`, returning the ranking plus the
+/// Rank the best `k` of scored `(name, score)` candidates through the
+/// workspace policy engine ([`RankByScore::choose_top`], which sorts
+/// only those `k`), returning the ranking plus the
 /// `PolicyDecision` audit event (already counted, built *before* the
 /// ranking is returned to the caller).
 ///
@@ -25,21 +26,27 @@ use crate::minhash::MinHash;
 /// inline sort — score descending, name ascending — because
 /// [`RankByScore`]'s default tie-break chain is exactly that rule.
 /// `rdi-serve`'s execute phase reuses this for warm-path rankings so
-/// the cold and warm paths share one decision site per [`PolicyId`];
-/// it ranks shared `Arc<str>` ids, which become candidate keys by a
-/// refcount bump, where the cold path ranks owned `String` names.
-pub fn rank_scored<N: Clone + Into<Arc<str>>>(
+/// the cold and warm paths share one decision site per [`PolicyId`].
+/// Each name moves into its candidate: the warm path passes the shared
+/// `Arc<str>` ids it holds, the cold path its owned `String` names, and
+/// only the `k` ranked names are shared back out.
+pub fn rank_scored<N: Into<Arc<str>>>(
     id: PolicyId,
-    scored: &[(N, f64)],
+    scored: impl IntoIterator<Item = (N, f64)>,
     k: usize,
     params: &PolicyParams,
-) -> (Vec<(N, f64)>, ProvenanceEvent) {
-    let candidates: Vec<Candidate> = scored
+) -> (Vec<(Arc<str>, f64)>, ProvenanceEvent) {
+    let (candidates, scores): (Vec<Candidate>, Vec<f64>) = scored
+        .into_iter()
+        .map(|(name, s)| (Candidate::new(name, Score::F64(s)), s))
+        .unzip();
+    let (event, ranking) = RankByScore::new(id)
+        .choose_top(&candidates, params, k)
+        .record();
+    let ranked = ranking
         .iter()
-        .map(|(name, s)| Candidate::new(name.clone(), Score::F64(*s)))
+        .map(|&i| (Arc::clone(&candidates[i].key), scores[i]))
         .collect();
-    let (event, ranking) = RankByScore::new(id).choose(&candidates, params).record();
-    let ranked = ranking.iter().take(k).map(|&i| scored[i].clone()).collect();
     (ranked, event)
 }
 
@@ -259,7 +266,12 @@ impl UnionSearchIndex {
                 (matcher, left)
             },
         );
-        rank_scored(PolicyId::UNION_RANK, &scored, k, params)
+        let (ranked, event) = rank_scored(PolicyId::UNION_RANK, scored, k, params);
+        let ranked = ranked
+            .into_iter()
+            .map(|(name, score)| (name.to_string(), score))
+            .collect();
+        (ranked, event)
     }
 }
 

@@ -33,6 +33,7 @@
 //! assert!(*trace.divergence.last().unwrap() < 0.05);
 //! ```
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use rand::Rng;
 use rdi_fairness::{kl_divergence, Categorical};

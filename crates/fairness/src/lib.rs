@@ -30,6 +30,7 @@
 //! assert!(kl_divergence(&population, &collected) > 0.3);
 //! ```
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod association;
 pub mod debias;

@@ -45,6 +45,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 pub mod estimator;
 pub mod exact_chain;

@@ -43,6 +43,7 @@
 //! so a handle nobody uses fails the build as `dead_code`.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![allow(
     clippy::disallowed_types,
     reason = "spans read the wall clock; the fake clock replaces it wherever output must replay"

@@ -52,6 +52,7 @@
 //! all.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 use std::num::NonZeroUsize;
 use std::ops::Range;

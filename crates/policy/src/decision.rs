@@ -123,7 +123,10 @@ pub struct SelectionDecision<'a> {
     policy: PolicyId,
     candidates: &'a [Candidate],
     params: &'a PolicyParams,
-    /// Indices into `candidates`, best first (full ranking).
+    /// Index into `candidates` of the best one (`None` without any).
+    winner: Option<usize>,
+    /// Indices into `candidates`, best first: the full ranking, or its
+    /// first `limit` entries under [`RankByScore::choose_top`].
     ranking: Vec<usize>,
     /// Candidates sharing the winner's exact score (0 without one).
     ties: usize,
@@ -138,6 +141,7 @@ impl<'a> SelectionDecision<'a> {
         policy: PolicyId,
         candidates: &'a [Candidate],
         params: &'a PolicyParams,
+        winner: Option<usize>,
         ranking: Vec<usize>,
         ties: usize,
         tie_break: &'static str,
@@ -146,6 +150,7 @@ impl<'a> SelectionDecision<'a> {
             policy,
             candidates,
             params,
+            winner,
             ranking,
             ties,
             tie_break,
@@ -161,7 +166,7 @@ impl<'a> SelectionDecision<'a> {
     /// text rendered is the winner's score and the params.
     #[must_use = "the event is the decision's audit record: emit it before acting on the ranking"]
     pub fn record(self) -> (ProvenanceEvent, Vec<usize>) {
-        let winner = self.ranking.first().map(|&i| &self.candidates[i]);
+        let winner = self.winner.map(|i| &self.candidates[i]);
         let event = record(
             self.policy,
             self.params,
@@ -332,7 +337,7 @@ mod tests {
         candidates: &[Candidate],
         params: &PolicyParams,
     ) -> Rationale {
-        let winner = d.ranking.first().copied();
+        let winner = d.winner;
         Rationale {
             policy: d.policy.as_str(),
             params_hash: params.hash(),

@@ -63,6 +63,71 @@ impl RankByScore {
         };
         OrderedDecision::new(self.id, len, params, winner.map(candidate), end)
     }
+
+    /// Rank only the best `limit` of `candidates`: the first `limit`
+    /// entries of [`SelectionPolicy::choose`]'s ranking, found by
+    /// selecting them under the same total order (score, then key, then
+    /// index) and sorting only those. The winner, `ties` (counted over
+    /// every candidate) and `tie_break` are those of the full ranking,
+    /// so the decision records the same event for any `limit`, 0
+    /// included; `choose` is this form with `limit = len`.
+    pub fn choose_top<'a>(
+        &self,
+        candidates: &'a [Candidate],
+        params: &'a PolicyParams,
+        limit: usize,
+    ) -> SelectionDecision<'a> {
+        let max_wins = max_wins(params);
+        let key_desc = params.get("tie") == Some("key_desc");
+        let order = |&a: &usize, &b: &usize| {
+            let score = candidates[a].score.cmp_total(&candidates[b].score);
+            let score = if max_wins { score.reverse() } else { score };
+            // keys are compared only between equal scores
+            score
+                .then_with(|| {
+                    let key = candidates[a].key.cmp(&candidates[b].key);
+                    if key_desc {
+                        key.reverse()
+                    } else {
+                        key
+                    }
+                })
+                .then_with(|| a.cmp(&b))
+        };
+
+        let mut ranking: Vec<usize> = (0..candidates.len()).collect();
+        // the winner is ranked even when `limit` is 0: the event names it
+        let ranked = limit.max(1);
+        if ranked < ranking.len() {
+            ranking.select_nth_unstable_by(ranked - 1, order);
+            ranking.truncate(ranked);
+        }
+        // the order is total (indices are distinct), so an unstable
+        // sort gives the one ranking a stable sort would
+        ranking.sort_unstable_by(order);
+        let winner = ranking.first().copied();
+        ranking.truncate(limit);
+
+        let ties = match winner {
+            Some(w) => candidates
+                .iter()
+                .filter(|c| c.score.cmp_total(&candidates[w].score) == Ordering::Equal)
+                .count(),
+            None => 0,
+        };
+        let tie_break = if ties > 1 {
+            if key_desc {
+                "key_desc"
+            } else {
+                "key_asc"
+            }
+        } else {
+            "none"
+        };
+        SelectionDecision::new(
+            self.id, candidates, params, winner, ranking, ties, tie_break,
+        )
+    }
 }
 
 /// Which end of a sequence held in ascending score order ranks first.
@@ -92,43 +157,7 @@ impl SelectionPolicy for RankByScore {
         candidates: &'a [Candidate],
         params: &'a PolicyParams,
     ) -> SelectionDecision<'a> {
-        let max_wins = max_wins(params);
-        let key_desc = params.get("tie") == Some("key_desc");
-
-        let mut ranking: Vec<usize> = (0..candidates.len()).collect();
-        ranking.sort_by(|&a, &b| {
-            let score = candidates[a].score.cmp_total(&candidates[b].score);
-            let score = if max_wins { score.reverse() } else { score };
-            // keys are compared only between equal scores
-            score
-                .then_with(|| {
-                    let key = candidates[a].key.cmp(&candidates[b].key);
-                    if key_desc {
-                        key.reverse()
-                    } else {
-                        key
-                    }
-                })
-                .then_with(|| a.cmp(&b))
-        });
-
-        let ties = match ranking.first().copied() {
-            Some(w) => candidates
-                .iter()
-                .filter(|c| c.score.cmp_total(&candidates[w].score) == Ordering::Equal)
-                .count(),
-            None => 0,
-        };
-        let tie_break = if ties > 1 {
-            if key_desc {
-                "key_desc"
-            } else {
-                "key_asc"
-            }
-        } else {
-            "none"
-        };
-        SelectionDecision::new(self.id, candidates, params, ranking, ties, tie_break)
+        self.choose_top(candidates, params, candidates.len())
     }
 }
 
@@ -343,6 +372,36 @@ mod tests {
                 "none"
             };
             prop_assert_eq!(d.tie_break, expected_tie_break);
+        }
+
+        /// For every `limit` from 0 to one past the candidate count, the
+        /// top-`limit` ranking is the first `limit` entries of the full
+        /// one, and its recorded event is the full decision's, byte for
+        /// byte: the winner, `ties` and `tie_break` do not depend on how
+        /// much is ranked. Scores and keys repeat, so every rung of the
+        /// tie-break is exercised.
+        #[test]
+        fn top_limit_ranking_is_a_prefix_of_the_full_one(
+            spec in proptest::collection::vec((0usize..6, 0u64..3), 0..40),
+            dir in 0usize..2,
+            tie in 0usize..2,
+        ) {
+            const KEYS: [&str; 6] = ["a", "b", "c", "d", "a", "e"];
+            let candidates: Vec<Candidate> = spec
+                .iter()
+                .map(|&(k, s)| Candidate::new(KEYS[k], Score::F64(s as f64 / 2.0)))
+                .collect();
+            let params = PolicyParams::new()
+                .with("dir", ["max", "min"][dir])
+                .with("tie", ["key_asc", "key_desc"][tie]);
+            let policy = RankByScore::new(PolicyId::UNION_RANK);
+            let (full_event, full) = policy.choose(&candidates, &params).record();
+            for limit in 0..=candidates.len() + 1 {
+                let (event, top) = policy.choose_top(&candidates, &params, limit).record();
+                prop_assert_eq!(&top[..], &full[..limit.min(full.len())]);
+                prop_assert_eq!(format!("{event:?}"), format!("{full_event:?}"));
+                prop_assert_eq!(event.render(), full_event.render());
+            }
         }
     }
 }

@@ -33,6 +33,7 @@
 //! assert!(label.to_markdown().contains("Group representation"));
 //! ```
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![allow(
     clippy::disallowed_types,
     reason = "profiling tallies integer counts in hash maps and sorts what it reports"

@@ -142,9 +142,24 @@ impl Registered {
     }
 }
 
+/// A shard's union candidates: every registered table's id and union
+/// signature, in sorted-id order.
+type UnionList = Arc<[(Arc<str>, Arc<TableSignature>)]>;
+
+/// A shard's join candidates on one key column: the id and key profile
+/// of every registered table that has the column, in sorted-id order.
+type JoinList = Arc<[(Arc<str>, Arc<KeyProfile>)]>;
+
 /// One shard: its slice of the table map, each table with its
-/// maintained sketch store, and its slice of the query-cache byte
-/// budget.
+/// maintained sketch store, its candidate lists, and its slice of the
+/// query-cache byte budget.
+///
+/// The candidate lists are the `Maintained` snapshot pattern one level
+/// up: a list is built on the first read after a change to the shard
+/// (from the tables' own shared snapshots) and dropped by every
+/// [`Shard::upsert`] and [`Shard::apply_delta`], so between changes a
+/// top-k request takes one `Arc` per shard, not one per candidate. Join
+/// lists are kept only for columns that some table in the shard has.
 ///
 /// Request preparation is three steps, written once: [`needs`] turns a
 /// request into per-shard [`WarmNeed`]s without touching any shard,
@@ -162,6 +177,11 @@ pub(crate) struct Shard {
     /// Registered tables by id. The id is shared from here on: plan
     /// candidates and policy candidates clone the `Arc`.
     tables: BTreeMap<Arc<str>, Registered>,
+    /// The union candidates as of the last change, built on first read.
+    union: Option<UnionList>,
+    /// Join candidates by key column as of the last change, each built
+    /// on the first read that names its column.
+    joins: BTreeMap<Arc<str>, JoinList>,
     cache: SketchCache,
 }
 
@@ -169,8 +189,16 @@ impl Shard {
     fn new(cache_capacity: usize) -> Self {
         Shard {
             tables: BTreeMap::new(),
+            union: None,
+            joins: BTreeMap::new(),
             cache: SketchCache::new(cache_capacity),
         }
+    }
+
+    /// Drop the candidate lists: the next top-k read rebuilds them.
+    fn changed(&mut self) {
+        self.union = None;
+        self.joins.clear();
     }
 
     /// Registered-table count in this shard.
@@ -200,8 +228,8 @@ impl Shard {
     /// Register or replace a table (validation included). Replacing a
     /// table by equal content (`Table ==`, float cells bit for bit, the
     /// equality the sketches see) keeps its maintained store, so the
-    /// next read builds nothing; any other replacement starts an empty
-    /// one.
+    /// next read builds no sketch; any other replacement starts an empty
+    /// one. Either way the shard's candidate lists are dropped.
     pub(crate) fn upsert(
         &mut self,
         id: Arc<str>,
@@ -215,6 +243,7 @@ impl Shard {
             return Err(ServeError::InvalidCost(cost));
         }
         metrics::SHARD_ROUTED.inc();
+        self.changed();
         let maint = match self.tables.remove(&id) {
             Some(old) if *old.table == table => old.maint,
             _ => Maintained::new(table.num_columns()),
@@ -232,7 +261,8 @@ impl Shard {
     }
 
     /// Apply a delta to a table registered in this shard (see
-    /// [`LakeIndex::apply_delta`] for the maintenance contract).
+    /// [`LakeIndex::apply_delta`] for the maintenance contract),
+    /// dropping the shard's candidate lists.
     pub(crate) fn apply_delta(
         &mut self,
         id: &str,
@@ -241,6 +271,7 @@ impl Shard {
         debt_threshold: u64,
     ) -> Result<usize, ServeError> {
         metrics::SHARD_ROUTED.inc();
+        self.changed();
 
         if matches!(delta, TableDelta::Drop) {
             // the table's sketches go with its maintained store
@@ -275,8 +306,9 @@ impl Shard {
 
     /// Serve one request's need from this shard: fetch or build every
     /// sketch it names, the query sketch first (on the query-owner
-    /// shard only, through the cache), then each registered table's in
-    /// sorted-id order, from its maintained store. The only step of
+    /// shard only, through the cache), then the shard's candidate list,
+    /// built on the first read after a change from each registered
+    /// table's maintained store in sorted-id order. The only step of
     /// request preparation that reads sketches, so this order is what
     /// the cache's hit, miss and eviction accounting sees.
     pub(crate) fn warm(&mut self, need: WarmNeed, k: usize) -> WarmPart {
@@ -284,23 +316,12 @@ impl Shard {
             WarmNeed::Count => WarmPart::Count,
             WarmNeed::Union { query } => {
                 let query = query.map(|(fp, t)| self.query_union_signature(fp, &t, k));
-                let candidates = self
-                    .tables
-                    .iter_mut()
-                    .map(|(id, r)| (Arc::clone(id), r.maint.signature(id, &r.table, k)))
-                    .collect();
+                let candidates = self.union_list(k);
                 WarmPart::Union { query, candidates }
             }
             WarmNeed::Join { column, query } => {
                 let query = query.map(|(fp, t)| self.query_key_profile(fp, &t, &column, k));
-                let mut candidates = Vec::new();
-                // A candidate without the key column is skipped, not an
-                // error: that lookup is the profile's only fallible step.
-                for (id, r) in &mut self.tables {
-                    if let Ok(p) = r.maint.profile(&r.table, &column, k) {
-                        candidates.push((Arc::clone(id), p));
-                    }
-                }
+                let candidates = self.join_list(&column, k);
                 WarmPart::Join { query, candidates }
             }
             WarmNeed::Coverage {
@@ -333,6 +354,39 @@ impl Shard {
                     .collect(),
             },
         }
+    }
+
+    /// The shard's union candidates, built on the first read after a
+    /// change.
+    fn union_list(&mut self, k: usize) -> UnionList {
+        let tables = &mut self.tables;
+        Arc::clone(self.union.get_or_insert_with(|| {
+            tables
+                .iter_mut()
+                .map(|(id, r)| (Arc::clone(id), r.maint.signature(id, &r.table, k)))
+                .collect()
+        }))
+    }
+
+    /// The shard's join candidates on `column`, built on the first read
+    /// after a change and kept only when some table has the column. A
+    /// table without the key column is skipped, not an error: that
+    /// lookup is the profile's only fallible step.
+    fn join_list(&mut self, column: &Arc<str>, k: usize) -> JoinList {
+        if let Some(list) = self.joins.get(column) {
+            return Arc::clone(list);
+        }
+        let list: JoinList = self
+            .tables
+            .iter_mut()
+            .filter_map(|(id, r)| {
+                Some((Arc::clone(id), r.maint.profile(&r.table, column, k).ok()?))
+            })
+            .collect();
+        if !list.is_empty() {
+            self.joins.insert(Arc::clone(column), Arc::clone(&list));
+        }
+        list
     }
 
     /// Union signature for an ad-hoc query table, cached (without
@@ -783,16 +837,17 @@ impl std::fmt::Debug for WarmNeed {
 pub(crate) enum WarmPart {
     /// Nothing beyond the shard's table count.
     Count,
-    /// Union candidates (+ query signature from the owner shard).
+    /// The shard's union candidate list (+ query signature from the
+    /// owner shard).
     Union {
         query: Option<Result<Arc<TableSignature>, ServeError>>,
-        candidates: Vec<(Arc<str>, Arc<TableSignature>)>,
+        candidates: UnionList,
     },
-    /// Join candidates that have the key column (+ query profile from
-    /// the owner shard).
+    /// The shard's join candidate list: the tables that have the key
+    /// column (+ query profile from the owner shard).
     Join {
         query: Option<Result<Arc<KeyProfile>, ServeError>>,
-        candidates: Vec<(Arc<str>, Arc<KeyProfile>)>,
+        candidates: JoinList,
     },
     /// Everything a coverage plan needs, or why it cannot be built.
     Coverage(Result<CoverageTarget, ServeError>),
@@ -941,8 +996,10 @@ fn check_query_shape(query: &Table, column: Option<&str>) -> Result<(), ServeErr
 /// Error precedence, the same on both serving paths: `ZeroK` >
 /// `EmptyIndex` (top-k requests only) > the local query error > the
 /// owner shard's query-sketch error. Tailoring sources resolve in list
-/// order, the first error winning. Candidates are merged in sorted-id
-/// order.
+/// order, the first error winning. A top-k plan keeps the shards'
+/// candidate lists in arrival order, unmerged: table ids are unique
+/// across shards and the ranking orders by score and then by id, so no
+/// candidate order can change a ranking or its decision event.
 pub(crate) fn assemble(
     request: &ServeRequest,
     parts: Vec<WarmPart>,
@@ -963,7 +1020,7 @@ pub(crate) fn assemble(
     match request {
         ServeRequest::UnionTopK { k, .. } => {
             let mut query = None;
-            let mut candidates = Vec::new();
+            let mut candidates = Vec::with_capacity(parts.len());
             for part in parts {
                 if let WarmPart::Union {
                     query: q,
@@ -971,12 +1028,11 @@ pub(crate) fn assemble(
                 } = part
                 {
                     query = query.or(q);
-                    candidates.extend(c);
+                    candidates.push(c);
                 }
             }
             let never = || Err(ServeError::EmptyQuery("query signature never built".into()));
             let query = query.unwrap_or_else(never)?;
-            candidates.sort_by(|a, b| a.0.cmp(&b.0));
             Ok(Prepared::Union(UnionPlan {
                 k: *k,
                 query,
@@ -986,7 +1042,7 @@ pub(crate) fn assemble(
         }
         ServeRequest::JoinableTopK { k, .. } => {
             let mut query = None;
-            let mut candidates = Vec::new();
+            let mut candidates = Vec::with_capacity(parts.len());
             for part in parts {
                 if let WarmPart::Join {
                     query: q,
@@ -994,12 +1050,11 @@ pub(crate) fn assemble(
                 } = part
                 {
                     query = query.or(q);
-                    candidates.extend(c);
+                    candidates.push(c);
                 }
             }
             let never = || Err(ServeError::EmptyQuery("query profile never built".into()));
             let query = query.unwrap_or_else(never)?;
-            candidates.sort_by(|a, b| a.0.cmp(&b.0));
             Ok(Prepared::Join(JoinPlan {
                 k: *k,
                 query,
@@ -1063,24 +1118,24 @@ pub(crate) enum Prepared {
     },
 }
 
-/// A warmed union top-k request: the query signature and every
-/// registered table's signature, in sorted-id order.
+/// A warmed union top-k request: the query signature and one union
+/// candidate list per shard, in the order the shards' parts arrived.
 #[derive(Debug, Clone)]
 pub(crate) struct UnionPlan {
     k: usize,
     query: Arc<TableSignature>,
-    candidates: Vec<(Arc<str>, Arc<TableSignature>)>,
+    candidates: Vec<UnionList>,
     params: PolicyParams,
 }
 
-/// A warmed joinability top-k request: the query key profile and the
-/// profile of every registered table with the key column, in sorted-id
-/// order.
+/// A warmed joinability top-k request: the query key profile and one
+/// join candidate list per shard, in the order the shards' parts
+/// arrived.
 #[derive(Debug, Clone)]
 pub(crate) struct JoinPlan {
     k: usize,
     query: Arc<KeyProfile>,
-    candidates: Vec<(Arc<str>, Arc<KeyProfile>)>,
+    candidates: Vec<JoinList>,
     params: PolicyParams,
 }
 
@@ -1173,16 +1228,16 @@ fn execute_inner(
 /// matcher whose buffers every candidate reuses, and rank the top `k`,
 /// recording the `discovery.union_rank` decision.
 fn execute_union(plan: &UnionPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<(String, f64)> {
-    metrics::CANDIDATES_SCORED.add(plan.candidates.len() as u64);
+    metrics::CANDIDATES_SCORED.add(candidate_count(&plan.candidates));
     let mut matcher = ColumnMatcher::new();
-    let scored: Vec<(Arc<str>, f64)> = plan
+    let scored = plan
         .candidates
         .iter()
-        .map(|(id, sig)| (Arc::clone(id), matcher.unionability(&plan.query, sig)))
-        .collect();
+        .flat_map(|list| list.iter())
+        .map(|(id, sig)| (Arc::clone(id), matcher.unionability(&plan.query, sig)));
     // under default params, identical ranking to the historic inline
     // sort and to `UnionSearchIndex::top_k`
-    let (top, event) = rank_scored(PolicyId::UNION_RANK, &scored, plan.k, &plan.params);
+    let (top, event) = rank_scored(PolicyId::UNION_RANK, scored, plan.k, &plan.params);
     decisions.push(event);
     owned_ids(top)
 }
@@ -1190,15 +1245,20 @@ fn execute_union(plan: &UnionPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<
 /// Score every candidate's estimated key containment of the query and
 /// rank the top `k`, recording the `discovery.join_rank` decision.
 fn execute_join(plan: &JoinPlan, decisions: &mut Vec<ProvenanceEvent>) -> Vec<(String, f64)> {
-    metrics::CANDIDATES_SCORED.add(plan.candidates.len() as u64);
-    let scored: Vec<(Arc<str>, f64)> = plan
+    metrics::CANDIDATES_SCORED.add(candidate_count(&plan.candidates));
+    let scored = plan
         .candidates
         .iter()
-        .map(|(id, p)| (Arc::clone(id), containment_estimate(&plan.query, p)))
-        .collect();
-    let (top, event) = rank_scored(PolicyId::JOIN_RANK, &scored, plan.k, &plan.params);
+        .flat_map(|list| list.iter())
+        .map(|(id, p)| (Arc::clone(id), containment_estimate(&plan.query, p)));
+    let (top, event) = rank_scored(PolicyId::JOIN_RANK, scored, plan.k, &plan.params);
     decisions.push(event);
     owned_ids(top)
+}
+
+/// Candidates across a plan's per-shard lists.
+fn candidate_count<T>(lists: &[Arc<[T]>]) -> u64 {
+    lists.iter().map(|list| list.len() as u64).sum()
 }
 
 /// The response form of a ranking: only the `k` returned ids are
@@ -1800,6 +1860,189 @@ mod tests {
         let query_shard = idx.shard_of(CacheKey::QUERY_OWNER);
         for (si, s) in idx.shards.iter().enumerate() {
             assert_eq!(s.cache.is_empty(), si != query_shard, "shard {si}");
+        }
+    }
+
+    /// One shard's stored candidate lists: the union list and the join
+    /// lists by column.
+    type Stored = (Option<UnionList>, BTreeMap<Arc<str>, JoinList>);
+
+    fn stored(idx: &LakeIndex) -> Vec<Stored> {
+        idx.shards
+            .iter()
+            .map(|s| (s.union.clone(), s.joins.clone()))
+            .collect()
+    }
+
+    /// The same lists, by pointer.
+    fn same_lists(a: &Stored, b: &Stored) -> bool {
+        let union = match (&a.0, &b.0) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            (x, y) => x.is_none() && y.is_none(),
+        };
+        union
+            && a.1.len() == b.1.len()
+            && a.1
+                .iter()
+                .zip(&b.1)
+                .all(|((ca, la), (cb, lb))| ca == cb && Arc::ptr_eq(la, lb))
+    }
+
+    /// A union and a join ranking and the rendered rank decisions.
+    type Answers = (Vec<(String, f64)>, Vec<(String, f64)>, Vec<String>);
+
+    /// A union and a join on `key` through `idx`, with their rendered
+    /// rank decisions.
+    fn top_k_answers(idx: &mut LakeIndex) -> Answers {
+        let q = str_table("key", &["a", "b", "c", "x"]);
+        idx.drain_decisions();
+        let union = idx.union_top_k(&q, 3).unwrap();
+        let join = idx.joinable_top_k(&q, "key", 3).unwrap();
+        let decisions = idx
+            .drain_decisions()
+            .iter()
+            .map(ProvenanceEvent::render)
+            .collect();
+        (union, join, decisions)
+    }
+
+    /// Ten tables spread over the shards, with overlapping values so
+    /// that scores differ and tie.
+    fn lake() -> LakeIndex {
+        let mut idx = LakeIndex::new(LakeIndexConfig {
+            deletion_debt_threshold: 2,
+            ..LakeIndexConfig::default()
+        });
+        let pool = ["a", "b", "c", "d", "x", "y"];
+        for i in 0..10 {
+            let vals: Vec<&str> = (0..4).map(|j| pool[(i + j * j) % pool.len()]).collect();
+            idx.register(format!("t{i}"), str_table("key", &vals), 1.0)
+                .unwrap();
+        }
+        idx
+    }
+
+    #[test]
+    fn reads_without_a_change_share_the_candidate_lists() {
+        let mut idx = lake();
+        let first = top_k_answers(&mut idx);
+        let lists = stored(&idx);
+        for (si, (union, joins)) in lists.iter().enumerate() {
+            assert!(union.is_some(), "shard {si} keeps its union list");
+            let has_tables = !idx.shards[si].tables.is_empty();
+            assert_eq!(joins.contains_key("key"), has_tables, "shard {si}");
+        }
+        let second = top_k_answers(&mut idx);
+        assert_eq!(first, second);
+        for (si, (a, b)) in lists.iter().zip(&stored(&idx)).enumerate() {
+            assert!(same_lists(a, b), "shard {si} rebuilt a list with no change");
+        }
+    }
+
+    /// Register, upsert with equal and with different content, append,
+    /// delete (the second delete crosses the debt threshold and
+    /// rebuilds) and drop: each change drops the candidate lists of the
+    /// shard it routes to and no other's, and the answers that follow
+    /// equal a fresh index's over the same tables bitwise, rank
+    /// decisions included.
+    #[test]
+    fn each_change_drops_only_its_own_shards_lists() {
+        type Change = Box<dyn Fn(&mut LakeIndex)>;
+        let changes: Vec<(&str, Change)> = vec![
+            (
+                "n1",
+                Box::new(|idx| {
+                    idx.register("n1", str_table("key", &["a", "q"]), 1.0)
+                        .unwrap()
+                }),
+            ),
+            (
+                "t3",
+                Box::new(|idx| {
+                    let same = idx.table("t3").unwrap().clone();
+                    idx.upsert("t3", same, 2.0).unwrap();
+                }),
+            ),
+            (
+                "t3",
+                Box::new(|idx| {
+                    idx.upsert("t3", str_table("key", &["c", "x", "z"]), 1.0)
+                        .unwrap()
+                }),
+            ),
+            (
+                "t4",
+                Box::new(|idx| {
+                    idx.apply_delta("t4", &TableDelta::Append(str_table("key", &["a", "w"])))
+                        .unwrap();
+                }),
+            ),
+            (
+                "t5",
+                Box::new(|idx| {
+                    idx.apply_delta("t5", &TableDelta::Delete(vec![0, 2]))
+                        .unwrap();
+                }),
+            ),
+            (
+                "t5",
+                Box::new(|idx| {
+                    idx.apply_delta("t5", &TableDelta::Delete(vec![1])).unwrap();
+                }),
+            ),
+            (
+                "t6",
+                Box::new(|idx| {
+                    idx.apply_delta("t6", &TableDelta::Drop).unwrap();
+                }),
+            ),
+        ];
+        let mut idx = lake();
+        for (step, (id, change)) in changes.iter().enumerate() {
+            top_k_answers(&mut idx);
+            let before = stored(&idx);
+            change(&mut idx);
+            let owner = idx.shard_of(id);
+            for (si, (b, a)) in before.iter().zip(&stored(&idx)).enumerate() {
+                if si == owner {
+                    assert!(
+                        a.0.is_none() && a.1.is_empty(),
+                        "step {step}: shard {si} kept its lists"
+                    );
+                } else {
+                    assert!(same_lists(b, a), "step {step}: shard {si} lost its lists");
+                }
+            }
+            let mut fresh = LakeIndex::default();
+            for t in idx.table_ids() {
+                fresh
+                    .register(t, idx.table(t).unwrap().clone(), 1.0)
+                    .unwrap();
+            }
+            let (union, join, decisions) = top_k_answers(&mut idx);
+            let (fresh_union, fresh_join, fresh_decisions) = top_k_answers(&mut fresh);
+            assert_ranking_eq(&union, &fresh_union);
+            assert_ranking_eq(&join, &fresh_join);
+            assert_eq!(decisions, fresh_decisions, "step {step}");
+        }
+    }
+
+    /// A join on a column that no table has keeps no list on any shard;
+    /// a column one table has keeps a list on that table's shard only.
+    #[test]
+    fn join_lists_are_kept_only_for_columns_a_table_has() {
+        let mut idx = lake();
+        let q = str_table("other", &["a", "b"]);
+        assert!(idx.joinable_top_k(&q, "other", 3).unwrap().is_empty());
+        assert!(idx.shards.iter().all(|s| !s.joins.contains_key("other")));
+
+        idx.register("w", str_table("other", &["a", "z"]), 1.0)
+            .unwrap();
+        let top = idx.joinable_top_k(&q, "other", 3).unwrap();
+        assert_eq!(top.len(), 1);
+        let owner = idx.shard_of("w");
+        for (si, s) in idx.shards.iter().enumerate() {
+            assert_eq!(s.joins.contains_key("other"), si == owner, "shard {si}");
         }
     }
 

@@ -180,6 +180,41 @@ impl Column {
         }
     }
 
+    /// Move the cells at `sorted` (ascending, distinct, in bounds) out
+    /// into a new column, keep the rest in place and in order, and
+    /// shrink this column to its new length. No cell is cloned.
+    pub(crate) fn remove_sorted(&mut self, sorted: &[usize]) -> Column {
+        fn split<T>(cells: &mut Vec<Option<T>>, sorted: &[usize]) -> Vec<Option<T>> {
+            let removed = sorted.iter().map(|&i| cells[i].take()).collect();
+            let mut doomed = sorted.iter().copied().peekable();
+            let mut i = 0;
+            cells.retain(|_| {
+                let keep = doomed.next_if_eq(&i).is_none();
+                i += 1;
+                keep
+            });
+            cells.shrink_to_fit();
+            removed
+        }
+        match self {
+            Column::Int(v) => Column::Int(split(v, sorted)),
+            Column::Float(v) => Column::Float(split(v, sorted)),
+            Column::Str(v) => Column::Str(split(v, sorted)),
+            Column::Bool(v) => Column::Bool(split(v, sorted)),
+        }
+    }
+
+    /// Cells this column can hold without reallocating.
+    #[cfg(test)]
+    pub(crate) fn capacity(&self) -> usize {
+        match self {
+            Column::Int(v) => v.capacity(),
+            Column::Float(v) => v.capacity(),
+            Column::Str(v) => v.capacity(),
+            Column::Bool(v) => v.capacity(),
+        }
+    }
+
     /// Append all cells from `other` (must have the same dtype).
     pub fn extend_from(&mut self, other: &Column) -> Result<()> {
         match (self, other) {

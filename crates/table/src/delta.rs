@@ -54,6 +54,10 @@ impl Table {
     /// removed rows as a table in ascending index order. Out-of-bounds
     /// indices are a [`TableError::RowOutOfBounds`] and leave the
     /// table unchanged.
+    ///
+    /// The removed cells are moved out and the kept ones compacted in
+    /// place, so a delete moves O(table) cells and clones none; each
+    /// column is then shrunk to its new length.
     pub fn delete_rows(&mut self, indices: &[usize]) -> Result<Table> {
         let mut sorted: Vec<usize> = indices.to_vec();
         sorted.sort_unstable();
@@ -64,20 +68,7 @@ impl Table {
                 len: self.num_rows(),
             });
         }
-        let removed = self.take(&sorted);
-        let mut doomed = sorted.iter().copied().peekable();
-        let kept: Vec<usize> = (0..self.num_rows())
-            .filter(|&i| {
-                if doomed.peek() == Some(&i) {
-                    doomed.next();
-                    false
-                } else {
-                    true
-                }
-            })
-            .collect();
-        *self = self.take(&kept);
-        Ok(removed)
+        Ok(self.remove_sorted_rows(&sorted))
     }
 
     /// Apply a delta in place. `Drop` empties the table to zero rows
@@ -156,6 +147,65 @@ mod tests {
         assert!(t.is_empty());
         // schema survives a drop
         assert_eq!(t.schema().fields()[0].name, "x");
+    }
+
+    /// The delete as it was written before cells were moved: gather the
+    /// removed rows and then the kept ones, cloning every cell.
+    fn delete_by_take(t: &Table, indices: &[usize]) -> (Table, Table) {
+        let mut sorted = indices.to_vec();
+        sorted.sort_unstable();
+        sorted.dedup();
+        let kept: Vec<usize> = (0..t.num_rows())
+            .filter(|i| sorted.binary_search(i).is_err())
+            .collect();
+        (t.take(&sorted), t.take(&kept))
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(128))]
+
+        /// Over tables of every column type with nulls, and index lists
+        /// with duplicates in any order, the in-place delete returns the
+        /// rows and keeps the table the clone-based reference does, and
+        /// every column of both has its capacity at its length.
+        #[test]
+        fn delete_rows_matches_the_take_reference(
+            rows in proptest::collection::vec((0i64..4, 0u8..3, proptest::prelude::any::<bool>()), 0..24),
+            picks in proptest::collection::vec(0usize..24, 0..12),
+        ) {
+            let schema = Schema::new(vec![
+                Field::new("i", DataType::Int),
+                Field::new("f", DataType::Float),
+                Field::new("s", DataType::Str),
+                Field::new("b", DataType::Bool),
+            ]);
+            let mut t = Table::new(schema);
+            for &(i, s, b) in &rows {
+                let null_or = |v: Value| if i == 0 { Value::Null } else { v };
+                t.push_row(vec![
+                    null_or(Value::Int(i)),
+                    null_or(Value::Float(i as f64 / 2.0)),
+                    if s == 0 { Value::Null } else { Value::str(format!("s{s}")) },
+                    Value::Bool(b),
+                ])
+                .unwrap();
+            }
+            let indices: Vec<usize> = picks
+                .iter()
+                .filter(|&&p| p < t.num_rows())
+                .copied()
+                .collect();
+            let (want_removed, want_kept) = delete_by_take(&t, &indices);
+            let removed = t.delete_rows(&indices).unwrap();
+            proptest::prop_assert_eq!(&removed, &want_removed);
+            proptest::prop_assert_eq!(&t, &want_kept);
+            for c in [&t, &removed]
+                .into_iter()
+                .flat_map(|t| (0..t.num_columns()).map(|ci| t.column_at(ci)))
+            {
+                proptest::prop_assert_eq!(c.capacity(), c.len());
+            }
+        }
     }
 
     #[test]

@@ -32,6 +32,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 #![allow(
     clippy::disallowed_types,
     reason = "hash joins and group counts are keyed lookups; callers sort before order-sensitive output"

@@ -204,6 +204,23 @@ impl Table {
         }
     }
 
+    /// Move the rows at `sorted` (ascending, distinct, in bounds) out
+    /// into a new table, keeping the rest in place: the cells move, and
+    /// none is cloned.
+    pub(crate) fn remove_sorted_rows(&mut self, sorted: &[usize]) -> Table {
+        let columns = self
+            .columns
+            .iter_mut()
+            .map(|c| c.remove_sorted(sorted))
+            .collect();
+        self.num_rows -= sorted.len();
+        Table {
+            schema: self.schema.clone(),
+            columns,
+            num_rows: sorted.len(),
+        }
+    }
+
     /// A new table with only the named columns.
     pub fn select(&self, names: &[&str]) -> Result<Table> {
         let schema = self.schema.project(names)?;

@@ -8,7 +8,7 @@
     reason = "the crate's one place that resolves metrics by name"
 )]
 
-use std::sync::{Arc, LazyLock};
+use std::sync::{Arc, LazyLock, Mutex};
 
 use rdi_obs::{Counter, Gauge};
 
@@ -21,7 +21,21 @@ pub(crate) static LAST_COST: LazyLock<Arc<Gauge>> =
 pub(crate) static DUPLICATES: LazyLock<Arc<Counter>> =
     LazyLock::new(|| rdi_obs::counter("tailor.duplicates"));
 
-/// `tailor.group_{gi}_kept`: the rows a run kept for group `gi`.
-pub(crate) fn group_kept(gi: usize) -> Arc<Counter> {
-    rdi_obs::counter(&format!("tailor.group_{gi}_kept"))
+/// `tailor.group_{gi}_kept` handles by group index, each resolved the
+/// first time a run has group `gi`.
+static GROUP_KEPT: Mutex<Vec<Arc<Counter>>> = Mutex::new(Vec::new());
+
+/// Add each group's kept rows to its `tailor.group_{gi}_kept`, zero
+/// counts included, so a group that kept nothing still lists its key.
+/// One lock per run; a name is formatted and looked up only for a
+/// group index no earlier run had.
+pub(crate) fn add_group_kept(per_group: &[usize]) {
+    // the handles stay valid after a panic elsewhere: each is pushed whole
+    let mut handles = GROUP_KEPT.lock().unwrap_or_else(|e| e.into_inner());
+    for gi in handles.len()..per_group.len() {
+        handles.push(rdi_obs::counter(&format!("tailor.group_{gi}_kept")));
+    }
+    for (handle, &kept) in handles.iter().zip(per_group) {
+        handle.add(kept as u64);
+    }
 }

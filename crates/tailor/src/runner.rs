@@ -7,6 +7,12 @@
 //! only in how one chosen source is drawn, which they pass in as a
 //! step closure: [`run_tailoring`] and [`run_tailoring_dedup`] here,
 //! and `rdi-core`'s resilient executor (retries, breakers, redirects).
+//!
+//! Every integer operation on the draw and cost tallies is checked or
+//! saturating (clippy's `arithmetic_side_effects` is denied here): a
+//! count stops at `usize::MAX` rather than wrap.
+
+#![deny(clippy::arithmetic_side_effects)]
 
 use std::collections::BTreeSet;
 
@@ -165,8 +171,8 @@ where
         else {
             break;
         };
-        draws += 1;
-        per_source_draws[s] += 1;
+        draws = draws.saturating_add(1);
+        per_source_draws[s] = per_source_draws[s].saturating_add(1);
         for _ in 0..attempts {
             total_cost += sources[s].cost();
         }
@@ -178,7 +184,7 @@ where
         if let Some(gi) = group {
             // keep while under the hi cap — audited as `tailor.keep`
             if keepdrop.decide(per_group[gi] < problem.requirements[gi].hi) {
-                per_group[gi] += 1;
+                per_group[gi] = per_group[gi].saturating_add(1);
                 collected.push_row(row)?;
             }
         }
@@ -227,10 +233,11 @@ pub(crate) fn source_out_of_range(policy: &dyn Policy, chosen: usize, len: usize
 fn record_outcome(per_group: &[usize], draws: usize, total_cost: f64) {
     metrics::RUNS.inc();
     metrics::DRAWS.add(draws as u64);
-    metrics::KEPT.add(per_group.iter().sum::<usize>() as u64);
-    for (gi, &c) in per_group.iter().enumerate() {
-        metrics::group_kept(gi).add(c as u64);
-    }
+    let kept = per_group
+        .iter()
+        .fold(0usize, |sum, &c| sum.saturating_add(c));
+    metrics::KEPT.add(kept as u64);
+    metrics::add_group_kept(per_group);
     metrics::LAST_COST.set(total_cost);
 }
 
@@ -294,7 +301,7 @@ pub fn run_tailoring_dedup<S: Source, R: Rng>(
             let draw = sources[s].try_draw(rng).ok().filter(|(_, row)| {
                 let id = row[id_idx].clone();
                 let fresh = !id.is_null() && seen.insert(id);
-                duplicates += usize::from(!fresh);
+                duplicates = duplicates.saturating_add(usize::from(!fresh));
                 fresh
             });
             DrawStep::Drew {

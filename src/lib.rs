@@ -33,6 +33,7 @@
 //! synthetic data generators, and the serving layer.
 
 #![warn(missing_docs)]
+#![forbid(unsafe_code)]
 
 #[allow(
     clippy::disallowed_types,
