@@ -1,8 +1,8 @@
 //! [`Pool`]: persistent workers that map owned jobs.
 //!
 //! [`par_map`](crate::par_map) spawns scoped threads on every call, so it
-//! can borrow its input. A caller that maps owned jobs over and over (a
-//! serving session executing batch after batch) keeps a `Pool` instead:
+//! can borrow its input. A caller that maps owned jobs over and over (an
+//! actor runtime delivering cohort after cohort) keeps a `Pool` instead:
 //! its workers start once and wait between calls.
 
 use std::any::Any;

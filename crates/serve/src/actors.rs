@@ -42,7 +42,7 @@ use crate::admit::{AdmitConfig, Admitter, TaggedRequest, TenantId};
 use crate::batch::Batch;
 use crate::cache::{CacheGauges, ShardBytes};
 use crate::error::ServeError;
-use crate::index::{execute, shard_route, LakeIndex, LakeIndexConfig, Shard, WarmNeed, WarmPart};
+use crate::index::{shard_route, LakeIndex, LakeIndexConfig, Shard, WarmNeed, WarmPart};
 use crate::request::ServeRequest;
 use crate::session::{BatchReport, SessionConfig};
 
@@ -407,17 +407,9 @@ impl SessionActor {
             return;
         };
         let refs: Vec<&ServeRequest> = fl.requests.iter().map(|r| &r.request).collect();
-        let report = fl.state.finish(
-            &mut self.admitter,
-            &refs,
-            &self.policies,
-            &mut self.gauges,
-            |jobs| {
-                jobs.iter()
-                    .map(|(seed, plan)| execute(plan, *seed))
-                    .collect()
-            },
-        );
+        let report = fl
+            .state
+            .finish(&mut self.admitter, &refs, &self.policies, &mut self.gauges);
         self.completed.push(report);
         if let Some(next) = self.backlog.pop_front() {
             self.start_batch(next, ctx);
@@ -546,8 +538,8 @@ impl LakeActorGroup {
 
     /// Spawn a client session with explicit multi-tenant admission
     /// knobs (quotas, weights, aging); `config` supplies only the
-    /// session seed: its `queue_capacity`, `breaker_threshold` and
-    /// `breaker_cooldown_ticks` are ignored.
+    /// session seed: its `queue_capacity`, `breaker_threshold`,
+    /// `breaker_cooldown_ticks` and `threads` are ignored.
     pub fn spawn_session_with_admission(
         &self,
         rt: &mut Runtime,
@@ -771,6 +763,43 @@ mod tests {
                 assert_eq!(hosted.cache_bytes(), index.cache_bytes(), "{at}");
             }
         }
+    }
+
+    /// `lake()` built with the given MinHash signature length.
+    fn lake_with_minhash_k(minhash_k: usize) -> LakeIndex {
+        let mut idx = LakeIndex::new(LakeIndexConfig {
+            minhash_k,
+            ..LakeIndexConfig::default()
+        });
+        idx.register("abc", keyed(&["a", "b", "c"]), 1.0).unwrap();
+        idx.register("abx", keyed(&["a", "b", "x"]), 1.0).unwrap();
+        idx
+    }
+
+    /// A hosted lake built with `minhash_k = 0` warms through
+    /// `Shard::warm` in its shard actors without a panic: union and join
+    /// requests answer, replay bitwise, and equal the answers at
+    /// `minhash_k = 1`.
+    #[test]
+    fn zero_minhash_k_serves_like_one_on_the_hosted_path() {
+        let run = |minhash_k: usize| {
+            let mut rt = Runtime::new(RuntimeConfig::default());
+            let group = LakeActorGroup::host(&mut rt, lake_with_minhash_k(minhash_k));
+            let session = group.spawn_session(&mut rt, "s0", SessionConfig::default());
+            for _ in 0..2 {
+                let batch = mixed_batch()[..2].to_vec();
+                session.send(SessionMsg::Submit(batch)).unwrap();
+            }
+            rt.run_until_idle();
+            let completed = rt.actor::<SessionActor>(session.id()).unwrap().completed();
+            for report in completed {
+                assert!(report.responses.iter().all(Result::is_ok), "{report:?}");
+            }
+            format!("{completed:?}")
+        };
+        let zero = run(0);
+        assert_eq!(zero, run(0));
+        assert_eq!(zero, run(1));
     }
 
     #[test]

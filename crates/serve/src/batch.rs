@@ -1,11 +1,11 @@
 //! One serving batch, written once for both serving paths: admission,
 //! what each admitted request [`needs`] from which shard, the warm parts
-//! per request, [`assemble`], splicing answers and decisions back in
-//! slot order, breaker feedback, the memory gauges and the
-//! [`BatchReport`]. A driver only reaches the shards and runs the
-//! plans: the serial [`ServeSession`](crate::ServeSession) warms inline
-//! and executes on its pool; the [`SessionActor`](crate::SessionActor)
-//! warms through shard actors and executes in its handler.
+//! per request, [`assemble`], running each plan in place and splicing
+//! answers and decisions back in slot order, breaker feedback, the
+//! memory gauges and the [`BatchReport`]. A driver only reaches the
+//! shards: the serial [`ServeSession`](crate::ServeSession) warms
+//! inline; the [`SessionActor`](crate::SessionActor) warms through
+//! shard actors and finishes the batch in its handler.
 
 use std::collections::BTreeMap;
 
@@ -15,12 +15,9 @@ use rdi_policy::PolicySet;
 use crate::admit::{AdmitVerdict, Admitter, TenantId};
 use crate::cache::{CacheGauges, ShardBytes};
 use crate::error::ServeError;
-use crate::index::{assemble, needs, Prepared, WarmNeed, WarmPart};
+use crate::index::{assemble, execute, needs, WarmNeed, WarmPart};
 use crate::request::{ServeRequest, ServeResponse};
 use crate::session::BatchReport;
-
-/// What running one plan yields: the answer and its ranking decisions.
-pub(crate) type Executed = (Result<ServeResponse, ServeError>, Vec<ProvenanceEvent>);
 
 /// An admitted request collecting its warm parts.
 #[derive(Debug)]
@@ -112,19 +109,18 @@ impl Batch {
         self.replies.insert(shard, (bytes, evictions));
     }
 
-    /// Publish the replying shards' bytes on `gauges`, assemble
-    /// every admitted request's plan, run the `(seed, plan)` jobs with
-    /// `run` (one result per job, in job order), feed each tenant's
-    /// breaker its own outcomes in arrival order (sheds never count)
-    /// and report. Decisions are listed admitter first, then evictions
-    /// in shard order, then each plan's rankings in slot order.
+    /// Publish the replying shards' bytes on `gauges`, assemble every
+    /// admitted request's plan and run it on the calling thread in slot
+    /// order, feed each tenant's breaker its own outcomes in arrival
+    /// order (sheds never count) and report. Decisions are listed
+    /// admitter first, then evictions in shard order, then each plan's
+    /// rankings in slot order.
     pub(crate) fn finish(
         self,
         admitter: &mut Admitter,
         requests: &[&ServeRequest],
         policies: &PolicySet,
         gauges: &mut CacheGauges,
-        run: impl FnOnce(Vec<(u64, Prepared)>) -> Vec<Executed>,
     ) -> BatchReport {
         let Batch {
             tenants,
@@ -138,22 +134,10 @@ impl Batch {
         let admitted_count = admitted.len();
         gauges.publish(replies.iter().map(|(&shard, (bytes, _))| (shard, *bytes)));
         decisions.extend(replies.into_values().flat_map(|(_, evictions)| evictions));
-        let mut running = Vec::with_capacity(admitted_count);
-        let mut jobs = Vec::with_capacity(admitted_count);
         for a in admitted {
-            match assemble(requests[a.pos], a.parts, tables, a.local_error, policies) {
-                Ok(plan) => {
-                    running.push(a.pos);
-                    jobs.push((a.seed, plan));
-                }
-                Err(e) => {
-                    answers.insert(a.pos, Err(e));
-                }
-            }
-        }
-        for (pos, (result, plan_decisions)) in running.into_iter().zip(run(jobs)) {
-            answers.insert(pos, result);
-            decisions.extend(plan_decisions);
+            let plan = assemble(requests[a.pos], a.parts, tables, a.local_error, policies);
+            let result = plan.and_then(|plan| execute(&plan, a.seed, &mut decisions));
+            answers.insert(a.pos, result);
         }
         let responses: Vec<_> = answers.into_values().collect();
         let failed = admitter.note_outcomes(&tenants, &responses);

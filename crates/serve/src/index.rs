@@ -52,7 +52,6 @@ use rdi_policy::{PolicyId, PolicyParams, PolicySet};
 use rdi_table::{Encoded, EncodedColumns, Table, TableDelta};
 use rdi_tailor::{DtProblem, RandomPolicy, TableSource};
 
-use crate::batch::Executed;
 use crate::cache::{
     self, CacheGauges, CacheKey, KeyProfile, ShardBytes, Sketch, SketchCache, SketchKind,
 };
@@ -75,7 +74,8 @@ pub(crate) fn shard_route(id: &str, shard_count: usize) -> usize {
 /// Sizing knobs for a [`LakeIndex`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LakeIndexConfig {
-    /// MinHash signature length for union signatures and join profiles.
+    /// MinHash signature length for union signatures and join profiles
+    /// (≥ 1; [`LakeIndex::new`] treats 0 as 1).
     pub minhash_k: usize,
     /// Total query-sketch cache capacity in accounted bytes, split
     /// across shards (remainder bytes go to the lowest-numbered shards).
@@ -476,8 +476,10 @@ impl Default for LakeIndex {
 
 impl LakeIndex {
     /// An empty index with the given sizing. A `shard_count` of 0 is
-    /// treated as 1.
-    pub fn new(config: LakeIndexConfig) -> Self {
+    /// treated as 1, and so is a `minhash_k` of 0, which
+    /// [`LakeIndex::config`] then reports as 1.
+    pub fn new(mut config: LakeIndexConfig) -> Self {
+        config.minhash_k = config.minhash_k.max(1);
         let n = config.shard_count.max(1);
         let total = config.cache_capacity_bytes;
         let shards = (0..n)
@@ -1139,18 +1141,13 @@ pub(crate) struct JoinPlan {
     params: PolicyParams,
 }
 
-/// Execute a prepared plan. Pure: the response *and* the returned
-/// [`ProvenanceEvent::PolicyDecision`] audit records are functions of
-/// the plan and `seed` alone (the seed feeds the request's private RNG
-/// stream; only tailoring consumes randomness), so execution order and
-/// thread count cannot change any answer — or any rationale.
-pub(crate) fn execute(plan: &Prepared, seed: u64) -> Executed {
-    let mut decisions = Vec::new();
-    let result = execute_inner(plan, seed, &mut decisions);
-    (result, decisions)
-}
-
-fn execute_inner(
+/// Execute a prepared plan, appending its
+/// [`ProvenanceEvent::PolicyDecision`] audit records to `decisions`.
+/// Pure: the response *and* those records are functions of the plan
+/// and `seed` alone (the seed feeds the request's private RNG stream;
+/// only tailoring consumes randomness), so execution order cannot
+/// change any answer — or any rationale.
+pub(crate) fn execute(
     plan: &Prepared,
     seed: u64,
     decisions: &mut Vec<ProvenanceEvent>,

@@ -33,7 +33,7 @@
 //!   per-tenant `rdi-fault` circuit breakers, degrading to **partial
 //!   batch results** instead of panicking — one tenant's flood or
 //!   poison traffic never starves or sheds another's.
-//! * Batches execute on the session's own `rdi-par` worker pool with
+//! * Batches execute their plans in place, one after another, with
 //!   one RNG stream per request (`stream_seed(session seed, arrival
 //!   index)`), so a batch is
 //!   bitwise identical to serial one-at-a-time execution for any

@@ -16,14 +16,13 @@
 //!    request's sketches are built or fetched from the cache — the
 //!    only cache-mutating phase, so hit/miss/eviction accounting is a
 //!    pure function of the request stream.
-//! 3. **Execute** (parallel on the session's own [`rdi_par::Pool`],
-//!    whose workers start with the first parallel batch and live as
-//!    long as the session): plans run as pure functions of
-//!    `(plan, seed)`, each request drawing from its own RNG stream
+//! 3. **Execute** (serial, in place on the calling thread, in arrival
+//!    order): plans run as pure functions of `(plan, seed)`, each
+//!    request drawing from its own RNG stream
 //!    `stream_seed(session seed, arrival index)`. Results are spliced
 //!    back in arrival order, so a batch is **bitwise identical** to
 //!    submitting the same requests one at a time — for any
-//!    `RDI_THREADS`.
+//!    `RDI_THREADS` (which only the kernels inside a plan read).
 //!
 //! Admission is multi-tenant and fairness-aware (see [`crate::admit`]):
 //! every request belongs to a [`TenantId`] (untagged batches to the
@@ -39,13 +38,13 @@
 //! exactly one probe per cooled-down tenant.
 
 use rdi_fault::RecoveryState;
-use rdi_par::{Pool, Threads};
+use rdi_par::Threads;
 
 use crate::admit::{AdmitConfig, Admitter, TaggedRequest, TenantId};
 use crate::batch::Batch;
 use crate::cache::CacheGauges;
 use crate::error::ServeError;
-use crate::index::{execute, LakeIndex};
+use crate::index::LakeIndex;
 use crate::metrics;
 use crate::request::{ServeRequest, ServeResponse};
 
@@ -62,8 +61,10 @@ pub struct SessionConfig {
     /// down before admitting a single half-open probe request (clamped
     /// to ≥ 1).
     pub breaker_cooldown_ticks: u64,
-    /// Thread configuration for the execute phase: the session keeps
-    /// at most `threads − 1` execute workers.
+    /// Inert: both serving drivers run their plans in place on the
+    /// calling thread, so no session reads this field. It stays only
+    /// because perfbench sets it; ROADMAP item 2, a benchmark change,
+    /// deletes it.
     pub threads: Threads,
     /// Master seed. The default tenant's request `i` (by arrival,
     /// across batches) executes with RNG stream `stream_seed(seed, i)`;
@@ -111,8 +112,6 @@ pub struct ServeSession {
     index: LakeIndex,
     config: SessionConfig,
     admitter: Admitter,
-    /// The execute phase's workers, joined when the session drops.
-    pool: Pool,
     /// Publishes the shards' cache and maintained-store bytes at the
     /// end of every batch.
     gauges: CacheGauges,
@@ -128,14 +127,13 @@ impl ServeSession {
 
     /// Wrap an index in a session with explicit multi-tenant admission
     /// knobs. `admit` governs admission (capacity, quotas, aging,
-    /// breakers); `config` supplies only the execute-phase threads and
-    /// the session seed: its `queue_capacity`, `breaker_threshold` and
-    /// `breaker_cooldown_ticks` are ignored.
+    /// breakers); `config` supplies only the session seed: its
+    /// `queue_capacity`, `breaker_threshold`, `breaker_cooldown_ticks`
+    /// and `threads` are ignored.
     pub fn with_admission(index: LakeIndex, config: SessionConfig, admit: AdmitConfig) -> Self {
         ServeSession {
             index,
             admitter: Admitter::new(admit, config.seed),
-            pool: Pool::new(config.threads.min_len(2)),
             config,
             gauges: CacheGauges::default(),
         }
@@ -152,11 +150,10 @@ impl ServeSession {
         &self.index
     }
 
-    /// Tear the session down, keeping the (warm) index; the execute
-    /// workers are joined. A new session over the returned index
-    /// restarts the arrival counter, so replaying the same request
-    /// stream yields bitwise-identical responses — now served from
-    /// cache.
+    /// Tear the session down, keeping the (warm) index. A new session
+    /// over the returned index restarts the arrival counter, so
+    /// replaying the same request stream yields bitwise-identical
+    /// responses — now served from cache.
     pub fn into_index(self) -> LakeIndex {
         self.index
     }
@@ -216,8 +213,7 @@ impl ServeSession {
 
     /// The serial driver of a [`Batch`]: warm every need inline,
     /// request-major in arrival order (the only step that touches the
-    /// cache), then run the plans on the session's workers, which return
-    /// results in input order.
+    /// cache), then finish the batch, which runs its plans in place.
     fn submit_inner(&mut self, tenants: Vec<TenantId>, requests: &[&ServeRequest]) -> BatchReport {
         let _span = rdi_obs::span(metrics::BATCH_SPAN);
         let (mut batch, warm) = Batch::start(
@@ -235,13 +231,11 @@ impl ServeSession {
             let bytes = shard.bytes();
             batch.replied(si, shard.len(), bytes, shard.drain_decisions().collect());
         }
-        let pool = &mut self.pool;
         batch.finish(
             &mut self.admitter,
             requests,
             self.index.policies(),
             &mut self.gauges,
-            |jobs| pool.map(jobs, |(seed, plan)| execute(plan, *seed)),
         )
     }
 }
@@ -585,206 +579,26 @@ mod tests {
         assert_eq!(r.admitted, 0);
     }
 
+    /// `minhash_k = 0` is treated as 1: union and join requests answer
+    /// without a panic, replay bitwise on a fresh session and equal the
+    /// answers at `minhash_k = 1`.
     #[test]
-    fn breaker_recovery_replays_bitwise_across_thread_counts() {
-        // The whole trip → cooldown → probe → recovery arc is a pure
-        // function of the request stream, so replays with different
-        // execute-phase thread counts are bitwise identical.
-        let run = |threads: Threads| {
-            let mut idx = LakeIndex::new(LakeIndexConfig::default());
+    fn zero_minhash_k_serves_like_one() {
+        let run = |minhash_k: usize| {
+            let mut idx = LakeIndex::new(LakeIndexConfig {
+                minhash_k,
+                ..LakeIndexConfig::default()
+            });
             idx.register("abc", keyed(&["a", "b", "c"]), 1.0).unwrap();
             idx.register("abx", keyed(&["a", "b", "x"]), 1.0).unwrap();
-            let rows: Vec<(&str, f64)> = (0..60)
-                .map(|i| (if i % 3 == 0 { "min" } else { "maj" }, i as f64))
-                .collect();
-            idx.register("pop", grouped(&rows), 1.0).unwrap();
-            let mut s = ServeSession::new(
-                idx,
-                SessionConfig {
-                    threads,
-                    ..SessionConfig::default()
-                },
-            );
-            let poison = ServeRequest::CoverageProbe {
-                table: "missing".into(),
-                attributes: vec!["group".into()],
-                threshold: 1,
-            };
-            let mut log = String::new();
-            let threshold = s.config().breaker_threshold as usize;
-            let cooldown = s.config().breaker_cooldown_ticks;
-            log.push_str(&format!("{:?}\n", s.submit_batch(&vec![poison; threshold])));
-            for _ in 0..cooldown {
-                log.push_str(&format!("{:?}\n", s.submit_batch(&mixed_batch())));
-            }
-            log.push_str(&format!("{:?} {:?}\n", s.breaker_state(), s.ticks()));
-            log
+            let mut s = ServeSession::new(idx, SessionConfig::default());
+            let report = s.submit_batch(&mixed_batch()[..2]);
+            assert!(report.responses.iter().all(Result::is_ok), "{report:?}");
+            format!("{:?}\n{:?}", report.responses, report.decisions)
         };
-        let serial = run(Threads::fixed(1));
-        assert_eq!(serial, run(Threads::fixed(2)));
-        assert_eq!(serial, run(Threads::fixed(8)));
-    }
-
-    /// One seeded `session_workload` stream: its lake and its batches as
-    /// serving requests.
-    fn workload_stream(
-        seed: u64,
-        batches: usize,
-    ) -> (Vec<(String, Table)>, Vec<Vec<ServeRequest>>) {
-        use rdi_datagen::{session_workload, SessionOp, SessionWorkloadConfig};
-        let config = SessionWorkloadConfig {
-            num_sessions: 1,
-            batches_per_session: batches,
-            requests_per_batch_max: 6,
-            ..SessionWorkloadConfig::default()
-        };
-        let w = session_workload(&config, seed);
-        let to_request = |op: &SessionOp| match op.clone() {
-            SessionOp::Union { query, k } => ServeRequest::UnionTopK { query, k },
-            SessionOp::Joinable { query, column, k } => {
-                ServeRequest::JoinableTopK { query, column, k }
-            }
-            SessionOp::Coverage {
-                table,
-                attributes,
-                threshold,
-            } => ServeRequest::CoverageProbe {
-                table,
-                attributes,
-                threshold,
-            },
-            SessionOp::Tailor {
-                problem,
-                sources,
-                max_draws,
-            } => ServeRequest::TailorRun {
-                problem,
-                sources,
-                max_draws,
-            },
-        };
-        let stream = w.sessions[0]
-            .batches
-            .iter()
-            .map(|b| b.iter().map(to_request).collect())
-            .collect();
-        (w.tables, stream)
-    }
-
-    fn session_over(tables: &[(String, Table)], threads: Threads) -> ServeSession {
-        let mut idx = LakeIndex::new(LakeIndexConfig::default());
-        for (id, table) in tables {
-            idx.register(id.clone(), table.clone(), 1.0).unwrap();
-        }
-        ServeSession::new(
-            idx,
-            SessionConfig {
-                threads,
-                ..SessionConfig::default()
-            },
-        )
-    }
-
-    #[test]
-    fn workload_stream_replays_bitwise_across_thread_counts() {
-        // Sixty batches through one session reuse its execute workers
-        // batch after batch; every response and decision list (Debug
-        // prints each f64 exactly) must match the serial replay.
-        let (tables, stream) = workload_stream(0x5eed, 60);
-        let run = |threads: Threads| {
-            let mut s = session_over(&tables, threads);
-            let reports: Vec<String> = stream
-                .iter()
-                .map(|b| {
-                    let r = s.submit_batch(b);
-                    format!("{:?}\n{:?}", r.responses, r.decisions)
-                })
-                .collect();
-            assert!(s.pool.workers() < threads.get().max(2));
-            reports
-        };
-        let serial = run(Threads::fixed(1));
-        assert!(serial.iter().any(|r| r.contains("Tailored")));
-        for t in [2, 8] {
-            let parallel = run(Threads::fixed(t));
-            for (b, (want, got)) in serial.iter().zip(&parallel).enumerate() {
-                assert_eq!(want, got, "batch {b} at {t} threads");
-            }
-        }
-    }
-
-    #[test]
-    fn worker_spans_nest_like_serial_ones() {
-        // A root no other test opens keeps concurrent tests' spans out
-        // of the global registry's records read here.
-        let mut batch = mixed_batch();
-        batch.extend(vec![mixed_batch().remove(3); 3]);
-        let paths = |threads: Threads| {
-            let root = format!("span_probe_{}", threads.get());
-            let mut s = ServeSession::new(
-                session().into_index(),
-                SessionConfig {
-                    threads,
-                    ..SessionConfig::default()
-                },
-            );
-            {
-                let _root = rdi_obs::span(&root);
-                s.submit_batch(&batch);
-            }
-            let prefix = format!("{root}/");
-            let mut paths: Vec<String> = rdi_obs::global()
-                .span_records()
-                .into_iter()
-                .filter_map(|r| r.path.strip_prefix(&prefix).map(str::to_string))
-                .collect();
-            paths.sort();
-            paths
-        };
-        let serial = paths(Threads::serial());
-        assert!(serial.contains(&"serve.batch/serve.tailor/tailor".to_string()));
-        assert_eq!(paths(Threads::fixed(2)), serial);
-        assert_eq!(paths(Threads::fixed(8)), serial);
-    }
-
-    #[test]
-    fn a_long_session_keeps_few_workers_and_into_index_joins_them() {
-        thread_local! {
-            /// A clone of the watched `Arc`, dropped when the thread exits.
-            static HELD: std::cell::RefCell<Option<std::sync::Arc<()>>> =
-                const { std::cell::RefCell::new(None) };
-        }
-        let t = 3;
-        let mut s = session_over(
-            &[("abc".into(), keyed(&["a", "b", "c"]))],
-            Threads::fixed(t),
-        );
-        let batch = vec![
-            ServeRequest::UnionTopK {
-                query: keyed(&["a", "b"]),
-                k: 1,
-            };
-            t
-        ];
-        for _ in 0..1_000 {
-            assert_eq!(s.submit_batch(&batch).admitted, t);
-        }
-        assert_eq!(s.pool.workers(), t - 1);
-        // Jobs that wait for each other run on the caller and on every
-        // worker at once; each worker keeps a clone until it exits.
-        let watched = std::sync::Arc::new(());
-        let barrier = std::sync::Arc::new(std::sync::Barrier::new(t));
-        let caller = std::thread::current().id();
-        let w = std::sync::Arc::clone(&watched);
-        s.pool.map(vec![(); t], move |()| {
-            barrier.wait();
-            if std::thread::current().id() != caller {
-                HELD.with(|held| *held.borrow_mut() = Some(std::sync::Arc::clone(&w)));
-            }
-        });
-        assert!(std::sync::Arc::strong_count(&watched) > t - 1);
-        let _index = s.into_index();
-        assert_eq!(std::sync::Arc::strong_count(&watched), 1);
+        let zero = run(0);
+        assert_eq!(zero, run(0));
+        assert_eq!(zero, run(1));
     }
 
     /// The replay's "builds no sketch" counter check lives in

@@ -3,9 +3,9 @@
 //!
 //! 1. admission decisions — verdict per request, per-tenant token
 //!    levels, aging credits, and breaker arcs — are a pure function of
-//!    the tagged request stream: replays with execute-phase thread
-//!    counts 1/2/8 are **bitwise identical**, batch report for batch
-//!    report;
+//!    the tagged request stream: replays under `RDI_THREADS` 1/2/8
+//!    (which the lake's registration and the kernels read) are
+//!    **bitwise identical**, batch report for batch report;
 //! 2. the edge cases hold under random contention: a zero-quota tenant
 //!    sheds every request as `QuotaExceeded` without its breaker ever
 //!    learning about them, and a tenant whose quota dwarfs the queue is
@@ -14,11 +14,12 @@
 //!    zero-demand windows) never reset banked credit — only being
 //!    served does.
 //!
-//! Uses `SessionConfig::threads` (`Threads::fixed`) rather than the
-//! `RDI_THREADS` env var, so this file mutates no process state.
+//! Deliberately a single `#[test]` in its own integration-test file:
+//! the file gets its own process, so the `RDI_THREADS` mutation cannot
+//! leak into concurrently running tests.
 
 use proptest::prelude::*;
-use rdi_par::Threads;
+use rdi_par::THREADS_ENV;
 use responsible_data_integration::serve::{
     AdmitConfig, LakeIndex, LakeIndexConfig, ServeError, ServeRequest, ServeSession, SessionConfig,
     TaggedRequest, TenantId, TenantPolicy,
@@ -77,10 +78,9 @@ fn window_batch(capacity: usize, demand: &[usize]) -> Vec<TaggedRequest> {
 /// Run every window and render one deterministic transcript: each
 /// batch report plus every tenant's post-window admission state.
 /// Equal transcripts ⇔ bitwise-identical admission decisions.
-fn run(seed: u64, capacity: usize, windows: &[Vec<usize>], threads: Threads) -> String {
+fn run(seed: u64, capacity: usize, windows: &[Vec<usize>]) -> String {
     let config = SessionConfig {
         seed,
-        threads,
         ..SessionConfig::default()
     };
     let mut admit = AdmitConfig::from_session(&config);
@@ -148,12 +148,15 @@ proptest! {
             2..6,
         ),
     ) {
-        let reference = run(seed, capacity, &windows, Threads::fixed(1));
-        for n in [2usize, 8] {
-            let replay = run(seed, capacity, &windows, Threads::fixed(n));
+        std::env::set_var(THREADS_ENV, "1");
+        let reference = run(seed, capacity, &windows);
+        for threads in ["2", "8"] {
+            std::env::set_var(THREADS_ENV, threads);
+            let replay = run(seed, capacity, &windows);
+            std::env::remove_var(THREADS_ENV);
             prop_assert_eq!(
                 &replay, &reference,
-                "admission decisions changed with {} execute threads", n
+                "admission decisions changed under RDI_THREADS={}", threads
             );
         }
     }
