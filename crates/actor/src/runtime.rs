@@ -1,5 +1,5 @@
 //! The deterministic scheduler: typed mailboxes, virtual-time message
-//! ordering, and cohort delivery over `rdi-par`.
+//! ordering, and cohort delivery on the runtime's thread.
 //!
 //! ## How determinism is achieved
 //!
@@ -19,21 +19,20 @@
 //! One [`Runtime::step`] delivers the *cohort*: every envelope at the
 //! minimal pending virtual time. The cohort is grouped by target actor
 //! (targets in actor-id order, messages in sequence order within a
-//! target) and the groups run as owned jobs on the runtime's
-//! [`rdi_par::Pool`], which places each result at its job's index. Its
-//! workers start with the first cohort that runs in parallel, serve
-//! every later one and are joined when the runtime drops. Handlers
-//! never touch shared state: sends go to a per-group outbox and the
-//! event log is assembled by the runtime from the returned fragments,
-//! in actor-id order, so any `RDI_THREADS` value replays bitwise.
+//! target) and the groups run one after another, in that order, on the
+//! thread that calls [`Runtime::step`]; the runtime starts no thread
+//! (`rdi-par` keeps no persistent pool). Handlers never touch shared
+//! state: sends go to a per-group outbox and the event log is assembled
+//! by the runtime from the returned fragments, in actor-id order, so a
+//! replay is bitwise identical under any `RDI_THREADS` value.
 
 use std::any::Any;
 use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::panic::{self, AssertUnwindSafe};
-use std::sync::{mpsc, Mutex, PoisonError};
+use std::sync::mpsc;
 
-use rdi_par::{stream_seed, Pool, Threads};
+use rdi_par::{stream_seed, Threads};
 
 use crate::log::{EventLog, EventRecord};
 use crate::metrics;
@@ -49,8 +48,8 @@ const SUMMARY_MAX: usize = 96;
 const SUMMARY_CAP: usize = SUMMARY_MAX + 4;
 
 /// Anything an actor can receive: `Debug` (for the event log), `Send`
-/// (cohorts deliver on `rdi-par` workers), `'static` (type-erased in
-/// flight). Blanket-implemented — never implement it by hand.
+/// (any thread may inject through an [`Addr`]), `'static` (type-erased
+/// in flight). Blanket-implemented — never implement it by hand.
 pub trait Message: fmt::Debug + Send + 'static {}
 
 impl<T: fmt::Debug + Send + 'static> Message for T {}
@@ -300,7 +299,10 @@ pub struct RuntimeConfig {
     /// Width of the jitter window in virtual ticks (clamped to ≥ 1; a
     /// spread of 1 means no jitter — strict FIFO by sequence number).
     pub latency_spread: u64,
-    /// Thread configuration for cohort delivery.
+    /// Inert: every cohort runs on the thread that calls
+    /// [`Runtime::step`], so no runtime reads this field. It stays only
+    /// because perfbench sets it; ROADMAP item 2, a benchmark change,
+    /// deletes it.
     pub threads: Threads,
 }
 
@@ -315,8 +317,7 @@ impl Default for RuntimeConfig {
 }
 
 /// One job: all of a cohort's messages for one target, with the actor
-/// taken out of its slot so the handler has exclusive mutable access on
-/// whatever thread the job lands on.
+/// taken out of its slot while its handler runs.
 struct Job {
     id: ActorId,
     actor: Option<Box<dyn DynActor>>,
@@ -426,9 +427,6 @@ pub struct Runtime {
     steps: u64,
     delivery_errors: u64,
     log: EventLog,
-    /// Cohort workers, sized by `config.threads`: started at the first
-    /// parallel cohort, joined when the runtime drops.
-    pool: Pool,
 }
 
 impl fmt::Debug for Runtime {
@@ -458,7 +456,6 @@ impl Runtime {
             steps: 0,
             delivery_errors: 0,
             log: EventLog::default(),
-            pool: Pool::new(config.threads.min_len(2)),
         }
     }
 
@@ -556,17 +553,11 @@ impl Runtime {
     fn drain_mailboxes(&mut self) {
         for i in 0..self.mailboxes.len() {
             for msg in self.mailboxes[i].drain() {
-                // External sends target the mailbox owner; the sender is
-                // outside the runtime.
-                let to = ActorId(self.queue_owner(i));
-                self.enqueue(None, to, msg);
+                // Mailbox `i` belongs to actor `i` (parallel vectors);
+                // the sender is outside the runtime.
+                self.enqueue(None, ActorId(i), msg);
             }
         }
-    }
-
-    /// Mailbox `i` belongs to actor `i` (parallel vectors).
-    fn queue_owner(&self, i: usize) -> usize {
-        i
     }
 
     /// Deliver the cohort at the minimal pending virtual time. Returns
@@ -603,28 +594,23 @@ impl Runtime {
             groups.entry(env.to).or_default().push(env);
         }
 
-        // One job per target, in actor-id order.
-        let jobs: Vec<Mutex<Option<Job>>> = groups
+        // One job per target, run here in actor-id order. Each delivery
+        // catches its own unwind, so one panicking handler loses only its
+        // own actor: every job runs and is spliced back below before the
+        // panic goes on.
+        let outs: Vec<JobOut> = groups
             .into_iter()
             .map(|(id, msgs)| {
                 let actor = self.actors.get_mut(id.0).and_then(Option::take);
-                Mutex::new(Some(Job { id, actor, msgs }))
+                run_job(Job { id, actor, msgs }, vtime)
             })
             .collect();
 
-        // Each delivery catches its own unwind, so one panicking
-        // handler loses only its own actor: every job is spliced back
-        // below before the panic goes on.
-        let outs: Vec<Option<JobOut>> = self.pool.map(jobs, move |cell| {
-            let job = lock_cell(cell).take()?;
-            Some(run_job(job, vtime))
-        });
-
-        // Splice: the pool returns jobs in input (actor-id) order, so
-        // log appends and outbox enqueues below are deterministic.
+        // Splice in actor-id order, so log appends and outbox enqueues
+        // below are deterministic.
         let mut delivered_total = 0usize;
         let mut panicked = None;
-        for out in outs.into_iter().flatten() {
+        for out in outs {
             let JobOut {
                 id,
                 actor,
@@ -681,21 +667,13 @@ impl Runtime {
     }
 }
 
-/// Poison-recovering lock: a panicking handler on another job must not
-/// cascade into a second panic here.
-fn lock_cell<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::cell::RefCell;
     use std::panic::{self, AssertUnwindSafe};
     use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::{Arc, Barrier, Condvar, MutexGuard};
+    use std::sync::{Mutex, MutexGuard, PoisonError};
     use std::thread;
-    use std::time::Duration;
 
     /// Every test that steps a runtime feeds the global `actor.*`
     /// metrics; holding this lock keeps them out of the exact counts
@@ -703,7 +681,7 @@ mod tests {
     static METRICS: Mutex<()> = Mutex::new(());
 
     fn metrics_lock() -> MutexGuard<'static, ()> {
-        lock_cell(&METRICS)
+        METRICS.lock().unwrap_or_else(PoisonError::into_inner)
     }
 
     /// Counts greetings; replies `Pong(count)` to the given id.
@@ -984,33 +962,6 @@ mod tests {
     /// Nodes in the fan-out graph.
     const NODES: u64 = 16;
 
-    /// Where the first targets of one cohort wait for each other. The
-    /// pool hands out a cohort's jobs in actor-id order and a waiting
-    /// job holds its thread, so `targets.len()` threads run the cohort
-    /// at once.
-    struct Rendezvous {
-        targets: Vec<ActorId>,
-        arrived: Mutex<usize>,
-        all_arrived: Condvar,
-    }
-
-    impl Rendezvous {
-        fn meet(&self) {
-            let mut arrived = lock_cell(&self.arrived);
-            *arrived += 1;
-            self.all_arrived.notify_all();
-            // The bound only turns a changed schedule (a target that
-            // never comes) into a failure instead of a hang.
-            let (_arrived, wait) = self
-                .all_arrived
-                .wait_timeout_while(arrived, Duration::from_secs(30), |n| {
-                    *n < self.targets.len()
-                })
-                .unwrap_or_else(PoisonError::into_inner);
-            assert!(!wait.timed_out(), "cohort {:?} never met", self.targets);
-        }
-    }
-
     /// A node of a seeded fan-out graph: folds every hop into a digest
     /// and forwards it to zero to three seeded nodes while it has hops
     /// to live. Where it goes depends only on the hop, so every run
@@ -1018,9 +969,6 @@ mod tests {
     struct Node {
         digest: u64,
         seen: u64,
-        /// Rendezvous by delivery time.
-        meet: Arc<BTreeMap<u64, Rendezvous>>,
-        met_at: Option<u64>,
     }
 
     #[derive(Debug)]
@@ -1032,12 +980,6 @@ mod tests {
     impl Actor for Node {
         type Msg = Hop;
         fn handle(&mut self, hop: Hop, ctx: &mut Ctx<'_>) {
-            if let Some(r) = self.meet.get(&ctx.now()) {
-                if self.met_at != Some(ctx.now()) && r.targets.contains(&ctx.self_id()) {
-                    self.met_at = Some(ctx.now());
-                    r.meet();
-                }
-            }
             self.seen += 1;
             self.digest = stream_seed(self.digest ^ hop.key, ctx.now());
             if hop.ttl == 0 {
@@ -1073,24 +1015,15 @@ mod tests {
     type FanOut = (String, Vec<(u64, u64)>, [u64; 4], Vec<(u64, Vec<ActorId>)>);
 
     /// Run the fan-out graph from every node at once on zeroed metrics.
-    fn fan_out(threads: Threads, meet: BTreeMap<u64, Rendezvous>) -> FanOut {
+    fn fan_out(threads: Threads) -> FanOut {
         rdi_obs::global().reset();
         let mut rt = Runtime::new(RuntimeConfig {
             seed: 11,
             latency_spread: 3,
             threads,
         });
-        let meet = Arc::new(meet);
         let nodes: Vec<Addr<Hop>> = (0..NODES)
-            .map(|i| {
-                let node = Node {
-                    digest: i,
-                    seen: 0,
-                    meet: Arc::clone(&meet),
-                    met_at: None,
-                };
-                rt.spawn(&format!("n{i}"), node)
-            })
+            .map(|i| rt.spawn(&format!("n{i}"), Node { digest: i, seen: 0 }))
             .collect();
         for (i, node) in nodes.iter().enumerate() {
             for round in 0..3 {
@@ -1125,7 +1058,7 @@ mod tests {
     #[test]
     fn fan_out_replays_at_any_thread_count() {
         let _metrics = metrics_lock();
-        let serial = fan_out(Threads::fixed(1), BTreeMap::new());
+        let serial = fan_out(Threads::fixed(1));
         let widths: Vec<usize> = serial.3.iter().map(|(_, t)| t.len()).collect();
         assert_eq!(widths.iter().min(), Some(&1), "{widths:?}");
         assert_eq!(widths.iter().max(), Some(&(NODES as usize)), "{widths:?}");
@@ -1133,96 +1066,71 @@ mod tests {
         assert_eq!(steps, widths.len() as u64);
         assert_eq!(delivered, serial.0.lines().count() as u64);
         assert_eq!(errors, 0);
+        // `RuntimeConfig::threads` is inert: every setting replays.
         for t in [2, 8] {
-            // Every cohort of two or more targets runs on
-            // `min(targets, t)` threads at once.
-            let meet = serial
-                .3
-                .iter()
-                .filter(|(_, targets)| targets.len() > 1)
-                .map(|(vtime, targets)| {
-                    let rendezvous = Rendezvous {
-                        targets: targets[..targets.len().min(t)].to_vec(),
-                        arrived: Mutex::new(0),
-                        all_arrived: Condvar::new(),
-                    };
-                    (*vtime, rendezvous)
-                })
-                .collect();
-            assert!(serial == fan_out(Threads::fixed(t), meet), "{t} threads");
+            assert!(serial == fan_out(Threads::fixed(t)), "{t} threads");
         }
     }
 
-    thread_local! {
-        /// A clone of the watched `Arc`, dropped when the thread exits.
-        static HELD: RefCell<Option<Arc<()>>> = const { RefCell::new(None) };
+    /// Records the thread that runs each of its deliveries.
+    struct Recorder {
+        threads: Vec<thread::ThreadId>,
     }
 
-    /// Holds a clone of `watched` in [`HELD`] on any thread but
-    /// `caller`; with a barrier, waits for as many handlers as it has
-    /// parties, so that many threads run the cohort at once.
-    struct Holder {
-        caller: thread::ThreadId,
-    }
-
-    #[derive(Debug)]
-    struct Hold {
-        watched: Arc<()>,
-        barrier: Option<Arc<Barrier>>,
-    }
-
-    impl Actor for Holder {
-        type Msg = Hold;
-        fn handle(&mut self, msg: Hold, _ctx: &mut Ctx<'_>) {
-            if let Some(barrier) = &msg.barrier {
-                barrier.wait();
-            }
-            if thread::current().id() != self.caller {
-                HELD.with(|held| *held.borrow_mut() = Some(msg.watched));
-            }
+    impl Actor for Recorder {
+        type Msg = ();
+        fn handle(&mut self, (): (), _ctx: &mut Ctx<'_>) {
+            self.threads.push(thread::current().id());
         }
+    }
+
+    /// The `par.*` dispatch counters, read from the global registry.
+    fn par_metrics() -> [u64; 3] {
+        [
+            rdi_obs::counter("par.parallel_runs").get(),
+            rdi_obs::counter("par.serial_runs").get(),
+            rdi_obs::counter("par.tasks_dispatched").get(),
+        ]
     }
 
     #[test]
-    fn cohort_workers_stay_within_threads_and_drop_joins_them() {
+    fn cohorts_never_leave_the_callers_thread() {
         let _metrics = metrics_lock();
-        let t = 4;
-        let watched = Arc::new(());
         // A spread of 1 adds no jitter: each round's messages land in
         // one cohort.
         let mut rt = Runtime::new(RuntimeConfig {
             seed: 5,
             latency_spread: 1,
-            threads: Threads::fixed(t),
+            threads: Threads::fixed(8),
         });
-        let caller = thread::current().id();
-        let holders: Vec<Addr<Hold>> = (0..16)
-            .map(|i| rt.spawn(&format!("h{i}"), Holder { caller }))
+        let recorders: Vec<Addr<()>> = (0..16)
+            .map(|i| {
+                let recorder = Recorder {
+                    threads: Vec::new(),
+                };
+                rt.spawn(&format!("r{i}"), recorder)
+            })
             .collect();
-        // Cohorts of 1, 2 and 16 targets; a 16-target cohort waits on
-        // a barrier of `t`, so it runs on the caller and `t − 1`
-        // workers at once.
-        for (width, parties) in [(1, None), (2, None), (16, Some(t)), (16, None)] {
-            let barrier = parties.map(|n| Arc::new(Barrier::new(n)));
-            for holder in &holders[..width] {
-                holder
-                    .send(Hold {
-                        watched: Arc::clone(&watched),
-                        barrier: barrier.clone(),
-                    })
-                    .unwrap();
+        let before = par_metrics();
+        for width in [1, 2, 16] {
+            for recorder in &recorders[..width] {
+                recorder.send(()).unwrap();
             }
             assert_eq!(rt.step(), width);
-            assert!(rt.pool.workers() < t, "{} workers", rt.pool.workers());
-            if width == 1 {
-                assert_eq!(rt.pool.workers(), 0, "a lone target runs serially");
-            }
         }
-        assert_eq!(rt.pool.workers(), t - 1);
-        // Each worker holds one clone in a thread local.
-        assert_eq!(Arc::strong_count(&watched), t);
-        drop(rt);
-        assert_eq!(Arc::strong_count(&watched), 1);
+        let caller = thread::current().id();
+        let mut handled = 0;
+        for recorder in &recorders {
+            let threads = &rt.actor::<Recorder>(recorder.id()).unwrap().threads;
+            handled += threads.len();
+            assert!(
+                threads.iter().all(|&t| t == caller),
+                "{} ran on {threads:?}, not the caller's {caller:?}",
+                recorder.id()
+            );
+        }
+        assert_eq!(handled, 1 + 2 + 16);
+        assert_eq!(par_metrics(), before, "parallel, serial, tasks");
     }
 
     /// Panic payload naming the actor whose handler raised it.

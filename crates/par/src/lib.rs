@@ -4,13 +4,11 @@
 //! crates — this module gives the workspace's hot paths (column
 //! sketching, lake-wide candidate scoring, MUP lattice search,
 //! join-sampling trials, data generation, serving batches) a single,
-//! deterministic way to fan work out across cores. It has two primitives:
-//!
-//! * [`par_map`] and its relatives run on [`std::thread::scope`], so
-//!   they borrow their input; each parallel call spawns its threads.
-//! * [`Pool`] keeps worker threads between calls and maps owned jobs;
-//!   its owner pays the thread start once, not per call. Every thread
-//!   a pool starts is joined when the pool drops.
+//! deterministic way to fan work out across cores. [`par_map`] and its
+//! relatives run on [`std::thread::scope`], so they borrow their input;
+//! each parallel call spawns its threads and joins them before it
+//! returns. The crate keeps no persistent pool: no thread outlives the
+//! call that started it.
 //!
 //! Work run on another thread nests its spans under the submitting
 //! thread's open spans ([`rdi_obs::with_span_stack`]), so span paths do
@@ -27,9 +25,6 @@
 //!   outputs back **in input order**. The result is always exactly
 //!   `items.iter().map(f).collect()`, independent of thread count or
 //!   scheduling.
-//! * [`Pool::map`] lets the caller and the workers claim jobs one at a
-//!   time and places each result by its job's index, so it too returns
-//!   exactly the serial map.
 //! * [`par_reduce`] folds each chunk serially, then combines the
 //!   per-chunk accumulators **left to right** in chunk order. With the
 //!   chunk count fixed (see [`Threads::chunks_of`]) the combination
@@ -63,9 +58,6 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 mod metrics;
-mod pool;
-
-pub use pool::Pool;
 
 /// Environment variable consulted by [`Threads::auto`].
 pub const THREADS_ENV: &str = "RDI_THREADS";
